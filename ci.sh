@@ -18,6 +18,13 @@ cargo test --release --workspace --offline -q -- --test-threads=8
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== benchmark package (offline build + its own tests) =="
+# benchmark/ is a package of its own and calls this workspace's public
+# functions (benchmark/README.md lists them): a signature drift fails
+# here, not in the bench pipeline. Same target directory as run.sh.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+cargo test --offline -q --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+
 echo "== bench smoke (repro_smallfile + repro_aging_regroup + repro_concurrent + repro_namei + repro_volume, reduced scale) =="
 BENCH_TMP=$(mktemp -d)
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \

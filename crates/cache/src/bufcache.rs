@@ -15,10 +15,9 @@
 
 use cffs_disksim::driver::{Driver, IoReq};
 use cffs_fslib::vfs::CacheStats;
-use cffs_fslib::{FsResult, Ino, BLOCK_SIZE, SECTORS_PER_BLOCK};
+use cffs_fslib::{FsResult, Ino, IntMap, BLOCK_SIZE, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, Obs, Sig};
-use std::collections::{BinaryHeap, HashMap};
-use std::cmp::Reverse;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -47,15 +46,49 @@ impl Default for CacheConfig {
     }
 }
 
+/// A shared, immutable handle on one cached block's contents, as of the
+/// moment it was read. Handing one out is a reference-count bump: a cache
+/// hit allocates and copies nothing.
+///
+/// Writers go through [`BufferCache::modify_block`] (or `_bound`), which
+/// mutates the buffer in place when no handle is outstanding and copies it
+/// first when one is — so a handle held across a modify of the same block
+/// stays correct (it keeps reading the old bytes) but costs that modify a
+/// 4 KB copy. Drop the handle before modifying the block it came from.
+#[derive(Debug, Clone)]
+pub struct Block(Arc<[u8; BLOCK_SIZE]>);
+
+impl Block {
+    fn zeroed() -> Block {
+        Block(Arc::new([0u8; BLOCK_SIZE]))
+    }
+
+    fn copy_of(bytes: &[u8]) -> Block {
+        Block(Arc::new(bytes.try_into().expect("exactly one block")))
+    }
+
+    /// The bytes, writable: in place when unshared, a fresh copy otherwise.
+    fn make_mut(&mut self) -> &mut [u8] {
+        &mut Arc::make_mut(&mut self.0)[..]
+    }
+}
+
+impl Deref for Block {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0[..]
+    }
+}
+
 #[derive(Debug)]
 struct Buf {
     blkno: u64,
     logical: Option<(Ino, u64)>,
-    data: Vec<u8>,
+    data: Block,
     dirty: bool,
     /// Metadata block (affects accounting only; policy is caller-driven).
     meta: bool,
-    stamp: u64,
     /// `Some(fetch id)` while this buffer was installed by a group
     /// prefetch and has not been hit yet — cleared (and counted as
     /// "used") on the first hit, or counted as "wasted" if the buffer
@@ -86,8 +119,11 @@ struct ShardMap {
     nshards: usize,
 }
 
+/// "No neighbour" in the LRU list.
+const NIL: usize = usize::MAX;
+
 /// One independently locked cache shard: buffer pool, physical index
-/// and LRU clock. Logical identities live in the cache-wide map; each
+/// and LRU list. Logical identities live in the cache-wide map; each
 /// buffer's `logical` field is a back-pointer used for validation.
 #[derive(Debug)]
 struct CacheCore {
@@ -95,10 +131,17 @@ struct CacheCore {
     flush_watermark_pct: u8,
     bufs: Vec<Option<Buf>>,
     free_slots: Vec<usize>,
-    phys: HashMap<u64, usize>,
-    /// Lazy min-heap of (stamp, slot) for LRU eviction.
-    lru: BinaryHeap<Reverse<(u64, usize)>>,
-    tick: u64,
+    phys: IntMap<u64, usize>,
+    /// Intrusive LRU list: one `(prev, next)` pair per slot of `bufs`,
+    /// linking the resident slots from `lru_head` (least recently
+    /// touched, the eviction victim) to `lru_tail`. Empty slots are
+    /// unlinked.
+    links: Vec<(usize, usize)>,
+    lru_head: usize,
+    lru_tail: usize,
+    /// Number of dirty buffers, kept in step at every `dirty` flip so
+    /// the eviction path never scans for it.
+    ndirty: usize,
     stats: CacheStats,
 }
 
@@ -108,8 +151,8 @@ struct CacheCore {
 struct Ctx<'a> {
     obs: &'a Arc<Obs>,
     driver: &'a Driver,
-    logical: &'a Mutex<HashMap<(Ino, u64), u64>>,
-    gfetches: &'a Mutex<HashMap<u32, GroupFetch>>,
+    logical: &'a Mutex<IntMap<(Ino, u64), u64>>,
+    gfetches: &'a Mutex<IntMap<u32, GroupFetch>>,
 }
 
 /// Remove the authoritative logical entry for `id` if it still names
@@ -189,23 +232,61 @@ impl CacheCore {
             flush_watermark_pct,
             bufs: Vec::new(),
             free_slots: Vec::new(),
-            phys: HashMap::new(),
-            lru: BinaryHeap::new(),
-            tick: 0,
+            // Both indexes hold at most one entry per buffer; sized up
+            // front, a first touch or first bind never grows a table.
+            phys: IntMap::with_capacity_and_hasher(nbufs, Default::default()),
+            links: Vec::new(),
+            lru_head: NIL,
+            lru_tail: NIL,
+            ndirty: 0,
             stats: CacheStats::default(),
         }
     }
 
     fn dirty_count(&self) -> usize {
-        self.bufs.iter().flatten().filter(|b| b.dirty).count()
+        debug_assert_eq!(self.ndirty, self.bufs.iter().flatten().filter(|b| b.dirty).count());
+        self.ndirty
     }
 
-    fn touch(&mut self, slot: usize) {
-        self.tick += 1;
-        if let Some(b) = &mut self.bufs[slot] {
-            b.stamp = self.tick;
-            self.lru.push(Reverse((self.tick, slot)));
+    /// Take a resident slot out of the LRU list.
+    fn unlink(&mut self, slot: usize) {
+        let (prev, next) = std::mem::replace(&mut self.links[slot], (NIL, NIL));
+        match prev {
+            NIL => self.lru_head = next,
+            p => self.links[p].1 = next,
         }
+        match next {
+            NIL => self.lru_tail = prev,
+            n => self.links[n].0 = prev,
+        }
+    }
+
+    /// Append an unlinked slot as the most recently touched.
+    fn push_tail(&mut self, slot: usize) {
+        self.links[slot] = (self.lru_tail, NIL);
+        match self.lru_tail {
+            NIL => self.lru_head = slot,
+            t => self.links[t].1 = slot,
+        }
+        self.lru_tail = slot;
+    }
+
+    /// A resident slot was used: it becomes the most recently touched.
+    fn touch(&mut self, slot: usize) {
+        if self.lru_tail != slot {
+            self.unlink(slot);
+            self.push_tail(slot);
+        }
+    }
+
+    /// The resident buffer in `slot`, marked dirty.
+    fn dirty_buf(&mut self, slot: usize) -> &mut Buf {
+        let b = self.bufs[slot].as_mut().expect("resident");
+        if !b.dirty {
+            b.dirty = true;
+            self.ndirty += 1;
+        }
+        b
     }
 
     /// Find the buffer slot for a physical block, if resident.
@@ -219,10 +300,11 @@ impl CacheCore {
         let mut dirty = Vec::new();
         for b in self.bufs.iter_mut().flatten() {
             if b.dirty {
-                dirty.push((b.blkno, b.data.clone()));
+                dirty.push((b.blkno, b.data.to_vec()));
                 b.dirty = false;
             }
         }
+        self.ndirty = 0;
         self.stats.writebacks += dirty.len() as u64;
         dirty
     }
@@ -234,6 +316,7 @@ impl CacheCore {
         }
         if self.bufs.len() < self.nbufs {
             self.bufs.push(None);
+            self.links.push((NIL, NIL));
             return self.bufs.len() - 1;
         }
         // Update-daemon behaviour: under dirty pressure, flush everything
@@ -245,37 +328,35 @@ impl CacheCore {
             flush_batch(ctx, dirty);
         }
         // Evict the true LRU (clean or dirty; dirty gets written back).
-        loop {
-            let Reverse((stamp, slot)) = self.lru.pop().expect("cache full but LRU empty");
-            let Some(b) = &self.bufs[slot] else { continue };
-            if b.stamp != stamp {
-                continue; // stale heap entry
-            }
-            let b = self.bufs[slot].take().expect("checked above");
-            self.phys.remove(&b.blkno);
-            if let Some(id) = b.logical {
-                unbind_entry(ctx, id, b.blkno);
-            }
-            if let Some(id) = b.gfetch {
-                gfetch_wasted(ctx, id);
-            }
-            if b.dirty {
-                ctx.driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
-                self.stats.writebacks += 1;
-                ctx.obs.bump(Ctr::CacheWritebacks);
-                ctx.obs.bump(Ctr::CacheDelayedFlushes);
-            }
-            self.stats.evictions += 1;
-            ctx.obs.bump(Ctr::CacheEvictions);
-            return slot;
+        let slot = self.lru_head;
+        assert_ne!(slot, NIL, "cache full but LRU empty");
+        self.unlink(slot);
+        let b = self.bufs[slot].take().expect("linked slot is resident");
+        self.phys.remove(&b.blkno);
+        if let Some(id) = b.logical {
+            unbind_entry(ctx, id, b.blkno);
         }
+        if let Some(id) = b.gfetch {
+            gfetch_wasted(ctx, id);
+        }
+        if b.dirty {
+            self.ndirty -= 1;
+            ctx.driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
+            self.stats.writebacks += 1;
+            ctx.obs.bump(Ctr::CacheWritebacks);
+            ctx.obs.bump(Ctr::CacheDelayedFlushes);
+        }
+        self.stats.evictions += 1;
+        ctx.obs.bump(Ctr::CacheEvictions);
+        slot
     }
 
+    /// Put `buf` into the empty slot `slot` as the most recently touched.
     fn install(&mut self, slot: usize, buf: Buf) {
-        let blkno = buf.blkno;
+        self.phys.insert(buf.blkno, slot);
+        self.ndirty += usize::from(buf.dirty);
         self.bufs[slot] = Some(buf);
-        self.phys.insert(blkno, slot);
-        self.touch(slot);
+        self.push_tail(slot);
     }
 
     /// Core miss/hit path: return the slot for `blkno`, reading from disk
@@ -291,14 +372,14 @@ impl CacheCore {
             return Ok(slot);
         }
         ctx.obs.bump(Ctr::CacheMisses);
-        let mut data = vec![0u8; BLOCK_SIZE];
+        let mut data = Block::zeroed();
         if read {
-            ctx.driver.read(blkno * SECTORS_PER_BLOCK, &mut data);
+            ctx.driver.read(blkno * SECTORS_PER_BLOCK, data.make_mut());
         }
         let slot = self.alloc_slot(ctx);
         self.install(
             slot,
-            Buf { blkno, logical: None, data, dirty: false, meta: false, stamp: 0, gfetch: None },
+            Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch: None },
         );
         Ok(slot)
     }
@@ -343,23 +424,33 @@ impl CacheCore {
     /// Forget a resident block (invalidate) without any write-back.
     fn invalidate(&mut self, ctx: &Ctx, blkno: u64) {
         if let Some(slot) = self.phys.remove(&blkno) {
-            if let Some(b) = self.bufs[slot].take() {
-                if let Some(id) = b.logical {
-                    unbind_entry(ctx, id, b.blkno);
-                }
-                if let Some(id) = b.gfetch {
-                    gfetch_wasted(ctx, id);
-                }
+            let b = self.take_resident(slot);
+            if let Some(id) = b.logical {
+                unbind_entry(ctx, id, b.blkno);
             }
-            self.free_slots.push(slot);
+            if let Some(id) = b.gfetch {
+                gfetch_wasted(ctx, id);
+            }
         }
+    }
+
+    /// Lift the buffer out of `slot` (already gone from `phys`), leaving
+    /// the slot free.
+    fn take_resident(&mut self, slot: usize) -> Buf {
+        self.unlink(slot);
+        let b = self.bufs[slot].take().expect("indexed slot is resident");
+        self.ndirty -= usize::from(b.dirty);
+        self.free_slots.push(slot);
+        b
     }
 
     fn clear(&mut self) {
         self.bufs.clear();
         self.free_slots.clear();
         self.phys.clear();
-        self.lru.clear();
+        self.links.clear();
+        (self.lru_head, self.lru_tail) = (NIL, NIL);
+        self.ndirty = 0;
     }
 }
 
@@ -372,11 +463,11 @@ pub struct BufferCache {
     shards: Vec<Mutex<CacheCore>>,
     /// Authoritative logical index: (ino, lbn) → physical block. The
     /// owning shard's buffer back-pointer validates each entry.
-    logical: Mutex<HashMap<(Ino, u64), u64>>,
+    logical: Mutex<IntMap<(Ino, u64), u64>>,
     /// In-flight group-fetch utilization accounting, fetch id → tally.
     /// An entry is dropped (and its utilization histogram sample
     /// recorded) once all of its blocks resolved as used or wasted.
-    gfetches: Mutex<HashMap<u32, GroupFetch>>,
+    gfetches: Mutex<IntMap<u32, GroupFetch>>,
     next_gfetch: AtomicU32,
     /// Counters not attributable to one shard (logical-index misses,
     /// whole-cache group-read tallies).
@@ -401,8 +492,8 @@ impl BufferCache {
             config,
             map: None,
             shards: vec![Mutex::new(CacheCore::new(config.nbufs, config.flush_watermark_pct))],
-            logical: Mutex::new(HashMap::new()),
-            gfetches: Mutex::new(HashMap::new()),
+            logical: Mutex::new(IntMap::with_capacity_and_hasher(config.nbufs, Default::default())),
+            gfetches: Mutex::new(IntMap::default()),
             next_gfetch: AtomicU32::new(0),
             misc: Mutex::new(CacheStats::default()),
             obs: Obs::new(),
@@ -531,8 +622,9 @@ impl BufferCache {
         }
     }
 
-    /// Read a block through the cache, returning a copy of its contents.
-    pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Vec<u8>> {
+    /// Read a block through the cache, returning a shared handle on its
+    /// contents (see [`Block`]).
+    pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Block> {
         let ctx = self.ctx(driver);
         let mut core = self.lock_shard(self.shard_of(blkno));
         let slot = core.get_slot(&ctx, blkno, true)?;
@@ -547,7 +639,7 @@ impl BufferCache {
         blkno: u64,
         ino: Ino,
         lbn: u64,
-    ) -> FsResult<Vec<u8>> {
+    ) -> FsResult<Block> {
         let ctx = self.ctx(driver);
         let mut core = self.lock_shard(self.shard_of(blkno));
         let slot = core.get_slot(&ctx, blkno, true)?;
@@ -570,10 +662,9 @@ impl BufferCache {
         let ctx = self.ctx(driver);
         let mut core = self.lock_shard(self.shard_of(blkno));
         let slot = core.get_slot(&ctx, blkno, read_first)?;
-        let b = core.bufs[slot].as_mut().expect("resident");
-        b.dirty = true;
+        let b = core.dirty_buf(slot);
         b.meta = meta;
-        Ok(f(&mut b.data))
+        Ok(f(b.data.make_mut()))
     }
 
     /// Mutate a block and bind its logical identity (file-write path).
@@ -590,9 +681,7 @@ impl BufferCache {
         let mut core = self.lock_shard(self.shard_of(blkno));
         let slot = core.get_slot(&ctx, blkno, read_first)?;
         core.bind_slot(&ctx, slot, ino, lbn);
-        let b = core.bufs[slot].as_mut().expect("resident");
-        b.dirty = true;
-        Ok(f(&mut b.data))
+        Ok(f(core.dirty_buf(slot).data.make_mut()))
     }
 
     /// If `blkno` is dirty, write it to disk *now* and mark it clean. This
@@ -605,6 +694,7 @@ impl BufferCache {
             if b.dirty {
                 driver.write(blkno * SECTORS_PER_BLOCK, &b.data);
                 b.dirty = false;
+                core.ndirty -= 1;
                 core.stats.sync_writes += 1;
                 self.obs.bump(Ctr::CacheSyncFlushes);
             }
@@ -625,8 +715,7 @@ impl BufferCache {
             let b = core.bufs[slot].as_ref().expect("resident");
             let lo = sector_in_block * cffs_disksim::SECTOR_SIZE;
             let hi = lo + cffs_disksim::SECTOR_SIZE;
-            let sector = b.data[lo..hi].to_vec();
-            driver.write(blkno * SECTORS_PER_BLOCK + sector_in_block as u64, &sector);
+            driver.write(blkno * SECTORS_PER_BLOCK + sector_in_block as u64, &b.data[lo..hi]);
             core.stats.sync_writes += 1;
             self.obs.bump(Ctr::CacheSyncFlushes);
         }
@@ -705,9 +794,8 @@ impl BufferCache {
             core.invalidate(&ctx, new);
             let slot = core.phys.remove(&old).expect("checked resident");
             core.gfetch_used(&ctx, slot);
-            let b = core.bufs[slot].as_mut().expect("resident");
+            let b = core.dirty_buf(slot);
             b.blkno = new;
-            b.dirty = true;
             let id = b.logical;
             core.phys.insert(new, slot);
             core.touch(slot);
@@ -729,12 +817,10 @@ impl BufferCache {
             if so == lo { (&mut g_lo, &mut g_hi) } else { (&mut g_hi, &mut g_lo) };
         let Some(slot) = src.phys.remove(&old) else { return false };
         src.gfetch_used(&ctx, slot);
-        let mut b = src.bufs[slot].take().expect("resident");
-        src.free_slots.push(slot);
+        let mut b = src.take_resident(slot);
         dst.invalidate(&ctx, new);
         b.blkno = new;
         b.dirty = true;
-        b.stamp = 0;
         let id = b.logical;
         let dslot = dst.alloc_slot(&ctx);
         dst.install(dslot, b);
@@ -818,10 +904,9 @@ impl BufferCache {
                     Buf {
                         blkno: blk,
                         logical: None,
-                        data: req.data[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE].to_vec(),
+                        data: Block::copy_of(&req.data[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE]),
                         dirty: false,
                         meta: false,
-                        stamp: 0,
                         gfetch: Some(fetch_id),
                     },
                 );
@@ -1285,12 +1370,95 @@ mod tests {
         assert_eq!(snap.count(), 2, "one sample per shard that saw lookups");
         assert_eq!(snap.sum, 75, "75% + 0%");
     }
+
+    #[test]
+    fn hits_leave_exactly_one_lru_link_per_slot() {
+        let drv = driver();
+        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        for blk in 0..32u64 {
+            let _ = c.read_block_bound(&drv, blk, 7, blk).unwrap();
+        }
+        // A resident, non-evicting working set: a million hits through
+        // all three hit paths.
+        for i in 0..1_000_000u64 {
+            let blk = (i * 7) % 32;
+            match i % 3 {
+                0 => drop(c.read_block(&drv, blk).unwrap()),
+                1 => drop(c.read_block_bound(&drv, blk, 7, blk).unwrap()),
+                _ => assert_eq!(c.lookup_logical(7, blk), Some(blk)),
+            }
+        }
+        assert_eq!(drv.disk_stats().reads, 32, "only the loads reached the disk");
+        let core = c.lock_shard(0);
+        assert_eq!(core.bufs.len(), 32);
+        assert_eq!(core.links.len(), 32, "bookkeeping is one link pair per slot");
+        // And the list threads every resident slot exactly once.
+        let (mut seen, mut slot, mut prev) = (0, core.lru_head, NIL);
+        while slot != NIL {
+            assert_eq!(core.links[slot].0, prev);
+            (prev, slot) = (slot, core.links[slot].1);
+            seen += 1;
+        }
+        assert_eq!((seen, prev), (32, core.lru_tail));
+    }
+
+    #[test]
+    fn block_handle_is_a_snapshot_across_modify() {
+        let drv = driver();
+        let c = small_cache();
+        c.modify_block(&drv, 5, false, false, |d| d.fill(1)).unwrap();
+        let held = c.read_block(&drv, 5).unwrap();
+        // The modify sees the current bytes, not zeroes, and does not
+        // disturb the outstanding handle.
+        c.modify_block(&drv, 5, false, true, |d| {
+            assert!(d.iter().all(|&b| b == 1));
+            d[..100].fill(2);
+        })
+        .unwrap();
+        assert!(held.iter().all(|&b| b == 1), "held handle keeps the old bytes");
+        let fresh = c.read_block(&drv, 5).unwrap();
+        assert!(fresh[..100].iter().all(|&b| b == 2) && fresh[100..].iter().all(|&b| b == 1));
+        // What reaches the disk is the new contents.
+        c.sync(&drv).unwrap();
+        let mut back = vec![0u8; BLOCK_SIZE];
+        drv.with_disk(|d| d.raw_read(5 * SECTORS_PER_BLOCK, &mut back));
+        assert_eq!(&back[..], &fresh[..]);
+        assert!(held.iter().all(|&b| b == 1));
+    }
+
+    #[test]
+    fn dirty_counter_tracks_every_flip() {
+        let drv = driver();
+        let mut c = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
+        c.shard_by_cg(16, 2);
+        // `dirty_count` debug-asserts the counter against a scan.
+        for blk in 0..6u64 {
+            c.modify_block(&drv, blk, false, false, |d| d.fill(1)).unwrap();
+        }
+        c.modify_block(&drv, 0, false, true, |d| d.fill(2)).unwrap(); // already dirty
+        assert_eq!(c.dirty_count(), 6);
+        c.flush_block_sync(&drv, 0).unwrap();
+        c.invalidate_block(&drv, 1);
+        assert_eq!(c.dirty_count(), 4);
+        assert!(c.relocate_phys(&drv, 0, 7), "clean buffer re-homed in its shard");
+        assert!(c.relocate_phys(&drv, 2, 20), "dirty buffer re-homed across shards");
+        assert_eq!(c.dirty_count(), 5);
+        for blk in 32..48u64 {
+            let _ = c.read_block(&drv, blk).unwrap(); // evicts shard 0's dirty buffers
+        }
+        assert_eq!(c.dirty_count(), 1, "only block 20 in shard 1 is left");
+        c.sync(&drv).unwrap();
+        assert_eq!(c.dirty_count(), 0);
+        c.modify_block(&drv, 3, false, false, |d| d.fill(3)).unwrap();
+        c.crash();
+        assert_eq!(c.dirty_count(), 0);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use cffs_disksim::{models, Disk, DriverConfig};
+    use cffs_disksim::{models, Disk, DriverConfig, Scheduler};
     use proptest::prelude::*;
     use proptest::TestCaseError;
     use std::collections::HashMap;
@@ -1300,12 +1468,14 @@ mod proptests {
         Read(u64),
         Write(u64, u8),
         WriteBound(u64, u64, u64, u8), // blk, ino, lbn, byte
+        Lookup(u64, u64),              // ino, lbn
         FlushSync(u64),
         Sync,
         DropAll,
         Invalidate(u64),
         GroupRead(u64, u8),
         PurgeIno(u64),
+        Relocate(u64, u64), // old, new
     }
 
     fn arb_op() -> impl Strategy<Value = CacheOp> {
@@ -1314,13 +1484,39 @@ mod proptests {
             4 => (0u64..64, any::<u8>()).prop_map(|(b, v)| CacheOp::Write(b, v)),
             3 => (0u64..64, 0u64..6, 0u64..8, any::<u8>())
                 .prop_map(|(b, i, l, v)| CacheOp::WriteBound(b, i, l, v)),
+            2 => (0u64..6, 0u64..8).prop_map(|(i, l)| CacheOp::Lookup(i, l)),
             2 => (0u64..64).prop_map(CacheOp::FlushSync),
             1 => Just(CacheOp::Sync),
             1 => Just(CacheOp::DropAll),
             1 => (0u64..64).prop_map(CacheOp::Invalidate),
             2 => (0u64..48, 1u8..16).prop_map(|(b, n)| CacheOp::GroupRead(b, n)),
             1 => (0u64..6).prop_map(CacheOp::PurgeIno),
+            2 => (0u64..64, 0u64..64).prop_map(|(o, n)| CacheOp::Relocate(o, n)),
         ]
+    }
+
+    fn tiny_driver(scheduler: Scheduler) -> Driver {
+        Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig { scheduler })
+    }
+
+    /// First byte of block `b` as the platter holds it right now.
+    fn on_disk(drv: &Driver, b: u64) -> u8 {
+        let mut sector = [0u8; cffs_disksim::SECTOR_SIZE];
+        drv.with_disk(|d| d.raw_read(b * SECTORS_PER_BLOCK, &mut sector));
+        sector[0]
+    }
+
+    /// After a sync nothing is dirty and the platter holds the model.
+    fn check_all_durable(
+        cache: &BufferCache,
+        drv: &Driver,
+        model: &HashMap<u64, u8>,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(cache.dirty_count(), 0);
+        for (&b, &v) in model {
+            prop_assert_eq!(on_disk(drv, b), v, "block {} after sync", b);
+        }
+        Ok(())
     }
 
     /// Run the transparency model against a cache (sharded or not).
@@ -1329,16 +1525,17 @@ mod proptests {
         drv: &Driver,
         ops: Vec<CacheOp>,
     ) -> Result<(), TestCaseError> {
-        // model: block -> expected fill byte (0 = never written).
+        // model: block -> expected fill byte (absent = 0, never written).
+        // Evictions and watermark flushes write dirty data back at any
+        // time, which the model cannot see; where an op discards a buffer
+        // the block reverts to whatever the platter holds at that moment.
         let mut model: HashMap<u64, u8> = HashMap::new();
-        // writes not yet durable (to emulate Invalidate discarding them)
-        let mut dirty: HashMap<u64, u8> = HashMap::new();
-        let mut durable: HashMap<u64, u8> = HashMap::new();
+        let want = |model: &HashMap<u64, u8>, b: u64| *model.get(&b).unwrap_or(&0);
         for op in ops {
             match op {
                 CacheOp::Read(b) => {
                     let data = cache.read_block(drv, b).unwrap();
-                    let want = *model.get(&b).unwrap_or(&0);
+                    let want = want(&model, b);
                     prop_assert!(
                         data.iter().all(|&x| x == want),
                         "block {} read {} want {}", b, data[0], want
@@ -1347,54 +1544,53 @@ mod proptests {
                 CacheOp::Write(b, v) => {
                     cache.modify_block(drv, b, false, false, |d| d.fill(v)).unwrap();
                     model.insert(b, v);
-                    dirty.insert(b, v);
                 }
                 CacheOp::WriteBound(b, ino, lbn, v) => {
                     cache
                         .modify_block_bound(drv, b, ino, lbn, false, |d| d.fill(v))
                         .unwrap();
                     model.insert(b, v);
-                    dirty.insert(b, v);
+                }
+                CacheOp::Lookup(ino, lbn) => {
+                    if let Some(b) = cache.lookup_logical(ino, lbn) {
+                        prop_assert!(cache.contains(b), "logical hit on absent block {}", b);
+                    }
                 }
                 CacheOp::FlushSync(b) => {
                     cache.flush_block_sync(drv, b).unwrap();
-                    if let Some(v) = dirty.remove(&b) {
-                        durable.insert(b, v);
-                    }
+                    prop_assert_eq!(on_disk(drv, b), want(&model, b), "flushed block {}", b);
                 }
                 CacheOp::Sync => {
                     cache.sync(drv).unwrap();
-                    durable.extend(dirty.drain());
+                    check_all_durable(cache, drv, &model)?;
                 }
                 CacheOp::DropAll => {
                     cache.drop_all(drv).unwrap();
-                    durable.extend(dirty.drain());
+                    check_all_durable(cache, drv, &model)?;
                 }
                 CacheOp::Invalidate(b) => {
+                    // Contract: dirty contents are discarded.
                     cache.invalidate_block(drv, b);
-                    // Contract: dirty contents are discarded; the block
-                    // reverts to its last durable contents.
-                    dirty.remove(&b);
-                    match durable.get(&b) {
-                        Some(&v) => { model.insert(b, v); }
-                        None => { model.remove(&b); }
-                    }
+                    model.insert(b, on_disk(drv, b));
                 }
                 CacheOp::GroupRead(start, n) => {
                     cache.read_group(drv, &[(start, n as usize)]).unwrap();
                 }
                 CacheOp::PurgeIno(ino) => cache.purge_ino(ino),
-            }
-            // NOTE: eviction may write dirty blocks back at any time,
-            // which only *adds* durability; the model above tracks the
-            // weakest guarantee, so reads are still exact.
-            for (&b, &v) in dirty.iter() {
-                if !cache.contains(b) {
-                    // Evicted dirty block became durable.
-                    durable.insert(b, v);
+                CacheOp::Relocate(old, new) => {
+                    let resident = cache.contains(old);
+                    let moved = cache.relocate_phys(drv, old, new);
+                    prop_assert_eq!(moved, resident && old != new);
+                    if moved {
+                        // The buffer answers at `new` now (whatever was
+                        // cached there is discarded); `old` is forgotten
+                        // without write-back.
+                        model.insert(new, want(&model, old));
+                        model.insert(old, on_disk(drv, old));
+                        prop_assert!(!cache.contains(old) && cache.contains(new));
+                    }
                 }
             }
-            dirty.retain(|&b, _| cache.contains(b));
         }
         // Final check: everything the model believes in reads back.
         for (&b, &v) in &model {
@@ -1404,16 +1600,127 @@ mod proptests {
         Ok(())
     }
 
+    /// Reference replacement policy: per shard, the resident blocks from
+    /// least to most recently touched; a full shard evicts the front.
+    struct LruModel {
+        cg_blocks: u64,
+        per_shard: usize,
+        shards: Vec<Vec<u64>>,
+    }
+
+    impl LruModel {
+        fn shard(&mut self, b: u64) -> &mut Vec<u64> {
+            let n = self.shards.len();
+            &mut self.shards[(b / self.cg_blocks) as usize % n]
+        }
+
+        fn resident(&mut self, b: u64) -> bool {
+            self.shard(b).contains(&b)
+        }
+
+        fn forget(&mut self, b: u64) {
+            self.shard(b).retain(|&x| x != b);
+        }
+
+        /// `b` was used: load it (evicting the LRU of a full shard) or
+        /// move it to the most-recent end.
+        fn touch(&mut self, b: u64) {
+            let cap = self.per_shard;
+            let s = self.shard(b);
+            match s.iter().position(|&x| x == b) {
+                Some(i) => {
+                    s.remove(i);
+                }
+                None if s.len() == cap => {
+                    s.remove(0);
+                }
+                None => {}
+            }
+            s.push(b);
+        }
+    }
+
+    /// Drive cache and [`LruModel`] with the same ops; the resident sets
+    /// must agree after every one, i.e. every victim was the shard's
+    /// least recently touched buffer.
+    fn check_eviction_order(nbufs: usize, nshards: usize, ops: Vec<CacheOp>) -> Result<(), TestCaseError> {
+        // FCFS keeps a group read's install order the submission order.
+        let drv = tiny_driver(Scheduler::Fcfs);
+        let mut cache = BufferCache::new(CacheConfig { nbufs, flush_watermark_pct: 50 });
+        cache.shard_by_cg(16, nshards);
+        let mut m = LruModel {
+            cg_blocks: 16,
+            per_shard: nbufs / nshards,
+            shards: vec![Vec::new(); nshards],
+        };
+        for op in ops {
+            match op {
+                CacheOp::Read(b) => {
+                    cache.read_block(&drv, b).unwrap();
+                    m.touch(b);
+                }
+                CacheOp::Write(b, v) => {
+                    cache.modify_block(&drv, b, false, true, |d| d.fill(v)).unwrap();
+                    m.touch(b);
+                }
+                CacheOp::WriteBound(b, ino, lbn, v) => {
+                    cache.modify_block_bound(&drv, b, ino, lbn, false, |d| d.fill(v)).unwrap();
+                    m.touch(b);
+                }
+                CacheOp::Lookup(ino, lbn) => {
+                    if let Some(b) = cache.lookup_logical(ino, lbn) {
+                        prop_assert!(m.resident(b), "logical hit on block {} the model evicted", b);
+                        m.touch(b);
+                    }
+                }
+                // None of these is a use.
+                CacheOp::FlushSync(b) => cache.flush_block_sync(&drv, b).unwrap(),
+                CacheOp::Sync => cache.sync(&drv).unwrap(),
+                CacheOp::PurgeIno(ino) => cache.purge_ino(ino),
+                CacheOp::DropAll => {
+                    cache.drop_all(&drv).unwrap();
+                    m.shards.iter_mut().for_each(Vec::clear);
+                }
+                CacheOp::Invalidate(b) => {
+                    cache.invalidate_block(&drv, b);
+                    m.forget(b);
+                }
+                CacheOp::GroupRead(start, n) => {
+                    cache.read_group(&drv, &[(start, n as usize)]).unwrap();
+                    // Residency is decided before the transfer; then the
+                    // fetched blocks are installed in ascending order.
+                    let fetched: Vec<u64> =
+                        (start..start + n as u64).filter(|&b| !m.resident(b)).collect();
+                    fetched.into_iter().for_each(|b| m.touch(b));
+                }
+                CacheOp::Relocate(old, new) => {
+                    let moved = cache.relocate_phys(&drv, old, new);
+                    prop_assert_eq!(moved, old != new && m.resident(old));
+                    if moved {
+                        // Re-homing is a use, and vacates `new` first.
+                        m.forget(old);
+                        m.forget(new);
+                        m.touch(new);
+                    }
+                }
+            }
+            for b in 0..64u64 {
+                prop_assert_eq!(cache.contains(b), m.resident(b), "residency of block {}", b);
+            }
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
         /// The cache is a transparent layer: block contents always match a
-        /// simple model regardless of evictions, group reads, syncs and
-        /// invalidations. (An invalidated dirty block loses its data by
-        /// contract, so the model drops those writes too.)
+        /// simple model regardless of evictions, group reads, syncs,
+        /// relocations and invalidations. (An invalidated dirty block loses
+        /// its data by contract, so the model drops those writes too.)
         #[test]
         fn cache_is_transparent(ops in prop::collection::vec(arb_op(), 1..120)) {
-            let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+            let drv = tiny_driver(Scheduler::default());
             let cache = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 50 });
             check_transparent(&cache, &drv, ops)?;
         }
@@ -1422,17 +1729,36 @@ mod proptests {
         /// CG-keyed shards (the multi-threaded mount configuration).
         #[test]
         fn sharded_cache_is_transparent(ops in prop::collection::vec(arb_op(), 1..120)) {
-            let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+            let drv = tiny_driver(Scheduler::default());
             let mut cache = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 50 });
             cache.shard_by_cg(16, 4);
             check_transparent(&cache, &drv, ops)?;
+        }
+
+        /// Replacement is exact LRU: the victim is always the least
+        /// recently touched buffer, whatever mix of hits, logical lookups,
+        /// group reads, invalidations and relocations came before.
+        #[test]
+        fn eviction_order_is_least_recently_touched(
+            ops in prop::collection::vec(arb_op(), 1..160)
+        ) {
+            check_eviction_order(16, 1, ops)?;
+        }
+
+        /// The same per shard: 8 buffers for each 16-block cylinder
+        /// group, so every shard evicts and relocations cross shards.
+        #[test]
+        fn sharded_eviction_order_is_least_recently_touched(
+            ops in prop::collection::vec(arb_op(), 1..160)
+        ) {
+            check_eviction_order(32, 4, ops)?;
         }
 
         /// The logical index never lies: a hit always names a resident
         /// buffer whose physical number round-trips.
         #[test]
         fn dual_index_consistent(ops in prop::collection::vec(arb_op(), 1..100)) {
-            let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+            let drv = tiny_driver(Scheduler::default());
             let cache = BufferCache::new(CacheConfig { nbufs: 12, flush_watermark_pct: 100 });
             let mut bound: HashMap<(u64, u64), u64> = HashMap::new();
             for op in ops {
@@ -1453,6 +1779,12 @@ mod proptests {
                     CacheOp::PurgeIno(ino) => {
                         cache.purge_ino(ino);
                         bound.retain(|&(i, _), _| i != ino);
+                    }
+                    CacheOp::Relocate(old, new) if cache.relocate_phys(&drv, old, new) => {
+                        // Identities follow the buffer; whatever was
+                        // bound at `new` went with its buffer.
+                        bound.retain(|_, &mut blk| blk != new);
+                        bound.values_mut().filter(|blk| **blk == old).for_each(|blk| *blk = new);
                     }
                     _ => {}
                 }

@@ -27,10 +27,19 @@
 //!   the conventional ordering discipline) or delayed (the soft-updates
 //!   emulation).
 //!
-//! Replacement is LRU over clean and dirty buffers alike; evicting a dirty
-//! buffer writes it back first, exactly like a classic `getblk`/`bwrite`
-//! buffer cache.
+//! * Reads hand out a [`Block`]: a shared, immutable handle on the
+//!   buffer's contents as of that moment. A cache hit is a reference-count
+//!   bump and one list relink — no allocation, no copy. `modify_block*`
+//!   mutate an unshared buffer in place and copy it first only while some
+//!   reader still holds a handle (which then keeps its snapshot), so drop
+//!   a handle before modifying the block it came from.
+//!
+//! Replacement is exact LRU over clean and dirty buffers alike, kept as an
+//! intrusive doubly-linked list over buffer slots (touch, evict and
+//! invalidate are O(1); one link pair per slot, however many hits);
+//! evicting a dirty buffer writes it back first, exactly like a classic
+//! `getblk`/`bwrite` buffer cache.
 
 mod bufcache;
 
-pub use bufcache::{BufferCache, CacheConfig};
+pub use bufcache::{Block, BufferCache, CacheConfig};

@@ -41,7 +41,7 @@ use crate::layout::{
     INO_ROOT,
     SB_BLOCK,
 };
-use cffs_cache::{BufferCache, CacheConfig};
+use cffs_cache::{Block, BufferCache, CacheConfig};
 use cffs_dcache::{Dcache, DcacheAnswer};
 use cffs_disksim::driver::{Driver, DriverConfig, Scheduler};
 use cffs_disksim::{Disk, SimDuration, SimTime};
@@ -1194,8 +1194,8 @@ impl Cffs {
             inode.dindirect = dind as u32;
             inode.blocks += 1;
         }
-        let data = self.cache.read_block(&self.drv, dind)?;
-        let mut mid = cffs_fslib::codec::get_u32(&data, outer * 4);
+        let mut mid =
+            cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, dind)?, outer * 4);
         if mid == NO_BLOCK {
             if alloc.is_none() {
                 return Ok(None);
@@ -1237,8 +1237,7 @@ impl Cffs {
         alloc: Option<AllocCtx>,
         inode: &mut Inode,
     ) -> FsResult<Option<u64>> {
-        let data = self.cache.read_block(&self.drv, ind)?;
-        let cur = cffs_fslib::codec::get_u32(&data, idx * 4);
+        let cur = cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, ind)?, idx * 4);
         if cur != NO_BLOCK {
             return Ok(Some(cur as u64));
         }
@@ -1306,7 +1305,7 @@ impl Cffs {
     }
 
     /// Read a block with logical binding, group-fetching on a miss.
-    fn fetch_block(&self, blk: u64, ino: Ino, lbn: u64) -> FsResult<Vec<u8>> {
+    fn fetch_block(&self, blk: u64, ino: Ino, lbn: u64) -> FsResult<Block> {
         self.fetch_group_for(blk)?;
         self.cache.read_block_bound(&self.drv, blk, ino, lbn)
     }
@@ -1561,8 +1560,8 @@ impl Cffs {
                 .bmap(dirino, dinode, lbn, None)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             self.charge(self.cpu_model().scan_cost(16));
-            let data = self.fetch_block(blk, dirino, lbn)?;
-            if dirent::has_space_for(&data, need)? {
+            // The handle is dropped before the insert modifies the block.
+            if dirent::has_space_for(&self.fetch_block(blk, dirino, lbn)?, need)? {
                 let (blk, off) = self.dir_insert_into(dirino, lbn, blk, name, kind, payload)?;
                 return Ok((blk, off, false));
             }

@@ -31,9 +31,8 @@
 //! histogram, mirroring the buffer cache's `cache_shard_hit_pct`
 //! cold-boundary sampling.
 
-use cffs_fslib::Ino;
+use cffs_fslib::{Ino, IntMap};
 use cffs_obs::{Ctr, Obs};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What a probe found.
@@ -59,7 +58,7 @@ struct Entry {
 /// into it, and the epoch hit/probe tallies for `dcache_hit_pct`.
 struct Shard {
     slots: Vec<Option<Entry>>,
-    index: HashMap<u64, Vec<usize>>,
+    index: IntMap<u64, Vec<usize>>,
     hand: usize,
     probes: u64,
     hits: u64,
@@ -69,7 +68,7 @@ impl Shard {
     fn new(cap: usize) -> Shard {
         Shard {
             slots: (0..cap).map(|_| None).collect(),
-            index: HashMap::new(),
+            index: IntMap::default(),
             hand: 0,
             probes: 0,
             hits: 0,

@@ -371,6 +371,16 @@ fn worker_loop(shared: &Shared) {
             shared.obs.bump(Ctr::DriverPhysicalRequests);
             shared.obs.add(Ctr::DriverSgSegments, parts.len() as u64);
             shared.obs.add(Ctr::DriverCoalesced, parts.len() as u64 - 1);
+            // An unmerged request is serviced straight from/into its own
+            // payload; only a scatter/gather run needs a staging buffer.
+            if let [(idx, _)] = parts[..] {
+                let data = &mut spans[idx].data;
+                now = match dir {
+                    IoDir::Write => disk.write(now, lba, data),
+                    IoDir::Read => disk.read(now, lba, data),
+                };
+                continue;
+            }
             let total: usize = parts.iter().map(|p| p.1).sum();
             match dir {
                 IoDir::Write => {

@@ -252,8 +252,8 @@ impl Ffs {
             inode.blocks += 1;
         }
         // Fetch/allocate the second-level indirect block pointer.
-        let data = self.cache.read_block(&self.drv, dind)?;
-        let mut mid = cffs_fslib::codec::get_u32(&data, outer * 4);
+        let mut mid =
+            cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, dind)?, outer * 4);
         if mid == NO_BLOCK {
             if !alloc {
                 return Ok(None);
@@ -302,8 +302,7 @@ impl Ffs {
         alloc: bool,
         inode: &mut Inode,
     ) -> FsResult<Option<u64>> {
-        let data = self.cache.read_block(&self.drv, ind)?;
-        let cur = cffs_fslib::codec::get_u32(&data, idx * 4);
+        let cur = cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, ind)?, idx * 4);
         if cur != NO_BLOCK {
             return Ok(Some(cur as u64));
         }
@@ -474,8 +473,8 @@ impl Ffs {
                 .bmap(dirino, inode, lbn, false)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             self.charge(self.cpu.scan_cost(16));
-            let data = self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?;
-            if dir::has_space(&data, name)? {
+            // The handle is dropped before the insert modifies the block.
+            if dir::has_space(&self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?, name)? {
                 self.cache.modify_block_bound(&self.drv, blk, dirino, lbn, true, |d| {
                     dir::insert(d, name, ino as u32, kind)
                 })??;

@@ -17,11 +17,14 @@
 //! * [`model::ModelFs`] — a HashMap-backed reference implementation used as
 //!   the oracle in property tests.
 //! * [`codec`] — little-endian on-disk integer codecs.
+//! * [`hash::IntMap`] — `HashMap` with a multiplicative hasher for the
+//!   process-private integer-keyed indexes on the cache hit paths.
 
 pub mod bitmap;
 pub mod codec;
 pub mod cpu;
 pub mod error;
+pub mod hash;
 pub mod inode;
 pub mod model;
 pub mod path;
@@ -30,6 +33,7 @@ pub mod vfs;
 pub use bitmap::Bitmap;
 pub use cpu::CpuModel;
 pub use error::{FsError, FsResult};
+pub use hash::IntMap;
 pub use inode::Inode;
 pub use vfs::{
     Attr, CacheStats, ConcurrentFs, DirEntry, FileKind, FileSystem, Ino, IoStats,

@@ -1,0 +1,146 @@
+//! The buffer-cache hit path allocates nothing.
+//!
+//! A counting `#[global_allocator]` (per thread, so tests running in
+//! parallel do not see each other) wraps the warm paths: `read_block`,
+//! `read_block_bound` and `lookup_logical` on resident blocks must make
+//! zero heap requests, and the file-system calls built on them a small
+//! pinned number — none of them block-sized.
+
+use cffs::cache::{BufferCache, CacheConfig};
+use cffs::core::{CffsConfig, MkfsParams};
+use cffs_disksim::{models, Disk, Driver, DriverConfig};
+use cffs_fslib::vfs::MetadataMode;
+use cffs_fslib::BLOCK_SIZE;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// thread-local cells with constant initialisers and no destructor, so
+// touching them neither allocates nor re-enters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        // SAFETY: as in `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
+        // this `layout` (the caller's obligation, forwarded).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // SAFETY: as in `dealloc`; `new_size` is forwarded unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes requested)` by this thread while `f` runs.
+fn heap_of(f: impl FnOnce()) -> (u64, u64) {
+    let before = (ALLOCS.get(), BYTES.get());
+    f();
+    (ALLOCS.get() - before.0, BYTES.get() - before.1)
+}
+
+#[test]
+fn warm_cache_hits_allocate_nothing() {
+    const N: u64 = 10_000;
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let cache = BufferCache::new(CacheConfig::default());
+    for blk in 0..64u64 {
+        cache.read_block_bound(&drv, blk, 3, blk).expect("load");
+    }
+    let requests = drv.stats().logical_requests;
+
+    let mut sum = 0u64;
+    let heap = heap_of(|| {
+        for i in 0..N {
+            let blk = (i * 11) % 64;
+            sum += u64::from(cache.read_block(&drv, blk).expect("hit")[0]);
+            sum += u64::from(cache.read_block_bound(&drv, blk, 3, blk).expect("hit")[0]);
+            sum += cache.lookup_logical(3, blk).expect("bound");
+        }
+    });
+    std::hint::black_box(sum);
+    assert_eq!(heap, (0, 0), "{} warm hits made heap requests", 3 * N);
+    // Nothing was handed to the driver's worker thread either.
+    assert_eq!(drv.stats().logical_requests, requests);
+}
+
+#[test]
+fn warm_file_system_calls_copy_no_block() {
+    const FILES: usize = 40;
+    let cfg = CffsConfig::cffs().with_mode(MetadataMode::Delayed);
+    let fs = cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), cfg)
+        .expect("mkfs");
+    let dir = fs.mkdir(fs.root(), "d").expect("mkdir");
+    let names: Vec<String> = (0..FILES).map(|i| format!("file{i:03}")).collect();
+    for name in &names {
+        let ino = fs.create(dir, name).expect("create");
+        fs.write(ino, 0, &[0x5a; 1024]).expect("write");
+    }
+    let spare: Vec<String> = (0..FILES).map(|i| format!("spare{i:03}")).collect();
+    let mut buf = vec![0u8; 1024];
+    // One untimed sweep warms the cache and sizes every lazily grown table.
+    for name in &names {
+        let ino = fs.lookup(dir, name).expect("lookup");
+        fs.read(ino, 0, &mut buf).expect("read");
+    }
+    let requests = fs.io_stats().driver.logical_requests;
+
+    // Read side: lookup (dcache off, so a dirent scan through the cache)
+    // plus a 1 KB read. Pinned: what is left is span and bookkeeping
+    // records, nothing that scales with the block size.
+    let (allocs, bytes) = heap_of(|| {
+        for name in &names {
+            let ino = fs.lookup(dir, name).expect("lookup");
+            assert_eq!(fs.read(ino, 0, &mut buf).expect("read"), 1024);
+        }
+    });
+    assert!(buf.iter().all(|&b| b == 0x5a));
+    let per_op = |x: u64| x as f64 / FILES as f64;
+    assert!(per_op(allocs) <= 3.0, "lookup + read made {} allocations", per_op(allocs));
+    assert!(per_op(bytes) <= 64.0, "lookup + read requested {} bytes", per_op(bytes));
+
+    // Write side: no `Block` handle is held across a `modify_block*`, so
+    // a warm create + unlink (delayed metadata: no disk write) requests
+    // a few dozen bytes — a hidden copy-on-write would show here.
+    let (_, bytes) = heap_of(|| {
+        for name in &spare {
+            fs.create(dir, name).expect("create");
+            fs.unlink(dir, name).expect("unlink");
+        }
+    });
+    assert!(
+        per_op(bytes) < BLOCK_SIZE as f64 / 8.0,
+        "create + unlink requested {} bytes: a block was copied",
+        per_op(bytes)
+    );
+    assert_eq!(fs.io_stats().driver.logical_requests, requests, "the window stayed in the cache");
+}

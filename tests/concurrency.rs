@@ -267,3 +267,61 @@ fn dcache_shared_directory_churn_stays_coherent() {
     assert!(o.get(cffs_obs::Ctr::DcacheHits) > 0, "the cache was exercised");
     assert!(o.get(cffs_obs::Ctr::DcacheEvictions) > 0, "capacity pressure was real");
 }
+
+/// A `Block` handed to one thread is a snapshot: another thread's
+/// `modify_block` of the same block copies on write, so the reader's
+/// handle keeps the old bytes while a fresh read sees the new ones. The
+/// barriers force read → modify → re-check, round after round; the
+/// threads only record what they saw (a panic between two barriers would
+/// strand the other thread) and the checks run after the join.
+#[test]
+fn block_handle_held_by_a_reader_survives_a_concurrent_modify() {
+    use cffs::cache::{BufferCache, CacheConfig};
+    use cffs_disksim::{Driver, DriverConfig};
+    use std::sync::Barrier;
+
+    const ROUNDS: u8 = 50;
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let cache = BufferCache::new(CacheConfig::default());
+    cache.modify_block(&drv, 9, false, false, |d| d.fill(0)).expect("seed block");
+    let (read_done, write_done) = (Barrier::new(2), Barrier::new(2));
+    let filled = |data: &[u8], byte: u8| data.iter().all(|&b| b == byte);
+
+    let (reader_saw, writer_saw) = std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            (0..ROUNDS)
+                .map(|round| {
+                    let held = cache.read_block(&drv, 9).expect("read");
+                    let before = filled(&held, round);
+                    read_done.wait();
+                    write_done.wait();
+                    let fresh = cache.read_block(&drv, 9).expect("re-read");
+                    (before, filled(&held, round), filled(&fresh, round + 1))
+                })
+                .collect::<Vec<_>>()
+        });
+        let writer = s.spawn(|| {
+            (0..ROUNDS)
+                .map(|round| {
+                    read_done.wait();
+                    let current = cache
+                        .modify_block(&drv, 9, false, true, |d| {
+                            let current = filled(d, round);
+                            d.fill(round + 1);
+                            current
+                        })
+                        .expect("modify");
+                    write_done.wait();
+                    current
+                })
+                .collect::<Vec<_>>()
+        });
+        (reader.join().expect("reader panicked"), writer.join().expect("writer panicked"))
+    });
+    for (round, (&(before, snapshot, fresh), &current)) in reader_saw.iter().zip(&writer_saw).enumerate() {
+        assert!(before, "round {round}: the read saw the current bytes");
+        assert!(current, "round {round}: the writer modified the current bytes");
+        assert!(snapshot, "round {round}: the held handle kept the old bytes");
+        assert!(fresh, "round {round}: a fresh read saw the new bytes");
+    }
+}
