@@ -6,6 +6,30 @@ set -eu
 
 cd "$(dirname "$0")"
 
+echo "== one surface (one FS trait, one helper set, shared borrows) =="
+# The former second trait survives only as the alias line benchmark/
+# still imports; the `_c` helper twins and the second model are gone; and
+# nothing takes a file system by `&mut` through the trait (the handle-
+# invalidating regroup entry points take `&mut Cffs` / `&mut F`).
+SRC="crates src tests examples"
+if grep -rn 'ConcurrentFs' $SRC | grep -v '^crates/fslib/src/lib.rs:.*pub use vfs::FileSystem as ConcurrentFs;$'; then
+    echo "ConcurrentFs named outside its one alias line"; exit 1
+fi
+if grep -rnE 'SharedModelFs|fn [a-z_]+_c\(' crates/fslib; then
+    echo "a second model or a _c helper twin is back in crates/fslib"; exit 1
+fi
+if grep -rnE '&mut \(impl FileSystem|&mut dyn FileSystem|&mut impl FileSystem' $SRC; then
+    echo "a FileSystem is taken by &mut: every trait method is &self"; exit 1
+fi
+# Non-test lines per crate (printed, not gated): what every deletion PR
+# quotes. Lines of each source file before its first #[cfg(test)].
+find crates/*/src crates/*/benches src -name '*.rs' 2>/dev/null | sort | xargs awk '
+    FNR == 1 { t = 0 }
+    /#\[cfg\(test\)\]/ { t = 1 }
+    !t { split(FILENAME, p, "/"); n[p[1] == "crates" ? p[2] : "(root)"]++; total++ }
+    END { for (k in n) printf "%s %d\n", k, n[k]; printf "total %d\n", total }' | sort | tr '\n' ' '
+echo
+
 echo "== build (release, all targets) =="
 cargo build --release --workspace --all-targets --offline
 

@@ -34,7 +34,7 @@ fn main() {
         seed: arg(&args, "--seed").unwrap_or(1997),
         ..SoakParams::default()
     };
-    let mut fs = build::on_disk(
+    let fs = build::on_disk(
         models::tiny_test_disk(),
         CffsConfig::cffs().with_mode(MetadataMode::Delayed),
     );
@@ -47,7 +47,7 @@ fn main() {
         ),
         None => cffs_obs::feed::tap_global_sim(&obs, "soak"),
     };
-    let r = soak::run(&mut fs, &p, |i| {
+    let r = soak::run(&fs, &p, |i| {
         eprintln!("soak: round {}/{} done", i + 1, p.rounds);
     })
     .expect("soak run");

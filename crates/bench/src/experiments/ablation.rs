@@ -31,8 +31,8 @@ fn params(order: Assignment) -> SmallFileParams {
 
 /// Files/s (and counter delta) of one phase for a config.
 fn phase_rate(cfg: CffsConfig, p: SmallFileParams, phase: &str) -> (f64, Option<StatsSnapshot>) {
-    let mut fs = build::on_disk(models::seagate_st31200(), cfg);
-    let rs = smallfile::run(&mut fs, p).expect("run");
+    let fs = build::on_disk(models::seagate_st31200(), cfg);
+    let rs = smallfile::run(&fs, p).expect("run");
     let row = rs.iter().find(|r| r.phase == phase).expect("phase row");
     (row.items_per_sec(), row.counters.clone())
 }

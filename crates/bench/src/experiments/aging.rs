@@ -27,9 +27,9 @@ pub const UTILIZATIONS: [f64; 5] = [0.10, 0.30, 0.50, 0.70, 0.85];
 /// One aged measurement: the full phase rows plus the actual utilization
 /// the aging program reached.
 pub fn point_rows(cfg: CffsConfig, util: f64, ops: usize) -> (Vec<PhaseResult>, f64) {
-    let mut fs = build::on_disk(models::tiny_test_disk(), cfg);
+    let fs = build::on_disk(models::tiny_test_disk(), cfg);
     let outcome = age(
-        &mut fs,
+        &fs,
         AgingParams { utilization: util, ops, ndirs: 20, seed: 1997 },
         &Empirical1993,
     )
@@ -46,7 +46,7 @@ pub fn point_rows(cfg: CffsConfig, util: f64, ops: usize) -> (Vec<PhaseResult>, 
         order: Assignment::RoundRobin,
         ..SmallFileParams::default()
     };
-    let rs = smallfile::run(&mut fs, params).expect("aged benchmark");
+    let rs = smallfile::run(&fs, params).expect("aged benchmark");
     (rs, outcome.final_utilization)
 }
 

@@ -24,7 +24,7 @@ use crate::report::{header, rows_json};
 use cffs::build;
 use cffs_core::{Cffs, CffsConfig};
 use cffs_disksim::models;
-use cffs_fslib::{FileKind, FileSystem, FsResult, Ino, MetadataMode, BLOCK_SIZE};
+use cffs_fslib::{FileKind, FsResult, Ino, MetadataMode, BLOCK_SIZE};
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
 use cffs_regroup::{AutotriggerConfig, RegroupConfig, RegroupMode, RegroupOutcome};
@@ -44,7 +44,7 @@ fn adv_params(seed: u64) -> AdversarialParams {
 /// Seed the long-lived population in the same `adv*` directories the
 /// adversarial workload churns, so the churn fragments *around* files
 /// that survive it.
-fn populate(fs: &mut Cffs, seed: u64) -> FsResult<()> {
+fn populate(fs: &Cffs, seed: u64) -> FsResult<()> {
     let root = fs.root();
     for d in 0..NDIRS {
         let dir = fs.mkdir(root, &format!("adv{d:03}"))?;
@@ -68,7 +68,7 @@ fn populate(fs: &mut Cffs, seed: u64) -> FsResult<()> {
 fn aged_instance(seed: u64) -> Cffs {
     let mut fs =
         build::on_disk(models::tiny_test_disk(), CffsConfig::cffs().with_mode(MetadataMode::Delayed));
-    populate(&mut fs, seed).expect("populate");
+    populate(&fs, seed).expect("populate");
     age_adversarial(&mut fs, adv_params(seed), |_, _| Ok(())).expect("adversarial aging");
     fs
 }
@@ -81,7 +81,7 @@ fn aged_instance(seed: u64) -> Cffs {
 /// measured counter delta, so members fetched for a directory but never
 /// read are charged as wasted here rather than leaking into the next
 /// phase's snapshot.
-fn grouped_read(fs: &mut Cffs, phase: &str) -> (PhaseResult, u64) {
+fn grouped_read(fs: &Cffs, phase: &str) -> (PhaseResult, u64) {
     // Enumerate up front so the measured region is pure file reads.
     let (dir_files, nfiles, nbytes) = list_dir_files(fs);
     cold_boundary(fs).expect("cold boundary");
@@ -107,7 +107,7 @@ fn grouped_read(fs: &mut Cffs, phase: &str) -> (PhaseResult, u64) {
 
 /// Per-directory `(ino, size)` file lists in sorted directory order,
 /// plus total file and byte counts.
-fn list_dir_files(fs: &mut Cffs) -> (Vec<Vec<(Ino, usize)>>, u64, u64) {
+fn list_dir_files(fs: &Cffs) -> (Vec<Vec<(Ino, usize)>>, u64, u64) {
     let root = fs.root();
     let mut dirs: Vec<(String, Ino)> = fs
         .readdir(root)
@@ -139,7 +139,7 @@ fn sweep_point(seed: u64, cfg: &RegroupConfig, phase: &str) -> (RegroupOutcome, 
     let mut fs = aged_instance(seed);
     let outcome = cffs_regroup::run(&mut fs, cfg).expect("regroup");
     fs.sync().expect("sync");
-    let (_, util) = grouped_read(&mut fs, phase);
+    let (_, util) = grouped_read(&fs, phase);
     (outcome, util)
 }
 
@@ -173,8 +173,8 @@ fn autotrigger_run(seed: u64) -> AutotriggerResult {
     // trigger fires often enough to re-form the groups.
     const ROUNDS: usize = 6;
     for _ in 0..ROUNDS {
-        let (dir_files, _, _) = list_dir_files(&mut fs);
-        cold_boundary(&mut fs).expect("cold boundary");
+        let (dir_files, _, _) = list_dir_files(&fs);
+        cold_boundary(&fs).expect("cold boundary");
         for files in &dir_files {
             for &(ino, sz) in files {
                 let mut buf = vec![0u8; sz];
@@ -188,7 +188,7 @@ fn autotrigger_run(seed: u64) -> AutotriggerResult {
             fs.drop_caches().expect("drop");
         }
     }
-    let (row, util_pct) = grouped_read(&mut fs, "autotrigger-read");
+    let (row, util_pct) = grouped_read(&fs, "autotrigger-read");
     AutotriggerResult {
         fires,
         blocks_moved,
@@ -202,9 +202,9 @@ fn autotrigger_run(seed: u64) -> AutotriggerResult {
 /// exhaustive recovery. Returns the text report and the BENCH payload.
 pub fn report(seed: u64) -> (String, Json) {
     // Fresh reference: the same population on a never-churned image.
-    let mut fresh_fs =
+    let fresh_fs =
         build::on_disk(models::tiny_test_disk(), CffsConfig::cffs().with_mode(MetadataMode::Delayed));
-    populate(&mut fresh_fs, seed).expect("populate");
+    populate(&fresh_fs, seed).expect("populate");
     let (fresh_row, fresh_util) = {
         // Stream each stage into the telemetry feed when the repro binary
         // set one up with --feed (each tap is a no-op otherwise). The
@@ -212,7 +212,7 @@ pub fn report(seed: u64) -> (String, Json) {
         // fresh → aged → regrouped → autotrigger feed in cffs-top.
         let obs = fresh_fs.obs();
         let _feed = cffs_obs::feed::tap_global_sim(&obs, "fresh-read");
-        grouped_read(&mut fresh_fs, "fresh-read")
+        grouped_read(&fresh_fs, "fresh-read")
     };
 
     // Aged, before any regrouping.
@@ -220,7 +220,7 @@ pub fn report(seed: u64) -> (String, Json) {
     let (aged_row, aged_util) = {
         let obs = fs.obs();
         let _feed = cffs_obs::feed::tap_global_sim(&obs, "aged-read");
-        grouped_read(&mut fs, "aged-read")
+        grouped_read(&fs, "aged-read")
     };
 
     // Budget sweep: cost (blocks moved) vs. benefit (recovered util),
@@ -253,7 +253,7 @@ pub fn report(seed: u64) -> (String, Json) {
         let _feed = cffs_obs::feed::tap_global_sim(&obs, "regrouped-read");
         let outcome = cffs_regroup::run(&mut fs, &RegroupConfig::exhaustive()).expect("regroup");
         fs.sync().expect("sync");
-        let (row, util) = grouped_read(&mut fs, "regrouped-read");
+        let (row, util) = grouped_read(&fs, "regrouped-read");
         (row, util, outcome)
     };
     let ratio = rec_util as f64 / (fresh_util.max(1)) as f64;

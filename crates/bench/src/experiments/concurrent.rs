@@ -40,8 +40,9 @@ struct Point {
 
 /// Run the workload at `nthreads` on a fresh instance and capture the
 /// counter delta as a phase row (the same shape `measure` produces, but
-/// built by hand: the multi-threaded run drives `ConcurrentFs`, not the
-/// single-threaded `FileSystem` trait that `measure` wraps).
+/// built by hand: the row's elapsed time is the warm window's cross-thread
+/// clock high-water delta, not the calling thread's `now()` delta over
+/// the whole run that `measure` would record).
 fn point(p: &ConcurrentParams) -> Point {
     let fs = build::on_disk(
         models::tiny_test_disk(),

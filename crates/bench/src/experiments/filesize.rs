@@ -29,8 +29,8 @@ pub fn point_rows(cfg: CffsConfig, size: usize) -> Vec<PhaseResult> {
     let ndirs = (nfiles / 100).clamp(4, 100);
     let params =
         SmallFileParams { nfiles, file_size: size, ndirs, order: Assignment::RoundRobin, ..SmallFileParams::default() };
-    let mut fs = build::on_disk(models::seagate_st31200(), cfg);
-    smallfile::run(&mut fs, params).expect("sweep run")
+    let fs = build::on_disk(models::seagate_st31200(), cfg);
+    smallfile::run(&fs, params).expect("sweep run")
 }
 
 fn rates(rows: &[PhaseResult]) -> (f64, f64) {

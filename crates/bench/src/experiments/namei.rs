@@ -56,7 +56,7 @@ fn disk_for(p: &NameiParams) -> cffs_disksim::DiskModel {
 }
 
 fn run_point(cfg: CffsConfig, p: &NameiParams) -> RunOut {
-    let mut fs = build::on_disk(disk_for(p), cfg);
+    let fs = build::on_disk(disk_for(p), cfg);
     let label = fs.label().to_string();
     let obs = FileSystem::obs(&fs);
     let _feed = obs.as_ref().and_then(|o| cffs_obs::feed::tap_global_sim(o, &label));
@@ -65,24 +65,24 @@ fn run_point(cfg: CffsConfig, p: &NameiParams) -> RunOut {
     let total = p.total_files() + p.total_dirs();
     let bytes = p.total_files() * p.file_size as u64;
     rows.push(
-        measure(&mut fs, "create", total, bytes, |fs| {
+        measure(&fs, "create", total, bytes, |fs| {
             namei::build_tree(fs, p).map(|_| ())
         })
         .expect("create phase"),
     );
 
-    cold_boundary(&mut fs).expect("cold boundary");
+    cold_boundary(&fs).expect("cold boundary");
     let paths = namei::sample_paths(p);
     let mut buf = vec![0u8; p.file_size.max(1)];
     rows.push(
-        measure(&mut fs, "cold", paths.len() as u64, 0, |fs| {
+        measure(&fs, "cold", paths.len() as u64, 0, |fs| {
             namei::resolve_round(fs, &paths, &mut buf).map(|_| ())
         })
         .expect("cold phase"),
     );
 
     let mut buf = vec![0u8; p.file_size.max(1)];
-    let warm = measure(&mut fs, "warm", (paths.len() * p.rounds) as u64, 0, |fs| {
+    let warm = measure(&fs, "warm", (paths.len() * p.rounds) as u64, 0, |fs| {
         for _ in 0..p.rounds {
             namei::resolve_round(fs, &paths, &mut buf)?;
         }

@@ -32,7 +32,7 @@ pub fn run_all_with_folds(
 ) -> (Vec<PhaseResult>, prof::Fold) {
     let mut all = Vec::new();
     let mut fold = prof::Fold::default();
-    for mut fs in build::all_five(mode) {
+    for fs in build::all_five(mode) {
         let obs = fs.obs();
         // Stream this file system's run into the telemetry feed when the
         // repro binary set one up with --feed (no-op otherwise).
@@ -43,7 +43,7 @@ pub fn run_all_with_folds(
                 o.enable_span_log();
             }
         }
-        let rows = smallfile::run(fs.as_mut(), params).expect("benchmark run");
+        let rows = smallfile::run(fs.as_ref(), params).expect("benchmark run");
         if want_fold {
             if let Some(log) = obs.as_ref().and_then(|o| o.span_log()) {
                 fold_phases(&mut fold, &log, &rows);

@@ -17,7 +17,7 @@
 use crate::report::{header, rows_json};
 use cffs_core::CffsConfig;
 use cffs_disksim::{models, Disk};
-use cffs_fslib::{ConcurrentFs, MetadataMode};
+use cffs_fslib::{FileSystem, MetadataMode};
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
 use cffs_regroup::RegroupConfig;
@@ -58,7 +58,7 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
         VolumeSet::format(disks, VolumeCfg::new(fs_cfg)).expect("format volume set");
     let set_obs = vs.set_obs();
     vs.reset_io_stats();
-    let label = ConcurrentFs::label(&vs).to_string();
+    let label = vs.label().to_string();
     let before = vs.merged_snapshot(&label);
     let start_ns = set_obs.global_clock_ns();
     let host_t0 = std::time::Instant::now();

@@ -5,11 +5,10 @@
 //! The reproduction harness. Each module under [`experiments`] regenerates
 //! one table or figure from the paper (see `DESIGN.md` §3 for the
 //! experiment index); the `repro_*` binaries are thin wrappers, and
-//! `repro_all` runs the whole suite. Wall-clock micro-benches live under
-//! `benches/` (plain `main` harnesses; see [`microbench`]).
+//! `repro_all` runs the whole suite. Host-time cost is measured by the
+//! stand-alone `benchmark/` package, not here.
 
 pub mod experiments;
-pub mod microbench;
 pub mod report;
 
 pub use report::{phase_table, speedup};

@@ -1712,11 +1712,10 @@ enum InsertPayload<'a> {
     External(u32),
 }
 
-/// The public operations, all `&self`: the concurrent-safe surface.
-/// [`FileSystem`] (a `&mut self` trait, kept for the single-threaded
-/// workload machinery) delegates here; inherent methods win method
-/// resolution, so `fs.read(...)` on a shared handle hits these
-/// directly.
+/// The public operations, all `&self` and safe to call from several
+/// threads at once. The [`FileSystem`] impl below forwards to them;
+/// inherent methods win method resolution, so `fs.read(...)` on a
+/// concrete `Cffs` hits these directly with no trait import.
 impl Cffs {
     /// Label for reports — see [`FileSystem::label`].
     pub fn label(&self) -> &str {
@@ -2446,78 +2445,6 @@ impl FileSystem for Cffs {
     fn root(&self) -> Ino {
         Cffs::root(self)
     }
-    fn lookup(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::lookup(self, dirino, name)
-    }
-    fn getattr(&mut self, ino: Ino) -> FsResult<Attr> {
-        Cffs::getattr(self, ino)
-    }
-    fn create(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::create(self, dirino, name)
-    }
-    fn mkdir(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::mkdir(self, dirino, name)
-    }
-    fn unlink(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
-        Cffs::unlink(self, dirino, name)
-    }
-    fn rmdir(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
-        Cffs::rmdir(self, dirino, name)
-    }
-    fn link(&mut self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
-        Cffs::link(self, target, dirino, name)
-    }
-    fn rename(&mut self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
-        Cffs::rename(self, odir, oname, ndir, nname)
-    }
-    fn read(&mut self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
-        Cffs::read(self, ino, off, buf)
-    }
-    fn write(&mut self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
-        Cffs::write(self, ino, off, data)
-    }
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        Cffs::truncate(self, ino, size)
-    }
-    fn readdir(&mut self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
-        Cffs::readdir(self, dirino)
-    }
-    fn sync(&mut self) -> FsResult<()> {
-        Cffs::sync(self)
-    }
-    fn statfs(&mut self) -> FsResult<StatFs> {
-        Cffs::statfs(self)
-    }
-    fn now(&self) -> SimTime {
-        Cffs::now(self)
-    }
-    fn io_stats(&self) -> IoStats {
-        Cffs::io_stats(self)
-    }
-    fn reset_io_stats(&mut self) {
-        Cffs::reset_io_stats(self)
-    }
-    fn drop_caches(&mut self) -> FsResult<()> {
-        Cffs::drop_caches(self)
-    }
-    fn group_hint(&mut self, dirino: Ino, names: &[&str]) -> FsResult<()> {
-        Cffs::group_hint(self, dirino, names)
-    }
-    fn cpu_model(&self) -> CpuModel {
-        Cffs::cpu_model(self)
-    }
-    fn obs(&self) -> Option<Arc<Obs>> {
-        Some(Cffs::obs(self))
-    }
-}
-
-impl cffs_fslib::ConcurrentFs for Cffs {
-    fn label(&self) -> &str {
-        Cffs::label(self)
-    }
-    fn root(&self) -> Ino {
-        Cffs::root(self)
-    }
     fn lookup(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
         Cffs::lookup(self, dirino, name)
     }
@@ -2533,11 +2460,23 @@ impl cffs_fslib::ConcurrentFs for Cffs {
     fn unlink(&self, dirino: Ino, name: &str) -> FsResult<()> {
         Cffs::unlink(self, dirino, name)
     }
+    fn rmdir(&self, dirino: Ino, name: &str) -> FsResult<()> {
+        Cffs::rmdir(self, dirino, name)
+    }
+    fn link(&self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
+        Cffs::link(self, target, dirino, name)
+    }
+    fn rename(&self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
+        Cffs::rename(self, odir, oname, ndir, nname)
+    }
     fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
         Cffs::read(self, ino, off, buf)
     }
     fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
         Cffs::write(self, ino, off, data)
+    }
+    fn truncate(&self, ino: Ino, size: u64) -> FsResult<()> {
+        Cffs::truncate(self, ino, size)
     }
     fn readdir(&self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
         Cffs::readdir(self, dirino)
@@ -2545,8 +2484,26 @@ impl cffs_fslib::ConcurrentFs for Cffs {
     fn sync(&self) -> FsResult<()> {
         Cffs::sync(self)
     }
+    fn statfs(&self) -> FsResult<StatFs> {
+        Cffs::statfs(self)
+    }
     fn now(&self) -> SimTime {
         Cffs::now(self)
+    }
+    fn io_stats(&self) -> IoStats {
+        Cffs::io_stats(self)
+    }
+    fn reset_io_stats(&self) {
+        Cffs::reset_io_stats(self)
+    }
+    fn drop_caches(&self) -> FsResult<()> {
+        Cffs::drop_caches(self)
+    }
+    fn group_hint(&self, dirino: Ino, names: &[&str]) -> FsResult<()> {
+        Cffs::group_hint(self, dirino, names)
+    }
+    fn cpu_model(&self) -> CpuModel {
+        Cffs::cpu_model(self)
     }
     fn obs(&self) -> Option<Arc<Obs>> {
         Some(Cffs::obs(self))
@@ -2617,15 +2574,15 @@ mod tests {
 
     #[test]
     fn deep_hierarchy() {
-        let mut fs = fresh(CffsConfig::cffs());
+        let fs = fresh(CffsConfig::cffs());
         let mut p = String::new();
         for d in 0..24 {
             p.push_str(&format!("/level{d}"));
         }
-        let dir = path::mkdir_p(&mut fs, &p).unwrap();
+        let dir = path::mkdir_p(&fs, &p).unwrap();
         let f = fs.create(dir, "leaf").unwrap();
         fs.write(f, 0, b"bottom").unwrap();
-        assert_eq!(path::read_file(&mut fs, &format!("{p}/leaf")).unwrap(), b"bottom");
+        assert_eq!(path::read_file(&fs, &format!("{p}/leaf")).unwrap(), b"bottom");
     }
 
     #[test]
@@ -2733,7 +2690,7 @@ mod tests {
     fn write_at_exactly_group_threshold() {
         // A file of exactly group_blocks * 4 KB stays grouped; one byte
         // more triggers degrouping.
-        let mut fs = fresh(CffsConfig::cffs());
+        let fs = fresh(CffsConfig::cffs());
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         let f = fs.create(d, "edge").unwrap();
@@ -2757,7 +2714,7 @@ mod tests {
             }
         }
         // Contents intact.
-        let data = path::read_all(&mut fs, f).unwrap();
+        let data = path::read_all(&fs, f).unwrap();
         assert_eq!(data.len(), limit + 1);
         assert!(data[..limit].iter().all(|&b| b == 1));
     }

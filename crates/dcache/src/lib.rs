@@ -11,7 +11,7 @@
 //!   a (cached) lookup, the hash is effectively a hash of the whole
 //!   path, one component at a time — no path strings are ever stored.
 //! * **Sharding.** The hash picks one of a fixed set of shards, each
-//!   behind its own mutex, so `ConcurrentFs` threads resolving disjoint
+//!   behind its own mutex, so client threads resolving disjoint
 //!   names never contend. Shard locks are leaves in the file-system
 //!   lock hierarchy (DESIGN.md §10): taken and released with no other
 //!   lock acquired inside.

@@ -36,6 +36,7 @@ use cffs_fslib::{
     BLOCK_SIZE,
 };
 use cffs_obs::{Ctr, Obs, OpKind, SpanGuard};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// Mount-time options.
@@ -66,12 +67,33 @@ impl Default for FfsOptions {
 }
 
 /// A mounted classic Fast File System.
+///
+/// The single-threaded baseline: every [`FileSystem`] method takes `&self`
+/// like everyone else's, but the allocator sits in a `RefCell`, not behind
+/// a lock, so an `Ffs` is `!Sync` and the threaded workloads (which ask
+/// for `FileSystem + Sync`) reject it at compile time. This compiles:
+///
+/// ```
+/// fn single(_: &impl cffs_fslib::FileSystem) {}
+/// fn hand_over(fs: &cffs_ffs::Ffs) {
+///     single(fs);
+/// }
+/// ```
+///
+/// and the same with `+ Sync` does not:
+///
+/// ```compile_fail
+/// fn threaded(_: &(impl cffs_fslib::FileSystem + Sync)) {}
+/// fn hand_over(fs: &cffs_ffs::Ffs) {
+///     threaded(fs);
+/// }
+/// ```
 #[derive(Debug)]
 pub struct Ffs {
     drv: Driver,
     cache: BufferCache,
     sb: Superblock,
-    alloc: Allocator,
+    alloc: RefCell<Allocator>,
     cpu: CpuModel,
     mode: MetadataMode,
     label: String,
@@ -96,7 +118,7 @@ impl Ffs {
             drv,
             cache,
             sb,
-            alloc: Allocator::new(cgs),
+            alloc: RefCell::new(Allocator::new(cgs)),
             cpu: opts.cpu,
             mode: opts.metadata_mode,
             label: opts.label,
@@ -104,7 +126,7 @@ impl Ffs {
     }
 
     /// Sync everything and hand the disk back (for remount or inspection).
-    pub fn unmount(mut self) -> FsResult<Disk> {
+    pub fn unmount(self) -> FsResult<Disk> {
         self.sync()?;
         Ok(self.drv.into_disk())
     }
@@ -135,7 +157,7 @@ impl Ffs {
 
     /// Enable/disable per-request disk trace recording (access-pattern
     /// analysis; off by default).
-    pub fn set_disk_trace(&mut self, on: bool) {
+    pub fn set_disk_trace(&self, on: bool) {
         self.drv.with_disk_mut(|d| d.set_trace(on));
     }
 
@@ -144,7 +166,7 @@ impl Ffs {
         self.drv.with_disk(|d| d.trace().to_vec())
     }
 
-    fn charge(&mut self, d: SimDuration) {
+    fn charge(&self, d: SimDuration) {
         self.drv.advance(d);
     }
 
@@ -162,7 +184,7 @@ impl Ffs {
 
     // ----- inode access -------------------------------------------------
 
-    fn read_inode(&mut self, ino: Ino) -> FsResult<Inode> {
+    fn read_inode(&self, ino: Ino) -> FsResult<Inode> {
         self.charge(self.cpu.block_op);
         self.obs().bump(Ctr::FsExternalInodeOps);
         let (blk, off) = self.sb.inode_location(ino)?;
@@ -172,7 +194,7 @@ impl Ffs {
 
     /// Write an inode image. `durable` requests a synchronous flush when
     /// the mount is in synchronous-metadata mode.
-    fn write_inode(&mut self, ino: Ino, inode: &Inode, durable: bool) -> FsResult<()> {
+    fn write_inode(&self, ino: Ino, inode: &Inode, durable: bool) -> FsResult<()> {
         self.charge(self.cpu.block_op);
         self.obs().bump(Ctr::FsExternalInodeOps);
         let (blk, off) = self.sb.inode_location(ino)?;
@@ -189,7 +211,7 @@ impl Ffs {
         Ok(())
     }
 
-    fn clear_inode(&mut self, ino: Ino, durable: bool) -> FsResult<()> {
+    fn clear_inode(&self, ino: Ino, durable: bool) -> FsResult<()> {
         self.charge(self.cpu.block_op);
         let (blk, off) = self.sb.inode_location(ino)?;
         self.cache
@@ -205,7 +227,7 @@ impl Ffs {
     /// Map logical block `lbn` of an inode to a physical block. With
     /// `alloc`, missing blocks (and indirect blocks) are allocated; the
     /// caller must persist the updated inode.
-    fn bmap(&mut self, ino: Ino, inode: &mut Inode, lbn: u64, alloc: bool) -> FsResult<Option<u64>> {
+    fn bmap(&self, ino: Ino, inode: &mut Inode, lbn: u64, alloc: bool) -> FsResult<Option<u64>> {
         self.charge(self.cpu.block_op);
         if lbn >= cffs_fslib::inode::MAX_FILE_BLOCKS {
             return Err(FsError::FileTooBig);
@@ -221,7 +243,7 @@ impl Ffs {
             }
             let hint = if lbn > 0 { inode.direct[lbn as usize - 1] } else { NO_BLOCK };
             self.charge(self.cpu.alloc_op);
-            let blk = self.alloc.alloc_block(
+            let blk = self.alloc.borrow_mut().alloc_block(
                 &self.sb,
                 cg,
                 (hint != NO_BLOCK).then_some(hint as u64),
@@ -259,7 +281,7 @@ impl Ffs {
                 return Ok(None);
             }
             self.charge(self.cpu.alloc_op);
-            let nb = self.alloc.alloc_block(&self.sb, cg, Some(dind))?;
+            let nb = self.alloc.borrow_mut().alloc_block(&self.sb, cg, Some(dind))?;
             self.cache
                 .modify_block(&self.drv, nb, true, false, |d| d.fill(0))?;
             self.cache.modify_block(&self.drv, dind, true, true, |d| {
@@ -275,7 +297,7 @@ impl Ffs {
     /// block and whether it was freshly allocated (the caller updates the
     /// inode's pointer and block count).
     fn get_or_alloc_indirect(
-        &mut self,
+        &self,
         cur: u32,
         cg: u32,
         alloc: bool,
@@ -287,7 +309,7 @@ impl Ffs {
             return Ok(None);
         }
         self.charge(self.cpu.alloc_op);
-        let blk = self.alloc.alloc_block(&self.sb, cg, None)?;
+        let blk = self.alloc.borrow_mut().alloc_block(&self.sb, cg, None)?;
         self.cache
             .modify_block(&self.drv, blk, true, false, |d| d.fill(0))?;
         Ok(Some((blk, true)))
@@ -295,7 +317,7 @@ impl Ffs {
 
     /// Read/allocate slot `idx` of the indirect block `ind`.
     fn indirect_slot(
-        &mut self,
+        &self,
         ind: u64,
         idx: usize,
         cg: u32,
@@ -316,7 +338,7 @@ impl Ffs {
         } else {
             Some(ind)
         };
-        let blk = self.alloc.alloc_block(&self.sb, cg, hint)?;
+        let blk = self.alloc.borrow_mut().alloc_block(&self.sb, cg, hint)?;
         self.cache.modify_block(&self.drv, ind, true, true, |d| {
             cffs_fslib::codec::put_u32(d, idx * 4, blk as u32)
         })?;
@@ -326,7 +348,7 @@ impl Ffs {
 
     /// Free every data and indirect block at or beyond logical block
     /// `from_lbn`, updating the inode in place.
-    fn free_blocks_from(&mut self, ino: Ino, inode: &mut Inode, from_lbn: u64) -> FsResult<()> {
+    fn free_blocks_from(&self, ino: Ino, inode: &mut Inode, from_lbn: u64) -> FsResult<()> {
         // Direct pointers.
         for l in from_lbn..NDIRECT as u64 {
             let slot = inode.direct[l as usize];
@@ -382,7 +404,7 @@ impl Ffs {
     /// Free the data blocks of one indirect block whose first mapped lbn is
     /// `base`. Returns true if any pointer below `from_lbn` survives.
     fn free_indirect(
-        &mut self,
+        &self,
         ino: Ino,
         ind: u64,
         base: u64,
@@ -412,20 +434,20 @@ impl Ffs {
         Ok(kept)
     }
 
-    fn release_data_block(&mut self, ino: Ino, lbn: u64, blk: u64) {
+    fn release_data_block(&self, ino: Ino, lbn: u64, blk: u64) {
         self.cache.unbind_logical(ino, lbn);
         self.cache.invalidate_block(&self.drv, blk);
-        self.alloc.free_block(&self.sb, blk);
+        self.alloc.borrow_mut().free_block(&self.sb, blk);
     }
 
-    fn release_meta_block(&mut self, blk: u64) {
+    fn release_meta_block(&self, blk: u64) {
         self.cache.invalidate_block(&self.drv, blk);
-        self.alloc.free_block(&self.sb, blk);
+        self.alloc.borrow_mut().free_block(&self.sb, blk);
     }
 
     // ----- directory helpers -------------------------------------------
 
-    fn require_dir(&mut self, ino: Ino) -> FsResult<Inode> {
+    fn require_dir(&self, ino: Ino) -> FsResult<Inode> {
         let inode = self.read_inode(ino)?;
         if inode.kind != FileKind::Dir {
             return Err(FsError::NotDir);
@@ -435,7 +457,7 @@ impl Ffs {
 
     /// Scan the directory for `name`; returns `(block, entry)`.
     fn dir_find(
-        &mut self,
+        &self,
         dirino: Ino,
         inode: &mut Inode,
         name: &str,
@@ -460,7 +482,7 @@ impl Ffs {
     /// part of the ordered update (its new block pointer must reach the
     /// disk, or a crash orphans the entries in the new block).
     fn dir_insert(
-        &mut self,
+        &self,
         dirino: Ino,
         inode: &mut Inode,
         name: &str,
@@ -496,7 +518,7 @@ impl Ffs {
 
     /// Remove a name; returns `(block, removed inode number, kind)`.
     fn dir_remove(
-        &mut self,
+        &self,
         dirino: Ino,
         inode: &mut Inode,
         name: &str,
@@ -510,7 +532,7 @@ impl Ffs {
     }
 
     /// Apply the synchronous-metadata policy to a dirtied directory block.
-    fn dir_durable(&mut self, blk: u64) -> FsResult<()> {
+    fn dir_durable(&self, blk: u64) -> FsResult<()> {
         if self.mode == MetadataMode::Synchronous {
             self.obs().bump(Ctr::FsSyncMetaWrites);
             self.cache.flush_block_sync(&self.drv, blk)?;
@@ -520,7 +542,7 @@ impl Ffs {
         Ok(())
     }
 
-    fn dir_is_empty(&mut self, dirino: Ino, inode: &mut Inode) -> FsResult<bool> {
+    fn dir_is_empty(&self, dirino: Ino, inode: &mut Inode) -> FsResult<bool> {
         let nblocks = inode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
             let blk = self
@@ -536,14 +558,14 @@ impl Ffs {
 
     /// Shared tail of unlink/rename-replace: drop one link from `ino`,
     /// freeing it when the count hits zero. The name is already gone.
-    fn drop_file_link(&mut self, ino: Ino) -> FsResult<()> {
+    fn drop_file_link(&self, ino: Ino) -> FsResult<()> {
         let mut inode = self.read_inode(ino)?;
         inode.nlink -= 1;
         if inode.nlink == 0 {
             self.free_blocks_from(ino, &mut inode, 0)?;
             self.clear_inode(ino, true)?;
             self.charge(self.cpu.alloc_op);
-            self.alloc.free_inode(&self.sb, ino, false);
+            self.alloc.borrow_mut().free_inode(&self.sb, ino, false);
         } else {
             self.write_inode(ino, &inode, true)?;
         }
@@ -560,7 +582,7 @@ impl FileSystem for Ffs {
         INO_ROOT
     }
 
-    fn lookup(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
+    fn lookup(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
         let _span = self.op_span(OpKind::Lookup);
         self.charge(self.cpu.syscall);
         check_name(name)?;
@@ -571,7 +593,7 @@ impl FileSystem for Ffs {
         }
     }
 
-    fn getattr(&mut self, ino: Ino) -> FsResult<Attr> {
+    fn getattr(&self, ino: Ino) -> FsResult<Attr> {
         let _span = self.op_span(OpKind::Getattr);
         self.charge(self.cpu.syscall);
         let inode = self.read_inode(ino)?;
@@ -584,7 +606,7 @@ impl FileSystem for Ffs {
         })
     }
 
-    fn create(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
+    fn create(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
         let _span = self.op_span(OpKind::Create);
         self.charge(self.cpu.syscall);
         check_name(name)?;
@@ -593,7 +615,7 @@ impl FileSystem for Ffs {
             return Err(FsError::Exists);
         }
         self.charge(self.cpu.alloc_op);
-        let ino = self.alloc.alloc_inode(&self.sb, FileKind::File, self.ino_cg(dirino))?;
+        let ino = self.alloc.borrow_mut().alloc_inode(&self.sb, FileKind::File, self.ino_cg(dirino))?;
         let inode = Inode::new(FileKind::File);
         // Ordering: inode first (synchronously), then the name.
         self.write_inode(ino, &inode, true)?;
@@ -603,7 +625,7 @@ impl FileSystem for Ffs {
         Ok(ino)
     }
 
-    fn mkdir(&mut self, dirino: Ino, name: &str) -> FsResult<Ino> {
+    fn mkdir(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
         let _span = self.op_span(OpKind::Mkdir);
         self.charge(self.cpu.syscall);
         check_name(name)?;
@@ -612,7 +634,7 @@ impl FileSystem for Ffs {
             return Err(FsError::Exists);
         }
         self.charge(self.cpu.alloc_op);
-        let ino = self.alloc.alloc_inode(&self.sb, FileKind::Dir, self.ino_cg(dirino))?;
+        let ino = self.alloc.borrow_mut().alloc_inode(&self.sb, FileKind::Dir, self.ino_cg(dirino))?;
         let mut inode = Inode::new(FileKind::Dir);
         inode.nlink = 2;
         self.write_inode(ino, &inode, true)?;
@@ -623,7 +645,7 @@ impl FileSystem for Ffs {
         Ok(ino)
     }
 
-    fn unlink(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
+    fn unlink(&self, dirino: Ino, name: &str) -> FsResult<()> {
         let _span = self.op_span(OpKind::Unlink);
         self.charge(self.cpu.syscall);
         check_name(name)?;
@@ -640,7 +662,7 @@ impl FileSystem for Ffs {
         self.drop_file_link(ino)
     }
 
-    fn rmdir(&mut self, dirino: Ino, name: &str) -> FsResult<()> {
+    fn rmdir(&self, dirino: Ino, name: &str) -> FsResult<()> {
         let _span = self.op_span(OpKind::Rmdir);
         self.charge(self.cpu.syscall);
         check_name(name)?;
@@ -661,13 +683,13 @@ impl FileSystem for Ffs {
         self.free_blocks_from(child, &mut cinode, 0)?;
         self.clear_inode(child, true)?;
         self.charge(self.cpu.alloc_op);
-        self.alloc.free_inode(&self.sb, child, true);
+        self.alloc.borrow_mut().free_inode(&self.sb, child, true);
         dinode.nlink = dinode.nlink.saturating_sub(1);
         self.write_inode(dirino, &dinode, false)?;
         Ok(())
     }
 
-    fn link(&mut self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
+    fn link(&self, target: Ino, dirino: Ino, name: &str) -> FsResult<Ino> {
         let _span = self.op_span(OpKind::Link);
         self.charge(self.cpu.syscall);
         check_name(name)?;
@@ -690,7 +712,7 @@ impl FileSystem for Ffs {
         Ok(target)
     }
 
-    fn rename(&mut self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
+    fn rename(&self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
         let _span = self.op_span(OpKind::Rename);
         self.charge(self.cpu.syscall);
         check_name(oname)?;
@@ -733,7 +755,7 @@ impl FileSystem for Ffs {
                     self.free_blocks_from(dst_ino, &mut dnode, 0)?;
                     self.clear_inode(dst_ino, true)?;
                     self.charge(self.cpu.alloc_op);
-                    self.alloc.free_inode(&self.sb, dst_ino, true);
+                    self.alloc.borrow_mut().free_inode(&self.sb, dst_ino, true);
                     ninode.nlink = ninode.nlink.saturating_sub(1);
                 }
                 FileKind::File => {
@@ -769,7 +791,7 @@ impl FileSystem for Ffs {
         Ok(moving)
     }
 
-    fn read(&mut self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
+    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
         let _span = self.op_span(OpKind::Read);
         self.charge(self.cpu.syscall);
         let mut inode = self.read_inode(ino)?;
@@ -804,7 +826,7 @@ impl FileSystem for Ffs {
         Ok(done)
     }
 
-    fn write(&mut self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
+    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
         let _span = self.op_span(OpKind::Write);
         self.charge(self.cpu.syscall);
         if data.is_empty() {
@@ -844,7 +866,7 @@ impl FileSystem for Ffs {
         Ok(done)
     }
 
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
+    fn truncate(&self, ino: Ino, size: u64) -> FsResult<()> {
         let _span = self.op_span(OpKind::Truncate);
         self.charge(self.cpu.syscall);
         if size > MAX_FILE_SIZE {
@@ -874,7 +896,7 @@ impl FileSystem for Ffs {
         Ok(())
     }
 
-    fn readdir(&mut self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
+    fn readdir(&self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
         let _span = self.op_span(OpKind::Readdir);
         self.charge(self.cpu.syscall);
         let mut inode = self.require_dir(dirino)?;
@@ -897,14 +919,14 @@ impl FileSystem for Ffs {
         Ok(out)
     }
 
-    fn sync(&mut self) -> FsResult<()> {
+    fn sync(&self) -> FsResult<()> {
         let _span = self.op_span(OpKind::Sync);
         self.charge(self.cpu.syscall);
         // Persist dirty cylinder-group headers and the superblock, then
         // flush the whole cache as one scheduled batch.
         let sb = self.sb.clone();
         let mut blocks: Vec<(u64, Vec<u8>)> = Vec::new();
-        self.alloc.flush_dirty(|cg, hdr| {
+        self.alloc.borrow_mut().flush_dirty(|cg, hdr| {
             let mut img = vec![0u8; BLOCK_SIZE];
             hdr.write_to(&mut img);
             blocks.push((sb.cg_header_block(cg), img));
@@ -920,15 +942,16 @@ impl FileSystem for Ffs {
         self.cache.sync(&self.drv)
     }
 
-    fn statfs(&mut self) -> FsResult<StatFs> {
+    fn statfs(&self) -> FsResult<StatFs> {
         let _span = self.op_span(OpKind::Statfs);
+        let alloc = self.alloc.borrow();
         Ok(StatFs {
             block_size: BLOCK_SIZE as u32,
             total_blocks: self.sb.total_blocks,
-            free_blocks: self.alloc.free_blocks(),
+            free_blocks: alloc.free_blocks(),
             group_slack_blocks: 0,
             total_inodes: self.sb.total_inodes(),
-            free_inodes: self.alloc.free_inodes(),
+            free_inodes: alloc.free_inodes(),
         })
     }
 
@@ -944,12 +967,12 @@ impl FileSystem for Ffs {
         }
     }
 
-    fn reset_io_stats(&mut self) {
+    fn reset_io_stats(&self) {
         self.drv.reset_stats();
         self.cache.reset_stats();
     }
 
-    fn drop_caches(&mut self) -> FsResult<()> {
+    fn drop_caches(&self) -> FsResult<()> {
         let _span = self.op_span(OpKind::DropCaches);
         self.sync()?;
         self.cache.drop_all(&self.drv)?;
@@ -980,7 +1003,7 @@ mod tests {
 
     #[test]
     fn create_write_read_cycle() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "a").unwrap();
         fs.write(f, 0, b"hello ffs").unwrap();
         let mut buf = [0u8; 9];
@@ -992,7 +1015,7 @@ mod tests {
 
     #[test]
     fn sparse_and_indirect_files() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "s").unwrap();
         // Past the direct range (12 blocks).
         let off = 14 * BLOCK_SIZE as u64 + 100;
@@ -1008,7 +1031,7 @@ mod tests {
 
     #[test]
     fn double_indirect_and_truncate_releases_space() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "big").unwrap();
         let off = (12 + 1024 + 3) * BLOCK_SIZE as u64;
         fs.write(f, off, b"way out").unwrap();
@@ -1021,7 +1044,7 @@ mod tests {
 
     #[test]
     fn inode_exhaustion_yields_noinodes() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         let mut n = 0u64;
@@ -1044,7 +1067,7 @@ mod tests {
 
     #[test]
     fn hard_links_and_rename_share_inode() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let f = fs.create(root, "a").unwrap();
         fs.write(f, 0, b"shared").unwrap();
@@ -1060,7 +1083,7 @@ mod tests {
 
     #[test]
     fn dir_spreading_policy_visible() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let mut cgs = std::collections::HashSet::new();
         let ipg = fs.superblock().inodes_per_cg as u64;
@@ -1073,7 +1096,7 @@ mod tests {
 
     #[test]
     fn file_inodes_follow_their_directory() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let ipg = fs.superblock().inodes_per_cg as u64;
         let d = fs.mkdir(root, "d").unwrap();
@@ -1085,7 +1108,7 @@ mod tests {
 
     #[test]
     fn sync_metadata_costs_two_writes_per_create() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         fs.sync().unwrap();
@@ -1102,17 +1125,17 @@ mod tests {
 
     #[test]
     fn remount_preserves_content() {
-        let mut fs = fresh();
-        path::mkdir_p(&mut fs, "/x/y").unwrap();
-        path::write_file(&mut fs, "/x/y/z.txt", &vec![3u8; 20_000]).unwrap();
+        let fs = fresh();
+        path::mkdir_p(&fs, "/x/y").unwrap();
+        path::write_file(&fs, "/x/y/z.txt", &vec![3u8; 20_000]).unwrap();
         let disk = fs.unmount().unwrap();
-        let mut fs = Ffs::mount(disk, FfsOptions::default()).unwrap();
-        assert_eq!(path::read_file(&mut fs, "/x/y/z.txt").unwrap(), vec![3u8; 20_000]);
+        let fs = Ffs::mount(disk, FfsOptions::default()).unwrap();
+        assert_eq!(path::read_file(&fs, "/x/y/z.txt").unwrap(), vec![3u8; 20_000]);
     }
 
     #[test]
     fn rmdir_semantics() {
-        let mut fs = fresh();
+        let fs = fresh();
         let root = fs.root();
         let d = fs.mkdir(root, "d").unwrap();
         fs.create(d, "f").unwrap();
@@ -1126,7 +1149,7 @@ mod tests {
 
     #[test]
     fn overwrite_middle_of_file() {
-        let mut fs = fresh();
+        let fs = fresh();
         let f = fs.create(fs.root(), "m").unwrap();
         fs.write(f, 0, &vec![1u8; 10_000]).unwrap();
         fs.write(f, 4000, &vec![2u8; 1000]).unwrap();

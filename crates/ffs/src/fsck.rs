@@ -427,11 +427,11 @@ mod tests {
 
     fn populated_disk() -> Disk {
         let disk = Disk::new(models::tiny_test_disk());
-        let mut fs = mkfs(disk, MkfsParams::tiny(), FfsOptions::default()).unwrap();
-        path::mkdir_p(&mut fs, "/a/b").unwrap();
-        path::write_file(&mut fs, "/a/x.txt", b"hello").unwrap();
-        path::write_file(&mut fs, "/a/b/y.txt", &vec![7u8; 100_000]).unwrap();
-        let f = path::resolve(&mut fs, "/a/x.txt").unwrap();
+        let fs = mkfs(disk, MkfsParams::tiny(), FfsOptions::default()).unwrap();
+        path::mkdir_p(&fs, "/a/b").unwrap();
+        path::write_file(&fs, "/a/x.txt", b"hello").unwrap();
+        path::write_file(&fs, "/a/b/y.txt", &vec![7u8; 100_000]).unwrap();
+        let f = path::resolve(&fs, "/a/x.txt").unwrap();
         fs.link(f, fs.root(), "hard").unwrap();
         fs.unmount().unwrap()
     }
@@ -474,8 +474,8 @@ mod tests {
         let sb = Superblock::read_from(&read_block(&disk, SB_BLOCK)).unwrap();
         // Clear the inode that "/a/x.txt" points to without touching the
         // directory — simulating a crash with the wrong write order.
-        let mut fs = crate::fs::Ffs::mount(disk, FfsOptions::default()).unwrap();
-        let ino = path::resolve(&mut fs, "/a/x.txt").unwrap();
+        let fs = crate::fs::Ffs::mount(disk, FfsOptions::default()).unwrap();
+        let ino = path::resolve(&fs, "/a/x.txt").unwrap();
         disk = fs.unmount().unwrap();
         let (blk, off) = sb.inode_location(ino).unwrap();
         let mut img = read_block(&disk, blk);
@@ -487,9 +487,9 @@ mod tests {
         fsck(&mut disk, true).unwrap();
         assert!(fsck(&mut disk, false).unwrap().clean());
         // The name is gone after repair.
-        let mut fs = crate::fs::Ffs::mount(disk, FfsOptions::default()).unwrap();
-        assert!(path::resolve(&mut fs, "/a/x.txt").is_err());
-        assert!(path::resolve(&mut fs, "/a/b/y.txt").is_ok());
+        let fs = crate::fs::Ffs::mount(disk, FfsOptions::default()).unwrap();
+        assert!(path::resolve(&fs, "/a/x.txt").is_err());
+        assert!(path::resolve(&fs, "/a/b/y.txt").is_ok());
     }
 
     #[test]
@@ -515,8 +515,8 @@ mod tests {
     fn detects_wrong_nlink() {
         let mut disk = populated_disk();
         let sb = Superblock::read_from(&read_block(&disk, SB_BLOCK)).unwrap();
-        let mut fs = crate::fs::Ffs::mount(disk, FfsOptions::default()).unwrap();
-        let ino = path::resolve(&mut fs, "/a/b/y.txt").unwrap();
+        let fs = crate::fs::Ffs::mount(disk, FfsOptions::default()).unwrap();
+        let ino = path::resolve(&fs, "/a/b/y.txt").unwrap();
         disk = fs.unmount().unwrap();
         let (blk, off) = sb.inode_location(ino).unwrap();
         let mut img = read_block(&disk, blk);

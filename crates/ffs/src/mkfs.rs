@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn mkfs_and_mount_tiny() {
         let disk = Disk::new(models::tiny_test_disk());
-        let mut fs = mkfs(disk, MkfsParams::tiny(), FfsOptions::default()).unwrap();
+        let fs = mkfs(disk, MkfsParams::tiny(), FfsOptions::default()).unwrap();
         assert_eq!(fs.root(), INO_ROOT);
         let st = fs.statfs().unwrap();
         assert!(st.total_blocks > 1000);
@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn mkfs_default_on_testbed_disk() {
         let disk = Disk::new(models::seagate_st31200());
-        let mut fs = mkfs(disk, MkfsParams::default(), FfsOptions::default()).unwrap();
+        let fs = mkfs(disk, MkfsParams::default(), FfsOptions::default()).unwrap();
         let st = fs.statfs().unwrap();
         // ~1 GB: about a quarter million 4 KB blocks, >100 groups.
         assert!(st.total_blocks > 200_000, "{}", st.total_blocks);

@@ -4,9 +4,11 @@
 //!
 //! Shared file-system infrastructure for the C-FFS reproduction:
 //!
-//! * [`vfs::FileSystem`] — the trait every implementation (classic FFS, the
-//!   four C-FFS variants, and the in-memory oracle) exposes; benchmarks and
-//!   integration tests are written against it.
+//! * [`vfs::FileSystem`] — the one trait every implementation (classic
+//!   FFS, the four C-FFS variants, the multi-disk volume set and the
+//!   in-memory oracle) exposes, every method on `&self`; benchmarks and
+//!   integration tests are written against it, and threaded ones ask for
+//!   `FileSystem + Sync`.
 //! * [`error::FsError`] — the common error type.
 //! * [`bitmap::Bitmap`] — block/inode bitmaps with contiguous-run search
 //!   (explicit grouping needs 16-block extents).
@@ -14,8 +16,9 @@
 //!   clock, calibrated to the paper's 120 MHz Pentium testbed.
 //! * [`path`] — `mkdir -p` / read / write convenience helpers over any
 //!   `FileSystem`.
-//! * [`model::ModelFs`] — a HashMap-backed reference implementation used as
-//!   the oracle in property tests.
+//! * [`model::ModelFs`] — a HashMap-backed reference implementation behind
+//!   one mutex, used as the oracle in property tests, threaded ones
+//!   included.
 //! * [`codec`] — little-endian on-disk integer codecs.
 //! * [`hash::IntMap`] — `HashMap` with a multiplicative hasher for the
 //!   process-private integer-keyed indexes on the cache hit paths.
@@ -36,9 +39,12 @@ pub use error::{FsError, FsResult};
 pub use hash::IntMap;
 pub use inode::Inode;
 pub use vfs::{
-    Attr, CacheStats, ConcurrentFs, DirEntry, FileKind, FileSystem, Ino, IoStats,
-    MetadataMode, StatFs,
+    Attr, CacheStats, DirEntry, FileKind, FileSystem, Ino, IoStats, MetadataMode, StatFs,
 };
+/// Residue of the former second trait: `benchmark/src/fsapi.rs` still
+/// spells the trait this way. Nothing else may; the next change to
+/// `benchmark/` drops this line.
+pub use vfs::FileSystem as ConcurrentFs;
 
 /// File-system block size in bytes. The paper's implementation used 4 KB
 /// blocks with no fragments; so do we.

@@ -5,21 +5,29 @@
 //! enough to be obviously correct — which is exactly what the property
 //! tests need: every on-disk implementation is driven with the same random
 //! operation sequence and must end in the same logical state as `ModelFs`.
+//!
+//! All state sits behind one mutex, taken once per operation: no sharding,
+//! no parallelism, but the model is `Sync`, so threaded workloads and the
+//! path helpers' race tests have an oracle that drags in no disk stack.
 
 use crate::error::{check_name, FsError, FsResult};
 use crate::vfs::{Attr, DirEntry, FileKind, FileSystem, Ino, IoStats, StatFs};
 use cffs_disksim::SimTime;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, MutexGuard};
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Node {
     File { data: Vec<u8>, nlink: u32 },
     Dir { entries: BTreeMap<String, Ino> },
 }
 
 /// In-memory oracle file system.
-#[derive(Debug, Clone)]
-pub struct ModelFs {
+#[derive(Debug)]
+pub struct ModelFs(Mutex<State>);
+
+#[derive(Debug)]
+struct State {
     nodes: HashMap<Ino, Node>,
     next_ino: Ino,
 }
@@ -31,9 +39,15 @@ impl ModelFs {
     pub fn new() -> Self {
         let mut nodes = HashMap::new();
         nodes.insert(ROOT, Node::Dir { entries: BTreeMap::new() });
-        ModelFs { nodes, next_ino: 2 }
+        ModelFs(Mutex::new(State { nodes, next_ino: 2 }))
     }
 
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.0.lock().expect("a thread panicked inside a model operation")
+    }
+}
+
+impl State {
     fn dir_entries(&self, dir: Ino) -> FsResult<&BTreeMap<String, Ino>> {
         match self.nodes.get(&dir) {
             Some(Node::Dir { entries }) => Ok(entries),
@@ -85,13 +99,15 @@ impl FileSystem for ModelFs {
         ROOT
     }
 
-    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+    fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino> {
+        let m = self.lock();
         check_name(name)?;
-        self.dir_entries(dir)?.get(name).copied().ok_or(FsError::NotFound)
+        m.dir_entries(dir)?.get(name).copied().ok_or(FsError::NotFound)
     }
 
-    fn getattr(&mut self, ino: Ino) -> FsResult<Attr> {
-        match self.nodes.get(&ino) {
+    fn getattr(&self, ino: Ino) -> FsResult<Attr> {
+        let m = self.lock();
+        match m.nodes.get(&ino) {
             Some(Node::File { data, nlink }) => Ok(Attr {
                 ino,
                 kind: FileKind::File,
@@ -105,7 +121,7 @@ impl FileSystem for ModelFs {
                 size: entries.len() as u64 * 16,
                 nlink: 2 + entries
                     .values()
-                    .filter(|i| matches!(self.nodes.get(i), Some(Node::Dir { .. })))
+                    .filter(|i| matches!(m.nodes.get(i), Some(Node::Dir { .. })))
                     .count() as u32,
                 blocks: 1,
             }),
@@ -113,86 +129,92 @@ impl FileSystem for ModelFs {
         }
     }
 
-    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+    fn create(&self, dir: Ino, name: &str) -> FsResult<Ino> {
+        let mut m = self.lock();
         check_name(name)?;
-        if self.dir_entries(dir)?.contains_key(name) {
+        if m.dir_entries(dir)?.contains_key(name) {
             return Err(FsError::Exists);
         }
-        let ino = self.alloc_ino();
-        self.nodes.insert(ino, Node::File { data: Vec::new(), nlink: 1 });
-        self.dir_entries_mut(dir)?.insert(name.to_string(), ino);
+        let ino = m.alloc_ino();
+        m.nodes.insert(ino, Node::File { data: Vec::new(), nlink: 1 });
+        m.dir_entries_mut(dir)?.insert(name.to_string(), ino);
         Ok(ino)
     }
 
-    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino> {
+    fn mkdir(&self, dir: Ino, name: &str) -> FsResult<Ino> {
+        let mut m = self.lock();
         check_name(name)?;
-        if self.dir_entries(dir)?.contains_key(name) {
+        if m.dir_entries(dir)?.contains_key(name) {
             return Err(FsError::Exists);
         }
-        let ino = self.alloc_ino();
-        self.nodes.insert(ino, Node::Dir { entries: BTreeMap::new() });
-        self.dir_entries_mut(dir)?.insert(name.to_string(), ino);
+        let ino = m.alloc_ino();
+        m.nodes.insert(ino, Node::Dir { entries: BTreeMap::new() });
+        m.dir_entries_mut(dir)?.insert(name.to_string(), ino);
         Ok(ino)
     }
 
-    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()> {
+    fn unlink(&self, dir: Ino, name: &str) -> FsResult<()> {
+        let mut m = self.lock();
         check_name(name)?;
-        let &ino = self.dir_entries(dir)?.get(name).ok_or(FsError::NotFound)?;
-        if matches!(self.nodes.get(&ino), Some(Node::Dir { .. })) {
+        let &ino = m.dir_entries(dir)?.get(name).ok_or(FsError::NotFound)?;
+        if matches!(m.nodes.get(&ino), Some(Node::Dir { .. })) {
             return Err(FsError::IsDir);
         }
-        self.dir_entries_mut(dir)?.remove(name);
-        self.drop_link(ino);
+        m.dir_entries_mut(dir)?.remove(name);
+        m.drop_link(ino);
         Ok(())
     }
 
-    fn rmdir(&mut self, dir: Ino, name: &str) -> FsResult<()> {
+    fn rmdir(&self, dir: Ino, name: &str) -> FsResult<()> {
+        let mut m = self.lock();
         check_name(name)?;
-        let &ino = self.dir_entries(dir)?.get(name).ok_or(FsError::NotFound)?;
-        match self.nodes.get(&ino) {
+        let &ino = m.dir_entries(dir)?.get(name).ok_or(FsError::NotFound)?;
+        match m.nodes.get(&ino) {
             Some(Node::Dir { entries }) if entries.is_empty() => {}
             Some(Node::Dir { .. }) => return Err(FsError::DirNotEmpty),
             _ => return Err(FsError::NotDir),
         }
-        self.dir_entries_mut(dir)?.remove(name);
-        self.nodes.remove(&ino);
+        m.dir_entries_mut(dir)?.remove(name);
+        m.nodes.remove(&ino);
         Ok(())
     }
 
-    fn link(&mut self, target: Ino, dir: Ino, name: &str) -> FsResult<Ino> {
+    fn link(&self, target: Ino, dir: Ino, name: &str) -> FsResult<Ino> {
+        let mut m = self.lock();
         check_name(name)?;
-        match self.nodes.get(&target) {
+        match m.nodes.get(&target) {
             Some(Node::File { .. }) => {}
             Some(Node::Dir { .. }) => return Err(FsError::IsDir),
             None => return Err(FsError::StaleHandle),
         }
-        if self.dir_entries(dir)?.contains_key(name) {
+        if m.dir_entries(dir)?.contains_key(name) {
             return Err(FsError::Exists);
         }
-        if let Some(Node::File { nlink, .. }) = self.nodes.get_mut(&target) {
+        if let Some(Node::File { nlink, .. }) = m.nodes.get_mut(&target) {
             *nlink += 1;
         }
-        self.dir_entries_mut(dir)?.insert(name.to_string(), target);
+        m.dir_entries_mut(dir)?.insert(name.to_string(), target);
         Ok(target)
     }
 
-    fn rename(&mut self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
+    fn rename(&self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino> {
+        let mut m = self.lock();
         check_name(oname)?;
         check_name(nname)?;
-        let &ino = self.dir_entries(odir)?.get(oname).ok_or(FsError::NotFound)?;
+        let &ino = m.dir_entries(odir)?.get(oname).ok_or(FsError::NotFound)?;
         if odir == ndir && oname == nname {
             return Ok(ino);
         }
-        let moving_dir = matches!(self.nodes.get(&ino), Some(Node::Dir { .. }));
+        let moving_dir = matches!(m.nodes.get(&ino), Some(Node::Dir { .. }));
         // Replacement semantics.
-        if let Some(&existing) = self.dir_entries(ndir)?.get(nname) {
+        if let Some(&existing) = m.dir_entries(ndir)?.get(nname) {
             if existing == ino {
                 // Same object under both names (hard links): drop the old name.
-                self.dir_entries_mut(odir)?.remove(oname);
-                self.drop_link(ino);
+                m.dir_entries_mut(odir)?.remove(oname);
+                m.drop_link(ino);
                 return Ok(ino);
             }
-            match self.nodes.get(&existing) {
+            match m.nodes.get(&existing) {
                 Some(Node::Dir { entries }) => {
                     if !moving_dir {
                         return Err(FsError::IsDir);
@@ -200,26 +222,27 @@ impl FileSystem for ModelFs {
                     if !entries.is_empty() {
                         return Err(FsError::DirNotEmpty);
                     }
-                    self.nodes.remove(&existing);
-                    self.dir_entries_mut(ndir)?.remove(nname);
+                    m.nodes.remove(&existing);
+                    m.dir_entries_mut(ndir)?.remove(nname);
                 }
                 Some(Node::File { .. }) => {
                     if moving_dir {
                         return Err(FsError::NotDir);
                     }
-                    self.dir_entries_mut(ndir)?.remove(nname);
-                    self.drop_link(existing);
+                    m.dir_entries_mut(ndir)?.remove(nname);
+                    m.drop_link(existing);
                 }
                 None => return Err(FsError::StaleHandle),
             }
         }
-        self.dir_entries_mut(odir)?.remove(oname);
-        self.dir_entries_mut(ndir)?.insert(nname.to_string(), ino);
+        m.dir_entries_mut(odir)?.remove(oname);
+        m.dir_entries_mut(ndir)?.insert(nname.to_string(), ino);
         Ok(ino)
     }
 
-    fn read(&mut self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
-        match self.nodes.get(&ino) {
+    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
+        let m = self.lock();
+        match m.nodes.get(&ino) {
             Some(Node::File { data, .. }) => {
                 let off = off as usize;
                 if off >= data.len() {
@@ -234,8 +257,9 @@ impl FileSystem for ModelFs {
         }
     }
 
-    fn write(&mut self, ino: Ino, off: u64, data_in: &[u8]) -> FsResult<usize> {
-        match self.nodes.get_mut(&ino) {
+    fn write(&self, ino: Ino, off: u64, data_in: &[u8]) -> FsResult<usize> {
+        let mut m = self.lock();
+        match m.nodes.get_mut(&ino) {
             Some(Node::File { data, .. }) => {
                 let off = off as usize;
                 if off + data_in.len() > data.len() {
@@ -249,8 +273,9 @@ impl FileSystem for ModelFs {
         }
     }
 
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()> {
-        match self.nodes.get_mut(&ino) {
+    fn truncate(&self, ino: Ino, size: u64) -> FsResult<()> {
+        let mut m = self.lock();
+        match m.nodes.get_mut(&ino) {
             Some(Node::File { data, .. }) => {
                 data.resize(size as usize, 0);
                 Ok(())
@@ -260,12 +285,13 @@ impl FileSystem for ModelFs {
         }
     }
 
-    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>> {
-        let entries = self.dir_entries(dir)?.clone();
+    fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>> {
+        let m = self.lock();
+        let entries = m.dir_entries(dir)?.clone();
         Ok(entries
             .into_iter()
             .map(|(name, ino)| {
-                let kind = match self.nodes.get(&ino) {
+                let kind = match m.nodes.get(&ino) {
                     Some(Node::Dir { .. }) => FileKind::Dir,
                     _ => FileKind::File,
                 };
@@ -274,11 +300,11 @@ impl FileSystem for ModelFs {
             .collect())
     }
 
-    fn sync(&mut self) -> FsResult<()> {
+    fn sync(&self) -> FsResult<()> {
         Ok(())
     }
 
-    fn statfs(&mut self) -> FsResult<StatFs> {
+    fn statfs(&self) -> FsResult<StatFs> {
         Ok(StatFs {
             block_size: crate::BLOCK_SIZE as u32,
             total_blocks: u64::MAX,
@@ -297,65 +323,7 @@ impl FileSystem for ModelFs {
         IoStats::default()
     }
 
-    fn reset_io_stats(&mut self) {}
-}
-
-/// The model behind one big mutex: the reference implementation of
-/// [`ConcurrentFs`]. No sharding, no parallelism — every operation
-/// serializes — but the logical semantics are the model's, so tests of
-/// `&self` path helpers and threaded workloads have an oracle that
-/// doesn't drag in a disk stack.
-#[derive(Debug, Default)]
-pub struct SharedModelFs(std::sync::Mutex<ModelFs>);
-
-impl SharedModelFs {
-    /// Create an empty shared model with just a root directory.
-    pub fn new() -> Self {
-        SharedModelFs(std::sync::Mutex::new(ModelFs::new()))
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ModelFs> {
-        self.0.lock().expect("shared model poisoned")
-    }
-}
-
-impl crate::vfs::ConcurrentFs for SharedModelFs {
-    fn label(&self) -> &str {
-        "model (shared)"
-    }
-    fn root(&self) -> Ino {
-        self.lock().root()
-    }
-    fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.lock().lookup(dir, name)
-    }
-    fn getattr(&self, ino: Ino) -> FsResult<Attr> {
-        self.lock().getattr(ino)
-    }
-    fn create(&self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.lock().create(dir, name)
-    }
-    fn mkdir(&self, dir: Ino, name: &str) -> FsResult<Ino> {
-        self.lock().mkdir(dir, name)
-    }
-    fn unlink(&self, dir: Ino, name: &str) -> FsResult<()> {
-        self.lock().unlink(dir, name)
-    }
-    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
-        self.lock().read(ino, off, buf)
-    }
-    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
-        self.lock().write(ino, off, data)
-    }
-    fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>> {
-        self.lock().readdir(dir)
-    }
-    fn sync(&self) -> FsResult<()> {
-        self.lock().sync()
-    }
-    fn now(&self) -> SimTime {
-        self.lock().now()
-    }
+    fn reset_io_stats(&self) {}
 }
 
 #[cfg(test)]
@@ -364,7 +332,7 @@ mod tests {
 
     #[test]
     fn create_lookup_read_write() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let root = fs.root();
         let f = fs.create(root, "a.txt").unwrap();
         assert_eq!(fs.lookup(root, "a.txt").unwrap(), f);
@@ -377,7 +345,7 @@ mod tests {
 
     #[test]
     fn sparse_write_zero_fills() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let f = fs.create(1, "s").unwrap();
         fs.write(f, 100, b"x").unwrap();
         let mut buf = [9u8; 101];
@@ -388,7 +356,7 @@ mod tests {
 
     #[test]
     fn duplicate_create_fails() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         fs.create(1, "x").unwrap();
         assert_eq!(fs.create(1, "x"), Err(FsError::Exists));
         assert_eq!(fs.mkdir(1, "x"), Err(FsError::Exists));
@@ -396,7 +364,7 @@ mod tests {
 
     #[test]
     fn unlink_dir_fails_rmdir_file_fails() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let _d = fs.mkdir(1, "d").unwrap();
         let _f = fs.create(1, "f").unwrap();
         assert_eq!(fs.unlink(1, "d"), Err(FsError::IsDir));
@@ -405,7 +373,7 @@ mod tests {
 
     #[test]
     fn rmdir_nonempty_fails() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let d = fs.mkdir(1, "d").unwrap();
         fs.create(d, "f").unwrap();
         assert_eq!(fs.rmdir(1, "d"), Err(FsError::DirNotEmpty));
@@ -415,7 +383,7 @@ mod tests {
 
     #[test]
     fn hard_links_share_data() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let f = fs.create(1, "a").unwrap();
         fs.write(f, 0, b"shared").unwrap();
         let f2 = fs.link(f, 1, "b").unwrap();
@@ -431,7 +399,7 @@ mod tests {
 
     #[test]
     fn rename_replaces_file() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let a = fs.create(1, "a").unwrap();
         fs.write(a, 0, b"A").unwrap();
         let b = fs.create(1, "b").unwrap();
@@ -445,7 +413,7 @@ mod tests {
 
     #[test]
     fn rename_dir_over_nonempty_dir_fails() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         fs.mkdir(1, "src").unwrap();
         let dst = fs.mkdir(1, "dst").unwrap();
         fs.create(dst, "占").unwrap();
@@ -454,7 +422,7 @@ mod tests {
 
     #[test]
     fn rename_same_name_is_noop() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let f = fs.create(1, "a").unwrap();
         assert_eq!(fs.rename(1, "a", 1, "a").unwrap(), f);
         assert_eq!(fs.lookup(1, "a").unwrap(), f);
@@ -462,7 +430,7 @@ mod tests {
 
     #[test]
     fn rename_hardlink_onto_itself_drops_old_name() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let f = fs.create(1, "a").unwrap();
         fs.link(f, 1, "b").unwrap();
         fs.rename(1, "a", 1, "b").unwrap();
@@ -472,7 +440,7 @@ mod tests {
 
     #[test]
     fn truncate_grows_and_shrinks() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let f = fs.create(1, "t").unwrap();
         fs.write(f, 0, b"abcdef").unwrap();
         fs.truncate(f, 3).unwrap();
@@ -486,7 +454,7 @@ mod tests {
 
     #[test]
     fn readdir_sorted_and_complete() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         fs.create(1, "zz").unwrap();
         fs.mkdir(1, "aa").unwrap();
         let names: Vec<String> = fs.readdir(1).unwrap().into_iter().map(|e| e.name).collect();

@@ -1,8 +1,41 @@
-//! The VFS layer: the `FileSystem` trait all implementations expose.
+//! The VFS layer: [`FileSystem`], the one trait every implementation
+//! exposes.
 //!
 //! Benchmarks, workloads, integration tests and the examples are all
-//! written against this trait, so classic FFS, the four C-FFS variants and
-//! the in-memory oracle are interchangeable.
+//! written against this trait, so classic FFS, the four C-FFS variants, a
+//! multi-disk volume set and the in-memory oracle are interchangeable —
+//! the controlled comparison the paper's evidence rests on.
+//!
+//! ## One receiver: `&self`
+//!
+//! Every method takes `&self`; an implementation keeps whatever it mutates
+//! behind its own interior mutability. Whether one instance may be driven
+//! by several threads at once is a property of the *type*, not of a second
+//! trait: threaded workloads ask for `FileSystem + Sync`.
+//!
+//! * `Cffs` and `VolumeSet` shard and lock their own state (per-cylinder-
+//!   group allocation maps, cache shards, a threaded driver queue) and are
+//!   `Sync`. Each client thread advances its own virtual clock (the
+//!   thread-local mirror in `cffs_obs::Obs`); elapsed simulated time is the
+//!   cross-thread high-water mark `Obs::global_clock_ns`, so CPU work on
+//!   different threads overlaps while disk requests serialize through the
+//!   shared driver worker.
+//! * `ModelFs` serializes every operation behind one mutex and is `Sync`.
+//! * `Ffs`, the single-threaded baseline, keeps its allocator in a
+//!   `RefCell` and is therefore `!Sync`: handing it to a threaded workload
+//!   is a compile error, and it pays for no lock.
+//!
+//! `&mut` survives only where exclusivity is the point because every
+//! outstanding handle is invalidated: `cffs_regroup::{plan, execute,
+//! autotrigger, run}` and `VolumeSet::regroup_all`.
+//!
+//! ## Operations a volume set refuses
+//!
+//! A `VolumeSet` returns [`crate::FsError::Unsupported`] (`EXDEV`) for
+//! [`FileSystem::rmdir`], [`FileSystem::link`], [`FileSystem::rename`] and
+//! [`FileSystem::truncate`]: a directory exists on every volume and a
+//! striped file on several, so each of the four would have to change more
+//! than one device atomically, and a set has no cross-volume transaction.
 //!
 //! ## Inode-handle stability
 //!
@@ -173,78 +206,78 @@ pub trait FileSystem {
     fn root(&self) -> Ino;
 
     /// Look `name` up in directory `dir`.
-    fn lookup(&mut self, dir: Ino, name: &str) -> FsResult<Ino>;
+    fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino>;
 
     /// Fetch attributes of `ino`.
-    fn getattr(&mut self, ino: Ino) -> FsResult<Attr>;
+    fn getattr(&self, ino: Ino) -> FsResult<Attr>;
 
     /// Create a regular file named `name` in `dir`. Fails with
     /// [`crate::FsError::Exists`] if the name is taken.
-    fn create(&mut self, dir: Ino, name: &str) -> FsResult<Ino>;
+    fn create(&self, dir: Ino, name: &str) -> FsResult<Ino>;
 
     /// Create a directory.
-    fn mkdir(&mut self, dir: Ino, name: &str) -> FsResult<Ino>;
+    fn mkdir(&self, dir: Ino, name: &str) -> FsResult<Ino>;
 
     /// Remove a file name. The file's storage is freed when the last link
     /// goes (there are no open-file reference counts in the simulation).
-    fn unlink(&mut self, dir: Ino, name: &str) -> FsResult<()>;
+    fn unlink(&self, dir: Ino, name: &str) -> FsResult<()>;
 
     /// Remove an empty directory.
-    fn rmdir(&mut self, dir: Ino, name: &str) -> FsResult<()>;
+    fn rmdir(&self, dir: Ino, name: &str) -> FsResult<()>;
 
     /// Add a hard link `dir/name` to `target` (a regular file). Returns the
     /// target's inode number after the operation — C-FFS externalizes an
     /// embedded inode here, which renumbers it.
-    fn link(&mut self, target: Ino, dir: Ino, name: &str) -> FsResult<Ino>;
+    fn link(&self, target: Ino, dir: Ino, name: &str) -> FsResult<Ino>;
 
     /// Rename `odir/oname` to `ndir/nname`, replacing any existing file at
     /// the destination. Returns the moved object's inode number after the
     /// operation (embedded inodes move with their entry).
-    fn rename(&mut self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino>;
+    fn rename(&self, odir: Ino, oname: &str, ndir: Ino, nname: &str) -> FsResult<Ino>;
 
     /// Read up to `buf.len()` bytes at `off`; returns bytes read (short at
     /// end of file).
-    fn read(&mut self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize>;
+    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize>;
 
     /// Write `data` at `off`, extending the file as needed; returns bytes
     /// written.
-    fn write(&mut self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize>;
+    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize>;
 
     /// Truncate (or zero-extend) to `size` bytes.
-    fn truncate(&mut self, ino: Ino, size: u64) -> FsResult<()>;
+    fn truncate(&self, ino: Ino, size: u64) -> FsResult<()>;
 
     /// List a directory (excluding `.` and `..`, which the simulation keeps
     /// implicit).
-    fn readdir(&mut self, dir: Ino) -> FsResult<Vec<DirEntry>>;
+    fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>>;
 
     /// Write back all dirty state. On return the on-disk image is
     /// consistent and complete — the paper "forcefully write[s] back all
     /// dirty blocks before considering the measurement complete".
-    fn sync(&mut self) -> FsResult<()>;
+    fn sync(&self) -> FsResult<()>;
 
     /// Capacity summary.
-    fn statfs(&mut self) -> FsResult<StatFs>;
+    fn statfs(&self) -> FsResult<StatFs>;
 
-    /// Current simulated time (the experiment clock).
+    /// The calling thread's current simulated time (the experiment clock).
     fn now(&self) -> SimTime;
 
     /// Cumulative I/O statistics.
     fn io_stats(&self) -> IoStats;
 
     /// Reset I/O statistics (for per-phase measurement).
-    fn reset_io_stats(&mut self);
+    fn reset_io_stats(&self);
 
     /// Sync, then drop all clean cached state, emulating a remount so the
     /// next phase starts cold — how the benchmark separates create and read
     /// phases. Implementations without caches may no-op.
-    fn drop_caches(&mut self) -> FsResult<()> {
+    fn drop_caches(&self) -> FsResult<()> {
         self.sync()
     }
 
     /// Application-directed grouping hint (the paper's Section 6 future
     /// work): ask that the named files in `dir` be co-located in one group.
     /// Default: ignored.
-    fn group_hint(&mut self, _dir: Ino, _names: &[&str]) -> FsResult<()> {
+    fn group_hint(&self, _dir: Ino, _names: &[&str]) -> FsResult<()> {
         Ok(())
     }
 
@@ -256,54 +289,6 @@ pub trait FileSystem {
     /// The stack-wide observability handle (counter registry + event
     /// trace), when the implementation carries one. Benchmarks snapshot it
     /// per phase; `None` means the stack has no instrumentation.
-    fn obs(&self) -> Option<std::sync::Arc<cffs_obs::Obs>> {
-        None
-    }
-}
-
-/// The concurrent surface: the subset of [`FileSystem`] that client
-/// threads can drive **in parallel against one shared instance**. Every
-/// method takes `&self`, and the implementation must be `Send + Sync` —
-/// internally it shards or locks its own state (per-cylinder-group
-/// allocation maps, cache shards, a threaded driver queue).
-///
-/// Time discipline: each client thread advances its own virtual clock
-/// (thread-local mirror in `cffs_obs::Obs`); the run's elapsed simulated
-/// time is the cross-thread high-water mark `Obs::global_clock_ns`, so
-/// overlapping CPU work on different threads genuinely overlaps while
-/// disk requests serialize through the shared driver worker.
-///
-/// The method set is intentionally narrower than [`FileSystem`]:
-/// handle-renumbering operations (`rename`, `link`) and whole-fs
-/// maintenance (`truncate`, `drop_caches`) stay on the single-threaded
-/// trait — concurrent workloads don't need them and their inode-handle
-/// adoption rules don't compose across racing threads.
-pub trait ConcurrentFs: Send + Sync {
-    /// Short label for reports, e.g. `"C-FFS"`.
-    fn label(&self) -> &str;
-    /// The root directory's inode number.
-    fn root(&self) -> Ino;
-    /// Look `name` up in directory `dir`.
-    fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino>;
-    /// Fetch attributes of `ino`.
-    fn getattr(&self, ino: Ino) -> FsResult<Attr>;
-    /// Create a regular file named `name` in `dir`.
-    fn create(&self, dir: Ino, name: &str) -> FsResult<Ino>;
-    /// Create a directory.
-    fn mkdir(&self, dir: Ino, name: &str) -> FsResult<Ino>;
-    /// Remove a file name (storage freed with the last link).
-    fn unlink(&self, dir: Ino, name: &str) -> FsResult<()>;
-    /// Read up to `buf.len()` bytes at `off`; returns bytes read.
-    fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize>;
-    /// Write `data` at `off`, extending as needed; returns bytes written.
-    fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize>;
-    /// List a directory.
-    fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>>;
-    /// Write back all dirty state (safe to race with foreground ops).
-    fn sync(&self) -> FsResult<()>;
-    /// The calling thread's current simulated time.
-    fn now(&self) -> SimTime;
-    /// The stack-wide observability handle, when carried.
     fn obs(&self) -> Option<std::sync::Arc<cffs_obs::Obs>> {
         None
     }
@@ -327,7 +312,7 @@ mod tests {
 
     #[test]
     fn trait_is_object_safe() {
-        // Compile-time check: we rely on `&mut dyn FileSystem` everywhere.
-        fn _takes_dyn(_fs: &mut dyn FileSystem) {}
+        // Compile-time check: we rely on `&dyn FileSystem` everywhere.
+        fn _takes_dyn(_fs: &dyn FileSystem) {}
     }
 }

@@ -47,7 +47,7 @@ pub mod heatmap;
 
 use cffs_core::Cffs;
 use cffs_core::layout::INO_ROOT;
-use cffs_fslib::{FileKind, FileSystem, FsResult, Ino, BLOCK_SIZE};
+use cffs_fslib::{FileKind, FsResult, Ino, BLOCK_SIZE};
 use cffs_obs::json::Json;
 use cffs_obs::{obj, Ctr, Sig};
 use std::collections::{BTreeMap, BTreeSet};

@@ -4,7 +4,7 @@
 //!
 //! Mounts N independent C-FFS disks (each with its own simulated disk,
 //! threaded driver, buffer-cache shards, and cylinder groups) behind one
-//! [`ConcurrentFs`] namespace, following the scale-out direction in the
+//! [`FileSystem`] namespace, following the scale-out direction in the
 //! ROADMAP (CFS-style sharded metadata zones):
 //!
 //! * **Directory sharding.** The directory *skeleton* is replicated on
@@ -33,6 +33,10 @@
 //!   exactly like the per-thread clock discipline of the concurrent
 //!   stack — aggregate throughput can genuinely scale with volume count.
 //!
+//! `rmdir`, `link`, `rename` and `truncate` would each have to change more
+//! than one volume atomically and return [`FsError::Unsupported`] (see
+//! [`cffs_fslib::vfs`]); everything else on the trait works.
+//!
 //! Lock hierarchy (documented in DESIGN.md §11): `dirs` → `names` →
 //! `stripes` → per-volume internals. A volume-set lock is never taken
 //! while a volume-internal lock is held.
@@ -44,7 +48,7 @@ use cffs_core::fsck::{self, FsckReport};
 use cffs_core::{Cffs, CffsConfig, CgUsage, MkfsParams};
 use cffs_disksim::{Disk, SimTime};
 use cffs_fslib::{
-    Attr, ConcurrentFs, DirEntry, FileKind, FsError, FsResult, Ino, IoStats, StatFs,
+    Attr, DirEntry, FileKind, FileSystem, FsError, FsResult, Ino, IoStats, StatFs,
 };
 use cffs_obs::{Ctr, Obs, OpKind, StatsSnapshot};
 use cffs_regroup::{RegroupConfig, RegroupOutcome};
@@ -193,7 +197,7 @@ struct StripeMeta {
     parts: Vec<Option<Ino>>,
 }
 
-/// N independent C-FFS volumes behind one [`ConcurrentFs`] namespace:
+/// N independent C-FFS volumes behind one [`FileSystem`] namespace:
 /// replicated directory skeleton, hash-sharded file placement, and
 /// threshold-triggered large-file striping. See the module docs.
 pub struct VolumeSet {
@@ -275,7 +279,7 @@ impl VolumeSet {
     }
 
     /// The set-level observability registry (also returned by
-    /// [`ConcurrentFs::obs`]).
+    /// [`FileSystem::obs`]).
     pub fn set_obs(&self) -> Arc<Obs> {
         Arc::clone(&self.set_obs)
     }
@@ -636,7 +640,7 @@ impl VolumeSet {
     }
 }
 
-impl ConcurrentFs for VolumeSet {
+impl FileSystem for VolumeSet {
     fn label(&self) -> &str {
         &self.label
     }
@@ -948,8 +952,53 @@ impl ConcurrentFs for VolumeSet {
         ret
     }
 
+    // Refused whole rather than applied to some volumes (module docs).
+
+    fn rmdir(&self, _dir: Ino, _name: &str) -> FsResult<()> {
+        Err(FsError::Unsupported)
+    }
+
+    fn link(&self, _target: Ino, _dir: Ino, _name: &str) -> FsResult<Ino> {
+        Err(FsError::Unsupported)
+    }
+
+    fn rename(&self, _odir: Ino, _oname: &str, _ndir: Ino, _nname: &str) -> FsResult<Ino> {
+        Err(FsError::Unsupported)
+    }
+
+    fn truncate(&self, _ino: Ino, _size: u64) -> FsResult<()> {
+        Err(FsError::Unsupported)
+    }
+
+    /// Field-wise sum of [`VolumeSet::statfs_vol`] over the volumes.
+    fn statfs(&self) -> FsResult<StatFs> {
+        let mut out = self.statfs_vol(0)?;
+        for v in 1..self.vols.len() {
+            let s = self.statfs_vol(v)?;
+            out.total_blocks += s.total_blocks;
+            out.free_blocks += s.free_blocks;
+            out.group_slack_blocks += s.group_slack_blocks;
+            // `u64::MAX` means "dynamic" and must stay so.
+            out.total_inodes = out.total_inodes.saturating_add(s.total_inodes);
+            out.free_inodes = out.free_inodes.saturating_add(s.free_inodes);
+        }
+        Ok(out)
+    }
+
     fn now(&self) -> SimTime {
         SimTime(self.set_obs.clock_ns())
+    }
+
+    fn io_stats(&self) -> IoStats {
+        VolumeSet::io_stats(self)
+    }
+
+    fn reset_io_stats(&self) {
+        VolumeSet::reset_io_stats(self)
+    }
+
+    fn drop_caches(&self) -> FsResult<()> {
+        self.drop_caches_all()
     }
 
     fn obs(&self) -> Option<Arc<Obs>> {

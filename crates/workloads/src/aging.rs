@@ -54,7 +54,7 @@ pub struct AgingOutcome {
 /// Age the file system. Files are created with sizes drawn from `dist` and
 /// deleted at random; the create probability tracks the utilization target.
 pub fn age(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl FileSystem + ?Sized),
     params: AgingParams,
     dist: &impl SizeDist,
 ) -> FsResult<AgingOutcome> {
@@ -183,7 +183,8 @@ pub struct AdversarialOutcome {
 /// that just finished. `fs.sync()` runs before each hook so the hook sees
 /// a quiescent image, and `group_fetch_util_pct` sampled across the run
 /// is the quality signal that should decay (and recover, if the hook
-/// regroups).
+/// regroups). Regrouping invalidates every outstanding handle, so the
+/// hook — and therefore this function — takes the file system by `&mut`.
 pub fn age_adversarial<F: FileSystem + ?Sized>(
     fs: &mut F,
     params: AdversarialParams,
@@ -204,7 +205,7 @@ pub fn age_adversarial<F: FileSystem + ?Sized>(
     let mut serial = 0u64;
     // (dir index, name) of files alive across rounds.
     let mut live: Vec<(usize, String)> = Vec::new();
-    let create = |fs: &mut F,
+    let create = |fs: &F,
                       dirs: &[Ino],
                       d: usize,
                       size: usize,
@@ -289,9 +290,9 @@ mod tests {
 
     #[test]
     fn aging_on_oracle_creates_and_deletes() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let out = age(
-            &mut fs,
+            &fs,
             AgingParams { utilization: 0.5, ops: 500, ndirs: 4, seed: 7 },
             &Fixed(2048),
         )
@@ -340,9 +341,9 @@ mod tests {
     #[test]
     fn aging_is_deterministic() {
         let run = || {
-            let mut fs = ModelFs::new();
+            let fs = ModelFs::new();
             age(
-                &mut fs,
+                &fs,
                 AgingParams { utilization: 0.4, ops: 300, ndirs: 3, seed: 99 },
                 &Fixed(1024),
             )

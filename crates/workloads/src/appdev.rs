@@ -75,7 +75,7 @@ fn file_body(seed: u64, tag: u64, len: usize) -> Vec<u8> {
 /// Run the whole suite. Returns one [`PhaseResult`] per phase:
 /// `untar`, `copy`, `compile`, `search`, `clean`.
 pub fn run(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl FileSystem + ?Sized),
     params: DevTreeParams,
 ) -> FsResult<Vec<PhaseResult>> {
     let mut results = Vec::new();
@@ -207,14 +207,14 @@ mod tests {
 
     #[test]
     fn suite_runs_on_oracle() {
-        let mut fs = ModelFs::new();
-        let rs = run(&mut fs, DevTreeParams::small()).unwrap();
+        let fs = ModelFs::new();
+        let rs = run(&fs, DevTreeParams::small()).unwrap();
         let phases: Vec<&str> = rs.iter().map(|r| r.phase.as_str()).collect();
         assert_eq!(phases, vec!["untar", "copy", "compile", "search", "clean"]);
         // After clean, no .o files remain but sources do.
         let mut objs = 0;
         let mut srcs = 0;
-        path::walk(&mut fs, "/src", &mut |p, _, k| {
+        path::walk(&fs, "/src", &mut |p, _, k| {
             if k == FileKind::File {
                 if p.ends_with(".o") || p.ends_with(".a") {
                     objs += 1;
@@ -227,8 +227,8 @@ mod tests {
         assert_eq!(objs, 0);
         assert_eq!(srcs, DevTreeParams::small().total_files());
         // The copy matches the original.
-        let a = path::read_file(&mut fs, "/src/mod000/main0.c").unwrap();
-        let b = path::read_file(&mut fs, "/copy/mod000/main0.c").unwrap();
+        let a = path::read_file(&fs, "/src/mod000/main0.c").unwrap();
+        let b = path::read_file(&fs, "/copy/mod000/main0.c").unwrap();
         assert_eq!(a, b);
     }
 
@@ -242,9 +242,9 @@ mod tests {
     #[test]
     fn suite_is_deterministic_and_seed_sensitive() {
         let tree = |seed| {
-            let mut fs = ModelFs::new();
-            run(&mut fs, DevTreeParams { seed, ..DevTreeParams::small() }).unwrap();
-            path::read_file(&mut fs, "/src/mod000/main0.c").unwrap()
+            let fs = ModelFs::new();
+            run(&fs, DevTreeParams { seed, ..DevTreeParams::small() }).unwrap();
+            path::read_file(&fs, "/src/mod000/main0.c").unwrap()
         };
         assert_eq!(tree(3), tree(3));
         assert_ne!(tree(3), tree(4));

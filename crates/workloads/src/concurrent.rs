@@ -1,6 +1,6 @@
-//! Multi-threaded client workload for the concurrent surface.
+//! Multi-threaded client workload.
 //!
-//! N client threads share one [`ConcurrentFs`] instance. Each thread
+//! N client threads share one `FileSystem + Sync` instance. Each thread
 //! replays a seeded session against its own *disjoint* directory set
 //! (directories created round-robin across cylinder groups, so threads
 //! allocate from different CGs and the per-CG sharding actually pays),
@@ -33,8 +33,8 @@
 //! of `Obs::global_clock_ns` — every thread's work fits before it.
 
 use cffs_disksim::SimDuration;
-use cffs_fslib::path::{mkdir_p_c, read_file_c, resolve_c, write_file_c};
-use cffs_fslib::{ConcurrentFs, FsResult, Ino};
+use cffs_fslib::path::{mkdir_p, read_file, resolve, write_file};
+use cffs_fslib::{FileSystem, FsResult, Ino};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -116,7 +116,7 @@ impl ConcurrentResult {
 /// Phase 2 body: populate this thread's directories. Returns
 /// (ops, bytes, inos per directory).
 fn populate(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     t: usize,
     own_dirs: &[Ino],
     p: &ConcurrentParams,
@@ -151,7 +151,7 @@ fn populate(
 /// window's elapsed time would depend on OS scheduling. Read-only means
 /// pure per-thread CPU: deterministic and genuinely parallel.
 fn warm_window(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     t: usize,
     own_dirs: &[Ino],
     inos: &[Vec<Ino>],
@@ -191,7 +191,7 @@ fn warm_window(
 /// Phase 4 body: seeded unlinks in the thread's own directories, then
 /// the shared-directory contention round. Returns (ops, bytes).
 fn churn(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     t: usize,
     own_dirs: &[Ino],
     shared: &[Ino],
@@ -210,7 +210,7 @@ fn churn(
     for (d, _) in own_dirs.iter().enumerate() {
         for f in 0..p.files_per_dir {
             if rng.gen_range(0..8u64) == 0 {
-                let ino = resolve_c(fs, &format!("/t{t}_d{d}/f{f}"))?;
+                let ino = resolve(fs, &format!("/t{t}_d{d}/f{f}"))?;
                 fs.write(ino, 0, &payload)?;
                 ops += 2;
                 bytes += p.file_size as u64;
@@ -232,12 +232,12 @@ fn churn(
     // "/sharedN" concurrently while siblings insert into it.
     for (s, &dir) in shared.iter().enumerate() {
         for f in 0..p.shared_files_per_thread {
-            write_file_c(fs, &format!("/shared{s}/t{t}_s{f}"), &payload)?;
+            write_file(fs, &format!("/shared{s}/t{t}_s{f}"), &payload)?;
             ops += 2;
             bytes += p.file_size as u64;
         }
         for f in 0..p.shared_files_per_thread {
-            let data = read_file_c(fs, &format!("/shared{s}/t{t}_s{f}"))?;
+            let data = read_file(fs, &format!("/shared{s}/t{t}_s{f}"))?;
             ops += 1;
             bytes += data.len() as u64;
         }
@@ -258,7 +258,7 @@ fn churn(
 /// its siblings have already pushed — and the per-thread timelines would
 /// chain serially instead of overlapping from a common origin.
 pub(crate) fn fan_out<F>(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     nthreads: usize,
     body: F,
 ) -> FsResult<Vec<(u64, u64)>>
@@ -292,7 +292,7 @@ where
 /// sync to a warm quiescent point, run the measured warm window, churn,
 /// final sync. See the module docs for why only the warm window is timed.
 pub fn run(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     p: &ConcurrentParams,
 ) -> FsResult<ConcurrentResult> {
     run_with_phase_hook(fs, p, |_| {})
@@ -304,7 +304,7 @@ pub fn run(
 /// so a manual-cadence feed tap can cut a consistent frame per phase
 /// even though the phases themselves are multi-threaded.
 pub fn run_with_phase_hook(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     p: &ConcurrentParams,
     hook: impl Fn(&str),
 ) -> FsResult<ConcurrentResult> {
@@ -315,13 +315,13 @@ pub fn run_with_phase_hook(
     for t in 0..p.nthreads {
         let mut dirs = Vec::with_capacity(p.dirs_per_thread);
         for d in 0..p.dirs_per_thread {
-            dirs.push(mkdir_p_c(fs, &format!("/t{t}_d{d}"))?);
+            dirs.push(mkdir_p(fs, &format!("/t{t}_d{d}"))?);
         }
         own.push(dirs);
     }
     let mut shared = Vec::with_capacity(p.shared_dirs);
     for s in 0..p.shared_dirs {
-        shared.push(mkdir_p_c(fs, &format!("/shared{s}"))?);
+        shared.push(mkdir_p(fs, &format!("/shared{s}"))?);
     }
     fs.sync()?;
     hook("setup");

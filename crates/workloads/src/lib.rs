@@ -5,7 +5,8 @@
 //! Workload generators and measurement harnesses for the C-FFS
 //! reproduction. Everything here drives the [`cffs_fslib::FileSystem`]
 //! trait, so the same workload runs unchanged against classic FFS, the
-//! four C-FFS variants, and the in-memory oracle.
+//! four C-FFS variants, a volume set and the in-memory oracle; the
+//! threaded workloads additionally ask for `Sync`.
 //!
 //! * [`smallfile`] — the paper's small-file micro-benchmark ("based on the
 //!   small-file benchmark from [Rosenblum92]"): create/write N small
@@ -27,7 +28,7 @@
 //! * [`soak`] — open-ended mixed churn for watching the stack live via
 //!   the telemetry feed (`repro_soak --feed` + `cffs-top --follow`).
 //! * [`runner`] — phase measurement: simulated elapsed time + I/O deltas.
-//! * [`concurrent`] — N client threads over one shared [`cffs_fslib::ConcurrentFs`]
+//! * [`concurrent`] — N client threads over one shared `FileSystem + Sync`
 //!   instance: disjoint per-thread directory sets plus an optional shared
 //!   contention set, throughput in simulated time.
 //! * [`namei`] — the million-file deep-tree name-resolution benchmark:

@@ -2,7 +2,7 @@
 //!
 //! Replays a fleet of seeded user *sessions* — open/read/write/fsync
 //! mixes with Zipf-skewed directory popularity — against any
-//! [`ConcurrentFs`] instance. This is the workload behind E16
+//! `FileSystem + Sync` instance. This is the workload behind E16
 //! (`repro_volume`): thousands of sessions spread over a handful of OS
 //! threads, where a popular-project skew concentrates traffic the way a
 //! production namespace would, and per-directory sharding decides how
@@ -38,8 +38,8 @@
 //! the same discipline as [`crate::concurrent`].
 
 use cffs_disksim::SimDuration;
-use cffs_fslib::path::{mkdir_p_c, resolve_c};
-use cffs_fslib::{ConcurrentFs, FsResult, Ino};
+use cffs_fslib::path::{mkdir_p, resolve};
+use cffs_fslib::{FileSystem, FsResult, Ino};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -188,7 +188,7 @@ fn has_big(d: usize, p: &MulticlientParams) -> bool {
 
 /// Phase 2 body: fill this thread's directories. Returns (ops, bytes).
 fn populate(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     t: usize,
     dirs: &[Ino],
     p: &MulticlientParams,
@@ -216,7 +216,7 @@ fn populate(
 
 /// Phase 3 body: replay this thread's sessions. Returns (ops, bytes).
 fn sessions(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     t: usize,
     zipf: &Zipf,
     dir_perm: &[usize],
@@ -234,7 +234,7 @@ fn sessions(
             let f = rng.gen_range(0..p.files_per_dir as u64) as usize;
             let roll = rng.gen_range(0..100u64) as u32;
             if roll < p.write_pct {
-                let ino = resolve_c(fs, &format!("/p{d}/f{f}"))?;
+                let ino = resolve(fs, &format!("/p{d}/f{f}"))?;
                 fs.write(ino, 0, &vec![fill_byte(d, f); p.file_size])?;
                 ops += 2;
                 bytes += p.file_size as u64;
@@ -242,12 +242,12 @@ fn sessions(
                 fs.sync()?;
                 ops += 1;
             } else if roll < p.write_pct + p.fsync_pct + p.big_pct && has_big(d, p) {
-                let ino = resolve_c(fs, &format!("/p{d}/big"))?;
+                let ino = resolve(fs, &format!("/p{d}/big"))?;
                 let n = fs.read(ino, 0, &mut buf[..p.big_size])?;
                 ops += 2;
                 bytes += n as u64;
             } else {
-                let ino = resolve_c(fs, &format!("/p{d}/f{f}"))?;
+                let ino = resolve(fs, &format!("/p{d}/f{f}"))?;
                 let n = fs.read(ino, 0, &mut buf[..p.file_size])?;
                 ops += 2;
                 bytes += n as u64;
@@ -261,7 +261,7 @@ fn sessions(
 /// Phase 4 body: seeded unlink + re-create churn in this thread's
 /// directories. Returns (ops, bytes).
 fn churn(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     t: usize,
     dirs: &[Ino],
     p: &MulticlientParams,
@@ -301,7 +301,7 @@ fn churn(
 
 /// Run the full multi-client workload.
 pub fn run(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     p: &MulticlientParams,
 ) -> FsResult<MulticlientResult> {
     run_with_phase_hook(fs, p, |_| {})
@@ -313,7 +313,7 @@ pub fn run(
 /// frames — or drop every volume's caches after "populate" to make the
 /// measured sessions window cold and disk-bound.
 pub fn run_with_phase_hook(
-    fs: &(impl ConcurrentFs + ?Sized),
+    fs: &(impl FileSystem + Sync + ?Sized),
     p: &MulticlientParams,
     hook: impl Fn(&str),
 ) -> FsResult<MulticlientResult> {
@@ -322,7 +322,7 @@ pub fn run_with_phase_hook(
     // Phase 1 — setup (main thread): the project directories.
     let mut all_dirs = Vec::with_capacity(p.ndirs);
     for d in 0..p.ndirs {
-        all_dirs.push(mkdir_p_c(fs, &format!("/p{d}"))?);
+        all_dirs.push(mkdir_p(fs, &format!("/p{d}"))?);
     }
     fs.sync()?;
     hook("setup");

@@ -72,7 +72,7 @@ impl NameiParams {
 /// filled one after another, like an untar). Returns (ops, payload
 /// bytes). Creation drives `(dir ino, name)` directly — path walking is
 /// what the *resolution* phases measure.
-pub fn build_tree(fs: &mut (impl FileSystem + ?Sized), p: &NameiParams) -> FsResult<(u64, u64)> {
+pub fn build_tree(fs: &(impl FileSystem + ?Sized), p: &NameiParams) -> FsResult<(u64, u64)> {
     let root = fs.root();
     let payload: Vec<u8> = (0..p.file_size).map(|i| (i % 251) as u8).collect();
     let mut ops = 0u64;
@@ -115,7 +115,7 @@ pub fn sample_paths(p: &NameiParams) -> Vec<String> {
 /// One resolution round: resolve every sampled path component by
 /// component, `getattr` it, and `read` it. Returns (ops, bytes).
 pub fn resolve_round(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl FileSystem + ?Sized),
     paths: &[String],
     buf: &mut [u8],
 ) -> FsResult<(u64, u64)> {
@@ -153,8 +153,8 @@ mod tests {
     #[test]
     fn builds_the_advertised_tree() {
         let p = tiny();
-        let mut fs = ModelFs::new();
-        let (ops, bytes) = build_tree(&mut fs, &p).expect("build");
+        let fs = ModelFs::new();
+        let (ops, bytes) = build_tree(&fs, &p).expect("build");
         assert_eq!(p.total_files(), 12);
         assert_eq!(p.total_dirs(), 6);
         // mkdirs + creates + writes
@@ -165,12 +165,12 @@ mod tests {
     #[test]
     fn sample_is_seeded_and_resolvable() {
         let p = tiny();
-        let mut fs = ModelFs::new();
-        build_tree(&mut fs, &p).expect("build");
+        let fs = ModelFs::new();
+        build_tree(&fs, &p).expect("build");
         let paths = sample_paths(&p);
         assert_eq!(paths, sample_paths(&p));
         let mut buf = vec![0u8; p.file_size.max(1)];
-        let (ops, bytes) = resolve_round(&mut fs, &paths, &mut buf).expect("resolve");
+        let (ops, bytes) = resolve_round(&fs, &paths, &mut buf).expect("resolve");
         assert_eq!(ops, 10 * 5);
         assert_eq!(bytes, 10 * 8);
     }
@@ -178,10 +178,10 @@ mod tests {
     #[test]
     fn zero_byte_files_still_resolve_and_read() {
         let p = NameiParams { file_size: 0, ..tiny() };
-        let mut fs = ModelFs::new();
-        build_tree(&mut fs, &p).expect("build");
+        let fs = ModelFs::new();
+        build_tree(&fs, &p).expect("build");
         let mut buf = vec![0u8; 1];
-        let (ops, bytes) = resolve_round(&mut fs, &sample_paths(&p), &mut buf).expect("resolve");
+        let (ops, bytes) = resolve_round(&fs, &sample_paths(&p), &mut buf).expect("resolve");
         assert_eq!(ops, 10 * 5);
         assert_eq!(bytes, 0);
     }

@@ -88,7 +88,7 @@ impl SizeDist for Uniform {
 /// Run the benchmark; returns one [`PhaseResult`] per phase
 /// (`pm-create`, `pm-transactions`, `pm-delete`).
 pub fn run(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl FileSystem + ?Sized),
     params: PostmarkParams,
 ) -> FsResult<Vec<PhaseResult>> {
     let mut rng = StdRng::seed_from_u64(params.seed);
@@ -203,8 +203,8 @@ mod tests {
 
     #[test]
     fn postmark_runs_and_cleans_up() {
-        let mut fs = ModelFs::new();
-        let rs = run(&mut fs, PostmarkParams::small()).unwrap();
+        let fs = ModelFs::new();
+        let rs = run(&fs, PostmarkParams::small()).unwrap();
         let phases: Vec<&str> = rs.iter().map(|r| r.phase.as_str()).collect();
         assert_eq!(phases, vec!["pm-create", "pm-transactions", "pm-delete"]);
         assert!(fs.readdir(fs.root()).unwrap().is_empty(), "everything deleted");
@@ -214,8 +214,8 @@ mod tests {
     #[test]
     fn postmark_is_deterministic() {
         let run_once = || {
-            let mut fs = ModelFs::new();
-            let rs = run(&mut fs, PostmarkParams::small()).unwrap();
+            let fs = ModelFs::new();
+            let rs = run(&fs, PostmarkParams::small()).unwrap();
             (rs[0].bytes, rs[1].bytes, rs[2].items)
         };
         assert_eq!(run_once(), run_once());

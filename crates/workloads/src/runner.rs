@@ -96,11 +96,11 @@ impl PhaseResult {
 /// Run `body` as a measured phase: reset stats, execute, sync, capture.
 /// `items` and `bytes` describe the completed work for rate computation.
 pub fn measure<F: FileSystem + ?Sized>(
-    fs: &mut F,
+    fs: &F,
     phase: &str,
     items: u64,
     bytes: u64,
-    body: impl FnOnce(&mut F) -> FsResult<()>,
+    body: impl FnOnce(&F) -> FsResult<()>,
 ) -> FsResult<PhaseResult> {
     fs.reset_io_stats();
     let before = fs.obs().map(|o| o.snapshot(fs.label(), fs.now().as_nanos()));
@@ -130,7 +130,7 @@ pub fn measure<F: FileSystem + ?Sized>(
 
 /// Make the next phase start cold: write everything back and drop the
 /// caches (the moral equivalent of unmount + mount between phases).
-pub fn cold_boundary(fs: &mut (impl FileSystem + ?Sized)) -> FsResult<()> {
+pub fn cold_boundary(fs: &(impl FileSystem + ?Sized)) -> FsResult<()> {
     fs.drop_caches()
 }
 
@@ -141,8 +141,8 @@ mod tests {
 
     #[test]
     fn measure_captures_items_and_phase() {
-        let mut fs = ModelFs::new();
-        let r = measure(&mut fs, "create", 10, 10_240, |fs| {
+        let fs = ModelFs::new();
+        let r = measure(&fs, "create", 10, 10_240, |fs| {
             for i in 0..10 {
                 fs.create(1, &format!("f{i}"))?;
             }
@@ -158,8 +158,8 @@ mod tests {
 
     #[test]
     fn failing_body_propagates() {
-        let mut fs = ModelFs::new();
-        let r = measure(&mut fs, "x", 0, 0, |fs| fs.unlink(1, "missing"));
+        let fs = ModelFs::new();
+        let r = measure(&fs, "x", 0, 0, |fs| fs.unlink(1, "missing"));
         assert!(r.is_err());
     }
 }

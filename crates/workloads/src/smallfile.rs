@@ -97,7 +97,7 @@ fn payload(seed: u64, i: usize, len: usize) -> Vec<u8> {
 /// Run all four phases; returns one [`PhaseResult`] per phase
 /// (`create`, `read`, `overwrite`, `delete`).
 pub fn run(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl FileSystem + ?Sized),
     params: SmallFileParams,
 ) -> FsResult<Vec<PhaseResult>> {
     let mut results = Vec::with_capacity(4);
@@ -165,8 +165,8 @@ mod tests {
 
     #[test]
     fn four_phases_on_the_oracle() {
-        let mut fs = ModelFs::new();
-        let rs = run(&mut fs, SmallFileParams::small()).unwrap();
+        let fs = ModelFs::new();
+        let rs = run(&fs, SmallFileParams::small()).unwrap();
         let phases: Vec<&str> = rs.iter().map(|r| r.phase.as_str()).collect();
         assert_eq!(phases, vec!["create", "read", "overwrite", "delete"]);
         assert!(rs.iter().all(|r| r.items == 200));

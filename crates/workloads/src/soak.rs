@@ -54,7 +54,7 @@ pub struct SoakResult {
 /// Run the soak. `on_round(i)` fires after round `i` completes (with the
 /// image synced) — the hook the repro binary uses for progress output.
 pub fn run(
-    fs: &mut (impl FileSystem + ?Sized),
+    fs: &(impl FileSystem + ?Sized),
     p: &SoakParams,
     mut on_round: impl FnMut(usize),
 ) -> FsResult<SoakResult> {
@@ -127,10 +127,10 @@ mod tests {
 
     #[test]
     fn soak_runs_and_reports_work() {
-        let mut fs = ModelFs::new();
+        let fs = ModelFs::new();
         let p = SoakParams { rounds: 3, ndirs: 2, files_per_dir: 5, ..SoakParams::default() };
         let mut seen = Vec::new();
-        let r = run(&mut fs, &p, |i| seen.push(i)).expect("soak");
+        let r = run(&fs, &p, |i| seen.push(i)).expect("soak");
         assert_eq!(r.rounds, 3);
         assert_eq!(seen, vec![0, 1, 2]);
         assert!(r.ops > 0 && r.bytes > 0);

@@ -125,7 +125,7 @@ impl FromJson for Op {
 
 /// Replay one op; "expected" errors (name collisions the generator allows)
 /// are tolerated, real errors propagate.
-pub fn apply(fs: &mut (impl FileSystem + ?Sized), op: &Op) -> FsResult<()> {
+pub fn apply(fs: &(impl FileSystem + ?Sized), op: &Op) -> FsResult<()> {
     let tolerated = |e: &FsError| {
         matches!(
             e,
@@ -188,7 +188,7 @@ pub fn apply(fs: &mut (impl FileSystem + ?Sized), op: &Op) -> FsResult<()> {
 }
 
 /// Replay a whole trace.
-pub fn replay(fs: &mut (impl FileSystem + ?Sized), ops: &[Op]) -> FsResult<()> {
+pub fn replay(fs: &(impl FileSystem + ?Sized), ops: &[Op]) -> FsResult<()> {
     for op in ops {
         apply(fs, op)?;
     }
@@ -200,7 +200,7 @@ pub fn replay(fs: &mut (impl FileSystem + ?Sized), ops: &[Op]) -> FsResult<()> {
 pub type Snapshot = BTreeMap<String, Option<Vec<u8>>>;
 
 /// Capture the logical state of the whole tree.
-pub fn snapshot(fs: &mut (impl FileSystem + ?Sized)) -> FsResult<Snapshot> {
+pub fn snapshot(fs: &(impl FileSystem + ?Sized)) -> FsResult<Snapshot> {
     let mut entries: Vec<(String, FileKind)> = Vec::new();
     path::walk(fs, "/", &mut |p, _, kind| entries.push((p.to_string(), kind)))?;
     let mut out = Snapshot::new();
@@ -302,9 +302,9 @@ mod tests {
             Op::Truncate { path: "/x/g".into(), size: 5000 },
             Op::Rename { from: "/x/f".into(), to: "/x/h".into() },
         ];
-        let mut fs = ModelFs::new();
-        replay(&mut fs, &ops).unwrap();
-        let snap = snapshot(&mut fs).unwrap();
+        let fs = ModelFs::new();
+        replay(&fs, &ops).unwrap();
+        let snap = snapshot(&fs).unwrap();
         assert_eq!(snap["/x/h"], Some(b"hello world".to_vec()));
         assert_eq!(snap["/x/g"].as_ref().unwrap().len(), 5000);
         assert!(!snap.contains_key("/x/f"));
@@ -315,9 +315,9 @@ mod tests {
     fn random_traces_replay_cleanly_on_oracle() {
         for seed in 0..5 {
             let ops = random_trace(seed, 300);
-            let mut fs = ModelFs::new();
-            replay(&mut fs, &ops).unwrap();
-            snapshot(&mut fs).unwrap();
+            let fs = ModelFs::new();
+            replay(&fs, &ops).unwrap();
+            snapshot(&fs).unwrap();
         }
     }
 
@@ -329,11 +329,11 @@ mod tests {
         let back = load(&mut bytes.as_slice()).unwrap();
         assert_eq!(back, ops);
         // A reloaded trace replays to the same state.
-        let mut a = ModelFs::new();
-        replay(&mut a, &ops).unwrap();
-        let mut b = ModelFs::new();
-        replay(&mut b, &back).unwrap();
-        assert_eq!(snapshot(&mut a).unwrap(), snapshot(&mut b).unwrap());
+        let a = ModelFs::new();
+        replay(&a, &ops).unwrap();
+        let b = ModelFs::new();
+        replay(&b, &back).unwrap();
+        assert_eq!(snapshot(&a).unwrap(), snapshot(&b).unwrap());
     }
 
     #[test]

@@ -24,7 +24,7 @@ const P: SmallFileParams = SmallFileParams {
     seed: 1997,
 };
 
-fn populate(fs: &mut Cffs) -> FsResult<Vec<Ino>> {
+fn populate(fs: &Cffs) -> FsResult<Vec<Ino>> {
     let root = fs.root();
     let mut dirs = Vec::new();
     for d in 0..P.ndirs {
@@ -38,7 +38,7 @@ fn populate(fs: &mut Cffs) -> FsResult<Vec<Ino>> {
     Ok(dirs)
 }
 
-fn read_phase(fs: &mut Cffs, dirs: &[Ino]) -> FsResult<()> {
+fn read_phase(fs: &Cffs, dirs: &[Ino]) -> FsResult<()> {
     let mut buf = vec![0u8; P.file_size];
     for i in 0..P.nfiles {
         let ino = fs.lookup(dirs[i % P.ndirs], &file_name(i))?;
@@ -91,11 +91,11 @@ fn main() -> FsResult<()> {
     );
     for cfg in [CffsConfig::conventional(), CffsConfig::cffs()] {
         let label = cfg.label.clone();
-        let mut fs = build::on_disk(models::seagate_st31200(), cfg);
-        let dirs = populate(&mut fs)?;
+        let fs = build::on_disk(models::seagate_st31200(), cfg);
+        let dirs = populate(&fs)?;
         fs.set_disk_trace(true);
         fs.reset_io_stats();
-        read_phase(&mut fs, &dirs)?;
+        read_phase(&fs, &dirs)?;
         analyze(&label, &fs);
         let io = fs.io_stats();
         let d = io.disk;

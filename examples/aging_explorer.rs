@@ -15,14 +15,14 @@ use cffs::workloads::aging::{age, AgingParams};
 use cffs::workloads::sizes::Empirical1993;
 
 fn main() -> FsResult<()> {
-    let mut fs = build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
+    let fs = build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
     println!(
         "{:>6} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8}",
         "stage", "ops", "util", "groups", "live/grp", "slack", "files"
     );
     for stage in 1..=6 {
         let out = age(
-            &mut fs,
+            &fs,
             AgingParams { utilization: 0.6, ops: 4000, ndirs: 25, seed: stage as u64 },
             &Empirical1993,
         )?;

@@ -10,7 +10,7 @@ use cffs::prelude::*;
 fn main() -> FsResult<()> {
     // A fresh C-FFS (embedded inodes + explicit grouping) on a simulated
     // Seagate ST31200 — the paper's testbed drive.
-    let mut fs = build::cffs_on_testbed();
+    let fs = build::cffs_on_testbed();
     let root = fs.root();
 
     // Plain VFS calls...
@@ -19,9 +19,9 @@ fn main() -> FsResult<()> {
     fs.write(main_c, 0, b"int main(void) { return 0; }\n")?;
 
     // ...or path helpers.
-    path::mkdir_p(&mut fs, "/src/include")?;
-    path::write_file(&mut fs, "/src/include/util.h", b"#pragma once\n")?;
-    path::write_file(&mut fs, "/src/README", b"hello from 1997\n")?;
+    path::mkdir_p(&fs, "/src/include")?;
+    path::write_file(&fs, "/src/include/util.h", b"#pragma once\n")?;
+    path::write_file(&fs, "/src/README", b"hello from 1997\n")?;
 
     // Everything a directory names tends to live in one 64 KB group:
     fs.sync()?;
@@ -35,9 +35,9 @@ fn main() -> FsResult<()> {
     fs.drop_caches()?;
     fs.reset_io_stats();
     let t0 = fs.now();
-    let text = path::read_file(&mut fs, "/src/main.c")?;
-    let _ = path::read_file(&mut fs, "/src/include/util.h")?;
-    let _ = path::read_file(&mut fs, "/src/README")?;
+    let text = path::read_file(&fs, "/src/main.c")?;
+    let _ = path::read_file(&fs, "/src/include/util.h")?;
+    let _ = path::read_file(&fs, "/src/README")?;
     let t1 = fs.now();
 
     let io = fs.io_stats();

@@ -21,8 +21,8 @@ fn main() -> FsResult<()> {
 
     let mut results = Vec::new();
     for cfg in [CffsConfig::conventional(), CffsConfig::cffs()] {
-        let mut fs = build::on_disk(models::seagate_st31200(), cfg);
-        results.push(appdev::run(&mut fs, params)?);
+        let fs = build::on_disk(models::seagate_st31200(), cfg);
+        results.push(appdev::run(&fs, params)?);
     }
     let (conv, cffs) = (&results[0], &results[1]);
 

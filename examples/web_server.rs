@@ -25,7 +25,7 @@ use cffs_disksim::SimDuration;
 const DOCS: usize = 24;
 const IMAGES_PER_DOC: usize = 4;
 
-fn build_site(fs: &mut Cffs) -> FsResult<(Ino, Ino)> {
+fn build_site(fs: &Cffs) -> FsResult<(Ino, Ino)> {
     let root = fs.root();
     let html = fs.mkdir(root, "html")?;
     let img = fs.mkdir(root, "img")?;
@@ -48,7 +48,7 @@ fn build_site(fs: &mut Cffs) -> FsResult<(Ino, Ino)> {
 /// Serve every document from a cold cache (a busy server whose working
 /// set long outgrew memory: every document fetch starts cold); return the
 /// mean per-document latency and total disk requests.
-fn serve_all(fs: &mut Cffs, html: Ino, img: Ino) -> FsResult<(SimDuration, u64)> {
+fn serve_all(fs: &Cffs, html: Ino, img: Ino) -> FsResult<(SimDuration, u64)> {
     let mut total = SimDuration::ZERO;
     let mut reqs = 0u64;
     for d in 0..DOCS {
@@ -68,10 +68,10 @@ fn serve_all(fs: &mut Cffs, html: Ino, img: Ino) -> FsResult<(SimDuration, u64)>
 }
 
 fn main() -> FsResult<()> {
-    let mut fs = build::cffs_on_testbed();
-    let (html, img) = build_site(&mut fs)?;
+    let fs = build::cffs_on_testbed();
+    let (html, img) = build_site(&fs)?;
 
-    let (before, reqs_before) = serve_all(&mut fs, html, img)?;
+    let (before, reqs_before) = serve_all(&fs, html, img)?;
 
     // The server knows which files form one document; tell the file system.
     for d in 0..DOCS {
@@ -84,7 +84,7 @@ fn main() -> FsResult<()> {
     }
     fs.sync()?;
 
-    let (after, reqs_after) = serve_all(&mut fs, html, img)?;
+    let (after, reqs_after) = serve_all(&fs, html, img)?;
 
     println!("cold-serving one hypertext document (1 page + {IMAGES_PER_DOC} images), {DOCS} documents:");
     println!("  name-space grouping only: {before} per document ({reqs_before} disk requests)");

@@ -63,8 +63,8 @@ use cffs_obs::obj;
 use std::path::Path;
 
 fn demo_image() -> Disk {
-    let mut fs = cffs::build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
-    path::mkdir_p(&mut fs, "/src/include").expect("mkdir");
+    let fs = cffs::build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
+    path::mkdir_p(&fs, "/src/include").expect("mkdir");
     for (p, data) in [
         ("/src/main.c", vec![b'm'; 1800]),
         ("/src/util.c", vec![b'u'; 900]),
@@ -72,14 +72,14 @@ fn demo_image() -> Disk {
         ("/README", vec![b'r'; 450]),
         ("/bigfile.bin", vec![b'B'; 120_000]),
     ] {
-        path::write_file(&mut fs, p, &data).expect("write");
+        path::write_file(&fs, p, &data).expect("write");
     }
-    let f = path::resolve(&mut fs, "/src/util.c").expect("resolve");
+    let f = path::resolve(&fs, "/src/util.c").expect("resolve");
     fs.link(f, fs.root(), "util-alias.c").expect("link");
     fs.unmount().expect("unmount")
 }
 
-fn walk(fs: &mut Cffs, dir: Ino, prefix: &str, out: &mut String) {
+fn walk(fs: &Cffs, dir: Ino, prefix: &str, out: &mut String) {
     let sb = fs.superblock().clone();
     for e in fs.readdir(dir).expect("readdir") {
         let attr = fs.getattr(e.ino).expect("getattr");
@@ -152,10 +152,10 @@ fn disk_from(arg: Option<&str>) -> Disk {
 /// Mount and walk the whole namespace cold so the counters and trace ring
 /// reflect a real traversal of the image.
 fn mounted_walk(disk: Disk) -> Cffs {
-    let mut fs = Cffs::mount(disk, CffsConfig::cffs()).expect("mount");
+    let fs = Cffs::mount(disk, CffsConfig::cffs()).expect("mount");
     let mut out = String::new();
     let root = fs.root();
-    walk(&mut fs, root, "  /", &mut out);
+    walk(&fs, root, "  /", &mut out);
     fs
 }
 
@@ -596,7 +596,7 @@ fn main() {
         None => usage(),
     };
 
-    let mut fs = Cffs::mount(disk, CffsConfig::cffs()).expect("mount");
+    let fs = Cffs::mount(disk, CffsConfig::cffs()).expect("mount");
     let sb = fs.superblock().clone();
     println!("superblock:");
     println!("  total blocks        {}", sb.total_blocks);
@@ -631,7 +631,7 @@ fn main() {
     println!("\nnamespace:");
     let mut out = String::new();
     let root = fs.root();
-    walk(&mut fs, root, "  /", &mut out);
+    walk(&fs, root, "  /", &mut out);
     print!("{out}");
 
     let mut img = fs.unmount().expect("unmount");

@@ -14,7 +14,7 @@
 //! use cffs::prelude::*;
 //!
 //! // A C-FFS on the paper's testbed disk (Seagate ST31200).
-//! let mut fs = cffs::build::cffs_on_testbed();
+//! let fs = cffs::build::cffs_on_testbed();
 //! let root = fs.root();
 //! let dir = fs.mkdir(root, "src").unwrap();
 //! let ino = fs.create(dir, "hello.c").unwrap();

@@ -1,6 +1,7 @@
 //! Concurrency: N client threads over one shared `Cffs`.
 //!
-//! The tentpole claims of the concurrent surface, checked end to end:
+//! What sharing one instance between threads must guarantee, checked end
+//! to end:
 //!
 //! * a multi-threaded run over disjoint per-thread directory sets leaves
 //!   an fsck-clean image, and its op tally is exactly the sum of the
@@ -15,7 +16,7 @@ use cffs::prelude::FsResult;
 use cffs::workloads::concurrent::{self, ConcurrentParams};
 use cffs_disksim::models;
 use cffs_disksim::Disk;
-use cffs_fslib::ConcurrentFs;
+use cffs_fslib::FileSystem;
 
 fn fresh() -> Cffs {
     cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), CffsConfig::cffs())
@@ -184,16 +185,33 @@ fn relocation_racing_foreground_writes_is_block_atomic() {
 
 #[test]
 fn concurrent_trait_object_is_usable() {
-    // The trait is meant for `&dyn ConcurrentFs` harness code.
+    // Threaded harness code holds the file system as
+    // `&(dyn FileSystem + Sync)`: two threads, released together, drive
+    // one object through the trait, each under its own directory.
     let fs = fresh();
-    let dynfs: &dyn ConcurrentFs = &fs;
-    let d = dynfs.mkdir(dynfs.root(), "x").unwrap();
-    let ino = dynfs.create(d, "f").unwrap();
-    dynfs.write(ino, 0, b"hello").unwrap();
-    let mut buf = [0u8; 5];
-    assert_eq!(dynfs.read(ino, 0, &mut buf).unwrap(), 5);
-    assert_eq!(&buf, b"hello");
+    let dynfs: &(dyn FileSystem + Sync) = &fs;
+    let root = dynfs.root();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for t in 0..2u8 {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                let d = dynfs.mkdir(root, &format!("x{t}")).unwrap();
+                let ino = dynfs.create(d, "f").unwrap();
+                dynfs.write(ino, 0, &[t; 5]).unwrap();
+                let mut buf = [0u8; 5];
+                assert_eq!(dynfs.read(ino, 0, &mut buf).unwrap(), 5);
+                assert_eq!(buf, [t; 5]);
+            });
+        }
+    });
     dynfs.sync().unwrap();
+    for t in 0..2u8 {
+        let d = dynfs.lookup(root, &format!("x{t}")).unwrap();
+        assert_eq!(dynfs.getattr(dynfs.lookup(d, "f").unwrap()).unwrap().size, 5);
+    }
+    assert_fsck_clean(&fs, "two threads through dyn FileSystem + Sync");
 }
 
 #[test]

@@ -54,15 +54,15 @@ fn fsck_repairs_any_crash_point_cffs() {
             );
             let _ = report;
             // The repaired image must mount and walk.
-            let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
-            let _ = path::read_file(&mut fs2, "/work/f0").ok();
+            let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
+            let _ = path::read_file(&fs2, "/work/f0").ok();
         }
     }
 }
 
 #[test]
 fn fsck_repairs_any_crash_point_ffs() {
-    let mut fs = cffs::ffs::mkfs::mkfs(
+    let fs = cffs::ffs::mkfs::mkfs(
         Disk::new(models::tiny_test_disk()),
         FfsMkfsParams::tiny(),
         FfsOptions::default(),
@@ -84,7 +84,7 @@ fn fsck_repairs_any_crash_point_ffs() {
     for (k, mut img) in images.into_iter().enumerate() {
         ffs_fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("crash {k}: {e}"));
         assert!(ffs_fsck::fsck(&mut img, false).expect("verify").clean(), "crash {k}");
-        let mut fs2 = Ffs::mount(img, FfsOptions::default()).expect("mount repaired");
+        let fs2 = Ffs::mount(img, FfsOptions::default()).expect("mount repaired");
         let _ = fs2.readdir(fs2.root()).expect("readdir after repair");
     }
 }
@@ -104,8 +104,8 @@ fn completed_creates_survive_crashes() {
     // Crash with data and bitmaps still delayed.
     let mut img = fs.crash_image();
     cffs_fsck::fsck(&mut img, true).expect("repair");
-    let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
-    let d = path::resolve(&mut fs2, "/d").expect("dir survives");
+    let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
+    let d = path::resolve(&fs2, "/d").expect("dir survives");
     let names = fs2.readdir(d).expect("readdir");
     assert_eq!(names.len(), 10, "all completed creates visible: {names:?}");
     for e in names {
@@ -142,8 +142,8 @@ fn no_dangling_names_after_repair_all_variants() {
         }
         let mut img = fs.crash_image();
         cffs_fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
-        let d = match path::resolve(&mut fs2, "/d") {
+        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
+        let d = match path::resolve(&fs2, "/d") {
             Ok(d) => d,
             Err(_) => continue, // whole directory lost: consistent, if sad
         };
@@ -157,14 +157,14 @@ fn no_dangling_names_after_repair_all_variants() {
 /// Synced state is durable: after an explicit sync, a crash loses nothing.
 #[test]
 fn sync_makes_everything_durable() {
-    let mut fs = cffs_fs(CffsConfig::cffs());
-    path::mkdir_p(&mut fs, "/a/b").unwrap();
-    path::write_file(&mut fs, "/a/b/file.txt", &vec![9u8; 10_000]).unwrap();
+    let fs = cffs_fs(CffsConfig::cffs());
+    path::mkdir_p(&fs, "/a/b").unwrap();
+    path::write_file(&fs, "/a/b/file.txt", &vec![9u8; 10_000]).unwrap();
     fs.sync().unwrap();
     let mut img = fs.crash_image();
     let report = cffs_fsck::fsck(&mut img, false).expect("check");
     assert!(report.clean(), "synced image must be clean: {:?}", report.errors);
-    let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
-    let data = path::read_file(&mut fs2, "/a/b/file.txt").expect("file durable");
+    let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
+    let data = path::read_file(&fs2, "/a/b/file.txt").expect("file durable");
     assert_eq!(data, vec![9u8; 10_000]);
 }

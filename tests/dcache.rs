@@ -36,7 +36,7 @@ fn assert_fsck_clean(fs: &Cffs, context: &str) {
 
 #[test]
 fn negative_entry_is_cached_and_invalidated_by_create() {
-    let mut fs = fresh(256);
+    let fs = fresh(256);
     let root = fs.root();
     assert_eq!(fs.lookup(root, "ghost"), Err(FsError::NotFound));
     let neg_before = ctr(&fs, Ctr::DcacheNegHits);
@@ -51,7 +51,7 @@ fn negative_entry_is_cached_and_invalidated_by_create() {
     let ino = fs.create(root, "ghost").expect("create over a negative entry");
     assert_eq!(fs.lookup(root, "ghost"), Ok(ino));
     fs.write(ino, 0, b"alive").expect("write");
-    assert_eq!(cffs_fslib::path::read_file(&mut fs, "/ghost").expect("read"), b"alive");
+    assert_eq!(cffs_fslib::path::read_file(&fs, "/ghost").expect("read"), b"alive");
 }
 
 #[test]
@@ -112,12 +112,12 @@ fn rename_over_existing_destination_purges_the_victim() {
 
 #[test]
 fn link_externalization_renumbers_without_stale_entries() {
-    let mut fs = fresh(256);
+    let fs = fresh(256);
     let root = fs.root();
     let ino = fs.create(root, "orig").expect("create");
     fs.write(ino, 0, b"shared").expect("write");
     assert_eq!(fs.lookup(root, "orig"), Ok(ino)); // cache pre-externalization ino
-    FileSystem::link(&mut fs, ino, root, "alias").expect("link");
+    FileSystem::link(&fs, ino, root, "alias").expect("link");
     // Embedding means the link externalized the inode and renumbered it:
     // both names must now resolve to the *same, live* ino.
     let a = fs.lookup(root, "orig").expect("orig resolves");

@@ -40,13 +40,13 @@ fn all_test_filesystems() -> Vec<Box<dyn FileSystem>> {
 fn random_traces_match_oracle_on_all_filesystems() {
     for seed in 0..8 {
         let ops = random_trace(seed, 400);
-        let mut oracle = ModelFs::new();
-        replay(&mut oracle, &ops).expect("oracle replay");
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
-        for mut fs in all_test_filesystems() {
+        let oracle = ModelFs::new();
+        replay(&oracle, &ops).expect("oracle replay");
+        let want = snapshot(&oracle).expect("oracle snapshot");
+        for fs in all_test_filesystems() {
             let label = fs.label().to_string();
-            replay(fs.as_mut(), &ops).unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
-            let got = snapshot(fs.as_mut()).expect("snapshot");
+            replay(fs.as_ref(), &ops).unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
+            let got = snapshot(fs.as_ref()).expect("snapshot");
             assert_eq!(got, want, "{label} diverged from oracle at seed {seed}");
         }
     }
@@ -56,35 +56,35 @@ fn random_traces_match_oracle_on_all_filesystems() {
 fn state_survives_remount() {
     for seed in [100u64, 101] {
         let ops = random_trace(seed, 300);
-        let mut oracle = ModelFs::new();
-        replay(&mut oracle, &ops).expect("oracle replay");
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
+        let oracle = ModelFs::new();
+        replay(&oracle, &ops).expect("oracle replay");
+        let want = snapshot(&oracle).expect("oracle snapshot");
 
         // C-FFS with everything on.
-        let mut fs = cffs::core::mkfs::mkfs(
+        let fs = cffs::core::mkfs::mkfs(
             cffs_disksim::Disk::new(models::tiny_test_disk()),
             cffs::core::MkfsParams::tiny(),
             cffs::core::CffsConfig::cffs(),
         )
         .expect("mkfs");
-        replay(&mut fs, &ops).expect("replay");
+        replay(&fs, &ops).expect("replay");
         let disk = fs.unmount().expect("unmount");
-        let mut fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::cffs()).expect("remount");
-        let got = snapshot(&mut fs2).expect("snapshot");
+        let fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::cffs()).expect("remount");
+        let got = snapshot(&fs2).expect("snapshot");
         assert_eq!(got, want, "remounted C-FFS diverged at seed {seed}");
 
         // Classic FFS.
-        let mut fs = cffs::ffs::mkfs::mkfs(
+        let fs = cffs::ffs::mkfs::mkfs(
             cffs_disksim::Disk::new(models::tiny_test_disk()),
             cffs::ffs::MkfsParams::tiny(),
             cffs::ffs::FfsOptions::default(),
         )
         .expect("mkfs");
-        replay(&mut fs, &ops).expect("replay");
+        replay(&fs, &ops).expect("replay");
         let disk = fs.unmount().expect("unmount");
-        let mut fs2 =
+        let fs2 =
             cffs::ffs::Ffs::mount(disk, cffs::ffs::FfsOptions::default()).expect("remount");
-        let got = snapshot(&mut fs2).expect("snapshot");
+        let got = snapshot(&fs2).expect("snapshot");
         assert_eq!(got, want, "remounted FFS diverged at seed {seed}");
     }
 }
@@ -95,21 +95,21 @@ fn grouping_image_readable_with_grouping_disabled() {
     // mounted with group reads off (the descriptors are advisory for
     // reads).
     let ops = random_trace(7, 250);
-    let mut oracle = ModelFs::new();
-    replay(&mut oracle, &ops).expect("oracle replay");
-    let want = snapshot(&mut oracle).expect("oracle snapshot");
+    let oracle = ModelFs::new();
+    replay(&oracle, &ops).expect("oracle replay");
+    let want = snapshot(&oracle).expect("oracle snapshot");
 
-    let mut fs = cffs::core::mkfs::mkfs(
+    let fs = cffs::core::mkfs::mkfs(
         cffs_disksim::Disk::new(models::tiny_test_disk()),
         cffs::core::MkfsParams::tiny(),
         cffs::core::CffsConfig::cffs(),
     )
     .expect("mkfs");
-    replay(&mut fs, &ops).expect("replay");
+    replay(&fs, &ops).expect("replay");
     let disk = fs.unmount().expect("unmount");
-    let mut fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::embedded_only())
+    let fs2 = cffs::core::Cffs::mount(disk, cffs::core::CffsConfig::embedded_only())
         .expect("remount without grouping");
-    assert_eq!(snapshot(&mut fs2).expect("snapshot"), want);
+    assert_eq!(snapshot(&fs2).expect("snapshot"), want);
 }
 
 #[test]
@@ -151,9 +151,9 @@ fn deterministic_simulated_time() {
     // Two identical runs must agree to the nanosecond — the whole
     // reproduction depends on determinism.
     let run = || {
-        let mut fs = build::on_disk(models::tiny_test_disk(), cffs::core::CffsConfig::cffs());
+        let fs = build::on_disk(models::tiny_test_disk(), cffs::core::CffsConfig::cffs());
         let ops = random_trace(55, 200);
-        replay(&mut fs, &ops).expect("replay");
+        replay(&fs, &ops).expect("replay");
         fs.sync().expect("sync");
         fs.now().as_nanos()
     };
@@ -162,7 +162,7 @@ fn deterministic_simulated_time() {
 
 #[test]
 fn link_then_unlink_keeps_data_until_last_name() {
-    for mut fs in all_test_filesystems() {
+    for fs in all_test_filesystems() {
         let label = fs.label().to_string();
         let root = fs.root();
         let f = fs.create(root, "orig").unwrap();
@@ -190,12 +190,12 @@ fn explicit_op_sequence_with_replacement_renames() {
         Op::Rename { from: "/a/z".into(), to: "/b".into() },
         Op::Truncate { path: "/b".into(), size: 4096 },
     ];
-    let mut oracle = ModelFs::new();
-    replay(&mut oracle, &ops).expect("oracle");
-    let want = snapshot(&mut oracle).expect("oracle snapshot");
-    for mut fs in all_test_filesystems() {
+    let oracle = ModelFs::new();
+    replay(&oracle, &ops).expect("oracle");
+    let want = snapshot(&oracle).expect("oracle snapshot");
+    for fs in all_test_filesystems() {
         let label = fs.label().to_string();
-        replay(fs.as_mut(), &ops).expect("replay");
-        assert_eq!(snapshot(fs.as_mut()).expect("snapshot"), want, "{label}");
+        replay(fs.as_ref(), &ops).expect("replay");
+        assert_eq!(snapshot(fs.as_ref()).expect("snapshot"), want, "{label}");
     }
 }

@@ -122,8 +122,8 @@ fn embedded_name_inode_pair_never_splits() {
     for keep in 0..=8 {
         let Some(mut img) = fs.crash_image_torn(keep) else { break };
         fsck::fsck(&mut img, true).expect("repair");
-        let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
-        let d = path::resolve(&mut fs2, "/d").expect("dir present");
+        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
+        let d = path::resolve(&fs2, "/d").expect("dir present");
         // "complete" must exist with a whole inode; "torn-victim" is
         // all-or-nothing — present with a valid inode, or absent.
         let ino = fs2.lookup(d, "complete").expect("completed create survives");

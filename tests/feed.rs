@@ -39,7 +39,7 @@ fn render_feed(text: &str) -> String {
 fn sim_producer(tag: &str, seed: u64) -> String {
     let path = tmp(tag);
     let sink = feed::FeedSink::create(&path).expect("create feed");
-    let mut fs = build::on_disk(
+    let fs = build::on_disk(
         models::tiny_test_disk(),
         CffsConfig::cffs().with_mode(MetadataMode::Delayed),
     );
@@ -47,7 +47,7 @@ fn sim_producer(tag: &str, seed: u64) -> String {
     {
         let _tap = feed::attach(&sink, &obs, "soak", Cadence::Sim(feed::SIM_INTERVAL_DEFAULT_NS));
         let p = SoakParams { rounds: 2, ndirs: 3, files_per_dir: 10, seed, ..SoakParams::default() };
-        soak::run(&mut fs, &p, |_| {}).expect("soak");
+        soak::run(&fs, &p, |_| {}).expect("soak");
     }
     let text = std::fs::read_to_string(&path).expect("read feed");
     std::fs::remove_file(&path).ok();

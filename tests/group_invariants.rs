@@ -24,7 +24,7 @@ fn fresh() -> Cffs {
 }
 
 /// Map every block of every file to its inode by walking the namespace.
-fn block_owners(fs: &mut Cffs) -> HashMap<u64, Ino> {
+fn block_owners(fs: &Cffs) -> HashMap<u64, Ino> {
     let mut owners = HashMap::new();
     let mut stack = vec![fs.root()];
     while let Some(dir) = stack.pop() {
@@ -56,7 +56,7 @@ fn block_owners(fs: &mut Cffs) -> HashMap<u64, Ino> {
 
 /// Resolve (ino, lbn) -> physical block via a 1-byte read priming the
 /// logical cache index (no public bmap; this stays at the public API).
-fn block_of(fs: &mut Cffs, ino: Ino, lbn: u64) -> Option<u64> {
+fn block_of(fs: &Cffs, ino: Ino, lbn: u64) -> Option<u64> {
     let mut b = [0u8; 1];
     // A read at the block's offset binds the logical identity if mapped.
     let _ = fs.read(ino, lbn * 4096, &mut b).ok()?;
@@ -65,7 +65,7 @@ fn block_of(fs: &mut Cffs, ino: Ino, lbn: u64) -> Option<u64> {
 
 #[test]
 fn member_bits_match_reachable_blocks() {
-    let mut fs = fresh();
+    let fs = fresh();
     let root = fs.root();
     // Build several directories of small files with churn.
     for d in 0..6 {
@@ -79,7 +79,7 @@ fn member_bits_match_reachable_blocks() {
         }
     }
     fs.sync().unwrap();
-    let owners = block_owners(&mut fs);
+    let owners = block_owners(&fs);
     let sb = fs.superblock().clone();
     for g in fs.group_index().iter() {
         // Extent inside one cylinder group.
@@ -126,7 +126,7 @@ fn groups_never_overlap() {
 
 #[test]
 fn large_files_are_degrouped() {
-    let mut fs = fresh();
+    let fs = fresh();
     let root = fs.root();
     let dir = fs.mkdir(root, "d").unwrap();
     // Warm the group with small files.
@@ -142,7 +142,7 @@ fn large_files_are_degrouped() {
     let sb = fs.superblock().clone();
     let _ = sb;
     for lbn in 0..(90_000u64.div_ceil(4096)) {
-        if let Some(blk) = block_of(&mut fs, big, lbn) {
+        if let Some(blk) = block_of(&fs, big, lbn) {
             assert!(
                 fs.group_index().group_of_block(&fs.superblock(), blk).is_none(),
                 "block {blk} of the large file is still grouped"
@@ -150,13 +150,13 @@ fn large_files_are_degrouped() {
         }
     }
     // Contents intact after the relocation.
-    let data = path::read_all(&mut fs, big).unwrap();
+    let data = path::read_all(&fs, big).unwrap();
     assert_eq!(data.len(), 90_000);
     assert!(data[..30_000].iter().all(|&b| b == 3));
     assert!(data[30_000..].iter().all(|&b| b == 4));
     // Small files still grouped.
     let small = fs.lookup(dir, "small0").unwrap();
-    let blk = block_of(&mut fs, small, 0).expect("mapped");
+    let blk = block_of(&fs, small, 0).expect("mapped");
     assert!(fs.group_index().group_of_block(&fs.superblock(), blk).is_some());
 }
 
@@ -187,7 +187,7 @@ fn deleting_all_files_dissolves_groups() {
 
 #[test]
 fn group_hint_colocates_files() {
-    let mut fs = fresh();
+    let fs = fresh();
     let root = fs.root();
     let dir = fs.mkdir(root, "site").unwrap();
     // Create the files with grouping *bypassed* (large-ish writes spread
@@ -202,7 +202,7 @@ fn group_hint_colocates_files() {
     fs.sync().unwrap();
     // All assets' blocks now live in groups owned by `dir`.
     for (f, &ino) in inos.iter().enumerate() {
-        let blk = block_of(&mut fs, ino, 0).expect("mapped");
+        let blk = block_of(&fs, ino, 0).expect("mapped");
         let g = *fs
             .group_index()
             .group_of_block(&fs.superblock(), blk)
@@ -211,7 +211,7 @@ fn group_hint_colocates_files() {
     }
     // Contents survived the relocation.
     for (f, &ino) in inos.iter().enumerate() {
-        let data = path::read_all(&mut fs, ino).unwrap();
+        let data = path::read_all(&fs, ino).unwrap();
         assert_eq!(data, vec![f as u8; 3000]);
     }
     let mut img = fs.unmount().unwrap();

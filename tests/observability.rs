@@ -209,9 +209,9 @@ fn group_fetch_utilization_accounts_every_fetched_block() {
 /// path the repro binaries share).
 #[test]
 fn phase_rows_carry_per_op_latency_percentiles() {
-    let mut fs = cffs::build::on_disk(models::seagate_st31200(), CffsConfig::cffs());
+    let fs = cffs::build::on_disk(models::seagate_st31200(), CffsConfig::cffs());
     let params = SmallFileParams { nfiles: 60, ndirs: 3, ..SmallFileParams::default() };
-    let rows = smallfile::run(&mut fs, params).unwrap();
+    let rows = smallfile::run(&fs, params).unwrap();
     assert_eq!(rows.len(), 4);
     for (row, op) in rows.iter().zip(["create", "read", "write", "unlink"]) {
         let j = row.to_json();
@@ -231,9 +231,9 @@ fn phase_rows_carry_per_op_latency_percentiles() {
 #[test]
 fn identical_seeded_runs_produce_byte_identical_timelines() {
     let run = || {
-        let mut fs = fresh(CffsConfig::cffs());
+        let fs = fresh(CffsConfig::cffs());
         let params = SmallFileParams { nfiles: 40, ndirs: 2, ..SmallFileParams::default() };
-        smallfile::run(&mut fs, params).unwrap();
+        smallfile::run(&fs, params).unwrap();
         let obs = Cffs::obs(&fs);
         obs.recent_events(usize::MAX)
             .iter()

@@ -150,10 +150,10 @@ fn cli_timeline_flags_truncated_spans() {
 /// percentages sum to 100 ± rounding, on a real small-file run.
 #[test]
 fn phase_attribution_partitions_and_sums_to_100() {
-    let mut fs = cffs::build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
+    let fs = cffs::build::on_disk(models::tiny_test_disk(), CffsConfig::cffs());
     let params =
         SmallFileParams { nfiles: 60, file_size: 1024, ndirs: 3, ..SmallFileParams::small() };
-    let rows = smallfile::run(&mut fs, params).expect("run");
+    let rows = smallfile::run(&fs, params).expect("run");
     assert!(!rows.is_empty());
     for row in &rows {
         let j = row.to_json();
@@ -183,7 +183,7 @@ fn phase_attribution_partitions_and_sums_to_100() {
 #[test]
 fn autotrigger_fires_on_util_decay_and_recovers() {
     let adv = AdversarialParams { rounds: 2, storm_files: 60, ndirs: 4, seed: 42 };
-    let populate = |fs: &mut Cffs| {
+    let populate = |fs: &Cffs| {
         let root = fs.root();
         for d in 0..adv.ndirs {
             let dir = fs.mkdir(root, &format!("adv{d:03}")).unwrap();
@@ -196,7 +196,7 @@ fn autotrigger_fires_on_util_decay_and_recovers() {
     };
     // Read every base file one directory at a time, cold, and return the
     // measured window's mean group-fetch utilization.
-    fn cold_util(fs: &mut Cffs, phase: &str) -> u64 {
+    fn cold_util(fs: &Cffs, phase: &str) -> u64 {
         fs.drop_caches().unwrap();
         let dirs: Vec<_> = {
             let root = fs.root();
@@ -234,22 +234,22 @@ fn autotrigger_fires_on_util_decay_and_recovers() {
             .unwrap_or(0)
     }
 
-    let mut fresh = cffs::build::on_disk(
+    let fresh = cffs::build::on_disk(
         models::tiny_test_disk(),
         CffsConfig::cffs().with_mode(MetadataMode::Delayed),
     );
-    populate(&mut fresh);
-    let fresh_util = cold_util(&mut fresh, "fresh");
+    populate(&fresh);
+    let fresh_util = cold_util(&fresh, "fresh");
     assert!(fresh_util >= 90, "fresh layout should group near-perfectly, got {fresh_util}%");
 
     let mut fs = cffs::build::on_disk(
         models::tiny_test_disk(),
         CffsConfig::cffs().with_mode(MetadataMode::Delayed),
     );
-    populate(&mut fs);
+    populate(&fs);
     age_adversarial(&mut fs, adv, |_, _| Ok(())).expect("aging");
     fs.sync().unwrap();
-    let aged_util = cold_util(&mut fs, "aged");
+    let aged_util = cold_util(&fs, "aged");
     assert!(aged_util < fresh_util, "aging must erode utilization");
 
     // Live traffic with idle moments: only the signal may start a pass.
@@ -290,7 +290,7 @@ fn autotrigger_fires_on_util_decay_and_recovers() {
     assert!(fires > 0, "the utilization floor must have fired the trigger");
     assert_eq!(Cffs::obs(&fs).get(Ctr::RegroupAutotriggers), fires);
 
-    let recovered = cold_util(&mut fs, "recovered");
+    let recovered = cold_util(&fs, "recovered");
     let ratio = recovered as f64 / fresh_util.max(1) as f64;
     assert!(
         ratio >= 0.90,

@@ -58,18 +58,18 @@ proptest! {
     /// Every variant ends in the oracle's logical state.
     #[test]
     fn cffs_matches_oracle(ops in prop::collection::vec(arb_op(), 1..60)) {
-        let mut oracle = ModelFs::new();
+        let oracle = ModelFs::new();
         for op in skeleton().iter().chain(&ops) {
-            apply(&mut oracle, op).expect("oracle");
+            apply(&oracle, op).expect("oracle");
         }
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
+        let want = snapshot(&oracle).expect("oracle snapshot");
         for cfg in [CffsConfig::cffs(), CffsConfig::conventional()] {
             let label = cfg.label.clone();
-            let mut fs = cffs_variant(cfg);
+            let fs = cffs_variant(cfg);
             for op in skeleton().iter().chain(&ops) {
-                apply(&mut fs, op).expect("replay");
+                apply(&fs, op).expect("replay");
             }
-            let got = snapshot(&mut fs).expect("snapshot");
+            let got = snapshot(&fs).expect("snapshot");
             prop_assert_eq!(&got, &want, "{} diverged", label);
         }
     }
@@ -77,12 +77,12 @@ proptest! {
     /// Classic FFS too.
     #[test]
     fn ffs_matches_oracle(ops in prop::collection::vec(arb_op(), 1..60)) {
-        let mut oracle = ModelFs::new();
+        let oracle = ModelFs::new();
         for op in skeleton().iter().chain(&ops) {
-            apply(&mut oracle, op).expect("oracle");
+            apply(&oracle, op).expect("oracle");
         }
-        let want = snapshot(&mut oracle).expect("oracle snapshot");
-        let mut fs = Ffs::mount(
+        let want = snapshot(&oracle).expect("oracle snapshot");
+        let fs = Ffs::mount(
             cffs::ffs::mkfs::mkfs(
                 Disk::new(models::tiny_test_disk()),
                 FfsMkfsParams::tiny(),
@@ -95,9 +95,9 @@ proptest! {
         )
         .expect("remount");
         for op in skeleton().iter().chain(&ops) {
-            apply(&mut fs, op).expect("replay");
+            apply(&fs, op).expect("replay");
         }
-        prop_assert_eq!(snapshot(&mut fs).expect("snapshot"), want);
+        prop_assert_eq!(snapshot(&fs).expect("snapshot"), want);
     }
 
     /// Any crash point during any workload leaves a repairable image, and
@@ -111,9 +111,9 @@ proptest! {
         crash_after in 0usize..40,
         torn_keep in 0usize..9,
     ) {
-        let mut fs = cffs_variant(CffsConfig::cffs());
+        let fs = cffs_variant(CffsConfig::cffs());
         for op in skeleton().iter().chain(ops.iter().take(crash_after)) {
-            apply(&mut fs, op).expect("replay");
+            apply(&fs, op).expect("replay");
         }
         let img = if torn_keep < 8 {
             fs.crash_image_torn(torn_keep)
@@ -125,21 +125,21 @@ proptest! {
         let verify = fsck::fsck(&mut img, false).expect("verify");
         prop_assert!(verify.clean(), "not clean after repair: {:?}", verify.errors);
         // The repaired image must mount and be fully walkable.
-        let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
-        snapshot(&mut fs2).expect("walk repaired image");
+        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
+        snapshot(&fs2).expect("walk repaired image");
     }
 
     /// Remount is lossless for synced state under arbitrary op sequences.
     #[test]
     fn remount_round_trip(ops in prop::collection::vec(arb_op(), 1..40)) {
-        let mut fs = cffs_variant(CffsConfig::cffs());
+        let fs = cffs_variant(CffsConfig::cffs());
         for op in skeleton().iter().chain(&ops) {
-            apply(&mut fs, op).expect("replay");
+            apply(&fs, op).expect("replay");
         }
-        let want = snapshot(&mut fs).expect("pre-unmount snapshot");
+        let want = snapshot(&fs).expect("pre-unmount snapshot");
         let disk = fs.unmount().expect("unmount");
-        let mut fs2 = Cffs::mount(disk, CffsConfig::cffs()).expect("remount");
-        prop_assert_eq!(snapshot(&mut fs2).expect("post-remount snapshot"), want);
+        let fs2 = Cffs::mount(disk, CffsConfig::cffs()).expect("remount");
+        prop_assert_eq!(snapshot(&fs2).expect("post-remount snapshot"), want);
     }
 
     /// The namespace cache is invisible to semantics: a dcache'd instance
@@ -150,19 +150,19 @@ proptest! {
     /// renumbers the embedded inodes the cache has handed out).
     #[test]
     fn dcache_on_matches_dcache_off(ops in prop::collection::vec(arb_op(), 1..60)) {
-        let mut on = cffs_variant(CffsConfig::cffs().with_dcache(64));
-        let mut off = cffs_variant(CffsConfig::cffs());
+        let on = cffs_variant(CffsConfig::cffs().with_dcache(64));
+        let off = cffs_variant(CffsConfig::cffs());
         for op in skeleton().iter().chain(&ops) {
-            apply(&mut on, op).expect("dcache replay");
-            apply(&mut off, op).expect("plain replay");
+            apply(&on, op).expect("dcache replay");
+            apply(&off, op).expect("plain replay");
             // Probe every path the generator can produce: a stale
             // positive entry shows up as Ok-vs-Err or wrong contents, a
             // stale negative entry as Err-vs-Ok.
             for dir in ["", "/d0", "/d1", "/d0/s0", "/sub0", "/sub1", "/d0/sub0"] {
                 for i in 0..6 {
                     let path = format!("{dir}/n{i}");
-                    let a = cffs_fslib::path::resolve(&mut on, &path).map(|_| ());
-                    let b = cffs_fslib::path::resolve(&mut off, &path).map(|_| ());
+                    let a = cffs_fslib::path::resolve(&on, &path).map(|_| ());
+                    let b = cffs_fslib::path::resolve(&off, &path).map(|_| ());
                     prop_assert_eq!(a, b, "resolve {} diverged after {:?}", path, op);
                 }
             }
@@ -170,14 +170,14 @@ proptest! {
         // Relocate /d0's first blocks into a fresh extent on both
         // instances: the commit path re-homes embedded inodes, so any
         // cached ino for /d0's children is now a lie unless purged.
-        if let Ok(d0) = cffs_fslib::path::resolve(&mut on, "/d0") {
+        if let Ok(d0) = cffs_fslib::path::resolve(&on, "/d0") {
             if let Some(group) = on.carve_group_for(d0).expect("carve") {
                 for lbn in 0..4 {
                     on.relocate_block_into(d0, lbn, group).expect("relocate");
                 }
             }
         }
-        if let Ok(d0) = cffs_fslib::path::resolve(&mut off, "/d0") {
+        if let Ok(d0) = cffs_fslib::path::resolve(&off, "/d0") {
             if let Some(group) = off.carve_group_for(d0).expect("carve") {
                 for lbn in 0..4 {
                     off.relocate_block_into(d0, lbn, group).expect("relocate");
@@ -185,8 +185,8 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            snapshot(&mut on).expect("dcache snapshot"),
-            snapshot(&mut off).expect("plain snapshot"),
+            snapshot(&on).expect("dcache snapshot"),
+            snapshot(&off).expect("plain snapshot"),
             "logical state diverged"
         );
         Cffs::sync(&on).expect("sync");
@@ -199,10 +199,10 @@ proptest! {
     /// and statfs never double-counts.
     #[test]
     fn space_accounting_balances(ops in prop::collection::vec(arb_op(), 1..50)) {
-        let mut fs = cffs_variant(CffsConfig::cffs());
+        let fs = cffs_variant(CffsConfig::cffs());
         let total_free_at_start = fs.statfs().expect("statfs").free_blocks;
         for op in skeleton().iter().chain(&ops) {
-            apply(&mut fs, op).expect("replay");
+            apply(&fs, op).expect("replay");
         }
         let st = fs.statfs().expect("statfs");
         let slack: u64 = fs.group_index().total_slack();
@@ -210,12 +210,12 @@ proptest! {
         prop_assert!(st.free_blocks + st.group_slack_blocks <= total_free_at_start);
         // Deleting everything returns all space.
         for p in ["/sub0", "/sub1"] {
-            let _ = cffs_fslib::path::remove_tree(&mut fs, p);
+            let _ = cffs_fslib::path::remove_tree(&fs, p);
         }
         for e in fs.readdir(fs.root()).expect("readdir") {
             match e.kind {
                 FileKind::Dir => cffs_fslib::path::remove_tree(
-                    &mut fs,
+                    &fs,
                     &format!("/{}", e.name),
                 )
                 .expect("remove tree"),

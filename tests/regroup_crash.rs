@@ -70,8 +70,8 @@ fn crash_everywhere_and_verify(fs: &Cffs, want: &Snapshot, context: &str) {
         fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("{ctx}: repair diverged: {e}"));
         let verify = fsck::fsck(&mut img, false).expect("verify");
         assert!(verify.clean(), "{ctx}: still dirty: {:?}", verify.errors);
-        let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
-        let got = snapshot(&mut fs2).expect("snapshot");
+        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
+        let got = snapshot(&fs2).expect("snapshot");
         assert_eq!(&got, want, "{ctx}: logical contents changed");
     }
 }
@@ -83,7 +83,7 @@ fn crash_at_every_tear_point_of_every_relocation() {
     for cfg in [CffsConfig::cffs(), CffsConfig::cffs().with_mode(MetadataMode::Delayed)] {
         let label = cfg.label.clone();
         let mut fs = fragmented(cfg);
-        let want = snapshot(&mut fs).expect("snapshot");
+        let want = snapshot(&fs).expect("snapshot");
         fs.sync().unwrap();
         let plan = cffs::regroup::plan(&mut fs, &cffs::regroup::RegroupConfig::exhaustive())
             .expect("plan");
@@ -129,8 +129,8 @@ fn crash_at_every_tear_point_of_every_relocation() {
         let mut img = fs.unmount().expect("unmount");
         let report = fsck::fsck(&mut img, false).expect("final fsck");
         assert!(report.clean(), "{label}: {:?}", report.errors);
-        let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("remount");
-        assert_eq!(snapshot(&mut fs2).expect("snapshot"), want, "{label}: remount");
+        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("remount");
+        assert_eq!(snapshot(&fs2).expect("snapshot"), want, "{label}: remount");
     }
 }
 
@@ -148,7 +148,7 @@ fn flight_dump_is_valid_at_every_tear_point() {
     let dir = std::env::temp_dir().join(format!("cffs-crash-flight-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut fs = fragmented(CffsConfig::cffs());
-    let want = snapshot(&mut fs).expect("snapshot");
+    let want = snapshot(&fs).expect("snapshot");
     fs.sync().unwrap();
     let obs = fs.obs();
     // Armed directly (not via the process-global `--flight` path) so
@@ -205,8 +205,8 @@ fn flight_dump_is_valid_at_every_tear_point() {
         // The repaired image still reconstructs to the wanted tree.
         let verify = fsck::fsck(&mut img, false).expect("verify");
         assert!(verify.clean(), "{ctx}: still dirty: {:?}", verify.errors);
-        let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
-        assert_eq!(&snapshot(&mut fs2).expect("snapshot"), &want, "{ctx}: contents changed");
+        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
+        assert_eq!(&snapshot(&fs2).expect("snapshot"), &want, "{ctx}: contents changed");
     }
     drop(guard);
     std::fs::remove_dir_all(&dir).ok();
@@ -219,7 +219,7 @@ fn flight_dump_is_valid_at_every_tear_point() {
 #[test]
 fn aborted_reformation_leaks_nothing() {
     let mut fs = fragmented(CffsConfig::cffs());
-    let want = snapshot(&mut fs).expect("snapshot");
+    let want = snapshot(&fs).expect("snapshot");
     fs.sync().unwrap();
     let plan =
         cffs::regroup::plan(&mut fs, &cffs::regroup::RegroupConfig::exhaustive()).expect("plan");
@@ -233,7 +233,7 @@ fn aborted_reformation_leaks_nothing() {
     fsck::fsck(&mut img, true).expect("repair");
     assert!(fsck::fsck(&mut img, false).expect("verify").clean());
     let mut fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount");
-    assert_eq!(snapshot(&mut fs2).expect("snapshot"), want);
+    assert_eq!(snapshot(&fs2).expect("snapshot"), want);
     // The abandoned extent is gone or reclaimable: a full pass on the
     // repaired image still converges to a clean score.
     let out = cffs::regroup::run(&mut fs2, &cffs::regroup::RegroupConfig::exhaustive())
@@ -242,5 +242,5 @@ fn aborted_reformation_leaks_nothing() {
     let again =
         cffs::regroup::plan(&mut fs2, &cffs::regroup::RegroupConfig::exhaustive()).expect("replan");
     assert_eq!(again.total_blocks(), 0);
-    assert_eq!(snapshot(&mut fs2).expect("snapshot"), want);
+    assert_eq!(snapshot(&fs2).expect("snapshot"), want);
 }

@@ -24,7 +24,7 @@ fn fresh(cfg: CffsConfig) -> Cffs {
 
 /// Physical blocks of every directory in the namespace. `readdir` primes
 /// the logical cache index; the cache then answers where each block lives.
-fn all_dir_blocks(fs: &mut Cffs) -> Vec<u64> {
+fn all_dir_blocks(fs: &Cffs) -> Vec<u64> {
     let mut blocks = Vec::new();
     let mut stack = vec![fs.root()];
     while let Some(dir) = stack.pop() {
@@ -46,7 +46,7 @@ fn all_dir_blocks(fs: &mut Cffs) -> Vec<u64> {
 
 /// Sync, snapshot the durable image, and assert that no entry in any
 /// directory block straddles a sector boundary.
-fn assert_sector_atomic(fs: &mut Cffs, ctx: &str) {
+fn assert_sector_atomic(fs: &Cffs, ctx: &str) {
     fs.sync().expect("sync");
     let blocks = all_dir_blocks(fs);
     assert!(!blocks.is_empty(), "{ctx}: found no directory blocks");
@@ -78,7 +78,7 @@ fn assert_sector_atomic(fs: &mut Cffs, ctx: &str) {
 
 fn churn(cfg: CffsConfig) {
     let label = cfg.label.clone();
-    let mut fs = fresh(cfg);
+    let fs = fresh(cfg);
     let root = fs.root();
     let a = fs.mkdir(root, "a").unwrap();
     let b = fs.mkdir(root, "b").unwrap();
@@ -92,7 +92,7 @@ fn churn(cfg: CffsConfig) {
         fs.write(ino, 0, &vec![i as u8; 700]).unwrap();
         files.push((name, ino));
     }
-    assert_sector_atomic(&mut fs, &format!("{label}: after creates"));
+    assert_sector_atomic(&fs, &format!("{label}: after creates"));
 
     // Hard links: the embedded inode migrates to the external file
     // (convert_to_external rewrites the entry in place).
@@ -100,13 +100,13 @@ fn churn(cfg: CffsConfig) {
         let (_, ino) = files[i];
         fs.link(ino, b, &format!("link{i}")).unwrap();
     }
-    assert_sector_atomic(&mut fs, &format!("{label}: after links"));
+    assert_sector_atomic(&fs, &format!("{label}: after links"));
 
     // Drop the links again: link-count transitions back to 1.
     for i in (0..30).step_by(5) {
         fs.unlink(b, &format!("link{i}")).unwrap();
     }
-    assert_sector_atomic(&mut fs, &format!("{label}: after unlinking links"));
+    assert_sector_atomic(&fs, &format!("{label}: after unlinking links"));
 
     // Renames: within a directory (renumbering in place) and across
     // directories (remove + insert, possibly re-embedding).
@@ -121,7 +121,7 @@ fn churn(cfg: CffsConfig) {
         let nino = fs.rename(a, &name, b, &name).unwrap();
         files[i] = (name, nino);
     }
-    assert_sector_atomic(&mut fs, &format!("{label}: after renames"));
+    assert_sector_atomic(&fs, &format!("{label}: after renames"));
 
     // Unlink/create churn: open holes of one size, fill with another, so
     // record claiming splits slack in every chunk position.
@@ -135,7 +135,7 @@ fn churn(cfg: CffsConfig) {
         let ino = fs.create(a, &name).unwrap();
         fs.write(ino, 0, &vec![9u8; 300]).unwrap();
     }
-    assert_sector_atomic(&mut fs, &format!("{label}: after churn"));
+    assert_sector_atomic(&fs, &format!("{label}: after churn"));
 
     // The image is also consistent end to end.
     let mut img = fs.unmount().expect("unmount");

@@ -20,8 +20,7 @@ use cffs::obs::feed::{self, Cadence};
 use cffs::volume::{VolumeCfg, VolumeSet};
 use cffs::workloads::multiclient::{self, MulticlientParams};
 use cffs_disksim::{models, Disk};
-use cffs_fslib::ConcurrentFs;
-use cffs_fslib::{FileKind, Ino};
+use cffs_fslib::{FileKind, FileSystem, Ino};
 
 fn set(nvols: usize) -> VolumeSet {
     let disks = (0..nvols).map(|_| Disk::new(models::tiny_test_disk())).collect();

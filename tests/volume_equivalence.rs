@@ -1,7 +1,7 @@
 //! Property-based equivalence: a multi-disk [`VolumeSet`] must be
 //! logically indistinguishable from a single C-FFS.
 //!
-//! Proptest explores seeded sequences of concurrent-surface operations
+//! Proptest explores seeded sequences of operations
 //! (mkdir/create/write/unlink/sync, with writes big enough to cross the
 //! stripe threshold) and applies each sequence, single-threaded, to two
 //! subjects: a 2–3 volume set with an 8 KB stripe policy and a plain
@@ -11,15 +11,20 @@
 //! holes included). Then the set runs one regroup pass per shard —
 //! which renumbers embedded inos and invalidates every handle — and the
 //! walk must *still* match, with every volume fsck-clean.
+//!
+//! Two fixed cases ride along: the set driven through `&dyn FileSystem`
+//! by the path helpers against the in-memory model, and the four
+//! cross-device operations a set refuses.
 
 use cffs::core::{Cffs, CffsConfig, MkfsParams};
 use cffs::prelude::*;
 use cffs::volume::{VolumeCfg, VolumeSet};
 use cffs_disksim::{models, Disk};
-use cffs_fslib::ConcurrentFs;
+use cffs_fslib::model::ModelFs;
+use cffs_workloads::trace::{self, Snapshot};
 use proptest::prelude::*;
 
-/// One operation on the concurrent surface. Paths come from a small
+/// One operation. Paths come from a small
 /// fixed universe so sequences collide (create-over-dir, unlink of a
 /// striped file, write-after-unlink) instead of wandering.
 #[derive(Debug, Clone)]
@@ -61,17 +66,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn resolve(fs: &(impl ConcurrentFs + ?Sized), path: &str) -> FsResult<Ino> {
-    let mut cur = fs.root();
-    for c in path.split('/').filter(|c| !c.is_empty()) {
-        cur = fs.lookup(cur, c)?;
-    }
-    Ok(cur)
-}
-
 /// Apply one op; the return value is what must agree across subjects.
-fn apply(fs: &(impl ConcurrentFs + ?Sized), op: &Op) -> Result<Option<Vec<u8>>, String> {
-    let dir_of = |d: &str| resolve(fs, d).map_err(|e| format!("resolve {d:?}: {e:?}"));
+fn apply(fs: &(impl FileSystem + ?Sized), op: &Op) -> Result<Option<Vec<u8>>, String> {
+    let dir_of = |d: &str| path::resolve(fs, d).map_err(|e| format!("resolve {d:?}: {e:?}"));
     match op {
         Op::Mkdir { dir, name } => {
             let d = dir_of(dir)?;
@@ -106,38 +103,10 @@ fn apply(fs: &(impl ConcurrentFs + ?Sized), op: &Op) -> Result<Option<Vec<u8>>, 
     }
 }
 
-/// Logical state: every path with its kind, size, and (for files) full
-/// contents, resolved fresh from the root — so it survives handle
-/// invalidation.
-fn walk(fs: &(impl ConcurrentFs + ?Sized), dir: Ino, prefix: &str, out: &mut Vec<String>) {
-    let mut entries = fs.readdir(dir).expect("readdir");
-    entries.sort_by(|a, b| a.name.cmp(&b.name));
-    for e in entries {
-        let path = format!("{prefix}/{}", e.name);
-        let attr = fs.getattr(e.ino).expect("getattr");
-        match attr.kind {
-            FileKind::Dir => {
-                out.push(format!("{path}/ "));
-                walk(fs, e.ino, &path, out);
-            }
-            FileKind::File => {
-                let mut buf = vec![0u8; attr.size as usize];
-                let n = fs.read(e.ino, 0, &mut buf).expect("read");
-                assert_eq!(n, buf.len(), "short read of {path}");
-                // Content fingerprint: size plus a rolling sum is enough
-                // to catch byte-level divergence without megabyte dumps
-                // in proptest's shrink output.
-                let sum = buf.iter().fold(0u64, |a, &b| a.wrapping_mul(31).wrapping_add(b as u64));
-                out.push(format!("{path} size={} sum={sum:#x}", attr.size));
-            }
-        }
-    }
-}
-
-fn snapshot(fs: &(impl ConcurrentFs + ?Sized)) -> Vec<String> {
-    let mut out = Vec::new();
-    walk(fs, fs.root(), "", &mut out);
-    out
+/// Logical state (every path, with contents for files), resolved fresh
+/// from the root — so it survives handle invalidation.
+fn snapshot(fs: &(impl FileSystem + ?Sized)) -> Snapshot {
+    trace::snapshot(fs).expect("walk")
 }
 
 fn subject(nvols: usize) -> VolumeSet {
@@ -170,6 +139,59 @@ fn write_past_threshold_stripes() {
     apply(&single, &op).expect("single write");
     assert!(vs.stripe_count() > 0, "24 KB write did not stripe");
     assert_eq!(snapshot(&vs), snapshot(&single));
+}
+
+/// The set behind the one trait object: the path helpers drive a
+/// 3-volume set and the in-memory model through `&dyn FileSystem`, whole
+/// files and a striped one. Fresh paths only — `write_file` truncates an
+/// existing file, which a set refuses.
+#[test]
+fn path_helpers_drive_a_set_through_dyn_file_system() {
+    let vs = subject(3);
+    let model = ModelFs::new();
+    let big: Vec<u8> = (0..24_000u32).map(|i| (i % 251) as u8).collect();
+    let subjects: [&dyn FileSystem; 2] = [&vs, &model];
+    for fs in subjects {
+        path::mkdir_p(fs, "/proj/src/deep").expect("mkdir_p");
+        path::write_file(fs, "/proj/README", b"small").expect("whole file");
+        path::write_file(fs, "/proj/src/deep/big.bin", &big).expect("striped file");
+        assert_eq!(path::read_file(fs, "/proj/README").expect("read"), b"small");
+        assert_eq!(path::read_file(fs, "/proj/src/deep/big.bin").expect("read"), big);
+    }
+    assert!(vs.stripe_count() > 0, "24 KB file did not stripe");
+    assert_eq!(snapshot(&vs), snapshot(&model));
+    let set: &dyn FileSystem = &vs;
+    assert_eq!(path::write_file(set, "/proj/README", b"again"), Err(FsError::Unsupported));
+}
+
+/// `rmdir`, `link`, `rename` and `truncate` would each have to change
+/// more than one volume atomically; a set refuses them with `Unsupported`
+/// and touches nothing — on a whole file and on a striped one.
+#[test]
+fn cross_device_operations_are_refused_whole() {
+    let vs = subject(3);
+    let root = vs.root();
+    let d = vs.mkdir(root, "d").expect("mkdir");
+    vs.mkdir(root, "empty").expect("mkdir");
+    let whole = vs.create(d, "whole").expect("create");
+    vs.write(whole, 0, &[1u8; 1000]).expect("write");
+    let striped = vs.create(d, "striped").expect("create");
+    vs.write(striped, 0, &[2u8; 24_000]).expect("write");
+    assert_eq!(vs.stripe_count(), 1, "only the 24 KB file stripes");
+    let before = snapshot(&vs);
+
+    for (name, ino) in [("whole", whole), ("striped", striped)] {
+        assert_eq!(vs.truncate(ino, 0), Err(FsError::Unsupported), "truncate {name}");
+        assert_eq!(vs.link(ino, root, "alias"), Err(FsError::Unsupported), "link {name}");
+        assert_eq!(vs.rename(d, name, root, "moved"), Err(FsError::Unsupported), "rename {name}");
+    }
+    assert_eq!(vs.rmdir(root, "empty"), Err(FsError::Unsupported));
+
+    assert_eq!(snapshot(&vs), before, "a refused op changed the namespace");
+    vs.sync().expect("sync");
+    for (v, rep) in vs.fsck_all().expect("fsck").iter().enumerate() {
+        assert!(rep.clean(), "volume {v} dirty after refused ops: {:?}", rep.errors);
+    }
 }
 
 proptest! {

@@ -23,8 +23,8 @@ fn tiny_cffs() -> cffs::core::Cffs {
 #[test]
 fn postmark_timeline_is_byte_stable() {
     let run = |seed: u64| {
-        let mut fs = tiny_cffs();
-        postmark::run(&mut fs, PostmarkParams { seed, ..PostmarkParams::small() })
+        let fs = tiny_cffs();
+        postmark::run(&fs, PostmarkParams { seed, ..PostmarkParams::small() })
             .expect("postmark");
         fs.sync().expect("sync");
         fs.now().as_nanos()
@@ -36,8 +36,8 @@ fn postmark_timeline_is_byte_stable() {
 #[test]
 fn appdev_timeline_is_byte_stable() {
     let run = |seed: u64| {
-        let mut fs = tiny_cffs();
-        appdev::run(&mut fs, DevTreeParams { seed, ..DevTreeParams::small() }).expect("appdev");
+        let fs = tiny_cffs();
+        appdev::run(&fs, DevTreeParams { seed, ..DevTreeParams::small() }).expect("appdev");
         fs.sync().expect("sync");
         fs.now().as_nanos()
     };
