@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -20,6 +20,11 @@ if grep -rnE 'SharedModelFs|fn [a-z_]+_c\(' crates/fslib; then
 fi
 if grep -rnE '&mut \(impl FileSystem|&mut dyn FileSystem|&mut impl FileSystem' $SRC; then
     echo "a FileSystem is taken by &mut: every trait method is &self"; exit 1
+fi
+# The inode's pointer tree has one owner, cffs_fslib::bmap: both file
+# systems and both checkers map, free and walk blocks through it.
+if grep -rnE 'NDIRECT|PTRS_PER_BLOCK|\.d?indirect\b' crates/ffs/src crates/core/src; then
+    echo "pointer-tree format spelled out outside cffs_fslib::bmap"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

@@ -46,7 +46,8 @@ use cffs_dcache::{Dcache, DcacheAnswer};
 use cffs_disksim::driver::{Driver, DriverConfig, Scheduler};
 use cffs_disksim::{Disk, SimDuration, SimTime};
 use cffs_fslib::error::check_name;
-use cffs_fslib::inode::{Inode, MAX_FILE_SIZE, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
+use cffs_fslib::bmap::{self, PtrRead, PtrStore};
+use cffs_fslib::inode::{Inode, MAX_FILE_SIZE, NO_BLOCK};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{
     Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, IoStats, StatFs,
@@ -536,11 +537,11 @@ impl Cffs {
     /// input for relocation decisions. Holes are skipped.
     pub fn file_block_map(&self, ino: Ino) -> FsResult<Vec<(u64, u64)>> {
         let _op = self.op_lock(ino);
-        let mut inode = self.read_inode(ino)?;
+        let inode = self.read_inode(ino)?;
         let nblocks = inode.size.div_ceil(BLOCK_SIZE as u64);
         let mut out = Vec::with_capacity(nblocks as usize);
         for lbn in 0..nblocks {
-            if let Some(b) = self.bmap(ino, &mut inode, lbn, None)? {
+            if let Some(b) = self.bmap(ino, &inode, lbn)? {
                 out.push((lbn, b));
             }
         }
@@ -615,9 +616,9 @@ impl Cffs {
     }
 
     fn relocate_copy_forward_inner(&self, ino: Ino, lbn: u64, to: u64) -> FsResult<()> {
-        let mut inode = self.read_inode(ino)?;
+        let inode = self.read_inode(ino)?;
         let from = self
-            .bmap(ino, &mut inode, lbn, None)?
+            .bmap(ino, &inode, lbn)?
             .ok_or_else(|| FsError::Corrupt("relocating an unmapped block".into()))?;
         if from == to {
             return Ok(());
@@ -649,14 +650,14 @@ impl Cffs {
     fn relocate_commit_inner(&self, ino: Ino, lbn: u64, to: u64) -> FsResult<()> {
         let mut inode = self.read_inode(ino)?;
         let from = self
-            .bmap(ino, &mut inode, lbn, None)?
+            .bmap(ino, &inode, lbn)?
             .ok_or_else(|| FsError::Corrupt("committing an unmapped block".into()))?;
         if from == to {
             return Ok(());
         }
-        self.map_set(&mut inode, lbn, to)?;
+        let holder = bmap::set(&self.tree(ino, None), &mut inode, lbn, to)?;
         self.write_inode(ino, &inode, true)?;
-        self.flush_map_location(&inode, ino, lbn)?;
+        self.flush_map_location(ino, holder)?;
         // Relocation never renumbers `ino` itself, so positive entries
         // *resolving to* it stay valid. But if the moved block belongs
         // to a directory, the embedded inodes inside it re-home with
@@ -709,8 +710,8 @@ impl Cffs {
         group: (u32, u32),
     ) -> FsResult<Option<u64>> {
         let _op = self.op_lock(ino);
-        let mut inode = self.read_inode(ino)?;
-        let Some(from) = self.bmap(ino, &mut inode, lbn, None)? else {
+        let inode = self.read_inode(ino)?;
+        let Some(from) = self.bmap(ino, &inode, lbn)? else {
             return Ok(None);
         };
         let g = self.lock_groups().get(group.0, group.1).copied();
@@ -727,32 +728,20 @@ impl Cffs {
         Ok(Some(to))
     }
 
-    /// Force the on-disk location of `lbn`'s block pointer durable,
-    /// whatever the metadata mode: the inode's sector/block for direct
-    /// pointers, the (already dirty) indirect block otherwise.
-    fn flush_map_location(&self, inode: &Inode, ino: Ino, lbn: u64) -> FsResult<()> {
-        if (lbn as usize) < NDIRECT {
-            return match decode_ino(ino) {
-                InoRef::External(slot) => {
-                    let (blk, _) = self.exfile_locate(slot)?;
-                    self.cache.flush_block_sync(&self.drv, blk)
-                }
-                InoRef::Embedded { blk, off, .. } => {
-                    self.cache.flush_sector_sync(&self.drv, blk, off)
-                }
-            };
+    /// Force a re-pointed block pointer durable, whatever the metadata
+    /// mode: the inode's sector/block when `holder` (from [`bmap::set`]) is
+    /// `None`, the (already dirty) pointer block otherwise.
+    fn flush_map_location(&self, ino: Ino, holder: Option<u64>) -> FsResult<()> {
+        match (holder, decode_ino(ino)) {
+            (Some(blk), _) => self.cache.flush_block_sync(&self.drv, blk),
+            (None, InoRef::External(slot)) => {
+                let (blk, _) = self.exfile_locate(slot)?;
+                self.cache.flush_block_sync(&self.drv, blk)
+            }
+            (None, InoRef::Embedded { blk, off, .. }) => {
+                self.cache.flush_sector_sync(&self.drv, blk, off)
+            }
         }
-        let l1 = lbn as usize - NDIRECT;
-        if l1 < PTRS_PER_BLOCK {
-            return self.cache.flush_block_sync(&self.drv, inode.indirect as u64);
-        }
-        let l2 = l1 - PTRS_PER_BLOCK;
-        let dind = inode.dindirect as u64;
-        let mid = {
-            let data = self.cache.read_block(&self.drv, dind)?;
-            cffs_fslib::codec::get_u32(&data, (l2 / PTRS_PER_BLOCK) * 4)
-        };
-        self.cache.flush_block_sync(&self.drv, mid as u64)
     }
 
     fn charge(&self, d: SimDuration) {
@@ -793,7 +782,7 @@ impl Cffs {
 
     /// Physical location of external slot `slot`.
     fn exfile_locate(&self, slot: u32) -> FsResult<(u64, usize)> {
-        let mut exinode = {
+        let exinode = {
             let m = self.lock_meta();
             if slot >= m.exfile_slots {
                 return Err(FsError::StaleHandle);
@@ -802,7 +791,7 @@ impl Cffs {
         };
         let lbn = exfile::slot_lbn(slot);
         let blk = self
-            .bmap(INO_ROOT, &mut exinode, lbn, None)?
+            .bmap(INO_ROOT, &exinode, lbn)?
             .ok_or_else(|| FsError::Corrupt("hole in external inode file".into()))?;
         Ok((blk, exfile::slot_off(slot)))
     }
@@ -820,9 +809,7 @@ impl Cffs {
         // in grouping and never move.
         let mut exinode = m.exfile.clone();
         let lbn = exinode.size / BLOCK_SIZE as u64;
-        let blk = self
-            .bmap(INO_ROOT, &mut exinode, lbn, Some(AllocCtx::Plain { near: 0 }))?
-            .ok_or(FsError::NoSpace)?;
+        let blk = self.bmap_alloc(INO_ROOT, &mut exinode, lbn, AllocCtx::Plain { near: 0 })?;
         self.cache.modify_block(&self.drv, blk, true, false, |d| d.fill(0))?;
         exinode.size += BLOCK_SIZE as u64;
         m.exfile = exinode;
@@ -1139,149 +1126,23 @@ impl Cffs {
 
     // ----- block mapping --------------------------------------------------
 
-    /// Map `lbn` of an inode, optionally allocating (with the given
-    /// context). The caller persists the updated inode.
-    fn bmap(
-        &self,
-        ino: Ino,
-        inode: &mut Inode,
-        lbn: u64,
-        alloc: Option<AllocCtx>,
-    ) -> FsResult<Option<u64>> {
+    /// The pointer-tree hook for file `ino`; `ctx` places the blocks an
+    /// allocating map adds.
+    fn tree(&self, ino: Ino, ctx: Option<AllocCtx>) -> Tree<'_> {
+        Tree { fs: self, ino, ctx }
+    }
+
+    /// Map logical block `lbn` of an inode to its block, if any.
+    fn bmap(&self, ino: Ino, inode: &Inode, lbn: u64) -> FsResult<Option<u64>> {
         self.charge(self.cpu_model().block_op);
-        if lbn >= cffs_fslib::inode::MAX_FILE_BLOCKS {
-            return Err(FsError::FileTooBig);
-        }
-        let _ = ino;
-        if (lbn as usize) < NDIRECT {
-            let cur = inode.direct[lbn as usize];
-            if cur != NO_BLOCK {
-                return Ok(Some(cur as u64));
-            }
-            let Some(ctx) = alloc else { return Ok(None) };
-            let hint = if lbn > 0 { inode.direct[lbn as usize - 1] } else { NO_BLOCK };
-            let blk = self.alloc_for(ctx, lbn, (hint != NO_BLOCK).then_some(hint as u64))?;
-            inode.direct[lbn as usize] = blk as u32;
-            inode.blocks += 1;
-            return Ok(Some(blk));
-        }
-        let l1 = lbn as usize - NDIRECT;
-        let near = match alloc {
-            Some(AllocCtx::Plain { near } | AllocCtx::Grouped { near, .. }) => near,
-            None => 0,
-        };
-        if l1 < PTRS_PER_BLOCK {
-            let Some((ind, fresh)) =
-                self.get_or_alloc_indirect(inode.indirect, near, alloc.is_some())?
-            else {
-                return Ok(None);
-            };
-            if fresh {
-                inode.indirect = ind as u32;
-                inode.blocks += 1;
-            }
-            return self.indirect_slot(ind, l1, lbn, alloc, inode);
-        }
-        let l2 = l1 - PTRS_PER_BLOCK;
-        let outer = l2 / PTRS_PER_BLOCK;
-        let inner = l2 % PTRS_PER_BLOCK;
-        let Some((dind, fresh)) =
-            self.get_or_alloc_indirect(inode.dindirect, near, alloc.is_some())?
-        else {
-            return Ok(None);
-        };
-        if fresh {
-            inode.dindirect = dind as u32;
-            inode.blocks += 1;
-        }
-        let mut mid =
-            cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, dind)?, outer * 4);
-        if mid == NO_BLOCK {
-            if alloc.is_none() {
-                return Ok(None);
-            }
-            let nb = self.alloc_plain(near, Some(dind))?;
-            self.cache.modify_block(&self.drv, nb, true, false, |d| d.fill(0))?;
-            self.cache.modify_block(&self.drv, dind, true, true, |d| {
-                cffs_fslib::codec::put_u32(d, outer * 4, nb as u32)
-            })?;
-            inode.blocks += 1;
-            mid = nb as u32;
-        }
-        self.indirect_slot(mid as u64, inner, lbn, alloc, inode)
+        bmap::lookup(&self.tree(ino, None), inode, lbn)
     }
 
-    fn get_or_alloc_indirect(
-        &self,
-        cur: u32,
-        near: u32,
-        alloc: bool,
-    ) -> FsResult<Option<(u64, bool)>> {
-        if cur != NO_BLOCK {
-            return Ok(Some((cur as u64, false)));
-        }
-        if !alloc {
-            return Ok(None);
-        }
-        // Indirect blocks are metadata; never grouped.
-        let blk = self.alloc_plain(near, None)?;
-        self.cache.modify_block(&self.drv, blk, true, false, |d| d.fill(0))?;
-        Ok(Some((blk, true)))
-    }
-
-    fn indirect_slot(
-        &self,
-        ind: u64,
-        idx: usize,
-        lbn: u64,
-        alloc: Option<AllocCtx>,
-        inode: &mut Inode,
-    ) -> FsResult<Option<u64>> {
-        let cur = cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, ind)?, idx * 4);
-        if cur != NO_BLOCK {
-            return Ok(Some(cur as u64));
-        }
-        let Some(ctx) = alloc else { return Ok(None) };
-        let hint = if idx > 0 {
-            let prev =
-                cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, ind)?, (idx - 1) * 4);
-            (prev != NO_BLOCK).then_some(prev as u64)
-        } else {
-            Some(ind)
-        };
-        let blk = self.alloc_for(ctx, lbn, hint)?;
-        self.cache.modify_block(&self.drv, ind, true, true, |d| {
-            cffs_fslib::codec::put_u32(d, idx * 4, blk as u32)
-        })?;
-        inode.blocks += 1;
-        Ok(Some(blk))
-    }
-
-    /// Point `lbn` of an inode at a different block (degrouping /
-    /// regrouping relocation). The mapping must already exist.
-    fn map_set(&self, inode: &mut Inode, lbn: u64, blk: u64) -> FsResult<()> {
-        if (lbn as usize) < NDIRECT {
-            inode.direct[lbn as usize] = blk as u32;
-            return Ok(());
-        }
-        let l1 = lbn as usize - NDIRECT;
-        if l1 < PTRS_PER_BLOCK {
-            let ind = inode.indirect as u64;
-            self.cache.modify_block(&self.drv, ind, true, true, |d| {
-                cffs_fslib::codec::put_u32(d, l1 * 4, blk as u32)
-            })?;
-            return Ok(());
-        }
-        let l2 = l1 - PTRS_PER_BLOCK;
-        let dind = inode.dindirect as u64;
-        let mid = {
-            let data = self.cache.read_block(&self.drv, dind)?;
-            cffs_fslib::codec::get_u32(&data, (l2 / PTRS_PER_BLOCK) * 4)
-        };
-        self.cache.modify_block(&self.drv, mid as u64, true, true, |d| {
-            cffs_fslib::codec::put_u32(d, (l2 % PTRS_PER_BLOCK) * 4, blk as u32)
-        })?;
-        Ok(())
+    /// Map `lbn`, allocating it (and pointer blocks) with `ctx` if missing.
+    /// The caller persists the updated inode.
+    fn bmap_alloc(&self, ino: Ino, inode: &mut Inode, lbn: u64, ctx: AllocCtx) -> FsResult<u64> {
+        self.charge(self.cpu_model().block_op);
+        bmap::map_alloc(&self.tree(ino, Some(ctx)), inode, lbn)
     }
 
     // ----- grouping-aware block fetch -------------------------------------
@@ -1313,7 +1174,7 @@ impl Cffs {
     /// Fetch the next `prefetch_blocks` mapped blocks of a sequentially
     /// read file as one scatter/gather request (blocks already resident
     /// are skipped by the cache).
-    fn prefetch_ahead(&self, ino: Ino, inode: &mut Inode, from_lbn: u64) -> FsResult<()> {
+    fn prefetch_ahead(&self, ino: Ino, inode: &Inode, from_lbn: u64) -> FsResult<()> {
         let max_lbn = inode.size.div_ceil(BLOCK_SIZE as u64);
         if from_lbn >= max_lbn {
             return Ok(());
@@ -1321,14 +1182,14 @@ impl Cffs {
         // Only act at the read-ahead boundary: while the previously
         // prefetched window is still resident, issuing tiny tail fetches
         // would defeat the batching.
-        if let Some(b) = self.bmap(ino, inode, from_lbn, None)? {
+        if let Some(b) = self.bmap(ino, inode, from_lbn)? {
             if self.cache.contains(b) {
                 return Ok(());
             }
         }
         let mut blocks: Vec<u64> = Vec::new();
         for lbn in from_lbn..(from_lbn + self.cfg.prefetch_blocks as u64).min(max_lbn) {
-            match self.bmap(ino, inode, lbn, None)? {
+            match self.bmap(ino, inode, lbn)? {
                 Some(b) if !self.cache.contains(b) => blocks.push(b),
                 _ => {}
             }
@@ -1363,23 +1224,14 @@ impl Cffs {
         let nblocks = inode.size.div_ceil(BLOCK_SIZE as u64);
         let mut hint: Option<u64> = None;
         for lbn in 0..nblocks {
-            let Some(old) = self.bmap(ino, inode, lbn, None)? else { continue };
+            let Some(old) = self.bmap(ino, inode, lbn)? else { continue };
             if self.lock_groups().group_of_block(&self.geo, old).is_none() {
                 hint = Some(old);
                 continue;
             }
             let new = self.alloc_plain(near, hint)?;
             hint = Some(new);
-            // Copy through the cache.
-            let contents = self.fetch_block(old, ino, lbn)?;
-            self.cache.modify_block(&self.drv, new, false, false, |d| {
-                d.copy_from_slice(&contents)
-            })?;
-            self.charge(self.cpu_model().copy_cost(BLOCK_SIZE));
-            self.map_set(inode, lbn, new)?;
-            self.cache.unbind_logical(ino, lbn);
-            self.free_block_any(old);
-            self.cache.bind_logical(&self.drv, new, ino, lbn);
+            self.move_block(ino, inode, lbn, old, new)?;
         }
         Ok(())
     }
@@ -1395,107 +1247,28 @@ impl Cffs {
             return Ok(()); // too large to group
         }
         for lbn in 0..nblocks {
-            let Some(old) = self.bmap(ino, inode, lbn, None)? else { continue };
+            let Some(old) = self.bmap(ino, inode, lbn)? else { continue };
             match self.lock_groups().group_of_block(&self.geo, old).copied() {
                 Some(g) if g.owner == dir => continue,
                 _ => {}
             }
             let Some(new) = self.alloc_grouped(dir, near)? else { break };
-            let contents = self.fetch_block(old, ino, lbn)?;
-            self.cache.modify_block(&self.drv, new, false, false, |d| {
-                d.copy_from_slice(&contents)
-            })?;
-            self.charge(self.cpu_model().copy_cost(BLOCK_SIZE));
-            self.map_set(inode, lbn, new)?;
-            self.cache.unbind_logical(ino, lbn);
-            self.free_block_any(old);
-            self.cache.bind_logical(&self.drv, new, ino, lbn);
+            self.move_block(ino, inode, lbn, old, new)?;
         }
         Ok(())
     }
 
-    /// Free all blocks of an inode from `from_lbn` on (truncate/delete).
-    fn free_blocks_from(&self, ino: Ino, inode: &mut Inode, from_lbn: u64) -> FsResult<()> {
-        for l in from_lbn..NDIRECT as u64 {
-            let slot = inode.direct[l as usize];
-            if slot != NO_BLOCK {
-                self.cache.unbind_logical(ino, l);
-                self.free_block_any(slot as u64);
-                inode.direct[l as usize] = NO_BLOCK;
-                inode.blocks = inode.blocks.saturating_sub(1);
-            }
-        }
-        if inode.indirect != NO_BLOCK {
-            let kept =
-                self.free_indirect(ino, inode.indirect as u64, NDIRECT as u64, from_lbn, &mut inode.blocks)?;
-            if !kept {
-                self.free_block_any(inode.indirect as u64);
-                inode.indirect = NO_BLOCK;
-                inode.blocks = inode.blocks.saturating_sub(1);
-            }
-        }
-        if inode.dindirect != NO_BLOCK {
-            let dind = inode.dindirect as u64;
-            let ptrs: Vec<u32> = {
-                let data = self.cache.read_block(&self.drv, dind)?;
-                (0..PTRS_PER_BLOCK).map(|i| cffs_fslib::codec::get_u32(&data, i * 4)).collect()
-            };
-            let mut any_kept = false;
-            for (outer, &mid) in ptrs.iter().enumerate() {
-                if mid == NO_BLOCK {
-                    continue;
-                }
-                let base = NDIRECT as u64 + PTRS_PER_BLOCK as u64 + (outer * PTRS_PER_BLOCK) as u64;
-                let kept = self.free_indirect(ino, mid as u64, base, from_lbn, &mut inode.blocks)?;
-                if kept {
-                    any_kept = true;
-                } else {
-                    self.free_block_any(mid as u64);
-                    inode.blocks = inode.blocks.saturating_sub(1);
-                    self.cache.modify_block(&self.drv, dind, true, true, |d| {
-                        cffs_fslib::codec::put_u32(d, outer * 4, NO_BLOCK)
-                    })?;
-                }
-            }
-            if !any_kept {
-                self.free_block_any(dind);
-                inode.dindirect = NO_BLOCK;
-                inode.blocks = inode.blocks.saturating_sub(1);
-            }
-        }
+    /// Copy logical block `lbn` of `ino` from `old` to the freshly
+    /// allocated `new` through the cache, re-point the map, free `old`.
+    fn move_block(&self, ino: Ino, inode: &mut Inode, lbn: u64, old: u64, new: u64) -> FsResult<()> {
+        let contents = self.fetch_block(old, ino, lbn)?;
+        self.cache.modify_block(&self.drv, new, false, false, |d| d.copy_from_slice(&contents))?;
+        self.charge(self.cpu_model().copy_cost(BLOCK_SIZE));
+        bmap::set(&self.tree(ino, None), inode, lbn, new)?;
+        self.cache.unbind_logical(ino, lbn);
+        self.free_block_any(old);
+        self.cache.bind_logical(&self.drv, new, ino, lbn);
         Ok(())
-    }
-
-    fn free_indirect(
-        &self,
-        ino: Ino,
-        ind: u64,
-        base: u64,
-        from_lbn: u64,
-        blocks: &mut u32,
-    ) -> FsResult<bool> {
-        let ptrs: Vec<u32> = {
-            let data = self.cache.read_block(&self.drv, ind)?;
-            (0..PTRS_PER_BLOCK).map(|i| cffs_fslib::codec::get_u32(&data, i * 4)).collect()
-        };
-        let mut kept = false;
-        for (i, &p) in ptrs.iter().enumerate() {
-            if p == NO_BLOCK {
-                continue;
-            }
-            let lbn = base + i as u64;
-            if lbn >= from_lbn {
-                self.cache.unbind_logical(ino, lbn);
-                self.free_block_any(p as u64);
-                *blocks = blocks.saturating_sub(1);
-                self.cache.modify_block(&self.drv, ind, true, true, |d| {
-                    cffs_fslib::codec::put_u32(d, i * 4, NO_BLOCK)
-                })?;
-            } else {
-                kept = true;
-            }
-        }
-        Ok(kept)
     }
 
     // ----- directory helpers -------------------------------------------
@@ -1520,13 +1293,13 @@ impl Cffs {
     fn dir_find(
         &self,
         dirino: Ino,
-        dinode: &mut Inode,
+        dinode: &Inode,
         name: &str,
     ) -> FsResult<Option<(u64, u64, CEntry)>> {
         let nblocks = dinode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, dinode, lbn, None)?
+                .bmap(dirino, dinode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             self.charge(self.cpu_model().scan_cost(16));
             let data = self.fetch_block(blk, dirino, lbn)?;
@@ -1557,7 +1330,7 @@ impl Cffs {
         let nblocks = dinode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, dinode, lbn, None)?
+                .bmap(dirino, dinode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             self.charge(self.cpu_model().scan_cost(16));
             // The handle is dropped before the insert modifies the block.
@@ -1570,7 +1343,7 @@ impl Cffs {
         // so directory blocks co-locate with their files' data.
         let lbn = nblocks;
         let ctx = AllocCtx::Grouped { dir: dirino, near: self.dir_home(dirino, dinode) };
-        let blk = self.bmap(dirino, dinode, lbn, Some(ctx))?.ok_or(FsError::NoSpace)?;
+        let blk = self.bmap_alloc(dirino, dinode, lbn, ctx)?;
         dinode.size += BLOCK_SIZE as u64;
         self.cache
             .modify_block_bound(&self.drv, blk, dirino, lbn, false, dirent::init_block)?;
@@ -1626,11 +1399,11 @@ impl Cffs {
         }
     }
 
-    fn dir_is_empty(&self, dirino: Ino, dinode: &mut Inode) -> FsResult<bool> {
+    fn dir_is_empty(&self, dirino: Ino, dinode: &Inode) -> FsResult<bool> {
         let nblocks = dinode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, dinode, lbn, None)?
+                .bmap(dirino, dinode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             let data = self.fetch_block(blk, dirino, lbn)?;
             if !dirent::is_empty(&data)? {
@@ -1686,14 +1459,14 @@ impl Cffs {
         if was_embedded {
             // Embedded inodes always have exactly one link: removing the
             // entry removed the inode itself. Free the data.
-            self.free_blocks_from(ino, &mut inode, 0)?;
+            bmap::free_from(&self.tree(ino, None), &mut inode, 0)?;
             self.retire_ino(ino);
             return Ok(());
         }
         let InoRef::External(slot) = decode_ino(ino) else { unreachable!("external entry") };
         inode.nlink -= 1;
         if inode.nlink == 0 {
-            self.free_blocks_from(ino, &mut inode, 0)?;
+            bmap::free_from(&self.tree(ino, None), &mut inode, 0)?;
             self.free_external_slot(slot, true)?;
             self.retire_ino(ino);
         } else {
@@ -1752,8 +1525,8 @@ impl Cffs {
                 DcacheAnswer::Miss => {}
             }
         }
-        let mut dinode = self.require_dir(dirino)?;
-        match self.dir_find(dirino, &mut dinode, name)? {
+        let dinode = self.require_dir(dirino)?;
+        match self.dir_find(dirino, &dinode, name)? {
             Some((blk, _, e)) => {
                 let ino = self.entry_ino(blk, &e);
                 if let Some(dc) = self.dcache() {
@@ -1800,7 +1573,7 @@ impl Cffs {
             Some(DcacheAnswer::Pos(_)) => return Err(FsError::Exists),
             Some(DcacheAnswer::Neg) => {}
             _ => {
-                if self.dir_find(dirino, &mut dinode, name)?.is_some() {
+                if self.dir_find(dirino, &dinode, name)?.is_some() {
                     return Err(FsError::Exists);
                 }
             }
@@ -1844,7 +1617,7 @@ impl Cffs {
             Some(DcacheAnswer::Pos(_)) => return Err(FsError::Exists),
             Some(DcacheAnswer::Neg) => {}
             _ => {
-                if self.dir_find(dirino, &mut dinode, name)?.is_some() {
+                if self.dir_find(dirino, &dinode, name)?.is_some() {
                     return Err(FsError::Exists);
                 }
             }
@@ -1888,8 +1661,8 @@ impl Cffs {
         let _span = self.op_span(OpKind::Unlink);
         self.charge(self.cpu_model().syscall);
         check_name(name)?;
-        let mut dinode = self.require_dir(dirino)?;
-        let Some((blk, lbn, entry)) = self.dir_find(dirino, &mut dinode, name)? else {
+        let dinode = self.require_dir(dirino)?;
+        let Some((blk, lbn, entry)) = self.dir_find(dirino, &dinode, name)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind == FileKind::Dir {
@@ -1917,7 +1690,7 @@ impl Cffs {
         self.charge(self.cpu_model().syscall);
         check_name(name)?;
         let mut dinode = self.require_dir(dirino)?;
-        let Some((blk, lbn, entry)) = self.dir_find(dirino, &mut dinode, name)? else {
+        let Some((blk, lbn, entry)) = self.dir_find(dirino, &dinode, name)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind != FileKind::Dir {
@@ -1925,7 +1698,7 @@ impl Cffs {
         }
         let child = self.entry_ino(blk, &entry);
         let mut cinode = self.require_dir(child)?;
-        if !self.dir_is_empty(child, &mut cinode)? {
+        if !self.dir_is_empty(child, &cinode)? {
             return Err(FsError::DirNotEmpty);
         }
         let was_embedded = matches!(entry.loc, EntryLoc::Embedded(_));
@@ -1936,7 +1709,7 @@ impl Cffs {
             dc.insert_neg(dirino, name);
         }
         self.dir_durable(blk, off)?;
-        self.free_blocks_from(child, &mut cinode, 0)?;
+        bmap::free_from(&self.tree(child, None), &mut cinode, 0)?;
         if !was_embedded {
             let InoRef::External(slot) = decode_ino(child) else { unreachable!() };
             self.free_external_slot(slot, true)?;
@@ -1961,7 +1734,7 @@ impl Cffs {
             return Err(FsError::TooManyLinks);
         }
         let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &mut dinode, name)?.is_some() {
+        if self.dir_find(dirino, &dinode, name)?.is_some() {
             return Err(FsError::Exists);
         }
         // An embedded target must be externalized first: several names will
@@ -2014,7 +1787,7 @@ impl Cffs {
         check_name(oname)?;
         check_name(nname)?;
         let mut oinode = self.require_dir(odir)?;
-        let Some((oblk, _, oentry)) = self.dir_find(odir, &mut oinode, oname)? else {
+        let Some((oblk, _, oentry)) = self.dir_find(odir, &oinode, oname)? else {
             return Err(FsError::NotFound);
         };
         let old_ino = self.entry_ino(oblk, &oentry);
@@ -2023,7 +1796,7 @@ impl Cffs {
         }
         let mut ninode = if ndir == odir { oinode.clone() } else { self.require_dir(ndir)? };
         // Clear an existing destination first.
-        if let Some((dblk, dlbn, dentry)) = self.dir_find(ndir, &mut ninode, nname)? {
+        if let Some((dblk, dlbn, dentry)) = self.dir_find(ndir, &ninode, nname)? {
             let dst_ino = self.entry_ino(dblk, &dentry);
             if dst_ino == old_ino {
                 // Two names for one (external) inode.
@@ -2032,7 +1805,7 @@ impl Cffs {
                 }
                 let inode = self.read_inode(old_ino)?;
                 let (rblk, rlbn, rentry) = self
-                    .dir_find(odir, &mut oinode, oname)?
+                    .dir_find(odir, &oinode, oname)?
                     .ok_or(FsError::NotFound)?;
                 let off = rentry.offset;
                 self.cache.modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| {
@@ -2052,7 +1825,7 @@ impl Cffs {
                         return Err(FsError::IsDir);
                     }
                     let mut dnode = self.require_dir(dst_ino)?;
-                    if !self.dir_is_empty(dst_ino, &mut dnode)? {
+                    if !self.dir_is_empty(dst_ino, &dnode)? {
                         return Err(FsError::DirNotEmpty);
                     }
                     let was_embedded = matches!(dentry.loc, EntryLoc::Embedded(_));
@@ -2064,7 +1837,7 @@ impl Cffs {
                         dc.invalidate(ndir, nname);
                     }
                     self.dir_durable(dblk, off)?;
-                    self.free_blocks_from(dst_ino, &mut dnode, 0)?;
+                    bmap::free_from(&self.tree(dst_ino, None), &mut dnode, 0)?;
                     if !was_embedded {
                         let InoRef::External(slot) = decode_ino(dst_ino) else { unreachable!() };
                         self.free_external_slot(slot, true)?;
@@ -2123,7 +1896,7 @@ impl Cffs {
             oinode = self.require_dir(odir)?;
         }
         let (rblk, rlbn, rentry) =
-            self.dir_find(odir, &mut oinode, oname)?.ok_or(FsError::NotFound)?;
+            self.dir_find(odir, &oinode, oname)?.ok_or(FsError::NotFound)?;
         let roff = rentry.offset;
         self.cache
             .modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| dirent::remove(d, oname))??;
@@ -2163,7 +1936,7 @@ impl Cffs {
         let _op = self.op_lock(ino);
         let _span = self.op_span(OpKind::Read);
         self.charge(self.cpu_model().syscall);
-        let mut inode = self.read_inode(ino)?;
+        let inode = self.read_inode(ino)?;
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
         }
@@ -2179,7 +1952,7 @@ impl Cffs {
             let n = (BLOCK_SIZE - in_blk).min(want - done);
             let blk = match self.cache.lookup_logical(ino, lbn) {
                 Some(b) => Some(b),
-                None => self.bmap(ino, &mut inode, lbn, None)?,
+                None => self.bmap(ino, &inode, lbn)?,
             };
             match blk {
                 Some(b) => {
@@ -2199,7 +1972,7 @@ impl Cffs {
                 first_lbn == 0
                     || self.lock_ns().last_read.get(&ino).is_some_and(|&l| l + 1 >= first_lbn);
             if sequential {
-                self.prefetch_ahead(ino, &mut inode, last_lbn + 1)?;
+                self.prefetch_ahead(ino, &inode, last_lbn + 1)?;
             }
         }
         self.lock_ns().last_read.insert(ino, last_lbn);
@@ -2242,8 +2015,8 @@ impl Cffs {
             let in_blk = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_blk).min(data.len() - done);
             let had_block = self.cache.lookup_logical(ino, lbn).is_some()
-                || self.bmap(ino, &mut inode, lbn, None)?.is_some();
-            let blk = self.bmap(ino, &mut inode, lbn, Some(ctx))?.ok_or(FsError::NoSpace)?;
+                || self.bmap(ino, &inode, lbn)?.is_some();
+            let blk = self.bmap_alloc(ino, &mut inode, lbn, ctx)?;
             let read_first = had_block && n < BLOCK_SIZE;
             if read_first {
                 // A partial overwrite of a grouped block fetches the whole
@@ -2280,10 +2053,10 @@ impl Cffs {
         }
         if size < inode.size {
             let keep = size.div_ceil(BLOCK_SIZE as u64);
-            self.free_blocks_from(ino, &mut inode, keep)?;
+            bmap::free_from(&self.tree(ino, None), &mut inode, keep)?;
             if !size.is_multiple_of(BLOCK_SIZE as u64) {
                 let lbn = size / BLOCK_SIZE as u64;
-                if let Some(blk) = self.bmap(ino, &mut inode, lbn, None)? {
+                if let Some(blk) = self.bmap(ino, &inode, lbn)? {
                     let cut = (size % BLOCK_SIZE as u64) as usize;
                     self.cache
                         .modify_block_bound(&self.drv, blk, ino, lbn, true, |d| d[cut..].fill(0))?;
@@ -2300,12 +2073,12 @@ impl Cffs {
         let _op = self.op_lock(dirino);
         let _span = self.op_span(OpKind::Readdir);
         self.charge(self.cpu_model().syscall);
-        let mut dinode = self.require_dir(dirino)?;
+        let dinode = self.require_dir(dirino)?;
         let nblocks = dinode.size / BLOCK_SIZE as u64;
         let mut out = Vec::new();
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, &mut dinode, lbn, None)?
+                .bmap(dirino, &dinode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             let entries = {
                 let data = self.fetch_block(blk, dirino, lbn)?;
@@ -2416,9 +2189,9 @@ impl Cffs {
             return Ok(());
         }
         self.charge(self.cpu_model().syscall);
-        let mut dinode = self.require_dir(dirino)?;
+        let dinode = self.require_dir(dirino)?;
         for name in names {
-            let Some((blk, _, e)) = self.dir_find(dirino, &mut dinode, name)? else {
+            let Some((blk, _, e)) = self.dir_find(dirino, &dinode, name)? else {
                 return Err(FsError::NotFound);
             };
             if e.kind != FileKind::File {
@@ -2435,6 +2208,53 @@ impl Cffs {
     /// The CPU cost model — see [`FileSystem::cpu_model`].
     pub fn cpu_model(&self) -> CpuModel {
         self.cfg.cpu
+    }
+}
+
+/// `bmap`'s view of one file's pointer tree on a mounted C-FFS. The
+/// allocators it calls charge themselves; `ctx` places data blocks and
+/// anchors pointer blocks (which are never grouped).
+struct Tree<'a> {
+    fs: &'a Cffs,
+    ino: Ino,
+    ctx: Option<AllocCtx>,
+}
+
+impl PtrRead for Tree<'_> {
+    type Buf = Block;
+
+    fn read_ptrs(&self, blk: u64) -> FsResult<Block> {
+        self.fs.cache.read_block(&self.fs.drv, blk)
+    }
+}
+
+impl PtrStore for Tree<'_> {
+    fn write_ptrs(&self, blk: u64, f: impl FnOnce(&mut [u8])) -> FsResult<()> {
+        self.fs.cache.modify_block(&self.fs.drv, blk, true, true, f)
+    }
+
+    fn alloc_ptr_block(&self, hint: Option<u64>) -> FsResult<u64> {
+        let near = match self.ctx {
+            Some(AllocCtx::Plain { near } | AllocCtx::Grouped { near, .. }) => near,
+            None => 0,
+        };
+        let blk = self.fs.alloc_plain(near, hint)?;
+        self.fs.cache.modify_block(&self.fs.drv, blk, true, false, |d| d.fill(0))?;
+        Ok(blk)
+    }
+
+    fn alloc_data(&self, lbn: u64, hint: Option<u64>) -> FsResult<u64> {
+        let ctx = self.ctx.expect("an allocating map carries its allocation context");
+        self.fs.alloc_for(ctx, lbn, hint)
+    }
+
+    fn free_data(&self, lbn: u64, blk: u64) {
+        self.fs.cache.unbind_logical(self.ino, lbn);
+        self.fs.free_block_any(blk);
+    }
+
+    fn free_ptr_block(&self, blk: u64) {
+        self.fs.free_block_any(blk);
     }
 }
 

@@ -32,9 +32,10 @@ use crate::layout::{
     decode_ino, embedded_ino, external_ino, CgHeader, GroupDescDisk, InoRef, Superblock,
     GROUP_BLOCKS, INO_ROOT, SB_BLOCK,
 };
-use cffs_fslib::inode::{Inode, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
 use cffs_disksim::Disk;
-use cffs_fslib::{FileKind, FsError, FsResult, Ino, BLOCK_SIZE, SECTORS_PER_BLOCK};
+use cffs_fslib::bmap::{self, Mapped};
+use cffs_fslib::inode::Inode;
+use cffs_fslib::{read_block, write_block, FileKind, FsError, FsResult, Ino, BLOCK_SIZE};
 use std::collections::{HashMap, HashSet};
 
 /// Outcome of a check (and optional repair).
@@ -55,16 +56,6 @@ impl FsckReport {
     pub fn clean(&self) -> bool {
         self.errors.is_empty()
     }
-}
-
-fn read_block(disk: &Disk, blk: u64) -> Vec<u8> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    disk.raw_read(blk * SECTORS_PER_BLOCK, &mut buf);
-    buf
-}
-
-fn write_block(disk: &mut Disk, blk: u64, data: &[u8]) {
-    disk.raw_write(blk * SECTORS_PER_BLOCK, data);
 }
 
 /// Check (and with `repair`, fix) the C-FFS image on `disk`.
@@ -127,51 +118,13 @@ struct Checker<'d> {
 const EXFILE_OWNER: Ino = u64::MAX;
 
 impl Checker<'_> {
-    /// Every data/indirect block an inode maps, in logical order, plus the
-    /// indirect blocks themselves.
-    fn blocks_of(&self, inode: &Inode) -> (Vec<u64>, Vec<u64>) {
-        let mut data = Vec::new();
-        let mut meta = Vec::new();
+    /// Every block `inode` maps below its size, each pointer block before
+    /// the blocks it maps.
+    fn tree(&self, inode: &Inode) -> FsResult<Vec<Mapped>> {
+        let mut out = Vec::new();
         let nblocks = inode.size.div_ceil(BLOCK_SIZE as u64);
-        for lbn in 0..nblocks.min(NDIRECT as u64) {
-            let b = inode.direct[lbn as usize];
-            if b != NO_BLOCK {
-                data.push(b as u64);
-            }
-        }
-        if nblocks > NDIRECT as u64 && inode.indirect != NO_BLOCK {
-            meta.push(inode.indirect as u64);
-            let img = read_block(self.disk, inode.indirect as u64);
-            let upto = (nblocks - NDIRECT as u64).min(PTRS_PER_BLOCK as u64) as usize;
-            for i in 0..upto {
-                let b = cffs_fslib::codec::get_u32(&img, i * 4);
-                if b != NO_BLOCK {
-                    data.push(b as u64);
-                }
-            }
-        }
-        let l2_total = nblocks.saturating_sub(NDIRECT as u64 + PTRS_PER_BLOCK as u64);
-        if l2_total > 0 && inode.dindirect != NO_BLOCK {
-            meta.push(inode.dindirect as u64);
-            let dimg = read_block(self.disk, inode.dindirect as u64);
-            let outers = l2_total.div_ceil(PTRS_PER_BLOCK as u64) as usize;
-            for o in 0..outers.min(PTRS_PER_BLOCK) {
-                let mid = cffs_fslib::codec::get_u32(&dimg, o * 4);
-                if mid == NO_BLOCK {
-                    continue;
-                }
-                meta.push(mid as u64);
-                let img = read_block(self.disk, mid as u64);
-                let remain = l2_total - (o * PTRS_PER_BLOCK) as u64;
-                for i in 0..(remain.min(PTRS_PER_BLOCK as u64) as usize) {
-                    let b = cffs_fslib::codec::get_u32(&img, i * 4);
-                    if b != NO_BLOCK {
-                        data.push(b as u64);
-                    }
-                }
-            }
-        }
-        (data, meta)
+        bmap::walk(&*self.disk, inode, nblocks, |m| out.push(m))?;
+        Ok(out)
     }
 
     /// Claim `blk` for `owner`; returns false (and records an error) on a
@@ -191,31 +144,24 @@ impl Checker<'_> {
         true
     }
 
-    fn exfile_block(&self, slot: u32) -> Option<u64> {
-        let lbn = exfile::slot_lbn(slot);
-        let ex = &self.sb.exfile;
-        if lbn < NDIRECT as u64 {
-            let b = ex.direct[lbn as usize];
-            (b != NO_BLOCK).then_some(b as u64)
-        } else if ex.indirect != NO_BLOCK {
-            let img = read_block(self.disk, ex.indirect as u64);
-            let b = cffs_fslib::codec::get_u32(&img, (lbn as usize - NDIRECT) * 4);
-            (b != NO_BLOCK).then_some(b as u64)
-        } else {
-            None
+    /// Block and byte offset of external slot `slot`; `None` past the end
+    /// of the external inode file or in a hole of it.
+    fn external_location(&self, slot: u32) -> Option<(u64, usize)> {
+        if slot >= self.sb.exfile_slots {
+            return None;
         }
+        let blk = bmap::lookup(&*self.disk, &self.sb.exfile, exfile::slot_lbn(slot)).ok()??;
+        Some((blk, exfile::slot_off(slot)))
     }
 
     fn read_external(&self, slot: u32) -> Option<Inode> {
-        let blk = self.exfile_block(slot)?;
-        Inode::read_from(&read_block(self.disk, blk), exfile::slot_off(slot))
+        let (blk, off) = self.external_location(slot)?;
+        Inode::read_from(&read_block(self.disk, blk), off)
     }
 
     fn claim_exfile(&mut self) -> FsResult<()> {
-        let ex = self.sb.exfile.clone();
-        let (data, meta) = self.blocks_of(&ex);
-        for b in data.into_iter().chain(meta) {
-            self.claim(EXFILE_OWNER, b);
+        for m in self.tree(&self.sb.exfile)? {
+            self.claim(EXFILE_OWNER, m.blk());
         }
         Ok(())
     }
@@ -224,13 +170,13 @@ impl Checker<'_> {
         let Some(root) = self.read_external(0) else {
             self.report.errors.push("root inode missing".into());
             if self.repair {
-                let Some(blk) = self.exfile_block(0) else {
+                let Some((blk, off)) = self.external_location(0) else {
                     return Err(FsError::Corrupt("external inode file unreadable".into()));
                 };
                 let mut img = read_block(self.disk, blk);
                 let mut r = Inode::new(FileKind::Dir);
                 r.nlink = 2;
-                r.write_to(&mut img, 0);
+                r.write_to(&mut img, off);
                 write_block(self.disk, blk, &img);
                 self.report.repairs.push("recreated empty root inode".into());
                 return self.walk_namespace();
@@ -243,12 +189,13 @@ impl Checker<'_> {
         let mut queue = vec![(INO_ROOT, root)];
         let mut seen_dirs: HashSet<Ino> = [INO_ROOT].into();
         while let Some((dirino, dinode)) = queue.pop() {
-            let (dblocks, dmeta) = self.blocks_of(&dinode);
-            for b in dblocks.iter().chain(&dmeta) {
-                self.claim(dirino, *b);
+            let tree = self.tree(&dinode)?;
+            for m in &tree {
+                self.claim(dirino, m.blk());
             }
             let mut child_dirs = 0u32;
-            for &blk in &dblocks {
+            for &m in &tree {
+                let Mapped::Data { blk, .. } = m else { continue };
                 let mut img = read_block(self.disk, blk);
                 let entries = match dirent::list(&img) {
                     Ok(es) => es,
@@ -334,8 +281,8 @@ impl Checker<'_> {
                             }
                             // Claim this file's blocks; duplicates mean a
                             // crashed rename left two copies — drop this one.
-                            let (data, meta) = self.blocks_of(&inode);
-                            let dup = data.iter().chain(&meta).any(|b| self.claimed.contains_key(b));
+                            let tree = self.tree(&inode)?;
+                            let dup = tree.iter().any(|m| self.claimed.contains_key(&m.blk()));
                             if dup {
                                 self.report.errors.push(format!(
                                     "file '{}' in {dirino:#x} duplicates already-claimed blocks",
@@ -353,8 +300,8 @@ impl Checker<'_> {
                                 }
                                 continue;
                             }
-                            for b in data.into_iter().chain(meta) {
-                                self.claim(ino, b);
+                            for m in tree {
+                                self.claim(ino, m.blk());
                             }
                             self.report.files += 1;
                             self.inodes.insert(ino, (inode, 0));
@@ -379,14 +326,15 @@ impl Checker<'_> {
                 if self.repair {
                     // Free its blocks too: nothing references them.
                     if let Some(inode) = self.read_external(slot) {
-                        let (data, meta) = self.blocks_of(&inode);
-                        for b in data.into_iter().chain(meta) {
-                            self.claimed.remove(&b);
+                        for m in self.tree(&inode)? {
+                            self.claimed.remove(&m.blk());
                         }
                     }
-                    let blk = self.exfile_block(slot).expect("slot readable");
+                    let (blk, off) = self.external_location(slot).ok_or_else(|| {
+                        FsError::Corrupt(format!("orphan external slot {slot} unreadable"))
+                    })?;
                     let mut img = read_block(self.disk, blk);
-                    Inode::clear_slot(&mut img, exfile::slot_off(slot));
+                    Inode::clear_slot(&mut img, off);
                     write_block(self.disk, blk, &img);
                     self.report.repairs.push(format!("cleared orphan external inode {slot}"));
                 }
@@ -418,9 +366,9 @@ impl Checker<'_> {
         }
         for (ino, expect) in fixes {
             let (blk, img_off) = match decode_ino(ino) {
-                InoRef::External(slot) => {
-                    (self.exfile_block(slot).expect("readable"), exfile::slot_off(slot))
-                }
+                InoRef::External(slot) => self.external_location(slot).ok_or_else(|| {
+                    FsError::Corrupt(format!("external slot {slot} unreadable"))
+                })?,
                 InoRef::Embedded { blk, off, .. } => {
                     let img = read_block(self.disk, blk);
                     let e = dirent::entry_at(&img, off)?;
@@ -594,6 +542,43 @@ mod tests {
 
         let report = fsck(&mut disk, false).unwrap();
         assert!(report.errors.iter().any(|e| e.contains("orphan")), "{:?}", report.errors);
+        fsck(&mut disk, true).unwrap();
+        assert!(fsck(&mut disk, false).unwrap().clean());
+    }
+
+    #[test]
+    fn out_of_range_external_slot_is_reported_not_a_panic() {
+        // 400 multi-link files push the external inode file past its 12
+        // direct blocks (384 slots): slots resolve through the
+        // single-indirect block.
+        let fs = mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), CffsConfig::cffs())
+            .unwrap();
+        let d = fs.mkdir(fs.root(), "d").unwrap();
+        for i in 0..400 {
+            let f = fs.create(d, &format!("f{i}")).unwrap();
+            fs.link(f, d, &format!("l{i}")).unwrap();
+        }
+        let dblocks = fs.file_block_map(d).unwrap();
+        let mut disk = fs.unmount().unwrap();
+        let sb = Superblock::read_from(&read_block(&disk, SB_BLOCK)).unwrap();
+        assert!(sb.exfile_slots > 12 * exfile::SLOTS_PER_BLOCK, "{}", sb.exfile_slots);
+
+        // Point one name at a slot far past the file's end.
+        let (blk, e) = dblocks
+            .iter()
+            .find_map(|&(_, blk)| Some((blk, dirent::find(&read_block(&disk, blk), "l7").ok()??)))
+            .expect("entry l7");
+        assert!(matches!(e.loc, EntryLoc::External(_)));
+        let mut img = read_block(&disk, blk);
+        cffs_fslib::codec::put_u32(&mut img, e.offset + 4, u32::MAX);
+        write_block(&mut disk, blk, &img);
+
+        let report = fsck(&mut disk, false).unwrap();
+        assert!(
+            report.errors.iter().any(|e| e.contains("'l7'") && e.contains("bad external slot")),
+            "{:?}",
+            report.errors
+        );
         fsck(&mut disk, true).unwrap();
         assert!(fsck(&mut disk, false).unwrap().clean());
     }

@@ -25,11 +25,12 @@
 use crate::alloc::Allocator;
 use crate::dir;
 use crate::layout::{CgHeader, Superblock, INO_ROOT, SB_BLOCK};
-use cffs_cache::{BufferCache, CacheConfig};
+use cffs_cache::{Block, BufferCache, CacheConfig};
 use cffs_disksim::driver::{Driver, DriverConfig, Scheduler};
 use cffs_disksim::{Disk, SimDuration, SimTime};
 use cffs_fslib::error::check_name;
-use cffs_fslib::inode::{Inode, MAX_FILE_SIZE, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
+use cffs_fslib::bmap::{self, PtrRead, PtrStore};
+use cffs_fslib::inode::{Inode, MAX_FILE_SIZE};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{
     Attr, CpuModel, DirEntry, FileKind, FsError, FsResult, FileSystem, Ino, IoStats, StatFs,
@@ -224,225 +225,23 @@ impl Ffs {
 
     // ----- block mapping --------------------------------------------------
 
-    /// Map logical block `lbn` of an inode to a physical block. With
-    /// `alloc`, missing blocks (and indirect blocks) are allocated; the
-    /// caller must persist the updated inode.
-    fn bmap(&self, ino: Ino, inode: &mut Inode, lbn: u64, alloc: bool) -> FsResult<Option<u64>> {
+    /// The pointer-tree hook for file `ino`: its blocks come from the
+    /// file's cylinder group.
+    fn tree(&self, ino: Ino) -> Tree<'_> {
+        Tree { fs: self, ino, cg: self.ino_cg(ino) }
+    }
+
+    /// Map logical block `lbn` of an inode to its block, if any.
+    fn bmap(&self, ino: Ino, inode: &Inode, lbn: u64) -> FsResult<Option<u64>> {
         self.charge(self.cpu.block_op);
-        if lbn >= cffs_fslib::inode::MAX_FILE_BLOCKS {
-            return Err(FsError::FileTooBig);
-        }
-        let cg = self.ino_cg(ino);
-        if (lbn as usize) < NDIRECT {
-            let cur = inode.direct[lbn as usize];
-            if cur != NO_BLOCK {
-                return Ok(Some(cur as u64));
-            }
-            if !alloc {
-                return Ok(None);
-            }
-            let hint = if lbn > 0 { inode.direct[lbn as usize - 1] } else { NO_BLOCK };
-            self.charge(self.cpu.alloc_op);
-            let blk = self.alloc.borrow_mut().alloc_block(
-                &self.sb,
-                cg,
-                (hint != NO_BLOCK).then_some(hint as u64),
-            )?;
-            inode.direct[lbn as usize] = blk as u32;
-            inode.blocks += 1;
-            return Ok(Some(blk));
-        }
-        let l1 = lbn as usize - NDIRECT;
-        if l1 < PTRS_PER_BLOCK {
-            let Some((ind, fresh)) = self.get_or_alloc_indirect(inode.indirect, cg, alloc)? else {
-                return Ok(None);
-            };
-            if fresh {
-                inode.indirect = ind as u32;
-                inode.blocks += 1;
-            }
-            return self.indirect_slot(ind, l1, cg, alloc, inode);
-        }
-        let l2 = l1 - PTRS_PER_BLOCK;
-        let outer = l2 / PTRS_PER_BLOCK;
-        let inner = l2 % PTRS_PER_BLOCK;
-        let Some((dind, fresh)) = self.get_or_alloc_indirect(inode.dindirect, cg, alloc)? else {
-            return Ok(None);
-        };
-        if fresh {
-            inode.dindirect = dind as u32;
-            inode.blocks += 1;
-        }
-        // Fetch/allocate the second-level indirect block pointer.
-        let mut mid =
-            cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, dind)?, outer * 4);
-        if mid == NO_BLOCK {
-            if !alloc {
-                return Ok(None);
-            }
-            self.charge(self.cpu.alloc_op);
-            let nb = self.alloc.borrow_mut().alloc_block(&self.sb, cg, Some(dind))?;
-            self.cache
-                .modify_block(&self.drv, nb, true, false, |d| d.fill(0))?;
-            self.cache.modify_block(&self.drv, dind, true, true, |d| {
-                cffs_fslib::codec::put_u32(d, outer * 4, nb as u32)
-            })?;
-            inode.blocks += 1;
-            mid = nb as u32;
-        }
-        self.indirect_slot(mid as u64, inner, cg, alloc, inode)
+        bmap::lookup(&self.tree(ino), inode, lbn)
     }
 
-    /// Dereference (or allocate) a top-level indirect pointer. Returns the
-    /// block and whether it was freshly allocated (the caller updates the
-    /// inode's pointer and block count).
-    fn get_or_alloc_indirect(
-        &self,
-        cur: u32,
-        cg: u32,
-        alloc: bool,
-    ) -> FsResult<Option<(u64, bool)>> {
-        if cur != NO_BLOCK {
-            return Ok(Some((cur as u64, false)));
-        }
-        if !alloc {
-            return Ok(None);
-        }
-        self.charge(self.cpu.alloc_op);
-        let blk = self.alloc.borrow_mut().alloc_block(&self.sb, cg, None)?;
-        self.cache
-            .modify_block(&self.drv, blk, true, false, |d| d.fill(0))?;
-        Ok(Some((blk, true)))
-    }
-
-    /// Read/allocate slot `idx` of the indirect block `ind`.
-    fn indirect_slot(
-        &self,
-        ind: u64,
-        idx: usize,
-        cg: u32,
-        alloc: bool,
-        inode: &mut Inode,
-    ) -> FsResult<Option<u64>> {
-        let cur = cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, ind)?, idx * 4);
-        if cur != NO_BLOCK {
-            return Ok(Some(cur as u64));
-        }
-        if !alloc {
-            return Ok(None);
-        }
-        self.charge(self.cpu.alloc_op);
-        let hint = if idx > 0 {
-            let prev = cffs_fslib::codec::get_u32(&self.cache.read_block(&self.drv, ind)?, (idx - 1) * 4);
-            (prev != NO_BLOCK).then_some(prev as u64)
-        } else {
-            Some(ind)
-        };
-        let blk = self.alloc.borrow_mut().alloc_block(&self.sb, cg, hint)?;
-        self.cache.modify_block(&self.drv, ind, true, true, |d| {
-            cffs_fslib::codec::put_u32(d, idx * 4, blk as u32)
-        })?;
-        inode.blocks += 1;
-        Ok(Some(blk))
-    }
-
-    /// Free every data and indirect block at or beyond logical block
-    /// `from_lbn`, updating the inode in place.
-    fn free_blocks_from(&self, ino: Ino, inode: &mut Inode, from_lbn: u64) -> FsResult<()> {
-        // Direct pointers.
-        for l in from_lbn..NDIRECT as u64 {
-            let slot = inode.direct[l as usize];
-            if slot != NO_BLOCK {
-                self.release_data_block(ino, l, slot as u64);
-                inode.direct[l as usize] = NO_BLOCK;
-                inode.blocks = inode.blocks.saturating_sub(1);
-            }
-        }
-        // Single indirect.
-        if inode.indirect != NO_BLOCK {
-            let base = NDIRECT as u64;
-            let kept = self.free_indirect(ino, inode.indirect as u64, base, from_lbn, &mut inode.blocks)?;
-            if !kept {
-                self.release_meta_block(inode.indirect as u64);
-                inode.indirect = NO_BLOCK;
-                inode.blocks = inode.blocks.saturating_sub(1);
-            }
-        }
-        // Double indirect.
-        if inode.dindirect != NO_BLOCK {
-            let dind = inode.dindirect as u64;
-            let mut any_kept = false;
-            let ptrs: Vec<u32> = {
-                let data = self.cache.read_block(&self.drv, dind)?;
-                (0..PTRS_PER_BLOCK).map(|i| cffs_fslib::codec::get_u32(&data, i * 4)).collect()
-            };
-            for (outer, &mid) in ptrs.iter().enumerate() {
-                if mid == NO_BLOCK {
-                    continue;
-                }
-                let base = NDIRECT as u64 + PTRS_PER_BLOCK as u64 + (outer * PTRS_PER_BLOCK) as u64;
-                let kept = self.free_indirect(ino, mid as u64, base, from_lbn, &mut inode.blocks)?;
-                if kept {
-                    any_kept = true;
-                } else {
-                    self.release_meta_block(mid as u64);
-                    inode.blocks = inode.blocks.saturating_sub(1);
-                    self.cache.modify_block(&self.drv, dind, true, true, |d| {
-                        cffs_fslib::codec::put_u32(d, outer * 4, NO_BLOCK)
-                    })?;
-                }
-            }
-            if !any_kept {
-                self.release_meta_block(dind);
-                inode.dindirect = NO_BLOCK;
-                inode.blocks = inode.blocks.saturating_sub(1);
-            }
-        }
-        Ok(())
-    }
-
-    /// Free the data blocks of one indirect block whose first mapped lbn is
-    /// `base`. Returns true if any pointer below `from_lbn` survives.
-    fn free_indirect(
-        &self,
-        ino: Ino,
-        ind: u64,
-        base: u64,
-        from_lbn: u64,
-        blocks: &mut u32,
-    ) -> FsResult<bool> {
-        let ptrs: Vec<u32> = {
-            let data = self.cache.read_block(&self.drv, ind)?;
-            (0..PTRS_PER_BLOCK).map(|i| cffs_fslib::codec::get_u32(&data, i * 4)).collect()
-        };
-        let mut kept = false;
-        for (i, &p) in ptrs.iter().enumerate() {
-            let lbn = base + i as u64;
-            if p == NO_BLOCK {
-                continue;
-            }
-            if lbn >= from_lbn {
-                self.release_data_block(ino, lbn, p as u64);
-                *blocks = blocks.saturating_sub(1);
-                self.cache.modify_block(&self.drv, ind, true, true, |d| {
-                    cffs_fslib::codec::put_u32(d, i * 4, NO_BLOCK)
-                })?;
-            } else {
-                kept = true;
-            }
-        }
-        Ok(kept)
-    }
-
-    fn release_data_block(&self, ino: Ino, lbn: u64, blk: u64) {
-        self.cache.unbind_logical(ino, lbn);
-        self.cache.invalidate_block(&self.drv, blk);
-        self.alloc.borrow_mut().free_block(&self.sb, blk);
-    }
-
-    fn release_meta_block(&self, blk: u64) {
-        self.cache.invalidate_block(&self.drv, blk);
-        self.alloc.borrow_mut().free_block(&self.sb, blk);
+    /// Map `lbn`, allocating it (and pointer blocks) if missing; the caller
+    /// persists the updated inode.
+    fn bmap_alloc(&self, ino: Ino, inode: &mut Inode, lbn: u64) -> FsResult<u64> {
+        self.charge(self.cpu.block_op);
+        bmap::map_alloc(&self.tree(ino), inode, lbn)
     }
 
     // ----- directory helpers -------------------------------------------
@@ -459,13 +258,13 @@ impl Ffs {
     fn dir_find(
         &self,
         dirino: Ino,
-        inode: &mut Inode,
+        inode: &Inode,
         name: &str,
     ) -> FsResult<Option<(u64, dir::RawEntry)>> {
         let nblocks = inode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, inode, lbn, false)?
+                .bmap(dirino, inode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             self.charge(self.cpu.scan_cost(16));
             let data = self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?;
@@ -492,7 +291,7 @@ impl Ffs {
         let nblocks = inode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, inode, lbn, false)?
+                .bmap(dirino, inode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             self.charge(self.cpu.scan_cost(16));
             // The handle is dropped before the insert modifies the block.
@@ -505,9 +304,7 @@ impl Ffs {
         }
         // Grow by one block.
         let lbn = nblocks;
-        let blk = self
-            .bmap(dirino, inode, lbn, true)?
-            .ok_or(FsError::NoSpace)?;
+        let blk = self.bmap_alloc(dirino, inode, lbn)?;
         inode.size += BLOCK_SIZE as u64;
         self.cache.modify_block_bound(&self.drv, blk, dirino, lbn, false, |d| {
             dir::init_block(d);
@@ -520,7 +317,7 @@ impl Ffs {
     fn dir_remove(
         &self,
         dirino: Ino,
-        inode: &mut Inode,
+        inode: &Inode,
         name: &str,
     ) -> FsResult<(u64, Ino, FileKind)> {
         let Some((blk, entry)) = self.dir_find(dirino, inode, name)? else {
@@ -542,11 +339,11 @@ impl Ffs {
         Ok(())
     }
 
-    fn dir_is_empty(&self, dirino: Ino, inode: &mut Inode) -> FsResult<bool> {
+    fn dir_is_empty(&self, dirino: Ino, inode: &Inode) -> FsResult<bool> {
         let nblocks = inode.size / BLOCK_SIZE as u64;
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, inode, lbn, false)?
+                .bmap(dirino, inode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             let data = self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?;
             if !dir::is_empty(&data)? {
@@ -562,7 +359,7 @@ impl Ffs {
         let mut inode = self.read_inode(ino)?;
         inode.nlink -= 1;
         if inode.nlink == 0 {
-            self.free_blocks_from(ino, &mut inode, 0)?;
+            bmap::free_from(&self.tree(ino), &mut inode, 0)?;
             self.clear_inode(ino, true)?;
             self.charge(self.cpu.alloc_op);
             self.alloc.borrow_mut().free_inode(&self.sb, ino, false);
@@ -570,6 +367,56 @@ impl Ffs {
             self.write_inode(ino, &inode, true)?;
         }
         Ok(())
+    }
+}
+
+/// `bmap`'s view of one file's pointer tree on a mounted FFS: blocks come
+/// from cylinder group `cg`, and each allocator call is charged
+/// `alloc_op` first.
+struct Tree<'a> {
+    fs: &'a Ffs,
+    ino: Ino,
+    cg: u32,
+}
+
+impl PtrRead for Tree<'_> {
+    type Buf = Block;
+
+    fn read_ptrs(&self, blk: u64) -> FsResult<Block> {
+        self.fs.cache.read_block(&self.fs.drv, blk)
+    }
+}
+
+impl PtrStore for Tree<'_> {
+    fn write_ptrs(&self, blk: u64, f: impl FnOnce(&mut [u8])) -> FsResult<()> {
+        self.fs.cache.modify_block(&self.fs.drv, blk, true, true, f)
+    }
+
+    fn alloc_ptr_block(&self, hint: Option<u64>) -> FsResult<u64> {
+        let fs = self.fs;
+        fs.charge(fs.cpu.alloc_op);
+        let blk = fs.alloc.borrow_mut().alloc_block(&fs.sb, self.cg, hint)?;
+        fs.cache.modify_block(&fs.drv, blk, true, false, |d| d.fill(0))?;
+        Ok(blk)
+    }
+
+    fn alloc_data(&self, _lbn: u64, hint: Option<u64>) -> FsResult<u64> {
+        let fs = self.fs;
+        fs.charge(fs.cpu.alloc_op);
+        fs.alloc.borrow_mut().alloc_block(&fs.sb, self.cg, hint)
+    }
+
+    fn free_data(&self, lbn: u64, blk: u64) {
+        let fs = self.fs;
+        fs.cache.unbind_logical(self.ino, lbn);
+        fs.cache.invalidate_block(&fs.drv, blk);
+        fs.alloc.borrow_mut().free_block(&fs.sb, blk);
+    }
+
+    fn free_ptr_block(&self, blk: u64) {
+        let fs = self.fs;
+        fs.cache.invalidate_block(&fs.drv, blk);
+        fs.alloc.borrow_mut().free_block(&fs.sb, blk);
     }
 }
 
@@ -586,8 +433,8 @@ impl FileSystem for Ffs {
         let _span = self.op_span(OpKind::Lookup);
         self.charge(self.cpu.syscall);
         check_name(name)?;
-        let mut inode = self.require_dir(dirino)?;
-        match self.dir_find(dirino, &mut inode, name)? {
+        let inode = self.require_dir(dirino)?;
+        match self.dir_find(dirino, &inode, name)? {
             Some((_, e)) => Ok(e.ino as Ino),
             None => Err(FsError::NotFound),
         }
@@ -611,7 +458,7 @@ impl FileSystem for Ffs {
         self.charge(self.cpu.syscall);
         check_name(name)?;
         let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &mut dinode, name)?.is_some() {
+        if self.dir_find(dirino, &dinode, name)?.is_some() {
             return Err(FsError::Exists);
         }
         self.charge(self.cpu.alloc_op);
@@ -630,7 +477,7 @@ impl FileSystem for Ffs {
         self.charge(self.cpu.syscall);
         check_name(name)?;
         let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &mut dinode, name)?.is_some() {
+        if self.dir_find(dirino, &dinode, name)?.is_some() {
             return Err(FsError::Exists);
         }
         self.charge(self.cpu.alloc_op);
@@ -649,15 +496,15 @@ impl FileSystem for Ffs {
         let _span = self.op_span(OpKind::Unlink);
         self.charge(self.cpu.syscall);
         check_name(name)?;
-        let mut dinode = self.require_dir(dirino)?;
-        let Some((_, entry)) = self.dir_find(dirino, &mut dinode, name)? else {
+        let dinode = self.require_dir(dirino)?;
+        let Some((_, entry)) = self.dir_find(dirino, &dinode, name)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind == FileKind::Dir {
             return Err(FsError::IsDir);
         }
         // Ordering: name removal hits the disk before the inode is freed.
-        let (blk, ino, _) = self.dir_remove(dirino, &mut dinode, name)?;
+        let (blk, ino, _) = self.dir_remove(dirino, &dinode, name)?;
         self.dir_durable(blk)?;
         self.drop_file_link(ino)
     }
@@ -667,7 +514,7 @@ impl FileSystem for Ffs {
         self.charge(self.cpu.syscall);
         check_name(name)?;
         let mut dinode = self.require_dir(dirino)?;
-        let Some((_, entry)) = self.dir_find(dirino, &mut dinode, name)? else {
+        let Some((_, entry)) = self.dir_find(dirino, &dinode, name)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind != FileKind::Dir {
@@ -675,12 +522,12 @@ impl FileSystem for Ffs {
         }
         let child = entry.ino as Ino;
         let mut cinode = self.require_dir(child)?;
-        if !self.dir_is_empty(child, &mut cinode)? {
+        if !self.dir_is_empty(child, &cinode)? {
             return Err(FsError::DirNotEmpty);
         }
-        let (blk, _, _) = self.dir_remove(dirino, &mut dinode, name)?;
+        let (blk, _, _) = self.dir_remove(dirino, &dinode, name)?;
         self.dir_durable(blk)?;
-        self.free_blocks_from(child, &mut cinode, 0)?;
+        bmap::free_from(&self.tree(child), &mut cinode, 0)?;
         self.clear_inode(child, true)?;
         self.charge(self.cpu.alloc_op);
         self.alloc.borrow_mut().free_inode(&self.sb, child, true);
@@ -701,7 +548,7 @@ impl FileSystem for Ffs {
             return Err(FsError::TooManyLinks);
         }
         let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &mut dinode, name)?.is_some() {
+        if self.dir_find(dirino, &dinode, name)?.is_some() {
             return Err(FsError::Exists);
         }
         tinode.nlink += 1;
@@ -718,7 +565,7 @@ impl FileSystem for Ffs {
         check_name(oname)?;
         check_name(nname)?;
         let mut oinode = self.require_dir(odir)?;
-        let Some((_, entry)) = self.dir_find(odir, &mut oinode, oname)? else {
+        let Some((_, entry)) = self.dir_find(odir, &oinode, oname)? else {
             return Err(FsError::NotFound);
         };
         let moving = entry.ino as Ino;
@@ -728,14 +575,14 @@ impl FileSystem for Ffs {
         }
         let mut ninode = if ndir == odir { oinode.clone() } else { self.require_dir(ndir)? };
         // Handle an existing destination.
-        if let Some((_, dst)) = self.dir_find(ndir, &mut ninode, nname)? {
+        if let Some((_, dst)) = self.dir_find(ndir, &ninode, nname)? {
             let dst_ino = dst.ino as Ino;
             if dst_ino == moving {
                 // Hard link to the same object: drop the old name only.
                 if ndir == odir {
                     oinode = ninode;
                 }
-                let (blk, ino, _) = self.dir_remove(odir, &mut oinode, oname)?;
+                let (blk, ino, _) = self.dir_remove(odir, &oinode, oname)?;
                 self.write_inode(odir, &oinode, false)?;
                 self.dir_durable(blk)?;
                 self.drop_file_link(ino)?;
@@ -747,12 +594,12 @@ impl FileSystem for Ffs {
                         return Err(FsError::IsDir);
                     }
                     let mut dnode = self.require_dir(dst_ino)?;
-                    if !self.dir_is_empty(dst_ino, &mut dnode)? {
+                    if !self.dir_is_empty(dst_ino, &dnode)? {
                         return Err(FsError::DirNotEmpty);
                     }
-                    let (blk, _, _) = self.dir_remove(ndir, &mut ninode, nname)?;
+                    let (blk, _, _) = self.dir_remove(ndir, &ninode, nname)?;
                     self.dir_durable(blk)?;
-                    self.free_blocks_from(dst_ino, &mut dnode, 0)?;
+                    bmap::free_from(&self.tree(dst_ino), &mut dnode, 0)?;
                     self.clear_inode(dst_ino, true)?;
                     self.charge(self.cpu.alloc_op);
                     self.alloc.borrow_mut().free_inode(&self.sb, dst_ino, true);
@@ -762,7 +609,7 @@ impl FileSystem for Ffs {
                     if moving_kind == FileKind::Dir {
                         return Err(FsError::NotDir);
                     }
-                    let (blk, ino, _) = self.dir_remove(ndir, &mut ninode, nname)?;
+                    let (blk, ino, _) = self.dir_remove(ndir, &ninode, nname)?;
                     self.dir_durable(blk)?;
                     self.drop_file_link(ino)?;
                 }
@@ -776,7 +623,7 @@ impl FileSystem for Ffs {
         if ndir == odir {
             oinode = self.require_dir(odir)?;
         }
-        let (blk, _, _) = self.dir_remove(odir, &mut oinode, oname)?;
+        let (blk, _, _) = self.dir_remove(odir, &oinode, oname)?;
         self.write_inode(odir, &oinode, false)?;
         self.dir_durable(blk)?;
         // Directory moved across parents: fix nlink bookkeeping.
@@ -794,7 +641,7 @@ impl FileSystem for Ffs {
     fn read(&self, ino: Ino, off: u64, buf: &mut [u8]) -> FsResult<usize> {
         let _span = self.op_span(OpKind::Read);
         self.charge(self.cpu.syscall);
-        let mut inode = self.read_inode(ino)?;
+        let inode = self.read_inode(ino)?;
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
         }
@@ -811,7 +658,7 @@ impl FileSystem for Ffs {
             // Logical index first (skips bmap on a hit), then bmap.
             let blk = match self.cache.lookup_logical(ino, lbn) {
                 Some(b) => Some(b),
-                None => self.bmap(ino, &mut inode, lbn, false)?,
+                None => self.bmap(ino, &inode, lbn)?,
             };
             match blk {
                 Some(b) => {
@@ -846,8 +693,8 @@ impl FileSystem for Ffs {
             let in_blk = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_blk).min(data.len() - done);
             let had_block = self.cache.lookup_logical(ino, lbn).is_some()
-                || self.bmap(ino, &mut inode, lbn, false)?.is_some();
-            let blk = self.bmap(ino, &mut inode, lbn, true)?.ok_or(FsError::NoSpace)?;
+                || self.bmap(ino, &inode, lbn)?.is_some();
+            let blk = self.bmap_alloc(ino, &mut inode, lbn)?;
             // Whole-block overwrites (and fresh blocks) skip the read.
             let read_first = had_block && n < BLOCK_SIZE;
             let src = &data[done..done + n];
@@ -878,12 +725,12 @@ impl FileSystem for Ffs {
         }
         if size < inode.size {
             let keep = size.div_ceil(BLOCK_SIZE as u64);
-            self.free_blocks_from(ino, &mut inode, keep)?;
+            bmap::free_from(&self.tree(ino), &mut inode, keep)?;
             // Zero the tail of the (possibly kept) final partial block so
             // a later extension reads zeros.
             if !size.is_multiple_of(BLOCK_SIZE as u64) {
                 let lbn = size / BLOCK_SIZE as u64;
-                if let Some(blk) = self.bmap(ino, &mut inode, lbn, false)? {
+                if let Some(blk) = self.bmap(ino, &inode, lbn)? {
                     let cut = (size % BLOCK_SIZE as u64) as usize;
                     self.cache.modify_block_bound(&self.drv, blk, ino, lbn, true, |d| {
                         d[cut..].fill(0)
@@ -899,12 +746,12 @@ impl FileSystem for Ffs {
     fn readdir(&self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
         let _span = self.op_span(OpKind::Readdir);
         self.charge(self.cpu.syscall);
-        let mut inode = self.require_dir(dirino)?;
+        let inode = self.require_dir(dirino)?;
         let nblocks = inode.size / BLOCK_SIZE as u64;
         let mut out = Vec::new();
         for lbn in 0..nblocks {
             let blk = self
-                .bmap(dirino, &mut inode, lbn, false)?
+                .bmap(dirino, &inode, lbn)?
                 .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
             let data = self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?;
             let entries = dir::list(&data)?;

@@ -22,8 +22,9 @@
 
 use crate::layout::{CgHeader, Superblock, INO_BAD, INO_NIL, INO_ROOT, SB_BLOCK};
 use cffs_disksim::Disk;
-use cffs_fslib::inode::{Inode, NDIRECT, NO_BLOCK, PTRS_PER_BLOCK};
-use cffs_fslib::{FileKind, FsError, FsResult, BLOCK_SIZE, SECTORS_PER_BLOCK};
+use cffs_fslib::bmap::{self, Mapped};
+use cffs_fslib::inode::{Inode, MAX_FILE_BLOCKS};
+use cffs_fslib::{read_block, write_block, FileKind, FsError, FsResult, BLOCK_SIZE};
 use std::collections::HashMap;
 
 /// Outcome of a check (and optional repair).
@@ -40,16 +41,6 @@ impl FsckReport {
     pub fn clean(&self) -> bool {
         self.errors.is_empty()
     }
-}
-
-fn read_block(disk: &Disk, blk: u64) -> Vec<u8> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    disk.raw_read(blk * SECTORS_PER_BLOCK, &mut buf);
-    buf
-}
-
-fn write_block(disk: &mut Disk, blk: u64, data: &[u8]) {
-    disk.raw_write(blk * SECTORS_PER_BLOCK, data);
 }
 
 struct Checker<'d> {
@@ -115,27 +106,11 @@ impl Checker<'_> {
                 let (blk, off) = self.sb.inode_location(ino)?;
                 let img = read_block(self.disk, blk);
                 let Some(inode) = Inode::read_from(&img, off) else { continue };
-                // Claim this inode's blocks.
-                let direct = inode.direct;
-                for d in direct.into_iter().filter(|&d| d != NO_BLOCK) {
-                    self.claim_block(ino, d as u64);
-                }
-                if inode.indirect != NO_BLOCK {
-                    let ind = inode.indirect as u64;
-                    self.claim_block(ino, ind);
-                    self.claim_indirect(ino, ind);
-                }
-                if inode.dindirect != NO_BLOCK {
-                    let dind = inode.dindirect as u64;
-                    self.claim_block(ino, dind);
-                    let data = read_block(self.disk, dind);
-                    for j in 0..PTRS_PER_BLOCK {
-                        let mid = cffs_fslib::codec::get_u32(&data, j * 4);
-                        if mid != NO_BLOCK {
-                            self.claim_block(ino, mid as u64);
-                            self.claim_indirect(ino, mid as u64);
-                        }
-                    }
+                // Claim every non-null pointer, whatever the size says.
+                let mut blocks = Vec::new();
+                bmap::walk(&*self.disk, &inode, MAX_FILE_BLOCKS, |m| blocks.push(m.blk()))?;
+                for blk in blocks {
+                    self.claim_block(ino, blk);
                 }
                 self.inodes.insert(ino, (inode, 0));
             }
@@ -143,33 +118,19 @@ impl Checker<'_> {
         Ok(())
     }
 
-    fn claim_indirect(&mut self, ino: u64, ind: u64) {
-        let data = read_block(self.disk, ind);
-        for j in 0..PTRS_PER_BLOCK {
-            let p = cffs_fslib::codec::get_u32(&data, j * 4);
-            if p != NO_BLOCK {
-                self.claim_block(ino, p as u64);
+    /// A directory's mapped blocks below its size, in logical order, and
+    /// how many runs of missing blocks (holes) lie between them.
+    fn dir_blocks(&self, dinode: &Inode) -> FsResult<(Vec<u64>, usize)> {
+        let nblocks = dinode.size.div_ceil(BLOCK_SIZE as u64);
+        let (mut blocks, mut holes, mut next) = (Vec::new(), 0, 0);
+        bmap::walk(&*self.disk, dinode, nblocks, |m| {
+            if let Mapped::Data { lbn, blk } = m {
+                holes += usize::from(lbn > next);
+                next = lbn + 1;
+                blocks.push(blk);
             }
-        }
-    }
-
-    /// Enumerate a file's mapped blocks in logical order (phase 2 helper).
-    fn file_blocks(&mut self, inode: &Inode) -> Vec<u64> {
-        let mut out = Vec::new();
-        let nblocks = inode.size.div_ceil(BLOCK_SIZE as u64);
-        for lbn in 0..nblocks.min(NDIRECT as u64) {
-            out.push(inode.direct[lbn as usize] as u64);
-        }
-        if nblocks > NDIRECT as u64 && inode.indirect != NO_BLOCK {
-            let data = read_block(self.disk, inode.indirect as u64);
-            let upto = (nblocks - NDIRECT as u64).min(PTRS_PER_BLOCK as u64);
-            for j in 0..upto as usize {
-                out.push(cffs_fslib::codec::get_u32(&data, j * 4) as u64);
-            }
-        }
-        // Directories never use double-indirect blocks in practice; the
-        // namespace walk only needs directory contents.
-        out
+        })?;
+        Ok((blocks, holes + usize::from(nblocks.min(MAX_FILE_BLOCKS) > next)))
     }
 
     fn phase2_namespace(&mut self) -> FsResult<()> {
@@ -201,8 +162,12 @@ impl Checker<'_> {
                 self.report.errors.push(format!("non-directory {dirino} on directory walk"));
                 continue;
             }
-            for blk in self.file_blocks(&dinode) {
-                if blk == 0 || blk >= self.sb.total_blocks {
+            let (blocks, holes) = self.dir_blocks(&dinode)?;
+            for _ in 0..holes {
+                self.report.errors.push(format!("directory {dirino} has invalid block 0"));
+            }
+            for blk in blocks {
+                if blk >= self.sb.total_blocks {
                     self.report
                         .errors
                         .push(format!("directory {dirino} has invalid block {blk}"));
@@ -276,11 +241,7 @@ impl Checker<'_> {
             }
             let expect = match inode.kind {
                 // Implicit "." and "..": a directory's nlink is 2 + child dirs.
-                FileKind::Dir => {
-                    1 + *refs
-                        + self
-                            .count_child_dirs(inode)
-                }
+                FileKind::Dir => 1 + *refs + self.count_child_dirs(inode)?,
                 FileKind::File => *refs,
             };
             if inode.nlink as u32 != expect {
@@ -307,20 +268,15 @@ impl Checker<'_> {
         Ok(())
     }
 
-    fn count_child_dirs(&self, dinode: &Inode) -> u32 {
+    fn count_child_dirs(&self, dinode: &Inode) -> FsResult<u32> {
         // Count subdirectory entries (each contributes an implicit "..").
         let mut n = 0;
-        let nblocks = dinode.size.div_ceil(BLOCK_SIZE as u64);
-        for lbn in 0..nblocks.min(NDIRECT as u64) {
-            let blk = dinode.direct[lbn as usize] as u64;
-            if blk == 0 || blk >= self.sb.total_blocks {
-                continue;
-            }
+        for blk in self.dir_blocks(dinode)?.0.into_iter().filter(|&b| b < self.sb.total_blocks) {
             if let Ok(entries) = crate::dir::list(&read_block(self.disk, blk)) {
                 n += entries.iter().filter(|e| e.kind == FileKind::Dir).count() as u32;
             }
         }
-        n
+        Ok(n)
     }
 
     fn phase4_orphans(&mut self) -> FsResult<()> {
@@ -509,6 +465,53 @@ mod tests {
         assert!(!report.clean());
         fsck(&mut disk, true).unwrap();
         assert!(fsck(&mut disk, false).unwrap().clean());
+    }
+
+    /// Rewrite the on-disk image of inode `ino` through `f`.
+    fn patch_inode(disk: &mut Disk, sb: &Superblock, ino: u64, f: impl FnOnce(&mut Inode)) {
+        let (blk, off) = sb.inode_location(ino).unwrap();
+        let mut img = read_block(disk, blk);
+        let mut inode = Inode::read_from(&img, off).unwrap();
+        f(&mut inode);
+        inode.write_to(&mut img, off);
+        write_block(disk, blk, &img);
+    }
+
+    #[test]
+    fn walks_directory_blocks_in_the_double_indirect_range() {
+        // A 1 037-block directory whose last block, the first mapped
+        // through the double-indirect block, holds x's only name.
+        let fs = mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), FfsOptions::default())
+            .unwrap();
+        let root = fs.root();
+        let x = fs.create(root, "x").unwrap();
+        let big = fs.create(root, "big").unwrap();
+        let nblocks = 12 + 1024 + 1;
+        let mut content = vec![0u8; nblocks * BLOCK_SIZE];
+        for blk in content.chunks_mut(BLOCK_SIZE) {
+            crate::dir::init_block(blk);
+        }
+        let last = (nblocks - 1) * BLOCK_SIZE;
+        crate::dir::insert(&mut content[last..], "x", x as u32, FileKind::File).unwrap();
+        fs.write(big, 0, &content).unwrap();
+        let mut disk = fs.unmount().unwrap();
+
+        // Turn `big` into a directory and move x's name into it.
+        let sb = Superblock::read_from(&read_block(&disk, SB_BLOCK)).unwrap();
+        patch_inode(&mut disk, &sb, big, |i| (i.kind, i.nlink) = (FileKind::Dir, 2));
+        let mut root_blk = 0;
+        patch_inode(&mut disk, &sb, INO_ROOT, |i| {
+            i.nlink += 1;
+            root_blk = i.direct[0] as u64;
+        });
+        let mut img = read_block(&disk, root_blk);
+        crate::dir::remove(&mut img, "x").unwrap();
+        crate::dir::remove(&mut img, "big").unwrap();
+        crate::dir::insert(&mut img, "big", big as u32, FileKind::Dir).unwrap();
+        write_block(&mut disk, root_blk, &img);
+
+        let report = fsck(&mut disk, false).unwrap();
+        assert!(report.clean(), "unexpected errors: {:?}", report.errors);
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! * [`error::FsError`] — the common error type.
 //! * [`bitmap::Bitmap`] — block/inode bitmaps with contiguous-run search
 //!   (explicit grouping needs 16-block extents).
+//! * [`bmap`] — the inode's direct / single- / double-indirect pointer
+//!   tree (lookup, allocating map, relocation re-point, truncate, fsck
+//!   walk), shared by both file systems and both checkers. Callers supply
+//!   the storage through six hook operations ([`bmap::PtrRead`]: read a
+//!   pointer block; [`bmap::PtrStore`]: rewrite one, allocate a zeroed
+//!   pointer block or a data block near a hint, free a data block or a
+//!   pointer block) and keep every simulated-CPU charge on their side,
+//!   because FFS and C-FFS charge their allocators differently.
 //! * [`cpu::CpuModel`] — per-operation CPU costs charged to the simulated
 //!   clock, calibrated to the paper's 120 MHz Pentium testbed.
 //! * [`path`] — `mkdir -p` / read / write convenience helpers over any
@@ -24,6 +32,7 @@
 //!   process-private integer-keyed indexes on the cache hit paths.
 
 pub mod bitmap;
+pub mod bmap;
 pub mod codec;
 pub mod cpu;
 pub mod error;
@@ -55,3 +64,16 @@ pub const SECTORS_PER_BLOCK: u64 = (BLOCK_SIZE / cffs_disksim::SECTOR_SIZE) as u
 
 /// Maximum file-name length, as in FFS.
 pub const MAX_NAME_LEN: usize = 255;
+
+/// Timing-free read of file-system block `blk` from an image: what the
+/// checkers see (a mounted file system reads through its buffer cache).
+pub fn read_block(disk: &cffs_disksim::Disk, blk: u64) -> Vec<u8> {
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    disk.raw_read(blk * SECTORS_PER_BLOCK, &mut buf);
+    buf
+}
+
+/// Timing-free write of file-system block `blk` (see [`read_block`]).
+pub fn write_block(disk: &mut cffs_disksim::Disk, blk: u64, data: &[u8]) {
+    disk.raw_write(blk * SECTORS_PER_BLOCK, data);
+}
