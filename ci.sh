@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -25,6 +25,16 @@ fi
 # systems and both checkers map, free and walk blocks through it.
 if grep -rnE 'NDIRECT|PTRS_PER_BLOCK|\.d?indirect\b' crates/ffs/src crates/core/src; then
     echo "pointer-tree format spelled out outside cffs_fslib::bmap"; exit 1
+fi
+# The byte-range data path and the directory-block walk have one owner,
+# cffs_fslib::file: neither file system spells out the per-block loop,
+# the read-before-partial-overwrite rule or the directory-hole check.
+if grep -rnE 'hole in directory|read_first|in_blk' crates/ffs/src crates/core/src; then
+    echo "data path spelled out outside cffs_fslib::file"; exit 1
+fi
+# Both checkers fill one report, cffs_fslib::fsck's.
+if [ "$(grep -rn 'pub struct FsckReport' crates | wc -l)" -gt 1 ]; then
+    echo "FsckReport defined more than once under crates/"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

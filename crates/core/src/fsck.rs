@@ -29,51 +29,23 @@
 use crate::dirent::{self, EntryLoc};
 use crate::exfile;
 use crate::layout::{
-    decode_ino, embedded_ino, external_ino, CgHeader, GroupDescDisk, InoRef, Superblock,
-    GROUP_BLOCKS, INO_ROOT, SB_BLOCK,
+    decode_ino, embedded_ino, external_ino, CgHeader, InoRef, Superblock, GROUP_BLOCKS, INO_ROOT,
+    SB_BLOCK,
 };
 use cffs_disksim::Disk;
 use cffs_fslib::bmap::{self, Mapped};
+pub use cffs_fslib::fsck::FsckReport;
 use cffs_fslib::inode::Inode;
 use cffs_fslib::{read_block, write_block, FileKind, FsError, FsResult, Ino, BLOCK_SIZE};
 use std::collections::{HashMap, HashSet};
 
-/// Outcome of a check (and optional repair).
-#[derive(Debug, Default)]
-pub struct FsckReport {
-    /// Problems detected.
-    pub errors: Vec<String>,
-    /// Actions taken (repair mode).
-    pub repairs: Vec<String>,
-    /// Live files found by the walk.
-    pub files: usize,
-    /// Live directories found by the walk.
-    pub dirs: usize,
-}
-
-impl FsckReport {
-    /// True if the image had no inconsistencies.
-    pub fn clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
-
 /// Check (and with `repair`, fix) the C-FFS image on `disk`.
-///
-/// An inconsistent verdict (a report with errors, or an outright
-/// failure) flushes every armed flight recorder first: the black box
-/// exists precisely for the runs whose images did not come back clean.
 pub fn fsck(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
-    let res = fsck_inner(disk, repair);
-    match &res {
-        Ok(report) if !report.clean() => cffs_obs::flight::dump_all("fsck_failure"),
-        Err(_) => cffs_obs::flight::dump_all("fsck_failure"),
-        Ok(_) => {}
-    }
-    res
+    cffs_fslib::fsck::run(disk, repair, check)
 }
 
-fn fsck_inner(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
+/// One pass of the five steps.
+fn check(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
     let sb = Superblock::read_from(&read_block(disk, SB_BLOCK))?;
     let mut c = Checker {
         disk,
@@ -89,15 +61,6 @@ fn fsck_inner(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
     c.check_external_orphans()?;
     c.check_link_counts()?;
     c.check_groups_and_bitmaps()?;
-    if repair && !c.report.errors.is_empty() {
-        let verify = fsck_inner(c.disk, false)?;
-        if !verify.clean() {
-            return Err(FsError::Corrupt(format!(
-                "repair failed to converge: {:?}",
-                verify.errors
-            )));
-        }
-    }
     Ok(c.report)
 }
 
@@ -137,7 +100,7 @@ impl Checker<'_> {
         if let Some(prev) = self.claimed.insert(blk, owner) {
             self.report
                 .errors
-                .push(format!("block {blk} claimed by {prev:#x} and {owner:#x}"));
+                .push(format!("block {blk} claimed by inodes {prev:#x} and {owner:#x}"));
             self.claimed.insert(blk, prev);
             return false;
         }
@@ -202,13 +165,13 @@ impl Checker<'_> {
                     Err(_) => {
                         self.report
                             .errors
-                            .push(format!("directory {dirino:#x} block {blk} corrupt"));
+                            .push(format!("directory {dirino:#x} block {blk} is corrupt"));
                         if self.repair {
                             dirent::init_block(&mut img);
                             write_block(self.disk, blk, &img);
                             self.report
                                 .repairs
-                                .push(format!("reinitialized directory block {blk}"));
+                                .push(format!("reinitialized corrupt directory block {blk}"));
                         }
                         continue;
                     }
@@ -459,33 +422,18 @@ impl Checker<'_> {
                 }
             }
             // Bitmap: allocated ⇔ claimed or group-reserved.
-            for idx in 0..hdr.block_bitmap.len() {
-                let blk = data_start + idx as u64;
-                let should = self.claimed.contains_key(&blk) || reserved.contains(&blk);
-                if hdr.block_bitmap.get(idx) != should {
-                    self.report.errors.push(format!(
-                        "block {blk} bitmap says {} but should be {should}",
-                        hdr.block_bitmap.get(idx)
-                    ));
-                    if self.repair {
-                        if should {
-                            hdr.block_bitmap.set(idx);
-                        } else {
-                            hdr.block_bitmap.clear(idx);
-                        }
-                        dirty = true;
-                    }
-                }
-            }
-            if dirty {
+            let blk_of = |idx: usize| data_start + idx as u64;
+            let drift =
+                self.report.reconcile(self.repair, &mut hdr.block_bitmap, "block", blk_of, |idx| {
+                    self.claimed.contains_key(&blk_of(idx)) || reserved.contains(&blk_of(idx))
+                });
+            if dirty || (drift && self.repair) {
                 let mut img = vec![0u8; BLOCK_SIZE];
                 hdr.write_to(&mut img);
                 write_block(self.disk, hdr_blk, &img);
                 self.report.repairs.push(format!("rewrote cylinder group {cg} header"));
             }
         }
-        // Silence unused-variable warnings for GroupDescDisk import.
-        let _ = std::mem::size_of::<GroupDescDisk>();
         Ok(())
     }
 }

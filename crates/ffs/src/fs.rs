@@ -28,8 +28,9 @@ use crate::layout::{CgHeader, Superblock, INO_ROOT, SB_BLOCK};
 use cffs_cache::{Block, BufferCache, CacheConfig};
 use cffs_disksim::driver::{Driver, DriverConfig, Scheduler};
 use cffs_disksim::{Disk, SimDuration, SimTime};
-use cffs_fslib::error::check_name;
 use cffs_fslib::bmap::{self, PtrRead, PtrStore};
+use cffs_fslib::error::check_name;
+use cffs_fslib::file::{self, FileStore};
 use cffs_fslib::inode::{Inode, MAX_FILE_SIZE};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{
@@ -223,25 +224,10 @@ impl Ffs {
         Ok(())
     }
 
-    // ----- block mapping --------------------------------------------------
-
-    /// The pointer-tree hook for file `ino`: its blocks come from the
-    /// file's cylinder group.
+    /// The storage hook for file `ino`: its blocks come from the file's
+    /// cylinder group.
     fn tree(&self, ino: Ino) -> Tree<'_> {
         Tree { fs: self, ino, cg: self.ino_cg(ino) }
-    }
-
-    /// Map logical block `lbn` of an inode to its block, if any.
-    fn bmap(&self, ino: Ino, inode: &Inode, lbn: u64) -> FsResult<Option<u64>> {
-        self.charge(self.cpu.block_op);
-        bmap::lookup(&self.tree(ino), inode, lbn)
-    }
-
-    /// Map `lbn`, allocating it (and pointer blocks) if missing; the caller
-    /// persists the updated inode.
-    fn bmap_alloc(&self, ino: Ino, inode: &mut Inode, lbn: u64) -> FsResult<u64> {
-        self.charge(self.cpu.block_op);
-        bmap::map_alloc(&self.tree(ino), inode, lbn)
     }
 
     // ----- directory helpers -------------------------------------------
@@ -261,18 +247,11 @@ impl Ffs {
         inode: &Inode,
         name: &str,
     ) -> FsResult<Option<(u64, dir::RawEntry)>> {
-        let nblocks = inode.size / BLOCK_SIZE as u64;
-        for lbn in 0..nblocks {
-            let blk = self
-                .bmap(dirino, inode, lbn)?
-                .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
+        let t = self.tree(dirino);
+        file::dir_blocks(&t, inode, |lbn, blk| {
             self.charge(self.cpu.scan_cost(16));
-            let data = self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?;
-            if let Some(e) = dir::find(&data, name)? {
-                return Ok(Some((blk, e)));
-            }
-        }
-        Ok(None)
+            Ok(dir::find(&t.fetch(blk, lbn)?, name)?.map(|e| (blk, e)))
+        })
     }
 
     /// Insert a name; grows the directory if needed. Returns the block
@@ -288,25 +267,21 @@ impl Ffs {
         ino: Ino,
         kind: FileKind,
     ) -> FsResult<(u64, bool)> {
-        let nblocks = inode.size / BLOCK_SIZE as u64;
-        for lbn in 0..nblocks {
-            let blk = self
-                .bmap(dirino, inode, lbn)?
-                .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
+        let t = self.tree(dirino);
+        let roomy = file::dir_blocks(&t, inode, |lbn, blk| {
             self.charge(self.cpu.scan_cost(16));
             // The handle is dropped before the insert modifies the block.
-            if dir::has_space(&self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?, name)? {
-                self.cache.modify_block_bound(&self.drv, blk, dirino, lbn, true, |d| {
-                    dir::insert(d, name, ino as u32, kind)
-                })??;
-                return Ok((blk, false));
-            }
+            Ok(dir::has_space(&t.fetch(blk, lbn)?, name)?.then_some((lbn, blk)))
+        })?;
+        if let Some((lbn, blk)) = roomy {
+            t.modify(blk, lbn, true, |d| dir::insert(d, name, ino as u32, kind))??;
+            return Ok((blk, false));
         }
         // Grow by one block.
-        let lbn = nblocks;
-        let blk = self.bmap_alloc(dirino, inode, lbn)?;
+        let lbn = inode.size / BLOCK_SIZE as u64;
+        let blk = file::map_alloc(&t, inode, lbn)?;
         inode.size += BLOCK_SIZE as u64;
-        self.cache.modify_block_bound(&self.drv, blk, dirino, lbn, false, |d| {
+        t.modify(blk, lbn, false, |d| {
             dir::init_block(d);
             dir::insert(d, name, ino as u32, kind)
         })??;
@@ -323,7 +298,6 @@ impl Ffs {
         let Some((blk, entry)) = self.dir_find(dirino, inode, name)? else {
             return Err(FsError::NotFound);
         };
-        // Re-derive the lbn for the logical binding.
         self.cache.modify_block(&self.drv, blk, true, true, |d| dir::remove(d, name))??;
         Ok((blk, entry.ino as Ino, entry.kind))
     }
@@ -340,17 +314,11 @@ impl Ffs {
     }
 
     fn dir_is_empty(&self, dirino: Ino, inode: &Inode) -> FsResult<bool> {
-        let nblocks = inode.size / BLOCK_SIZE as u64;
-        for lbn in 0..nblocks {
-            let blk = self
-                .bmap(dirino, inode, lbn)?
-                .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
-            let data = self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?;
-            if !dir::is_empty(&data)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        let t = self.tree(dirino);
+        let busy = file::dir_blocks(&t, inode, |lbn, blk| {
+            Ok((!dir::is_empty(&t.fetch(blk, lbn)?)?).then_some(()))
+        })?;
+        Ok(busy.is_none())
     }
 
     /// Shared tail of unlink/rename-replace: drop one link from `ino`,
@@ -370,9 +338,9 @@ impl Ffs {
     }
 }
 
-/// `bmap`'s view of one file's pointer tree on a mounted FFS: blocks come
-/// from cylinder group `cg`, and each allocator call is charged
-/// `alloc_op` first.
+/// One file's storage on a mounted FFS, as `bmap` and `file` see it:
+/// blocks come from cylinder group `cg`, and each allocator call is
+/// charged `alloc_op` first.
 struct Tree<'a> {
     fs: &'a Ffs,
     ino: Ino,
@@ -417,6 +385,32 @@ impl PtrStore for Tree<'_> {
         let fs = self.fs;
         fs.cache.invalidate_block(&fs.drv, blk);
         fs.alloc.borrow_mut().free_block(&fs.sb, blk);
+    }
+}
+
+impl FileStore for Tree<'_> {
+    fn ino(&self) -> Ino {
+        self.ino
+    }
+
+    fn cpu(&self) -> CpuModel {
+        self.fs.cpu
+    }
+
+    fn charge(&self, d: SimDuration) {
+        self.fs.charge(d);
+    }
+
+    fn cached(&self, lbn: u64) -> Option<u64> {
+        self.fs.cache.lookup_logical(self.ino, lbn)
+    }
+
+    fn fetch(&self, blk: u64, lbn: u64) -> FsResult<Block> {
+        self.fs.cache.read_block_bound(&self.fs.drv, blk, self.ino, lbn)
+    }
+
+    fn modify<R>(&self, blk: u64, lbn: u64, load: bool, f: impl FnOnce(&mut [u8]) -> R) -> FsResult<R> {
+        self.fs.cache.modify_block_bound(&self.fs.drv, blk, self.ino, lbn, load, f)
     }
 }
 
@@ -645,32 +639,7 @@ impl FileSystem for Ffs {
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
         }
-        if off >= inode.size {
-            return Ok(0);
-        }
-        let want = buf.len().min((inode.size - off) as usize);
-        let mut done = 0usize;
-        while done < want {
-            let pos = off + done as u64;
-            let lbn = pos / BLOCK_SIZE as u64;
-            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - in_blk).min(want - done);
-            // Logical index first (skips bmap on a hit), then bmap.
-            let blk = match self.cache.lookup_logical(ino, lbn) {
-                Some(b) => Some(b),
-                None => self.bmap(ino, &inode, lbn)?,
-            };
-            match blk {
-                Some(b) => {
-                    let data = self.cache.read_block_bound(&self.drv, b, ino, lbn)?;
-                    buf[done..done + n].copy_from_slice(&data[in_blk..in_blk + n]);
-                }
-                None => buf[done..done + n].fill(0),
-            }
-            self.charge(self.cpu.copy_cost(n));
-            done += n;
-        }
-        Ok(done)
+        file::read(&self.tree(ino), &inode, off, buf)
     }
 
     fn write(&self, ino: Ino, off: u64, data: &[u8]) -> FsResult<usize> {
@@ -686,29 +655,7 @@ impl FileSystem for Ffs {
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
         }
-        let mut done = 0usize;
-        while done < data.len() {
-            let pos = off + done as u64;
-            let lbn = pos / BLOCK_SIZE as u64;
-            let in_blk = (pos % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - in_blk).min(data.len() - done);
-            let had_block = self.cache.lookup_logical(ino, lbn).is_some()
-                || self.bmap(ino, &inode, lbn)?.is_some();
-            let blk = self.bmap_alloc(ino, &mut inode, lbn)?;
-            // Whole-block overwrites (and fresh blocks) skip the read.
-            let read_first = had_block && n < BLOCK_SIZE;
-            let src = &data[done..done + n];
-            self.cache
-                .modify_block_bound(&self.drv, blk, ino, lbn, read_first, |d| {
-                    if !read_first && n < BLOCK_SIZE {
-                        d.fill(0);
-                    }
-                    d[in_blk..in_blk + n].copy_from_slice(src);
-                })?;
-            self.charge(self.cpu.copy_cost(n));
-            done += n;
-        }
-        inode.size = inode.size.max(off + done as u64);
+        let done = file::write(&self.tree(ino), &mut inode, off, data)?;
         self.write_inode(ino, &inode, false)?;
         Ok(done)
     }
@@ -723,45 +670,26 @@ impl FileSystem for Ffs {
         if inode.kind == FileKind::Dir {
             return Err(FsError::IsDir);
         }
-        if size < inode.size {
-            let keep = size.div_ceil(BLOCK_SIZE as u64);
-            bmap::free_from(&self.tree(ino), &mut inode, keep)?;
-            // Zero the tail of the (possibly kept) final partial block so
-            // a later extension reads zeros.
-            if !size.is_multiple_of(BLOCK_SIZE as u64) {
-                let lbn = size / BLOCK_SIZE as u64;
-                if let Some(blk) = self.bmap(ino, &inode, lbn)? {
-                    let cut = (size % BLOCK_SIZE as u64) as usize;
-                    self.cache.modify_block_bound(&self.drv, blk, ino, lbn, true, |d| {
-                        d[cut..].fill(0)
-                    })?;
-                }
-            }
-        }
-        inode.size = size;
-        self.write_inode(ino, &inode, false)?;
-        Ok(())
+        file::truncate(&self.tree(ino), &mut inode, size)?;
+        self.write_inode(ino, &inode, false)
     }
 
     fn readdir(&self, dirino: Ino) -> FsResult<Vec<DirEntry>> {
         let _span = self.op_span(OpKind::Readdir);
         self.charge(self.cpu.syscall);
         let inode = self.require_dir(dirino)?;
-        let nblocks = inode.size / BLOCK_SIZE as u64;
+        let t = self.tree(dirino);
         let mut out = Vec::new();
-        for lbn in 0..nblocks {
-            let blk = self
-                .bmap(dirino, &inode, lbn)?
-                .ok_or_else(|| FsError::Corrupt(format!("hole in directory {dirino}")))?;
-            let data = self.cache.read_block_bound(&self.drv, blk, dirino, lbn)?;
-            let entries = dir::list(&data)?;
+        file::dir_blocks(&t, &inode, |lbn, blk| {
+            let entries = dir::list(&t.fetch(blk, lbn)?)?;
             self.charge(self.cpu.scan_cost(entries.len()));
             out.extend(entries.into_iter().map(|e| DirEntry {
                 name: e.name,
                 ino: e.ino as Ino,
                 kind: e.kind,
             }));
-        }
+            Ok(None::<()>)
+        })?;
         out.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(out)
     }

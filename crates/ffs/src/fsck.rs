@@ -23,25 +23,10 @@
 use crate::layout::{CgHeader, Superblock, INO_BAD, INO_NIL, INO_ROOT, SB_BLOCK};
 use cffs_disksim::Disk;
 use cffs_fslib::bmap::{self, Mapped};
+pub use cffs_fslib::fsck::FsckReport;
 use cffs_fslib::inode::{Inode, MAX_FILE_BLOCKS};
-use cffs_fslib::{read_block, write_block, FileKind, FsError, FsResult, BLOCK_SIZE};
+use cffs_fslib::{read_block, write_block, FileKind, FsResult, BLOCK_SIZE};
 use std::collections::HashMap;
-
-/// Outcome of a check (and optional repair).
-#[derive(Debug, Default)]
-pub struct FsckReport {
-    /// Problems detected in the image as presented.
-    pub errors: Vec<String>,
-    /// Actions taken (repair mode only).
-    pub repairs: Vec<String>,
-}
-
-impl FsckReport {
-    /// True if the image had no inconsistencies.
-    pub fn clean(&self) -> bool {
-        self.errors.is_empty()
-    }
-}
 
 struct Checker<'d> {
     disk: &'d mut Disk,
@@ -56,6 +41,11 @@ struct Checker<'d> {
 
 /// Check (and with `repair`, fix) the FFS image on `disk`.
 pub fn fsck(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
+    cffs_fslib::fsck::run(disk, repair, check)
+}
+
+/// One pass of the five phases.
+fn check(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
     let sb = Superblock::read_from(&read_block(disk, SB_BLOCK))?;
     let mut c = Checker {
         disk,
@@ -70,16 +60,6 @@ pub fn fsck(disk: &mut Disk, repair: bool) -> FsResult<FsckReport> {
     c.phase3_link_counts()?;
     c.phase4_orphans()?;
     c.phase5_bitmaps()?;
-    if repair && !c.report.errors.is_empty() {
-        // Verify the repaired image.
-        let verify = fsck(c.disk, false)?;
-        if !verify.clean() {
-            return Err(FsError::Corrupt(format!(
-                "repair failed to converge: {:?}",
-                verify.errors
-            )));
-        }
-    }
     Ok(c.report)
 }
 
@@ -230,6 +210,12 @@ impl Checker<'_> {
                 }
             }
         }
+        for (inode, _) in self.inodes.values().filter(|(_, refs)| *refs > 0) {
+            match inode.kind {
+                FileKind::File => self.report.files += 1,
+                FileKind::Dir => self.report.dirs += 1,
+            }
+        }
         Ok(())
     }
 
@@ -321,52 +307,22 @@ impl Checker<'_> {
                 self.report.errors.push(format!("cylinder group {cg} header corrupt"));
                 continue;
             };
-            let data_start = self.sb.cg_data_start(cg);
-            let mut bad = false;
-            for i in 0..hdr.block_bitmap.len() {
-                let blk = data_start + i as u64;
-                let should = live.contains(&blk);
-                if hdr.block_bitmap.get(i) != should {
-                    bad = true;
-                    self.report.errors.push(format!(
-                        "block {blk} bitmap says {} but is {}",
-                        hdr.block_bitmap.get(i),
-                        should
-                    ));
-                    if self.repair {
-                        if should {
-                            hdr.block_bitmap.set(i);
-                        } else {
-                            hdr.block_bitmap.clear(i);
-                        }
-                    }
-                }
-            }
-            for i in 0..hdr.inode_bitmap.len() {
-                let ino = cg as u64 * self.sb.inodes_per_cg as u64 + i as u64;
-                let should = (cg == 0 && (ino == INO_NIL || ino == INO_BAD))
-                    || self.inodes.contains_key(&ino);
-                if hdr.inode_bitmap.get(i) != should {
-                    bad = true;
-                    self.report.errors.push(format!(
-                        "inode {ino} bitmap says {} but is {}",
-                        hdr.inode_bitmap.get(i),
-                        should
-                    ));
-                    if self.repair {
-                        if should {
-                            hdr.inode_bitmap.set(i);
-                        } else {
-                            hdr.inode_bitmap.clear(i);
-                        }
-                    }
-                }
-            }
-            if bad && self.repair {
+            let blk_of = |i: usize| self.sb.cg_data_start(cg) + i as u64;
+            let ino_of = |i: usize| cg as u64 * self.sb.inodes_per_cg as u64 + i as u64;
+            let bad_blocks =
+                self.report.reconcile(self.repair, &mut hdr.block_bitmap, "block", blk_of, |i| {
+                    live.contains(&blk_of(i))
+                });
+            let bad_inodes =
+                self.report.reconcile(self.repair, &mut hdr.inode_bitmap, "inode", ino_of, |i| {
+                    let ino = ino_of(i);
+                    ino == INO_NIL || ino == INO_BAD || self.inodes.contains_key(&ino)
+                });
+            if (bad_blocks || bad_inodes) && self.repair {
                 let mut out = vec![0u8; BLOCK_SIZE];
                 hdr.write_to(&mut out);
                 write_block(self.disk, hdr_blk, &out);
-                self.report.repairs.push(format!("rewrote bitmaps of cylinder group {cg}"));
+                self.report.repairs.push(format!("rewrote cylinder group {cg} header"));
             }
         }
         Ok(())
@@ -397,6 +353,8 @@ mod tests {
         let mut disk = populated_disk();
         let report = fsck(&mut disk, false).unwrap();
         assert!(report.clean(), "unexpected errors: {:?}", report.errors);
+        // x.txt (also named "hard") and y.txt; the root, a and a/b.
+        assert_eq!((report.files, report.dirs), (2, 3));
     }
 
     #[test]
