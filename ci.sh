@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -35,6 +35,14 @@ fi
 # Both checkers fill one report, cffs_fslib::fsck's.
 if [ "$(grep -rn 'pub struct FsckReport' crates | wc -l)" -gt 1 ]; then
     echo "FsckReport defined more than once under crates/"; exit 1
+fi
+# Callers service their own disk requests under the disk lock: no driver
+# thread, queue or reply channel, and no span hand-off between threads.
+if grep -rnE 'mpsc|Condvar|thread::Builder|JoinHandle' crates/disksim/src; then
+    echo "a driver thread or queue is back in crates/disksim"; exit 1
+fi
+if grep -rnE 'adopt_span|end_adopt|fold_attr|SpanCtx|AttrDelta' $SRC; then
+    echo "the span hand-off between threads is back"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

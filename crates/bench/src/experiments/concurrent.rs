@@ -5,7 +5,7 @@
 //! across cylinder groups, so threads allocate from different CGs and the
 //! per-CG sharding is on the hot path). Thread clocks are virtual: each
 //! thread's CPU work advances its own simulated timeline, disk requests
-//! serialize through the shared driver worker, and a run's elapsed time
+//! serialize on the shared disk lock, and a run's elapsed time
 //! is the cross-thread high-water mark. Aggregate throughput therefore
 //! scales with threads exactly as far as the stack's sharding lets
 //! cache-hit work overlap — which is the property under test.

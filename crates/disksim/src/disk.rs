@@ -307,10 +307,12 @@ impl Disk {
         let n = self.check_range(lba, buf.len());
         let done = self.service(now, lba, n, true);
         self.cache.invalidate(lba, n);
-        // Remember what this write destroys, for mid-write crash injection.
-        let mut old = vec![0u8; buf.len()];
-        self.store.read(lba, &mut old);
-        self.last_write_undo = Some((lba, old));
+        // Remember what this write destroys, for mid-write crash injection,
+        // in the previous write's undo buffer.
+        let (undo_lba, old) = self.last_write_undo.get_or_insert_with(|| (lba, Vec::new()));
+        *undo_lba = lba;
+        old.resize(buf.len(), 0);
+        self.store.read(lba, old);
         self.store.write(lba, buf);
         self.stats.writes += 1;
         self.stats.sectors_written += n;
@@ -621,6 +623,30 @@ mod tests {
         let mut live = vec![0u8; 512];
         d.raw_read(103, &mut live);
         assert!(live.iter().all(|&b| b == 2));
+    }
+
+    /// The undo record of a short write that follows a long one covers
+    /// exactly the short write: the long write's range stays as written,
+    /// and nothing past the short range is "restored".
+    #[test]
+    fn torn_clone_after_long_then_short_write_restores_only_the_short_one() {
+        let mut d = disk();
+        d.raw_write(1_000, &vec![0x11; 65_536]);
+        d.raw_write(5_000, &[0x22; 512]);
+        let t = d.write(SimTime::ZERO, 1_000, &vec![0xAA; 65_536]);
+        d.write(t, 5_000, &[0xBB; 512]);
+        for (keep, want) in [(0, 0x22), (1, 0xBB)] {
+            let torn = d.clone_image_torn(keep).expect("a write happened");
+            let mut long = vec![0u8; 65_536];
+            torn.raw_read(1_000, &mut long);
+            assert!(long.iter().all(|&b| b == 0xAA), "keep {keep}: the 64 KB write was undone");
+            let mut short = [0u8; 512];
+            torn.raw_read(5_000, &mut short);
+            assert!(short.iter().all(|&b| b == want), "keep {keep}: wrong 512 B contents");
+            let mut after = vec![0xFFu8; 65_536 - 512];
+            torn.raw_read(5_001, &mut after);
+            assert!(after.iter().all(|&b| b == 0), "keep {keep}: sectors past the write changed");
+        }
     }
 
     #[test]

@@ -17,10 +17,8 @@ use crate::stats::DiskStats;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
 use cffs_obs::json::{Json, ToJson};
-use cffs_obs::{obj, AttrDelta, Ctr, Obs, Sig, SpanCtx};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use cffs_obs::{obj, Ctr, Obs, Sig};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Request ordering policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,53 +96,24 @@ impl ToJson for DriverStats {
     }
 }
 
-/// One queued submission: the requests, whether they form a schedulable
-/// batch, the submitter's virtual time and open span, and the channel
-/// the completed requests travel back on.
-struct Submission {
-    reqs: Vec<IoReq>,
-    batch: bool,
-    /// Submitter's virtual clock at submit; the disk starts service at
-    /// the later of this and its last completion.
-    stamp: u64,
-    /// Submitter's open span, adopted by the worker so trace events and
-    /// attribution stay causally correct.
-    ctx: SpanCtx,
-    reply: mpsc::Sender<Reply>,
+/// What the disk lock guards: the drive and the driver's statistics.
+struct Spindle {
+    disk: Disk,
+    stats: DriverStats,
 }
 
-/// What the worker sends back when a submission completes.
-struct Reply {
-    reqs: Vec<IoReq>,
-    done_ns: u64,
-    attr: AttrDelta,
-}
-
-/// State shared between driver handles and the worker thread.
-struct Shared {
-    disk: Mutex<Disk>,
-    queue: Mutex<VecDeque<Submission>>,
-    cv: Condvar,
-    stats: Mutex<DriverStats>,
+/// The driver: disk + scheduler + simulated clock.
+///
+/// Callers service their own requests under the disk lock: each request
+/// is stamped with the calling thread's virtual clock (see
+/// [`Driver::now`]), and service starts at the later of that stamp and
+/// the disk's last completion. Single-threaded use is therefore a direct
+/// call, while concurrent client threads each run their own timeline and
+/// the one spindle serializes their requests.
+pub struct Driver {
+    spindle: Mutex<Spindle>,
     config: DriverConfig,
     obs: Arc<Obs>,
-    shutdown: AtomicBool,
-}
-
-/// The driver: disk + scheduler + simulated clock, fronted by a request
-/// queue serviced by one worker thread.
-///
-/// The worker owns the seek model: it pops submissions in FIFO order,
-/// schedules and coalesces each batch against the current arm position,
-/// and services it on the (mutex-protected) disk. Submitters enqueue and
-/// block until their submission completes, so the single-threaded call
-/// pattern behaves exactly as a direct call — while concurrent client
-/// threads genuinely interleave at the queue, each running its own
-/// virtual timeline (see [`Driver::now`]) with the disk serializing them
-/// through its last-completion time.
-pub struct Driver {
-    shared: Arc<Shared>,
-    worker: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for Driver {
@@ -155,26 +124,11 @@ impl std::fmt::Debug for Driver {
 
 impl Driver {
     /// Wrap a disk with the given configuration; the clock starts at
-    /// zero. Spawns the worker thread that services the request queue.
+    /// zero.
     pub fn new(disk: Disk, config: DriverConfig) -> Self {
         let obs = disk.obs();
-        let shared = Arc::new(Shared {
-            disk: Mutex::new(disk),
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            stats: Mutex::new(DriverStats::default()),
-            config,
-            obs,
-            shutdown: AtomicBool::new(false),
-        });
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("cffs-driver".into())
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn driver worker")
-        };
-        Driver { shared, worker: Some(worker) }
+        let spindle = Mutex::new(Spindle { disk, stats: DriverStats::default() });
+        Driver { spindle, config, obs }
     }
 
     /// The calling thread's current simulated time. Each client thread
@@ -183,50 +137,36 @@ impl Driver {
     /// cross-thread high-water mark, so elapsed time for a parallel run
     /// is `max` over threads, not the sum.
     pub fn now(&self) -> SimTime {
-        SimTime(self.shared.obs.clock_ns())
+        SimTime(self.obs.clock_ns())
     }
 
     /// Advance the calling thread's clock by `d` (CPU work, think time).
     pub fn advance(&self, d: SimDuration) {
-        self.shared
-            .obs
-            .set_clock_ns(self.shared.obs.clock_ns() + d.as_nanos());
+        self.obs.set_clock_ns(self.obs.clock_ns() + d.as_nanos());
     }
 
     /// The shared observability handle (owned by the disk).
     pub fn obs(&self) -> Arc<Obs> {
-        Arc::clone(&self.shared.obs)
+        Arc::clone(&self.obs)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Spindle> {
+        self.obs.lock_timed(&self.spindle, Ctr::LockWaitNsDriver)
     }
 
     /// Run `f` on the underlying disk (raw access, image cloning).
     pub fn with_disk<R>(&self, f: impl FnOnce(&Disk) -> R) -> R {
-        f(&self.shared.obs.lock_timed(&self.shared.disk, Ctr::LockWaitNsDriver))
+        f(&self.lock().disk)
     }
 
     /// Run `f` on the underlying disk mutably (raw writes, cache flush).
     pub fn with_disk_mut<R>(&self, f: impl FnOnce(&mut Disk) -> R) -> R {
-        f(&mut self.shared.obs.lock_timed(&self.shared.disk, Ctr::LockWaitNsDriver))
+        f(&mut self.lock().disk)
     }
 
-    /// Take the disk back (e.g. to remount a file system on it). Shuts
-    /// the worker down first; the queue must be drained (no submitter
-    /// may be blocked in-flight).
-    pub fn into_disk(mut self) -> Disk {
-        self.stop_worker();
-        let shared = Arc::clone(&self.shared);
-        drop(self);
-        let shared = Arc::try_unwrap(shared)
-            .ok()
-            .expect("driver shared state still referenced at into_disk");
-        shared.disk.into_inner().expect("disk lock poisoned")
-    }
-
-    fn stop_worker(&mut self) {
-        if let Some(h) = self.worker.take() {
-            self.shared.shutdown.store(true, Ordering::Release);
-            self.shared.cv.notify_all();
-            let _ = h.join();
-        }
+    /// Take the disk back (e.g. to remount a file system on it).
+    pub fn into_disk(self) -> Disk {
+        self.spindle.into_inner().expect("disk lock poisoned").disk
     }
 
     /// Disk-level statistics.
@@ -236,181 +176,145 @@ impl Driver {
 
     /// Driver-level statistics.
     pub fn stats(&self) -> DriverStats {
-        *self.shared.stats.lock().expect("driver stats poisoned")
+        self.lock().stats
     }
 
     /// Reset both driver and disk statistics.
     pub fn reset_stats(&self) {
-        *self.shared.stats.lock().expect("driver stats poisoned") = DriverStats::default();
-        self.with_disk_mut(|d| d.reset_stats());
+        let mut s = self.lock();
+        s.stats = DriverStats::default();
+        s.disk.reset_stats();
     }
 
-    /// Synchronously read `buf.len()` bytes at `lba`, advancing the
-    /// calling thread's clock to the request's completion.
+    /// Synchronously read `buf.len()` bytes at `lba` straight into `buf`,
+    /// advancing the calling thread's clock to the request's completion.
     pub fn read(&self, lba: u64, buf: &mut [u8]) {
-        let done = self.submit(vec![IoReq::read(lba, buf.len())], false);
-        buf.copy_from_slice(&done[0].data);
+        self.submit(1, false, |s, now| {
+            s.count_physical(&self.obs, 1);
+            s.disk.read(now, lba, buf)
+        });
     }
 
-    /// Synchronously write at `lba`, advancing the calling thread's
+    /// Synchronously write `buf` at `lba`, advancing the calling thread's
     /// clock to the request's completion.
     pub fn write(&self, lba: u64, buf: &[u8]) {
-        self.submit(vec![IoReq::write(lba, buf.to_vec())], false);
+        self.submit(1, false, |s, now| {
+            s.count_physical(&self.obs, 1);
+            s.disk.write(now, lba, buf)
+        });
     }
 
-    /// Submit a batch: the worker schedules it, coalesces physically
-    /// adjacent same-direction requests into scatter/gather transfers,
-    /// and services them all. Read payloads are filled in place; the
-    /// batch is returned in its (scheduled) service order. Blocks until
-    /// the batch completes.
-    pub fn submit_batch(&self, reqs: Vec<IoReq>) -> Vec<IoReq> {
+    /// Submit a batch: schedule it, coalesce physically adjacent
+    /// same-direction requests into scatter/gather transfers, and service
+    /// them all. Read payloads are filled in place; the batch is returned
+    /// in its (scheduled) service order. Returns once the batch completes.
+    pub fn submit_batch(&self, mut reqs: Vec<IoReq>) -> Vec<IoReq> {
         if reqs.is_empty() {
             return reqs;
         }
-        self.submit(reqs, true)
+        self.submit(reqs.len(), true, |s, now| {
+            order(self.config.scheduler, &s.disk, &mut reqs);
+            s.service_batch(&self.obs, &mut reqs, now)
+        });
+        reqs
     }
 
-    /// Enqueue one submission and block on its completion, then fold the
-    /// worker's attribution back into the calling thread's open span and
-    /// advance this thread's clock to the completion time.
-    fn submit(&self, reqs: Vec<IoReq>, batch: bool) -> Vec<IoReq> {
-        let obs = &self.shared.obs;
-        {
-            let mut stats = self.shared.stats.lock().expect("driver stats poisoned");
-            stats.logical_requests += reqs.len() as u64;
-            if batch {
-                stats.batches += 1;
-            }
-        }
+    /// Account one submission of `n` logical requests, then run `f`
+    /// under the disk lock from the calling thread's clock stamp and
+    /// advance that clock to the completion time it returns.
+    fn submit(&self, n: usize, batch: bool, f: impl FnOnce(&mut Spindle, SimTime) -> SimTime) {
+        let obs = &self.obs;
         obs.bump(Ctr::DriverQueueSubmit);
-        obs.add(Ctr::DriverLogicalRequests, reqs.len() as u64);
+        obs.add(Ctr::DriverLogicalRequests, n as u64);
         if batch {
             obs.bump(Ctr::DriverBatches);
-            obs.histos().driver_batch_reqs.record(reqs.len() as u64);
-            obs.signal_sample(Sig::QueueDepth, reqs.len() as f64);
+            obs.histos().driver_batch_reqs.record(n as u64);
+            obs.signal_sample(Sig::QueueDepth, n as f64);
         }
-        let (tx, rx) = mpsc::channel();
-        let sub = Submission {
-            reqs,
-            batch,
-            stamp: obs.clock_ns(),
-            ctx: obs.span_ctx(),
-            reply: tx,
-        };
+        // Service starts at this thread's virtual time; the disk's
+        // last-completion time serializes overlapping threads.
+        let stamp = SimTime(obs.clock_ns());
         obs.queue_depth_inc();
-        obs.lock_timed(&self.shared.queue, Ctr::LockWaitNsDriver).push_back(sub);
-        self.shared.cv.notify_all();
-        let reply = rx.recv().expect("driver worker died");
-        obs.set_clock_ns(reply.done_ns);
-        obs.fold_attr(reply.attr);
-        reply.reqs
+        let mut s = self.lock();
+        obs.queue_depth_dec();
+        s.stats.logical_requests += n as u64;
+        s.stats.batches += u64::from(batch);
+        let done = f(&mut s, stamp);
+        // Release the disk before the clock moves: a due telemetry frame
+        // is cut inside `set_clock_ns`.
+        drop(s);
+        obs.set_clock_ns(done.as_nanos());
     }
 }
 
-impl Drop for Driver {
-    fn drop(&mut self) {
-        self.stop_worker();
+impl Spindle {
+    /// Account one physical request carrying `segments` logical ones.
+    fn count_physical(&mut self, obs: &Obs, segments: usize) {
+        let merged = segments as u64 - 1;
+        self.stats.physical_requests += 1;
+        self.stats.coalesced += merged;
+        obs.bump(Ctr::DriverPhysicalRequests);
+        obs.add(Ctr::DriverSgSegments, segments as u64);
+        obs.add(Ctr::DriverCoalesced, merged);
+    }
+
+    /// Service an ordered batch from `now`, one disk request per run of
+    /// physically adjacent same-direction requests. Returns the
+    /// completion time of the last.
+    fn service_batch(&mut self, obs: &Obs, reqs: &mut [IoReq], mut now: SimTime) -> SimTime {
+        let mut start = 0;
+        while start < reqs.len() {
+            let dir = reqs[start].dir;
+            let mut end_lba = reqs[start].lba;
+            let mut end = start;
+            while end < reqs.len() && reqs[end].dir == dir && reqs[end].lba == end_lba {
+                end_lba += (reqs[end].data.len() / SECTOR_SIZE) as u64;
+                end += 1;
+            }
+            now = self.service_run(obs, &mut reqs[start..end], now);
+            start = end;
+        }
+        now
+    }
+
+    /// Service one run of adjacent requests as a single disk request.
+    fn service_run(&mut self, obs: &Obs, run: &mut [IoReq], now: SimTime) -> SimTime {
+        self.count_physical(obs, run.len());
+        let (lba, dir) = (run[0].lba, run[0].dir);
+        // An unmerged request is serviced straight from/into its own
+        // payload; only a scatter/gather run needs a staging buffer.
+        if let [req] = &mut *run {
+            return match dir {
+                IoDir::Write => self.disk.write(now, lba, &req.data),
+                IoDir::Read => self.disk.read(now, lba, &mut req.data),
+            };
+        }
+        let total = run.iter().map(|r| r.data.len()).sum();
+        match dir {
+            IoDir::Write => {
+                let mut buf = Vec::with_capacity(total);
+                for req in run.iter() {
+                    buf.extend_from_slice(&req.data);
+                }
+                self.disk.write(now, lba, &buf)
+            }
+            IoDir::Read => {
+                let mut buf = vec![0u8; total];
+                let done = self.disk.read(now, lba, &mut buf);
+                let mut rest = &buf[..];
+                for req in run {
+                    let (part, tail) = rest.split_at(req.data.len());
+                    req.data.copy_from_slice(part);
+                    rest = tail;
+                }
+                done
+            }
+        }
     }
 }
 
-/// The worker: pop submissions FIFO, schedule + coalesce + service each
-/// on the disk, stamp trace events with the submitter's adopted span,
-/// and ship the completed requests (plus attribution) back.
-fn worker_loop(shared: &Shared) {
-    loop {
-        let sub = {
-            let mut q = shared.queue.lock().expect("driver queue poisoned");
-            loop {
-                if let Some(s) = q.pop_front() {
-                    shared.obs.queue_depth_dec();
-                    break s;
-                }
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                q = shared.cv.wait(q).expect("driver queue poisoned");
-            }
-        };
-        let Submission { mut reqs, batch, stamp, ctx, reply } = sub;
-        let mut disk = shared.obs.lock_timed(&shared.disk, Ctr::LockWaitNsDriver);
-        // Adopt the submitter's span so the disk's trace events carry
-        // its id and disk-request attribution accumulates on its behalf.
-        shared.obs.adopt_span(ctx);
-        if batch {
-            order(shared.config.scheduler, &disk, &mut reqs);
-        }
-        // Coalesce adjacent same-direction runs: (lba, dir, [(req idx, len)]).
-        type Merged = Vec<(u64, IoDir, Vec<(usize, usize)>)>;
-        let mut merged: Merged = Vec::new();
-        let mut spans: Vec<IoReq> = Vec::new();
-        for req in reqs {
-            match merged.last_mut() {
-                Some((lba, dir, parts))
-                    if *dir == req.dir
-                        && *lba + parts.iter().map(|p| p.1 as u64 / SECTOR_SIZE as u64).sum::<u64>()
-                            == req.lba =>
-                {
-                    parts.push((spans.len(), req.data.len()));
-                }
-                _ => {
-                    merged.push((req.lba, req.dir, vec![(spans.len(), req.data.len())]));
-                }
-            }
-            spans.push(req);
-        }
-
-        // Service starts at the submitter's virtual time; the disk's
-        // last-completion time serializes overlapping submissions.
-        let mut now = SimTime(stamp);
-        for (lba, dir, parts) in merged {
-            {
-                let mut stats = shared.stats.lock().expect("driver stats poisoned");
-                stats.physical_requests += 1;
-                stats.coalesced += parts.len() as u64 - 1;
-            }
-            shared.obs.bump(Ctr::DriverPhysicalRequests);
-            shared.obs.add(Ctr::DriverSgSegments, parts.len() as u64);
-            shared.obs.add(Ctr::DriverCoalesced, parts.len() as u64 - 1);
-            // An unmerged request is serviced straight from/into its own
-            // payload; only a scatter/gather run needs a staging buffer.
-            if let [(idx, _)] = parts[..] {
-                let data = &mut spans[idx].data;
-                now = match dir {
-                    IoDir::Write => disk.write(now, lba, data),
-                    IoDir::Read => disk.read(now, lba, data),
-                };
-                continue;
-            }
-            let total: usize = parts.iter().map(|p| p.1).sum();
-            match dir {
-                IoDir::Write => {
-                    let mut buf = Vec::with_capacity(total);
-                    for &(idx, _) in &parts {
-                        buf.extend_from_slice(&spans[idx].data);
-                    }
-                    now = disk.write(now, lba, &buf);
-                }
-                IoDir::Read => {
-                    let mut buf = vec![0u8; total];
-                    now = disk.read(now, lba, &mut buf);
-                    let mut off = 0;
-                    for &(idx, len) in &parts {
-                        spans[idx].data.copy_from_slice(&buf[off..off + len]);
-                        off += len;
-                    }
-                }
-            }
-        }
-        let attr = shared.obs.end_adopt();
-        drop(disk);
-        // Keep the cross-thread high-water mark current even if the
-        // submitter vanished (its clock update happens on receipt).
-        shared.obs.set_clock_ns(now.as_nanos());
-        let _ = reply.send(Reply { reqs: spans, done_ns: now.as_nanos(), attr });
-    }
-}
-
-/// Order a batch for service (worker-side: needs the live arm position).
+/// Order a batch for service (needs the live arm position, so it runs
+/// under the disk lock).
 fn order(sched: Scheduler, disk: &Disk, reqs: &mut Vec<IoReq>) {
     match sched {
         Scheduler::Fcfs => {}
@@ -559,6 +463,66 @@ mod tests {
         d.advance(SimDuration::from_millis(3));
         assert_eq!(d.now().as_nanos(), 3_000_000);
         assert_eq!(d.disk_stats().total_requests(), 0);
+    }
+
+    /// Four threads released together mix single writes, coalescing batch
+    /// writes and reads, and single reads on disjoint LBAs of one driver:
+    /// every write lands, the coalescing books balance, nobody is left
+    /// waiting, and each thread's clock ends at or past the completion of
+    /// its own last request.
+    #[test]
+    fn threaded_submitters_share_one_spindle() {
+        const THREADS: u64 = 4;
+        const ROUNDS: u64 = 25;
+        let d = driver(Scheduler::CLook);
+        d.with_disk_mut(|disk| disk.set_trace(true));
+        let barrier = std::sync::Barrier::new(THREADS as usize);
+        let base = |t: u64| 100_000 * (t + 1);
+        let byte = |t: u64, r: u64| (t * 64 + r) as u8;
+        let last_writes: Vec<(u64, SimTime)> = std::thread::scope(|s| {
+            let threads: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (d, barrier) = (&d, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        for r in 0..ROUNDS {
+                            let lba = base(t) + r * 32;
+                            let b = byte(t, r);
+                            d.write(lba, &[b; 4096]);
+                            let pair = |k: u64| IoReq::write(lba + 8 * k, vec![b; 4096]);
+                            d.submit_batch(vec![pair(2), pair(1)]);
+                            let read = |k: u64| IoReq::read(lba + 8 * k, 4096);
+                            let back = d.submit_batch(vec![read(1), read(2)]);
+                            assert!(back.iter().all(|r| r.data.iter().all(|&x| x == b)));
+                            let mut one = [0u8; 4096];
+                            d.read(lba, &mut one);
+                            assert!(one.iter().all(|&x| x == b));
+                        }
+                        let last = base(t) + ROUNDS * 32;
+                        d.write(last, &[0xEE; 512]);
+                        (last, d.now())
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|h| h.join().expect("submitter panicked")).collect()
+        });
+
+        for t in 0..THREADS {
+            for r in 0..ROUNDS {
+                let mut buf = vec![0u8; 3 * 4096];
+                d.with_disk(|disk| disk.raw_read(base(t) + r * 32, &mut buf));
+                assert!(buf.iter().all(|&x| x == byte(t, r)), "thread {t} round {r} lost a write");
+            }
+        }
+        let s = d.stats();
+        assert_eq!(s.logical_requests, THREADS * (ROUNDS * 6 + 1));
+        assert_eq!(s.logical_requests, s.physical_requests + s.coalesced);
+        assert_eq!(d.obs().queue_depth(), 0);
+        let trace = d.with_disk(|disk| disk.trace().to_vec());
+        for (lba, now) in last_writes {
+            let e = trace.iter().rev().find(|e| e.write && e.lba == lba).expect("serviced");
+            assert!(now >= e.start + e.service, "clock {now} behind own completion at lba {lba}");
+        }
     }
 }
 

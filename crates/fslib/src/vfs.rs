@@ -14,12 +14,12 @@
 //! trait: threaded workloads ask for `FileSystem + Sync`.
 //!
 //! * `Cffs` and `VolumeSet` shard and lock their own state (per-cylinder-
-//!   group allocation maps, cache shards, a threaded driver queue) and are
+//!   group allocation maps, cache shards, the driver's disk lock) and are
 //!   `Sync`. Each client thread advances its own virtual clock (the
 //!   thread-local mirror in `cffs_obs::Obs`); elapsed simulated time is the
 //!   cross-thread high-water mark `Obs::global_clock_ns`, so CPU work on
-//!   different threads overlaps while disk requests serialize through the
-//!   shared driver worker.
+//!   different threads overlaps while disk requests serialize on the
+//!   shared disk lock.
 //! * `ModelFs` serializes every operation behind one mutex and is `Sync`.
 //! * `Ffs`, the single-threaded baseline, keeps its allocator in a
 //!   `RefCell` and is therefore `!Sync`: handing it to a threaded workload

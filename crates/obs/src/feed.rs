@@ -82,7 +82,7 @@ pub const FRAME_FIELDS: &[(&str, &str)] = &[
     ("t_ns", "simulated time the frame was cut, nanoseconds"),
     ("counters", "curated counter deltas since the previous frame of this tap"),
     ("ops", "outermost file-system ops completed since the previous frame"),
-    ("queue_depth", "submissions waiting in the threaded driver queue right now"),
+    ("queue_depth", "threads waiting for the disk lock in the driver right now"),
     ("histos", "per-histogram {dsum, dcount} deltas since the previous frame"),
     ("signals", "live signal registry: EWMAs, armed thresholds, crossing counts"),
     ("cgs", "per-cylinder-group occupancy, utilization EWMA, and I/O deltas"),
@@ -304,7 +304,7 @@ impl FeedTap {
     /// baseline. Lock discipline: every read below is an atomic load or
     /// a short copy under one leaf lock (signals, trace ring, per-CG
     /// util) taken *sequentially*, never nested — emission can therefore
-    /// run from any thread, including the driver worker.
+    /// run from any thread.
     fn build_frame(&self, st: &mut TapState, t_ns: u64) -> Vec<(String, Json)> {
         let obs = &self.obs;
         let cur = Baseline::capture(obs);

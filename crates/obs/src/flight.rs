@@ -56,7 +56,7 @@ pub const FLIGHT_FRAME_FIELDS: &[(&str, &str)] = &[
     ("t_ns", "simulated time the frame was cut, nanoseconds"),
     ("counters", "cumulative curated counter values at the cut (not deltas)"),
     ("ops", "cumulative outermost file-system ops completed at the cut"),
-    ("queue_depth", "submissions waiting in the threaded driver queue at the cut"),
+    ("queue_depth", "threads waiting for the disk lock in the driver at the cut"),
     ("signals", "live signal registry at the cut: EWMAs, thresholds, crossing counts"),
     ("cgs", "per-cylinder-group occupancy, utilization EWMA, and cumulative I/O tallies"),
     ("slo_burn_milli", "worst per-op SLO error-budget burn at the cut, milli-units"),

@@ -94,8 +94,8 @@ counters! {
     DriverCoalesced => "driver_coalesced",
     /// Batches submitted to the driver.
     DriverBatches => "driver_batches",
-    /// Submissions enqueued on the threaded driver queue (single reads
-    /// and writes as well as batches).
+    /// Submissions to the driver, each serviced on its caller's thread
+    /// (single reads and writes as well as batches).
     DriverQueueSubmit => "driver_queue_submit",
 
     // ---- buffer cache ----
@@ -708,8 +708,8 @@ pub struct Obs {
     /// [`Obs::configure_cg_table`]. Unset for stacks without cylinder
     /// groups (FFS baseline, bare disks).
     cg_table: OnceLock<CgTable>,
-    /// Submissions currently sitting in the threaded driver queue
-    /// (gauge: incremented at enqueue, decremented at worker pickup).
+    /// Threads currently waiting for the disk lock in the driver (gauge:
+    /// incremented before the lock is taken, decremented once it is held).
     queue_depth: AtomicU64,
     /// Ops completed per bound thread slot (outermost span closes). Slot
     /// 0 is the main thread; fan-out workers bind 1.. via
@@ -757,39 +757,12 @@ thread_local! {
     static SPAN_TLS: std::cell::RefCell<std::collections::HashMap<u64, SpanTls>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
     /// Simulated-clock mirror per (thread, Obs-uid) — each client thread
-    /// runs its own virtual timeline under the threaded driver.
+    /// runs its own virtual timeline.
     static CLOCK_TLS: std::cell::RefCell<std::collections::HashMap<u64, u64>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
     /// Bound thread-op slot per (thread, Obs-uid); absent means slot 0.
     static SLOT_TLS: std::cell::RefCell<std::collections::HashMap<u64, usize>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
-}
-
-/// Snapshot of the calling thread's open span, taken by a submitter so a
-/// worker thread (the threaded driver) can service I/O on the span's
-/// behalf. `span == 0` means no span was open.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpanCtx {
-    /// Open span id (0 = none).
-    pub span: u64,
-    /// [`OpKind`] index of the open span.
-    pub op: usize,
-    /// End time of the last disk request already attributed to the span
-    /// (queue gaps accumulate against this).
-    pub last_end: u64,
-}
-
-/// Attribution a worker thread accumulated while servicing on behalf of
-/// an adopted span; the submitting thread folds it back into its own
-/// span via [`Obs::fold_attr`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AttrDelta {
-    /// Queue-gap nanoseconds accumulated while adopted.
-    pub queue_ns: u64,
-    /// Disk service nanoseconds accumulated while adopted.
-    pub service_ns: u64,
-    /// End time of the last disk request serviced.
-    pub last_end: u64,
 }
 
 impl std::fmt::Debug for Obs {
@@ -1172,7 +1145,7 @@ impl Obs {
         // Telemetry pacer: with no tap attached `feed_due_ns` is
         // `u64::MAX`, so the feed costs this hot path exactly one
         // relaxed load. Every call site holds no obs locks (verified
-        // against the driver's submit/worker/advance paths), so frame
+        // against the driver's submit and advance paths), so frame
         // emission can take the registry locks sequentially.
         if now_ns >= self.feed_due_ns.load(Ordering::Relaxed) {
             feed::sim_fire(self, now_ns);
@@ -1254,61 +1227,6 @@ impl Obs {
             op,
             opened,
         }
-    }
-
-    /// Snapshot of the calling thread's open span for hand-off to a
-    /// worker thread (see [`SpanCtx`]).
-    pub fn span_ctx(&self) -> SpanCtx {
-        self.with_tls(|t| SpanCtx {
-            span: t.cur_span,
-            op: t.cur_op,
-            last_end: t.last_end,
-        })
-    }
-
-    /// Adopt a submitter's span on the current (worker) thread: trace
-    /// events recorded until [`Obs::end_adopt`] are stamped with the
-    /// adopted span/op, and disk-request attribution accumulates locally
-    /// for the submitter to fold back. The worker thread must have no
-    /// span of its own open.
-    pub fn adopt_span(&self, ctx: SpanCtx) {
-        self.with_tls(|t| {
-            debug_assert_eq!(t.cur_span, 0, "worker adopted a span while one was open");
-            *t = SpanTls {
-                cur_span: ctx.span,
-                cur_op: ctx.op,
-                q: 0,
-                svc: 0,
-                last_end: ctx.last_end,
-            };
-        });
-    }
-
-    /// Close out an adoption and return what accumulated (see
-    /// [`Obs::adopt_span`]).
-    pub fn end_adopt(&self) -> AttrDelta {
-        self.with_tls(|t| {
-            let d = AttrDelta {
-                queue_ns: t.q,
-                service_ns: t.svc,
-                last_end: t.last_end,
-            };
-            *t = SpanTls::default();
-            d
-        })
-    }
-
-    /// Fold attribution a worker accumulated on our behalf back into the
-    /// calling thread's open span (no-op when no span is open — the
-    /// worker already accounted unattributed service itself).
-    pub fn fold_attr(&self, d: AttrDelta) {
-        self.with_tls(|t| {
-            if t.cur_span != 0 {
-                t.q += d.queue_ns;
-                t.svc += d.service_ns;
-                t.last_end = t.last_end.max(d.last_end);
-            }
-        });
     }
 
     /// Lock `m`, charging host-time wait on contention to counter `ctr`.
@@ -1422,19 +1340,19 @@ impl Obs {
             .collect()
     }
 
-    /// Driver queue gauge: one submission entered the queue.
+    /// Driver queue gauge: one thread started waiting for the disk.
     pub fn queue_depth_inc(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Driver queue gauge: the worker picked one submission up.
+    /// Driver queue gauge: one waiting thread took the disk lock.
     pub fn queue_depth_dec(&self) {
         let _ = self.queue_depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
             Some(v.saturating_sub(1))
         });
     }
 
-    /// Submissions currently waiting in the threaded driver queue.
+    /// Threads currently waiting for the disk lock in the driver.
     pub fn queue_depth(&self) -> u64 {
         self.queue_depth.load(Ordering::Relaxed)
     }
@@ -2331,32 +2249,16 @@ mod tests {
         assert_eq!(snap.get(Ctr::AttrServiceNs), 4 * 50);
     }
 
-    /// The adopt/fold protocol ships attribution from a worker thread
-    /// back into the submitter's span.
+    /// A disk request serviced on the span's own thread splits into
+    /// queue time (the gap since the span opened) and service time.
     #[test]
-    fn adopted_span_attribution_folds_back() {
+    fn in_span_disk_request_splits_queue_and_service() {
         let obs = Obs::new();
         obs.set_clock_ns(100);
         let g = obs.span(OpKind::Write);
         assert!(g.id().is_some());
-        let ctx = obs.span_ctx();
-        assert_eq!(ctx.span, 1);
-
-        let delta = std::thread::scope(|s| {
-            let obs = Arc::clone(&obs);
-            s.spawn(move || {
-                obs.adopt_span(ctx);
-                // Gap 100→150 queues, 200ns services.
-                obs.trace_io(150, "disk.write", 7, 8, 200);
-                obs.end_adopt()
-            })
-            .join()
-            .unwrap()
-        });
-        assert_eq!(delta.queue_ns, 50);
-        assert_eq!(delta.service_ns, 200);
-        assert_eq!(delta.last_end, 350);
-        obs.fold_attr(delta);
+        // Gap 100→150 queues, 200ns services.
+        obs.trace_io(150, "disk.write", 7, 8, 200);
         obs.set_clock_ns(400);
         drop(g);
 
@@ -2364,7 +2266,7 @@ mod tests {
         assert_eq!(snap.get(Ctr::AttrQueueNs), 50);
         assert_eq!(snap.get(Ctr::AttrServiceNs), 200);
         assert_eq!(snap.get(Ctr::AttrOpNs), 300 - 250);
-        // The worker's event carries the adopted span id.
+        // The disk event carries the span id.
         let ev = obs.recent_events(10).into_iter().find(|e| e.tag == "disk.write").unwrap();
         assert_eq!(ev.span, 1);
         assert_eq!(ev.op, "write");

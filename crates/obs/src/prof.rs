@@ -324,7 +324,7 @@ pub fn fold_log(records: &[SpanRecord], root: &str, elapsed_ns: u64) -> Fold {
 /// window's uncovered remainder becomes `{root};idle`.
 ///
 /// Records may overlap in simulated time (concurrent client threads
-/// under the threaded driver run parallel virtual timelines) and may
+/// run parallel virtual timelines) and may
 /// arrive out of order (unattributed requests are logged inline, spans
 /// close in any order). Conservation — every nanosecond in exactly one
 /// leaf — is kept by attributing along a frontier: records are taken in

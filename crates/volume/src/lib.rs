@@ -3,7 +3,7 @@
 //! # cffs-volume — scale-out volume sets
 //!
 //! Mounts N independent C-FFS disks (each with its own simulated disk,
-//! threaded driver, buffer-cache shards, and cylinder groups) behind one
+//! driver, buffer-cache shards, and cylinder groups) behind one
 //! [`FileSystem`] namespace, following the scale-out direction in the
 //! ROADMAP (CFS-style sharded metadata zones):
 //!

@@ -28,8 +28,8 @@
 //! ## Time discipline
 //!
 //! Each thread advances its own virtual simulated clock (the thread-local
-//! mirror in [`cffs_obs::Obs`]); disk requests serialize through the
-//! shared driver worker. A window's elapsed simulated time is the delta
+//! mirror in [`cffs_obs::Obs`]); disk requests serialize on the shared
+//! disk lock. A window's elapsed simulated time is the delta
 //! of `Obs::global_clock_ns` — every thread's work fits before it.
 
 use cffs_disksim::SimDuration;

@@ -1,14 +1,17 @@
-//! The buffer-cache hit path allocates nothing.
+//! The buffer-cache hit path and single-block driver requests allocate
+//! nothing.
 //!
 //! A counting `#[global_allocator]` (per thread, so tests running in
-//! parallel do not see each other) wraps the warm paths: `read_block`,
-//! `read_block_bound` and `lookup_logical` on resident blocks must make
-//! zero heap requests, and the file-system calls built on them a small
-//! pinned number — none of them block-sized.
+//! parallel do not see each other; the driver services requests on the
+//! calling thread, so its allocations are counted too) wraps the warm
+//! paths: `read_block`, `read_block_bound` and `lookup_logical` on
+//! resident blocks and `Driver::{read, write}` must make zero heap
+//! requests, and the file-system calls built on them a small pinned
+//! number — none of them block-sized.
 
 use cffs::cache::{BufferCache, CacheConfig};
 use cffs::core::{CffsConfig, MkfsParams};
-use cffs_disksim::{models, Disk, Driver, DriverConfig};
+use cffs_disksim::{models, Disk, Driver, DriverConfig, SECTOR_SIZE};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::BLOCK_SIZE;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,7 +92,6 @@ fn warm_cache_hits_allocate_nothing() {
     });
     std::hint::black_box(sum);
     assert_eq!(heap, (0, 0), "{} warm hits made heap requests", 3 * N);
-    // Nothing was handed to the driver's worker thread either.
     assert_eq!(drv.stats().logical_requests, requests);
 }
 
@@ -143,4 +145,65 @@ fn warm_file_system_calls_copy_no_block() {
         per_op(bytes)
     );
     assert_eq!(fs.io_stats().driver.logical_requests, requests, "the window stayed in the cache");
+}
+
+/// Single-block driver requests are serviced straight from and into the
+/// caller's buffer on the caller's thread: once every chunk of the
+/// simulated platter has been touched, they make no heap request.
+#[test]
+fn driver_single_block_requests_allocate_nothing() {
+    const N: u64 = 1_000;
+    const BLOCKS: u64 = 32;
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let lba = |i: u64| (i % BLOCKS) * (BLOCK_SIZE / SECTOR_SIZE) as u64;
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    for i in 0..BLOCKS {
+        drv.write(lba(i), &buf);
+        drv.read(lba(i), &mut buf);
+    }
+
+    let heap = heap_of(|| {
+        for i in 0..N {
+            buf[0] = i as u8;
+            drv.write(lba(i * 7), &buf);
+            drv.read(lba(i * 7), &mut buf);
+            assert_eq!(buf[0], i as u8);
+        }
+    });
+    assert_eq!(heap, (0, 0), "{N} writes + {N} reads made heap requests");
+    assert_eq!(drv.stats().logical_requests, 2 * (BLOCKS + N));
+}
+
+/// A warm synchronous-metadata create + 1 KB write + unlink writes its
+/// directory block through the driver on every create and unlink, and
+/// still copies no block on the way. The write overwrites a resident
+/// file: a block freshly allocated for a new file is a cache miss, which
+/// installs a new zeroed buffer.
+#[test]
+fn warm_sync_create_write_unlink_copies_no_block() {
+    const FILES: usize = 40;
+    let cfg = CffsConfig::cffs().with_mode(MetadataMode::Synchronous);
+    let fs = cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), cfg)
+        .expect("mkfs");
+    let dir = fs.mkdir(fs.root(), "d").expect("mkdir");
+    let resident = fs.create(dir, "resident").expect("create");
+    let names: Vec<String> = (0..FILES).map(|i| format!("file{i:03}")).collect();
+    let mut data = [0x5au8; 1024];
+    let mut cycle = |name: &str| {
+        fs.create(dir, name).expect("create");
+        data[0] = data[0].wrapping_add(1);
+        fs.write(resident, 0, &data).expect("write");
+        fs.unlink(dir, name).expect("unlink");
+    };
+    // One untimed sweep warms the cache and sizes every lazily grown table.
+    names.iter().for_each(|n| cycle(n));
+    let requests = fs.io_stats().driver.logical_requests;
+
+    let (_, bytes) = heap_of(|| names.iter().for_each(|n| cycle(n)));
+    let per_op = bytes as f64 / FILES as f64;
+    assert!(
+        per_op < BLOCK_SIZE as f64 / 8.0,
+        "create + write + unlink requested {per_op} bytes: a block was copied"
+    );
+    assert!(fs.io_stats().driver.logical_requests > requests, "metadata went to disk");
 }

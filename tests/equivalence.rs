@@ -5,6 +5,7 @@
 //! degrouping all have to preserve semantics exactly.
 
 use cffs::build;
+use cffs::obs::Ctr;
 use cffs::prelude::*;
 use cffs_disksim::models;
 use cffs_fslib::model::ModelFs;
@@ -340,7 +341,24 @@ fn deterministic_simulated_time() {
         .map(|&(l, t, a, b, c, d, e)| (l.to_string(), t, a, b, c, d, e))
         .collect();
     assert_eq!(got, want, "simulated time or cache traffic moved: {got:#?}");
+
+    // The same script on a synchronous-metadata C-FFS splits each op's
+    // latency into queue, service and op time exactly as pinned: the
+    // split is taken on the thread that issued the disk request.
+    let fs = Subject::cffs(CffsConfig::cffs().with_mode(MetadataMode::Synchronous));
+    let files = range_files(&*fs);
+    for op in fixed_range_script() {
+        run_range_op(&*fs, &files, &op);
+    }
+    fs.sync().expect("sync");
+    let obs = fs.obs().expect("C-FFS has an observer");
+    let attr = [Ctr::AttrQueueNs, Ctr::AttrServiceNs, Ctr::AttrOpNs].map(|c| obs.get(c));
+    assert_eq!(attr, PINNED_SYNC_ATTR, "queue / service / op attribution moved");
 }
+
+/// `(attr_queue_ns, attr_service_ns, attr_op_ns)` after
+/// [`fixed_range_script`] and a sync on a synchronous-metadata C-FFS.
+const PINNED_SYNC_ATTR: [u64; 3] = [2_281_000, 494_004_699, 7_162_000];
 
 /// Byte offsets on and around what the data path treats specially: every
 /// block edge of the first 24 blocks (4096·k − 1, + 0, + 1), and the first
