@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -43,6 +43,14 @@ if grep -rnE 'mpsc|Condvar|thread::Builder|JoinHandle' crates/disksim/src; then
 fi
 if grep -rnE 'adopt_span|end_adopt|fold_attr|SpanCtx|AttrDelta' $SRC; then
     echo "the span hand-off between threads is back"; exit 1
+fi
+# The feed and the flight recorder are one sampler: one frame table and
+# validator, one pacer atomic, one slow path off the clock.
+if grep -rnE 'feed_due_ns|flight_due_ns|FLIGHT_FRAME_FIELDS|validate_flight_frame' crates/obs; then
+    echo "a second sampling pacer, frame table or frame validator is back in crates/obs"; exit 1
+fi
+if [ "$(grep -rn 'fn sim_fire' crates/obs | wc -l)" -gt 1 ]; then
+    echo "sim_fire defined more than once under crates/obs"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

@@ -359,8 +359,8 @@ fn main() {
 
 /// Persist the machine-readable verdict as `GATE_REPORT_<stem>.json`
 /// next to the *current* payload (the freshly measured side — CI
-/// collects that directory), using the bench artifacts' staging+rename
-/// discipline. Failure to write is a warning, not a gate failure: the
+/// collects that directory), through the same atomic write as the bench
+/// artifacts. Failure to write is a warning, not a gate failure: the
 /// verdict already went to stdout/stderr and the exit code.
 fn write_gate_report(gate: &Gate, current: &str, baseline: &str, tol_pct: f64) {
     let cur = std::path::Path::new(current);
@@ -386,10 +386,7 @@ fn write_gate_report(gate: &Gate, current: &str, baseline: &str, tol_pct: f64) {
             Json::Arr(gate.notices.iter().map(|n| Json::Str(n.clone())).collect())
         ),
     ];
-    let tmp = dir.join(format!("GATE_REPORT_{stem}.json.{}.tmp", std::process::id()));
-    let res = std::fs::write(&tmp, format!("{}\n", report.to_string_pretty()))
-        .and_then(|()| std::fs::rename(&tmp, &path));
-    match res {
+    match cffs_obs::write_atomic(&path, format!("{}\n", report.to_string_pretty()).as_bytes()) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }

@@ -51,31 +51,15 @@ pub fn write_bench(name: &str, payload: Json) -> std::io::Result<std::path::Path
     write_artifact(&format!("BENCH_{name}.json"), &(payload.to_string_pretty() + "\n"))
 }
 
-/// Monotonic disambiguator for staging-file names within this process.
-static TMP_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Write a named artifact into `BENCH_OUT_DIR` atomically: the content
-/// lands in a staging file first and is renamed into place, so a crash
-/// mid-write can never leave a half-written file that poisons
-/// `bench_gate` baselines or fold consumers.
-///
-/// The staging name is `<name>.<pid>.<seq>.tmp` — unique per process
-/// *and* per call. A fixed `<name>.tmp` races when two writers emit the
-/// same artifact concurrently (parallel CI shards into a shared
-/// `BENCH_OUT_DIR`, or threaded tests): writer A's rename can steal
-/// writer B's half-written staging file, publishing a torn artifact.
-/// With unique staging names each writer renames only bytes it wrote
-/// completely; the final rename still serializes on the kernel, so the
-/// artifact is always one writer's intact content.
+/// Write a named artifact into `BENCH_OUT_DIR` atomically
+/// ([`cffs_obs::write_atomic`]), so a crash mid-write can never leave a
+/// half-written file that poisons `bench_gate` baselines or fold
+/// consumers, and two concurrent writers of one artifact never tear it.
 pub fn write_artifact(name: &str, content: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| ".".to_string());
     std::fs::create_dir_all(&dir)?;
     let path = std::path::Path::new(&dir).join(name);
-    let seq = TMP_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let tmp = std::path::Path::new(&dir)
-        .join(format!("{name}.{}.{seq}.tmp", std::process::id()));
-    std::fs::write(&tmp, content)?;
-    std::fs::rename(&tmp, &path)?;
+    cffs_obs::write_atomic(&path, content.as_bytes())?;
     Ok(path)
 }
 

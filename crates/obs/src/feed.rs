@@ -1,48 +1,48 @@
-//! Streaming telemetry feed — timestamped frames folded from the atomic
-//! registries, appended as JSONL for `cffs-top` (and any other consumer)
-//! to follow or replay.
+//! The sampler behind both telemetry sinks, and the streaming feed.
 //!
-//! A [`FeedSink`] owns the feed file. Each appended frame rewrites the
-//! whole file through a staging-file + rename, the same atomic-write
-//! discipline as the bench artifacts: a follower polling the path always
-//! reads a complete prefix of frames, never a torn line. In-process
-//! consumers can [`FeedSink::subscribe`] for a channel of rendered frame
-//! lines instead of polling the file.
+//! A [`Frame`] samples one observed stack ([`Obs`], plus a volume set's
+//! per-volume registries) and has one renderer. A feed line renders it
+//! against the tap's previous frame, so it carries deltas; a flight
+//! recorder `frame` record ([`crate::flight`]) renders it against zero,
+//! so it carries cumulative values under the same field names. Either
+//! way the fields are [`FRAME_FIELDS`] and [`validate_frame`] checks
+//! them.
 //!
-//! A [`FeedTap`] attaches one observed stack ([`Obs`]) to a sink and
-//! decides *when* frames are cut ([`Cadence`]):
+//! A [`FeedSink`] owns the feed file and appends one JSONL line per
+//! frame. [`parse_feed`] ignores a final line that lacks its `\n`, so a
+//! follower polling the path only ever sees complete frames.
+//!
+//! A tap attaches one observed stack to a sink and decides *when*
+//! frames are cut ([`Cadence`]):
 //!
 //! * `Sim(interval_ns)` — a frame whenever the stack's simulated clock
-//!   crosses the next interval boundary. The check rides
-//!   [`Obs::set_clock_ns`] (one relaxed load when no tap is attached),
-//!   so emission happens at deterministic points of a deterministic
-//!   run: same seed ⇒ byte-identical feed.
+//!   crosses the next interval boundary. The tap arms the stack's one
+//!   sampling pacer, which rides [`Obs::set_clock_ns`] (one relaxed load
+//!   when nothing is armed) and may drive a flight recorder at its own
+//!   interval beside it. Emission happens at deterministic points of a
+//!   deterministic run: same seed ⇒ byte-identical feed.
 //! * `Host(duration)` — a background sampler thread cuts frames in wall
 //!   time, for watching long soaks live.
 //! * `Manual` — frames only via [`TapGuard::frame`], e.g. at the phase
 //!   barriers of a multi-threaded run where the registries are
 //!   quiescent.
 //!
-//! Frames carry *deltas* since the previous frame (counters, histogram
-//! sum/count, per-CG traffic, per-thread ops) plus instantaneous state
-//! (signal EWMAs, queue depth, per-CG occupancy). Every registry read
-//! is an atomic load or a short leaf-lock copy, so a frame is a
-//! consistent-enough snapshot without ever stopping the stack — see
-//! DESIGN.md §8 for the consistency model.
+//! Every registry read is an atomic load or a short leaf-lock copy, so a
+//! frame is a consistent-enough snapshot without ever stopping the stack
+//! — see DESIGN.md §8 for the consistency model.
 
-use std::collections::VecDeque;
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Weak};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-use crate::{obj, Ctr, Obs, Sig, THREAD_SLOTS};
+use crate::{obj, CgStat, Ctr, Event, Obs, Sampler, Sig, THREAD_SLOTS};
 
 /// Default simulated-time frame cadence: 50 ms of simulated time, a few
 /// dozen frames per benchmark phase at the repro binaries' scales.
 pub const SIM_INTERVAL_DEFAULT_NS: u64 = 50_000_000;
 
-/// Counters carried (as deltas) in every frame, in frame order.
+/// Counters carried in every frame, in frame order.
 pub const FRAME_COUNTERS: &[Ctr] = &[
     Ctr::DiskRequests,
     Ctr::DiskReads,
@@ -69,8 +69,7 @@ pub const FRAME_COUNTERS: &[Ctr] = &[
     Ctr::VolDirFanouts,
 ];
 
-/// Histograms whose per-frame `(dsum, dcount)` deltas are carried in
-/// every frame.
+/// Histograms whose `(dsum, dcount)` are carried in every frame.
 pub const FRAME_HISTOS: &[&str] =
     &["group_fetch_util_pct", "driver_batch_reqs", "cache_shard_hit_pct", "dcache_hit_pct"];
 
@@ -115,40 +114,201 @@ pub enum Cadence {
     Manual,
 }
 
-/// Staging-name disambiguator (same discipline as the bench artifacts).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
+/// One sample of an observed stack's registries — the frame type of
+/// both the feed and the flight recorder. [`Frame::default`] is the zero
+/// frame a cumulative rendering is taken against.
+#[derive(Default)]
+pub(crate) struct Frame {
+    t_ns: u64,
+    /// Values of [`FRAME_COUNTERS`], in order.
+    counters: Vec<u64>,
+    /// `(sum, count)` of each [`FRAME_HISTOS`] histogram, in order.
+    histos: Vec<(u64, u64)>,
+    cgs: Vec<CgStat>,
+    threads: [u64; THREAD_SLOTS],
+    queue_depth: u64,
+    signals: Json,
+    slo_burn_milli: u64,
+    /// One row per volume of a volume-set producer, in volume order.
+    vols: Vec<VolRow>,
+    /// Trace events recorded after the watermark the frame was captured
+    /// against (all tags; the renderer keeps `signal.*`/`regroup.*`).
+    pub(crate) fresh: Vec<Event>,
+    /// Trace-ring watermark after [`Frame::fresh`].
+    pub(crate) mark: u64,
+}
 
-/// The feed file plus its in-process subscribers.
+/// One volume's registers in a [`Frame`].
+#[derive(Default, Clone, Copy)]
+struct VolRow {
+    ops: u64,
+    dreads: u64,
+    dwrites: u64,
+    queue_depth: u64,
+    gf_util_ewma_milli: u64,
+}
+
+impl Frame {
+    /// Sample `obs` and the per-volume registries `vols` at simulated
+    /// time `t_ns`, lifting the trace events recorded after watermark
+    /// `since`. Lock discipline: every read is an atomic load or a short
+    /// copy under one leaf lock (signals, trace ring, per-CG util) taken
+    /// *sequentially*, never nested — so a frame can be cut from any
+    /// thread.
+    pub(crate) fn capture(obs: &Obs, vols: &[Arc<Obs>], t_ns: u64, since: u64) -> Frame {
+        let h = obs.histos();
+        let (fresh, mark) = obs.events_since(since);
+        Frame {
+            t_ns,
+            counters: FRAME_COUNTERS.iter().map(|&c| obs.get(c)).collect(),
+            histos: [&h.group_fetch_util_pct, &h.driver_batch_reqs, &h.cache_shard_hit_pct, &h.dcache_hit_pct]
+                .iter()
+                .map(|hg| {
+                    let s = hg.snapshot();
+                    (s.sum, s.count())
+                })
+                .collect(),
+            cgs: obs.cg_stats(),
+            threads: obs.thread_ops(),
+            queue_depth: obs.queue_depth(),
+            signals: obs.signals_json(),
+            slo_burn_milli: obs.slo_burn_milli(),
+            vols: vols
+                .iter()
+                .map(|v| VolRow {
+                    ops: v.thread_ops().iter().sum(),
+                    dreads: v.get(Ctr::DiskReads),
+                    dwrites: v.get(Ctr::DiskWrites),
+                    queue_depth: v.queue_depth(),
+                    gf_util_ewma_milli: (v.signal(Sig::GroupFetchUtil).ewma * 1000.0).round() as u64,
+                })
+                .collect(),
+            fresh,
+            mark,
+        }
+    }
+
+    /// Render the [`FRAME_FIELDS`] after `seq` and `stage`, which the
+    /// sink supplies. Counters, histogram sums and counts, per-CG I/O and
+    /// per-thread and per-volume ops render as `self − base`
+    /// (saturating); everything else renders as sampled.
+    pub(crate) fn render(&self, base: &Frame) -> Vec<(String, Json)> {
+        let int = |v: u64| Json::Int(v as i64);
+        let dctr: Vec<u64> = self
+            .counters
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| v.saturating_sub(base.counters.get(i).copied().unwrap_or(0)))
+            .collect();
+        let dctr_of = |c: Ctr| FRAME_COUNTERS.iter().position(|&x| x == c).map_or(0, |i| dctr[i]);
+        let dcache_hits = dctr_of(Ctr::DcacheHits) + dctr_of(Ctr::DcacheNegHits);
+        let dcache_probes = dcache_hits + dctr_of(Ctr::DcacheMisses);
+        let dthreads: Vec<u64> =
+            (0..THREAD_SLOTS).map(|i| self.threads[i].saturating_sub(base.threads[i])).collect();
+        let histos = FRAME_HISTOS
+            .iter()
+            .zip(&self.histos)
+            .enumerate()
+            .map(|(i, (&n, &(sum, count)))| {
+                let (psum, pcount) = base.histos.get(i).copied().unwrap_or((0, 0));
+                let row = obj![
+                    ("dsum", int(sum.saturating_sub(psum))),
+                    ("dcount", int(count.saturating_sub(pcount))),
+                ];
+                (n.to_string(), row)
+            })
+            .collect();
+        let cgs = self
+            .cgs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let p = base.cgs.get(i).copied().unwrap_or_default();
+                obj![
+                    ("cg", int(c.cg as u64)),
+                    ("data_blocks", int(c.data_blocks)),
+                    ("used", int(c.used)),
+                    ("util_ewma_milli", int(c.util_ewma_milli)),
+                    ("util_samples", int(c.util_samples)),
+                    ("dread_ios", int(c.read_ios.saturating_sub(p.read_ios))),
+                    ("dwrite_ios", int(c.write_ios.saturating_sub(p.write_ios))),
+                    ("dread_sectors", int(c.read_sectors.saturating_sub(p.read_sectors))),
+                    ("dwrite_sectors", int(c.write_sectors.saturating_sub(p.write_sectors))),
+                ]
+            })
+            .collect();
+        let events = self
+            .fresh
+            .iter()
+            .filter(|e| e.tag.starts_with("signal.") || e.tag.starts_with("regroup."))
+            .map(|e| {
+                obj![
+                    ("t_ns", int(e.t_ns)),
+                    ("tag", Json::Str(e.tag.to_string())),
+                    ("a", int(e.a)),
+                    ("b", int(e.b)),
+                ]
+            })
+            .collect();
+        let volumes = self
+            .vols
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let p = base.vols.get(i).copied().unwrap_or_default();
+                obj![
+                    ("vol", int(i as u64)),
+                    ("ops", int(v.ops.saturating_sub(p.ops))),
+                    ("queue_depth", int(v.queue_depth)),
+                    ("dreads", int(v.dreads.saturating_sub(p.dreads))),
+                    ("dwrites", int(v.dwrites.saturating_sub(p.dwrites))),
+                    ("gf_util_ewma_milli", int(v.gf_util_ewma_milli)),
+                ]
+            })
+            .collect();
+        let counters = FRAME_COUNTERS.iter().zip(&dctr).map(|(c, &v)| (c.name().to_string(), int(v)));
+        [
+            ("t_ns", int(self.t_ns)),
+            ("counters", Json::Obj(counters.collect())),
+            ("ops", int(dthreads.iter().sum())),
+            ("queue_depth", int(self.queue_depth)),
+            ("histos", Json::Obj(histos)),
+            ("signals", self.signals.clone()),
+            ("cgs", Json::Arr(cgs)),
+            ("threads", Json::Arr(dthreads.into_iter().map(int).collect())),
+            ("events", Json::Arr(events)),
+            ("dcache_hit_milli", int((dcache_hits * 1000).checked_div(dcache_probes).unwrap_or(0))),
+            ("slo_burn_milli", int(self.slo_burn_milli)),
+            ("volumes", Json::Arr(volumes)),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
+    }
+}
+
+/// The feed file, appended one line per frame.
 pub struct FeedSink {
     path: std::path::PathBuf,
     state: Mutex<SinkState>,
 }
 
 struct SinkState {
-    /// Full JSONL content written so far (the file is atomically
-    /// rewritten per frame, so the accumulated text is the file).
-    text: String,
+    /// The feed file; `None` once a write failed, which ends the feed.
+    file: Option<std::fs::File>,
     frames: u64,
-    subscribers: Vec<mpsc::Sender<String>>,
-    /// Set after the first failed write so the warning prints once.
-    write_failed: bool,
 }
 
 impl FeedSink {
     /// Create (truncate) the feed file and return the sink. The empty
-    /// file is written immediately so `cffs-top --follow` can latch on
+    /// file exists immediately so `cffs-top --follow` can latch on
     /// before the first frame.
     pub fn create(path: impl Into<std::path::PathBuf>) -> std::io::Result<Arc<FeedSink>> {
         let path = path.into();
-        std::fs::write(&path, "")?;
+        let file = std::fs::File::create(&path)?;
         Ok(Arc::new(FeedSink {
             path,
-            state: Mutex::new(SinkState {
-                text: String::new(),
-                frames: 0,
-                subscribers: Vec::new(),
-                write_failed: false,
-            }),
+            state: Mutex::new(SinkState { file: Some(file), frames: 0 }),
         }))
     }
 
@@ -162,74 +322,25 @@ impl FeedSink {
         self.state.lock().expect("feed sink poisoned").frames
     }
 
-    /// Receive every subsequent frame as its rendered JSONL line.
-    pub fn subscribe(&self) -> mpsc::Receiver<String> {
-        let (tx, rx) = mpsc::channel();
-        self.state.lock().expect("feed sink poisoned").subscribers.push(tx);
-        rx
-    }
-
-    /// Assign the next sequence number to `frame`, render it, and
-    /// publish: atomic full-file rewrite + subscriber fan-out. Write
-    /// failures warn once and drop frames rather than killing the run —
-    /// telemetry must never fail the experiment it watches.
-    fn append(&self, mut frame: Vec<(String, Json)>) {
+    /// Number the rendered frame `body`, label it `stage` and append it
+    /// as one line. The line goes out in one `write_all` ending in `\n`;
+    /// a reader that catches it half-written sees a last line without
+    /// its `\n`, which [`parse_feed`] skips. A failed write warns once
+    /// and ends the feed rather than the run — telemetry must never fail
+    /// the experiment it watches — and a torn line it leaves stays last.
+    fn append(&self, stage: &str, body: Vec<(String, Json)>) {
         let mut st = self.state.lock().expect("feed sink poisoned");
-        frame.insert(0, ("seq".to_string(), Json::Int(st.frames as i64)));
-        let line = Json::Obj(frame).to_string();
+        let mut frame = vec![
+            ("seq".to_string(), Json::Int(st.frames as i64)),
+            ("stage".to_string(), Json::Str(stage.to_string())),
+        ];
+        frame.extend(body);
         st.frames += 1;
-        st.text.push_str(&line);
-        st.text.push('\n');
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .path
-            .with_extension(format!("{}.{}.tmp", std::process::id(), seq));
-        let res = std::fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(st.text.as_bytes()))
-            .and_then(|()| std::fs::rename(&tmp, &self.path));
-        if let Err(e) = res {
-            if !st.write_failed {
-                st.write_failed = true;
-                eprintln!("warning: telemetry feed write to {} failed: {e}", self.path.display());
-            }
-        }
-        st.subscribers.retain(|tx| tx.send(line.clone()).is_ok());
-    }
-}
-
-/// Per-tap delta baseline: the registry values at the previous frame.
-struct Baseline {
-    counters: Vec<u64>,
-    histos: Vec<(u64, u64)>,
-    cg_io: Vec<(u64, u64, u64, u64)>,
-    threads: [u64; THREAD_SLOTS],
-    events_mark: u64,
-}
-
-/// `(sum, count)` of each [`FRAME_HISTOS`] histogram, in frame order.
-fn frame_histo_points(obs: &Obs) -> Vec<(u64, u64)> {
-    let h = obs.histos();
-    [&h.group_fetch_util_pct, &h.driver_batch_reqs, &h.cache_shard_hit_pct, &h.dcache_hit_pct]
-        .iter()
-        .map(|hg| {
-            let s = hg.snapshot();
-            (s.sum, s.count())
-        })
-        .collect()
-}
-
-impl Baseline {
-    fn capture(obs: &Obs) -> Baseline {
-        Baseline {
-            counters: FRAME_COUNTERS.iter().map(|&c| obs.get(c)).collect(),
-            histos: frame_histo_points(obs),
-            cg_io: obs
-                .cg_stats()
-                .iter()
-                .map(|c| (c.read_ios, c.write_ios, c.read_sectors, c.write_sectors))
-                .collect(),
-            threads: obs.thread_ops(),
-            events_mark: obs.events_recorded(),
+        let Some(file) = st.file.as_mut() else { return };
+        let line = Json::Obj(frame).to_string() + "\n";
+        if let Err(e) = file.write_all(line.as_bytes()) {
+            st.file = None;
+            eprintln!("warning: telemetry feed write to {} failed: {e}", self.path.display());
         }
     }
 }
@@ -237,39 +348,14 @@ impl Baseline {
 /// One attachment of an [`Obs`] to a [`FeedSink`] (see the module docs
 /// for cadences). Created via [`attach`]; frames stop when the returned
 /// [`TapGuard`] drops.
-pub struct FeedTap {
+struct FeedTap {
     sink: Arc<FeedSink>,
     obs: Arc<Obs>,
     /// Per-volume registries of a volume-set producer, in volume order
     /// (empty for single-volume producers; drives the `volumes` rows).
     vols: Vec<Arc<Obs>>,
-    interval_ns: u64,
-    state: Mutex<TapState>,
-}
-
-struct TapState {
-    stage: String,
-    due_ns: u64,
-    prev: Baseline,
-    /// Per-volume delta baselines, parallel to [`FeedTap::vols`].
-    vol_prev: Vec<VolBaseline>,
-}
-
-/// Per-volume delta baseline for the `volumes` frame rows.
-struct VolBaseline {
-    ops: u64,
-    dreads: u64,
-    dwrites: u64,
-}
-
-impl VolBaseline {
-    fn capture(obs: &Obs) -> VolBaseline {
-        VolBaseline {
-            ops: obs.thread_ops().iter().sum(),
-            dreads: obs.get(Ctr::DiskReads),
-            dwrites: obs.get(Ctr::DiskWrites),
-        }
-    }
+    /// The stage label and the previous frame, the delta base.
+    state: Mutex<(String, Frame)>,
 }
 
 impl FeedTap {
@@ -277,170 +363,19 @@ impl FeedTap {
     /// manual frames).
     fn emit(&self, t_ns: u64, stage: Option<&str>) {
         let mut st = self.state.lock().expect("feed tap poisoned");
+        let (label, prev) = &mut *st;
         if let Some(s) = stage {
-            st.stage = s.to_string();
+            *label = s.to_string();
         }
-        let frame = self.build_frame(&mut st, t_ns);
-        drop(st);
-        self.sink.append(frame);
+        let cur = Frame::capture(&self.obs, &self.vols, t_ns, prev.mark);
+        self.sink.append(label, cur.render(prev));
+        *prev = cur;
     }
+}
 
-    /// Simulated-clock pacer entry: called (via [`sim_fire`]) whenever
-    /// the clock crosses `due_ns`. Rechecks under the tap lock so
-    /// concurrent clock movers cut exactly one frame per crossing.
-    pub(crate) fn sim_tick(&self, now_ns: u64) {
-        let mut st = self.state.lock().expect("feed tap poisoned");
-        if now_ns < st.due_ns {
-            return;
-        }
-        st.due_ns = (now_ns / self.interval_ns + 1) * self.interval_ns;
-        self.obs.feed_due_ns.store(st.due_ns, Ordering::Relaxed);
-        let frame = self.build_frame(&mut st, now_ns);
-        drop(st);
-        self.sink.append(frame);
-    }
-
-    /// Fold the registries into one frame object and advance the
-    /// baseline. Lock discipline: every read below is an atomic load or
-    /// a short copy under one leaf lock (signals, trace ring, per-CG
-    /// util) taken *sequentially*, never nested — emission can therefore
-    /// run from any thread.
-    fn build_frame(&self, st: &mut TapState, t_ns: u64) -> Vec<(String, Json)> {
-        let obs = &self.obs;
-        let cur = Baseline::capture(obs);
-        let counters = Json::Obj(
-            FRAME_COUNTERS
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| {
-                    let prev = st.prev.counters.get(i).copied().unwrap_or(0);
-                    (c.name().to_string(), Json::Int(cur.counters[i].saturating_sub(prev) as i64))
-                })
-                .collect(),
-        );
-        let histos = Json::Obj(
-            FRAME_HISTOS
-                .iter()
-                .enumerate()
-                .map(|(i, &n)| {
-                    let (psum, pcount) = st.prev.histos.get(i).copied().unwrap_or((0, 0));
-                    let (sum, count) = cur.histos[i];
-                    (
-                        n.to_string(),
-                        obj![
-                            ("dsum", Json::Int(sum.saturating_sub(psum) as i64)),
-                            ("dcount", Json::Int(count.saturating_sub(pcount) as i64)),
-                        ],
-                    )
-                })
-                .collect(),
-        );
-        let cgs = Json::Arr(
-            obs.cg_stats()
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let (pr, pw, prs, pws) = st.prev.cg_io.get(i).copied().unwrap_or((0, 0, 0, 0));
-                    obj![
-                        ("cg", Json::Int(c.cg as i64)),
-                        ("data_blocks", Json::Int(c.data_blocks as i64)),
-                        ("used", Json::Int(c.used as i64)),
-                        ("util_ewma_milli", Json::Int(c.util_ewma_milli as i64)),
-                        ("util_samples", Json::Int(c.util_samples as i64)),
-                        ("dread_ios", Json::Int(c.read_ios.saturating_sub(pr) as i64)),
-                        ("dwrite_ios", Json::Int(c.write_ios.saturating_sub(pw) as i64)),
-                        ("dread_sectors", Json::Int(c.read_sectors.saturating_sub(prs) as i64)),
-                        ("dwrite_sectors", Json::Int(c.write_sectors.saturating_sub(pws) as i64)),
-                    ]
-                })
-                .collect(),
-        );
-        let threads = Json::Arr(
-            (0..THREAD_SLOTS)
-                .map(|i| Json::Int(cur.threads[i].saturating_sub(st.prev.threads[i]) as i64))
-                .collect(),
-        );
-        let ops: u64 = (0..THREAD_SLOTS)
-            .map(|i| cur.threads[i].saturating_sub(st.prev.threads[i]))
-            .sum();
-        // Namespace-cache hit rate over this frame's window, derived
-        // from the counter deltas already captured above.
-        let dctr = |ctr: Ctr| -> u64 {
-            FRAME_COUNTERS
-                .iter()
-                .position(|&c| c == ctr)
-                .map(|i| {
-                    cur.counters[i].saturating_sub(st.prev.counters.get(i).copied().unwrap_or(0))
-                })
-                .unwrap_or(0)
-        };
-        let dcache_hits = dctr(Ctr::DcacheHits) + dctr(Ctr::DcacheNegHits);
-        let dcache_probes = dcache_hits + dctr(Ctr::DcacheMisses);
-        let dcache_hit_milli = (dcache_hits * 1000).checked_div(dcache_probes).unwrap_or(0);
-        let (fresh, mark) = obs.events_since(st.prev.events_mark);
-        let events = Json::Arr(
-            fresh
-                .iter()
-                .filter(|e| e.tag.starts_with("signal.") || e.tag.starts_with("regroup."))
-                .map(|e| {
-                    obj![
-                        ("t_ns", Json::Int(e.t_ns as i64)),
-                        ("tag", Json::Str(e.tag.to_string())),
-                        ("a", Json::Int(e.a as i64)),
-                        ("b", Json::Int(e.b as i64)),
-                    ]
-                })
-                .collect(),
-        );
-        let vol_cur: Vec<VolBaseline> =
-            self.vols.iter().map(|v| VolBaseline::capture(v)).collect();
-        let volumes = Json::Arr(
-            self.vols
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    let zero = VolBaseline { ops: 0, dreads: 0, dwrites: 0 };
-                    let prev = st.vol_prev.get(i).unwrap_or(&zero);
-                    let gf = v.signal(Sig::GroupFetchUtil);
-                    obj![
-                        ("vol", Json::Int(i as i64)),
-                        ("ops", Json::Int(vol_cur[i].ops.saturating_sub(prev.ops) as i64)),
-                        ("queue_depth", Json::Int(v.queue_depth() as i64)),
-                        (
-                            "dreads",
-                            Json::Int(vol_cur[i].dreads.saturating_sub(prev.dreads) as i64)
-                        ),
-                        (
-                            "dwrites",
-                            Json::Int(vol_cur[i].dwrites.saturating_sub(prev.dwrites) as i64)
-                        ),
-                        (
-                            "gf_util_ewma_milli",
-                            Json::Int((gf.ewma * 1000.0).round() as i64)
-                        ),
-                    ]
-                })
-                .collect(),
-        );
-        let frame = vec![
-            ("stage".to_string(), Json::Str(st.stage.clone())),
-            ("t_ns".to_string(), Json::Int(t_ns as i64)),
-            ("counters".to_string(), counters),
-            ("ops".to_string(), Json::Int(ops as i64)),
-            ("queue_depth".to_string(), Json::Int(obs.queue_depth() as i64)),
-            ("histos".to_string(), histos),
-            ("signals".to_string(), obs.signals_json()),
-            ("cgs".to_string(), cgs),
-            ("threads".to_string(), threads),
-            ("events".to_string(), events),
-            ("dcache_hit_milli".to_string(), Json::Int(dcache_hit_milli as i64)),
-            ("slo_burn_milli".to_string(), Json::Int(obs.slo_burn_milli() as i64)),
-            ("volumes".to_string(), volumes),
-        ];
-        st.prev = cur;
-        st.prev.events_mark = mark;
-        st.vol_prev = vol_cur;
-        frame
+impl Sampler for FeedTap {
+    fn sample(&self, now_ns: u64) {
+        self.emit(now_ns, None);
     }
 }
 
@@ -450,9 +385,8 @@ impl FeedTap {
 /// cadence boundaries.
 pub struct TapGuard {
     tap: Arc<FeedTap>,
-    sim: bool,
-    stop: Option<Arc<AtomicBool>>,
-    join: Option<std::thread::JoinHandle<()>>,
+    /// The `Host` cadence's sampler thread and its stop flag.
+    host: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
 }
 
 impl TapGuard {
@@ -465,17 +399,11 @@ impl TapGuard {
 
 impl Drop for TapGuard {
     fn drop(&mut self) {
-        if let Some(stop) = &self.stop {
+        if let Some((stop, join)) = self.host.take() {
             stop.store(true, Ordering::Relaxed);
-        }
-        if let Some(join) = self.join.take() {
             let _ = join.join();
         }
-        if self.sim {
-            let obs = &self.tap.obs;
-            obs.feed_due_ns.store(u64::MAX, Ordering::Relaxed);
-            *obs.feed_tap.lock().expect("feed tap slot poisoned") = None;
-        }
+        self.tap.obs.disarm_sampler(&self.tap);
         self.tap.emit(self.tap.obs.global_clock_ns(), None);
     }
 }
@@ -500,67 +428,35 @@ pub fn attach_with_volumes(
     stage: &str,
     cadence: Cadence,
 ) -> TapGuard {
-    let interval_ns = match cadence {
-        Cadence::Sim(i) => i.max(1),
-        _ => u64::MAX,
-    };
+    let first = Frame::capture(obs, vols, 0, obs.events_recorded());
     let tap = Arc::new(FeedTap {
         sink: Arc::clone(sink),
         obs: Arc::clone(obs),
         vols: vols.to_vec(),
-        interval_ns,
-        state: Mutex::new(TapState {
-            stage: stage.to_string(),
-            due_ns: u64::MAX,
-            prev: Baseline::capture(obs),
-            vol_prev: vols.iter().map(|v| VolBaseline::capture(v)).collect(),
-        }),
+        state: Mutex::new((stage.to_string(), first)),
     });
-    let mut guard = TapGuard { tap: Arc::clone(&tap), sim: false, stop: None, join: None };
-    match cadence {
-        Cadence::Sim(_) => {
-            let now = obs.global_clock_ns();
-            let due = (now / interval_ns + 1) * interval_ns;
-            tap.state.lock().expect("feed tap poisoned").due_ns = due;
-            *obs.feed_tap.lock().expect("feed tap slot poisoned") = Some(Arc::downgrade(&tap));
-            obs.feed_due_ns.store(due, Ordering::Relaxed);
-            guard.sim = true;
+    let host = match cadence {
+        Cadence::Sim(interval_ns) => {
+            obs.arm_sampler(&tap, interval_ns);
+            None
         }
         Cadence::Host(every) => {
             let stop = Arc::new(AtomicBool::new(false));
-            let t = Arc::clone(&tap);
-            let s = Arc::clone(&stop);
-            guard.join = Some(std::thread::spawn(move || {
-                // The background sampler: cut a frame per wall interval
-                // until the guard drops.
-                while !s.load(Ordering::Relaxed) {
-                    std::thread::sleep(every);
-                    if s.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    t.emit(t.obs.global_clock_ns(), None);
+            let (t, s) = (Arc::clone(&tap), Arc::clone(&stop));
+            // The background sampler: cut a frame per wall interval until
+            // the guard drops.
+            let join = std::thread::spawn(move || loop {
+                std::thread::sleep(every);
+                if s.load(Ordering::Relaxed) {
+                    break;
                 }
-            }));
-            guard.stop = Some(stop);
+                t.emit(t.obs.global_clock_ns(), None);
+            });
+            Some((stop, join))
         }
-        Cadence::Manual => {}
-    }
-    guard
-}
-
-/// Dispatch a simulated-clock crossing from [`Obs::set_clock_ns`] to the
-/// attached tap (resetting the pacer when the tap is gone).
-pub(crate) fn sim_fire(obs: &Obs, now_ns: u64) {
-    let tap = obs
-        .feed_tap
-        .lock()
-        .expect("feed tap slot poisoned")
-        .as_ref()
-        .and_then(Weak::upgrade);
-    match tap {
-        Some(t) => t.sim_tick(now_ns),
-        None => obs.feed_due_ns.store(u64::MAX, Ordering::Relaxed),
-    }
+        Cadence::Manual => None,
+    };
+    TapGuard { tap, host }
 }
 
 /// Process-wide sink used by the repro binaries' `--feed <path>` flag:
@@ -577,16 +473,11 @@ pub fn set_global(path: impl Into<std::path::PathBuf>) -> std::io::Result<Arc<Fe
     Ok(sink)
 }
 
-/// The process-global feed sink, if one was set.
-pub fn global() -> Option<Arc<FeedSink>> {
-    GLOBAL_SINK.lock().expect("global feed sink poisoned").clone()
-}
-
 /// Attach `obs` to the process-global sink (no-op `None` when `--feed`
 /// was not given). Stages across one process share the sink, so a run's
 /// consecutive stages accumulate into one replayable feed.
 pub fn tap_global(obs: &Arc<Obs>, stage: &str, cadence: Cadence) -> Option<TapGuard> {
-    global().map(|sink| attach(&sink, obs, stage, cadence))
+    tap_global_volumes(obs, &[], stage, cadence)
 }
 
 /// [`tap_global`] with per-volume registries attached (see
@@ -597,7 +488,8 @@ pub fn tap_global_volumes(
     stage: &str,
     cadence: Cadence,
 ) -> Option<TapGuard> {
-    global().map(|sink| attach_with_volumes(&sink, obs, vols, stage, cadence))
+    let sink = GLOBAL_SINK.lock().expect("global feed sink poisoned").clone()?;
+    Some(attach_with_volumes(&sink, obs, vols, stage, cadence))
 }
 
 /// [`tap_global`] at the default simulated cadence — the one-liner the
@@ -606,9 +498,10 @@ pub fn tap_global_sim(obs: &Arc<Obs>, stage: &str) -> Option<TapGuard> {
     tap_global(obs, stage, Cadence::Sim(SIM_INTERVAL_DEFAULT_NS))
 }
 
-/// Validate one parsed feed frame against the schema documented by
-/// [`FRAME_FIELDS`]. Shared by `bench_schema_check --feed` and the feed
-/// tests so the schema cannot drift from its checker.
+/// Validate one parsed frame — a feed line or a flight `frame` record —
+/// against the schema documented by [`FRAME_FIELDS`]. Shared by
+/// `bench_schema_check --feed`, the flight parser and the feed tests so
+/// the schema cannot drift from its checker.
 pub fn validate_frame(frame: &Json) -> Result<(), String> {
     let want_u64 = |name: &str| -> Result<u64, String> {
         frame
@@ -736,10 +629,12 @@ pub fn validate_frame(frame: &Json) -> Result<(), String> {
 }
 
 /// Parse a feed file's JSONL into frames, validating each. Returns the
-/// frames in file order.
+/// frames in file order. A final line without its `\n` is a frame the
+/// sink is still appending, so it is skipped rather than parsed.
 pub fn parse_feed(text: &str) -> Result<Vec<Json>, String> {
+    let complete = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
     let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in complete.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
@@ -748,50 +643,6 @@ pub fn parse_feed(text: &str) -> Result<Vec<Json>, String> {
         out.push(j);
     }
     Ok(out)
-}
-
-/// A bounded rolling history of one numeric series, for sparklines.
-/// (Here rather than in the renderer so in-process subscribers get the
-/// same windowing as `cffs-top`.)
-#[derive(Debug, Clone)]
-pub struct Series {
-    cap: usize,
-    vals: VecDeque<f64>,
-}
-
-impl Series {
-    /// A series retaining the last `cap` points.
-    pub fn new(cap: usize) -> Series {
-        Series { cap: cap.max(1), vals: VecDeque::new() }
-    }
-
-    /// Append one point, evicting the oldest past capacity.
-    pub fn push(&mut self, v: f64) {
-        if self.vals.len() == self.cap {
-            self.vals.pop_front();
-        }
-        self.vals.push_back(v);
-    }
-
-    /// The retained points, oldest first.
-    pub fn values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.vals.iter().copied()
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// True when no points have been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.vals.is_empty()
-    }
-
-    /// The most recent point, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.vals.back().copied()
-    }
 }
 
 #[cfg(test)]
@@ -873,23 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn subscriber_sees_every_frame_line() {
-        let path = tmp_path("sub");
-        let sink = FeedSink::create(&path).unwrap();
-        let rx = sink.subscribe();
-        let obs = Obs::new();
-        let tap = attach(&sink, &obs, "s", Cadence::Manual);
-        tap.frame("s");
-        drop(tap);
-        let lines: Vec<String> = rx.try_iter().collect();
-        assert_eq!(lines.len(), 2);
-        for l in &lines {
-            validate_frame(&crate::json::parse(l).unwrap()).unwrap();
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn host_cadence_samples_in_wall_time() {
         let path = tmp_path("host");
         let sink = FeedSink::create(&path).unwrap();
@@ -911,31 +745,46 @@ mod tests {
     }
 
     #[test]
-    fn feed_file_is_rewritten_atomically_per_frame() {
-        let path = tmp_path("atomic");
+    fn feed_sink_appends_one_complete_line_per_frame() {
+        let path = tmp_path("append");
         let sink = FeedSink::create(&path).unwrap();
         let obs = Obs::new();
         let tap = attach(&sink, &obs, "s", Cadence::Manual);
-        for _ in 0..10 {
+        let mut seen = 0;
+        for i in 0..10 {
             tap.frame("s");
+            // After every frame the file is exactly the frames so far,
+            // each on its own `\n`-terminated line, numbered in order.
+            let text = std::fs::read_to_string(&path).unwrap();
+            assert!(text.ends_with('\n'));
+            assert!(text.len() > seen, "frame {i} appended, not rewritten smaller");
+            seen = text.len();
+            let frames = parse_feed(&text).unwrap();
+            assert_eq!(frames.len(), i + 1);
+            assert_eq!(frames[i].get("seq").and_then(Json::as_u64), Some(i as u64));
         }
-        // Every intermediate state was a complete file; the final state
-        // has all 10 frames and no staging leftovers.
-        let dir = path.parent().unwrap();
-        let strays: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| {
-                e.file_name().to_string_lossy().starts_with(
-                    path.file_stem().unwrap().to_string_lossy().as_ref(),
-                ) && e.path().extension().is_some_and(|x| x == "tmp")
-            })
-            .collect();
-        assert!(strays.is_empty(), "staging files renamed away: {strays:?}");
-        assert_eq!(
-            parse_feed(&std::fs::read_to_string(&path).unwrap()).unwrap().len(),
-            10
-        );
+        drop(tap);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn parse_feed_skips_a_half_written_last_line() {
+        let path = tmp_path("torn");
+        let sink = FeedSink::create(&path).unwrap();
+        let obs = Obs::new();
+        let tap = attach(&sink, &obs, "s", Cadence::Manual);
+        tap.frame("s");
+        tap.frame("s");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let next = text.lines().next().unwrap();
+        // A reader racing the sink sees the next line cut short.
+        for cut in [1, next.len() / 2, next.len()] {
+            let torn = format!("{text}{}", &next[..cut]);
+            assert_eq!(parse_feed(&torn).unwrap().len(), 2, "cut at byte {cut}");
+        }
+        // A malformed line that does end in `\n` is still an error.
+        assert!(parse_feed(&format!("{text}{}\n", &next[..next.len() / 2])).is_err());
+        assert!(parse_feed(&format!("{text}{{}}\n")).is_err());
         drop(tap);
         std::fs::remove_file(&path).ok();
     }

@@ -1,35 +1,34 @@
 //! Flight recorder — the always-on forensic black box.
 //!
 //! A [`Flight`] keeps a bounded in-memory window of recent telemetry for
-//! one observed stack — cumulative-counter frames, closed op spans, and
+//! one observed stack — sampler frames, closed op spans, and
 //! `signal.*`/`regroup.*` events, all harvested from the registries the
 //! stack already maintains — and persists the window atomically to
 //! `FLIGHT_<name>.jsonl` at every frame cut. A run killed at an
 //! arbitrary instant therefore always leaves a complete, schema-valid
 //! dump of its final seconds on disk; explicit dumps (the panic hook,
-//! fsck failures, [`Obs::dump_flight`]) cut a fresh frame first, so the
+//! fsck failures, [`Flight::dump`]) cut a fresh frame first, so the
 //! dump's last frame always equals the head's final counter snapshot.
 //!
-//! Pacing rides [`Obs::set_clock_ns`] exactly like the telemetry feed:
-//! with no recorder armed the hot path pays one relaxed load
-//! (`flight_due_ns == u64::MAX`). Spans and events are *not* collected
-//! on their own hot paths — they are lifted out of the existing trace
-//! ring at each cut via the [`Obs::events_since`] watermark, so arming a
-//! recorder adds no per-op cost.
+//! The recorder is the feed's sampler with another sink: it arms the
+//! same pacer on [`Obs::set_clock_ns`] (one relaxed load when nothing is
+//! armed) and cuts the same frame as a feed tap. Spans and events are
+//! *not* collected on their own hot paths — they are lifted out of the
+//! existing trace ring at each cut via the [`Obs::events_since`]
+//! watermark, so arming a recorder adds no per-op cost.
 //!
-//! Frames carry **cumulative** counter values (not deltas): the ring
-//! overwrites oldest frames, and cumulative values keep every retained
-//! frame independently meaningful — the postmortem analyzer re-derives
-//! window deltas from the first and last retained frames.
+//! Frame records render against zero, so they carry **cumulative**
+//! values under the feed's field names: the ring overwrites oldest
+//! frames, and cumulative values keep every retained frame independently
+//! meaningful — the postmortem analyzer re-derives window deltas from
+//! the first and last retained frames.
 
 use std::collections::VecDeque;
-use std::io::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, Once, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Once, PoisonError, Weak};
 
-use crate::feed::FRAME_COUNTERS;
+use crate::feed::{validate_frame, Frame, FRAME_COUNTERS, SIM_INTERVAL_DEFAULT_NS};
 use crate::json::Json;
-use crate::{obj, Ctr, Obs, Sig};
+use crate::{obj, Ctr, Event, Obs, Sampler, Sig};
 
 /// Frames retained in a flight ring (at the default 50 ms sim cadence:
 /// the last ~3 simulated seconds).
@@ -45,26 +44,10 @@ pub const FLIGHT_EVENTS: usize = 256;
 /// the glossary README documents and `tests/doc_drift.rs` cross-checks.
 pub const FLIGHT_RECORDS: &[(&str, &str)] = &[
     ("head", "dump header: name, capture reason, final counter snapshot, SLO table"),
-    ("frame", "one periodic cut: cumulative counters, gauges, signals, per-CG registers"),
+    ("frame", "one cut: the feed's frame fields rendered against zero (cumulative), stage = cut reason"),
     ("span", "one closed op span lifted from the trace ring (op, open time, latency)"),
     ("event", "one signal.* or regroup.* trace event retained in the capture window"),
 ];
-
-/// Fields of a flight `frame` record, with one-line descriptions.
-pub const FLIGHT_FRAME_FIELDS: &[(&str, &str)] = &[
-    ("rec", "record discriminator: head, frame, span, or event"),
-    ("t_ns", "simulated time the frame was cut, nanoseconds"),
-    ("counters", "cumulative curated counter values at the cut (not deltas)"),
-    ("ops", "cumulative outermost file-system ops completed at the cut"),
-    ("queue_depth", "threads waiting for the disk lock in the driver at the cut"),
-    ("signals", "live signal registry at the cut: EWMAs, thresholds, crossing counts"),
-    ("cgs", "per-cylinder-group occupancy, utilization EWMA, and cumulative I/O tallies"),
-    ("slo_burn_milli", "worst per-op SLO error-budget burn at the cut, milli-units"),
-    ("volumes", "per-volume cumulative rows (vol, ops, dreads, dwrites, queue_depth)"),
-];
-
-/// Staging-name disambiguator (same discipline as the bench artifacts).
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// One armed recorder: a bounded window of recent telemetry for one
 /// observed stack, persisted to `FLIGHT_<name>.jsonl` on every cut.
@@ -76,18 +59,20 @@ pub struct Flight {
     /// (empty for single-volume stacks). Their spans/events are merged
     /// into this ring tagged with the volume index.
     vols: Vec<Arc<Obs>>,
-    interval_ns: u64,
     state: Mutex<FlightState>,
 }
 
+/// The window, each record kept as its rendered JSONL line so a persist
+/// only concatenates.
 struct FlightState {
-    frames: VecDeque<Json>,
-    spans: VecDeque<Json>,
-    events: VecDeque<Json>,
+    frames: VecDeque<String>,
+    spans: VecDeque<String>,
+    events: VecDeque<String>,
     /// Trace-ring watermarks: `marks[0]` for the primary registry,
     /// `marks[1 + i]` for volume `i`.
     marks: Vec<u64>,
-    due_ns: u64,
+    /// Frames cut since arming: the next frame's `seq`.
+    cuts: u64,
     /// Reason recorded in the head of the most recent persist.
     reason: String,
     /// Set after the first failed write so the warning prints once.
@@ -98,20 +83,25 @@ struct FlightState {
 /// usable from a panic hook, where ordinary `.expect()` would abort the
 /// process with a double panic.
 fn lock_flight(m: &Mutex<FlightState>) -> MutexGuard<'_, FlightState> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// `FLIGHT_<name>.jsonl` file name for a stack label (non-portable
 /// characters mapped to `_`).
-pub fn flight_file_name(name: &str) -> String {
+fn file_name(name: &str) -> String {
     let safe: String = name
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
         .collect();
     format!("FLIGHT_{safe}.jsonl")
+}
+
+/// Render `row` onto a ring of capacity `cap`, evicting the oldest.
+fn push_bounded(ring: &mut VecDeque<String>, row: Json, cap: usize) {
+    ring.push_back(row.to_string());
+    while ring.len() > cap {
+        ring.pop_front();
+    }
 }
 
 impl Flight {
@@ -120,102 +110,56 @@ impl Flight {
         &self.path
     }
 
-    /// Harvest fresh trace events from one registry into the span/event
-    /// rings, tagging rows with `vol` (`Null` for the primary).
-    fn harvest(st: &mut FlightState, mark_idx: usize, obs: &Obs, vol: Json) {
-        let mark = st.marks.get(mark_idx).copied().unwrap_or(0);
-        let (fresh, new_mark) = obs.events_since(mark);
-        st.marks[mark_idx] = new_mark;
+    /// Push the closed spans and `signal.*`/`regroup.*` events among
+    /// `fresh` into the rings, tagging rows with `vol` (`Null` for the
+    /// primary registry).
+    fn harvest(st: &mut FlightState, vol: Json, fresh: &[Event]) {
         for e in fresh {
             if e.tag.starts_with("op.") && e.span != 0 {
-                st.spans.push_back(obj![
+                let row = obj![
                     ("rec", Json::Str("span".into())),
                     ("vol", vol.clone()),
                     ("t_ns", Json::Int(e.t_ns as i64)),
                     ("op", Json::Str(e.op.to_string())),
                     ("span", Json::Int(e.span as i64)),
                     ("dur_ns", Json::Int(e.dur_ns as i64)),
-                ]);
-                while st.spans.len() > FLIGHT_SPANS {
-                    st.spans.pop_front();
-                }
+                ];
+                push_bounded(&mut st.spans, row, FLIGHT_SPANS);
             } else if e.tag.starts_with("signal.") || e.tag.starts_with("regroup.") {
-                st.events.push_back(obj![
+                let row = obj![
                     ("rec", Json::Str("event".into())),
                     ("vol", vol.clone()),
                     ("t_ns", Json::Int(e.t_ns as i64)),
                     ("tag", Json::Str(e.tag.to_string())),
                     ("a", Json::Int(e.a as i64)),
                     ("b", Json::Int(e.b as i64)),
-                ]);
-                while st.events.len() > FLIGHT_EVENTS {
-                    st.events.pop_front();
-                }
+                ];
+                push_bounded(&mut st.events, row, FLIGHT_EVENTS);
             }
         }
     }
 
-    /// Cut one frame at simulated time `t_ns`: harvest spans/events from
-    /// every registry, append a cumulative-counter frame, and persist.
+    /// Cut one frame at simulated time `t_ns`: sample the registries,
+    /// harvest spans/events from every registry, append the frame
+    /// rendered against zero, and persist.
     fn cut(&self, t_ns: u64, reason: &str) {
         let mut st = lock_flight(&self.state);
-        Flight::harvest(&mut st, 0, &self.obs, Json::Null);
+        let frame = Frame::capture(&self.obs, &self.vols, t_ns, st.marks[0]);
+        st.marks[0] = frame.mark;
+        Flight::harvest(&mut st, Json::Null, &frame.fresh);
         for (i, v) in self.vols.iter().enumerate() {
-            Flight::harvest(&mut st, 1 + i, v, Json::Int(i as i64));
+            let (fresh, mark) = v.events_since(st.marks[1 + i]);
+            st.marks[1 + i] = mark;
+            Flight::harvest(&mut st, Json::Int(i as i64), &fresh);
         }
-        let counters = Json::Obj(
-            FRAME_COUNTERS
-                .iter()
-                .map(|&c| (c.name().to_string(), Json::Int(self.obs.get(c) as i64)))
-                .collect(),
-        );
-        let cgs = Json::Arr(
-            self.obs
-                .cg_stats()
-                .iter()
-                .map(|c| {
-                    obj![
-                        ("cg", Json::Int(c.cg as i64)),
-                        ("data_blocks", Json::Int(c.data_blocks as i64)),
-                        ("used", Json::Int(c.used as i64)),
-                        ("util_ewma_milli", Json::Int(c.util_ewma_milli as i64)),
-                        ("util_samples", Json::Int(c.util_samples as i64)),
-                        ("read_ios", Json::Int(c.read_ios as i64)),
-                        ("write_ios", Json::Int(c.write_ios as i64)),
-                    ]
-                })
-                .collect(),
-        );
-        let volumes = Json::Arr(
-            self.vols
-                .iter()
-                .enumerate()
-                .map(|(i, v)| {
-                    obj![
-                        ("vol", Json::Int(i as i64)),
-                        ("ops", Json::Int(v.thread_ops().iter().sum::<u64>() as i64)),
-                        ("dreads", Json::Int(v.get(Ctr::DiskReads) as i64)),
-                        ("dwrites", Json::Int(v.get(Ctr::DiskWrites) as i64)),
-                        ("queue_depth", Json::Int(v.queue_depth() as i64)),
-                    ]
-                })
-                .collect(),
-        );
-        let ops: u64 = self.obs.thread_ops().iter().sum();
-        st.frames.push_back(obj![
-            ("rec", Json::Str("frame".into())),
-            ("t_ns", Json::Int(t_ns as i64)),
-            ("counters", counters),
-            ("ops", Json::Int(ops as i64)),
-            ("queue_depth", Json::Int(self.obs.queue_depth() as i64)),
-            ("signals", self.obs.signals_json()),
-            ("cgs", cgs),
-            ("slo_burn_milli", Json::Int(self.obs.slo_burn_milli() as i64)),
-            ("volumes", volumes),
-        ]);
-        while st.frames.len() > FLIGHT_FRAMES {
-            st.frames.pop_front();
-        }
+        let mut row = vec![
+            ("rec".to_string(), Json::Str("frame".into())),
+            ("seq".to_string(), Json::Int(st.cuts as i64)),
+            ("stage".to_string(), Json::Str(reason.to_string())),
+        ];
+        row.extend(frame.render(&Frame::default()));
+        push_bounded(&mut st.frames, Json::Obj(row), FLIGHT_FRAMES);
+        st.cuts += 1;
         st.reason = reason.to_string();
         self.persist_locked(&mut st, t_ns);
     }
@@ -229,7 +173,7 @@ impl Flight {
             ("name", Json::Str(self.name.clone())),
             ("reason", Json::Str(st.reason.clone())),
             ("t_ns", Json::Int(t_ns as i64)),
-            ("interval_ns", Json::Int(self.interval_ns as i64)),
+            ("interval_ns", Json::Int(SIM_INTERVAL_DEFAULT_NS as i64)),
             (
                 "counters_final",
                 Json::Obj(
@@ -247,17 +191,10 @@ impl Flight {
         let mut text = head.to_string();
         text.push('\n');
         for row in st.frames.iter().chain(st.spans.iter()).chain(st.events.iter()) {
-            text.push_str(&row.to_string());
+            text.push_str(row);
             text.push('\n');
         }
-        let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self
-            .path
-            .with_extension(format!("{}.{}.tmp", std::process::id(), seq));
-        let res = std::fs::File::create(&tmp)
-            .and_then(|mut f| f.write_all(text.as_bytes()))
-            .and_then(|()| std::fs::rename(&tmp, &self.path));
-        if let Err(e) = res {
+        if let Err(e) = crate::write_atomic(&self.path, text.as_bytes()) {
             if !st.write_failed {
                 st.write_failed = true;
                 eprintln!(
@@ -266,21 +203,6 @@ impl Flight {
                 );
             }
         }
-    }
-
-    /// Simulated-clock pacer entry (via [`sim_fire`]): rechecks under the
-    /// flight lock so concurrent clock movers cut exactly one frame per
-    /// crossing.
-    pub(crate) fn sim_tick(&self, now_ns: u64) {
-        {
-            let mut st = lock_flight(&self.state);
-            if now_ns < st.due_ns {
-                return;
-            }
-            st.due_ns = (now_ns / self.interval_ns + 1) * self.interval_ns;
-            self.obs.flight_due_ns.store(st.due_ns, Ordering::Relaxed);
-        }
-        self.cut(now_ns, "periodic");
     }
 
     /// Cut a frame and persist with an explicit reason (panic, fsck
@@ -299,8 +221,14 @@ impl Flight {
     }
 }
 
-/// Guard returned by [`arm`]. Dropping it cuts one final frame (reason
-/// `"detach"`), persists, and detaches the pacer.
+impl Sampler for Flight {
+    fn sample(&self, now_ns: u64) {
+        self.cut(now_ns, "periodic");
+    }
+}
+
+/// Guard returned by [`arm`]. Dropping it detaches the pacer, then cuts
+/// one final frame (reason `"detach"`) and persists.
 pub struct FlightGuard {
     flight: Arc<Flight>,
 }
@@ -314,11 +242,7 @@ impl FlightGuard {
 
 impl Drop for FlightGuard {
     fn drop(&mut self) {
-        let obs = &self.flight.obs;
-        obs.flight_due_ns.store(u64::MAX, Ordering::Relaxed);
-        if let Ok(mut slot) = obs.flight_slot.lock() {
-            *slot = None;
-        }
+        self.flight.obs.disarm_sampler(&self.flight);
         self.flight.dump("detach");
     }
 }
@@ -332,14 +256,11 @@ pub fn arm(
     vols: &[Arc<Obs>],
     name: &str,
 ) -> FlightGuard {
-    let interval_ns = crate::feed::SIM_INTERVAL_DEFAULT_NS;
-    let dir = dir.into();
     let flight = Arc::new(Flight {
-        path: dir.join(flight_file_name(name)),
+        path: dir.into().join(file_name(name)),
         name: name.to_string(),
         obs: Arc::clone(obs),
         vols: vols.to_vec(),
-        interval_ns,
         state: Mutex::new(FlightState {
             frames: VecDeque::new(),
             spans: VecDeque::new(),
@@ -347,64 +268,53 @@ pub fn arm(
             marks: std::iter::once(obs.events_recorded())
                 .chain(vols.iter().map(|v| v.events_recorded()))
                 .collect(),
-            due_ns: u64::MAX,
-            reason: "armed".to_string(),
+            cuts: 0,
+            reason: String::new(),
             write_failed: false,
         }),
     });
-    let now = obs.global_clock_ns();
-    let due = (now / interval_ns + 1) * interval_ns;
-    lock_flight(&flight.state).due_ns = due;
-    *obs.flight_slot.lock().expect("flight slot poisoned") = Some(Arc::downgrade(&flight));
-    obs.flight_due_ns.store(due, Ordering::Relaxed);
-    let mut reg = REGISTRY.lock().expect("flight registry poisoned");
-    reg.retain(|w| w.strong_count() > 0);
-    reg.push(Arc::downgrade(&flight));
+    obs.arm_sampler(&flight, SIM_INTERVAL_DEFAULT_NS);
+    {
+        let mut reg = REGISTRY.lock().expect("flight registry poisoned");
+        reg.retain(|w| w.strong_count() > 0);
+        reg.push(Arc::downgrade(&flight));
+    }
     // Persist the (empty-window) dump immediately so even a run killed
     // before the first cadence boundary leaves a parseable black box.
-    flight.cut(now, "armed");
+    flight.cut(obs.global_clock_ns(), "armed");
     FlightGuard { flight }
-}
-
-/// Dispatch a simulated-clock crossing from [`Obs::set_clock_ns`] to the
-/// armed recorder (resetting the pacer when the recorder is gone).
-pub(crate) fn sim_fire(obs: &Obs, now_ns: u64) {
-    let flight = obs
-        .flight_slot
-        .lock()
-        .expect("flight slot poisoned")
-        .as_ref()
-        .and_then(Weak::upgrade);
-    match flight {
-        Some(f) => f.sim_tick(now_ns),
-        None => obs.flight_due_ns.store(u64::MAX, Ordering::Relaxed),
-    }
 }
 
 /// Every recorder armed in this process (weak: guards own the strong
 /// refs), so the panic hook and fsck failures can dump them all.
 static REGISTRY: Mutex<Vec<Weak<Flight>>> = Mutex::new(Vec::new());
 
+/// The recorders still armed (poison-tolerant: the panic hook reads it).
+fn live() -> Vec<Arc<Flight>> {
+    let reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+    reg.iter().filter_map(Weak::upgrade).collect()
+}
+
 /// Process-wide output directory set by the repro binaries' `--flight`
 /// flag; [`arm_global`] is a no-op until this is set.
 static GLOBAL_DIR: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
 
-static PANIC_HOOK: Once = Once::new();
-
 /// Enable the process-global flight recorder: dumps land under `dir`
-/// (created if missing) and the panic hook is installed so an unwinding
-/// run flushes every armed recorder before dying.
+/// (created if missing), and a panic hook, installed once, flushes every
+/// armed recorder before delegating to the previous hook.
 pub fn set_global(dir: impl Into<std::path::PathBuf>) -> std::io::Result<std::path::PathBuf> {
+    static PANIC_HOOK: Once = Once::new();
     let dir = dir.into();
     std::fs::create_dir_all(&dir)?;
     *GLOBAL_DIR.lock().expect("flight dir poisoned") = Some(dir.clone());
-    install_panic_hook();
+    PANIC_HOOK.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            dump_all("panic");
+            prev(info);
+        }));
+    });
     Ok(dir)
-}
-
-/// The process-global flight directory, if `--flight` set one.
-pub fn global_dir() -> Option<std::path::PathBuf> {
-    GLOBAL_DIR.lock().expect("flight dir poisoned").clone()
 }
 
 /// First name in `name`, `name-2`, `name-3`, ... whose dump file under
@@ -412,14 +322,8 @@ pub fn global_dir() -> Option<std::path::PathBuf> {
 /// share one mount label, and their black boxes must not overwrite each
 /// other.
 fn unique_name(dir: &std::path::Path, name: &str) -> String {
-    let live: Vec<std::path::PathBuf> = {
-        let reg = match REGISTRY.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reg.iter().filter_map(Weak::upgrade).map(|f| f.path.clone()).collect()
-    };
-    let taken = |cand: &str| live.contains(&dir.join(flight_file_name(cand)));
+    let live: Vec<std::path::PathBuf> = live().iter().map(|f| f.path.clone()).collect();
+    let taken = |cand: &str| live.contains(&dir.join(file_name(cand)));
     if !taken(name) {
         return name.to_string();
     }
@@ -433,10 +337,7 @@ fn unique_name(dir: &std::path::Path, name: &str) -> String {
 /// `--flight` was not given — the hot path then keeps its single relaxed
 /// load and mounts stay untouched).
 pub fn arm_global(obs: &Arc<Obs>, name: &str) -> Option<FlightGuard> {
-    global_dir().map(|dir| {
-        let name = unique_name(&dir, name);
-        arm(dir, obs, &[], &name)
-    })
+    arm_global_volumes(obs, &[], name)
 }
 
 /// [`arm_global`] for a volume-set producer: per-volume spans/events are
@@ -446,38 +347,18 @@ pub fn arm_global_volumes(
     vols: &[Arc<Obs>],
     name: &str,
 ) -> Option<FlightGuard> {
-    global_dir().map(|dir| {
-        let name = unique_name(&dir, name);
-        arm(dir, obs, vols, &name)
-    })
+    let dir = GLOBAL_DIR.lock().expect("flight dir poisoned").clone()?;
+    let name = unique_name(&dir, name);
+    Some(arm(dir, obs, vols, &name))
 }
 
 /// Flush every armed recorder with the given reason. Called by the panic
 /// hook, by fsck on an inconsistent image, and by the bench reporters
 /// before an `exit(1)`. Cheap no-op when nothing is armed.
 pub fn dump_all(reason: &str) {
-    let flights: Vec<Arc<Flight>> = {
-        let reg = match REGISTRY.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        reg.iter().filter_map(Weak::upgrade).collect()
-    };
-    for f in flights {
+    for f in live() {
         f.dump(reason);
     }
-}
-
-/// Install (once) a panic hook that flushes every armed recorder before
-/// delegating to the previous hook. Idempotent.
-pub fn install_panic_hook() {
-    PANIC_HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            dump_all("panic");
-            prev(info);
-        }));
-    });
 }
 
 // ---- parsing, validation, postmortem ----
@@ -517,15 +398,15 @@ pub fn parse_flight(text: &str) -> Result<FlightDump, String> {
                 head = Some(j);
             }
             "frame" => {
-                validate_flight_frame(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
+                validate_frame(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
                 frames.push(j);
             }
             "span" => {
-                validate_span(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
+                validate_row(&j, "span", "op", &["t_ns", "span", "dur_ns"]).map_err(|e| format!("flight line {ln}: {e}"))?;
                 spans.push(j);
             }
             "event" => {
-                validate_event(&j).map_err(|e| format!("flight line {ln}: {e}"))?;
+                validate_row(&j, "event", "tag", &["t_ns", "a", "b"]).map_err(|e| format!("flight line {ln}: {e}"))?;
                 events.push(j);
             }
             other => return Err(format!("flight line {ln}: unknown record type {other:?}")),
@@ -559,78 +440,20 @@ fn validate_head(j: &Json) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_flight_frame(j: &Json) -> Result<(), String> {
-    for k in ["t_ns", "ops", "queue_depth", "slo_burn_milli"] {
-        j.get(k)
-            .and_then(Json::as_u64)
-            .ok_or(format!("frame lacks u64 {k:?}"))?;
+/// Check a `span` or `event` record: a null-or-int `vol` tag, the
+/// non-empty string `name_key` and the u64 `u64_keys`.
+fn validate_row(j: &Json, rec: &str, name_key: &str, u64_keys: &[&str]) -> Result<(), String> {
+    if !matches!(j.get("vol"), Some(Json::Null) | Some(Json::Int(_))) {
+        return Err(format!("{rec} lacks null-or-int \"vol\""));
     }
-    let counters = j.get("counters").ok_or("frame lacks \"counters\"")?;
-    for &c in FRAME_COUNTERS {
-        counters
-            .get(c.name())
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("frame counters lack u64 {:?}", c.name()))?;
-    }
-    let signals = j.get("signals").ok_or("frame lacks \"signals\"")?;
-    for sig in Sig::ALL {
-        signals
-            .get(sig.name())
-            .ok_or_else(|| format!("frame signals lack {:?}", sig.name()))?;
-    }
-    let Some(Json::Arr(cgs)) = j.get("cgs") else {
-        return Err("frame lacks array \"cgs\"".to_string());
-    };
-    for c in cgs {
-        for k in ["cg", "used", "util_ewma_milli", "read_ios", "write_ios"] {
-            c.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("frame cg row lacks u64 {k:?}"))?;
-        }
-    }
-    let Some(Json::Arr(vols)) = j.get("volumes") else {
-        return Err("frame lacks array \"volumes\"".to_string());
-    };
-    for v in vols {
-        for k in ["vol", "ops", "dreads", "dwrites", "queue_depth"] {
-            v.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("frame volume row lacks u64 {k:?}"))?;
-        }
-    }
-    Ok(())
-}
-
-fn vol_tag_ok(j: &Json) -> Result<(), String> {
-    match j.get("vol") {
-        Some(Json::Null) | Some(Json::Int(_)) => Ok(()),
-        _ => Err("record lacks null-or-int \"vol\"".to_string()),
-    }
-}
-
-fn validate_span(j: &Json) -> Result<(), String> {
-    vol_tag_ok(j)?;
-    j.get("op")
+    j.get(name_key)
         .and_then(Json::as_str)
         .filter(|s| !s.is_empty())
-        .ok_or("span lacks non-empty string \"op\"")?;
-    for k in ["t_ns", "span", "dur_ns"] {
+        .ok_or(format!("{rec} lacks non-empty string {name_key:?}"))?;
+    for k in u64_keys {
         j.get(k)
             .and_then(Json::as_u64)
-            .ok_or(format!("span lacks u64 {k:?}"))?;
-    }
-    Ok(())
-}
-
-fn validate_event(j: &Json) -> Result<(), String> {
-    vol_tag_ok(j)?;
-    j.get("tag")
-        .and_then(Json::as_str)
-        .ok_or("event lacks string \"tag\"")?;
-    for k in ["t_ns", "a", "b"] {
-        j.get(k)
-            .and_then(Json::as_u64)
-            .ok_or(format!("event lacks u64 {k:?}"))?;
+            .ok_or(format!("{rec} lacks u64 {k:?}"))?;
     }
     Ok(())
 }
@@ -698,7 +521,7 @@ pub fn postmortem(dump: &FlightDump) -> Json {
         match f.get("cgs") {
             Some(Json::Arr(a)) => a
                 .iter()
-                .map(|c| (fu(c, "cg"), fu(c, "util_ewma_milli"), fu(c, "read_ios"), fu(c, "write_ios")))
+                .map(|c| (fu(c, "cg"), fu(c, "util_ewma_milli"), fu(c, "dread_ios"), fu(c, "dwrite_ios")))
                 .collect(),
             _ => Vec::new(),
         }
@@ -764,7 +587,7 @@ pub fn postmortem(dump: &FlightDump) -> Json {
     }
     if queue_last > 0 {
         diagnosis.push(format!(
-            "{queue_last} submissions were still waiting in the driver queue at capture"
+            "{queue_last} threads were waiting for the disk lock at capture"
         ));
     }
     diagnosis.extend(signal_notes);
@@ -1052,6 +875,68 @@ mod tests {
         let head_only: String = text.lines().take(1).map(|l| format!("{l}\n")).collect();
         assert!(parse_flight(&head_only).is_err());
         drop(guard);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn postmortem_names_threads_waiting_for_the_disk_lock() {
+        let _s = serial();
+        let dir = tmp_dir("queue");
+        let obs = Obs::new();
+        let guard = arm(&dir, &obs, &[], "unit-queue");
+        obs.queue_depth_inc();
+        obs.queue_depth_inc();
+        guard.flight().dump("stalled");
+        let dump = parse_flight(&std::fs::read_to_string(guard.flight().path()).unwrap()).unwrap();
+        let report = postmortem(&dump);
+        assert_eq!(report.get("queue_depth_last").and_then(Json::as_u64), Some(2));
+        let text = render_postmortem(&report);
+        assert!(text.contains("2 threads were waiting for the disk lock at capture"), "{text}");
+        drop(guard);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One pacer drives a 1 µs feed tap and a 50 ms recorder on one
+    /// registry: each cuts at its own boundaries, and detaching either
+    /// leaves the other running.
+    #[test]
+    fn one_pacer_drives_a_feed_tap_and_a_recorder() {
+        use crate::feed::{attach, Cadence, FeedSink};
+        let _s = serial();
+        let dir = tmp_dir("pacer");
+        let obs = Obs::new();
+        let sink = FeedSink::create(dir.join("feed.jsonl")).unwrap();
+        let tap = attach(&sink, &obs, "run", Cadence::Sim(1_000));
+        let guard = arm(&dir, &obs, &[], "unit-pacer");
+        let path = guard.flight().path().to_path_buf();
+        let cuts = || {
+            let dump = parse_flight(&std::fs::read_to_string(&path).unwrap()).unwrap();
+            dump.frames.iter().map(|f| f.get("t_ns").and_then(Json::as_u64).unwrap()).collect::<Vec<_>>()
+        };
+        assert_eq!(cuts(), [0], "the arm-time frame");
+        obs.set_clock_ns(1_500); // the tap's first boundary only
+        assert_eq!((sink.frames(), cuts()), (1, vec![0]));
+        obs.set_clock_ns(1_700); // inside both intervals
+        assert_eq!((sink.frames(), cuts()), (1, vec![0]));
+        obs.set_clock_ns(50_000_100); // both boundaries at once
+        assert_eq!((sink.frames(), cuts()), (2, vec![0, 50_000_100]));
+        drop(tap); // + the detach frame
+        assert_eq!(sink.frames(), 3);
+        obs.set_clock_ns(100_000_000); // the recorder runs on alone
+        assert_eq!((sink.frames(), cuts()), (3, vec![0, 50_000_100, 100_000_000]));
+
+        let tap = attach(&sink, &obs, "again", Cadence::Sim(1_000));
+        drop(guard); // + the recorder's detach frame
+        assert_eq!(cuts().len(), 4);
+        obs.set_clock_ns(100_001_500); // the tap runs on alone
+        assert_eq!((sink.frames(), cuts().len()), (4, 4));
+        obs.set_clock_ns(200_000_000);
+        assert_eq!((sink.frames(), cuts().len()), (5, 4));
+        drop(tap);
+        assert_eq!(obs.due_ns.load(std::sync::atomic::Ordering::Relaxed), u64::MAX, "idle");
+        let frames = crate::feed::parse_feed(&std::fs::read_to_string(sink.path()).unwrap()).unwrap();
+        let t: Vec<u64> = frames.iter().map(|f| f.get("t_ns").and_then(Json::as_u64).unwrap()).collect();
+        assert_eq!(t, [1_500, 50_000_100, 50_000_100, 100_001_500, 200_000_000, 200_000_000]);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

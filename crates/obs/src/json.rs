@@ -8,8 +8,9 @@
 use std::fmt;
 
 /// A JSON value.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub enum Json {
+    #[default]
     Null,
     Bool(bool),
     /// Integers are kept exact (not routed through f64) so u64 nanosecond

@@ -23,7 +23,7 @@ pub mod json;
 pub mod prof;
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use json::{Json, JsonError, ToJson};
 
@@ -715,23 +715,51 @@ pub struct Obs {
     /// 0 is the main thread; fan-out workers bind 1.. via
     /// [`Obs::bind_thread_slot`].
     thread_ops: [AtomicU64; THREAD_SLOTS],
-    /// Next simulated instant the attached telemetry tap wants a frame;
-    /// `u64::MAX` (the reset value) keeps the [`Obs::set_clock_ns`] hot
-    /// path to a single relaxed load when no feed is attached.
-    feed_due_ns: AtomicU64,
-    /// The attached sim-cadence telemetry tap, if any (weak: the tap
-    /// holds the `Arc<Obs>`, so a strong ref here would leak both).
-    feed_tap: Mutex<Option<Weak<feed::FeedTap>>>,
-    /// Next simulated instant the armed flight recorder wants a frame
-    /// cut; `u64::MAX` keeps the disarmed hot path to one relaxed load
-    /// (same pacing trick as `feed_due_ns`).
-    pub(crate) flight_due_ns: AtomicU64,
-    /// The armed flight recorder, if any (weak: the guard holds the
-    /// `Arc<flight::Flight>`, which holds the `Arc<Obs>`).
-    pub(crate) flight_slot: Mutex<Option<Weak<flight::Flight>>>,
+    /// Earliest simulated instant an armed sampler (a `Sim`-cadence feed
+    /// tap, a flight recorder) wants a frame; `u64::MAX` keeps the
+    /// [`Obs::set_clock_ns`] hot path to one relaxed load when nothing is
+    /// armed.
+    due_ns: AtomicU64,
+    /// The samplers armed on the pacer, with their boundaries.
+    samplers: Mutex<Vec<Armed>>,
     /// Per-op p99 latency objectives, nanoseconds (0 = no objective
     /// armed for that op). See [`Obs::set_slo`].
     slo_ns: [AtomicU64; OpKind::COUNT],
+}
+
+/// A frame producer the simulated-clock pacer in [`Obs::set_clock_ns`]
+/// drives: a `Sim`-cadence feed tap or a flight recorder.
+pub(crate) trait Sampler: Send + Sync {
+    /// Cut one frame at simulated time `now_ns`.
+    fn sample(&self, now_ns: u64);
+}
+
+/// One sampler armed on an [`Obs`]'s pacer (weak: the sampler holds the
+/// `Arc<Obs>`, so a strong ref here would leak both).
+struct Armed {
+    sampler: Weak<dyn Sampler>,
+    interval_ns: u64,
+    /// The next interval boundary this sampler cuts at.
+    due_ns: u64,
+}
+
+/// The pacer's next boundary: the earliest armed one, `u64::MAX` for none.
+fn earliest_due(armed: &[Armed]) -> u64 {
+    armed.iter().map(|a| a.due_ns).min().unwrap_or(u64::MAX)
+}
+
+/// Write `content` to `path` atomically: into a staging file
+/// `<path>.<pid>.<seq>.tmp`, then renamed over `path`, so no reader or
+/// crash sees a half-written file. The staging name is unique per call,
+/// so concurrent writers of one path each rename only bytes they wrote
+/// completely and the file is always one writer's intact content.
+pub fn write_atomic(path: &std::path::Path, content: &[u8]) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".{}.{seq}.tmp", std::process::id()));
+    std::fs::write(&tmp, content)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// Fixed number of per-thread op-counter slots (slot 0 = main thread,
@@ -805,10 +833,8 @@ impl Obs {
             cg_table: OnceLock::new(),
             queue_depth: AtomicU64::new(0),
             thread_ops: std::array::from_fn(|_| AtomicU64::new(0)),
-            feed_due_ns: AtomicU64::new(u64::MAX),
-            feed_tap: Mutex::new(None),
-            flight_due_ns: AtomicU64::new(u64::MAX),
-            flight_slot: Mutex::new(None),
+            due_ns: AtomicU64::new(u64::MAX),
+            samplers: Mutex::new(Vec::new()),
             slo_ns: std::array::from_fn(|_| AtomicU64::new(0)),
         })
     }
@@ -1102,19 +1128,6 @@ impl Obs {
         )
     }
 
-    /// Flush the armed flight recorder (no-op when none is armed) —
-    /// the explicit-dump entry of the black box.
-    pub fn dump_flight(&self, reason: &str) {
-        let f = self
-            .flight_slot
-            .lock()
-            .ok()
-            .and_then(|s| s.as_ref().and_then(Weak::upgrade));
-        if let Some(f) = f {
-            f.dump(reason);
-        }
-    }
-
     fn current_span_fields(&self) -> (u64, &'static str) {
         self.with_tls(|t| {
             if t.cur_span == 0 {
@@ -1142,18 +1155,53 @@ impl Obs {
             *slot = (*slot).max(now_ns);
         });
         self.clock_ns.fetch_max(now_ns, Ordering::Relaxed);
-        // Telemetry pacer: with no tap attached `feed_due_ns` is
-        // `u64::MAX`, so the feed costs this hot path exactly one
-        // relaxed load. Every call site holds no obs locks (verified
-        // against the driver's submit and advance paths), so frame
-        // emission can take the registry locks sequentially.
-        if now_ns >= self.feed_due_ns.load(Ordering::Relaxed) {
-            feed::sim_fire(self, now_ns);
+        // Sampling pacer: one relaxed load while nothing is armed. No call
+        // site holds an obs lock (checked against the driver's submit and
+        // advance paths), so cutting a frame may take the registry locks.
+        if now_ns >= self.due_ns.load(Ordering::Relaxed) {
+            self.sim_fire(now_ns);
         }
-        // Flight-recorder pacer: same single relaxed load when disarmed.
-        if now_ns >= self.flight_due_ns.load(Ordering::Relaxed) {
-            flight::sim_fire(self, now_ns);
+    }
+
+    /// Arm `sampler` on the pacer: it cuts a frame each time the
+    /// simulated clock crosses a multiple of `interval_ns`.
+    pub(crate) fn arm_sampler<S: Sampler + 'static>(&self, sampler: &Arc<S>, interval_ns: u64) {
+        let interval_ns = interval_ns.max(1);
+        let due_ns = (self.global_clock_ns() / interval_ns + 1) * interval_ns;
+        let sampler: Weak<S> = Arc::downgrade(sampler);
+        let mut armed = self.samplers();
+        armed.push(Armed { sampler, interval_ns, due_ns });
+        self.due_ns.fetch_min(due_ns, Ordering::Relaxed);
+    }
+
+    /// Take `sampler` off the pacer (no-op when it was never armed).
+    pub(crate) fn disarm_sampler<S: Sampler>(&self, sampler: &Arc<S>) {
+        let mut armed = self.samplers();
+        armed.retain(|a| !std::ptr::addr_eq(a.sampler.as_ptr(), Arc::as_ptr(sampler)));
+        self.due_ns.store(earliest_due(&armed), Ordering::Relaxed);
+    }
+
+    /// The pacer's slow path, entered once the clock reaches `due_ns`:
+    /// cut a frame on every sampler whose boundary `now_ns` crossed, then
+    /// rearm on the earliest next boundary. The list lock serializes
+    /// concurrent clock movers, so each crossing cuts exactly one frame.
+    #[cold]
+    fn sim_fire(&self, now_ns: u64) {
+        let mut armed = self.samplers();
+        armed.retain(|a| a.sampler.strong_count() > 0);
+        for a in armed.iter_mut().filter(|a| now_ns >= a.due_ns) {
+            a.due_ns = (now_ns / a.interval_ns + 1) * a.interval_ns;
+            if let Some(s) = a.sampler.upgrade() {
+                s.sample(now_ns);
+            }
         }
+        self.due_ns.store(earliest_due(&armed), Ordering::Relaxed);
+    }
+
+    /// The armed-sampler list, recovering a poisoned lock: a guard
+    /// detaching while a panic unwinds must not panic again.
+    fn samplers(&self) -> MutexGuard<'_, Vec<Armed>> {
+        self.samplers.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Pin the calling thread's clock mirror to at least `ns` without
@@ -1276,11 +1324,6 @@ impl Obs {
     /// serves one mounted stack).
     pub fn configure_cg_table(&self, cfg: CgTableConfig) {
         let _ = self.cg_table.set(CgTable::new(cfg));
-    }
-
-    /// Whether [`Obs::configure_cg_table`] has run.
-    pub fn has_cg_table(&self) -> bool {
-        self.cg_table.get().is_some()
     }
 
     /// Adjust one group's allocated-block gauge (called from the
@@ -1646,7 +1689,7 @@ impl CgTable {
 
 /// Point-in-time copy of one cylinder group's registers (see
 /// [`Obs::cg_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CgStat {
     /// Cylinder group number.
     pub cg: u32,

@@ -6,11 +6,12 @@
 //!
 //! `--follow` tails a feed file a repro binary is writing (start one
 //! with `--feed <path>`, e.g. `repro_aging_regroup --feed /tmp/feed.jsonl`)
-//! and redraws the dashboard as frames land. The feed's atomic-rewrite
-//! discipline means a poll always reads a complete prefix of frames.
+//! and redraws the dashboard as frames land. The sink appends one whole
+//! line per frame and the parser skips a last line still missing its
+//! `\n`, so a poll always reads a complete prefix of frames.
 //!
-//! `--replay` steps through a recorded feed frame by frame — the
-//! flight-recorder view of a finished run. Replaying a seeded
+//! `--replay` steps through a recorded feed of a finished run frame by
+//! frame. Replaying a seeded
 //! single-threaded run renders byte-identically across machines (with
 //! `--headless`, which disables ANSI styling and screen clears).
 //!
@@ -88,8 +89,8 @@ fn main() {
             }
         }
     } else {
-        // Tail the file: atomic rewrites mean every poll sees a complete
-        // prefix, so rendering resumes exactly where the last poll ended.
+        // Tail the file: each poll parses a complete prefix of an
+        // append-only file, so rendering resumes where the last poll ended.
         let mut seen = 0usize;
         loop {
             if max_frames.is_some_and(|m| shown >= m) {

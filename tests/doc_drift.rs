@@ -7,7 +7,7 @@
 //! that still exists.
 
 use cffs_obs::feed::FRAME_FIELDS;
-use cffs_obs::flight::{FLIGHT_FRAME_FIELDS, FLIGHT_RECORDS};
+use cffs_obs::flight::FLIGHT_RECORDS;
 use cffs_obs::{Ctr, Histos};
 use std::collections::BTreeSet;
 
@@ -69,20 +69,20 @@ fn every_feed_frame_field_is_in_the_readme() {
     );
 }
 
-/// Code → docs: every flight-recorder record type and frame field is
-/// documented, so a `FLIGHT_*.jsonl` reader can always look a record up.
+/// Code → docs: every flight-recorder record type is documented, so a
+/// `FLIGHT_*.jsonl` reader can always look a record up. (A `frame`
+/// record's fields are the feed's, checked above.)
 #[test]
 fn every_flight_record_and_field_is_in_the_readme() {
     let text = readme();
     let missing: Vec<_> = FLIGHT_RECORDS
         .iter()
-        .chain(FLIGHT_FRAME_FIELDS.iter())
         .map(|(name, _)| *name)
         .filter(|name| !text.contains(&format!("`{name}`")))
         .collect();
     assert!(
         missing.is_empty(),
-        "README.md flight glossary is missing these record/field names: {missing:?}"
+        "README.md flight glossary is missing these record types: {missing:?}"
     );
 }
 
@@ -96,9 +96,8 @@ fn readme_glossary_names_all_exist() {
     // The feed frame-field table uses the same `| `name` | meaning |`
     // row shape; its names come from FRAME_FIELDS, not Ctr/Histos.
     known.extend(FRAME_FIELDS.iter().map(|(name, _)| name.to_string()));
-    // Likewise the flight-recorder record and frame-field tables.
+    // Likewise the flight-recorder record table.
     known.extend(FLIGHT_RECORDS.iter().map(|(name, _)| name.to_string()));
-    known.extend(FLIGHT_FRAME_FIELDS.iter().map(|(name, _)| name.to_string()));
     // Glossary rows are markdown table lines whose first cell is a
     // backticked name.
     let mut stale = Vec::new();

@@ -315,32 +315,8 @@ fn deterministic_simulated_time() {
 
     // And agree with the numbers pinned above, so a charge that moves the
     // same way in both runs is caught too.
-    let got: Vec<_> = data_path_filesystems()
-        .iter()
-        .map(|fs| {
-            let files = range_files(&**fs);
-            for op in fixed_range_script() {
-                run_range_op(&**fs, &files, &op);
-            }
-            fs.sync().expect("sync");
-            let io = fs.io_stats();
-            let c = io.cache;
-            (
-                fs.label().to_string(),
-                fs.now().as_nanos(),
-                c.lookups,
-                c.phys_hits,
-                c.logical_hits,
-                c.group_reads,
-                io.disk.reads + io.disk.writes,
-            )
-        })
-        .collect();
-    let want: Vec<_> = PINNED_RANGE_SCRIPT
-        .iter()
-        .map(|&(l, t, a, b, c, d, e)| (l.to_string(), t, a, b, c, d, e))
-        .collect();
-    assert_eq!(got, want, "simulated time or cache traffic moved: {got:#?}");
+    let got: Vec<_> = data_path_filesystems().iter().map(|fs| range_script_numbers(&**fs)).collect();
+    assert_eq!(got, pinned_range_script(), "simulated time or cache traffic moved: {got:#?}");
 
     // The same script on a synchronous-metadata C-FFS splits each op's
     // latency into queue, service and op time exactly as pinned: the
@@ -354,6 +330,51 @@ fn deterministic_simulated_time() {
     let obs = fs.obs().expect("C-FFS has an observer");
     let attr = [Ctr::AttrQueueNs, Ctr::AttrServiceNs, Ctr::AttrOpNs].map(|c| obs.get(c));
     assert_eq!(attr, PINNED_SYNC_ATTR, "queue / service / op attribution moved");
+}
+
+/// Run [`fixed_range_script`] and a sync on `fs`; return the
+/// [`PINNED_RANGE_SCRIPT`] row it produced.
+fn range_script_numbers(fs: &dyn FileSystem) -> (String, u64, u64, u64, u64, u64, u64) {
+    let files = range_files(fs);
+    for op in fixed_range_script() {
+        run_range_op(fs, &files, &op);
+    }
+    fs.sync().expect("sync");
+    let io = fs.io_stats();
+    let c = io.cache;
+    let disk = io.disk.reads + io.disk.writes;
+    (fs.label().to_string(), fs.now().as_nanos(), c.lookups, c.phys_hits, c.logical_hits, c.group_reads, disk)
+}
+
+fn pinned_range_script() -> Vec<(String, u64, u64, u64, u64, u64, u64)> {
+    PINNED_RANGE_SCRIPT.iter().map(|&(l, t, a, b, c, d, e)| (l.to_string(), t, a, b, c, d, e)).collect()
+}
+
+/// Sampling only reads the registries: with a 1 ms sim-cadence feed tap
+/// and a flight recorder armed on one registry, sharing its pacer at
+/// different intervals, the range script still lands on the pinned
+/// simulated ns and cache traffic exactly.
+#[test]
+fn deterministic_simulated_time_with_feed_and_flight_armed() {
+    use cffs::obs::{feed, flight};
+    let dir = std::env::temp_dir().join(format!("cffs-equiv-sampled-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let got: Vec<_> = data_path_filesystems()
+        .iter()
+        .map(|fs| {
+            let obs = fs.obs().expect("every file system has an observer");
+            let sink = feed::FeedSink::create(dir.join("feed.jsonl")).expect("create feed");
+            let tap = feed::attach(&sink, &obs, fs.label(), feed::Cadence::Sim(1_000_000));
+            let recorder = flight::arm(&dir, &obs, &[], fs.label());
+            let row = range_script_numbers(&**fs);
+            drop((tap, recorder));
+            let frames = feed::parse_feed(&std::fs::read_to_string(sink.path()).unwrap()).unwrap();
+            assert!(frames.len() > 20, "{}: the tap cut {} frames", row.0, frames.len());
+            row
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(got, pinned_range_script(), "sampling moved simulated time: {got:#?}");
 }
 
 /// `(attr_queue_ns, attr_service_ns, attr_op_ns)` after
