@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -51,6 +51,16 @@ if grep -rnE 'feed_due_ns|flight_due_ns|FLIGHT_FRAME_FIELDS|validate_flight_fram
 fi
 if [ "$(grep -rn 'fn sim_fire' crates/obs | wc -l)" -gt 1 ]; then
     echo "sim_fire defined more than once under crates/obs"; exit 1
+fi
+# Group reads and write-backs move bytes straight between the sector
+# store and cache buffers: no block copy in the cache, no staging buffer
+# in the driver (non-test lines: before the file's first #[cfg(test)]).
+nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$1"; }
+if nontest crates/cache/src/bufcache.rs | grep -E 'copy_of|\.to_vec\(\)'; then
+    echo "a staging copy is back in the buffer cache"; exit 1
+fi
+if nontest crates/disksim/src/driver.rs | grep -E 'vec!\[0u8; total\]|Vec::with_capacity\(total\)'; then
+    echo "a staging buffer is back in the driver"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

@@ -13,7 +13,7 @@
 //! takes the logical lock, *releases it*, then takes the owning shard
 //! lock and re-validates, so staleness can only manifest as a miss.
 
-use cffs_disksim::driver::{Driver, IoReq};
+use cffs_disksim::driver::{Driver, IoDir, IoReq, Payload};
 use cffs_fslib::vfs::CacheStats;
 use cffs_fslib::{FsResult, Ino, IntMap, BLOCK_SIZE, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, Obs, Sig};
@@ -63,10 +63,6 @@ impl Block {
         Block(Arc::new([0u8; BLOCK_SIZE]))
     }
 
-    fn copy_of(bytes: &[u8]) -> Block {
-        Block(Arc::new(bytes.try_into().expect("exactly one block")))
-    }
-
     /// The bytes, writable: in place when unshared, a fresh copy otherwise.
     fn make_mut(&mut self) -> &mut [u8] {
         &mut Arc::make_mut(&mut self.0)[..]
@@ -78,6 +74,22 @@ impl Deref for Block {
 
     fn deref(&self) -> &[u8] {
         &self.0[..]
+    }
+}
+
+/// A buffer is a disk request's memory: a write-back hands the driver a
+/// handle, a group read fills the buffer it will install.
+impl Payload for Block {
+    fn byte_len(&self) -> usize {
+        BLOCK_SIZE
+    }
+
+    fn gather(&self, f: &mut impl FnMut(&[u8])) {
+        f(self)
+    }
+
+    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+        f(self.make_mut())
     }
 }
 
@@ -142,6 +154,12 @@ struct CacheCore {
     /// Number of dirty buffers, kept in step at every `dirty` flip so
     /// the eviction path never scans for it.
     ndirty: usize,
+    /// Free list: unshared buffers of evicted, invalidated and dropped
+    /// blocks (stale bytes), reused by the next miss or group fetch.
+    /// Survives `clear`. A shard allocates only when it is empty, so it
+    /// owns at most its capacity plus one in-flight group fetch; the cap
+    /// at `nbufs` bounds what relocations from other shards add.
+    spare: Vec<Block>,
     stats: CacheStats,
 }
 
@@ -194,19 +212,19 @@ fn gfetch_resolve(ctx: &Ctx, id: u32, used: bool) {
 /// Write a collected dirty set back as one sorted, coalesced batch.
 /// Physically adjacent dirty blocks — grouped small files — merge into
 /// single scatter/gather writes here.
-fn flush_batch(ctx: &Ctx, mut dirty: Vec<(u64, Vec<u8>)>) {
+fn flush_batch(ctx: &Ctx, mut dirty: Vec<IoReq<Block>>) {
     ctx.obs.signal_sample(Sig::DirtyBacklog, dirty.len() as f64);
     if dirty.is_empty() {
         return;
     }
-    dirty.sort_by_key(|(blk, _)| *blk);
+    dirty.sort_by_key(|req| req.lba);
     ctx.obs.add(Ctr::CacheWritebacks, dirty.len() as u64);
     ctx.obs.add(Ctr::CacheDelayedFlushes, dirty.len() as u64);
     // Count physically contiguous runs of 2+ blocks: each becomes one
     // scatter/gather write at the driver instead of N single writes.
     let mut run_len = 1u64;
     for w in dirty.windows(2) {
-        if w[1].0 == w[0].0 + 1 {
+        if w[1].lba == w[0].lba + SECTORS_PER_BLOCK {
             run_len += 1;
         } else {
             if run_len > 1 {
@@ -218,11 +236,7 @@ fn flush_batch(ctx: &Ctx, mut dirty: Vec<(u64, Vec<u8>)>) {
     if run_len > 1 {
         ctx.obs.bump(Ctr::CacheCoalescedRuns);
     }
-    let reqs = dirty
-        .into_iter()
-        .map(|(blk, data)| IoReq::write(blk * SECTORS_PER_BLOCK, data))
-        .collect();
-    ctx.driver.submit_batch(reqs);
+    ctx.driver.submit_batch(dirty);
 }
 
 impl CacheCore {
@@ -239,7 +253,23 @@ impl CacheCore {
             lru_head: NIL,
             lru_tail: NIL,
             ndirty: 0,
+            spare: Vec::new(),
             stats: CacheStats::default(),
+        }
+    }
+
+    /// Memory for a block about to be installed: a spare buffer, still
+    /// holding its last block's bytes, or a fresh zeroed one.
+    fn take_spare(&mut self) -> Block {
+        self.spare.pop().unwrap_or_else(Block::zeroed)
+    }
+
+    /// Keep a departing buffer's memory for a later miss — only if no
+    /// reader holds a handle on it, and only while the free list is below
+    /// the shard's capacity.
+    fn recycle(&mut self, mut data: Block) {
+        if self.spare.len() < self.nbufs && Arc::get_mut(&mut data.0).is_some() {
+            self.spare.push(data);
         }
     }
 
@@ -294,19 +324,17 @@ impl CacheCore {
         self.phys.get(&blkno).copied()
     }
 
-    /// Collect this shard's dirty buffers (marking them clean) for a
-    /// batch write-back.
-    fn take_dirty(&mut self) -> Vec<(u64, Vec<u8>)> {
-        let mut dirty = Vec::new();
-        for b in self.bufs.iter_mut().flatten() {
-            if b.dirty {
-                dirty.push((b.blkno, b.data.to_vec()));
-                b.dirty = false;
-            }
+    /// Append a write of each of this shard's dirty buffers to `out`,
+    /// marking them clean. A request carries a handle on the buffer, not
+    /// a copy: a modify while the write is in flight copies on write.
+    fn take_dirty(&mut self, out: &mut Vec<IoReq<Block>>) {
+        let before = out.len();
+        for b in self.bufs.iter_mut().flatten().filter(|b| b.dirty) {
+            out.push(IoReq::write(b.blkno * SECTORS_PER_BLOCK, b.data.clone()));
+            b.dirty = false;
         }
         self.ndirty = 0;
-        self.stats.writebacks += dirty.len() as u64;
-        dirty
+        self.stats.writebacks += (out.len() - before) as u64;
     }
 
     /// Allocate a slot, evicting the LRU buffer if the shard is full.
@@ -324,7 +352,8 @@ impl CacheCore {
         // write-backs out of the eviction path.
         let pct = self.flush_watermark_pct as usize;
         if pct < 100 && self.dirty_count() * 100 >= self.nbufs * pct {
-            let dirty = self.take_dirty();
+            let mut dirty = Vec::new();
+            self.take_dirty(&mut dirty);
             flush_batch(ctx, dirty);
         }
         // Evict the true LRU (clean or dirty; dirty gets written back).
@@ -346,6 +375,7 @@ impl CacheCore {
             ctx.obs.bump(Ctr::CacheWritebacks);
             ctx.obs.bump(Ctr::CacheDelayedFlushes);
         }
+        self.recycle(b.data);
         self.stats.evictions += 1;
         ctx.obs.bump(Ctr::CacheEvictions);
         slot
@@ -360,7 +390,8 @@ impl CacheCore {
     }
 
     /// Core miss/hit path: return the slot for `blkno`, reading from disk
-    /// on a miss when `read` is set (otherwise installing a zero buffer).
+    /// on a miss when `read` is set (otherwise installing a zeroed buffer:
+    /// callers rely on a new block reading as zeros).
     fn get_slot(&mut self, ctx: &Ctx, blkno: u64, read: bool) -> FsResult<usize> {
         self.stats.lookups += 1;
         ctx.obs.bump(Ctr::CacheLookups);
@@ -372,9 +403,11 @@ impl CacheCore {
             return Ok(slot);
         }
         ctx.obs.bump(Ctr::CacheMisses);
-        let mut data = Block::zeroed();
+        let mut data = self.take_spare();
         if read {
             ctx.driver.read(blkno * SECTORS_PER_BLOCK, data.make_mut());
+        } else {
+            data.make_mut().fill(0);
         }
         let slot = self.alloc_slot(ctx);
         self.install(
@@ -431,6 +464,7 @@ impl CacheCore {
             if let Some(id) = b.gfetch {
                 gfetch_wasted(ctx, id);
             }
+            self.recycle(b.data);
         }
     }
 
@@ -444,8 +478,13 @@ impl CacheCore {
         b
     }
 
+    /// Forget every buffer; their memory joins the free list.
     fn clear(&mut self) {
-        self.bufs.clear();
+        while let Some(slot) = self.bufs.pop() {
+            if let Some(b) = slot {
+                self.recycle(b.data);
+            }
+        }
         self.free_slots.clear();
         self.phys.clear();
         self.links.clear();
@@ -846,25 +885,33 @@ impl BufferCache {
     /// Blocks already resident are skipped (never clobber a dirty buffer).
     /// Newly inserted blocks carry no logical identity; files claim them
     /// later via back-binding.
+    ///
+    /// Each piece of a run between resident blocks is one read request
+    /// whose payload is the list of buffers it will install, so the disk
+    /// scatters straight into them — and the scheduler sees one request
+    /// per piece, as C-LOOK must (its wrap point can fall inside a run).
     pub fn read_group(&self, driver: &Driver, runs: &[(u64, usize)]) -> FsResult<()> {
         let ctx = self.ctx(driver);
-        let mut reqs: Vec<IoReq> = Vec::new();
+        let mut reqs: Vec<IoReq<Vec<Block>>> = Vec::new();
         for &(start, n) in runs {
             // Split each run at resident blocks.
-            let mut run_start: Option<u64> = None;
+            let mut piece: Option<IoReq<Vec<Block>>> = None;
             for blk in start..start + n as u64 {
-                if self.contains(blk) {
-                    if let Some(s) = run_start.take() {
-                        reqs.push(IoReq::read(s * SECTORS_PER_BLOCK, (blk - s) as usize * BLOCK_SIZE));
-                    }
-                } else if run_start.is_none() {
-                    run_start = Some(blk);
+                let mut core = self.lock_shard(self.shard_of(blk));
+                if core.phys.contains_key(&blk) {
+                    reqs.extend(piece.take());
+                } else {
+                    piece
+                        .get_or_insert_with(|| IoReq {
+                            lba: blk * SECTORS_PER_BLOCK,
+                            dir: IoDir::Read,
+                            data: Vec::with_capacity(n),
+                        })
+                        .data
+                        .push(core.take_spare());
                 }
             }
-            if let Some(s) = run_start {
-                let end = start + n as u64;
-                reqs.push(IoReq::read(s * SECTORS_PER_BLOCK, (end - s) as usize * BLOCK_SIZE));
-            }
+            reqs.extend(piece);
         }
         if reqs.is_empty() {
             return Ok(());
@@ -876,7 +923,7 @@ impl BufferCache {
         // Register the tally before installing: with a tiny cache,
         // installing later blocks of the fetch can evict earlier ones,
         // and their "wasted" resolution must find the entry.
-        let fetched: u32 = done.iter().map(|r| (r.data.len() / BLOCK_SIZE) as u32).sum();
+        let fetched: u32 = done.iter().map(|r| r.data.len() as u32).sum();
         let cg = done.first().and_then(|r| self.obs.cg_of_sector(r.lba));
         self.obs
             .lock_timed(&self.gfetches, Ctr::LockWaitNsCache)
@@ -887,13 +934,12 @@ impl BufferCache {
         let mut installed = 0u64;
         for req in done {
             let base = req.lba / SECTORS_PER_BLOCK;
-            let nblocks = req.data.len() / BLOCK_SIZE;
-            for i in 0..nblocks {
-                let blk = base + i as u64;
+            for (blk, data) in (base..).zip(req.data) {
                 let mut core = self.lock_shard(self.shard_of(blk));
                 if core.phys.contains_key(&blk) {
                     // A concurrent installer beat us to this block; the
-                    // speculative copy is dropped, which is a waste.
+                    // speculative buffer goes back unused, a waste.
+                    core.recycle(data);
                     drop(core);
                     gfetch_wasted(&ctx, fetch_id);
                     continue;
@@ -901,14 +947,7 @@ impl BufferCache {
                 let slot = core.alloc_slot(&ctx);
                 core.install(
                     slot,
-                    Buf {
-                        blkno: blk,
-                        logical: None,
-                        data: Block::copy_of(&req.data[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE]),
-                        dirty: false,
-                        meta: false,
-                        gfetch: Some(fetch_id),
-                    },
+                    Buf { blkno: blk, logical: None, data, dirty: false, meta: false, gfetch: Some(fetch_id) },
                 );
                 installed += 1;
                 self.obs.bump(Ctr::CacheGroupReadBlocks);
@@ -923,10 +962,9 @@ impl BufferCache {
     /// single scatter/gather writes here.
     pub fn sync(&self, driver: &Driver) -> FsResult<()> {
         let ctx = self.ctx(driver);
-        let mut dirty: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut dirty = Vec::new();
         for shard in &self.shards {
-            let mut core = self.obs.lock_timed(shard, Ctr::LockWaitNsCache);
-            dirty.append(&mut core.take_dirty());
+            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).take_dirty(&mut dirty);
         }
         flush_batch(&ctx, dirty);
         Ok(())
@@ -970,6 +1008,14 @@ impl BufferCache {
         // A crash is not an eviction: abandon in-flight utilization
         // accounting rather than charging the lost buffers as "wasted".
         self.obs.lock_timed(&self.gfetches, Ctr::LockWaitNsCache).clear();
+    }
+}
+
+#[cfg(test)]
+impl BufferCache {
+    /// Buffers each shard owns: its resident ones plus its free list.
+    fn owned_per_shard(&self) -> Vec<usize> {
+        self.shards.iter().map(|s| s.lock().map(|c| c.phys.len() + c.spare.len()).unwrap()).collect()
     }
 }
 
@@ -1159,6 +1205,28 @@ mod tests {
         assert!(d.iter().all(|&b| b == 0x77));
         // Two physical reads: [200..205) and [206..216).
         assert_eq!(drv.disk_stats().reads, 2);
+    }
+
+    /// C-LOOK starts its sweep at the first request on or past the arm's
+    /// cylinder. A run that starts below the arm and ends on its cylinder
+    /// must still go out whole: sent as one request per block, its upper
+    /// blocks would be served first and its lower ones after the wrap,
+    /// as two disk reads.
+    #[test]
+    fn group_read_across_the_arm_cylinder_is_one_request() {
+        let drv = driver();
+        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let cyl = |blk: u64| {
+            drv.with_disk(|d| d.model().geometry.lba_to_chs(blk * SECTORS_PER_BLOCK).cylinder)
+        };
+        let edge = (1..).find(|&b| cyl(b) > cyl(b - 1)).expect("a second cylinder");
+        drv.read((edge + 2) * SECTORS_PER_BLOCK, &mut [0u8; cffs_disksim::SECTOR_SIZE]);
+        assert_eq!(drv.with_disk(|d| d.arm_cylinder()), cyl(edge), "arm inside the run");
+        let (reads, logical) = (drv.disk_stats().reads, drv.stats().logical_requests);
+        c.read_group(&drv, &[(edge - 4, 8)]).unwrap();
+        assert_eq!(drv.disk_stats().reads - reads, 1, "the run is one disk read");
+        assert_eq!(drv.stats().logical_requests - logical, 1, "and one logical request");
+        assert_eq!(c.stats().group_read_blocks, 8);
     }
 
     #[test]
@@ -1353,6 +1421,24 @@ mod tests {
         assert!(c.contains(20));
         assert_eq!(c.lookup_logical(9, 0), Some(20), "identity follows the move");
         assert_eq!(c.dirty_count(), 1, "re-homed buffer is dirty");
+    }
+
+    /// Each buffer relocated into a full shard pushes one of its own out,
+    /// onto its free list. The free list stops at the shard's capacity,
+    /// so however many buffers move in, the shard owns at most its
+    /// capacity plus one 16-block group fetch.
+    #[test]
+    fn free_list_is_capped_by_shard_capacity() {
+        let drv = driver();
+        let mut c = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
+        c.shard_by_cg(16, 2);
+        for i in 0..64u64 {
+            let old = i % 16;
+            let _ = c.read_block(&drv, old).unwrap();
+            assert!(c.relocate_phys(&drv, old, 16 + i % 16), "CG 0 to CG 1");
+        }
+        let owned = c.owned_per_shard();
+        assert!(owned[1] <= 8 + 16, "shard 1 owns {} buffers", owned[1]);
     }
 
     #[test]
@@ -1711,8 +1797,151 @@ mod proptests {
         Ok(())
     }
 
+    /// Calls that move buffers in and out of the free list.
+    #[derive(Debug, Clone)]
+    enum RecycleOp {
+        Read(u64),
+        /// Set four bytes starting at `at`, reading the block first or not.
+        Modify { blk: u64, read_first: bool, at: u16, byte: u8 },
+        GroupRead(u64, u8),
+        Invalidate(u64),
+        Relocate(u64, u64),
+        Sync,
+        DropAll,
+        Crash,
+    }
+
+    fn arb_recycle_op() -> impl Strategy<Value = RecycleOp> {
+        prop_oneof![
+            4 => (0u64..48).prop_map(RecycleOp::Read),
+            5 => (0u64..48, any::<bool>(), any::<u16>(), 1u8..=255).prop_map(
+                |(blk, read_first, at, byte)| RecycleOp::Modify { blk, read_first, at, byte }
+            ),
+            2 => (0u64..40, 1u8..16).prop_map(|(b, n)| RecycleOp::GroupRead(b, n)),
+            2 => (0u64..48).prop_map(RecycleOp::Invalidate),
+            2 => (0u64..48, 0u64..48).prop_map(|(o, n)| RecycleOp::Relocate(o, n)),
+            1 => Just(RecycleOp::Sync),
+            1 => Just(RecycleOp::DropAll),
+            1 => Just(RecycleOp::Crash),
+        ]
+    }
+
+    /// Block `b` as the platter holds it right now.
+    fn platter(drv: &Driver, b: u64) -> Vec<u8> {
+        let mut block = vec![0u8; BLOCK_SIZE];
+        drv.with_disk(|d| d.raw_read(b * SECTORS_PER_BLOCK, &mut block));
+        block
+    }
+
+    /// The bytes the cache must present for block `b`: its dirty
+    /// contents while resident and dirty, else the platter's (absent =
+    /// never written = zeros).
+    fn want(model: &HashMap<u64, Vec<u8>>, b: u64) -> Vec<u8> {
+        model.get(&b).cloned().unwrap_or_else(|| vec![0u8; BLOCK_SIZE])
+    }
+
+    /// After a sync the platter holds every block as the model has it.
+    fn check_durable(drv: &Driver, model: &HashMap<u64, Vec<u8>>) -> Result<(), TestCaseError> {
+        for b in 0..64 {
+            prop_assert!(platter(drv, b) == want(model, b), "block {} not durable", b);
+        }
+        Ok(())
+    }
+
+    /// Drive a 2-shard cache with calls that recycle buffers; every byte
+    /// handed out must match the model of platter plus dirty set (a
+    /// non-reading miss sees zeros, never a recycled buffer's old bytes),
+    /// a held handle keeps its snapshot, and no shard owns more than its
+    /// capacity plus one group fetch.
+    fn check_recycling(ops: Vec<RecycleOp>) -> Result<(), TestCaseError> {
+        const MAX_GROUP: usize = 15;
+        let drv = tiny_driver(Scheduler::default());
+        let mut cache = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 50 });
+        cache.shard_by_cg(16, 2);
+        let per_shard = 16 / cache.nshards();
+        // What the cache must present for each block (see `want`).
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut held: Option<(Block, Vec<u8>)> = None;
+        for op in ops {
+            match op {
+                RecycleOp::Read(b) => {
+                    let data = cache.read_block(&drv, b).unwrap();
+                    prop_assert!(data[..] == want(&model, b)[..], "block {} read wrong bytes", b);
+                    let snapshot = data[..].to_vec();
+                    held = Some((data, snapshot));
+                }
+                RecycleOp::Modify { blk, read_first, at, byte } => {
+                    let mut expect =
+                        if read_first || cache.contains(blk) { want(&model, blk) } else { vec![0u8; BLOCK_SIZE] };
+                    let poke = |d: &mut [u8]| {
+                        for k in 0..4 {
+                            d[(at as usize + k) % BLOCK_SIZE] = byte;
+                        }
+                    };
+                    let seen = cache
+                        .modify_block(&drv, blk, false, read_first, |d| {
+                            let seen = d.to_vec();
+                            poke(d);
+                            seen
+                        })
+                        .unwrap();
+                    prop_assert!(seen == expect, "block {} (read_first {}) modified stale bytes", blk, read_first);
+                    poke(&mut expect);
+                    model.insert(blk, expect);
+                }
+                RecycleOp::GroupRead(start, n) => {
+                    cache.read_group(&drv, &[(start, n as usize)]).unwrap();
+                }
+                RecycleOp::Invalidate(b) => {
+                    cache.invalidate_block(&drv, b);
+                    model.insert(b, platter(&drv, b));
+                }
+                RecycleOp::Relocate(old, new) => {
+                    if cache.relocate_phys(&drv, old, new) {
+                        model.insert(new, want(&model, old));
+                        model.insert(old, platter(&drv, old));
+                    }
+                }
+                RecycleOp::Sync => {
+                    cache.sync(&drv).unwrap();
+                    check_durable(&drv, &model)?;
+                }
+                RecycleOp::DropAll => {
+                    cache.drop_all(&drv).unwrap();
+                    check_durable(&drv, &model)?;
+                }
+                RecycleOp::Crash => {
+                    cache.crash();
+                    for b in 0..64 {
+                        model.insert(b, platter(&drv, b));
+                    }
+                }
+            }
+            if let Some((block, snapshot)) = &held {
+                prop_assert!(block[..] == snapshot[..], "a held handle changed under its reader");
+            }
+            for n in cache.owned_per_shard() {
+                prop_assert!(n <= per_shard + MAX_GROUP, "a shard owns {} buffers", n);
+            }
+        }
+        for b in 0..64 {
+            let data = cache.read_block(&drv, b).unwrap();
+            prop_assert!(data[..] == want(&model, b)[..], "final block {}", b);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// Recycled buffers never leak old bytes and the free list stays
+        /// bounded; see [`check_recycling`].
+        #[test]
+        fn recycled_buffers_read_back_exactly(
+            ops in prop::collection::vec(arb_recycle_op(), 1..160)
+        ) {
+            check_recycling(ops)?;
+        }
 
         /// The cache is a transparent layer: block contents always match a
         /// simple model regardless of evictions, group reads, syncs,

@@ -34,6 +34,12 @@
 //!   reader still holds a handle (which then keeps its snapshot), so drop
 //!   a handle before modifying the block it came from.
 //!
+//! * Buffers are reused, and the disk path copies none: each shard keeps
+//!   the unshared buffers of evicted, invalidated and dropped blocks on a
+//!   free list (capped at its capacity) for the next miss or group fetch;
+//!   a group read scatters straight into the buffers it installs, and a
+//!   write-back hands the driver [`Block`] handles, not copies.
+//!
 //! Replacement is exact LRU over clean and dirty buffers alike, kept as an
 //! intrusive doubly-linked list over buffer slots (touch, evict and
 //! invalidate are O(1); one link pair per slot, however many hits);

@@ -3,6 +3,7 @@
 //! one request at a time and keeps a consistent mechanical state.
 
 use crate::cache::{OnboardCache, OnboardCacheConfig};
+use crate::driver::Payload;
 use crate::geometry::Geometry;
 use crate::seek::SeekCurve;
 use crate::stats::DiskStats;
@@ -106,6 +107,14 @@ pub struct TraceEntry {
     pub service: SimDuration,
     /// Serviced from the on-board cache.
     pub cache_hit: bool,
+}
+
+/// The direction of one transfer, with the memory it moves.
+pub(crate) enum Xfer<'a, P: ?Sized> {
+    /// Fill the payload from the platter.
+    Read(&'a mut P),
+    /// Put the payload on the platter.
+    Write(&'a P),
 }
 
 /// A simulated drive: model + mechanical state + contents + statistics.
@@ -287,15 +296,7 @@ impl Disk {
     /// # Panics
     /// Panics if the range is unaligned or beyond the end of the disk.
     pub fn read(&mut self, now: SimTime, lba: u64, buf: &mut [u8]) -> SimTime {
-        let n = self.check_range(lba, buf.len());
-        let done = self.service(now, lba, n, false);
-        self.store.read(lba, buf);
-        self.stats.reads += 1;
-        self.stats.sectors_read += n;
-        self.obs.bump(Ctr::DiskRequests);
-        self.obs.bump(Ctr::DiskReads);
-        self.obs.add(Ctr::DiskBytesRead, n * SECTOR_SIZE as u64);
-        done
+        self.transfer(now, lba, Xfer::Read(buf))
     }
 
     /// Write `buf.len()` bytes at sector `lba`, starting no earlier than
@@ -304,21 +305,57 @@ impl Disk {
     /// # Panics
     /// Panics if the range is unaligned or beyond the end of the disk.
     pub fn write(&mut self, now: SimTime, lba: u64, buf: &[u8]) -> SimTime {
-        let n = self.check_range(lba, buf.len());
-        let done = self.service(now, lba, n, true);
-        self.cache.invalidate(lba, n);
-        // Remember what this write destroys, for mid-write crash injection,
-        // in the previous write's undo buffer.
-        let (undo_lba, old) = self.last_write_undo.get_or_insert_with(|| (lba, Vec::new()));
-        *undo_lba = lba;
-        old.resize(buf.len(), 0);
-        self.store.read(lba, old);
-        self.store.write(lba, buf);
-        self.stats.writes += 1;
-        self.stats.sectors_written += n;
+        self.transfer(now, lba, Xfer::Write(buf))
+    }
+
+    /// Service one request for the whole payload at `lba`, starting no
+    /// earlier than `now`, and move its bytes in place: the store
+    /// scatters into a read's pieces, a write's pieces are gathered into
+    /// the store. Returns the completion time.
+    pub(crate) fn transfer<P: Payload + ?Sized>(
+        &mut self,
+        now: SimTime,
+        lba: u64,
+        xfer: Xfer<'_, P>,
+    ) -> SimTime {
+        let (len, write) = match &xfer {
+            Xfer::Read(p) => (p.byte_len(), false),
+            Xfer::Write(p) => (p.byte_len(), true),
+        };
+        let n = self.check_range(lba, len);
+        let done = self.service(now, lba, n, write);
+        let mut at = lba;
+        match xfer {
+            Xfer::Read(p) => {
+                p.scatter(&mut |piece| {
+                    self.store.read(at, piece);
+                    at += (piece.len() / SECTOR_SIZE) as u64;
+                });
+                self.stats.reads += 1;
+                self.stats.sectors_read += n;
+                self.obs.bump(Ctr::DiskReads);
+                self.obs.add(Ctr::DiskBytesRead, n * SECTOR_SIZE as u64);
+            }
+            Xfer::Write(p) => {
+                self.cache.invalidate(lba, n);
+                // Remember what this write destroys, for mid-write crash
+                // injection, in the previous write's undo buffer.
+                let (undo_lba, old) =
+                    self.last_write_undo.get_or_insert_with(|| (lba, Vec::new()));
+                *undo_lba = lba;
+                old.resize(len, 0);
+                self.store.read(lba, old);
+                p.gather(&mut |piece| {
+                    self.store.write(at, piece);
+                    at += (piece.len() / SECTOR_SIZE) as u64;
+                });
+                self.stats.writes += 1;
+                self.stats.sectors_written += n;
+                self.obs.bump(Ctr::DiskWrites);
+                self.obs.add(Ctr::DiskBytesWritten, n * SECTOR_SIZE as u64);
+            }
+        }
         self.obs.bump(Ctr::DiskRequests);
-        self.obs.bump(Ctr::DiskWrites);
-        self.obs.add(Ctr::DiskBytesWritten, n * SECTOR_SIZE as u64);
         done
     }
 

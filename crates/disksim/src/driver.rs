@@ -5,14 +5,16 @@
 //! I/O and uses a C-LOOK scheduling algorithm [Worthington94]". The driver
 //! here does the same: a batch of block requests is ordered by the chosen
 //! scheduler, physically adjacent requests of the same direction are merged
-//! into a single disk request, and the batch is serviced back-to-back.
+//! into a single disk request, and the batch is serviced back-to-back. A
+//! merged run moves its bytes straight between the platter and each
+//! request's own memory (see [`Payload`]); nothing is staged.
 //!
 //! The driver also owns the simulated clock. File systems charge CPU time
 //! to it (via [`Driver::advance`]) and I/O time flows through the disk's
 //! completion times, so `driver.now()` is always "how long has this
 //! experiment taken so far".
 
-use crate::disk::Disk;
+use crate::disk::{Disk, Xfer};
 use crate::stats::DiskStats;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
@@ -49,26 +51,104 @@ pub enum IoDir {
     Write,
 }
 
+/// The memory one request moves: a byte length (a whole number of
+/// sectors) and its pieces in disk order. The disk gathers a write's
+/// pieces into the sector store and scatters a read into them in place,
+/// so a payload made of cache buffers is never staged or copied.
+pub trait Payload {
+    /// Total length in bytes.
+    fn byte_len(&self) -> usize;
+    /// Hand each piece, in disk order, to `f` to be written out.
+    fn gather(&self, f: &mut impl FnMut(&[u8]));
+    /// Hand each piece, in disk order, to `f` to be filled.
+    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8]));
+}
+
+impl Payload for [u8] {
+    fn byte_len(&self) -> usize {
+        self.len()
+    }
+
+    fn gather(&self, f: &mut impl FnMut(&[u8])) {
+        f(self)
+    }
+
+    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+        f(self)
+    }
+}
+
+/// A list of payloads is one payload: its members back to back.
+impl<P: Payload> Payload for [P] {
+    fn byte_len(&self) -> usize {
+        self.iter().map(P::byte_len).sum()
+    }
+
+    fn gather(&self, f: &mut impl FnMut(&[u8])) {
+        self.iter().for_each(|p| p.gather(f))
+    }
+
+    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+        self.iter_mut().for_each(|p| p.scatter(f))
+    }
+}
+
+impl<T> Payload for Vec<T>
+where
+    [T]: Payload,
+{
+    fn byte_len(&self) -> usize {
+        self[..].byte_len()
+    }
+
+    fn gather(&self, f: &mut impl FnMut(&[u8])) {
+        self[..].gather(f)
+    }
+
+    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+        self[..].scatter(f)
+    }
+}
+
 /// One block-aligned request in a batch.
 #[derive(Debug, Clone)]
-pub struct IoReq {
+pub struct IoReq<B = Vec<u8>> {
     /// Starting sector.
     pub lba: u64,
     /// Direction.
     pub dir: IoDir,
-    /// Payload for writes; capacity hint (`len` bytes to read) for reads.
-    pub data: Vec<u8>,
+    /// The memory transferred: the bytes to write, or the buffers a read
+    /// fills in place.
+    pub data: B,
+}
+
+impl<B> IoReq<B> {
+    /// A write request.
+    pub fn write(lba: u64, data: B) -> Self {
+        IoReq { lba, dir: IoDir::Write, data }
+    }
 }
 
 impl IoReq {
-    /// A write request.
-    pub fn write(lba: u64, data: Vec<u8>) -> Self {
-        IoReq { lba, dir: IoDir::Write, data }
-    }
-
     /// A read request for `len` bytes.
     pub fn read(lba: u64, len: usize) -> Self {
         IoReq { lba, dir: IoDir::Read, data: vec![0u8; len] }
+    }
+}
+
+/// A run of adjacent requests is one payload: the driver services it as
+/// a single disk request.
+impl<B: Payload> Payload for IoReq<B> {
+    fn byte_len(&self) -> usize {
+        self.data.byte_len()
+    }
+
+    fn gather(&self, f: &mut impl FnMut(&[u8])) {
+        self.data.gather(f)
+    }
+
+    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+        self.data.scatter(f)
     }
 }
 
@@ -208,7 +288,7 @@ impl Driver {
     /// same-direction requests into scatter/gather transfers, and service
     /// them all. Read payloads are filled in place; the batch is returned
     /// in its (scheduled) service order. Returns once the batch completes.
-    pub fn submit_batch(&self, mut reqs: Vec<IoReq>) -> Vec<IoReq> {
+    pub fn submit_batch<B: Payload>(&self, mut reqs: Vec<IoReq<B>>) -> Vec<IoReq<B>> {
         if reqs.is_empty() {
             return reqs;
         }
@@ -261,61 +341,37 @@ impl Spindle {
     /// Service an ordered batch from `now`, one disk request per run of
     /// physically adjacent same-direction requests. Returns the
     /// completion time of the last.
-    fn service_batch(&mut self, obs: &Obs, reqs: &mut [IoReq], mut now: SimTime) -> SimTime {
+    fn service_batch<B: Payload>(
+        &mut self,
+        obs: &Obs,
+        reqs: &mut [IoReq<B>],
+        mut now: SimTime,
+    ) -> SimTime {
         let mut start = 0;
         while start < reqs.len() {
             let dir = reqs[start].dir;
             let mut end_lba = reqs[start].lba;
             let mut end = start;
             while end < reqs.len() && reqs[end].dir == dir && reqs[end].lba == end_lba {
-                end_lba += (reqs[end].data.len() / SECTOR_SIZE) as u64;
+                end_lba += (reqs[end].byte_len() / SECTOR_SIZE) as u64;
                 end += 1;
             }
-            now = self.service_run(obs, &mut reqs[start..end], now);
+            let run = &mut reqs[start..end];
+            self.count_physical(obs, run.len());
+            let lba = run[0].lba;
+            now = match dir {
+                IoDir::Write => self.disk.transfer(now, lba, Xfer::Write(&*run)),
+                IoDir::Read => self.disk.transfer(now, lba, Xfer::Read(run)),
+            };
             start = end;
         }
         now
-    }
-
-    /// Service one run of adjacent requests as a single disk request.
-    fn service_run(&mut self, obs: &Obs, run: &mut [IoReq], now: SimTime) -> SimTime {
-        self.count_physical(obs, run.len());
-        let (lba, dir) = (run[0].lba, run[0].dir);
-        // An unmerged request is serviced straight from/into its own
-        // payload; only a scatter/gather run needs a staging buffer.
-        if let [req] = &mut *run {
-            return match dir {
-                IoDir::Write => self.disk.write(now, lba, &req.data),
-                IoDir::Read => self.disk.read(now, lba, &mut req.data),
-            };
-        }
-        let total = run.iter().map(|r| r.data.len()).sum();
-        match dir {
-            IoDir::Write => {
-                let mut buf = Vec::with_capacity(total);
-                for req in run.iter() {
-                    buf.extend_from_slice(&req.data);
-                }
-                self.disk.write(now, lba, &buf)
-            }
-            IoDir::Read => {
-                let mut buf = vec![0u8; total];
-                let done = self.disk.read(now, lba, &mut buf);
-                let mut rest = &buf[..];
-                for req in run {
-                    let (part, tail) = rest.split_at(req.data.len());
-                    req.data.copy_from_slice(part);
-                    rest = tail;
-                }
-                done
-            }
-        }
     }
 }
 
 /// Order a batch for service (needs the live arm position, so it runs
 /// under the disk lock).
-fn order(sched: Scheduler, disk: &Disk, reqs: &mut Vec<IoReq>) {
+fn order<B>(sched: Scheduler, disk: &Disk, reqs: &mut Vec<IoReq<B>>) {
     match sched {
         Scheduler::Fcfs => {}
         Scheduler::CLook => {
@@ -333,7 +389,7 @@ fn order(sched: Scheduler, disk: &Disk, reqs: &mut Vec<IoReq>) {
             // Greedy nearest-cylinder-first from the current arm position.
             let geom = &disk.model().geometry;
             let mut cur = disk.arm_cylinder();
-            let mut rest: Vec<IoReq> = std::mem::take(reqs);
+            let mut rest = std::mem::take(reqs);
             while !rest.is_empty() {
                 let (i, _) = rest
                     .iter()
@@ -451,7 +507,7 @@ mod tests {
     fn empty_batch_is_noop() {
         let d = driver(Scheduler::CLook);
         let t0 = d.now();
-        let out = d.submit_batch(Vec::new());
+        let out = d.submit_batch(Vec::<IoReq>::new());
         assert!(out.is_empty());
         assert_eq!(d.now(), t0);
         assert_eq!(d.stats().batches, 0);

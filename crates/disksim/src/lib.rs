@@ -63,7 +63,7 @@ pub mod time;
 mod disk;
 
 pub use disk::{Disk, DiskModel, TraceEntry};
-pub use driver::{Driver, DriverConfig, IoDir, IoReq, Scheduler};
+pub use driver::{Driver, DriverConfig, IoDir, IoReq, Payload, Scheduler};
 pub use geometry::{Geometry, Zone};
 pub use seek::SeekCurve;
 pub use stats::DiskStats;

@@ -1,5 +1,5 @@
 //! The buffer-cache hit path and single-block driver requests allocate
-//! nothing.
+//! nothing, and the disk paths copy no block.
 //!
 //! A counting `#[global_allocator]` (per thread, so tests running in
 //! parallel do not see each other; the driver services requests on the
@@ -7,7 +7,9 @@
 //! paths: `read_block`, `read_block_bound` and `lookup_logical` on
 //! resident blocks and `Driver::{read, write}` must make zero heap
 //! requests, and the file-system calls built on them a small pinned
-//! number — none of them block-sized.
+//! number — none of them block-sized. Misses, group reads and
+//! write-backs move bytes straight between the platter and recycled
+//! cache buffers, so none of them makes a block-sized request either.
 
 use cffs::cache::{BufferCache, CacheConfig};
 use cffs::core::{CffsConfig, MkfsParams};
@@ -20,6 +22,7 @@ use std::cell::Cell;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -29,6 +32,7 @@ fn count(bytes: usize) {
     // being torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
     let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(bytes as u64)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -69,6 +73,13 @@ fn heap_of(f: impl FnOnce()) -> (u64, u64) {
     let before = (ALLOCS.get(), BYTES.get());
     f();
     (ALLOCS.get() - before.0, BYTES.get() - before.1)
+}
+
+/// The largest single heap request this thread makes while `f` runs.
+fn largest_request_of(f: impl FnOnce()) -> u64 {
+    LARGEST.set(0);
+    f();
+    LARGEST.get()
 }
 
 #[test]
@@ -176,9 +187,9 @@ fn driver_single_block_requests_allocate_nothing() {
 
 /// A warm synchronous-metadata create + 1 KB write + unlink writes its
 /// directory block through the driver on every create and unlink, and
-/// still copies no block on the way. The write overwrites a resident
-/// file: a block freshly allocated for a new file is a cache miss, which
-/// installs a new zeroed buffer.
+/// still copies no block on the way. The write goes to the fresh file:
+/// its newly allocated block is a cache miss, served by the buffer the
+/// previous unlink's freed block left on the free list.
 #[test]
 fn warm_sync_create_write_unlink_copies_no_block() {
     const FILES: usize = 40;
@@ -186,13 +197,12 @@ fn warm_sync_create_write_unlink_copies_no_block() {
     let fs = cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), cfg)
         .expect("mkfs");
     let dir = fs.mkdir(fs.root(), "d").expect("mkdir");
-    let resident = fs.create(dir, "resident").expect("create");
     let names: Vec<String> = (0..FILES).map(|i| format!("file{i:03}")).collect();
     let mut data = [0x5au8; 1024];
     let mut cycle = |name: &str| {
-        fs.create(dir, name).expect("create");
+        let ino = fs.create(dir, name).expect("create");
         data[0] = data[0].wrapping_add(1);
-        fs.write(resident, 0, &data).expect("write");
+        fs.write(ino, 0, &data).expect("write");
         fs.unlink(dir, name).expect("unlink");
     };
     // One untimed sweep warms the cache and sizes every lazily grown table.
@@ -206,4 +216,90 @@ fn warm_sync_create_write_unlink_copies_no_block() {
         "create + write + unlink requested {per_op} bytes: a block was copied"
     );
     assert!(fs.io_stats().driver.logical_requests > requests, "metadata went to disk");
+}
+
+/// A cold 16-block group read scatters straight into the buffers it
+/// installs: once evictions have stocked the free list, it makes no
+/// block-sized heap request — nothing is staged, copied or allocated.
+#[test]
+fn cold_group_read_makes_no_block_sized_request() {
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let cache = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+    // Twice the capacity: the later fetches evict the earlier ones.
+    for extent in 0..8u64 {
+        cache.read_group(&drv, &[(extent * 16, 16)]).expect("warm-up fetch");
+    }
+    let reads = drv.disk_stats().reads;
+
+    let largest = largest_request_of(|| {
+        cache.read_group(&drv, &[(8 * 16, 16)]).expect("cold fetch");
+    });
+    assert!(largest < BLOCK_SIZE as u64, "a cold group read requested {largest} bytes at once");
+    assert_eq!(drv.disk_stats().reads, reads + 1, "the fetch was one disk read");
+    assert_eq!(cache.stats().group_read_blocks, 9 * 16);
+}
+
+/// A sync hands the driver handles on the dirty buffers, not copies: a
+/// write-back of 64 dirty blocks in four runs makes no block-sized heap
+/// request.
+#[test]
+fn sync_of_dirty_blocks_copies_no_block() {
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let cache = BufferCache::new(CacheConfig { nbufs: 128, flush_watermark_pct: 100 });
+    let blocks = || (0..4u64).flat_map(|run| run * 40..run * 40 + 16);
+    let dirty_all = |byte: u8| {
+        for blk in blocks() {
+            cache.modify_block(&drv, blk, false, true, |d| d.fill(byte)).expect("modify");
+        }
+    };
+    // One untimed round materializes the platter's chunks.
+    dirty_all(1);
+    cache.sync(&drv).expect("sync");
+    dirty_all(2);
+    let writes = drv.disk_stats().writes;
+
+    let largest = largest_request_of(|| cache.sync(&drv).expect("sync"));
+    assert!(largest < BLOCK_SIZE as u64, "a sync of 64 blocks requested {largest} bytes at once");
+    assert_eq!(drv.disk_stats().writes, writes + 4, "four coalesced runs");
+    assert_eq!(cache.dirty_count(), 0);
+    let mut back = vec![0u8; BLOCK_SIZE];
+    drv.with_disk(|d| d.raw_read(40 * (BLOCK_SIZE / SECTOR_SIZE) as u64, &mut back));
+    assert!(back.iter().all(|&b| b == 2));
+}
+
+/// Under eviction pressure a miss reuses the evicted buffer: reading and
+/// non-reading misses, each evicting a dirty block and writing it back,
+/// make no block-sized heap request.
+#[test]
+fn misses_under_eviction_pressure_allocate_no_block() {
+    const BLOCKS: u64 = 64;
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let cache = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
+    let lba = |blk: u64| blk * (BLOCK_SIZE / SECTOR_SIZE) as u64;
+    // Even blocks are read and hold 0xEE, so their recycled buffers carry
+    // stale bytes; odd ones are overwritten without a read.
+    for blk in (0..BLOCKS).step_by(2) {
+        drv.with_disk_mut(|d| d.raw_write(lba(blk), &[0xEE; BLOCK_SIZE]));
+    }
+    let sweep = |byte: u8| {
+        for blk in 0..BLOCKS {
+            if blk % 2 == 0 {
+                cache.read_block(&drv, blk).expect("read");
+            } else {
+                cache.modify_block(&drv, blk, false, false, |d| d[0] = byte).expect("modify");
+            }
+        }
+    };
+    // One untimed sweep materializes the platter's chunks.
+    sweep(1);
+    cache.sync(&drv).expect("sync");
+    let evictions = cache.stats().evictions;
+
+    let largest = largest_request_of(|| (2..6).for_each(sweep));
+    assert!(largest < BLOCK_SIZE as u64, "a miss requested {largest} bytes at once");
+    assert_eq!(cache.stats().evictions, evictions + 4 * BLOCKS, "every access missed");
+    let mut back = vec![0u8; BLOCK_SIZE];
+    drv.with_disk(|d| d.raw_read(lba(1), &mut back));
+    assert_eq!(back[0], 5, "the last sweep's dirty blocks were written back");
+    assert!(back[1..].iter().all(|&b| b == 0), "a non-reading miss starts from zeros");
 }
