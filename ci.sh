@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -61,6 +61,16 @@ if nontest crates/cache/src/bufcache.rs | grep -E 'copy_of|\.to_vec\(\)'; then
 fi
 if nontest crates/disksim/src/driver.rs | grep -E 'vec!\[0u8; total\]|Vec::with_capacity\(total\)'; then
     echo "a staging buffer is back in the driver"; exit 1
+fi
+# Name resolution builds no string: the volume skeleton is keyed by
+# (parent index, name), not by path. Retiring a dead inode does not scan
+# the cache's logical index: freeing its blocks already unbound them.
+if grep -rnE 'by_path|fn join\(' crates/volume/src; then
+    echo "a path-string key is back in crates/volume"; exit 1
+fi
+RETIRE=$(awk '/fn retire_ino\(/ { f = 1 } f { print } f && /^    }$/ { exit }' crates/core/src/fs/namespace.rs)
+if [ -z "$RETIRE" ] || printf '%s\n' "$RETIRE" | grep -n 'purge_ino' | grep -v 'dc\.purge_ino'; then
+    echo "retire_ino is missing or calls BufferCache::purge_ino again"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

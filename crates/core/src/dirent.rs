@@ -21,6 +21,12 @@
 //! With embedding, a short-named file costs 144 bytes of directory space
 //! versus 16 conventional — the directory-size growth the paper's
 //! "Directory sizes" discussion weighs against the access savings.
+//!
+//! A decoded [`CEntry`] carries no name: [`find`], [`entry_at`] and
+//! [`remove`] — the lookup, embedded-inode and unlink paths — check that
+//! the name is UTF-8 but leave it in the block, so resolving a name
+//! makes no heap request. Only [`list`] (readdir, fsck, relocation)
+//! copies names out, pairing each entry with its own.
 
 use cffs_fslib::codec::{get_u16, get_u32, put_u16, put_u32};
 use cffs_fslib::inode::{Inode, INODE_SIZE};
@@ -45,8 +51,8 @@ pub enum EntryLoc {
     Embedded(usize),
 }
 
-/// A decoded entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A decoded entry (its name stays in the block; see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CEntry {
     /// Byte offset of the entry within the block.
     pub offset: usize,
@@ -57,8 +63,6 @@ pub struct CEntry {
     /// Generation stamp of an embedded inode (low 15 bits of the image's
     /// generation field; 0 for external entries).
     pub gen: u16,
-    /// The name.
-    pub name: String,
 }
 
 fn pad8(n: usize) -> usize {
@@ -128,10 +132,10 @@ fn walk(buf: &[u8], mut f: impl FnMut(usize, u8, usize, usize) -> bool) -> FsRes
     Ok(())
 }
 
-fn decode(buf: &[u8], off: usize, flags: u8, namelen: usize) -> FsResult<CEntry> {
+/// Decode the used entry at `off`, borrowing its name from the block.
+fn decode(buf: &[u8], off: usize, flags: u8, namelen: usize) -> FsResult<(CEntry, &str)> {
     let name = std::str::from_utf8(&buf[off + ENTRY_HEADER..off + ENTRY_HEADER + namelen])
-        .map_err(|_| FsError::Corrupt(format!("undecodable name at {off}")))?
-        .to_string();
+        .map_err(|_| FsError::Corrupt(format!("undecodable name at {off}")))?;
     let (loc, gen) = if flags & FLAG_EMBEDDED != 0 {
         let img = image_offset(off, namelen);
         let gen = (get_u32(buf, img + cffs_fslib::inode::GENERATION_OFFSET) & 0x7FFF) as u16;
@@ -139,17 +143,17 @@ fn decode(buf: &[u8], off: usize, flags: u8, namelen: usize) -> FsResult<CEntry>
     } else {
         (EntryLoc::External(get_u32(buf, off + 4)), 0)
     };
-    Ok(CEntry { offset: off, kind: kind_of(flags), loc, gen, name })
+    Ok((CEntry { offset: off, kind: kind_of(flags), loc, gen }, name))
 }
 
-/// List used entries.
-pub fn list(buf: &[u8]) -> FsResult<Vec<CEntry>> {
+/// List used entries, each with an owned copy of its name.
+pub fn list(buf: &[u8]) -> FsResult<Vec<(String, CEntry)>> {
     let mut out = Vec::new();
     let mut err = None;
     walk(buf, |off, flags, namelen, _| {
         if flags & FLAG_USED != 0 {
             match decode(buf, off, flags, namelen) {
-                Ok(e) => out.push(e),
+                Ok((e, name)) => out.push((name.to_string(), e)),
                 Err(e) => {
                     err = Some(e);
                     return false;
@@ -167,41 +171,35 @@ pub fn list(buf: &[u8]) -> FsResult<Vec<CEntry>> {
 /// Find a used entry by name.
 pub fn find(buf: &[u8], name: &str) -> FsResult<Option<CEntry>> {
     let mut found = None;
-    let mut err = None;
     walk(buf, |off, flags, namelen, _| {
         if flags & FLAG_USED != 0
             && namelen == name.len()
             && &buf[off + ENTRY_HEADER..off + ENTRY_HEADER + namelen] == name.as_bytes()
         {
-            match decode(buf, off, flags, namelen) {
-                Ok(e) => found = Some(e),
-                Err(e) => err = Some(e),
-            }
+            found = Some(decode(buf, off, flags, namelen).map(|(e, _)| e));
             return false;
         }
         true
     })?;
-    match err {
-        Some(e) => Err(e),
-        None => Ok(found),
-    }
+    found.transpose()
 }
 
 /// Decode and validate the entry starting at `off` (an inode-number
 /// dereference). Fails with [`FsError::StaleHandle`] if no entry starts
-/// there or it is free.
+/// there or it is free, and with [`FsError::Corrupt`] if the used entry
+/// there does not decode.
 pub fn entry_at(buf: &[u8], off: usize) -> FsResult<CEntry> {
     let mut hit = None;
     walk(buf, |o, flags, namelen, _| {
         if o == off {
             if flags & FLAG_USED != 0 {
-                hit = decode(buf, o, flags, namelen).ok();
+                hit = Some(decode(buf, o, flags, namelen).map(|(e, _)| e));
             }
             return false;
         }
         o < off
     })?;
-    hit.ok_or(FsError::StaleHandle)
+    hit.unwrap_or(Err(FsError::StaleHandle))
 }
 
 /// Would an entry of `len` bytes fit somewhere in this block?
@@ -339,7 +337,7 @@ pub fn remove(buf: &mut [u8], name: &str) -> FsResult<Option<CEntry>> {
         true
     })?;
     let Some((off, prev, flags, namelen, reclen)) = target else { return Ok(None) };
-    let entry = decode(buf, off, flags, namelen)?;
+    let (entry, _) = decode(buf, off, flags, namelen)?;
     match prev {
         Some(p) => {
             let p_reclen = get_u16(buf, p) as usize;
@@ -454,7 +452,7 @@ mod tests {
         insert_embedded(&mut b, "emb", FileKind::File, &inode(1)).unwrap().unwrap();
         insert_external(&mut b, "ext", 9, FileKind::Dir).unwrap().unwrap();
         let mut names: Vec<(String, FileKind)> =
-            list(&b).unwrap().into_iter().map(|e| (e.name, e.kind)).collect();
+            list(&b).unwrap().into_iter().map(|(name, e)| (name, e.kind)).collect();
         names.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(
             names,
@@ -472,19 +470,35 @@ mod tests {
                 .unwrap();
         }
         assert!(insert_embedded(&mut b, "extra", FileKind::File, &inode(0)).unwrap().is_none());
-        let e = remove(&mut b, "f005").unwrap().unwrap();
-        assert_eq!(e.name, "f005");
+        let found = find(&b, "f005").unwrap().unwrap();
+        assert_eq!(remove(&mut b, "f005").unwrap(), Some(found));
+        assert!(find(&b, "f005").unwrap().is_none());
         assert!(insert_embedded(&mut b, "extra", FileKind::File, &inode(0)).unwrap().is_some());
     }
 
     #[test]
     fn entry_at_validates_offsets() {
         let mut b = block();
-        let (off, _) = insert_embedded(&mut b, "real", FileKind::File, &inode(5)).unwrap().unwrap();
-        assert_eq!(entry_at(&b, off).unwrap().name, "real");
-        // Mid-entry offsets and free records are stale.
+        let (off, img) = insert_embedded(&mut b, "real", FileKind::File, &inode(5)).unwrap().unwrap();
+        let e = entry_at(&b, off).unwrap();
+        assert_eq!((e.offset, e.kind, e.loc), (off, FileKind::File, EntryLoc::Embedded(img)));
+        assert_eq!(find(&b, "real").unwrap(), Some(e));
+        // Mid-entry offsets, offsets past every entry and free records
+        // are stale.
         assert_eq!(entry_at(&b, off + 8).unwrap_err(), FsError::StaleHandle);
+        assert_eq!(entry_at(&b, BLOCK_SIZE).unwrap_err(), FsError::StaleHandle);
         remove(&mut b, "real").unwrap();
+        assert_eq!(entry_at(&b, off).unwrap_err(), FsError::StaleHandle);
+    }
+
+    #[test]
+    fn entry_at_reports_an_undecodable_name_as_corrupt() {
+        let mut b = block();
+        let (off, _) = insert_embedded(&mut b, "real", FileKind::File, &inode(5)).unwrap().unwrap();
+        b[off + ENTRY_HEADER] = 0xFF;
+        assert!(matches!(entry_at(&b, off), Err(FsError::Corrupt(_))));
+        // The same bytes behind a free record are merely stale.
+        b[off + 3] = 0;
         assert_eq!(entry_at(&b, off).unwrap_err(), FsError::StaleHandle);
     }
 
@@ -562,7 +576,7 @@ mod tests {
             }
             let listed: Vec<String> = {
                 let mut v: Vec<String> =
-                    list(&b).unwrap().into_iter().map(|e| e.name).collect();
+                    list(&b).unwrap().into_iter().map(|(name, _)| name).collect();
                 v.sort();
                 v
             };

@@ -224,9 +224,15 @@ struct NsState {
 
 impl NsState {
     /// Record `child`'s naming directory, evicting the oldest hints
-    /// once the map is full.
+    /// once the map is full. A FIFO that is full and at least half stale
+    /// drops its stale keys instead of growing, so create/unlink churn
+    /// neither grows it without bound nor reallocates it.
     fn note_parent(&mut self, child: Ino, dir: Ino) {
         if self.parent_of.insert(child, dir).is_none() {
+            let (fifo, live) = (&mut self.parent_fifo, &self.parent_of);
+            if fifo.len() == fifo.capacity() && fifo.len() >= 2 * live.len() {
+                fifo.retain(|k| live.contains_key(k));
+            }
             self.parent_fifo.push_back(child);
             while self.parent_of.len() > NS_PARENT_CAP {
                 match self.parent_fifo.pop_front() {

@@ -190,7 +190,7 @@ impl Cffs {
                 let data = self.fetch_block(to, ino, lbn)?;
                 dirent::list(&data)?
             };
-            for e in &entries {
+            for (_, e) in &entries {
                 if !matches!(e.loc, EntryLoc::Embedded(_)) {
                     continue;
                 }

@@ -126,9 +126,12 @@ impl Cffs {
         Ok(busy.is_none())
     }
 
-    /// Retire an inode number from all in-core indices.
+    /// Retire a dead inode number from the in-core indices. Its buffer-
+    /// cache bindings are already gone: the caller freed its blocks with
+    /// `bmap::free_from`, whose `free_data` unbinds each one, so no scan
+    /// of the cache's logical index is needed here (the renumbering
+    /// paths, whose old number keeps live blocks, call `purge_ino`).
     fn retire_ino(&self, ino: Ino) {
-        self.cache.purge_ino(ino);
         if let Some(dc) = self.dcache() {
             // Positive entries resolving to the dead ino, and (for a
             // directory) any entries keyed under it.
@@ -630,15 +633,15 @@ impl Cffs {
         file::dir_blocks(&t, &dinode, |lbn, blk| {
             let entries = dirent::list(&t.fetch(blk, lbn)?)?;
             self.charge(self.cpu_model().scan_cost(entries.len()));
-            for e in entries {
+            for (name, e) in entries {
                 let ino = self.entry_ino(blk, &e);
                 // A listing proves every mapping it returns: warm the
                 // namespace cache with the whole directory.
                 if let Some(dc) = self.dcache() {
-                    dc.insert_pos(dirino, &e.name, ino);
+                    dc.insert_pos(dirino, &name, ino);
                 }
                 self.lock_ns().note_parent(ino, dirino);
-                out.push(DirEntry { name: e.name, ino, kind: e.kind });
+                out.push(DirEntry { name, ino, kind: e.kind });
             }
             Ok(None::<()>)
         })?;

@@ -177,7 +177,7 @@ impl Checker<'_> {
                     }
                 };
                 let mut dirty = false;
-                for e in entries {
+                for (name, e) in entries {
                     let (ino, inode) = match e.loc {
                         EntryLoc::Embedded(img_off) => {
                             let ino = embedded_ino(blk, e.offset, e.gen);
@@ -185,15 +185,14 @@ impl Checker<'_> {
                                 Some(i) if i.kind == e.kind => (ino, i),
                                 _ => {
                                     self.report.errors.push(format!(
-                                        "embedded inode of '{}' in {dirino:#x} invalid",
-                                        e.name
+                                        "embedded inode of '{name}' in {dirino:#x} invalid"
                                     ));
                                     if self.repair {
-                                        dirent::remove(&mut img, &e.name)?;
+                                        dirent::remove(&mut img, &name)?;
                                         dirty = true;
                                         self.report
                                             .repairs
-                                            .push(format!("removed bad entry '{}'", e.name));
+                                            .push(format!("removed bad entry '{name}'"));
                                     }
                                     continue;
                                 }
@@ -208,15 +207,14 @@ impl Checker<'_> {
                                 }
                                 _ => {
                                     self.report.errors.push(format!(
-                                        "entry '{}' in {dirino:#x} points at bad external slot {slot}",
-                                        e.name
+                                        "entry '{name}' in {dirino:#x} points at bad external slot {slot}"
                                     ));
                                     if self.repair {
-                                        dirent::remove(&mut img, &e.name)?;
+                                        dirent::remove(&mut img, &name)?;
                                         dirty = true;
                                         self.report
                                             .repairs
-                                            .push(format!("removed dangling entry '{}'", e.name));
+                                            .push(format!("removed dangling entry '{name}'"));
                                     }
                                     continue;
                                 }
@@ -248,18 +246,17 @@ impl Checker<'_> {
                             let dup = tree.iter().any(|m| self.claimed.contains_key(&m.blk()));
                             if dup {
                                 self.report.errors.push(format!(
-                                    "file '{}' in {dirino:#x} duplicates already-claimed blocks",
-                                    e.name
+                                    "file '{name}' in {dirino:#x} duplicates already-claimed blocks"
                                 ));
                                 if self.repair {
-                                    dirent::remove(&mut img, &e.name)?;
+                                    dirent::remove(&mut img, &name)?;
                                     dirty = true;
                                     if let EntryLoc::External(slot) = e.loc {
                                         *self.ext_refs.entry(slot).or_insert(1) -= 1;
                                     }
                                     self.report
                                         .repairs
-                                        .push(format!("removed duplicate entry '{}'", e.name));
+                                        .push(format!("removed duplicate entry '{name}'"));
                                 }
                                 continue;
                             }

@@ -194,11 +194,8 @@ impl GroupIndex {
         mut persist: impl FnMut(u32, u32, &GroupDescDisk, &Superblock),
         sb: &Superblock,
     ) -> Option<(u64, (u32, u32))> {
-        let keys: Vec<(u32, u32)> = hint
-            .into_iter()
-            .chain(self.by_owner.get(&owner).into_iter().flatten().copied())
-            .collect();
-        for key in keys {
+        let owned = self.by_owner.get(&owner).map_or(&[][..], Vec::as_slice);
+        for key in hint.into_iter().chain(owned.iter().copied()) {
             let Some(g) = self.by_slot.get_mut(&key) else { continue };
             if g.owner != owner {
                 continue;

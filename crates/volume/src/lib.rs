@@ -13,6 +13,13 @@
 //!   hash of its path. Everything the paper's explicit grouping buys
 //!   (directory blocks co-located with the small files they name) is
 //!   preserved per volume, because a directory's files never scatter.
+//! * **Name resolution without paths.** The skeleton is keyed by
+//!   `(parent, name)`: each directory keeps a map from child-directory
+//!   name to skeleton index, so resolving a component builds no string.
+//!   A path exists only as its FNV-1a hash, continued from the parent's
+//!   once at `mkdir`. The file-name map records `(parent index, name)`
+//!   per ino, and each stripe-registry entry sits behind an [`Arc`] that
+//!   a striped `read` or `getattr` clones by reference count.
 //! * **Inode partitioning.** Volume-local inos never use bits 40–47 (the
 //!   embedded encoding keeps a byte address below 2^40, the external
 //!   encoding a 32-bit slot; the generation lives in bits 48–62). A
@@ -37,8 +44,8 @@
 //! than one volume atomically and return [`FsError::Unsupported`] (see
 //! [`cffs_fslib::vfs`]); everything else on the trait works.
 //!
-//! Lock hierarchy (documented in DESIGN.md §11): `dirs` → `names` →
-//! `stripes` → per-volume internals. A volume-set lock is never taken
+//! Lock hierarchy (documented in DESIGN.md §11): `stripes` → `dirs` →
+//! `names` → per-volume internals. A volume-set lock is never taken
 //! while a volume-internal lock is held.
 
 use std::collections::HashMap;
@@ -47,6 +54,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use cffs_core::fsck::{self, FsckReport};
 use cffs_core::{Cffs, CffsConfig, CgUsage, MkfsParams};
 use cffs_disksim::{Disk, SimTime};
+use cffs_fslib::hash::IntMap;
 use cffs_fslib::{
     Attr, DirEntry, FileKind, FileSystem, FsError, FsResult, Ino, IoStats, StatFs,
 };
@@ -83,26 +91,35 @@ pub fn local_of(global: Ino) -> Ino {
     global & !VOL_MASK
 }
 
-/// FNV-1a hash of a path — the stable home-volume shard function.
-pub fn hash64(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+/// Skeleton index of the root directory.
+const ROOT: usize = 0;
+
+/// FNV-1a state of the empty string.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash over `bytes`.
+fn fnv_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
 }
 
-fn home_of(path: &str, nvols: usize) -> usize {
-    if path.is_empty() {
-        0
-    } else {
-        (hash64(path) % nvols as u64) as usize
-    }
+/// FNV-1a hash of a path — the stable home-volume shard function.
+pub fn hash64(s: &str) -> u64 {
+    fnv_extend(FNV_BASIS, s.as_bytes())
 }
 
-fn join(dir: &str, name: &str) -> String {
-    format!("{dir}/{name}")
+/// `hash64(dir + "/" + name)` from `hash64(dir)`, building no string.
+fn child_hash(dir_hash: u64, name: &str) -> u64 {
+    fnv_extend(fnv_extend(dir_hash, b"/"), name.as_bytes())
+}
+
+/// Home volume of a non-root directory whose path hashes to `path_hash`
+/// (the root's home is volume 0).
+fn home_of(path_hash: u64, nvols: usize) -> usize {
+    (path_hash % nvols as u64) as usize
 }
 
 fn part_name(hash: u64, k: usize) -> String {
@@ -160,30 +177,42 @@ struct Volume {
 }
 
 /// One directory in the replicated skeleton.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DirInfo {
-    /// Namespace path, `""` for root, `"/a/b"` otherwise.
-    path: String,
+    /// [`hash64`] of the namespace path (`""` for root, `"/a/b"`
+    /// otherwise); a child's hash continues from it.
+    path_hash: u64,
     /// Home volume: where this directory's files live.
     home: usize,
     /// This directory's volume-local ino on each volume.
     locals: Vec<Ino>,
+    /// Child directories: name → skeleton index.
+    children: HashMap<Box<str>, usize>,
+}
+
+impl DirInfo {
+    /// The directory's global ino (its local ino on its home volume).
+    fn global(&self) -> Ino {
+        tag(self.home, self.locals[self.home])
+    }
 }
 
 #[derive(Default)]
 struct DirMap {
+    /// The skeleton, root first; a directory's index never changes (the
+    /// set refuses `rmdir`).
     infos: Vec<DirInfo>,
-    by_global: HashMap<Ino, usize>,
-    by_path: HashMap<String, usize>,
+    by_global: IntMap<Ino, usize>,
 }
 
 /// Registry entry of one striped file.
 #[derive(Debug, Clone)]
 struct StripeMeta {
-    /// Parent directory path (for re-resolution after regrouping).
-    dir_path: String,
+    /// Parent directory's skeleton index (for re-resolution after
+    /// regrouping).
+    dir: usize,
     /// File name within the parent.
-    name: String,
+    name: Box<str>,
     /// Hash of the full path — the stable part-file naming key.
     hash: u64,
     /// Home volume (equals the parent directory's home).
@@ -208,13 +237,15 @@ pub struct VolumeSet {
     /// counters, and feed frames hang off this one.
     set_obs: Arc<Obs>,
     dirs: RwLock<DirMap>,
-    /// Global file ino → (parent dir path, name), populated on
+    /// Global file ino → (parent skeleton index, name), populated on
     /// create/lookup/readdir. Needed to name stripe parts at promotion
     /// time and to re-resolve striped anchors after regrouping. Grows
     /// with the touched-file count; cleared (with every outstanding
     /// handle) by [`VolumeSet::regroup_all`].
-    names: Mutex<HashMap<Ino, (String, String)>>,
-    stripes: Mutex<HashMap<Ino, StripeMeta>>,
+    names: Mutex<IntMap<Ino, (usize, Box<str>)>>,
+    /// Striped files by global ino; readers clone the `Arc`, the writer
+    /// of a file copies its entry on write only while one is held.
+    stripes: Mutex<IntMap<Ino, Arc<StripeMeta>>>,
     /// `.stripe` directory's local ino on each volume.
     stripe_dirs: Vec<Ino>,
     /// Set-level flight recorder (`None` without a `--flight` opt-in):
@@ -242,12 +273,12 @@ impl VolumeSet {
         let label = format!("{}-{}v", vols[0].fs.label(), vols.len());
         let mut dirs = DirMap::default();
         dirs.infos.push(DirInfo {
-            path: String::new(),
+            path_hash: FNV_BASIS,
             home: 0,
             locals: vols.iter().map(|v| v.fs.root()).collect(),
+            children: HashMap::new(),
         });
-        dirs.by_global.insert(tag(0, vols[0].fs.root()), 0);
-        dirs.by_path.insert(String::new(), 0);
+        dirs.by_global.insert(tag(0, vols[0].fs.root()), ROOT);
         let set_obs = Obs::new();
         let t = vols.iter().map(|v| v.obs.clock_ns()).max().unwrap_or(0);
         set_obs.set_clock_ns(t);
@@ -260,8 +291,8 @@ impl VolumeSet {
             vols,
             set_obs,
             dirs: RwLock::new(dirs),
-            names: Mutex::new(HashMap::new()),
-            stripes: Mutex::new(HashMap::new()),
+            names: Mutex::new(IntMap::default()),
+            stripes: Mutex::new(IntMap::default()),
             stripe_dirs,
             _flight: flight,
         })
@@ -440,21 +471,20 @@ impl VolumeSet {
         (r, vol.obs.clock_ns())
     }
 
-    /// (home, path, home-volume local ino) of a directory handle.
-    fn dir_info(&self, g: Ino) -> FsResult<(usize, String, Ino)> {
+    /// (skeleton index, home, home-volume local ino) of a directory
+    /// handle.
+    fn dir_info(&self, g: Ino) -> FsResult<(usize, usize, Ino)> {
         let d = self.dirs.read().expect("dir map poisoned");
         let &i = d.by_global.get(&g).ok_or(FsError::NotDir)?;
         let info = &d.infos[i];
-        Ok((info.home, info.path.clone(), info.locals[info.home]))
+        Ok((i, info.home, info.locals[info.home]))
     }
 
-    /// Global ino of the directory at `path`, if the skeleton knows it.
-    fn dir_global(&self, path: &str) -> Option<Ino> {
+    /// Global ino of directory `name` in skeleton directory `di`, if the
+    /// skeleton knows it.
+    fn child_dir(&self, di: usize, name: &str) -> Option<Ino> {
         let d = self.dirs.read().expect("dir map poisoned");
-        d.by_path.get(path).map(|&i| {
-            let info = &d.infos[i];
-            tag(info.home, info.locals[info.home])
-        })
+        d.infos[di].children.get(name).map(|&i| d.infos[i].global())
     }
 
     fn is_dir(&self, g: Ino) -> bool {
@@ -584,25 +614,35 @@ impl VolumeSet {
     }
 
     /// Rebuild every map after regrouping renumbered embedded inos: the
-    /// skeleton is re-resolved path-by-path on every volume, stripe
-    /// anchors and parts are re-looked-up by name, and the file-name map
-    /// (whose keys are stale handles) is cleared.
+    /// skeleton is re-resolved path-by-path from the root on every
+    /// volume, stripe anchors and parts are re-looked-up by name, and the
+    /// file-name map (whose keys are stale handles) is cleared.
     fn refresh_maps(&mut self) -> FsResult<()> {
         let n = self.vols.len();
         let d = self.dirs.get_mut().expect("dir map poisoned");
         d.by_global.clear();
-        d.by_path.clear();
+        // Each directory's (parent, name), read off the child maps.
+        let mut up: Vec<Option<(usize, Box<str>)>> = vec![None; d.infos.len()];
+        for (p, info) in d.infos.iter().enumerate() {
+            for (name, &c) in &info.children {
+                up[c] = Some((p, name.clone()));
+            }
+        }
         for i in 0..d.infos.len() {
+            let mut path = Vec::new();
+            let mut at = i;
+            while let Some((p, name)) = &up[at] {
+                path.push(&**name);
+                at = *p;
+            }
             for v in 0..n {
                 let mut cur = self.vols[v].fs.root();
-                for comp in d.infos[i].path.split('/').filter(|c| !c.is_empty()) {
+                for comp in path.iter().rev() {
                     cur = self.vols[v].fs.lookup(cur, comp)?;
                 }
                 d.infos[i].locals[v] = cur;
             }
-            let info = &d.infos[i];
-            d.by_global.insert(tag(info.home, info.locals[info.home]), i);
-            d.by_path.insert(info.path.clone(), i);
+            d.by_global.insert(d.infos[i].global(), i);
         }
         for v in 0..n {
             self.stripe_dirs[v] = self.vols[v].fs.lookup(self.vols[v].fs.root(), STRIPE_DIR)?;
@@ -610,21 +650,16 @@ impl VolumeSet {
         self.names.get_mut().expect("name map poisoned").clear();
         // Sorted drain keeps the re-resolution op order (and therefore
         // the simulated clocks) deterministic across runs.
-        let mut old: Vec<(Ino, StripeMeta)> = self
+        let mut old: Vec<(Ino, Arc<StripeMeta>)> = self
             .stripes
             .get_mut()
             .expect("stripe registry poisoned")
             .drain()
             .collect();
         old.sort_by_key(|(g, _)| *g);
-        for (_, mut m) in old {
-            let dlocal = {
-                let &di = d
-                    .by_path
-                    .get(&m.dir_path)
-                    .ok_or_else(|| FsError::Corrupt("striped file's directory vanished".into()))?;
-                d.infos[di].locals[m.home]
-            };
+        for (_, mut meta) in old {
+            let m = Arc::make_mut(&mut meta);
+            let dlocal = d.infos[m.dir].locals[m.home];
             m.anchor = self.vols[m.home].fs.lookup(dlocal, &m.name)?;
             for k in 0..m.parts.len() {
                 if m.parts[k].is_some() {
@@ -634,7 +669,7 @@ impl VolumeSet {
                 }
             }
             let g = tag(m.home, m.anchor);
-            self.stripes.get_mut().expect("stripe registry poisoned").insert(g, m);
+            self.stripes.get_mut().expect("stripe registry poisoned").insert(g, meta);
         }
         Ok(())
     }
@@ -651,16 +686,15 @@ impl FileSystem for VolumeSet {
 
     fn lookup(&self, dir: Ino, name: &str) -> FsResult<Ino> {
         let _span = self.set_obs.span(OpKind::Lookup);
-        let (home, dpath, dlocal) = self.dir_info(dir)?;
-        if dpath.is_empty() && name == STRIPE_DIR {
+        let (di, home, dlocal) = self.dir_info(dir)?;
+        if di == ROOT && name == STRIPE_DIR {
             return Err(FsError::NotFound);
         }
         let t0 = self.set_obs.clock_ns();
         let (r, t) = self.on(t0, home, |fs| fs.lookup(dlocal, name));
         self.set_obs.set_clock_ns(t);
         let local = r?;
-        let child_path = join(&dpath, name);
-        if let Some(g) = self.dir_global(&child_path) {
+        if let Some(g) = self.child_dir(di, name) {
             return Ok(g);
         }
         let g = tag(home, local);
@@ -668,13 +702,13 @@ impl FileSystem for VolumeSet {
             .lock()
             .expect("name map poisoned")
             .entry(g)
-            .or_insert_with(|| (dpath, name.to_string()));
+            .or_insert_with(|| (di, name.into()));
         Ok(g)
     }
 
     fn getattr(&self, ino: Ino) -> FsResult<Attr> {
         let _span = self.set_obs.span(OpKind::Getattr);
-        if let Ok((home, _, dlocal)) = self.dir_info(ino) {
+        if let Ok((_, home, dlocal)) = self.dir_info(ino) {
             let t0 = self.set_obs.clock_ns();
             let (r, t) = self.on(t0, home, |fs| fs.getattr(dlocal));
             self.set_obs.set_clock_ns(t);
@@ -719,8 +753,8 @@ impl FileSystem for VolumeSet {
 
     fn create(&self, dir: Ino, name: &str) -> FsResult<Ino> {
         let _span = self.set_obs.span(OpKind::Create);
-        let (home, dpath, dlocal) = self.dir_info(dir)?;
-        if dpath.is_empty() && name == STRIPE_DIR {
+        let (di, home, dlocal) = self.dir_info(dir)?;
+        if di == ROOT && name == STRIPE_DIR {
             return Err(FsError::Exists);
         }
         let t0 = self.set_obs.clock_ns();
@@ -731,7 +765,7 @@ impl FileSystem for VolumeSet {
         self.names
             .lock()
             .expect("name map poisoned")
-            .insert(g, (dpath, name.to_string()));
+            .insert(g, (di, name.into()));
         Ok(g)
     }
 
@@ -739,11 +773,10 @@ impl FileSystem for VolumeSet {
         let _span = self.set_obs.span(OpKind::Mkdir);
         let mut d = self.dirs.write().expect("dir map poisoned");
         let &pi = d.by_global.get(&dir).ok_or(FsError::NotDir)?;
-        let parent = d.infos[pi].clone();
-        if parent.path.is_empty() && name == STRIPE_DIR {
+        if pi == ROOT && name == STRIPE_DIR {
             return Err(FsError::Exists);
         }
-        let child_path = join(&parent.path, name);
+        let parent = &d.infos[pi];
         let n = self.vols.len();
         let t0 = self.set_obs.clock_ns();
         // The parent's home volume goes first: it is the only volume
@@ -772,25 +805,27 @@ impl FileSystem for VolumeSet {
         }
         self.set_obs.set_clock_ns(t_end);
         self.set_obs.bump(Ctr::VolDirFanouts);
-        let home = home_of(&child_path, n);
+        let path_hash = child_hash(parent.path_hash, name);
+        let home = home_of(path_hash, n);
         // Mirror on the home volume's registry so merged per-volume
         // snapshots carry the same total as the set registry.
         self.vols[home].obs.bump(Ctr::VolDirFanouts);
-        let g = tag(home, locals[home]);
+        let info = DirInfo { path_hash, home, locals, children: HashMap::new() };
+        let g = info.global();
         let idx = d.infos.len();
-        d.infos.push(DirInfo { path: child_path.clone(), home, locals });
+        d.infos[pi].children.insert(name.into(), idx);
+        d.infos.push(info);
         d.by_global.insert(g, idx);
-        d.by_path.insert(child_path, idx);
         Ok(g)
     }
 
     fn unlink(&self, dir: Ino, name: &str) -> FsResult<()> {
         let _span = self.set_obs.span(OpKind::Unlink);
-        let (home, dpath, dlocal) = self.dir_info(dir)?;
-        if dpath.is_empty() && name == STRIPE_DIR {
+        let (di, home, dlocal) = self.dir_info(dir)?;
+        if di == ROOT && name == STRIPE_DIR {
             return Err(FsError::NotFound);
         }
-        if self.dir_global(&join(&dpath, name)).is_some() {
+        if self.child_dir(di, name).is_some() {
             return Err(FsError::IsDir);
         }
         let t0 = self.set_obs.clock_ns();
@@ -854,7 +889,7 @@ impl FileSystem for VolumeSet {
         let end = off + data.len() as u64;
         let mut reg = self.stripes.lock().expect("stripe registry poisoned");
         if let Some(m) = reg.get_mut(&ino) {
-            return self.striped_write(m, off, data);
+            return self.striped_write(Arc::make_mut(m), off, data);
         }
         if end <= self.cfg.stripe_threshold || self.vols.len() == 1 {
             drop(reg);
@@ -868,7 +903,7 @@ impl FileSystem for VolumeSet {
         // stay in the (already ≤ T bytes long) home-volume anchor — no
         // data moves, the registry entry is the whole promotion.
         let named = self.names.lock().expect("name map poisoned").get(&ino).cloned();
-        let Some((dir_path, name)) = named else {
+        let Some((dir, name)) = named else {
             // Unknown handle (never seen by create/lookup/readdir):
             // keep it whole on its home volume rather than guess.
             drop(reg);
@@ -883,10 +918,10 @@ impl FileSystem for VolumeSet {
         let (r, t) = self.on(t0, home, |fs| fs.getattr(anchor));
         self.set_obs.set_clock_ns(t);
         let size = r?.size;
-        let path = join(&dir_path, &name);
+        let dir_hash = self.dirs.read().expect("dir map poisoned").infos[dir].path_hash;
         let mut m = StripeMeta {
-            hash: hash64(&path),
-            dir_path,
+            hash: child_hash(dir_hash, &name),
+            dir,
             name,
             home,
             anchor,
@@ -896,13 +931,13 @@ impl FileSystem for VolumeSet {
         self.set_obs.bump(Ctr::VolStripePromotions);
         self.vols[home].obs.bump(Ctr::VolStripePromotions);
         let w = self.striped_write(&mut m, off, data);
-        reg.insert(ino, m);
+        reg.insert(ino, Arc::new(m));
         w
     }
 
     fn readdir(&self, dir: Ino) -> FsResult<Vec<DirEntry>> {
         let _span = self.set_obs.span(OpKind::Readdir);
-        let (home, dpath, dlocal) = self.dir_info(dir)?;
+        let (di, home, dlocal) = self.dir_info(dir)?;
         let t0 = self.set_obs.clock_ns();
         let (r, t) = self.on(t0, home, |fs| fs.readdir(dlocal));
         self.set_obs.set_clock_ns(t);
@@ -912,22 +947,17 @@ impl FileSystem for VolumeSet {
         Ok(entries
             .into_iter()
             .filter_map(|e| {
-                if dpath.is_empty() && e.name == STRIPE_DIR {
+                if di == ROOT && e.name == STRIPE_DIR {
                     return None;
                 }
                 let g = match e.kind {
-                    FileKind::Dir => match d.by_path.get(&join(&dpath, &e.name)) {
-                        Some(&i) => {
-                            let info = &d.infos[i];
-                            tag(info.home, info.locals[info.home])
-                        }
+                    FileKind::Dir => match d.infos[di].children.get(e.name.as_str()) {
+                        Some(&i) => d.infos[i].global(),
                         None => tag(home, e.ino),
                     },
                     FileKind::File => {
                         let g = tag(home, e.ino);
-                        names
-                            .entry(g)
-                            .or_insert_with(|| (dpath.clone(), e.name.clone()));
+                        names.entry(g).or_insert_with(|| (di, e.name.as_str().into()));
                         g
                     }
                 };
@@ -1031,6 +1061,13 @@ mod tests {
     }
 
     #[test]
+    fn child_hash_continues_the_parent_path_hash() {
+        let ab = child_hash(child_hash(hash64(""), "a"), "b");
+        assert_eq!(ab, hash64("/a/b"));
+        assert_eq!(child_hash(ab, "f.c"), hash64("/a/b/f.c"));
+    }
+
+    #[test]
     fn skeleton_replicates_and_files_shard() {
         let vs = small_set(3);
         let root = vs.root();
@@ -1043,7 +1080,7 @@ mod tests {
             vs.vols[v].fs.lookup(cur, "b").unwrap();
         }
         let f = vs.create(d2, "f").unwrap();
-        assert_eq!(vol_of(f), home_of("/a/b", 3), "file lives on its dir's home");
+        assert_eq!(vol_of(f), home_of(hash64("/a/b"), 3), "file lives on its dir's home");
         assert_eq!(vs.lookup(d2, "f").unwrap(), f);
         let got = vs.readdir(d2).unwrap();
         assert_eq!(got.len(), 1);

@@ -54,21 +54,20 @@ fn assert_sector_atomic(fs: &Cffs, ctx: &str) {
     for blk in blocks {
         let mut buf = vec![0u8; BLOCK_SIZE];
         img.raw_read(blk * SECTORS_PER_BLOCK, &mut buf);
-        for e in dirent::list(&buf).unwrap_or_else(|err| {
+        for (name, e) in dirent::list(&buf).unwrap_or_else(|err| {
             panic!("{ctx}: directory block {blk} undecodable: {err}")
         }) {
             // Last byte the entry owns: through the inode image when
             // embedded, through the padded name when external.
             let end = match e.loc {
                 EntryLoc::Embedded(img_off) => img_off + INODE_SIZE,
-                EntryLoc::External(_) => e.offset + external_len(e.name.len()),
+                EntryLoc::External(_) => e.offset + external_len(name.len()),
             };
             assert_eq!(
                 e.offset / DIRBLKSIZ,
                 (end - 1) / DIRBLKSIZ,
-                "{ctx}: entry '{}' in block {blk} straddles a sector boundary \
+                "{ctx}: entry '{name}' in block {blk} straddles a sector boundary \
                  (bytes {}..{})",
-                e.name,
                 e.offset,
                 end
             );
