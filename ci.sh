@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -71,6 +71,11 @@ fi
 RETIRE=$(awk '/fn retire_ino\(/ { f = 1 } f { print } f && /^    }$/ { exit }' crates/core/src/fs/namespace.rs)
 if [ -z "$RETIRE" ] || printf '%s\n' "$RETIRE" | grep -n 'purge_ino' | grep -v 'dc\.purge_ino'; then
     echo "retire_ino is missing or calls BufferCache::purge_ino again"; exit 1
+fi
+# A grouped miss fetches the live run around its block, planned on the
+# stack: the whole-group plan is gone.
+if grep -rn 'live_runs(' crates/core/src; then
+    echo "the whole-group read plan (live_runs) is back in crates/core"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

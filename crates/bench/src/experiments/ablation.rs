@@ -5,8 +5,8 @@
 //!
 //! * **group size** — the paper fixes 64 KB (16 blocks); what do 4/8/16
 //!   block extents buy?
-//! * **group-read threshold** — fetch the whole group on a miss only when
-//!   it has at least N live members ("in most cases").
+//! * **group-read threshold** — fetch the live run around a miss only
+//!   when it holds at least N members ("in most cases").
 //! * **driver scheduler** — the testbed used C-LOOK; FCFS and SSTF for
 //!   contrast.
 //! * **buffer-cache size** — the grouping win needs groups to *survive*

@@ -44,6 +44,7 @@ mod grouping;
 mod mount;
 mod namespace;
 
+use data::Fetch;
 use crate::dirent::{self, EntryLoc};
 use crate::exfile::{self, SlotPool};
 use crate::groups::GroupIndex;
@@ -68,7 +69,8 @@ pub struct CffsConfig {
     /// Allocate small-file blocks from per-directory group extents and
     /// read/write them as units.
     pub group: bool,
-    /// Minimum live members for a cache miss to trigger a whole-group read.
+    /// Minimum length of the live run around a missed grouped block for
+    /// the miss to fetch that run as one group read.
     pub group_read_min: u32,
     /// Blocks per group extent (1..=16; the paper's unit is 16 = 64 KB).
     /// Exposed for the group-size ablation (`repro_ablation`).
@@ -421,6 +423,12 @@ impl Cffs {
     // ----- inode access -------------------------------------------------
 
     fn read_inode(&self, ino: Ino) -> FsResult<Inode> {
+        self.read_inode_with(ino, Fetch::Run)
+    }
+
+    /// Read an inode; a miss on an embedded inode's directory block is
+    /// served as `fetch` says.
+    fn read_inode_with(&self, ino: Ino, fetch: Fetch) -> FsResult<Inode> {
         self.charge(self.cpu_model().block_op);
         match decode_ino(ino) {
             InoRef::External(slot) => {
@@ -431,7 +439,7 @@ impl Cffs {
             }
             InoRef::Embedded { blk, off, gen } => {
                 self.obs().bump(Ctr::FsEmbeddedInodeOps);
-                self.fetch_group_for(blk)?;
+                self.fetch_group_for(blk, fetch)?;
                 let data = self.cache.read_block(&self.drv, blk)?;
                 let entry = dirent::entry_at(&data, off)?;
                 let EntryLoc::Embedded(img) = entry.loc else {

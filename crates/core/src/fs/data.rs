@@ -1,6 +1,6 @@
 //! File data: the storage hook `cffs_fslib::file` runs on, the
-//! group-fetching block read, read-ahead, and the `read`, `write` and
-//! `truncate` entry points.
+//! demand-aware group-fetching block read, read-ahead, and the `read`,
+//! `write` and `truncate` entry points.
 
 use cffs_cache::Block;
 use cffs_disksim::SimDuration;
@@ -37,9 +37,9 @@ impl Cffs {
     // ----- block mapping --------------------------------------------------
 
     /// The storage hook for file `ino`; `ctx` places the blocks an
-    /// allocating map adds.
+    /// allocating map adds. Its misses fetch the live run around the block.
     pub(super) fn tree(&self, ino: Ino, ctx: Option<AllocCtx>) -> Tree<'_> {
-        Tree { fs: self, ino, ctx }
+        Tree { fs: self, ino, ctx, fetch: Fetch::Run }
     }
 
     /// Map logical block `lbn` of an inode to its block, if any.
@@ -55,27 +55,35 @@ impl Cffs {
 
     // ----- grouping-aware block fetch -------------------------------------
 
-    /// On a miss for a grouped block, fetch the whole group's live runs as
-    /// one scatter/gather request — the explicit-grouping read path.
-    pub(super) fn fetch_group_for(&self, blk: u64) -> FsResult<()> {
-        if !self.cfg.group || self.cache.contains(blk) {
+    /// The explicit-grouping read path, and the one place a grouped miss
+    /// decides to expand. On a miss for `blk` under [`Fetch::Run`], fetch
+    /// the maximal run of live slots around it as one request, if that
+    /// run holds at least `group_read_min` blocks. The group's other runs
+    /// are left on disk: a miss is evidence of demand for its neighbours,
+    /// not for the whole extent.
+    pub(super) fn fetch_group_for(&self, blk: u64, fetch: Fetch) -> FsResult<()> {
+        if fetch == Fetch::Block || !self.cfg.group || self.cache.contains(blk) {
             return Ok(());
         }
-        let runs = {
+        let run = {
             let groups = self.lock_groups();
-            match groups.group_of_block(&self.geo, blk) {
-                Some(g) if g.live() >= self.cfg.group_read_min => g.live_runs(),
+            let Some(g) = groups.group_of_block(&self.geo, blk) else {
+                return Ok(());
+            };
+            match g.live_run_around((blk - g.start) as u8) {
+                Some(run) if run.1 as u32 >= self.cfg.group_read_min => [run],
                 _ => return Ok(()),
             }
         };
         self.obs.bump(Ctr::FsGroupFetches);
-        self.obs.add(Ctr::FsGroupFetchBlocks, runs.iter().map(|&(_, n)| n as u64).sum());
-        self.cache.read_group(&self.drv, &runs)
+        self.obs.add(Ctr::FsGroupFetchBlocks, run[0].1 as u64);
+        self.cache.read_group(&self.drv, &run)
     }
 
-    /// Read a block with logical binding, group-fetching on a miss.
-    pub(super) fn fetch_block(&self, blk: u64, ino: Ino, lbn: u64) -> FsResult<Block> {
-        self.fetch_group_for(blk)?;
+    /// Read a block with logical binding, group-fetching on a miss as
+    /// `fetch` allows.
+    pub(super) fn fetch_block(&self, blk: u64, ino: Ino, lbn: u64, fetch: Fetch) -> FsResult<Block> {
+        self.fetch_group_for(blk, fetch)?;
         self.cache.read_block_bound(&self.drv, blk, ino, lbn)
     }
 
@@ -196,14 +204,32 @@ impl Cffs {
     }
 }
 
+/// What a miss on a grouped block reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Fetch {
+    /// The live run around the block: lookups, creates, listings and
+    /// file data, whose next access is likely a neighbour.
+    Run,
+    /// The block alone: removing a name needs nothing beside it.
+    Block,
+}
+
 /// One file's storage on a mounted C-FFS, as `bmap` and `file` see it.
 /// The allocators it calls charge themselves; `ctx` places data blocks and
 /// anchors pointer blocks (which are never grouped). A fetch that misses
-/// group-fetches, and so does a partial overwrite.
+/// group-fetches as `fetch` allows, and so does a partial overwrite.
 pub(super) struct Tree<'a> {
     fs: &'a Cffs,
     ino: Ino,
     ctx: Option<AllocCtx>,
+    fetch: Fetch,
+}
+
+impl Tree<'_> {
+    /// The same hook, serving its misses as `fetch` says.
+    pub(super) fn fetching(self, fetch: Fetch) -> Self {
+        Tree { fetch, ..self }
+    }
 }
 
 impl PtrRead for Tree<'_> {
@@ -262,7 +288,7 @@ impl FileStore for Tree<'_> {
     }
 
     fn fetch(&self, blk: u64, lbn: u64) -> FsResult<Block> {
-        self.fs.fetch_block(blk, self.ino, lbn)
+        self.fs.fetch_block(blk, self.ino, lbn, self.fetch)
     }
 
     fn modify<R>(&self, blk: u64, lbn: u64, load: bool, f: impl FnOnce(&mut [u8]) -> R) -> FsResult<R> {
@@ -270,6 +296,6 @@ impl FileStore for Tree<'_> {
     }
 
     fn before_partial_overwrite(&self, blk: u64) -> FsResult<()> {
-        self.fs.fetch_group_for(blk)
+        self.fs.fetch_group_for(blk, self.fetch)
     }
 }

@@ -11,7 +11,7 @@ use cffs_fslib::{FileKind, FsError, FsResult, Ino, BLOCK_SIZE};
 use cffs_obs::{Ctr, OpKind};
 use std::sync::atomic::Ordering;
 use std::sync::MutexGuard;
-use super::{AllocCtx, Cffs, CgUsage};
+use super::{AllocCtx, Cffs, CgUsage, Fetch};
 
 impl Cffs {
     /// The in-core group index (benchmarks, tests). Holds the group lock
@@ -139,7 +139,7 @@ impl Cffs {
             return Ok(());
         }
         if !self.cache.relocate_phys(&self.drv, from, to) {
-            let contents = self.fetch_block(from, ino, lbn)?;
+            let contents = self.fetch_block(from, ino, lbn, Fetch::Run)?;
             self.cache.modify_block(&self.drv, to, false, false, |d| {
                 d.copy_from_slice(&contents)
             })?;
@@ -187,7 +187,7 @@ impl Cffs {
                 dc.purge_dir(ino);
             }
             let entries = {
-                let data = self.fetch_block(to, ino, lbn)?;
+                let data = self.fetch_block(to, ino, lbn, Fetch::Run)?;
                 dirent::list(&data)?
             };
             for (_, e) in &entries {
@@ -528,7 +528,7 @@ impl Cffs {
     /// Copy logical block `lbn` of `ino` from `old` to the freshly
     /// allocated `new` through the cache, re-point the map, free `old`.
     fn move_block(&self, ino: Ino, inode: &mut Inode, lbn: u64, old: u64, new: u64) -> FsResult<()> {
-        let contents = self.fetch_block(old, ino, lbn)?;
+        let contents = self.fetch_block(old, ino, lbn, Fetch::Run)?;
         self.cache.modify_block(&self.drv, new, false, false, |d| d.copy_from_slice(&contents))?;
         self.charge(self.cpu_model().copy_cost(BLOCK_SIZE));
         bmap::set(&self.tree(ino, None), inode, lbn, new)?;
@@ -548,7 +548,7 @@ impl Cffs {
         self.charge(self.cpu_model().syscall);
         let dinode = self.require_dir(dirino)?;
         for name in names {
-            let Some((blk, _, e)) = self.dir_find(dirino, &dinode, name)? else {
+            let Some((blk, _, e)) = self.dir_find(dirino, &dinode, name, Fetch::Run)? else {
                 return Err(FsError::NotFound);
             };
             if e.kind != FileKind::File {

@@ -11,7 +11,7 @@ use cffs_fslib::inode::Inode;
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{Attr, DirEntry, FileKind, FsError, FsResult, Ino, BLOCK_SIZE};
 use cffs_obs::{Ctr, OpKind};
-use super::{AllocCtx, Cffs};
+use super::{AllocCtx, Cffs, Fetch};
 
 impl Cffs {
     // ----- directory helpers -------------------------------------------
@@ -32,14 +32,16 @@ impl Cffs {
         }
     }
 
-    /// Scan a directory for `name`. Returns `(block, lbn, entry)`.
+    /// Scan a directory for `name`, serving misses as `fetch` says.
+    /// Returns `(block, lbn, entry)`.
     pub(super) fn dir_find(
         &self,
         dirino: Ino,
         dinode: &Inode,
         name: &str,
+        fetch: Fetch,
     ) -> FsResult<Option<(u64, u64, CEntry)>> {
-        let t = self.tree(dirino, None);
+        let t = self.tree(dirino, None).fetching(fetch);
         file::dir_blocks(&t, dinode, |lbn, blk| {
             self.charge(self.cpu_model().scan_cost(16));
             Ok(dirent::find(&t.fetch(blk, lbn)?, name)?.map(|e| (blk, lbn, e)))
@@ -118,8 +120,10 @@ impl Cffs {
         }
     }
 
+    /// Whether a directory holds no entry — the scan before its name is
+    /// removed, so it reads each block alone.
     fn dir_is_empty(&self, dirino: Ino, dinode: &Inode) -> FsResult<bool> {
-        let t = self.tree(dirino, None);
+        let t = self.tree(dirino, None).fetching(Fetch::Block);
         let busy = file::dir_blocks(&t, dinode, |lbn, blk| {
             Ok((!dirent::is_empty(&t.fetch(blk, lbn)?)?).then_some(()))
         })?;
@@ -217,7 +221,7 @@ impl Cffs {
             }
         }
         let dinode = self.require_dir(dirino)?;
-        match self.dir_find(dirino, &dinode, name)? {
+        match self.dir_find(dirino, &dinode, name, Fetch::Run)? {
             Some((blk, _, e)) => {
                 let ino = self.entry_ino(blk, &e);
                 if let Some(dc) = self.dcache() {
@@ -264,7 +268,7 @@ impl Cffs {
             Some(DcacheAnswer::Pos(_)) => return Err(FsError::Exists),
             Some(DcacheAnswer::Neg) => {}
             _ => {
-                if self.dir_find(dirino, &dinode, name)?.is_some() {
+                if self.dir_find(dirino, &dinode, name, Fetch::Run)?.is_some() {
                     return Err(FsError::Exists);
                 }
             }
@@ -308,7 +312,7 @@ impl Cffs {
             Some(DcacheAnswer::Pos(_)) => return Err(FsError::Exists),
             Some(DcacheAnswer::Neg) => {}
             _ => {
-                if self.dir_find(dirino, &dinode, name)?.is_some() {
+                if self.dir_find(dirino, &dinode, name, Fetch::Run)?.is_some() {
                     return Err(FsError::Exists);
                 }
             }
@@ -353,14 +357,16 @@ impl Cffs {
         self.charge(self.cpu_model().syscall);
         check_name(name)?;
         let dinode = self.require_dir(dirino)?;
-        let Some((blk, lbn, entry)) = self.dir_find(dirino, &dinode, name)? else {
+        // Removing a name reads blocks, not groups: nothing beside the
+        // entry and its inode is wanted.
+        let Some((blk, lbn, entry)) = self.dir_find(dirino, &dinode, name, Fetch::Block)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind == FileKind::Dir {
             return Err(FsError::IsDir);
         }
         let ino = self.entry_ino(blk, &entry);
-        let inode = self.read_inode(ino)?;
+        let inode = self.read_inode_with(ino, Fetch::Block)?;
         let was_embedded = matches!(entry.loc, EntryLoc::Embedded(_));
         let off = entry.offset;
         self.cache
@@ -381,14 +387,18 @@ impl Cffs {
         self.charge(self.cpu_model().syscall);
         check_name(name)?;
         let mut dinode = self.require_dir(dirino)?;
-        let Some((blk, lbn, entry)) = self.dir_find(dirino, &dinode, name)? else {
+        // As in `unlink`, the removal reads blocks, not groups.
+        let Some((blk, lbn, entry)) = self.dir_find(dirino, &dinode, name, Fetch::Block)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind != FileKind::Dir {
             return Err(FsError::NotDir);
         }
         let child = self.entry_ino(blk, &entry);
-        let mut cinode = self.require_dir(child)?;
+        let mut cinode = self.read_inode_with(child, Fetch::Block)?;
+        if cinode.kind != FileKind::Dir {
+            return Err(FsError::NotDir);
+        }
         if !self.dir_is_empty(child, &cinode)? {
             return Err(FsError::DirNotEmpty);
         }
@@ -425,7 +435,7 @@ impl Cffs {
             return Err(FsError::TooManyLinks);
         }
         let mut dinode = self.require_dir(dirino)?;
-        if self.dir_find(dirino, &dinode, name)?.is_some() {
+        if self.dir_find(dirino, &dinode, name, Fetch::Run)?.is_some() {
             return Err(FsError::Exists);
         }
         // An embedded target must be externalized first: several names will
@@ -478,7 +488,7 @@ impl Cffs {
         check_name(oname)?;
         check_name(nname)?;
         let mut oinode = self.require_dir(odir)?;
-        let Some((oblk, _, oentry)) = self.dir_find(odir, &oinode, oname)? else {
+        let Some((oblk, _, oentry)) = self.dir_find(odir, &oinode, oname, Fetch::Run)? else {
             return Err(FsError::NotFound);
         };
         let old_ino = self.entry_ino(oblk, &oentry);
@@ -487,7 +497,7 @@ impl Cffs {
         }
         let mut ninode = if ndir == odir { oinode.clone() } else { self.require_dir(ndir)? };
         // Clear an existing destination first.
-        if let Some((dblk, dlbn, dentry)) = self.dir_find(ndir, &ninode, nname)? {
+        if let Some((dblk, dlbn, dentry)) = self.dir_find(ndir, &ninode, nname, Fetch::Run)? {
             let dst_ino = self.entry_ino(dblk, &dentry);
             if dst_ino == old_ino {
                 // Two names for one (external) inode.
@@ -496,7 +506,7 @@ impl Cffs {
                 }
                 let inode = self.read_inode(old_ino)?;
                 let (rblk, rlbn, rentry) = self
-                    .dir_find(odir, &oinode, oname)?
+                    .dir_find(odir, &oinode, oname, Fetch::Block)?
                     .ok_or(FsError::NotFound)?;
                 let off = rentry.offset;
                 self.cache.modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| {
@@ -586,8 +596,9 @@ impl Cffs {
         if ndir == odir {
             oinode = self.require_dir(odir)?;
         }
+        // Removing the old name reads blocks, as `unlink` does.
         let (rblk, rlbn, rentry) =
-            self.dir_find(odir, &oinode, oname)?.ok_or(FsError::NotFound)?;
+            self.dir_find(odir, &oinode, oname, Fetch::Block)?.ok_or(FsError::NotFound)?;
         let roff = rentry.offset;
         self.cache
             .modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| dirent::remove(d, oname))??;

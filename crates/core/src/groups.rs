@@ -3,8 +3,10 @@
 //! A *group* is a physically contiguous extent of up to 16 blocks (64 KB)
 //! owned by one directory. The blocks of small files named by that
 //! directory — and the directory's own blocks — are allocated from slots
-//! of the directory's groups, so that reading one member can profitably
-//! fetch them all.
+//! of the directory's groups, so that a miss on one member can fetch its
+//! live neighbours in the same request. The read path fetches only the
+//! run of live slots around the missed block: under churn, a group's
+//! other runs are often stale, and fetching them wastes the transfer.
 //!
 //! Lifecycle, following Section 3 of the paper:
 //!
@@ -21,7 +23,7 @@
 //!   are renumbered by rename, so the index supports bulk re-ownership.
 //!
 //! The index also answers "which group does block *b* belong to" in
-//! `O(log n)` — the read path's entry point for whole-group fetches.
+//! `O(log n)` — the read path's entry point for group fetches.
 
 use crate::layout::{CgHeader, GroupDescDisk, Superblock, GROUP_BLOCKS};
 use cffs_fslib::{FsResult, Ino};
@@ -65,23 +67,18 @@ impl Group {
         self.start + s as u64
     }
 
-    /// The runs of consecutive live blocks, as `(start_block, len)` pairs —
-    /// the scatter/gather read plan for this group.
-    pub fn live_runs(&self) -> Vec<(u64, usize)> {
-        let mut runs = Vec::new();
-        let mut s = 0u8;
-        while s < self.nslots {
-            if self.member_valid & (1 << s) != 0 {
-                let start = s;
-                while s < self.nslots && self.member_valid & (1 << s) != 0 {
-                    s += 1;
-                }
-                runs.push((self.start + start as u64, (s - start) as usize));
-            } else {
-                s += 1;
-            }
+    /// The maximal run of live slots that contains slot `s`, as
+    /// `(start_block, len)` — the read plan for a miss on that slot.
+    /// `None` if `s` is free or outside the extent.
+    pub fn live_run_around(&self, s: u8) -> Option<(u64, usize)> {
+        let live = self.member_valid as u32 & ((1u32 << self.nslots) - 1);
+        if s >= self.nslots || live & (1 << s) == 0 {
+            return None;
         }
-        runs
+        // Live slots from `s` upward, then from `s` downward (both count `s`).
+        let up = (live >> s).trailing_ones();
+        let down = (live << (31 - s)).leading_ones();
+        Some((self.slot_block(s + 1 - down as u8), (up + down - 1) as usize))
     }
 }
 
@@ -481,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn live_runs_plan() {
+    fn live_and_slack_count_member_bits() {
         let g = Group {
             cg: 0,
             idx: 0,
@@ -490,9 +487,44 @@ mod tests {
             member_valid: 0b0000_0111_0011_0101,
             owner: 1,
         };
-        assert_eq!(g.live_runs(), vec![(100, 1), (102, 1), (104, 2), (108, 3)]);
         assert_eq!(g.live(), 7);
         assert_eq!(g.slack(), 9);
+        assert_eq!(g.live_run_around(9), Some((108, 3)));
+        assert_eq!(g.live_run_around(1), None);
+    }
+
+    /// The run around a miss agrees with a left/right scan for every
+    /// member bitmap, extent length and target slot; a free target plans
+    /// nothing.
+    #[test]
+    fn live_run_around_matches_a_naive_scan() {
+        fn naive(member_valid: u16, nslots: u8, s: u8) -> Option<(u64, usize)> {
+            let live = |i: u8| i < nslots && member_valid & (1 << i) != 0;
+            if !live(s) {
+                return None;
+            }
+            let (mut lo, mut hi) = (s, s);
+            while lo > 0 && live(lo - 1) {
+                lo -= 1;
+            }
+            while live(hi + 1) {
+                hi += 1;
+            }
+            Some((100 + lo as u64, (hi - lo + 1) as usize))
+        }
+        for nslots in [1u8, 9, 16] {
+            for member_valid in 0..=u16::MAX {
+                let g = Group { cg: 0, idx: 0, start: 100, nslots, member_valid, owner: 1 };
+                for s in 0..16u8 {
+                    let got = g.live_run_around(s);
+                    let want = naive(member_valid, nslots, s);
+                    assert_eq!(got, want, "{member_valid:#018b}, {nslots} slots, slot {s}");
+                    if member_valid & (1 << s) == 0 {
+                        assert_eq!(got, None, "a free target plans nothing");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

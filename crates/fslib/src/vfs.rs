@@ -138,7 +138,7 @@ pub struct CacheStats {
     pub writebacks: u64,
     /// Synchronous (ordering-constrained) metadata writes.
     pub sync_writes: u64,
-    /// Whole-group reads issued.
+    /// Group reads issued.
     pub group_reads: u64,
     /// Blocks brought in by group reads.
     pub group_read_blocks: u64,

@@ -145,9 +145,9 @@ counters! {
     FsEmbeddedInodeOps => "fs_embedded_inode_ops",
     /// Inode reads/writes served from an external inode block/table.
     FsExternalInodeOps => "fs_external_inode_ops",
-    /// Whole-group prefetches triggered by a member access.
+    /// Group fetches triggered by a member miss: the live run around it.
     FsGroupFetches => "fs_group_fetches",
-    /// Blocks covered by those group prefetches.
+    /// Blocks covered by those group fetches.
     FsGroupFetchBlocks => "fs_group_fetch_blocks",
     /// Groups dissolved (membership dropped to zero / reclaimed).
     FsGroupDissolves => "fs_group_dissolves",

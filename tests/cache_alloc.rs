@@ -10,7 +10,8 @@
 //! and a `VolumeSet` resolve, read, overwrite and striped read — must
 //! make zero heap requests. Misses, group reads and write-backs move
 //! bytes straight between the platter and recycled cache buffers, so
-//! none of them makes a block-sized request either.
+//! none of them makes a block-sized request either; a cold grouped
+//! lookup + read makes an exactly pinned number of small ones.
 
 use cffs::cache::{BufferCache, CacheConfig};
 use cffs::core::{CffsConfig, MkfsParams};
@@ -271,6 +272,44 @@ fn cold_group_read_makes_no_block_sized_request() {
     assert!(largest < BLOCK_SIZE as u64, "a cold group read requested {largest} bytes at once");
     assert_eq!(drv.disk_stats().reads, reads + 1, "the fetch was one disk read");
     assert_eq!(cache.stats().group_read_blocks, 9 * 16);
+}
+
+/// Heap requests of one cold lookup + 1 KB read in a grouped directory
+/// (dcache off), once a first cold round has sized every lazily grown
+/// table. The dirent-block miss fetches the live run around it as one
+/// group read: its one-run plan lives on the stack, and `read_group`'s
+/// request list and the request's buffer list are the two allocations.
+/// The count is exact, so a planner that collects a `Vec` again, or any
+/// new allocation on the cold path, moves it.
+const COLD_GROUPED_LOOKUP_READ_ALLOCS: u64 = 2;
+
+#[test]
+fn cold_grouped_lookup_and_read_allocations_are_pinned() {
+    const FILES: usize = 12;
+    let cfg = CffsConfig::cffs().with_mode(MetadataMode::Delayed);
+    let fs = cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), cfg)
+        .expect("mkfs");
+    let dir = fs.mkdir(fs.root(), "d").expect("mkdir");
+    let names: Vec<String> = (0..FILES).map(|i| format!("file{i:03}")).collect();
+    for name in &names {
+        let ino = fs.create(dir, name).expect("create");
+        fs.write(ino, 0, &[0x5a; 1024]).expect("write");
+    }
+    let mut buf = vec![0u8; 1024];
+    let mut cold = |name: &str| {
+        fs.drop_caches().expect("drop caches");
+        let before = fs.io_stats().cache.group_reads;
+        let heap = heap_of(|| {
+            let ino = fs.lookup(dir, name).expect("lookup");
+            assert_eq!(fs.read(ino, 0, &mut buf).expect("read"), 1024);
+        });
+        assert_eq!(fs.io_stats().cache.group_reads, before + 1, "one group read");
+        heap.0
+    };
+    cold(&names[0]);
+    let allocs = cold(&names[1]);
+    assert!(buf.iter().all(|&b| b == 0x5a));
+    assert_eq!(allocs, COLD_GROUPED_LOOKUP_READ_ALLOCS, "heap requests of a cold grouped lookup + read");
 }
 
 /// A sync hands the driver handles on the dirty buffers, not copies: a

@@ -294,9 +294,9 @@ const PINNED_RANGE_SCRIPT: [(&str, u64, u64, u64, u64, u64, u64); 7] = [
     ("FFS", 568_518_513, 357, 185, 2, 0, 80),
     ("conventional", 469_444_440, 400, 230, 2, 0, 76),
     ("embedded inodes", 436_111_107, 412, 240, 2, 0, 76),
-    ("explicit grouping", 525_925_921, 420, 246, 2, 2, 79),
-    ("C-FFS", 503_703_699, 432, 259, 2, 3, 78),
-    ("C-FFS prefetch 8", 492_592_588, 483, 330, 2, 10, 65),
+    ("explicit grouping", 543_287_032, 420, 245, 2, 2, 78),
+    ("C-FFS", 492_592_588, 432, 256, 2, 2, 77),
+    ("C-FFS prefetch 8", 481_481_477, 483, 327, 2, 9, 64),
     ("C-FFS group 4", 490_509_254, 419, 249, 2, 3, 77),
 ];
 
@@ -379,7 +379,7 @@ fn deterministic_simulated_time_with_feed_and_flight_armed() {
 
 /// `(attr_queue_ns, attr_service_ns, attr_op_ns)` after
 /// [`fixed_range_script`] and a sync on a synchronous-metadata C-FFS.
-const PINNED_SYNC_ATTR: [u64; 3] = [2_281_000, 494_004_699, 7_162_000];
+const PINNED_SYNC_ATTR: [u64; 3] = [2_338_000, 482_893_588, 7_105_000];
 
 /// Byte offsets on and around what the data path treats specially: every
 /// block edge of the first 24 blocks (4096·k − 1, + 0, + 1), and the first

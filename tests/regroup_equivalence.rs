@@ -93,7 +93,7 @@ fn budget_caps_blocks_moved_and_resumes() {
 fn idle_only_never_reads_cold_blocks() {
     let mut fs = aged();
     let idle = RegroupConfig { max_blocks: usize::MAX, mode: RegroupMode::IdleOnly };
-    // Plan first: the namespace walk's directory reads are whole-group
+    // Plan first: the namespace walk's directory reads are group
     // fetches and may warm file blocks as a side effect. Dropping caches
     // *after* planning makes every source block cold, so an idle-only
     // execution of that plan must do nothing — it issues no source reads
