@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss) =="
+echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -77,6 +77,13 @@ fi
 if grep -rn 'live_runs(' crates/core/src; then
     echo "the whole-group read plan (live_runs) is back in crates/core"; exit 1
 fi
+# The buffer cache's shards split its locks, not its capacity: one
+# cache-wide budget, no per-shard share of `nbufs` carved out again.
+for f in crates/cache/src/*.rs; do
+    if nontest "$f" | grep -E 'nbufs / n\b|per_shard'; then
+        echo "a per-shard capacity division is back in crates/cache"; exit 1
+    fi
+done
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].
 find crates/*/src crates/*/benches src -name '*.rs' 2>/dev/null | sort | xargs awk '

@@ -2,23 +2,28 @@
 //!
 //! # Concurrency
 //!
-//! The cache is sharded: physical blocks map to independently locked
-//! shards (by cylinder group when [`BufferCache::shard_by_cg`] is
+//! The cache's *locks* are sharded: physical blocks map to independently
+//! locked shards (by cylinder group when [`BufferCache::shard_by_cg`] is
 //! configured, a single shard otherwise), so threads working disjoint
-//! CGs never contend on buffer state. The logical (file, offset) index
-//! is a separate authoritative map guarded by its own lock; per-buffer
-//! back-pointers only validate it. Lock order: shard locks in ascending
-//! shard index, then the logical map, then the group-fetch tally —
-//! never the reverse. A lookup that starts from a logical identity
-//! takes the logical lock, *releases it*, then takes the owning shard
-//! lock and re-validates, so staleness can only manifest as a miss.
+//! CGs never contend on buffer state. Its *capacity* is not: one budget,
+//! one touch clock, one dirty count and one free list span every shard
+//! (see [`Budget`]). The logical (file, offset) index is a separate
+//! authoritative map guarded by its own lock; per-buffer back-pointers
+//! only validate it. Lock order: shard locks in ascending shard index,
+//! then the logical map, then the group-fetch tally — never the
+//! reverse; the free list and the write-back list are leaves, taken
+//! alone. A lookup that starts from a logical identity takes the logical
+//! lock, *releases it*, then takes the owning shard lock and
+//! re-validates, so staleness can only manifest as a miss. A miss that
+//! takes the cache over budget evicts under the victim shard's lock
+//! alone, releasing its own shard lock first unless that is the victim.
 
 use cffs_disksim::driver::{Driver, IoDir, IoReq, Payload};
 use cffs_fslib::vfs::CacheStats;
 use cffs_fslib::{FsResult, Ino, IntMap, BLOCK_SIZE, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, Obs, Sig};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Buffer-cache configuration.
@@ -134,34 +139,147 @@ struct ShardMap {
 /// "No neighbour" in the LRU list.
 const NIL: usize = usize::MAX;
 
-/// One independently locked cache shard: buffer pool, physical index
-/// and LRU list. Logical identities live in the cache-wide map; each
-/// buffer's `logical` field is a back-pointer used for validation.
+/// One slot's place in its shard's LRU list, and when it was last used.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: usize,
+    next: usize,
+    /// The cache-wide touch clock when the slot was last used: it orders
+    /// buffers across shards.
+    tick: u64,
+}
+
+const UNLINKED: Link = Link { prev: NIL, next: NIL, tick: 0 };
+
+/// What one shard publishes for victim selection, written under its
+/// lock and read without it.
+#[derive(Debug)]
+struct Head {
+    /// Resident buffers in the shard.
+    len: AtomicUsize,
+    /// Last-touch tick of the shard's LRU head (`u64::MAX` when empty).
+    tick: AtomicU64,
+}
+
+/// The state every shard shares: one capacity for the whole cache.
+///
+/// The atomics are `Relaxed` because they publish no data: buffers are
+/// only ever read under their shard's lock, and a victim chosen from
+/// the published heads is re-checked under its shard's lock. A count
+/// read stale by a concurrent thread only hastens or delays one
+/// eviction; single-threaded, every count and tick is exact.
+#[derive(Debug)]
+struct Budget {
+    /// Capacity in buffers, cache-wide.
+    nbufs: usize,
+    /// A shard's fair share of `nbufs`. A shard may grow past it while
+    /// the cache has room; over budget, only shards past it give up a
+    /// buffer, so borrowed capacity goes back first.
+    fair: usize,
+    /// Resident buffers, cache-wide.
+    resident: AtomicUsize,
+    /// Dirty buffers, cache-wide: what the flush watermark compares.
+    dirty: AtomicUsize,
+    /// The touch clock: each use of a buffer stamps the next tick.
+    clock: AtomicU64,
+    /// One per shard, by shard index.
+    heads: Box<[Head]>,
+    /// Free list: unshared buffers of evicted, invalidated and dropped
+    /// blocks (stale bytes), reused by the next miss or group fetch.
+    /// Survives `clear`. A buffer is kept only while resident + spare
+    /// stays within `nbufs` plus the largest fetch, so the cache owns at
+    /// most its capacity plus one group fetch.
+    spare: Mutex<Vec<Block>>,
+    /// Blocks in the largest fetch so far (a miss fetches one): the
+    /// free list's slack beyond `nbufs`, so that a fetch under eviction
+    /// pressure finds its buffers on the list the evictions refilled.
+    largest_fetch: AtomicUsize,
+}
+
+impl Budget {
+    fn new(nbufs: usize, nshards: usize) -> Arc<Budget> {
+        Arc::new(Budget {
+            nbufs,
+            fair: nbufs / nshards,
+            resident: AtomicUsize::new(0),
+            dirty: AtomicUsize::new(0),
+            clock: AtomicU64::new(0),
+            heads: (0..nshards)
+                .map(|_| Head { len: AtomicUsize::new(0), tick: AtomicU64::new(u64::MAX) })
+                .collect(),
+            spare: Mutex::new(Vec::new()),
+            largest_fetch: AtomicUsize::new(1),
+        })
+    }
+
+    fn over(&self) -> bool {
+        self.resident.load(Relaxed) > self.nbufs
+    }
+
+    /// Memory for a block about to be installed: a spare buffer, still
+    /// holding its last block's bytes, or a fresh zeroed one.
+    fn take_spare(&self, obs: &Obs) -> Block {
+        obs.lock_timed(&self.spare, Ctr::LockWaitNsCache).pop().unwrap_or_else(Block::zeroed)
+    }
+
+    /// Keep a departing buffer's memory for a later miss — only if no
+    /// reader holds a handle on it, and only while resident buffers plus
+    /// the free list stay within the cache's capacity plus one fetch.
+    fn recycle(&self, obs: &Obs, mut data: Block) {
+        if Arc::get_mut(&mut data.0).is_none() {
+            return;
+        }
+        let mut spare = obs.lock_timed(&self.spare, Ctr::LockWaitNsCache);
+        if spare.len() + self.resident.load(Relaxed) < self.nbufs + self.largest_fetch.load(Relaxed) {
+            spare.push(data);
+        }
+    }
+
+    /// The shard to evict from: of those holding more than their fair
+    /// share, the one whose LRU head was touched longest ago. With one
+    /// shard this is exact LRU.
+    fn victim(&self) -> Option<usize> {
+        let mut best: Option<(u64, usize)> = None;
+        for (i, h) in self.heads.iter().enumerate() {
+            if h.len.load(Relaxed) > self.fair {
+                let tick = h.tick.load(Relaxed);
+                if best.is_none_or(|(t, _)| tick < t) {
+                    best = Some((tick, i));
+                }
+            }
+        }
+        best.map(|(_, i)| i)
+    }
+}
+
+/// One independently locked cache shard: its buffers, physical index
+/// and LRU list. Capacity, the touch clock and the free list are the
+/// cache-wide [`Budget`]'s; logical identities live in the cache-wide
+/// map, and each buffer's `logical` field is a back-pointer used for
+/// validation.
 #[derive(Debug)]
 struct CacheCore {
-    nbufs: usize,
-    flush_watermark_pct: u8,
+    /// This shard's index in `budget.heads`.
+    idx: usize,
+    budget: Arc<Budget>,
     bufs: Vec<Option<Buf>>,
     free_slots: Vec<usize>,
     phys: IntMap<u64, usize>,
-    /// Intrusive LRU list: one `(prev, next)` pair per slot of `bufs`,
-    /// linking the resident slots from `lru_head` (least recently
-    /// touched, the eviction victim) to `lru_tail`. Empty slots are
+    /// Intrusive LRU list: one [`Link`] per slot of `bufs`, linking the
+    /// resident slots from `lru_head` (least recently touched, the
+    /// shard's eviction candidate) to `lru_tail`. Empty slots are
     /// unlinked.
-    links: Vec<(usize, usize)>,
+    links: Vec<Link>,
     lru_head: usize,
     lru_tail: usize,
-    /// Number of dirty buffers, kept in step at every `dirty` flip so
-    /// the eviction path never scans for it.
+    /// Number of dirty buffers in this shard, kept in step (with the
+    /// budget's cache-wide count) at every `dirty` flip.
     ndirty: usize,
-    /// Free list: unshared buffers of evicted, invalidated and dropped
-    /// blocks (stale bytes), reused by the next miss or group fetch.
-    /// Survives `clear`. A shard allocates only when it is empty, so it
-    /// owns at most its capacity plus one in-flight group fetch; the cap
-    /// at `nbufs` bounds what relocations from other shards add.
-    spare: Vec<Block>,
     stats: CacheStats,
 }
+
+/// The one shard lock a multi-block path holds at a time, with its index.
+type Held<'a> = Option<(usize, MutexGuard<'a, CacheCore>)>;
 
 /// Shared context threaded into shard operations: everything a shard
 /// may need *while its own lock is held* (the driver and the two
@@ -209,15 +327,19 @@ fn gfetch_resolve(ctx: &Ctx, id: u32, used: bool) {
     }
 }
 
-/// Write a collected dirty set back as one sorted, coalesced batch.
-/// Physically adjacent dirty blocks — grouped small files — merge into
-/// single scatter/gather writes here.
-fn flush_batch(ctx: &Ctx, mut dirty: Vec<IoReq<Block>>) {
+/// Write a collected dirty set back as one sorted, coalesced batch and
+/// hand the request list back for reuse. Physically adjacent dirty
+/// blocks — grouped small files — merge into single scatter/gather
+/// writes here.
+fn flush_batch(ctx: &Ctx, mut dirty: Vec<IoReq<Block>>) -> Vec<IoReq<Block>> {
     ctx.obs.signal_sample(Sig::DirtyBacklog, dirty.len() as f64);
     if dirty.is_empty() {
-        return;
+        return dirty;
     }
-    dirty.sort_by_key(|req| req.lba);
+    // Each block is queued once, so an unstable sort (which never
+    // allocates scratch) orders the batch exactly as a stable one would.
+    dirty.sort_unstable_by_key(|req| req.lba);
+    debug_assert!(dirty.windows(2).all(|w| w[0].lba < w[1].lba), "a block queued twice");
     ctx.obs.add(Ctr::CacheWritebacks, dirty.len() as u64);
     ctx.obs.add(Ctr::CacheDelayedFlushes, dirty.len() as u64);
     // Count physically contiguous runs of 2+ blocks: each becomes one
@@ -236,41 +358,43 @@ fn flush_batch(ctx: &Ctx, mut dirty: Vec<IoReq<Block>>) {
     if run_len > 1 {
         ctx.obs.bump(Ctr::CacheCoalescedRuns);
     }
-    ctx.driver.submit_batch(dirty);
+    ctx.driver.submit_batch(dirty)
 }
 
 impl CacheCore {
-    fn new(nbufs: usize, flush_watermark_pct: u8) -> Self {
+    fn new(idx: usize, budget: Arc<Budget>) -> Self {
         CacheCore {
-            nbufs,
-            flush_watermark_pct,
+            idx,
+            // Sized for the shard's fair share up front, so a shard that
+            // stays within it never grows its index.
+            phys: IntMap::with_capacity_and_hasher(budget.fair, Default::default()),
+            budget,
             bufs: Vec::new(),
             free_slots: Vec::new(),
-            // Both indexes hold at most one entry per buffer; sized up
-            // front, a first touch or first bind never grows a table.
-            phys: IntMap::with_capacity_and_hasher(nbufs, Default::default()),
             links: Vec::new(),
             lru_head: NIL,
             lru_tail: NIL,
             ndirty: 0,
-            spare: Vec::new(),
             stats: CacheStats::default(),
         }
     }
 
-    /// Memory for a block about to be installed: a spare buffer, still
-    /// holding its last block's bytes, or a fresh zeroed one.
-    fn take_spare(&mut self) -> Block {
-        self.spare.pop().unwrap_or_else(Block::zeroed)
+    fn head(&self) -> &Head {
+        &self.budget.heads[self.idx]
     }
 
-    /// Keep a departing buffer's memory for a later miss — only if no
-    /// reader holds a handle on it, and only while the free list is below
-    /// the shard's capacity.
-    fn recycle(&mut self, mut data: Block) {
-        if self.spare.len() < self.nbufs && Arc::get_mut(&mut data.0).is_some() {
-            self.spare.push(data);
-        }
+    /// Publish the LRU head's tick after the head changed.
+    fn publish_head(&self) {
+        let tick = match self.lru_head {
+            NIL => u64::MAX,
+            h => self.links[h].tick,
+        };
+        self.head().tick.store(tick, Relaxed);
+    }
+
+    /// Publish the resident count after a buffer came or went.
+    fn publish_len(&self) {
+        self.head().len.store(self.phys.len(), Relaxed);
     }
 
     fn dirty_count(&self) -> usize {
@@ -278,25 +402,45 @@ impl CacheCore {
         self.ndirty
     }
 
+    /// `n` more buffers of this shard turned dirty.
+    fn add_dirty(&mut self, n: usize) {
+        self.ndirty += n;
+        self.budget.dirty.fetch_add(n, Relaxed);
+    }
+
+    /// `n` dirty buffers of this shard turned clean or left.
+    fn sub_dirty(&mut self, n: usize) {
+        self.ndirty -= n;
+        self.budget.dirty.fetch_sub(n, Relaxed);
+    }
+
     /// Take a resident slot out of the LRU list.
     fn unlink(&mut self, slot: usize) {
-        let (prev, next) = std::mem::replace(&mut self.links[slot], (NIL, NIL));
-        match prev {
-            NIL => self.lru_head = next,
-            p => self.links[p].1 = next,
-        }
+        let Link { prev, next, .. } = std::mem::replace(&mut self.links[slot], UNLINKED);
         match next {
             NIL => self.lru_tail = prev,
-            n => self.links[n].0 = prev,
+            n => self.links[n].prev = prev,
+        }
+        match prev {
+            NIL => {
+                self.lru_head = next;
+                self.publish_head();
+            }
+            p => self.links[p].next = next,
         }
     }
 
-    /// Append an unlinked slot as the most recently touched.
+    /// Append an unlinked slot as the most recently touched, stamped with
+    /// the next tick of the cache-wide clock.
     fn push_tail(&mut self, slot: usize) {
-        self.links[slot] = (self.lru_tail, NIL);
+        let tick = self.budget.clock.fetch_add(1, Relaxed);
+        self.links[slot] = Link { prev: self.lru_tail, next: NIL, tick };
         match self.lru_tail {
-            NIL => self.lru_head = slot,
-            t => self.links[t].1 = slot,
+            NIL => {
+                self.lru_head = slot;
+                self.publish_head();
+            }
+            t => self.links[t].next = slot,
         }
         self.lru_tail = slot;
     }
@@ -306,16 +450,21 @@ impl CacheCore {
         if self.lru_tail != slot {
             self.unlink(slot);
             self.push_tail(slot);
+            return;
+        }
+        self.links[slot].tick = self.budget.clock.fetch_add(1, Relaxed);
+        if self.lru_head == slot {
+            self.publish_head();
         }
     }
 
     /// The resident buffer in `slot`, marked dirty.
     fn dirty_buf(&mut self, slot: usize) -> &mut Buf {
-        let b = self.bufs[slot].as_mut().expect("resident");
-        if !b.dirty {
-            b.dirty = true;
-            self.ndirty += 1;
+        if !self.bufs[slot].as_ref().expect("resident").dirty {
+            self.add_dirty(1);
         }
+        let b = self.bufs[slot].as_mut().expect("resident");
+        b.dirty = true;
         b
     }
 
@@ -328,40 +477,55 @@ impl CacheCore {
     /// marking them clean. A request carries a handle on the buffer, not
     /// a copy: a modify while the write is in flight copies on write.
     fn take_dirty(&mut self, out: &mut Vec<IoReq<Block>>) {
+        if self.ndirty == 0 {
+            return;
+        }
         let before = out.len();
         for b in self.bufs.iter_mut().flatten().filter(|b| b.dirty) {
             out.push(IoReq::write(b.blkno * SECTORS_PER_BLOCK, b.data.clone()));
             b.dirty = false;
         }
-        self.ndirty = 0;
+        self.sub_dirty(self.ndirty);
         self.stats.writebacks += (out.len() - before) as u64;
     }
 
-    /// Allocate a slot, evicting the LRU buffer if the shard is full.
-    fn alloc_slot(&mut self, ctx: &Ctx) -> usize {
-        if let Some(s) = self.free_slots.pop() {
-            return s;
-        }
-        if self.bufs.len() < self.nbufs {
+    /// Put `buf` into a free slot as the most recently touched. A shard
+    /// never evicts to make room: the cache's budget does that.
+    fn install(&mut self, buf: Buf) -> usize {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.bufs.push(None);
-            self.links.push((NIL, NIL));
-            return self.bufs.len() - 1;
+            self.links.push(UNLINKED);
+            self.bufs.len() - 1
+        });
+        self.phys.insert(buf.blkno, slot);
+        if buf.dirty {
+            self.add_dirty(1);
         }
-        // Update-daemon behaviour: under dirty pressure, flush everything
-        // as one sorted, coalesced batch instead of dribbling single-block
-        // write-backs out of the eviction path.
-        let pct = self.flush_watermark_pct as usize;
-        if pct < 100 && self.dirty_count() * 100 >= self.nbufs * pct {
-            let mut dirty = Vec::new();
-            self.take_dirty(&mut dirty);
-            flush_batch(ctx, dirty);
-        }
-        // Evict the true LRU (clean or dirty; dirty gets written back).
-        let slot = self.lru_head;
-        assert_ne!(slot, NIL, "cache full but LRU empty");
+        self.bufs[slot] = Some(buf);
+        self.push_tail(slot);
+        self.publish_len();
+        self.budget.resident.fetch_add(1, Relaxed);
+        slot
+    }
+
+    /// Lift the resident buffer out of `slot`, leaving the slot free.
+    fn take_resident(&mut self, slot: usize) -> Buf {
         self.unlink(slot);
-        let b = self.bufs[slot].take().expect("linked slot is resident");
+        let b = self.bufs[slot].take().expect("indexed slot is resident");
         self.phys.remove(&b.blkno);
+        if b.dirty {
+            self.sub_dirty(1);
+        }
+        self.free_slots.push(slot);
+        self.publish_len();
+        self.budget.resident.fetch_sub(1, Relaxed);
+        b
+    }
+
+    /// Evict the shard's least recently touched buffer, writing it back
+    /// first when dirty.
+    fn evict_head(&mut self, ctx: &Ctx) {
+        let b = self.take_resident(self.lru_head);
         if let Some(id) = b.logical {
             unbind_entry(ctx, id, b.blkno);
         }
@@ -369,52 +533,14 @@ impl CacheCore {
             gfetch_wasted(ctx, id);
         }
         if b.dirty {
-            self.ndirty -= 1;
             ctx.driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
             self.stats.writebacks += 1;
             ctx.obs.bump(Ctr::CacheWritebacks);
             ctx.obs.bump(Ctr::CacheDelayedFlushes);
         }
-        self.recycle(b.data);
+        self.budget.recycle(ctx.obs, b.data);
         self.stats.evictions += 1;
         ctx.obs.bump(Ctr::CacheEvictions);
-        slot
-    }
-
-    /// Put `buf` into the empty slot `slot` as the most recently touched.
-    fn install(&mut self, slot: usize, buf: Buf) {
-        self.phys.insert(buf.blkno, slot);
-        self.ndirty += usize::from(buf.dirty);
-        self.bufs[slot] = Some(buf);
-        self.push_tail(slot);
-    }
-
-    /// Core miss/hit path: return the slot for `blkno`, reading from disk
-    /// on a miss when `read` is set (otherwise installing a zeroed buffer:
-    /// callers rely on a new block reading as zeros).
-    fn get_slot(&mut self, ctx: &Ctx, blkno: u64, read: bool) -> FsResult<usize> {
-        self.stats.lookups += 1;
-        ctx.obs.bump(Ctr::CacheLookups);
-        if let Some(slot) = self.slot_of(blkno) {
-            self.stats.phys_hits += 1;
-            ctx.obs.bump(Ctr::CachePhysHits);
-            self.touch(slot);
-            self.gfetch_used(ctx, slot);
-            return Ok(slot);
-        }
-        ctx.obs.bump(Ctr::CacheMisses);
-        let mut data = self.take_spare();
-        if read {
-            ctx.driver.read(blkno * SECTORS_PER_BLOCK, data.make_mut());
-        } else {
-            data.make_mut().fill(0);
-        }
-        let slot = self.alloc_slot(ctx);
-        self.install(
-            slot,
-            Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch: None },
-        );
-        Ok(slot)
     }
 
     /// A group-fetched buffer was hit for the first time: the speculation
@@ -456,7 +582,7 @@ impl CacheCore {
 
     /// Forget a resident block (invalidate) without any write-back.
     fn invalidate(&mut self, ctx: &Ctx, blkno: u64) {
-        if let Some(slot) = self.phys.remove(&blkno) {
+        if let Some(slot) = self.slot_of(blkno) {
             let b = self.take_resident(slot);
             if let Some(id) = b.logical {
                 unbind_entry(ctx, id, b.blkno);
@@ -464,32 +590,25 @@ impl CacheCore {
             if let Some(id) = b.gfetch {
                 gfetch_wasted(ctx, id);
             }
-            self.recycle(b.data);
+            self.budget.recycle(ctx.obs, b.data);
         }
-    }
-
-    /// Lift the buffer out of `slot` (already gone from `phys`), leaving
-    /// the slot free.
-    fn take_resident(&mut self, slot: usize) -> Buf {
-        self.unlink(slot);
-        let b = self.bufs[slot].take().expect("indexed slot is resident");
-        self.ndirty -= usize::from(b.dirty);
-        self.free_slots.push(slot);
-        b
     }
 
     /// Forget every buffer; their memory joins the free list.
-    fn clear(&mut self) {
+    fn clear(&mut self, obs: &Obs) {
+        self.budget.resident.fetch_sub(self.phys.len(), Relaxed);
+        self.sub_dirty(self.ndirty);
+        self.phys.clear();
+        self.publish_len();
         while let Some(slot) = self.bufs.pop() {
             if let Some(b) = slot {
-                self.recycle(b.data);
+                self.budget.recycle(obs, b.data);
             }
         }
         self.free_slots.clear();
-        self.phys.clear();
         self.links.clear();
         (self.lru_head, self.lru_tail) = (NIL, NIL);
-        self.ndirty = 0;
+        self.publish_head();
     }
 }
 
@@ -500,6 +619,9 @@ pub struct BufferCache {
     config: CacheConfig,
     map: Option<ShardMap>,
     shards: Vec<Mutex<CacheCore>>,
+    /// Capacity, touch clock, dirty count and free list: one for every
+    /// shard.
+    budget: Arc<Budget>,
     /// Authoritative logical index: (ino, lbn) → physical block. The
     /// owning shard's buffer back-pointer validates each entry.
     logical: Mutex<IntMap<(Ino, u64), u64>>,
@@ -508,6 +630,9 @@ pub struct BufferCache {
     /// recorded) once all of its blocks resolved as used or wasted.
     gfetches: Mutex<IntMap<u32, GroupFetch>>,
     next_gfetch: AtomicU32,
+    /// The write-back request list, reused by every flush: taken out for
+    /// the flush's duration and put back empty.
+    writeback: Mutex<Vec<IoReq<Block>>>,
     /// Counters not attributable to one shard (logical-index misses,
     /// whole-cache group-read tallies).
     misc: Mutex<CacheStats>,
@@ -527,33 +652,37 @@ impl BufferCache {
     /// [`shard_by_cg`]: BufferCache::shard_by_cg
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.nbufs >= 8, "cache must hold at least 8 buffers");
+        let budget = Budget::new(config.nbufs, 1);
         BufferCache {
             config,
             map: None,
-            shards: vec![Mutex::new(CacheCore::new(config.nbufs, config.flush_watermark_pct))],
+            shards: vec![Mutex::new(CacheCore::new(0, Arc::clone(&budget)))],
+            budget,
             logical: Mutex::new(IntMap::with_capacity_and_hasher(config.nbufs, Default::default())),
             gfetches: Mutex::new(IntMap::default()),
             next_gfetch: AtomicU32::new(0),
+            writeback: Mutex::new(Vec::new()),
             misc: Mutex::new(CacheStats::default()),
             obs: Obs::new(),
         }
     }
 
-    /// Split the cache into per-cylinder-group shards: block `b` belongs
-    /// to CG `b / cg_blocks`, and CGs are distributed round-robin over
-    /// `nshards` locks (capped so every shard keeps at least 8 buffers).
-    /// Capacity divides evenly across shards. Must be called while the
-    /// cache is empty — the file-system layer does it at mount, before
-    /// the handle is shared.
+    /// Split the cache's locks into per-cylinder-group shards: block `b`
+    /// belongs to CG `b / cg_blocks`, and CGs are distributed round-robin
+    /// over `nshards` locks (capped so every shard's fair share is at
+    /// least 8 buffers). Capacity stays one cache-wide budget: a shard
+    /// grows past its fair share while the cache has room, and gives the
+    /// borrowed buffers back first once it is full. Must be called while
+    /// the cache is empty — the file-system layer does it at mount,
+    /// before the handle is shared.
     pub fn shard_by_cg(&mut self, cg_blocks: u64, nshards: usize) {
         assert!(cg_blocks >= 1, "cylinder group size must be positive");
         assert_eq!(self.resident(), 0, "cannot reshard a populated cache");
         let n = nshards.clamp(1, self.config.nbufs / 8);
         self.map = if n > 1 { Some(ShardMap { cg_blocks, nshards: n }) } else { None };
-        let per_shard = self.config.nbufs / n;
-        self.shards = (0..n)
-            .map(|_| Mutex::new(CacheCore::new(per_shard, self.config.flush_watermark_pct)))
-            .collect();
+        self.budget = Budget::new(self.config.nbufs, n);
+        self.shards =
+            (0..n).map(|i| Mutex::new(CacheCore::new(i, Arc::clone(&self.budget)))).collect();
     }
 
     /// Number of shards the cache is split into.
@@ -574,6 +703,103 @@ impl BufferCache {
 
     fn ctx<'a>(&'a self, driver: &'a Driver) -> Ctx<'a> {
         Ctx { obs: &self.obs, driver, logical: &self.logical, gfetches: &self.gfetches }
+    }
+
+    /// Shard `idx`, locked: the guard in `held` when it is that shard's,
+    /// else a fresh lock (released first: one shard lock at a time).
+    fn shard_held<'a, 'h>(&'a self, held: &'h mut Held<'a>, idx: usize) -> &'h mut CacheCore {
+        if held.as_ref().is_none_or(|(i, _)| *i != idx) {
+            *held = None;
+            *held = Some((idx, self.lock_shard(idx)));
+        }
+        &mut held.as_mut().expect("locked above").1
+    }
+
+    /// Bring the cache back within its budget after installs took it
+    /// over. `held` is the one shard lock the caller may hold; it is
+    /// kept when that shard is the victim. Under dirty pressure every
+    /// shard's dirty buffers go out first, as one sorted batch; then each
+    /// victim is picked from the shards' published heads without taking
+    /// a lock, and only its shard is locked (and re-checked) to evict.
+    fn make_room<'a>(&'a self, ctx: &Ctx, held: &mut Held<'a>) {
+        if !self.budget.over() {
+            return;
+        }
+        // Update-daemon behaviour: under dirty pressure, flush everything
+        // as one sorted, coalesced batch instead of dribbling single-block
+        // write-backs out of the eviction path. The count excludes the
+        // buffer just installed, which a caller dirties only afterwards.
+        let pct = self.config.flush_watermark_pct as usize;
+        if pct < 100 && self.budget.dirty.load(Relaxed) * 100 >= self.config.nbufs * pct {
+            *held = None;
+            self.flush(ctx);
+        }
+        while self.budget.over() {
+            let Some(v) = self.budget.victim() else { return };
+            let core = self.shard_held(held, v);
+            if core.phys.len() > self.budget.fair {
+                core.evict_head(ctx);
+            }
+        }
+    }
+
+    /// Write every shard's dirty buffers back as one scheduled,
+    /// coalesced batch, on the one reused request list.
+    fn flush(&self, ctx: &Ctx) {
+        let mut reqs =
+            std::mem::take(&mut *self.obs.lock_timed(&self.writeback, Ctr::LockWaitNsCache));
+        for shard in &self.shards {
+            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).take_dirty(&mut reqs);
+        }
+        let mut reqs = flush_batch(ctx, reqs);
+        reqs.clear();
+        let mut kept = self.obs.lock_timed(&self.writeback, Ctr::LockWaitNsCache);
+        if reqs.capacity() > kept.capacity() {
+            *kept = reqs;
+        }
+    }
+
+    /// Core miss/hit path: lock `blkno`'s shard and return it with the
+    /// block's slot, reading from disk on a miss when `read` is set
+    /// (otherwise installing a zeroed buffer: callers rely on a new block
+    /// reading as zeros). A miss that takes the cache over budget makes
+    /// room, releasing the shard (and re-taking it) unless it is the
+    /// victim's.
+    fn get_slot(&self, ctx: &Ctx, blkno: u64, read: bool) -> (MutexGuard<'_, CacheCore>, usize) {
+        let idx = self.shard_of(blkno);
+        loop {
+            let mut core = self.lock_shard(idx);
+            core.stats.lookups += 1;
+            ctx.obs.bump(Ctr::CacheLookups);
+            if let Some(slot) = core.slot_of(blkno) {
+                core.stats.phys_hits += 1;
+                ctx.obs.bump(Ctr::CachePhysHits);
+                core.touch(slot);
+                core.gfetch_used(ctx, slot);
+                return (core, slot);
+            }
+            ctx.obs.bump(Ctr::CacheMisses);
+            let mut data = self.budget.take_spare(ctx.obs);
+            if read {
+                ctx.driver.read(blkno * SECTORS_PER_BLOCK, data.make_mut());
+            } else {
+                data.make_mut().fill(0);
+            }
+            let slot =
+                core.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch: None });
+            if !self.budget.over() {
+                return (core, slot);
+            }
+            let mut held = Some((idx, core));
+            self.make_room(ctx, &mut held);
+            self.shard_held(&mut held, idx);
+            let (_, core) = held.expect("locked above");
+            // The new buffer is the most recently touched, so only a
+            // concurrent eviction can have taken it; then miss again.
+            if let Some(slot) = core.slot_of(blkno) {
+                return (core, slot);
+            }
+        }
     }
 
     /// Cumulative statistics (summed over shards).
@@ -615,7 +841,7 @@ impl BufferCache {
 
     /// Number of resident buffers.
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| self.obs.lock_timed(s, Ctr::LockWaitNsCache).phys.len()).sum()
+        self.budget.resident.load(Relaxed)
     }
 
     /// Number of dirty buffers.
@@ -665,8 +891,7 @@ impl BufferCache {
     /// contents (see [`Block`]).
     pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Block> {
         let ctx = self.ctx(driver);
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        let slot = core.get_slot(&ctx, blkno, true)?;
+        let (core, slot) = self.get_slot(&ctx, blkno, true);
         Ok(core.bufs[slot].as_ref().expect("resident").data.clone())
     }
 
@@ -680,8 +905,7 @@ impl BufferCache {
         lbn: u64,
     ) -> FsResult<Block> {
         let ctx = self.ctx(driver);
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        let slot = core.get_slot(&ctx, blkno, true)?;
+        let (mut core, slot) = self.get_slot(&ctx, blkno, true);
         core.bind_slot(&ctx, slot, ino, lbn);
         Ok(core.bufs[slot].as_ref().expect("resident").data.clone())
     }
@@ -699,8 +923,7 @@ impl BufferCache {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> FsResult<R> {
         let ctx = self.ctx(driver);
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        let slot = core.get_slot(&ctx, blkno, read_first)?;
+        let (mut core, slot) = self.get_slot(&ctx, blkno, read_first);
         let b = core.dirty_buf(slot);
         b.meta = meta;
         Ok(f(b.data.make_mut()))
@@ -717,8 +940,7 @@ impl BufferCache {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> FsResult<R> {
         let ctx = self.ctx(driver);
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        let slot = core.get_slot(&ctx, blkno, read_first)?;
+        let (mut core, slot) = self.get_slot(&ctx, blkno, read_first);
         core.bind_slot(&ctx, slot, ino, lbn);
         Ok(f(core.dirty_buf(slot).data.make_mut()))
     }
@@ -733,7 +955,7 @@ impl BufferCache {
             if b.dirty {
                 driver.write(blkno * SECTORS_PER_BLOCK, &b.data);
                 b.dirty = false;
-                core.ndirty -= 1;
+                core.sub_dirty(1);
                 core.stats.sync_writes += 1;
                 self.obs.bump(Ctr::CacheSyncFlushes);
             }
@@ -818,7 +1040,8 @@ impl BufferCache {
     /// `old` is not resident (the caller must copy through the disk
     /// instead). A group-fetched buffer that gets relocated counts as
     /// used: the speculative fetch delivered exactly the block the
-    /// regrouper needed.
+    /// regrouper needed. A move never grows the cache, so it never
+    /// evicts.
     pub fn relocate_phys(&self, driver: &Driver, old: u64, new: u64) -> bool {
         if old == new {
             return false;
@@ -854,15 +1077,14 @@ impl BufferCache {
         let mut g_hi = self.lock_shard(hi);
         let (src, dst): (&mut CacheCore, &mut CacheCore) =
             if so == lo { (&mut g_lo, &mut g_hi) } else { (&mut g_hi, &mut g_lo) };
-        let Some(slot) = src.phys.remove(&old) else { return false };
+        let Some(slot) = src.slot_of(old) else { return false };
         src.gfetch_used(&ctx, slot);
         let mut b = src.take_resident(slot);
         dst.invalidate(&ctx, new);
         b.blkno = new;
         b.dirty = true;
         let id = b.logical;
-        let dslot = dst.alloc_slot(&ctx);
-        dst.install(dslot, b);
+        dst.install(b);
         if let Some(id) = id {
             let mut lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
             if lm.get(&id) == Some(&old) {
@@ -890,40 +1112,52 @@ impl BufferCache {
     /// whose payload is the list of buffers it will install, so the disk
     /// scatters straight into them — and the scheduler sees one request
     /// per piece, as C-LOOK must (its wrap point can fall inside a run).
+    /// The fetch installs all its blocks, then makes room once.
     pub fn read_group(&self, driver: &Driver, runs: &[(u64, usize)]) -> FsResult<()> {
         let ctx = self.ctx(driver);
         let mut reqs: Vec<IoReq<Vec<Block>>> = Vec::new();
+        // Consecutive blocks of one shard share one shard lock, and one
+        // free-list lock under it.
+        let mut held: Held = None;
+        let mut spare: Option<MutexGuard<Vec<Block>>> = None;
         for &(start, n) in runs {
             // Split each run at resident blocks.
             let mut piece: Option<IoReq<Vec<Block>>> = None;
             for blk in start..start + n as u64 {
-                let mut core = self.lock_shard(self.shard_of(blk));
-                if core.phys.contains_key(&blk) {
-                    reqs.extend(piece.take());
-                } else {
-                    piece
-                        .get_or_insert_with(|| IoReq {
-                            lba: blk * SECTORS_PER_BLOCK,
-                            dir: IoDir::Read,
-                            data: Vec::with_capacity(n),
-                        })
-                        .data
-                        .push(core.take_spare());
+                let idx = self.shard_of(blk);
+                if held.as_ref().is_some_and(|(i, _)| *i != idx) {
+                    spare = None;
                 }
+                if self.shard_held(&mut held, idx).phys.contains_key(&blk) {
+                    reqs.extend(piece.take());
+                    continue;
+                }
+                let spare = spare
+                    .get_or_insert_with(|| self.obs.lock_timed(&self.budget.spare, Ctr::LockWaitNsCache));
+                piece
+                    .get_or_insert_with(|| IoReq {
+                        lba: blk * SECTORS_PER_BLOCK,
+                        dir: IoDir::Read,
+                        data: Vec::with_capacity(n),
+                    })
+                    .data
+                    .push(spare.pop().unwrap_or_else(Block::zeroed));
             }
             reqs.extend(piece);
         }
+        drop((spare, held));
         if reqs.is_empty() {
             return Ok(());
         }
         let done = driver.submit_batch(reqs);
         self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).group_reads += 1;
         self.obs.bump(Ctr::CacheGroupReads);
-        let fetch_id = self.next_gfetch.fetch_add(1, Ordering::Relaxed);
-        // Register the tally before installing: with a tiny cache,
-        // installing later blocks of the fetch can evict earlier ones,
-        // and their "wasted" resolution must find the entry.
+        let fetch_id = self.next_gfetch.fetch_add(1, Relaxed);
+        // Register the tally before installing: with a tiny cache, making
+        // room afterwards can evict blocks of this very fetch, and their
+        // "wasted" resolution must find the entry.
         let fetched: u32 = done.iter().map(|r| r.data.len() as u32).sum();
+        self.budget.largest_fetch.fetch_max(fetched as usize, Relaxed);
         let cg = done.first().and_then(|r| self.obs.cg_of_sector(r.lba));
         self.obs
             .lock_timed(&self.gfetches, Ctr::LockWaitNsCache)
@@ -932,27 +1166,32 @@ impl BufferCache {
         // from the requests themselves — the scheduler may have serviced
         // them in any order.
         let mut installed = 0u64;
+        let mut held: Held = None;
         for req in done {
             let base = req.lba / SECTORS_PER_BLOCK;
             for (blk, data) in (base..).zip(req.data) {
-                let mut core = self.lock_shard(self.shard_of(blk));
+                let core = self.shard_held(&mut held, self.shard_of(blk));
                 if core.phys.contains_key(&blk) {
                     // A concurrent installer beat us to this block; the
                     // speculative buffer goes back unused, a waste.
-                    core.recycle(data);
-                    drop(core);
+                    self.budget.recycle(&self.obs, data);
                     gfetch_wasted(&ctx, fetch_id);
                     continue;
                 }
-                let slot = core.alloc_slot(&ctx);
-                core.install(
-                    slot,
-                    Buf { blkno: blk, logical: None, data, dirty: false, meta: false, gfetch: Some(fetch_id) },
-                );
+                core.install(Buf {
+                    blkno: blk,
+                    logical: None,
+                    data,
+                    dirty: false,
+                    meta: false,
+                    gfetch: Some(fetch_id),
+                });
                 installed += 1;
                 self.obs.bump(Ctr::CacheGroupReadBlocks);
             }
         }
+        self.make_room(&ctx, &mut held);
+        drop(held);
         self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).group_read_blocks += installed;
         Ok(())
     }
@@ -961,12 +1200,7 @@ impl BufferCache {
     /// Physically adjacent dirty blocks — grouped small files — merge into
     /// single scatter/gather writes here.
     pub fn sync(&self, driver: &Driver) -> FsResult<()> {
-        let ctx = self.ctx(driver);
-        let mut dirty = Vec::new();
-        for shard in &self.shards {
-            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).take_dirty(&mut dirty);
-        }
-        flush_batch(&ctx, dirty);
+        self.flush(&self.ctx(driver));
         Ok(())
     }
 
@@ -991,7 +1225,7 @@ impl BufferCache {
             if let Some(pct) = (hits * 100).checked_div(core.stats.lookups) {
                 self.obs.histos().cache_shard_hit_pct.record(pct);
             }
-            core.clear();
+            core.clear(&self.obs);
         }
         self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache).clear();
         Ok(())
@@ -1002,7 +1236,7 @@ impl BufferCache {
     /// it; fsck gets to pick up the pieces.
     pub fn crash(&self) {
         for shard in &self.shards {
-            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).clear();
+            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).clear(&self.obs);
         }
         self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache).clear();
         // A crash is not an eviction: abandon in-flight utilization
@@ -1013,9 +1247,9 @@ impl BufferCache {
 
 #[cfg(test)]
 impl BufferCache {
-    /// Buffers each shard owns: its resident ones plus its free list.
-    fn owned_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().map(|c| c.phys.len() + c.spare.len()).unwrap()).collect()
+    /// Buffers the cache owns: its resident ones plus its free list.
+    fn owned(&self) -> usize {
+        self.resident() + self.budget.spare.lock().unwrap().len()
     }
 }
 
@@ -1423,22 +1657,89 @@ mod tests {
         assert_eq!(c.dirty_count(), 1, "re-homed buffer is dirty");
     }
 
-    /// Each buffer relocated into a full shard pushes one of its own out,
-    /// onto its free list. The free list stops at the shard's capacity,
-    /// so however many buffers move in, the shard owns at most its
-    /// capacity plus one 16-block group fetch.
+    /// Group reads, misses, relocations and invalidations under eviction
+    /// pressure all return buffers to the one free list; it stops at the
+    /// cache's capacity plus the largest fetch, so however the buffers
+    /// move between shards, the cache owns at most its capacity plus one
+    /// 16-block group fetch.
     #[test]
-    fn free_list_is_capped_by_shard_capacity() {
+    fn free_list_is_capped_by_cache_capacity() {
         let drv = driver();
         let mut c = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
         c.shard_by_cg(16, 2);
         for i in 0..64u64 {
-            let old = i % 16;
+            c.read_group(&drv, &[(32 * (i % 4), 16)]).unwrap();
+            let old = 16 * (i % 8) + i % 16;
             let _ = c.read_block(&drv, old).unwrap();
-            assert!(c.relocate_phys(&drv, old, 16 + i % 16), "CG 0 to CG 1");
+            c.relocate_phys(&drv, old, old ^ 16);
+            c.invalidate_block(&drv, i % 48);
+            assert!(c.resident() <= 16, "{} buffers resident", c.resident());
+            assert!(c.owned() <= 16 + 16, "the cache owns {} buffers", c.owned());
         }
-        let owned = c.owned_per_shard();
-        assert!(owned[1] <= 8 + 16, "shard 1 owns {} buffers", owned[1]);
+        c.drop_all(&drv).unwrap();
+        assert!(c.owned() <= 16 + 16, "the cache owns {} buffers", c.owned());
+    }
+
+    /// The budget is cache-wide: a working set of half the cache, all in
+    /// one cylinder group (so one shard of four), stays resident, where
+    /// a partitioned cache would thrash that shard's quarter.
+    #[test]
+    fn one_hot_shard_borrows_the_whole_budget() {
+        let drv = driver();
+        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        c.shard_by_cg(64, 4);
+        // Eight blocks of CG 1 (shard 1), touched before anything else.
+        for blk in 64..72u64 {
+            let _ = c.read_block(&drv, blk).unwrap();
+        }
+        for _ in 0..3 {
+            for blk in 0..32u64 {
+                let _ = c.read_block(&drv, blk).unwrap();
+            }
+        }
+        assert_eq!(c.stats().evictions, 0, "re-reading half the cache evicts nothing");
+        assert_eq!(drv.disk_stats().reads, 8 + 32, "only the first pass reached the disk");
+        // Shard 0 borrows the rest of the budget...
+        for blk in 32..56u64 {
+            let _ = c.read_block(&drv, blk).unwrap();
+        }
+        assert_eq!((c.resident(), c.stats().evictions), (64, 0));
+        // ...and gives it back first: a miss in shard 1, which holds less
+        // than its fair share, evicts shard 0's oldest buffer, not the
+        // cache's oldest (shard 1's own).
+        let _ = c.read_block(&drv, 72).unwrap();
+        assert_eq!(c.stats().evictions, 1);
+        assert!(!c.contains(0), "the borrower's oldest buffer went");
+        assert!((64..73).all(|b| c.contains(b)), "the shard within its share kept every buffer");
+    }
+
+    /// The flush watermark compares the cache-wide dirty count with the
+    /// cache's capacity, and when it trips, every shard's dirty buffers
+    /// go out as one sorted, coalesced batch.
+    #[test]
+    fn watermark_trips_on_the_cache_wide_dirty_count() {
+        let drv = driver();
+        let mut c = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 25 });
+        c.set_obs(drv.obs());
+        c.shard_by_cg(16, 2);
+        // Two dirty blocks in each shard: 4 of 16, the 25 % watermark.
+        for blk in [0, 1, 16, 17] {
+            c.modify_block(&drv, blk, false, false, |d| d.fill(7)).unwrap();
+        }
+        // Fill the cache with clean blocks of shard 0: no eviction yet.
+        for blk in 32..44u64 {
+            let _ = c.read_block(&drv, blk).unwrap();
+        }
+        assert_eq!((c.resident(), c.dirty_count(), c.stats().writebacks), (16, 4, 0));
+        // One more miss takes the cache over budget.
+        let _ = c.read_block(&drv, 48).unwrap();
+        let obs = drv.obs();
+        assert_eq!(c.dirty_count(), 0, "both shards' dirty buffers went out");
+        assert_eq!(obs.get(Ctr::CacheDelayedFlushes), 4);
+        assert_eq!(obs.get(Ctr::DriverBatches), 1, "as one batch");
+        assert_eq!(drv.disk_stats().writes, 2, "of two coalesced runs");
+        assert_eq!(c.stats().evictions, 1);
+        assert!(!c.contains(0), "the victim is the oldest buffer of the shard past its fair share");
     }
 
     #[test]
@@ -1477,15 +1778,20 @@ mod tests {
         assert_eq!(drv.disk_stats().reads, 32, "only the loads reached the disk");
         let core = c.lock_shard(0);
         assert_eq!(core.bufs.len(), 32);
-        assert_eq!(core.links.len(), 32, "bookkeeping is one link pair per slot");
-        // And the list threads every resident slot exactly once.
+        assert_eq!(core.links.len(), 32, "bookkeeping is one link per slot");
+        // And the list threads every resident slot exactly once, oldest
+        // tick first, and publishes its head's tick.
         let (mut seen, mut slot, mut prev) = (0, core.lru_head, NIL);
         while slot != NIL {
-            assert_eq!(core.links[slot].0, prev);
-            (prev, slot) = (slot, core.links[slot].1);
+            assert_eq!(core.links[slot].prev, prev);
+            if prev != NIL {
+                assert!(core.links[prev].tick < core.links[slot].tick, "ticks ascend head to tail");
+            }
+            (prev, slot) = (slot, core.links[slot].next);
             seen += 1;
         }
         assert_eq!((seen, prev), (32, core.lru_tail));
+        assert_eq!(core.head().tick.load(Relaxed), core.links[core.lru_head].tick);
     }
 
     #[test]
@@ -1686,77 +1992,82 @@ mod proptests {
         Ok(())
     }
 
-    /// Reference replacement policy: per shard, the resident blocks from
-    /// least to most recently touched; a full shard evicts the front.
+    /// Reference replacement policy: the resident blocks of the whole
+    /// cache from least to most recently touched. A load that takes the
+    /// cache past `nbufs` evicts the least recently touched block of a
+    /// shard holding more than its fair share, `nbufs / nshards` — with
+    /// one shard, plain LRU.
     struct LruModel {
         cg_blocks: u64,
-        per_shard: usize,
-        shards: Vec<Vec<u64>>,
+        nshards: usize,
+        nbufs: usize,
+        order: Vec<u64>,
     }
 
     impl LruModel {
-        fn shard(&mut self, b: u64) -> &mut Vec<u64> {
-            let n = self.shards.len();
-            &mut self.shards[(b / self.cg_blocks) as usize % n]
+        fn shard(&self, b: u64) -> usize {
+            (b / self.cg_blocks) as usize % self.nshards
         }
 
-        fn resident(&mut self, b: u64) -> bool {
-            self.shard(b).contains(&b)
+        fn resident(&self, b: u64) -> bool {
+            self.order.contains(&b)
         }
 
         fn forget(&mut self, b: u64) {
-            self.shard(b).retain(|&x| x != b);
+            self.order.retain(|&x| x != b);
         }
 
-        /// `b` was used: load it (evicting the LRU of a full shard) or
-        /// move it to the most-recent end.
+        /// `b` was used: load it or move it to the most-recent end.
         fn touch(&mut self, b: u64) {
-            let cap = self.per_shard;
-            let s = self.shard(b);
-            match s.iter().position(|&x| x == b) {
-                Some(i) => {
-                    s.remove(i);
-                }
-                None if s.len() == cap => {
-                    s.remove(0);
-                }
-                None => {}
+            self.order.retain(|&x| x != b);
+            self.order.push(b);
+        }
+
+        /// Evict until the cache is within budget again.
+        fn settle(&mut self) {
+            let fair = self.nbufs / self.nshards;
+            while self.order.len() > self.nbufs {
+                let mut len = vec![0; self.nshards];
+                self.order.iter().for_each(|&x| len[self.shard(x)] += 1);
+                let i = self.order.iter().position(|&x| len[self.shard(x)] > fair);
+                self.order.remove(i.expect("a shard past its share"));
             }
-            s.push(b);
+        }
+
+        /// A single-block use: load (or move) it, then make room.
+        fn use_block(&mut self, b: u64) {
+            self.touch(b);
+            self.settle();
         }
     }
 
     /// Drive cache and [`LruModel`] with the same ops; the resident sets
-    /// must agree after every one, i.e. every victim was the shard's
-    /// least recently touched buffer.
+    /// must agree after every one, i.e. every victim was the least
+    /// recently touched buffer of a shard past its fair share.
     fn check_eviction_order(nbufs: usize, nshards: usize, ops: Vec<CacheOp>) -> Result<(), TestCaseError> {
         // FCFS keeps a group read's install order the submission order.
         let drv = tiny_driver(Scheduler::Fcfs);
         let mut cache = BufferCache::new(CacheConfig { nbufs, flush_watermark_pct: 50 });
         cache.shard_by_cg(16, nshards);
-        let mut m = LruModel {
-            cg_blocks: 16,
-            per_shard: nbufs / nshards,
-            shards: vec![Vec::new(); nshards],
-        };
+        let mut m = LruModel { cg_blocks: 16, nshards, nbufs, order: Vec::new() };
         for op in ops {
             match op {
                 CacheOp::Read(b) => {
                     cache.read_block(&drv, b).unwrap();
-                    m.touch(b);
+                    m.use_block(b);
                 }
                 CacheOp::Write(b, v) => {
                     cache.modify_block(&drv, b, false, true, |d| d.fill(v)).unwrap();
-                    m.touch(b);
+                    m.use_block(b);
                 }
                 CacheOp::WriteBound(b, ino, lbn, v) => {
                     cache.modify_block_bound(&drv, b, ino, lbn, false, |d| d.fill(v)).unwrap();
-                    m.touch(b);
+                    m.use_block(b);
                 }
                 CacheOp::Lookup(ino, lbn) => {
                     if let Some(b) = cache.lookup_logical(ino, lbn) {
                         prop_assert!(m.resident(b), "logical hit on block {} the model evicted", b);
-                        m.touch(b);
+                        m.use_block(b);
                     }
                 }
                 // None of these is a use.
@@ -1765,7 +2076,7 @@ mod proptests {
                 CacheOp::PurgeIno(ino) => cache.purge_ino(ino),
                 CacheOp::DropAll => {
                     cache.drop_all(&drv).unwrap();
-                    m.shards.iter_mut().for_each(Vec::clear);
+                    m.order.clear();
                 }
                 CacheOp::Invalidate(b) => {
                     cache.invalidate_block(&drv, b);
@@ -1774,10 +2085,12 @@ mod proptests {
                 CacheOp::GroupRead(start, n) => {
                     cache.read_group(&drv, &[(start, n as usize)]).unwrap();
                     // Residency is decided before the transfer; then the
-                    // fetched blocks are installed in ascending order.
+                    // fetched blocks are installed in ascending order, and
+                    // room is made once.
                     let fetched: Vec<u64> =
                         (start..start + n as u64).filter(|&b| !m.resident(b)).collect();
                     fetched.into_iter().for_each(|b| m.touch(b));
+                    m.settle();
                 }
                 CacheOp::Relocate(old, new) => {
                     let moved = cache.relocate_phys(&drv, old, new);
@@ -1851,14 +2164,13 @@ mod proptests {
     /// Drive a 2-shard cache with calls that recycle buffers; every byte
     /// handed out must match the model of platter plus dirty set (a
     /// non-reading miss sees zeros, never a recycled buffer's old bytes),
-    /// a held handle keeps its snapshot, and no shard owns more than its
-    /// capacity plus one group fetch.
+    /// a held handle keeps its snapshot, and the cache owns no more than
+    /// its capacity plus one group fetch.
     fn check_recycling(ops: Vec<RecycleOp>) -> Result<(), TestCaseError> {
         const MAX_GROUP: usize = 15;
         let drv = tiny_driver(Scheduler::default());
         let mut cache = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 50 });
         cache.shard_by_cg(16, 2);
-        let per_shard = 16 / cache.nshards();
         // What the cache must present for each block (see `want`).
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
         let mut held: Option<(Block, Vec<u8>)> = None;
@@ -1920,9 +2232,7 @@ mod proptests {
             if let Some((block, snapshot)) = &held {
                 prop_assert!(block[..] == snapshot[..], "a held handle changed under its reader");
             }
-            for n in cache.owned_per_shard() {
-                prop_assert!(n <= per_shard + MAX_GROUP, "a shard owns {} buffers", n);
-            }
+            prop_assert!(cache.owned() <= 16 + MAX_GROUP, "the cache owns {} buffers", cache.owned());
         }
         for b in 0..64 {
             let data = cache.read_block(&drv, b).unwrap();
@@ -1974,8 +2284,10 @@ mod proptests {
             check_eviction_order(16, 1, ops)?;
         }
 
-        /// The same per shard: 8 buffers for each 16-block cylinder
-        /// group, so every shard evicts and relocations cross shards.
+        /// Across four shards with a fair share of 8 buffers each: the
+        /// victim is the least recently touched buffer of a shard past
+        /// its share, so a busy shard borrows idle shards' capacity and
+        /// gives it back first; relocations cross shards.
         #[test]
         fn sharded_eviction_order_is_least_recently_touched(
             ops in prop::collection::vec(arb_op(), 1..160)

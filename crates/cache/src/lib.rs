@@ -34,17 +34,28 @@
 //!   reader still holds a handle (which then keeps its snapshot), so drop
 //!   a handle before modifying the block it came from.
 //!
-//! * Buffers are reused, and the disk path copies none: each shard keeps
-//!   the unshared buffers of evicted, invalidated and dropped blocks on a
-//!   free list (capped at its capacity) for the next miss or group fetch;
-//!   a group read scatters straight into the buffers it installs, and a
-//!   write-back hands the driver [`Block`] handles, not copies.
+//! * Buffers are reused, and the disk path copies none: the cache keeps
+//!   the unshared buffers of evicted, invalidated and dropped blocks on
+//!   one free list (capped so that resident buffers plus the list stay
+//!   within the capacity plus one group fetch) for the next miss or group
+//!   fetch; a group read scatters straight into the buffers it installs,
+//!   and a write-back hands the driver [`Block`] handles, not copies.
 //!
-//! Replacement is exact LRU over clean and dirty buffers alike, kept as an
-//! intrusive doubly-linked list over buffer slots (touch, evict and
-//! invalidate are O(1); one link pair per slot, however many hits);
-//! evicting a dirty buffer writes it back first, exactly like a classic
-//! `getblk`/`bwrite` buffer cache.
+//! * The capacity ([`CacheConfig::nbufs`]) is one budget for the whole
+//!   cache. [`BufferCache::shard_by_cg`] splits the *locks* by cylinder
+//!   group, not the capacity: a busy shard grows past its fair share
+//!   (`nbufs / nshards`) while other shards sit idle, and the dirty
+//!   watermark counts dirty buffers cache-wide.
+//!
+//! Replacement is LRU over clean and dirty buffers alike. Each shard keeps
+//! its buffers on an intrusive doubly-linked list over buffer slots
+//! (touch, evict and invalidate are O(1); one link per slot, however many
+//! hits), and each use stamps the buffer with a tick of one cache-wide
+//! clock. A miss that takes the cache over budget evicts the least
+//! recently touched buffer among the shards holding more than their fair
+//! share, so borrowed capacity goes back first; with one shard this is
+//! exact LRU. Evicting a dirty buffer writes it back first, exactly like
+//! a classic `getblk`/`bwrite` buffer cache.
 
 mod bufcache;
 

@@ -375,7 +375,10 @@ fn order<B>(sched: Scheduler, disk: &Disk, reqs: &mut Vec<IoReq<B>>) {
     match sched {
         Scheduler::Fcfs => {}
         Scheduler::CLook => {
-            reqs.sort_by_key(|r| r.lba);
+            // A batch names each sector once, so an unstable sort (which
+            // never allocates scratch) orders it as a stable one would.
+            reqs.sort_unstable_by_key(|r| r.lba);
+            debug_assert!(reqs.windows(2).all(|w| w[0].lba < w[1].lba), "a sector queued twice");
             // Find the first request at or beyond the arm and rotate the
             // ascending order to start there (one sweep, then wrap).
             let arm = disk.arm_cylinder();
