@@ -6,12 +6,17 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
 # invalidating regroup entry points take `&mut Cffs` / `&mut F`).
 SRC="crates src tests examples"
+# Classic FFS is a configuration of the one file system (its inodes in
+# per-CG tables), not a second implementation.
+if [ -e crates/ffs ] || grep -rnE 'cffs_ffs|FfsOptions|ffs_on_disk|all_five|four_variants' $SRC; then
+    echo "a second file system (crates/ffs or its API) is back"; exit 1
+fi
 if grep -rn 'ConcurrentFs' $SRC | grep -v '^crates/fslib/src/lib.rs:.*pub use vfs::FileSystem as ConcurrentFs;$'; then
     echo "ConcurrentFs named outside its one alias line"; exit 1
 fi
@@ -21,18 +26,18 @@ fi
 if grep -rnE '&mut \(impl FileSystem|&mut dyn FileSystem|&mut impl FileSystem' $SRC; then
     echo "a FileSystem is taken by &mut: every trait method is &self"; exit 1
 fi
-# The inode's pointer tree has one owner, cffs_fslib::bmap: both file
-# systems and both checkers map, free and walk blocks through it.
-if grep -rnE 'NDIRECT|PTRS_PER_BLOCK|\.d?indirect\b' crates/ffs/src crates/core/src; then
+# The inode's pointer tree has one owner, cffs_fslib::bmap: the file
+# system and its checker map, free and walk blocks through it.
+if grep -rnE 'NDIRECT|PTRS_PER_BLOCK|\.d?indirect\b' crates/core/src; then
     echo "pointer-tree format spelled out outside cffs_fslib::bmap"; exit 1
 fi
 # The byte-range data path and the directory-block walk have one owner,
-# cffs_fslib::file: neither file system spells out the per-block loop,
-# the read-before-partial-overwrite rule or the directory-hole check.
-if grep -rnE 'hole in directory|read_first|in_blk' crates/ffs/src crates/core/src; then
+# cffs_fslib::file: the file system does not spell out the per-block
+# loop, the read-before-partial-overwrite rule or the directory-hole check.
+if grep -rnE 'hole in directory|read_first|in_blk' crates/core/src; then
     echo "data path spelled out outside cffs_fslib::file"; exit 1
 fi
-# Both checkers fill one report, cffs_fslib::fsck's.
+# The checker fills the one report, cffs_fslib::fsck's.
 if [ "$(grep -rn 'pub struct FsckReport' crates | wc -l)" -gt 1 ]; then
     echo "FsckReport defined more than once under crates/"; exit 1
 fi

@@ -18,8 +18,8 @@ use cffs_workloads::PhaseResult;
 /// Run the suite on all five file systems.
 pub fn run_all(mode: MetadataMode, params: DevTreeParams) -> Vec<PhaseResult> {
     let mut all = Vec::new();
-    for fs in build::all_five(mode) {
-        all.extend(appdev::run(fs.as_ref(), params).expect("suite run"));
+    for fs in build::five_configs(mode) {
+        all.extend(appdev::run(&fs, params).expect("suite run"));
     }
     all
 }

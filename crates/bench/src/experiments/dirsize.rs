@@ -11,8 +11,6 @@ use crate::report::header;
 use cffs::build;
 use cffs_core::CffsConfig;
 use cffs_disksim::models;
-use cffs_ffs::{mkfs as ffs_mkfs, FfsOptions, MkfsParams};
-use cffs_disksim::Disk;
 use cffs_fslib::BLOCK_SIZE;
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::{obj, StatsSnapshot};
@@ -58,14 +56,9 @@ pub fn report() -> (String, Json) {
     }
 
     // Capacity: static FFS inode tables vs the dynamic external file.
-    let ffs = ffs_mkfs::mkfs(
-        Disk::new(models::seagate_st31200()),
-        MkfsParams::default(),
-        FfsOptions::default(),
-    )
-    .expect("mkfs");
-    let sb = ffs.superblock().clone();
-    let itable_blocks = sb.itable_blocks as u64 * sb.cg_count as u64;
+    let ffs = build::on_disk(models::seagate_st31200(), CffsConfig::ffs());
+    let sb = ffs.superblock();
+    let itable_blocks = sb.itable_blocks() as u64 * sb.cg_count as u64;
     let cffs = build::on_disk(models::seagate_st31200(), CffsConfig::cffs());
     let st = cffs.statfs().expect("statfs");
     out.push_str(&format!(
@@ -78,7 +71,7 @@ pub fn report() -> (String, Json) {
         itable_blocks,
         itable_blocks as f64 * BLOCK_SIZE as f64 / 1e6,
         itable_blocks as f64 * 100.0 / sb.total_blocks as f64,
-        sb.total_inodes(),
+        ffs.statfs().expect("statfs").total_inodes,
         cffs.superblock().exfile.blocks,
         st.free_blocks,
         st.total_blocks,

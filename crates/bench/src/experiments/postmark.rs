@@ -16,8 +16,8 @@ use cffs_workloads::PhaseResult;
 /// Run PostMark on all five file systems.
 pub fn run_all(mode: MetadataMode, params: PostmarkParams) -> Vec<PhaseResult> {
     let mut all = Vec::new();
-    for fs in build::all_five(mode) {
-        all.extend(postmark::run(fs.as_ref(), params).expect("postmark run"));
+    for fs in build::five_configs(mode) {
+        all.extend(postmark::run(&fs, params).expect("postmark run"));
     }
     all
 }

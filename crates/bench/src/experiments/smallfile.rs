@@ -32,20 +32,18 @@ pub fn run_all_with_folds(
 ) -> (Vec<PhaseResult>, prof::Fold) {
     let mut all = Vec::new();
     let mut fold = prof::Fold::default();
-    for fs in build::all_five(mode) {
+    for fs in build::five_configs(mode) {
         let obs = fs.obs();
         // Stream this file system's run into the telemetry feed when the
         // repro binary set one up with --feed (no-op otherwise).
-        let _feed = obs.as_ref().and_then(|o| cffs_obs::feed::tap_global_sim(o, fs.label()));
+        let _feed = cffs_obs::feed::tap_global_sim(&obs, fs.label());
         let want_fold = fs.label() == "C-FFS";
         if want_fold {
-            if let Some(o) = &obs {
-                o.enable_span_log();
-            }
+            obs.enable_span_log();
         }
-        let rows = smallfile::run(fs.as_ref(), params).expect("benchmark run");
+        let rows = smallfile::run(&fs, params).expect("benchmark run");
         if want_fold {
-            if let Some(log) = obs.as_ref().and_then(|o| o.span_log()) {
+            if let Some(log) = obs.span_log() {
                 fold_phases(&mut fold, &log, &rows);
             }
         }

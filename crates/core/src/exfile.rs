@@ -15,7 +15,9 @@
 //!
 //! When embedded inodes are disabled (the paper's "conventional" variant),
 //! *every* inode is external, and this file plays the role of a dynamically
-//! allocated inode table.
+//! allocated inode table. Under the per-CG table placement the same slot
+//! numbers and [`SlotPool`] address the static tables instead, and this
+//! file stays empty.
 
 use cffs_fslib::inode::INODE_SIZE;
 use cffs_fslib::BLOCK_SIZE;
@@ -60,9 +62,10 @@ impl SlotPool {
         self.free.len()
     }
 
-    /// Take the lowest free slot, if any.
-    pub fn take(&mut self) -> Option<u32> {
-        let s = *self.free.iter().next()?;
+    /// Take the lowest free slot at or after `from`, else the lowest
+    /// free slot, if any.
+    pub fn take(&mut self, from: u32) -> Option<u32> {
+        let s = *self.free.range(from..).next().or_else(|| self.free.iter().next())?;
         self.free.remove(&s);
         Some(s)
     }
@@ -106,22 +109,30 @@ mod tests {
     #[test]
     fn pool_hands_out_lowest_first() {
         let mut p = SlotPool::new(64, [40, 3, 17]);
-        assert_eq!(p.take(), Some(3));
-        assert_eq!(p.take(), Some(17));
+        assert_eq!(p.take(0), Some(3));
+        assert_eq!(p.take(0), Some(17));
         p.put(3);
-        assert_eq!(p.take(), Some(3));
-        assert_eq!(p.take(), Some(40));
-        assert_eq!(p.take(), None);
+        assert_eq!(p.take(0), Some(3));
+        assert_eq!(p.take(0), Some(40));
+        assert_eq!(p.take(0), None);
+    }
+
+    #[test]
+    fn take_from_a_home_spills_forward_then_wraps() {
+        let mut p = SlotPool::new(96, [5, 40, 70]);
+        assert_eq!(p.take(32), Some(40));
+        assert_eq!(p.take(32), Some(70));
+        assert_eq!(p.take(32), Some(5));
     }
 
     #[test]
     fn grow_adds_a_block_of_slots() {
         let mut p = SlotPool::new(32, []);
-        assert_eq!(p.take(), None);
+        assert_eq!(p.take(0), None);
         assert_eq!(p.grow(), 32..64);
         assert_eq!(p.slots(), 64);
         assert_eq!(p.available(), 32);
-        assert_eq!(p.take(), Some(32));
+        assert_eq!(p.take(0), Some(32));
     }
 
     #[test]

@@ -1,19 +1,23 @@
 //! The mounted C-FFS and its [`FileSystem`] implementation.
 //!
-//! ## The four variants
+//! ## The five configurations
 //!
-//! [`CffsConfig`] toggles the paper's two techniques independently:
+//! [`CffsConfig`] toggles the paper's two techniques independently, and
+//! places inodes one of three ways ([`InodePlacement`]):
 //!
-//! | constructor | embedded inodes | explicit grouping |
+//! | constructor | inodes | explicit grouping |
 //! |---|---|---|
-//! | [`CffsConfig::conventional`] | off | off |
-//! | [`CffsConfig::embedded_only`] | on | off |
-//! | [`CffsConfig::grouping_only`] | off | on |
-//! | [`CffsConfig::cffs`] | on | on |
+//! | [`CffsConfig::ffs`] | per-CG static table | off |
+//! | [`CffsConfig::conventional`] | external inode file | off |
+//! | [`CffsConfig::embedded_only`] | embedded | off |
+//! | [`CffsConfig::grouping_only`] | external inode file | on |
+//! | [`CffsConfig::cffs`] | embedded | on |
 //!
 //! With embedding off, every inode lives in the external inode file and the
 //! system behaves like an FFS with a dynamically allocated inode table —
 //! the paper's "same file system without these techniques" baseline.
+//! Classic FFS is that baseline with the inodes in static tables inside
+//! each cylinder group instead, sized at mkfs.
 //!
 //! ## Metadata ordering
 //!
@@ -46,7 +50,7 @@ mod namespace;
 
 use data::Fetch;
 use crate::dirent::{self, EntryLoc};
-use crate::exfile::{self, SlotPool};
+use crate::exfile::SlotPool;
 use crate::groups::GroupIndex;
 use crate::layout::{decode_ino, CgHeader, InoRef, Superblock, GEN_MASK, GROUP_BLOCKS, INO_ROOT};
 use cffs_cache::{BufferCache, CacheConfig};
@@ -61,11 +65,25 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+/// Where a mount keeps its inodes. The per-CG table is an on-disk format
+/// of its own, fixed at mkfs; the other two share one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InodePlacement {
+    /// Single-link inodes inside the directory entry that names them;
+    /// multi-link files and the root in the external inode file (C-FFS).
+    Embedded,
+    /// Every inode in the external inode file, a growable table.
+    InodeFile,
+    /// Every inode in a static table after its cylinder group's header,
+    /// in the table of its directory's home group (classic FFS).
+    CgTable,
+}
+
 /// Configuration of a C-FFS mount.
 #[derive(Debug, Clone)]
 pub struct CffsConfig {
-    /// Embed single-link inodes in directory entries.
-    pub embed: bool,
+    /// Where inodes live.
+    pub inodes: InodePlacement,
     /// Allocate small-file blocks from per-directory group extents and
     /// read/write them as units.
     pub group: bool,
@@ -99,9 +117,9 @@ pub struct CffsConfig {
 }
 
 impl CffsConfig {
-    fn base(embed: bool, group: bool, label: &str) -> Self {
+    fn base(inodes: InodePlacement, group: bool, label: &str) -> Self {
         CffsConfig {
-            embed,
+            inodes,
             group,
             group_read_min: 2,
             group_blocks: GROUP_BLOCKS as u8,
@@ -117,22 +135,28 @@ impl CffsConfig {
 
     /// Both techniques on: C-FFS proper.
     pub fn cffs() -> Self {
-        Self::base(true, true, "C-FFS")
+        Self::base(InodePlacement::Embedded, true, "C-FFS")
     }
 
     /// Both techniques off: the paper's conventional baseline.
     pub fn conventional() -> Self {
-        Self::base(false, false, "conventional")
+        Self::base(InodePlacement::InodeFile, false, "conventional")
     }
 
     /// Embedded inodes only.
     pub fn embedded_only() -> Self {
-        Self::base(true, false, "embedded inodes")
+        Self::base(InodePlacement::Embedded, false, "embedded inodes")
     }
 
     /// Explicit grouping only.
     pub fn grouping_only() -> Self {
-        Self::base(false, true, "explicit grouping")
+        Self::base(InodePlacement::InodeFile, true, "explicit grouping")
+    }
+
+    /// Classic FFS: the conventional baseline with static per-CG inode
+    /// tables.
+    pub fn ffs() -> Self {
+        Self::base(InodePlacement::CgTable, false, "FFS")
     }
 
     /// Same configuration with a different metadata mode.
@@ -186,7 +210,8 @@ const OP_STRIPES: usize = 64;
 
 /// External-inode-file state: the only superblock fields that change
 /// after mkfs, so they live behind their own lock while the geometry
-/// stays immutable.
+/// stays immutable. With per-CG tables the file stays empty and `expool`
+/// holds the tables' free slots.
 #[derive(Debug)]
 struct ExMeta {
     exfile: Inode,
@@ -257,7 +282,7 @@ impl NsState {
 /// strictly downward, see DESIGN.md §10):
 ///
 /// 1. op stripes (per-inode hash, ascending when two are needed)
-/// 2. `meta` (external inode file)
+/// 2. `meta` (external inode slots)
 /// 3. `groups` (group index)
 /// 4. `cg_state[i]` (per-CG header + bitmap; persist callbacks from
 ///    `groups` lock these, never the reverse)
@@ -391,21 +416,24 @@ impl Cffs {
             }
             m.exfile.clone()
         };
-        let lbn = exfile::slot_lbn(slot);
-        let blk = self
-            .bmap(INO_ROOT, &exinode, lbn)?
-            .ok_or_else(|| FsError::Corrupt("hole in external inode file".into()))?;
-        Ok((blk, exfile::slot_off(slot)))
+        self.geo
+            .slot_location(slot, |lbn| self.bmap(INO_ROOT, &exinode, lbn))?
+            .ok_or_else(|| FsError::Corrupt("hole in external inode file".into()))
     }
 
-    /// Allocate an external inode slot, growing the file if needed. The
-    /// meta lock is held across the growth so two racing allocators
-    /// cannot both extend the file.
-    fn alloc_external_slot(&self) -> FsResult<u32> {
+    /// Allocate an external inode slot: the lowest free one in `home`'s
+    /// table, spilling to the following groups' when it is full; from the
+    /// inode file, grown if needed, when there are no tables. The meta
+    /// lock is held across the growth so two racing allocators cannot
+    /// both extend the file.
+    fn alloc_external_slot(&self, home: u32) -> FsResult<u32> {
         self.charge(self.cpu_model().alloc_op);
         let mut m = self.lock_meta();
-        if let Some(s) = m.expool.take() {
+        if let Some(s) = m.expool.take(home * self.geo.slots_per_table()) {
             return Ok(s);
+        }
+        if self.geo.itable_bytes != 0 {
+            return Err(FsError::NoInodes);
         }
         // Grow by one block. The external file's blocks never participate
         // in grouping and never move.
@@ -417,7 +445,7 @@ impl Cffs {
         m.exfile = exinode;
         let range = m.expool.grow();
         m.exfile_slots = range.end;
-        Ok(m.expool.take().expect("just grew"))
+        Ok(m.expool.take(0).expect("just grew"))
     }
 
     // ----- inode access -------------------------------------------------

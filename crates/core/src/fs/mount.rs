@@ -8,13 +8,13 @@ use cffs_cache::BufferCache;
 use cffs_dcache::Dcache;
 use cffs_disksim::driver::{Driver, DriverConfig};
 use cffs_disksim::{Disk, SimTime};
-use cffs_fslib::inode::Inode;
-use cffs_fslib::{CpuModel, FsResult, Ino, IoStats, StatFs, BLOCK_SIZE};
+use cffs_fslib::inode::{Inode, INODE_SIZE};
+use cffs_fslib::{CpuModel, FsError, FsResult, Ino, IoStats, StatFs, BLOCK_SIZE};
 use cffs_obs::{Obs, OpKind};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
 use std::sync::{Arc, Mutex};
-use super::{Cffs, CffsConfig, ExMeta, CgSlot, NsState, OP_STRIPES};
+use super::{Cffs, CffsConfig, ExMeta, CgSlot, InodePlacement, NsState, OP_STRIPES};
 
 impl Cffs {
     /// Mount an existing C-FFS from `disk`.
@@ -23,10 +23,29 @@ impl Cffs {
         let mut buf = vec![0u8; BLOCK_SIZE];
         drv.read(SB_BLOCK * cffs_fslib::SECTORS_PER_BLOCK, &mut buf);
         let sb = Superblock::read_from(&buf)?;
+        // A table image and a table-less one differ in where every CG's
+        // data starts: never mount one as the other.
+        if (sb.itable_bytes != 0) != (cfg.inodes == InodePlacement::CgTable) {
+            return Err(FsError::InvalidArg);
+        }
         let mut cgs = Vec::with_capacity(sb.cg_count as usize);
+        let (mut table, mut table_free) = (vec![0u8; sb.itable_bytes as usize], Vec::new());
         for cg in 0..sb.cg_count {
-            drv.read(sb.cg_header_block(cg) * cffs_fslib::SECTORS_PER_BLOCK, &mut buf);
+            let hdr = sb.cg_header_block(cg) * cffs_fslib::SECTORS_PER_BLOCK;
+            drv.read(hdr, &mut buf);
             cgs.push(CgHeader::read_from(&buf, cg)?);
+            if table.is_empty() {
+                continue;
+            }
+            // The free table slots, read without charge: they stand in
+            // for the inode bitmap an FFS keeps in the header just read.
+            drv.with_disk(|d| d.raw_read(hdr + cffs_fslib::SECTORS_PER_BLOCK, &mut table));
+            let first = cg * sb.slots_per_table();
+            table_free.extend(
+                (0..sb.slots_per_table())
+                    .filter(|&i| Inode::read_from(&table, i as usize * INODE_SIZE).is_none())
+                    .map(|i| first + i),
+            );
         }
         let groups = GroupIndex::build(&sb, &cgs);
         // One Obs handle for the whole stack: the disk owns it, the
@@ -52,7 +71,7 @@ impl Cffs {
         let meta = ExMeta {
             exfile: sb.exfile.clone(),
             exfile_slots: sb.exfile_slots,
-            expool: SlotPool::new(0, []),
+            expool: SlotPool::new(sb.exfile_slots, table_free),
         };
         let cg_state = cgs
             .into_iter()
@@ -88,7 +107,9 @@ impl Cffs {
             cfg,
             _flight: flight,
         };
-        fs.scan_exfile()?;
+        if fs.geo.itable_bytes == 0 {
+            fs.scan_exfile()?;
+        }
         Ok(fs)
     }
 
@@ -202,6 +223,11 @@ impl Cffs {
     /// Space accounting — see [`FileSystem::statfs`].
     pub fn statfs(&self) -> FsResult<StatFs> {
         let _span = self.op_span(OpKind::Statfs);
+        // Inodes are dynamic (no preallocation limit) unless tables hold them.
+        let (total_inodes, free_inodes) = match self.geo.itable_bytes {
+            0 => (u64::MAX, u64::MAX),
+            _ => (self.geo.exfile_slots as u64, self.lock_meta().expool.available() as u64),
+        };
         Ok(StatFs {
             block_size: BLOCK_SIZE as u32,
             total_blocks: self.geo.total_blocks,
@@ -209,9 +235,8 @@ impl Cffs {
                 .map(|cg| self.lock_cg(cg).hdr.block_bitmap.free() as u64)
                 .sum(),
             group_slack_blocks: self.lock_groups().total_slack(),
-            // Inodes are dynamic: no static table, no preallocation limit.
-            total_inodes: u64::MAX,
-            free_inodes: u64::MAX,
+            total_inodes,
+            free_inodes,
         })
     }
 

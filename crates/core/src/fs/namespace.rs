@@ -11,7 +11,7 @@ use cffs_fslib::inode::Inode;
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{Attr, DirEntry, FileKind, FsError, FsResult, Ino, BLOCK_SIZE};
 use cffs_obs::{Ctr, OpKind};
-use super::{AllocCtx, Cffs, Fetch};
+use super::{AllocCtx, Cffs, Fetch, InodePlacement};
 
 impl Cffs {
     // ----- directory helpers -------------------------------------------
@@ -101,7 +101,7 @@ impl Cffs {
             return Ok(());
         }
         self.obs().bump(Ctr::FsSyncMetaWrites);
-        if self.cfg.embed {
+        if self.cfg.inodes == InodePlacement::Embedded {
             self.cache.flush_sector_sync(&self.drv, blk, off)
         } else {
             self.cache.flush_block_sync(&self.drv, blk)
@@ -256,8 +256,22 @@ impl Cffs {
 
     /// Create a file — see [`FileSystem::create`].
     pub fn create(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
+        self.make(OpKind::Create, dirino, name, FileKind::File)
+    }
+
+    /// Create a directory — see [`FileSystem::mkdir`].
+    pub fn mkdir(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
+        self.make(OpKind::Mkdir, dirino, name, FileKind::Dir)
+    }
+
+    /// Name a fresh inode of `kind` in a directory, placed as the mount
+    /// says: inside the entry, where one sector write makes name and inode
+    /// durable together; or in an external slot (from the home group's
+    /// table when there are tables), written before the name —
+    /// conventional ordering.
+    fn make(&self, op: OpKind, dirino: Ino, name: &str, kind: FileKind) -> FsResult<Ino> {
         let _op = self.op_lock(dirino);
-        let _span = self.op_span(OpKind::Create);
+        let _span = self.op_span(op);
         self.charge(self.cpu_model().syscall);
         check_name(name)?;
         let mut dinode = self.require_dir(dirino)?;
@@ -273,74 +287,36 @@ impl Cffs {
                 }
             }
         }
-        let mut inode = Inode::new(FileKind::File);
-        let ino = if self.cfg.embed {
-            inode.generation = self.next_gen() as u32;
-            // One entry carries name + inode; one sector write makes both
-            // durable atomically.
-            let (blk, off, grew) =
-                self.dir_insert(dirino, &mut dinode, name, FileKind::File, InsertPayload::Embedded(&inode))?;
-            self.dir_durable_grown(blk, off, grew)?;
-            self.write_inode(dirino, &dinode, grew)?;
-            embedded_ino(blk, off, (inode.generation & GEN_MASK as u32) as u16)
+        let mut inode = Inode::new(kind);
+        let home = if kind == FileKind::Dir {
+            // FFS directory spreading: assign the new directory a home
+            // cylinder group and remember it in the inode.
+            let cg = self.pick_dir_cg();
+            inode.nlink = 2;
+            inode.flags = cg + 1;
+            cg
         } else {
-            // Conventional ordering: inode first, then the name.
-            let slot = self.alloc_external_slot()?;
-            let ino = external_ino(slot);
-            self.write_inode(ino, &inode, true)?;
-            let (blk, off, grew) =
-                self.dir_insert(dirino, &mut dinode, name, FileKind::File, InsertPayload::External(slot))?;
-            self.dir_durable_grown(blk, off, grew)?;
-            self.write_inode(dirino, &dinode, grew)?;
-            ino
+            self.dir_home(dirino, &dinode)
         };
-        if let Some(dc) = self.dcache() {
-            dc.insert_pos(dirino, name, ino);
-        }
-        self.lock_ns().note_parent(ino, dirino);
-        Ok(ino)
-    }
-
-    /// Create a directory — see [`FileSystem::mkdir`].
-    pub fn mkdir(&self, dirino: Ino, name: &str) -> FsResult<Ino> {
-        let _op = self.op_lock(dirino);
-        let _span = self.op_span(OpKind::Mkdir);
-        self.charge(self.cpu_model().syscall);
-        check_name(name)?;
-        let mut dinode = self.require_dir(dirino)?;
-        match self.dcache().map(|dc| dc.lookup(dirino, name)) {
-            Some(DcacheAnswer::Pos(_)) => return Err(FsError::Exists),
-            Some(DcacheAnswer::Neg) => {}
-            _ => {
-                if self.dir_find(dirino, &dinode, name, Fetch::Run)?.is_some() {
-                    return Err(FsError::Exists);
-                }
-            }
-        }
-        let mut inode = Inode::new(FileKind::Dir);
-        inode.nlink = 2;
-        // FFS directory spreading: assign the new directory a home
-        // cylinder group and remember it in the inode.
-        inode.flags = self.pick_dir_cg() + 1;
-        let ino = if self.cfg.embed {
+        let slot = if self.cfg.inodes == InodePlacement::Embedded {
             inode.generation = self.next_gen() as u32;
-            let (blk, off, grew) =
-                self.dir_insert(dirino, &mut dinode, name, FileKind::Dir, InsertPayload::Embedded(&inode))?;
-            dinode.nlink += 1;
-            self.dir_durable_grown(blk, off, grew)?;
-            self.write_inode(dirino, &dinode, grew)?;
-            embedded_ino(blk, off, (inode.generation & GEN_MASK as u32) as u16)
+            None
         } else {
-            let slot = self.alloc_external_slot()?;
-            let ino = external_ino(slot);
-            self.write_inode(ino, &inode, true)?;
-            let (blk, off, grew) =
-                self.dir_insert(dirino, &mut dinode, name, FileKind::Dir, InsertPayload::External(slot))?;
-            dinode.nlink += 1;
-            self.dir_durable_grown(blk, off, grew)?;
-            self.write_inode(dirino, &dinode, grew)?;
-            ino
+            let slot = self.alloc_external_slot(home)?;
+            self.write_inode(external_ino(slot), &inode, true)?;
+            Some(slot)
         };
+        let payload = slot.map_or(InsertPayload::Embedded(&inode), InsertPayload::External);
+        let (blk, off, grew) = self.dir_insert(dirino, &mut dinode, name, kind, payload)?;
+        if kind == FileKind::Dir {
+            dinode.nlink += 1;
+        }
+        self.dir_durable_grown(blk, off, grew)?;
+        self.write_inode(dirino, &dinode, grew)?;
+        let ino = slot.map_or_else(
+            || embedded_ino(blk, off, (inode.generation & GEN_MASK as u32) as u16),
+            external_ino,
+        );
         if let Some(dc) = self.dcache() {
             dc.insert_pos(dirino, name, ino);
         }
@@ -442,7 +418,7 @@ impl Cffs {
         // reference one inode, so it needs a location-independent home.
         let new_target = match decode_ino(target) {
             InoRef::Embedded { blk, off, .. } => {
-                let slot = self.alloc_external_slot()?;
+                let slot = self.alloc_external_slot(0)?;
                 let ino = external_ino(slot);
                 self.write_inode(ino, &tinode, true)?;
                 self.cache.modify_block(&self.drv, blk, true, true, |d| {

@@ -11,9 +11,9 @@
 //!    earlier-visited file (the debris of a crashed rename, which briefly
 //!    holds two embedded copies) are treated as duplicates and dropped in
 //!    repair mode.
-//! 2. **External inode file scan**: slots holding images that the walk
-//!    never referenced are orphans (the expected leak of the ordering
-//!    discipline — never a lost name).
+//! 2. **External slot scan** (the inode file, or the per-CG tables):
+//!    slots holding images that the walk never referenced are orphans (the
+//!    expected leak of the ordering discipline — never a lost name).
 //! 3. **Link counts**: embedded inodes must have exactly one link by
 //!    construction; external files must match their reference count;
 //!    directories carry 2 + child-directories.
@@ -21,13 +21,13 @@
 //!    with all blocks reserved in the bitmap; member bits must exactly
 //!    match the walk's claims inside the extent.
 //! 5. **Bitmaps**: a block is allocated iff it is claimed by a file, the
-//!    external inode file, or reserved by a group extent.
+//!    external inode file, or reserved by a group extent. Headers and
+//!    inode tables are not data: a pointer into one is invalid.
 //!
 //! Repair rebuilds group descriptors and bitmaps from the walk, clears
 //! orphans and duplicates, fixes link counts, then re-verifies.
 
 use crate::dirent::{self, EntryLoc};
-use crate::exfile;
 use crate::layout::{
     decode_ino, embedded_ino, external_ino, CgHeader, InoRef, Superblock, GROUP_BLOCKS, INO_ROOT,
     SB_BLOCK,
@@ -93,7 +93,7 @@ impl Checker<'_> {
     /// Claim `blk` for `owner`; returns false (and records an error) on a
     /// duplicate or out-of-range claim.
     fn claim(&mut self, owner: Ino, blk: u64) -> bool {
-        if blk < self.sb.cg_data_start(0) || blk >= self.sb.total_blocks {
+        if !self.sb.is_data_block(blk) {
             self.report.errors.push(format!("inode {owner:#x} references invalid block {blk}"));
             return false;
         }
@@ -113,8 +113,7 @@ impl Checker<'_> {
         if slot >= self.sb.exfile_slots {
             return None;
         }
-        let blk = bmap::lookup(&*self.disk, &self.sb.exfile, exfile::slot_lbn(slot)).ok()??;
-        Some((blk, exfile::slot_off(slot)))
+        self.sb.slot_location(slot, |lbn| bmap::lookup(&*self.disk, &self.sb.exfile, lbn)).ok()?
     }
 
     fn read_external(&self, slot: u32) -> Option<Inode> {
@@ -438,6 +437,7 @@ impl Checker<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exfile;
     use crate::fs::CffsConfig;
     use crate::mkfs::{mkfs, MkfsParams};
     use cffs_disksim::models;
@@ -460,6 +460,7 @@ mod tests {
     #[test]
     fn clean_after_workload_all_variants() {
         for cfg in [
+            CffsConfig::ffs(),
             CffsConfig::cffs(),
             CffsConfig::conventional(),
             CffsConfig::embedded_only(),
@@ -476,19 +477,32 @@ mod tests {
 
     #[test]
     fn orphan_external_inode_detected_and_repaired() {
-        let mut disk = populated(CffsConfig::cffs());
-        let sb = Superblock::read_from(&read_block(&disk, SB_BLOCK)).unwrap();
-        // Write an image into a free slot without referencing it.
-        let blk = sb.exfile.direct[0] as u64;
-        let mut img = read_block(&disk, blk);
-        let slot = 20u32; // tiny fs: well within block 0, unused
-        Inode::new(FileKind::File).write_to(&mut img, exfile::slot_off(slot));
-        write_block(&mut disk, blk, &img);
+        for cfg in [CffsConfig::cffs(), CffsConfig::ffs()] {
+            let label = cfg.label.clone();
+            let mut disk = populated(cfg);
+            let sb = Superblock::read_from(&read_block(&disk, SB_BLOCK)).unwrap();
+            // Write an image into a free slot without referencing it: one
+            // in the inode file's first block, or in the last CG's table.
+            let slot = match sb.slots_per_table() {
+                0 => 20,
+                n => (sb.cg_count - 1) * n + 5,
+            };
+            let (blk, off) = sb
+                .slot_location(slot, |lbn| bmap::lookup(&disk, &sb.exfile, lbn))
+                .unwrap()
+                .unwrap();
+            let mut img = read_block(&disk, blk);
+            assert!(Inode::read_from(&img, off).is_none(), "{label}: slot {slot} in use");
+            Inode::new(FileKind::File).write_to(&mut img, off);
+            write_block(&mut disk, blk, &img);
 
-        let report = fsck(&mut disk, false).unwrap();
-        assert!(report.errors.iter().any(|e| e.contains("orphan")), "{:?}", report.errors);
-        fsck(&mut disk, true).unwrap();
-        assert!(fsck(&mut disk, false).unwrap().clean());
+            let report = fsck(&mut disk, false).unwrap();
+            let want = format!("external inode {slot} is an orphan");
+            assert!(report.errors.contains(&want), "{label}: {:?}", report.errors);
+            fsck(&mut disk, true).unwrap();
+            assert!(fsck(&mut disk, false).unwrap().clean(), "{label}");
+            assert!(Inode::read_from(&read_block(&disk, blk), off).is_none(), "{label}");
+        }
     }
 
     #[test]

@@ -420,6 +420,7 @@ mod tests {
             exfile: Inode::new(FileKind::File),
             exfile_slots: 0,
             clean: true,
+            itable_bytes: 0,
         }
     }
 
@@ -634,6 +635,7 @@ mod proptests {
             exfile: Inode::new(FileKind::File),
             exfile_slots: 0,
             clean: true,
+            itable_bytes: 0,
         }
     }
 

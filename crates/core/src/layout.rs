@@ -5,23 +5,27 @@
 //! block 1            superblock (includes the external inode file's inode)
 //! block 2 ...        cylinder group 0
 //!   +0               CG header: block bitmap + group descriptor table
-//!   +1 ...           data blocks (files, directories, indirect blocks,
+//!   +1 ...           static inode table (per-CG table placement only)
+//!   ...              data blocks (files, directories, indirect blocks,
 //!                    external-inode-file blocks, group extents)
 //! ...
 //! ```
 //!
-//! There is **no static inode table** — that is the point. Embedded inodes
-//! live in directory blocks; external inodes live in the external inode
-//! file, whose own inode sits in the superblock. Disk capacity otherwise
-//! consumed by preallocated inodes becomes data space (the paper's
-//! [Forin94] observation).
+//! C-FFS has **no static inode table** — that is the point. Embedded
+//! inodes live in directory blocks; external inodes live in the external
+//! inode file, whose own inode sits in the superblock. Disk capacity
+//! otherwise consumed by preallocated inodes becomes data space (the
+//! paper's [Forin94] observation). Only the classic-FFS baseline
+//! ([`crate::InodePlacement::CgTable`]) reserves a table after each CG
+//! header; the superblock records its size, 0 for every other placement.
 //!
 //! ## Inode numbering
 //!
 //! An inode number encodes where the inode image lives:
 //!
 //! * **External**: bit 63 set; low bits are the slot index in the external
-//!   inode file. The root directory is external slot 0.
+//!   inode file, or in the concatenated per-CG tables (slot
+//!   `cg * slots_per_table + i`). The root directory is external slot 0.
 //! * **Embedded**: `block * 512 + entry_offset / 8`, plus a 15-bit
 //!   generation stamp in bits 48–62 — the physical directory block, the
 //!   8-aligned byte offset of the *entry* that contains the inode, and a
@@ -30,8 +34,9 @@
 //!   externalized (link), the inode number changes; the VFS contract
 //!   surfaces this.
 
+use crate::exfile::{slot_lbn, slot_off};
 use cffs_fslib::codec::{get_u32, get_u64, put_u32, put_u64};
-use cffs_fslib::inode::Inode;
+use cffs_fslib::inode::{Inode, INODE_SIZE};
 use cffs_fslib::{Bitmap, FsError, FsResult, Ino, BLOCK_SIZE};
 
 /// Superblock magic ("CFFS").
@@ -116,12 +121,25 @@ pub struct Superblock {
     pub exfile_slots: u32,
     /// Clean-unmount flag.
     pub clean: bool,
+    /// Bytes of static inode table after each CG header (a whole number of
+    /// blocks); 0 unless the image was made for the per-CG table placement.
+    pub itable_bytes: u32,
 }
 
 impl Superblock {
-    /// Data blocks per cylinder group (all but the header).
+    /// Inode-table blocks after each CG header.
+    pub fn itable_blocks(&self) -> u32 {
+        self.itable_bytes / BLOCK_SIZE as u32
+    }
+
+    /// Inode slots in each CG's table (0 without tables).
+    pub fn slots_per_table(&self) -> u32 {
+        self.itable_bytes / INODE_SIZE as u32
+    }
+
+    /// Data blocks per cylinder group (all but the header and table).
     pub fn data_per_cg(&self) -> u32 {
-        self.cg_size - 1
+        self.cg_size - 1 - self.itable_blocks()
     }
 
     /// First block of cylinder group `cg`.
@@ -136,7 +154,30 @@ impl Superblock {
 
     /// First data block of cylinder group `cg`.
     pub fn cg_data_start(&self, cg: u32) -> u64 {
-        self.cg_start(cg) + 1
+        self.cg_start(cg) + 1 + self.itable_blocks() as u64
+    }
+
+    /// Whether `blk` is a data block of some cylinder group: not the boot
+    /// block, the superblock, a CG header or an inode table.
+    pub fn is_data_block(&self, blk: u64) -> bool {
+        self.block_cg(blk).is_some_and(|cg| blk >= self.cg_data_start(cg))
+    }
+
+    /// Block and byte offset of inode slot `slot`: table arithmetic when
+    /// each CG has a table, else the inode file's block holding it, which
+    /// `map` (a bmap on the inode file) resolves (`None` in a hole).
+    /// Callers bound `slot` by the live slot count first.
+    pub fn slot_location(
+        &self,
+        slot: u32,
+        map: impl FnOnce(u64) -> FsResult<Option<u64>>,
+    ) -> FsResult<Option<(u64, usize)>> {
+        let per_table = self.slots_per_table();
+        if per_table == 0 {
+            return Ok(map(slot_lbn(slot))?.map(|blk| (blk, slot_off(slot))));
+        }
+        let i = slot % per_table;
+        Ok(Some((self.cg_start(slot / per_table) + 1 + slot_lbn(i), slot_off(i))))
     }
 
     /// Which cylinder group a block belongs to, if any.
@@ -164,6 +205,7 @@ impl Superblock {
         put_u32(buf, 20, self.exfile_slots);
         put_u32(buf, 24, if self.clean { 1 } else { 0 });
         put_u32(buf, 28, BLOCK_SIZE as u32);
+        put_u32(buf, 32, self.itable_bytes);
         self.exfile.write_to(buf, 64);
     }
 
@@ -184,8 +226,12 @@ impl Superblock {
             exfile,
             exfile_slots: get_u32(buf, 20),
             clean: get_u32(buf, 24) != 0,
+            itable_bytes: get_u32(buf, 32),
         };
-        if sb.cg_count == 0 || sb.cg_size < 2 {
+        if sb.cg_count == 0
+            || !sb.itable_bytes.is_multiple_of(BLOCK_SIZE as u32)
+            || sb.cg_size < 2 + sb.itable_blocks()
+        {
             return Err(FsError::Corrupt("degenerate cylinder-group geometry".into()));
         }
         Ok(sb)
@@ -344,6 +390,7 @@ mod tests {
             exfile,
             exfile_slots: 32,
             clean: true,
+            itable_bytes: 0,
         };
         let mut buf = vec![0u8; BLOCK_SIZE];
         sb.write_to(&mut buf);
@@ -387,6 +434,7 @@ mod tests {
             exfile: Inode::new(FileKind::File),
             exfile_slots: 0,
             clean: true,
+            itable_bytes: 0,
         };
         assert_eq!(sb.max_groups_per_cg(), 2047 / 16);
         let h = CgHeader::new(0, sb.data_per_cg(), sb.max_groups_per_cg());
@@ -403,6 +451,7 @@ mod tests {
             exfile: Inode::new(FileKind::File),
             exfile_slots: 0,
             clean: true,
+            itable_bytes: 0,
         };
         assert_eq!(sb.block_cg(1), None);
         assert_eq!(sb.block_cg(2), Some(0));

@@ -22,15 +22,18 @@
 //!   directory's own blocks are grouped with its files' blocks, so a
 //!   directory scan plus small-file reads costs one disk access in the
 //!   common case — the embedded-inode/grouping synergy the paper notes.
-//! * **Four variants** ([`CffsConfig`]): both techniques toggle
+//! * **Five configurations** ([`CffsConfig`]): both techniques toggle
 //!   independently, reproducing the paper's conventional / embedded-only /
-//!   grouping-only / C-FFS comparison on one code base.
+//!   grouping-only / C-FFS comparison on one code base; classic FFS is the
+//!   conventional baseline with its inodes in static per-cylinder-group
+//!   tables ([`InodePlacement::CgTable`]).
 //! * **Application-directed grouping** ([`fs::Cffs::group_hint`]): the
 //!   Section 6 "future work" interface — co-locate named files (e.g. the
 //!   pieces of one hypertext document) regardless of access order.
 //! * An [`fsck`] that finds embedded inodes by walking the namespace
-//!   (inodes have no static home) and rebuilds bitmaps, group descriptors
-//!   and link counts.
+//!   (inodes have no static home), checks inode-file and table slots
+//!   against the names that reach them, and rebuilds bitmaps, group
+//!   descriptors and link counts.
 
 pub mod dirent;
 pub mod exfile;
@@ -40,6 +43,6 @@ pub mod groups;
 pub mod layout;
 pub mod mkfs;
 
-pub use fs::{Cffs, CffsConfig, CgUsage};
+pub use fs::{Cffs, CffsConfig, CgUsage, InodePlacement};
 pub use fsck::{fsck, FsckReport};
 pub use mkfs::MkfsParams;

@@ -46,9 +46,7 @@ pub trait FileStore: PtrStore {
     fn modify<R>(&self, blk: u64, lbn: u64, load: bool, f: impl FnOnce(&mut [u8]) -> R) -> FsResult<R>;
 
     /// Runs before a partial overwrite loads the existing block `blk`.
-    fn before_partial_overwrite(&self, _blk: u64) -> FsResult<()> {
-        Ok(())
-    }
+    fn before_partial_overwrite(&self, blk: u64) -> FsResult<()>;
 }
 
 /// The block holding logical block `lbn`, or `None` for a hole; charged

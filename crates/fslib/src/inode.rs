@@ -1,6 +1,6 @@
-//! The on-disk inode, shared by classic FFS and C-FFS.
+//! The on-disk inode, shared by every inode placement.
 //!
-//! Both file systems use the same 128-byte inode image: 12 direct block
+//! Classic FFS and C-FFS use the same 128-byte inode image: 12 direct block
 //! pointers, one single-indirect and one double-indirect pointer, 4 KB
 //! blocks. What differs is *where the image lives*: FFS keeps it in a
 //! static per-cylinder-group table; C-FFS embeds it in the directory entry

@@ -4,9 +4,9 @@
 //!
 //! Shared file-system infrastructure for the C-FFS reproduction:
 //!
-//! * [`vfs::FileSystem`] — the one trait every implementation (classic
-//!   FFS, the four C-FFS variants, the multi-disk volume set and the
-//!   in-memory oracle) exposes, every method on `&self`; benchmarks and
+//! * [`vfs::FileSystem`] — the one trait every implementation (C-FFS in
+//!   its five configurations, classic FFS among them, the multi-disk
+//!   volume set and the in-memory oracle) exposes, every method on `&self`; benchmarks and
 //!   integration tests are written against it, and threaded ones ask for
 //!   `FileSystem + Sync`.
 //! * [`error::FsError`] — the common error type.

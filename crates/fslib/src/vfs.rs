@@ -2,9 +2,10 @@
 //! exposes.
 //!
 //! Benchmarks, workloads, integration tests and the examples are all
-//! written against this trait, so classic FFS, the four C-FFS variants, a
-//! multi-disk volume set and the in-memory oracle are interchangeable —
-//! the controlled comparison the paper's evidence rests on.
+//! written against this trait, so the five C-FFS configurations (classic
+//! FFS among them), a multi-disk volume set and the in-memory oracle are
+//! interchangeable — the controlled comparison the paper's evidence rests
+//! on.
 //!
 //! ## One receiver: `&self`
 //!
@@ -21,9 +22,6 @@
 //!   different threads overlaps while disk requests serialize on the
 //!   shared disk lock.
 //! * `ModelFs` serializes every operation behind one mutex and is `Sync`.
-//! * `Ffs`, the single-threaded baseline, keeps its allocator in a
-//!   `RefCell` and is therefore `!Sync`: handing it to a threaded workload
-//!   is a compile error, and it pays for no lock.
 //!
 //! `&mut` survives only where exclusivity is the point because every
 //! outstanding handle is invalidated: `cffs_regroup::{plan, execute,

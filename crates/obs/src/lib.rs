@@ -706,7 +706,7 @@ pub struct Obs {
     /// Per-cylinder-group live registers (occupancy gauge, I/O tallies,
     /// group-fetch-utilization EWMA), configured once at mount by
     /// [`Obs::configure_cg_table`]. Unset for stacks without cylinder
-    /// groups (FFS baseline, bare disks).
+    /// groups (bare disks).
     cg_table: OnceLock<CgTable>,
     /// Threads currently waiting for the disk lock in the driver (gauge:
     /// incremented before the lock is taken, decremented once it is held).

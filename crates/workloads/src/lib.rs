@@ -4,9 +4,9 @@
 //!
 //! Workload generators and measurement harnesses for the C-FFS
 //! reproduction. Everything here drives the [`cffs_fslib::FileSystem`]
-//! trait, so the same workload runs unchanged against classic FFS, the
-//! four C-FFS variants, a volume set and the in-memory oracle; the
-//! threaded workloads additionally ask for `Sync`.
+//! trait, so the same workload runs unchanged against the five C-FFS
+//! configurations (classic FFS among them), a volume set and the
+//! in-memory oracle; the threaded workloads additionally ask for `Sync`.
 //!
 //! * [`smallfile`] — the paper's small-file micro-benchmark ("based on the
 //!   small-file benchmark from [Rosenblum92]"): create/write N small

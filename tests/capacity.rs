@@ -115,25 +115,37 @@ fn group_slack_is_reclaimed_under_pressure() {
 
 #[test]
 fn no_static_inode_limit() {
-    // FFS at this geometry runs out of *inodes*; C-FFS with embedding
-    // keeps creating until *space* runs out. [Forin94]'s point, live.
-    let fs = mini_fs(CffsConfig::cffs());
-    let root = fs.root();
-    let dir = fs.mkdir(root, "many").unwrap();
-    let mut n = 0u32;
-    loop {
-        match fs.create(dir, &format!("f{n}")) {
-            Ok(_) => n += 1,
-            Err(FsError::NoSpace) => break,
-            Err(e) => panic!("unexpected {e}"),
-        }
-        if n > 20_000 {
-            break; // plenty — empty files are cheap, that's the point
+    // FFS's static tables run out of *inodes* at this geometry; the
+    // dynamic placements keep creating until *space* runs out (or well
+    // past the tables' capacity). [Forin94]'s point, live.
+    for cfg in [CffsConfig::cffs(), CffsConfig::conventional(), CffsConfig::ffs()] {
+        let label = cfg.label.clone();
+        let fs = mini_fs(cfg);
+        let root = fs.root();
+        let dir = fs.mkdir(root, "many").unwrap();
+        let mut n = 0u32;
+        let stop = loop {
+            match fs.create(dir, &format!("f{n}")) {
+                Ok(_) => n += 1,
+                Err(e) => break Some(e),
+            }
+            if n > 20_000 {
+                break None; // plenty — empty files are cheap, that's the point
+            }
+        };
+        let st = fs.statfs().unwrap();
+        if label == "FFS" {
+            // 7 groups of 256 blocks, 4 table blocks (128 slots) each; the
+            // root and the directory hold two of the 896 slots.
+            assert_eq!(stop, Some(FsError::NoInodes), "{label}");
+            assert_eq!((n, st.total_inodes, st.free_inodes), (894, 896, 0), "{label}");
+            assert!(st.free_blocks > st.total_blocks / 2, "{label}: inodes ran out first");
+        } else {
+            // 8 MB disk, empty files: thousands of inodes with zero
+            // inode-table reservation.
+            assert!(matches!(stop, None | Some(FsError::NoSpace)), "{label}: {stop:?}");
+            assert!(n > 5_000, "{label}: only {n} empty files fit");
+            assert_eq!(st.total_inodes, u64::MAX, "{label}: inode count is dynamic");
         }
     }
-    // 8 MB disk, empty files: thousands of inodes with zero inode-table
-    // reservation (24 embedded entries per 4 KB directory block).
-    assert!(n > 5_000, "only {n} empty files fit");
-    let st = fs.statfs().unwrap();
-    assert_eq!(st.total_inodes, u64::MAX, "inode count is dynamic");
 }

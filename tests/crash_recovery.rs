@@ -7,12 +7,10 @@
 //! atomically, so a crashed create either shows the complete file or
 //! nothing.
 //!
-//! A "crash" here is [`Cffs::crash_image`] / [`Ffs::crash_image`]: the
-//! disk exactly as the write history left it, with all delayed state
-//! discarded.
+//! A "crash" here is [`Cffs::crash_image`]: the disk exactly as the write
+//! history left it, with all delayed state discarded.
 
 use cffs::core::{fsck as cffs_fsck, Cffs, CffsConfig, MkfsParams};
-use cffs::ffs::{fsck as ffs_fsck, Ffs, FfsOptions, MkfsParams as FfsMkfsParams};
 use cffs::prelude::*;
 use cffs_disksim::models;
 use cffs_disksim::Disk;
@@ -62,12 +60,7 @@ fn fsck_repairs_any_crash_point_cffs() {
 
 #[test]
 fn fsck_repairs_any_crash_point_ffs() {
-    let fs = cffs::ffs::mkfs::mkfs(
-        Disk::new(models::tiny_test_disk()),
-        FfsMkfsParams::tiny(),
-        FfsOptions::default(),
-    )
-    .expect("mkfs");
+    let fs = cffs_fs(CffsConfig::ffs());
     let root = fs.root();
     let dir = fs.mkdir(root, "work").unwrap();
     let mut images = Vec::new();
@@ -82,9 +75,9 @@ fn fsck_repairs_any_crash_point_ffs() {
         }
     }
     for (k, mut img) in images.into_iter().enumerate() {
-        ffs_fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("crash {k}: {e}"));
-        assert!(ffs_fsck::fsck(&mut img, false).expect("verify").clean(), "crash {k}");
-        let fs2 = Ffs::mount(img, FfsOptions::default()).expect("mount repaired");
+        cffs_fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("crash {k}: {e}"));
+        assert!(cffs_fsck::fsck(&mut img, false).expect("verify").clean(), "crash {k}");
+        let fs2 = Cffs::mount(img, CffsConfig::ffs()).expect("mount repaired");
         let _ = fs2.readdir(fs2.root()).expect("readdir after repair");
     }
 }
@@ -127,9 +120,10 @@ fn no_dangling_names_after_repair_all_variants() {
         CffsConfig::conventional(),
         CffsConfig::embedded_only(),
         CffsConfig::grouping_only(),
+        CffsConfig::ffs(),
     ] {
         let label = cfg.label.clone();
-        let fs = cffs_fs(cfg);
+        let fs = cffs_fs(cfg.clone());
         let root = fs.root();
         let dir = fs.mkdir(root, "d").unwrap();
         for i in 0..25 {
@@ -142,7 +136,7 @@ fn no_dangling_names_after_repair_all_variants() {
         }
         let mut img = fs.crash_image();
         cffs_fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("{label}: {e}"));
-        let fs2 = Cffs::mount(img, CffsConfig::cffs()).expect("mount repaired");
+        let fs2 = Cffs::mount(img, cfg).expect("mount repaired");
         let d = match path::resolve(&fs2, "/d") {
             Ok(d) => d,
             Err(_) => continue, // whole directory lost: consistent, if sad

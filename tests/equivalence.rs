@@ -12,75 +12,40 @@ use cffs_fslib::model::ModelFs;
 use cffs_fslib::BLOCK_SIZE;
 use cffs_workloads::trace::{random_trace, replay, snapshot, Op};
 use proptest::prelude::*;
-use std::ops::Deref;
 
-/// A file system under test, kept concrete so its image can be handed to
-/// the matching off-line checker. A few live at a time, so their size does
-/// not matter.
-#[allow(clippy::large_enum_variant)]
-enum Subject {
-    Ffs(Ffs),
-    Cffs(Cffs),
+/// A freshly formatted configuration on the tiny test disk.
+fn subject(cfg: CffsConfig) -> Cffs {
+    cffs::core::mkfs::mkfs(
+        cffs_disksim::Disk::new(models::tiny_test_disk()),
+        cffs::core::MkfsParams::tiny(),
+        cfg,
+    )
+    .expect("mkfs")
 }
 
-impl Deref for Subject {
-    type Target = dyn FileSystem;
-
-    fn deref(&self) -> &Self::Target {
-        match self {
-            Subject::Ffs(fs) => fs,
-            Subject::Cffs(fs) => fs,
-        }
-    }
+/// Sync, then check the image: the errors the checker reports.
+fn fsck_errors(fs: &Cffs) -> Vec<String> {
+    fs.sync().expect("sync");
+    cffs::core::fsck(&mut fs.crash_image(), false).expect("fsck").errors
 }
 
-impl Subject {
-    fn cffs(cfg: CffsConfig) -> Subject {
-        Subject::Cffs(
-            cffs::core::mkfs::mkfs(
-                cffs_disksim::Disk::new(models::tiny_test_disk()),
-                cffs::core::MkfsParams::tiny(),
-                cfg,
-            )
-            .expect("cffs mkfs"),
-        )
-    }
-
-    /// Sync, then check the image: the errors the checker reports.
-    fn fsck_errors(&self) -> Vec<String> {
-        self.sync().expect("sync");
-        match self {
-            Subject::Ffs(fs) => cffs::ffs::fsck(&mut fs.crash_image(), false).map(|r| r.errors),
-            Subject::Cffs(fs) => cffs::core::fsck(&mut fs.crash_image(), false).map(|r| r.errors),
-        }
-        .expect("fsck")
-    }
-}
-
-fn all_test_filesystems() -> Vec<Subject> {
-    let mut v = vec![Subject::Ffs(
-        cffs::ffs::mkfs::mkfs(
-            cffs_disksim::Disk::new(models::tiny_test_disk()),
-            cffs::ffs::MkfsParams::tiny(),
-            cffs::ffs::FfsOptions::default(),
-        )
-        .expect("ffs mkfs"),
-    )];
-    for cfg in [
+fn all_test_filesystems() -> Vec<Cffs> {
+    [
+        CffsConfig::ffs(),
         CffsConfig::conventional(),
         CffsConfig::embedded_only(),
         CffsConfig::grouping_only(),
         CffsConfig::cffs(),
-    ] {
-        v.push(Subject::cffs(cfg));
-    }
-    v
+    ]
+    .into_iter()
+    .map(subject)
+    .collect()
 }
 
 /// [`all_test_filesystems`] plus the two C-FFS settings under which the
 /// data path's C-FFS steps run: sequential read-ahead, and a 4-block group
 /// that small writes outgrow (degrouping).
-fn data_path_filesystems() -> Vec<Subject> {
+fn data_path_filesystems() -> Vec<Cffs> {
     let mut v = all_test_filesystems();
     let mut prefetch = CffsConfig::cffs();
     prefetch.prefetch_blocks = 8;
@@ -88,8 +53,8 @@ fn data_path_filesystems() -> Vec<Subject> {
     let mut small_groups = CffsConfig::cffs();
     small_groups.group_blocks = 4;
     small_groups.label = "C-FFS group 4".into();
-    v.push(Subject::cffs(prefetch));
-    v.push(Subject::cffs(small_groups));
+    v.push(subject(prefetch));
+    v.push(subject(small_groups));
     v
 }
 
@@ -102,8 +67,8 @@ fn random_traces_match_oracle_on_all_filesystems() {
         let want = snapshot(&oracle).expect("oracle snapshot");
         for fs in all_test_filesystems() {
             let label = fs.label().to_string();
-            replay(&*fs, &ops).unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
-            let got = snapshot(&*fs).expect("snapshot");
+            replay(&fs, &ops).unwrap_or_else(|e| panic!("{label} seed {seed}: {e}"));
+            let got = snapshot(&fs).expect("snapshot");
             assert_eq!(got, want, "{label} diverged from oracle at seed {seed}");
         }
     }
@@ -131,16 +96,10 @@ fn state_survives_remount() {
         assert_eq!(got, want, "remounted C-FFS diverged at seed {seed}");
 
         // Classic FFS.
-        let fs = cffs::ffs::mkfs::mkfs(
-            cffs_disksim::Disk::new(models::tiny_test_disk()),
-            cffs::ffs::MkfsParams::tiny(),
-            cffs::ffs::FfsOptions::default(),
-        )
-        .expect("mkfs");
+        let fs = subject(CffsConfig::ffs());
         replay(&fs, &ops).expect("replay");
         let disk = fs.unmount().expect("unmount");
-        let fs2 =
-            cffs::ffs::Ffs::mount(disk, cffs::ffs::FfsOptions::default()).expect("remount");
+        let fs2 = Cffs::mount(disk, CffsConfig::ffs()).expect("remount");
         let got = snapshot(&fs2).expect("snapshot");
         assert_eq!(got, want, "remounted FFS diverged at seed {seed}");
     }
@@ -291,7 +250,7 @@ fn fixed_range_script() -> Vec<RangeOp> {
 /// reads, disk requests)`. Moving a charge or a cache call on the data
 /// path moves one of these; a change meant to do so updates them.
 const PINNED_RANGE_SCRIPT: [(&str, u64, u64, u64, u64, u64, u64); 7] = [
-    ("FFS", 568_518_513, 357, 185, 2, 0, 80),
+    ("FFS", 443_287_033, 368, 198, 2, 0, 76),
     ("conventional", 469_444_440, 400, 230, 2, 0, 76),
     ("embedded inodes", 436_111_107, 412, 240, 2, 0, 76),
     ("explicit grouping", 543_287_032, 420, 245, 2, 2, 78),
@@ -315,19 +274,19 @@ fn deterministic_simulated_time() {
 
     // And agree with the numbers pinned above, so a charge that moves the
     // same way in both runs is caught too.
-    let got: Vec<_> = data_path_filesystems().iter().map(|fs| range_script_numbers(&**fs)).collect();
+    let got: Vec<_> = data_path_filesystems().iter().map(|fs| range_script_numbers(fs)).collect();
     assert_eq!(got, pinned_range_script(), "simulated time or cache traffic moved: {got:#?}");
 
     // The same script on a synchronous-metadata C-FFS splits each op's
     // latency into queue, service and op time exactly as pinned: the
     // split is taken on the thread that issued the disk request.
-    let fs = Subject::cffs(CffsConfig::cffs().with_mode(MetadataMode::Synchronous));
-    let files = range_files(&*fs);
+    let fs = subject(CffsConfig::cffs().with_mode(MetadataMode::Synchronous));
+    let files = range_files(&fs);
     for op in fixed_range_script() {
-        run_range_op(&*fs, &files, &op);
+        run_range_op(&fs, &files, &op);
     }
     fs.sync().expect("sync");
-    let obs = fs.obs().expect("C-FFS has an observer");
+    let obs = fs.obs();
     let attr = [Ctr::AttrQueueNs, Ctr::AttrServiceNs, Ctr::AttrOpNs].map(|c| obs.get(c));
     assert_eq!(attr, PINNED_SYNC_ATTR, "queue / service / op attribution moved");
 }
@@ -362,11 +321,11 @@ fn deterministic_simulated_time_with_feed_and_flight_armed() {
     let got: Vec<_> = data_path_filesystems()
         .iter()
         .map(|fs| {
-            let obs = fs.obs().expect("every file system has an observer");
+            let obs = fs.obs();
             let sink = feed::FeedSink::create(dir.join("feed.jsonl")).expect("create feed");
             let tap = feed::attach(&sink, &obs, fs.label(), feed::Cadence::Sim(1_000_000));
             let recorder = flight::arm(&dir, &obs, &[], fs.label());
-            let row = range_script_numbers(&**fs);
+            let row = range_script_numbers(fs);
             drop((tap, recorder));
             let frames = feed::parse_feed(&std::fs::read_to_string(sink.path()).unwrap()).unwrap();
             assert!(frames.len() > 20, "{}: the tap cut {} frames", row.0, frames.len());
@@ -445,9 +404,9 @@ proptest! {
         let model_files = range_files(&model);
         for fs in data_path_filesystems() {
             let label = fs.label().to_string();
-            let files = range_files(&*fs);
+            let files = range_files(&fs);
             for op in &ops {
-                let got = run_range_op(&*fs, &files, op);
+                let got = run_range_op(&fs, &files, op);
                 let want = run_range_op(&model, &model_files, op);
                 assert_same_bytes(&got, &want, format_args!("{label}: {op:?}"));
                 let (file, points) = match *op {
@@ -456,17 +415,17 @@ proptest! {
                     RangeOp::Read { file, off, .. } => (file, vec![off]),
                     RangeOp::DropCaches => continue,
                 };
-                let (size, got) = around(&*fs, files[file], &points);
+                let (size, got) = around(&fs, files[file], &points);
                 let (model_size, want) = around(&model, model_files[file], &points);
                 prop_assert_eq!(size, model_size, "{}: size after {:?}", label, op);
                 assert_same_bytes(&got, &want, format_args!("{label}: after {op:?}"));
             }
             for (&f, &m) in files.iter().zip(&model_files) {
-                let got = cffs_fslib::path::read_all(&*fs, f).expect("read back");
+                let got = cffs_fslib::path::read_all(&fs, f).expect("read back");
                 let want = cffs_fslib::path::read_all(&model, m).expect("model");
                 assert_same_bytes(&got, &want, format_args!("{label}: whole file {f}"));
             }
-            let errors = fs.fsck_errors();
+            let errors = fsck_errors(&fs);
             prop_assert!(errors.is_empty(), "{}: {:?}", label, errors);
             // Undo this file system's ops on the model before the next one.
             for &m in &model_files {
@@ -511,7 +470,7 @@ fn explicit_op_sequence_with_replacement_renames() {
     let want = snapshot(&oracle).expect("oracle snapshot");
     for fs in all_test_filesystems() {
         let label = fs.label().to_string();
-        replay(&*fs, &ops).expect("replay");
-        assert_eq!(snapshot(&*fs).expect("snapshot"), want, "{label}");
+        replay(&fs, &ops).expect("replay");
+        assert_eq!(snapshot(&fs).expect("snapshot"), want, "{label}");
     }
 }

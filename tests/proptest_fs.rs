@@ -6,7 +6,6 @@
 //! boundaries, group dissolution races) were found during development.
 
 use cffs::core::{fsck, Cffs, CffsConfig, MkfsParams};
-use cffs::ffs::{Ffs, FfsOptions, MkfsParams as FfsMkfsParams};
 use cffs::prelude::*;
 use cffs_disksim::models;
 use cffs_disksim::Disk;
@@ -74,7 +73,7 @@ proptest! {
         }
     }
 
-    /// Classic FFS too.
+    /// Classic FFS too, remounted before the trace.
     #[test]
     fn ffs_matches_oracle(ops in prop::collection::vec(arb_op(), 1..60)) {
         let oracle = ModelFs::new();
@@ -82,18 +81,8 @@ proptest! {
             apply(&oracle, op).expect("oracle");
         }
         let want = snapshot(&oracle).expect("oracle snapshot");
-        let fs = Ffs::mount(
-            cffs::ffs::mkfs::mkfs(
-                Disk::new(models::tiny_test_disk()),
-                FfsMkfsParams::tiny(),
-                FfsOptions::default(),
-            )
-            .expect("mkfs")
-            .unmount()
-            .expect("unmount"),
-            FfsOptions::default(),
-        )
-        .expect("remount");
+        let disk = cffs_variant(CffsConfig::ffs()).unmount().expect("unmount");
+        let fs = Cffs::mount(disk, CffsConfig::ffs()).expect("remount");
         for op in skeleton().iter().chain(&ops) {
             apply(&fs, op).expect("replay");
         }
