@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -89,6 +89,12 @@ for f in crates/cache/src/*.rs; do
         echo "a per-shard capacity division is back in crates/cache"; exit 1
     fi
 done
+# I/O is counted once, in the Obs registry: IoStats is a view of its
+# counters, so no layer keeps a stat struct of its own, or resets one.
+if grep -rnE 'fn (reset_io_stats|reset_stats|disk_stats)\b|[a-z_]+: *(Mutex<)?(Cache|Driver|Disk)Stats\b' \
+    crates/disksim/src crates/cache/src crates/core/src crates/volume/src; then
+    echo "a second set of I/O books (a stat struct field or a reset) is back"; exit 1
+fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].
 find crates/*/src crates/*/benches src -name '*.rs' 2>/dev/null | sort | xargs awk '

@@ -122,7 +122,7 @@ pub fn report() -> (String, Json) {
         let f = fs.create(fs.root(), "big").expect("create");
         fs.write(f, 0, &vec![5u8; 8 << 20]).expect("write");
         fs.drop_caches().expect("drop");
-        fs.reset_io_stats();
+        let io0 = fs.io_stats();
         let before = fs.obs().snapshot("cffs", fs.now().as_nanos());
         let t0 = fs.now();
         let mut buf = vec![0u8; 8192];
@@ -137,7 +137,7 @@ pub fn report() -> (String, Json) {
             "  {:>3} blocks ahead   {:>6.2} MB/s  ({} disk reads)\n",
             pf,
             8.0 / secs,
-            fs.io_stats().disk.reads
+            fs.io_stats().delta_since(&io0).disk.reads
         ));
     }
 

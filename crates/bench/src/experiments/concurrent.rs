@@ -49,7 +49,7 @@ fn point(p: &ConcurrentParams) -> Point {
         CffsConfig::cffs().with_mode(MetadataMode::Delayed),
     );
     let obs = Cffs::obs(&fs);
-    Cffs::reset_io_stats(&fs);
+    let io0 = Cffs::io_stats(&fs);
     let label = Cffs::label(&fs).to_string();
     let before = obs.snapshot(&label, obs.global_clock_ns());
     let start_ns = obs.global_clock_ns();
@@ -101,7 +101,7 @@ fn point(p: &ConcurrentParams) -> Point {
         elapsed: r.elapsed,
         items: r.total_ops(),
         bytes: r.bytes,
-        io: Cffs::io_stats(&fs),
+        io: Cffs::io_stats(&fs).delta_since(&io0),
         counters: Some(counters),
         host_ns: host_t0.elapsed().as_nanos() as u64,
     };

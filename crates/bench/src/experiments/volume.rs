@@ -57,7 +57,7 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
     let mut vs =
         VolumeSet::format(disks, VolumeCfg::new(fs_cfg)).expect("format volume set");
     let set_obs = vs.set_obs();
-    vs.reset_io_stats();
+    let io0 = vs.io_stats();
     let label = vs.label().to_string();
     let before = vs.merged_snapshot(&label);
     let start_ns = set_obs.global_clock_ns();
@@ -93,7 +93,7 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
         elapsed: r.elapsed,
         items: r.total_ops(),
         bytes: r.bytes,
-        io: vs.io_stats(),
+        io: vs.io_stats().delta_since(&io0),
         counters: Some(counters),
         host_ns: host_t0.elapsed().as_nanos() as u64,
     };

@@ -19,7 +19,6 @@
 //! alone, releasing its own shard lock first unless that is the victim.
 
 use cffs_disksim::driver::{Driver, IoDir, IoReq, Payload};
-use cffs_fslib::vfs::CacheStats;
 use cffs_fslib::{FsResult, Ino, IntMap, BLOCK_SIZE, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, Obs, Sig};
 use std::ops::Deref;
@@ -275,7 +274,10 @@ struct CacheCore {
     /// Number of dirty buffers in this shard, kept in step (with the
     /// budget's cache-wide count) at every `dirty` flip.
     ndirty: usize,
-    stats: CacheStats,
+    /// Lookups this shard answered, and how many of them hit, since the
+    /// last [`BufferCache::drop_all`] sampled its hit rate.
+    lookups: u64,
+    hits: u64,
 }
 
 /// The one shard lock a multi-block path holds at a time, with its index.
@@ -375,7 +377,8 @@ impl CacheCore {
             lru_head: NIL,
             lru_tail: NIL,
             ndirty: 0,
-            stats: CacheStats::default(),
+            lookups: 0,
+            hits: 0,
         }
     }
 
@@ -480,13 +483,11 @@ impl CacheCore {
         if self.ndirty == 0 {
             return;
         }
-        let before = out.len();
         for b in self.bufs.iter_mut().flatten().filter(|b| b.dirty) {
             out.push(IoReq::write(b.blkno * SECTORS_PER_BLOCK, b.data.clone()));
             b.dirty = false;
         }
         self.sub_dirty(self.ndirty);
-        self.stats.writebacks += (out.len() - before) as u64;
     }
 
     /// Put `buf` into a free slot as the most recently touched. A shard
@@ -534,12 +535,10 @@ impl CacheCore {
         }
         if b.dirty {
             ctx.driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
-            self.stats.writebacks += 1;
             ctx.obs.bump(Ctr::CacheWritebacks);
             ctx.obs.bump(Ctr::CacheDelayedFlushes);
         }
         self.budget.recycle(ctx.obs, b.data);
-        self.stats.evictions += 1;
         ctx.obs.bump(Ctr::CacheEvictions);
     }
 
@@ -565,7 +564,6 @@ impl CacheCore {
             Some(id) if id == (ino, lbn) => {}
             old => {
                 if old.is_none() {
-                    self.stats.backbinds += 1;
                     ctx.obs.bump(Ctr::CacheBackbinds);
                 }
                 b.logical = Some((ino, lbn));
@@ -633,9 +631,6 @@ pub struct BufferCache {
     /// The write-back request list, reused by every flush: taken out for
     /// the flush's duration and put back empty.
     writeback: Mutex<Vec<IoReq<Block>>>,
-    /// Counters not attributable to one shard (logical-index misses,
-    /// whole-cache group-read tallies).
-    misc: Mutex<CacheStats>,
     /// Shared observability handle. Starts as a private instance; the
     /// file-system layer rebinds it to the disk's handle via [`set_obs`]
     /// so the whole stack reports into one [`StatsSnapshot`].
@@ -662,7 +657,6 @@ impl BufferCache {
             gfetches: Mutex::new(IntMap::default()),
             next_gfetch: AtomicU32::new(0),
             writeback: Mutex::new(Vec::new()),
-            misc: Mutex::new(CacheStats::default()),
             obs: Obs::new(),
         }
     }
@@ -769,10 +763,10 @@ impl BufferCache {
         let idx = self.shard_of(blkno);
         loop {
             let mut core = self.lock_shard(idx);
-            core.stats.lookups += 1;
+            core.lookups += 1;
             ctx.obs.bump(Ctr::CacheLookups);
             if let Some(slot) = core.slot_of(blkno) {
-                core.stats.phys_hits += 1;
+                core.hits += 1;
                 ctx.obs.bump(Ctr::CachePhysHits);
                 core.touch(slot);
                 core.gfetch_used(ctx, slot);
@@ -802,24 +796,6 @@ impl BufferCache {
         }
     }
 
-    /// Cumulative statistics (summed over shards).
-    pub fn stats(&self) -> CacheStats {
-        let mut total = *self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache);
-        for shard in &self.shards {
-            let s = self.obs.lock_timed(shard, Ctr::LockWaitNsCache).stats;
-            total.lookups += s.lookups;
-            total.phys_hits += s.phys_hits;
-            total.logical_hits += s.logical_hits;
-            total.backbinds += s.backbinds;
-            total.evictions += s.evictions;
-            total.writebacks += s.writebacks;
-            total.sync_writes += s.sync_writes;
-            total.group_reads += s.group_reads;
-            total.group_read_blocks += s.group_read_blocks;
-        }
-        total
-    }
-
     /// Rebind the observability handle (normally to `driver.obs()`, so
     /// cache counters land in the same registry as the disk's).
     pub fn set_obs(&mut self, obs: Arc<Obs>) {
@@ -829,14 +805,6 @@ impl BufferCache {
     /// The observability handle this cache reports into.
     pub fn obs(&self) -> Arc<Obs> {
         Arc::clone(&self.obs)
-    }
-
-    /// Reset statistics.
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).stats = CacheStats::default();
-        }
-        *self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache) = CacheStats::default();
     }
 
     /// Number of resident buffers.
@@ -867,18 +835,14 @@ impl BufferCache {
         let blk = {
             let lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
             lm.get(&(ino, lbn)).copied()
-        };
-        let Some(blk) = blk else {
-            self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).lookups += 1;
-            return None;
-        };
+        }?;
         let mut core = self.lock_shard(self.shard_of(blk));
-        core.stats.lookups += 1;
+        core.lookups += 1;
         match core.slot_of(blk) {
             Some(slot)
                 if core.bufs[slot].as_ref().is_some_and(|b| b.logical == Some((ino, lbn))) =>
             {
-                core.stats.logical_hits += 1;
+                core.hits += 1;
                 self.obs.bump(Ctr::CacheLogicalHits);
                 core.touch(slot);
                 Some(blk)
@@ -956,7 +920,6 @@ impl BufferCache {
                 driver.write(blkno * SECTORS_PER_BLOCK, &b.data);
                 b.dirty = false;
                 core.sub_dirty(1);
-                core.stats.sync_writes += 1;
                 self.obs.bump(Ctr::CacheSyncFlushes);
             }
         }
@@ -971,13 +934,12 @@ impl BufferCache {
     /// The rest of the block stays dirty if it was dirty before.
     pub fn flush_sector_sync(&self, driver: &Driver, blkno: u64, offset: usize) -> FsResult<()> {
         let sector_in_block = offset / cffs_disksim::SECTOR_SIZE;
-        let mut core = self.lock_shard(self.shard_of(blkno));
+        let core = self.lock_shard(self.shard_of(blkno));
         if let Some(slot) = core.slot_of(blkno) {
             let b = core.bufs[slot].as_ref().expect("resident");
             let lo = sector_in_block * cffs_disksim::SECTOR_SIZE;
             let hi = lo + cffs_disksim::SECTOR_SIZE;
             driver.write(blkno * SECTORS_PER_BLOCK + sector_in_block as u64, &b.data[lo..hi]);
-            core.stats.sync_writes += 1;
             self.obs.bump(Ctr::CacheSyncFlushes);
         }
         Ok(())
@@ -1150,7 +1112,6 @@ impl BufferCache {
             return Ok(());
         }
         let done = driver.submit_batch(reqs);
-        self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).group_reads += 1;
         self.obs.bump(Ctr::CacheGroupReads);
         let fetch_id = self.next_gfetch.fetch_add(1, Relaxed);
         // Register the tally before installing: with a tiny cache, making
@@ -1165,7 +1126,6 @@ impl BufferCache {
         // Install every fetched block, identity-less. Block numbers come
         // from the requests themselves — the scheduler may have serviced
         // them in any order.
-        let mut installed = 0u64;
         let mut held: Held = None;
         for req in done {
             let base = req.lba / SECTORS_PER_BLOCK;
@@ -1186,13 +1146,11 @@ impl BufferCache {
                     meta: false,
                     gfetch: Some(fetch_id),
                 });
-                installed += 1;
                 self.obs.bump(Ctr::CacheGroupReadBlocks);
             }
         }
         self.make_room(&ctx, &mut held);
         drop(held);
-        self.obs.lock_timed(&self.misc, Ctr::LockWaitNsCache).group_read_blocks += installed;
         Ok(())
     }
 
@@ -1219,12 +1177,13 @@ impl BufferCache {
             for id in pending {
                 gfetch_wasted(&ctx, id);
             }
-            // One hit-rate sample per shard per cold boundary: uneven
-            // shard rates are the signature of a skewed workload.
-            let hits = core.stats.phys_hits + core.stats.logical_hits;
-            if let Some(pct) = (hits * 100).checked_div(core.stats.lookups) {
+            // One hit-rate sample per shard per cold boundary, over the
+            // epoch it closes: uneven shard rates are the signature of a
+            // skewed workload.
+            if let Some(pct) = (core.hits * 100).checked_div(core.lookups) {
                 self.obs.histos().cache_shard_hit_pct.record(pct);
             }
+            (core.lookups, core.hits) = (0, 0);
             core.clear(&self.obs);
         }
         self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache).clear();
@@ -1273,10 +1232,10 @@ mod tests {
         drv.with_disk_mut(|d| d.raw_write(100 * SECTORS_PER_BLOCK, &[7u8; BLOCK_SIZE]));
         let d = c.read_block(&drv, 100).unwrap();
         assert!(d.iter().all(|&b| b == 7));
-        let before = drv.disk_stats().reads;
+        let before = drv.obs().get(Ctr::DiskReads);
         let _ = c.read_block(&drv, 100).unwrap();
-        assert_eq!(drv.disk_stats().reads, before, "second read must not hit the disk");
-        assert_eq!(c.stats().phys_hits, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), before, "second read must not hit the disk");
+        assert_eq!(c.obs().get(Ctr::CachePhysHits), 1);
     }
 
     #[test]
@@ -1284,7 +1243,7 @@ mod tests {
         let drv = driver();
         let c = small_cache();
         c.modify_block(&drv, 50, false, false, |d| d.fill(9)).unwrap();
-        assert_eq!(drv.disk_stats().reads, 0);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 0);
         assert_eq!(c.dirty_count(), 1);
         c.sync(&drv).unwrap();
         assert_eq!(c.dirty_count(), 0);
@@ -1303,8 +1262,8 @@ mod tests {
         }
         c.modify_block(&drv, 50_000, false, false, |d| d.fill(2)).unwrap();
         c.sync(&drv).unwrap();
-        assert_eq!(drv.stats().physical_requests, 2, "16 adjacent + 1 = 2 phys writes");
-        assert_eq!(drv.stats().coalesced, 15);
+        assert_eq!(drv.obs().get(Ctr::DriverPhysicalRequests), 2, "16 adjacent + 1 = 2 phys writes");
+        assert_eq!(drv.obs().get(Ctr::DriverCoalesced), 15);
     }
 
     #[test]
@@ -1330,7 +1289,7 @@ mod tests {
         assert_eq!(obs.get(Ctr::DriverPhysicalRequests), 4);
         assert_eq!(obs.get(Ctr::DriverSgSegments), 8);
         assert_eq!(obs.get(Ctr::DriverCoalesced), 4);
-        assert_eq!(drv.stats().physical_requests, 4);
+        assert_eq!(drv.obs().get(Ctr::DriverPhysicalRequests), 4);
     }
 
     #[test]
@@ -1368,13 +1327,13 @@ mod tests {
         let c = small_cache();
         c.modify_block(&drv, 10, true, false, |d| d.fill(3)).unwrap();
         c.flush_block_sync(&drv, 10).unwrap();
-        assert_eq!(c.stats().sync_writes, 1);
-        assert_eq!(drv.disk_stats().writes, 1);
+        assert_eq!(c.obs().get(Ctr::CacheSyncFlushes), 1);
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 1);
         // Clean now: second flush is a no-op.
         c.flush_block_sync(&drv, 10).unwrap();
-        assert_eq!(drv.disk_stats().writes, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 1);
         c.sync(&drv).unwrap();
-        assert_eq!(drv.disk_stats().writes, 1, "already clean");
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 1, "already clean");
     }
 
     #[test]
@@ -1383,7 +1342,7 @@ mod tests {
         let c = small_cache();
         c.modify_block(&drv, 20, true, false, |d| d.fill(0xAB)).unwrap();
         c.flush_sector_sync(&drv, 20, 1024).unwrap();
-        assert_eq!(drv.disk_stats().sectors_written, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskBytesWritten), cffs_disksim::SECTOR_SIZE as u64);
         let mut sec = vec![0u8; 512];
         drv.with_disk(|d| d.raw_read(20 * SECTORS_PER_BLOCK + 2, &mut sec));
         assert!(sec.iter().all(|&b| b == 0xAB));
@@ -1405,8 +1364,8 @@ mod tests {
         let mut back = vec![0u8; BLOCK_SIZE];
         drv.with_disk(|d| d.raw_read(0, &mut back));
         assert!(back.iter().all(|&b| b == 0xEE));
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.stats().writebacks, 1);
+        assert_eq!(c.obs().get(Ctr::CacheEvictions), 1);
+        assert_eq!(c.obs().get(Ctr::CacheWritebacks), 1);
     }
 
     #[test]
@@ -1417,15 +1376,15 @@ mod tests {
             drv.with_disk_mut(|d| d.raw_write(blk * SECTORS_PER_BLOCK, &vec![blk as u8; BLOCK_SIZE]));
         }
         c.read_group(&drv, &[(200, 16)]).unwrap();
-        assert_eq!(drv.disk_stats().reads, 1);
-        assert_eq!(c.stats().group_reads, 1);
-        assert_eq!(c.stats().group_read_blocks, 16);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 1);
+        assert_eq!(c.obs().get(Ctr::CacheGroupReads), 1);
+        assert_eq!(c.obs().get(Ctr::CacheGroupReadBlocks), 16);
         // All 16 now hit without further I/O.
         for blk in 200..216 {
             let d = c.read_block(&drv, blk).unwrap();
             assert_eq!(d[0], blk as u8);
         }
-        assert_eq!(drv.disk_stats().reads, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 1);
     }
 
     #[test]
@@ -1438,7 +1397,7 @@ mod tests {
         let d = c.read_block(&drv, 205).unwrap();
         assert!(d.iter().all(|&b| b == 0x77));
         // Two physical reads: [200..205) and [206..216).
-        assert_eq!(drv.disk_stats().reads, 2);
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 2);
     }
 
     /// C-LOOK starts its sweep at the first request on or past the arm's
@@ -1456,11 +1415,11 @@ mod tests {
         let edge = (1..).find(|&b| cyl(b) > cyl(b - 1)).expect("a second cylinder");
         drv.read((edge + 2) * SECTORS_PER_BLOCK, &mut [0u8; cffs_disksim::SECTOR_SIZE]);
         assert_eq!(drv.with_disk(|d| d.arm_cylinder()), cyl(edge), "arm inside the run");
-        let (reads, logical) = (drv.disk_stats().reads, drv.stats().logical_requests);
+        let (reads, logical) = (drv.obs().get(Ctr::DiskReads), drv.obs().get(Ctr::DriverLogicalRequests));
         c.read_group(&drv, &[(edge - 4, 8)]).unwrap();
-        assert_eq!(drv.disk_stats().reads - reads, 1, "the run is one disk read");
-        assert_eq!(drv.stats().logical_requests - logical, 1, "and one logical request");
-        assert_eq!(c.stats().group_read_blocks, 8);
+        assert_eq!(drv.obs().get(Ctr::DiskReads) - reads, 1, "the run is one disk read");
+        assert_eq!(drv.obs().get(Ctr::DriverLogicalRequests) - logical, 1, "and one logical request");
+        assert_eq!(c.obs().get(Ctr::CacheGroupReadBlocks), 8);
     }
 
     #[test]
@@ -1468,14 +1427,14 @@ mod tests {
         let drv = driver();
         let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.read_group(&drv, &[(300, 4)]).unwrap();
-        assert_eq!(c.stats().backbinds, 0);
+        assert_eq!(c.obs().get(Ctr::CacheBackbinds), 0);
         // File 42 claims block 301 as its lbn 0.
         let _ = c.read_block_bound(&drv, 301, 42, 0).unwrap();
-        assert_eq!(c.stats().backbinds, 1);
+        assert_eq!(c.obs().get(Ctr::CacheBackbinds), 1);
         assert_eq!(c.lookup_logical(42, 0), Some(301));
         // Rebinding the same identity is not another back-bind.
         let _ = c.read_block_bound(&drv, 301, 42, 0).unwrap();
-        assert_eq!(c.stats().backbinds, 1);
+        assert_eq!(c.obs().get(Ctr::CacheBackbinds), 1);
     }
 
     #[test]
@@ -1552,7 +1511,7 @@ mod tests {
         c.modify_block(&drv, 33, false, false, |d| d.fill(5)).unwrap();
         c.invalidate_block(&drv, 33);
         c.sync(&drv).unwrap();
-        assert_eq!(drv.disk_stats().writes, 0, "freed block must not be written");
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 0, "freed block must not be written");
     }
 
     #[test]
@@ -1640,7 +1599,7 @@ mod tests {
         for blk in 0..32u64 {
             assert_eq!(c.read_block(&drv, blk).unwrap()[0], blk as u8);
         }
-        assert_eq!(c.stats().writebacks, 32);
+        assert_eq!(c.obs().get(Ctr::CacheWritebacks), 32);
     }
 
     #[test]
@@ -1697,18 +1656,18 @@ mod tests {
                 let _ = c.read_block(&drv, blk).unwrap();
             }
         }
-        assert_eq!(c.stats().evictions, 0, "re-reading half the cache evicts nothing");
-        assert_eq!(drv.disk_stats().reads, 8 + 32, "only the first pass reached the disk");
+        assert_eq!(c.obs().get(Ctr::CacheEvictions), 0, "re-reading half the cache evicts nothing");
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 8 + 32, "only the first pass reached the disk");
         // Shard 0 borrows the rest of the budget...
         for blk in 32..56u64 {
             let _ = c.read_block(&drv, blk).unwrap();
         }
-        assert_eq!((c.resident(), c.stats().evictions), (64, 0));
+        assert_eq!((c.resident(), c.obs().get(Ctr::CacheEvictions)), (64, 0));
         // ...and gives it back first: a miss in shard 1, which holds less
         // than its fair share, evicts shard 0's oldest buffer, not the
         // cache's oldest (shard 1's own).
         let _ = c.read_block(&drv, 72).unwrap();
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.obs().get(Ctr::CacheEvictions), 1);
         assert!(!c.contains(0), "the borrower's oldest buffer went");
         assert!((64..73).all(|b| c.contains(b)), "the shard within its share kept every buffer");
     }
@@ -1730,15 +1689,15 @@ mod tests {
         for blk in 32..44u64 {
             let _ = c.read_block(&drv, blk).unwrap();
         }
-        assert_eq!((c.resident(), c.dirty_count(), c.stats().writebacks), (16, 4, 0));
+        assert_eq!((c.resident(), c.dirty_count(), c.obs().get(Ctr::CacheWritebacks)), (16, 4, 0));
         // One more miss takes the cache over budget.
         let _ = c.read_block(&drv, 48).unwrap();
         let obs = drv.obs();
         assert_eq!(c.dirty_count(), 0, "both shards' dirty buffers went out");
         assert_eq!(obs.get(Ctr::CacheDelayedFlushes), 4);
         assert_eq!(obs.get(Ctr::DriverBatches), 1, "as one batch");
-        assert_eq!(drv.disk_stats().writes, 2, "of two coalesced runs");
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), 2, "of two coalesced runs");
+        assert_eq!(c.obs().get(Ctr::CacheEvictions), 1);
         assert!(!c.contains(0), "the victim is the oldest buffer of the shard past its fair share");
     }
 
@@ -1756,6 +1715,19 @@ mod tests {
         let snap = c.obs().histos().cache_shard_hit_pct.snapshot();
         assert_eq!(snap.count(), 2, "one sample per shard that saw lookups");
         assert_eq!(snap.sum, 75, "75% + 0%");
+        // Each sample covers the epoch its drop closes, not the cache's
+        // life: CG 0 now one miss then one hit (50%, not 4 of 6), CG 1
+        // one miss then three hits (75%, not 3 of 5).
+        for _ in 0..2 {
+            let _ = c.read_block(&drv, 1).unwrap();
+        }
+        for _ in 0..4 {
+            let _ = c.read_block(&drv, 17).unwrap();
+        }
+        c.drop_all(&drv).unwrap();
+        let snap = c.obs().histos().cache_shard_hit_pct.snapshot();
+        assert_eq!(snap.count(), 4);
+        assert_eq!(snap.sum, 75 + 50 + 75, "the second epoch samples 50% + 75%");
     }
 
     #[test]
@@ -1775,7 +1747,7 @@ mod tests {
                 _ => assert_eq!(c.lookup_logical(7, blk), Some(blk)),
             }
         }
-        assert_eq!(drv.disk_stats().reads, 32, "only the loads reached the disk");
+        assert_eq!(drv.obs().get(Ctr::DiskReads), 32, "only the loads reached the disk");
         let core = c.lock_shard(0);
         assert_eq!(core.bufs.len(), 32);
         assert_eq!(core.links.len(), 32, "bookkeeping is one link per slot");

@@ -17,8 +17,8 @@
 //!   logical block number)`. Group reads insert member blocks with *no*
 //!   logical identity; when a file later maps one of its blocks to that
 //!   physical address and finds the buffer, the identity is bound lazily —
-//!   the paper's "back-binding". The [`vfs::CacheStats::backbinds`] counter
-//!   records how often this happens.
+//!   the paper's "back-binding". The `cache_backbinds` counter records
+//!   how often this happens.
 //! * Write-back policy is split by the caller: data writes are **delayed**
 //!   (flushed by [`BufferCache::sync`], which sorts, coalesces physically
 //!   adjacent buffers into scatter/gather writes, and issues one batch —

@@ -602,9 +602,6 @@ impl FileSystem for Cffs {
     fn io_stats(&self) -> IoStats {
         Cffs::io_stats(self)
     }
-    fn reset_io_stats(&self) {
-        Cffs::reset_io_stats(self)
-    }
     fn drop_caches(&self) -> FsResult<()> {
         Cffs::drop_caches(self)
     }
@@ -899,15 +896,14 @@ mod tests {
             let f = fs.create(fs.root(), "big").unwrap();
             fs.write(f, 0, &vec![7u8; 512 * 1024]).unwrap();
             fs.drop_caches().unwrap();
-            fs.reset_io_stats();
-            let t0 = fs.now();
+            let (io0, t0) = (fs.io_stats(), fs.now());
             let mut buf = vec![0u8; 8192];
             let mut off = 0u64;
             while fs.read(f, off, &mut buf).unwrap() > 0 {
                 off += 8192;
             }
             assert!(buf.iter().all(|&b| b == 7));
-            (fs.io_stats().disk.reads, (fs.now() - t0))
+            (fs.io_stats().delta_since(&io0).disk.reads, (fs.now() - t0))
         };
         let (reqs_off, t_off) = run(0);
         let (reqs_on, t_on) = run(16);

@@ -247,17 +247,7 @@ impl Cffs {
 
     /// Stack-wide I/O counters — see [`FileSystem::io_stats`].
     pub fn io_stats(&self) -> IoStats {
-        IoStats {
-            disk: self.drv.disk_stats(),
-            driver: self.drv.stats(),
-            cache: self.cache.stats(),
-        }
-    }
-
-    /// Reset I/O counters — see [`FileSystem::reset_io_stats`].
-    pub fn reset_io_stats(&self) {
-        self.drv.reset_stats();
-        self.cache.reset_stats();
+        IoStats::from_counters(|c| self.obs.get(c))
     }
 
     /// Sync then drop clean cache state — see [`FileSystem::drop_caches`].

@@ -6,7 +6,6 @@ use crate::cache::{OnboardCache, OnboardCacheConfig};
 use crate::driver::Payload;
 use crate::geometry::Geometry;
 use crate::seek::SeekCurve;
-use crate::stats::DiskStats;
 use crate::store::SectorStore;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
@@ -117,13 +116,13 @@ pub(crate) enum Xfer<'a, P: ?Sized> {
     Write(&'a P),
 }
 
-/// A simulated drive: model + mechanical state + contents + statistics.
+/// A simulated drive: model + mechanical state + contents. What it
+/// services is counted in its [`Obs`] registry.
 #[derive(Debug)]
 pub struct Disk {
     model: DiskModel,
     cache: OnboardCache,
     store: SectorStore,
-    stats: DiskStats,
     /// Cylinder the arm currently sits over.
     arm_cylinder: u32,
     /// Completion time of the last request (the drive is busy until then).
@@ -146,7 +145,6 @@ impl Disk {
             model,
             cache,
             store: SectorStore::new(),
-            stats: DiskStats::default(),
             arm_cylinder: 0,
             last_completion: SimTime::ZERO,
             last_write_undo: None,
@@ -176,19 +174,6 @@ impl Disk {
         self.model.geometry.total_sectors()
     }
 
-    /// Cumulative service statistics.
-    pub fn stats(&self) -> DiskStats {
-        self.stats
-    }
-
-    /// Reset statistics (mechanical state and contents are untouched).
-    pub fn reset_stats(&mut self) {
-        self.stats = DiskStats::default();
-        if let Some(t) = &mut self.trace {
-            t.clear();
-        }
-    }
-
     /// Enable or disable per-request trace recording (disabled by default;
     /// enabling clears any previous trace).
     pub fn set_trace(&mut self, on: bool) {
@@ -211,9 +196,9 @@ impl Disk {
     }
 
     /// Clone the *contents* of this drive onto a fresh drive of the same
-    /// model (mechanical state, statistics and on-board cache reset). This
-    /// is the crash-simulation primitive: the clone is "the disk as a
-    /// power-cycle would find it".
+    /// model (mechanical state and on-board cache reset, a fresh counter
+    /// registry). This is the crash-simulation primitive: the clone is
+    /// "the disk as a power-cycle would find it".
     pub fn clone_image(&self) -> Disk {
         let mut d = Disk::new(self.model.clone());
         d.store = self.store.clone();
@@ -331,8 +316,6 @@ impl Disk {
                     self.store.read(at, piece);
                     at += (piece.len() / SECTOR_SIZE) as u64;
                 });
-                self.stats.reads += 1;
-                self.stats.sectors_read += n;
                 self.obs.bump(Ctr::DiskReads);
                 self.obs.add(Ctr::DiskBytesRead, n * SECTOR_SIZE as u64);
             }
@@ -349,8 +332,6 @@ impl Disk {
                     self.store.write(at, piece);
                     at += (piece.len() / SECTOR_SIZE) as u64;
                 });
-                self.stats.writes += 1;
-                self.stats.sectors_written += n;
                 self.obs.bump(Ctr::DiskWrites);
                 self.obs.add(Ctr::DiskBytesWritten, n * SECTOR_SIZE as u64);
             }
@@ -376,18 +357,15 @@ impl Disk {
         // The drive can't start before the previous request finished.
         let start = now.max(self.last_completion);
         let mut t = start + self.model.controller_overhead;
-        self.stats.overhead_ns += self.model.controller_overhead.as_nanos();
 
         if !is_write && self.cache.hit(lba, nsect) {
             // Cache hit: bus transfer only.
             let bytes = nsect * SECTOR_SIZE as u64;
             let xfer = SimDuration::from_secs_f64(bytes as f64 / (self.model.bus_mb_per_s * 1e6));
             t += xfer;
-            self.stats.transfer_ns += xfer.as_nanos();
-            self.stats.cache_hits += 1;
-            self.stats.busy_ns += (t - start).as_nanos();
             self.last_completion = t;
             self.obs.bump(Ctr::DiskCacheHits);
+            self.obs.add(Ctr::DiskTransferNs, xfer.as_nanos());
             self.obs.add(Ctr::DiskServiceNs, (t - start).as_nanos());
             self.obs.histos().disk_req_sectors.record(nsect);
             self.obs.histos().disk_req_service_ns.record((t - start).as_nanos());
@@ -417,7 +395,6 @@ impl Disk {
             seek += self.model.write_settle;
         }
         t += seek;
-        self.stats.seek_ns += seek.as_nanos();
         if dist > 0 {
             self.obs.bump(Ctr::DiskSeeks);
             self.obs.histos().disk_seek_cylinders.record(u64::from(dist));
@@ -433,7 +410,7 @@ impl Disk {
         }
         let rot = SimDuration::from_secs_f64(wait * rev.as_secs_f64());
         t += rot;
-        self.stats.rotation_ns += rot.as_nanos();
+        self.obs.add(Ctr::DiskRotationNs, rot.as_nanos());
 
         // Media transfer: walk the run track by track, paying switch costs
         // (hidden by skew when the skew is large enough).
@@ -479,14 +456,13 @@ impl Disk {
             };
         }
         t += xfer;
-        self.stats.transfer_ns += xfer.as_nanos();
+        self.obs.add(Ctr::DiskTransferNs, xfer.as_nanos());
 
         // Arm ends up where the transfer ended.
         self.arm_cylinder = cur.cylinder;
         if !is_write {
             self.cache.fill(lba, nsect, self.capacity_sectors());
         }
-        self.stats.busy_ns += (t - start).as_nanos();
         self.last_completion = t;
         self.obs.add(Ctr::DiskServiceNs, (t - start).as_nanos());
         self.obs.histos().disk_req_sectors.record(nsect);
@@ -528,6 +504,19 @@ mod tests {
         Disk::new(models::seagate_st31200())
     }
 
+    /// Total service time the drive counted.
+    pub(super) fn service_ns(d: &Disk) -> u64 {
+        d.obs().get(Ctr::DiskServiceNs)
+    }
+
+    /// The same, rebuilt from its buckets: seek, rotation and transfer,
+    /// plus the fixed controller overhead of every request.
+    pub(super) fn buckets_ns(d: &Disk) -> u64 {
+        let obs = d.obs();
+        let overhead = obs.get(Ctr::DiskRequests) * d.model().controller_overhead.as_nanos();
+        obs.get(Ctr::DiskSeekNs) + obs.get(Ctr::DiskRotationNs) + obs.get(Ctr::DiskTransferNs) + overhead
+    }
+
     #[test]
     fn write_read_round_trip() {
         let mut d = disk();
@@ -563,7 +552,7 @@ mod tests {
             warm.as_nanos() * 3 < cold.as_nanos(),
             "cache hit ({warm}) should be far cheaper than cold read ({cold})"
         );
-        assert_eq!(d.stats().cache_hits, 1);
+        assert_eq!(d.obs().get(Ctr::DiskCacheHits), 1);
     }
 
     #[test]
@@ -573,7 +562,7 @@ mod tests {
         let t1 = d.read(SimTime::ZERO, 5000, &mut buf);
         // The next blocks were prefetched.
         d.read(t1, 5008, &mut buf);
-        assert_eq!(d.stats().cache_hits, 1);
+        assert_eq!(d.obs().get(Ctr::DiskCacheHits), 1);
     }
 
     #[test]
@@ -605,7 +594,7 @@ mod tests {
         let t1 = d.read(SimTime::ZERO, 5000, &mut buf);
         let t2 = d.write(t1, 5000, &buf);
         let t3 = d.read(t2, 5000, &mut buf);
-        assert_eq!(d.stats().cache_hits, 0);
+        assert_eq!(d.obs().get(Ctr::DiskCacheHits), 0);
         assert!(t3 > t2);
     }
 
@@ -616,8 +605,8 @@ mod tests {
         let mut b = [0u8; 512];
         d.raw_read(42, &mut b);
         assert_eq!(b[0], 7);
-        assert_eq!(d.stats().total_requests(), 0);
-        assert_eq!(d.stats().busy_ns, 0);
+        assert_eq!(d.obs().get(Ctr::DiskRequests), 0);
+        assert_eq!(d.obs().get(Ctr::DiskServiceNs), 0);
     }
 
     #[test]
@@ -628,8 +617,7 @@ mod tests {
         for i in 0..20 {
             t = d.write(t, i * 12_345 % 1_000_000, &buf);
         }
-        let s = d.stats();
-        assert_eq!(s.busy_ns, s.seek_ns + s.rotation_ns + s.transfer_ns + s.overhead_ns);
+        assert_eq!(service_ns(&d), buckets_ns(&d));
     }
 
     #[test]
@@ -729,11 +717,7 @@ mod proptests {
                 prop_assert!(done > t, "time must advance");
                 t = done;
             }
-            let s = d.stats();
-            prop_assert_eq!(
-                s.busy_ns,
-                s.seek_ns + s.rotation_ns + s.transfer_ns + s.overhead_ns
-            );
+            prop_assert_eq!(super::tests::service_ns(&d), super::tests::buckets_ns(&d));
         }
 
         /// What is written is what is read back, at any alignment pattern.

@@ -15,11 +15,9 @@
 //! experiment taken so far".
 
 use crate::disk::{Disk, Xfer};
-use crate::stats::DiskStats;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
-use cffs_obs::json::{Json, ToJson};
-use cffs_obs::{obj, Ctr, Obs, Sig};
+use cffs_obs::{Ctr, Obs, Sig};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Request ordering policy.
@@ -152,36 +150,6 @@ impl<B: Payload> Payload for IoReq<B> {
     }
 }
 
-/// Driver-level statistics (above the disk's own counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DriverStats {
-    /// Requests handed to the driver before coalescing.
-    pub logical_requests: u64,
-    /// Requests issued to the disk after coalescing.
-    pub physical_requests: u64,
-    /// Logical requests eliminated by scatter/gather merging.
-    pub coalesced: u64,
-    /// Batches submitted.
-    pub batches: u64,
-}
-
-impl ToJson for DriverStats {
-    fn to_json(&self) -> Json {
-        obj![
-            ("logical_requests", self.logical_requests.to_json()),
-            ("physical_requests", self.physical_requests.to_json()),
-            ("coalesced", self.coalesced.to_json()),
-            ("batches", self.batches.to_json()),
-        ]
-    }
-}
-
-/// What the disk lock guards: the drive and the driver's statistics.
-struct Spindle {
-    disk: Disk,
-    stats: DriverStats,
-}
-
 /// The driver: disk + scheduler + simulated clock.
 ///
 /// Callers service their own requests under the disk lock: each request
@@ -191,7 +159,7 @@ struct Spindle {
 /// call, while concurrent client threads each run their own timeline and
 /// the one spindle serializes their requests.
 pub struct Driver {
-    spindle: Mutex<Spindle>,
+    disk: Mutex<Disk>,
     config: DriverConfig,
     obs: Arc<Obs>,
 }
@@ -207,8 +175,7 @@ impl Driver {
     /// zero.
     pub fn new(disk: Disk, config: DriverConfig) -> Self {
         let obs = disk.obs();
-        let spindle = Mutex::new(Spindle { disk, stats: DriverStats::default() });
-        Driver { spindle, config, obs }
+        Driver { disk: Mutex::new(disk), config, obs }
     }
 
     /// The calling thread's current simulated time. Each client thread
@@ -230,57 +197,40 @@ impl Driver {
         Arc::clone(&self.obs)
     }
 
-    fn lock(&self) -> MutexGuard<'_, Spindle> {
-        self.obs.lock_timed(&self.spindle, Ctr::LockWaitNsDriver)
+    fn lock(&self) -> MutexGuard<'_, Disk> {
+        self.obs.lock_timed(&self.disk, Ctr::LockWaitNsDriver)
     }
 
     /// Run `f` on the underlying disk (raw access, image cloning).
     pub fn with_disk<R>(&self, f: impl FnOnce(&Disk) -> R) -> R {
-        f(&self.lock().disk)
+        f(&self.lock())
     }
 
     /// Run `f` on the underlying disk mutably (raw writes, cache flush).
     pub fn with_disk_mut<R>(&self, f: impl FnOnce(&mut Disk) -> R) -> R {
-        f(&mut self.lock().disk)
+        f(&mut self.lock())
     }
 
     /// Take the disk back (e.g. to remount a file system on it).
     pub fn into_disk(self) -> Disk {
-        self.spindle.into_inner().expect("disk lock poisoned").disk
-    }
-
-    /// Disk-level statistics.
-    pub fn disk_stats(&self) -> DiskStats {
-        self.with_disk(|d| d.stats())
-    }
-
-    /// Driver-level statistics.
-    pub fn stats(&self) -> DriverStats {
-        self.lock().stats
-    }
-
-    /// Reset both driver and disk statistics.
-    pub fn reset_stats(&self) {
-        let mut s = self.lock();
-        s.stats = DriverStats::default();
-        s.disk.reset_stats();
+        self.disk.into_inner().expect("disk lock poisoned")
     }
 
     /// Synchronously read `buf.len()` bytes at `lba` straight into `buf`,
     /// advancing the calling thread's clock to the request's completion.
     pub fn read(&self, lba: u64, buf: &mut [u8]) {
-        self.submit(1, false, |s, now| {
-            s.count_physical(&self.obs, 1);
-            s.disk.read(now, lba, buf)
+        self.submit(1, false, |disk, now| {
+            count_physical(&self.obs, 1);
+            disk.read(now, lba, buf)
         });
     }
 
     /// Synchronously write `buf` at `lba`, advancing the calling thread's
     /// clock to the request's completion.
     pub fn write(&self, lba: u64, buf: &[u8]) {
-        self.submit(1, false, |s, now| {
-            s.count_physical(&self.obs, 1);
-            s.disk.write(now, lba, buf)
+        self.submit(1, false, |disk, now| {
+            count_physical(&self.obs, 1);
+            disk.write(now, lba, buf)
         });
     }
 
@@ -292,9 +242,9 @@ impl Driver {
         if reqs.is_empty() {
             return reqs;
         }
-        self.submit(reqs.len(), true, |s, now| {
-            order(self.config.scheduler, &s.disk, &mut reqs);
-            s.service_batch(&self.obs, &mut reqs, now)
+        self.submit(reqs.len(), true, |disk, now| {
+            order(self.config.scheduler, disk, &mut reqs);
+            service_batch(disk, &self.obs, &mut reqs, now)
         });
         reqs
     }
@@ -302,7 +252,7 @@ impl Driver {
     /// Account one submission of `n` logical requests, then run `f`
     /// under the disk lock from the calling thread's clock stamp and
     /// advance that clock to the completion time it returns.
-    fn submit(&self, n: usize, batch: bool, f: impl FnOnce(&mut Spindle, SimTime) -> SimTime) {
+    fn submit(&self, n: usize, batch: bool, f: impl FnOnce(&mut Disk, SimTime) -> SimTime) {
         let obs = &self.obs;
         obs.bump(Ctr::DriverQueueSubmit);
         obs.add(Ctr::DriverLogicalRequests, n as u64);
@@ -315,58 +265,51 @@ impl Driver {
         // last-completion time serializes overlapping threads.
         let stamp = SimTime(obs.clock_ns());
         obs.queue_depth_inc();
-        let mut s = self.lock();
+        let mut disk = self.lock();
         obs.queue_depth_dec();
-        s.stats.logical_requests += n as u64;
-        s.stats.batches += u64::from(batch);
-        let done = f(&mut s, stamp);
+        let done = f(&mut disk, stamp);
         // Release the disk before the clock moves: a due telemetry frame
         // is cut inside `set_clock_ns`.
-        drop(s);
+        drop(disk);
         obs.set_clock_ns(done.as_nanos());
     }
 }
 
-impl Spindle {
-    /// Account one physical request carrying `segments` logical ones.
-    fn count_physical(&mut self, obs: &Obs, segments: usize) {
-        let merged = segments as u64 - 1;
-        self.stats.physical_requests += 1;
-        self.stats.coalesced += merged;
-        obs.bump(Ctr::DriverPhysicalRequests);
-        obs.add(Ctr::DriverSgSegments, segments as u64);
-        obs.add(Ctr::DriverCoalesced, merged);
-    }
+/// Account one physical request carrying `segments` logical ones.
+fn count_physical(obs: &Obs, segments: usize) {
+    obs.bump(Ctr::DriverPhysicalRequests);
+    obs.add(Ctr::DriverSgSegments, segments as u64);
+    obs.add(Ctr::DriverCoalesced, segments as u64 - 1);
+}
 
-    /// Service an ordered batch from `now`, one disk request per run of
-    /// physically adjacent same-direction requests. Returns the
-    /// completion time of the last.
-    fn service_batch<B: Payload>(
-        &mut self,
-        obs: &Obs,
-        reqs: &mut [IoReq<B>],
-        mut now: SimTime,
-    ) -> SimTime {
-        let mut start = 0;
-        while start < reqs.len() {
-            let dir = reqs[start].dir;
-            let mut end_lba = reqs[start].lba;
-            let mut end = start;
-            while end < reqs.len() && reqs[end].dir == dir && reqs[end].lba == end_lba {
-                end_lba += (reqs[end].byte_len() / SECTOR_SIZE) as u64;
-                end += 1;
-            }
-            let run = &mut reqs[start..end];
-            self.count_physical(obs, run.len());
-            let lba = run[0].lba;
-            now = match dir {
-                IoDir::Write => self.disk.transfer(now, lba, Xfer::Write(&*run)),
-                IoDir::Read => self.disk.transfer(now, lba, Xfer::Read(run)),
-            };
-            start = end;
+/// Service an ordered batch on `disk` from `now`, one disk request per
+/// run of physically adjacent same-direction requests. Returns the
+/// completion time of the last.
+fn service_batch<B: Payload>(
+    disk: &mut Disk,
+    obs: &Obs,
+    reqs: &mut [IoReq<B>],
+    mut now: SimTime,
+) -> SimTime {
+    let mut start = 0;
+    while start < reqs.len() {
+        let dir = reqs[start].dir;
+        let mut end_lba = reqs[start].lba;
+        let mut end = start;
+        while end < reqs.len() && reqs[end].dir == dir && reqs[end].lba == end_lba {
+            end_lba += (reqs[end].byte_len() / SECTOR_SIZE) as u64;
+            end += 1;
         }
-        now
+        let run = &mut reqs[start..end];
+        count_physical(obs, run.len());
+        let lba = run[0].lba;
+        now = match dir {
+            IoDir::Write => disk.transfer(now, lba, Xfer::Write(&*run)),
+            IoDir::Read => disk.transfer(now, lba, Xfer::Read(run)),
+        };
+        start = end;
     }
+    now
 }
 
 /// Order a batch for service (needs the live arm position, so it runs
@@ -436,9 +379,10 @@ mod tests {
             .chain(std::iter::once(IoReq::write(500_000, vec![9u8; 4096])))
             .collect();
         d.submit_batch(reqs);
-        assert_eq!(d.stats().logical_requests, 5);
-        assert_eq!(d.stats().physical_requests, 2);
-        assert_eq!(d.stats().coalesced, 3);
+        let obs = d.obs();
+        assert_eq!(obs.get(Ctr::DriverLogicalRequests), 5);
+        assert_eq!(obs.get(Ctr::DriverPhysicalRequests), 2);
+        assert_eq!(obs.get(Ctr::DriverCoalesced), 3);
         // Contents landed in the right places.
         let mut buf = vec![0u8; 4096];
         d.read(1000 + 2 * 8, &mut buf);
@@ -457,7 +401,7 @@ mod tests {
             let want = ((r.lba - 2000) / 8) as u8;
             assert!(r.data.iter().all(|&b| b == want), "wrong data at lba {}", r.lba);
         }
-        assert_eq!(d.stats().physical_requests, 4 + 1); // 4 writes + 1 merged read
+        assert_eq!(d.obs().get(Ctr::DriverPhysicalRequests), 4 + 1); // 4 writes + 1 merged read
     }
 
     #[test]
@@ -513,7 +457,7 @@ mod tests {
         let out = d.submit_batch(Vec::<IoReq>::new());
         assert!(out.is_empty());
         assert_eq!(d.now(), t0);
-        assert_eq!(d.stats().batches, 0);
+        assert_eq!(d.obs().get(Ctr::DriverBatches), 0);
     }
 
     #[test]
@@ -521,7 +465,7 @@ mod tests {
         let d = driver(Scheduler::CLook);
         d.advance(SimDuration::from_millis(3));
         assert_eq!(d.now().as_nanos(), 3_000_000);
-        assert_eq!(d.disk_stats().total_requests(), 0);
+        assert_eq!(d.obs().get(Ctr::DiskRequests), 0);
     }
 
     /// Four threads released together mix single writes, coalescing batch
@@ -573,9 +517,10 @@ mod tests {
                 assert!(buf.iter().all(|&x| x == byte(t, r)), "thread {t} round {r} lost a write");
             }
         }
-        let s = d.stats();
-        assert_eq!(s.logical_requests, THREADS * (ROUNDS * 6 + 1));
-        assert_eq!(s.logical_requests, s.physical_requests + s.coalesced);
+        let obs = d.obs();
+        let logical = obs.get(Ctr::DriverLogicalRequests);
+        assert_eq!(logical, THREADS * (ROUNDS * 6 + 1));
+        assert_eq!(logical, obs.get(Ctr::DriverPhysicalRequests) + obs.get(Ctr::DriverCoalesced));
         assert_eq!(d.obs().queue_depth(), 0);
         let trace = d.with_disk(|disk| disk.trace().to_vec());
         for (lba, now) in last_writes {
@@ -641,9 +586,9 @@ mod proptests {
             let n = lbas.len() as u64;
             let reqs = lbas.into_iter().map(|l| IoReq::write(l * 8, vec![0u8; 4096])).collect();
             drv.submit_batch(reqs);
-            let s = drv.stats();
-            prop_assert_eq!(s.logical_requests, n);
-            prop_assert_eq!(s.physical_requests + s.coalesced, n);
+            let obs = drv.obs();
+            prop_assert_eq!(obs.get(Ctr::DriverLogicalRequests), n);
+            prop_assert_eq!(obs.get(Ctr::DriverPhysicalRequests) + obs.get(Ctr::DriverCoalesced), n);
         }
     }
 }

@@ -66,7 +66,7 @@ pub use disk::{Disk, DiskModel, TraceEntry};
 pub use driver::{Driver, DriverConfig, IoDir, IoReq, Payload, Scheduler};
 pub use geometry::{Geometry, Zone};
 pub use seek::SeekCurve;
-pub use stats::DiskStats;
+pub use stats::{DiskStats, DriverStats};
 pub use time::{SimDuration, SimTime};
 
 /// Size of a disk sector in bytes. All 90s-era SCSI drives used 512.

@@ -1,15 +1,17 @@
-//! Per-drive service statistics.
+//! The disk-side rows of the I/O view.
 //!
 //! The paper's headline mechanism claim is about *counts*: C-FFS reduces the
-//! number of disk requests by an order of magnitude. These counters are what
-//! the E8 reproduction (`repro_diskreqs`) reads out, and the time breakdown
-//! (seek / rotation / transfer) backs the Figure 2 analysis.
+//! number of disk requests by an order of magnitude. Those counts, and the
+//! service-time breakdown (seek / rotation / transfer) behind the Figure 2
+//! analysis, are kept once, as monotonic counters in the stack's
+//! `cffs_obs` registry. The structs here hold no state of their own: they
+//! are the drive's and the driver's part of `cffs_fslib::IoStats`, a view
+//! built from counter reads, and a phase is the delta of two views.
 
-use crate::time::SimDuration;
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
 
-/// Cumulative counters for one simulated drive.
+/// What one simulated drive serviced.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskStats {
     /// Media (or cache-hit) read requests serviced.
@@ -57,16 +59,6 @@ impl DiskStats {
         self.reads + self.writes
     }
 
-    /// Total bytes moved.
-    pub fn total_bytes(&self) -> u64 {
-        (self.sectors_read + self.sectors_written) * crate::SECTOR_SIZE as u64
-    }
-
-    /// Mean service time per request, if any requests were serviced.
-    pub fn mean_service_time(&self) -> Option<SimDuration> {
-        self.busy_ns.checked_div(self.total_requests()).map(SimDuration)
-    }
-
     /// Counters accumulated since `baseline` (for phase-scoped measurement).
     pub fn delta_since(&self, baseline: &DiskStats) -> DiskStats {
         DiskStats {
@@ -84,35 +76,56 @@ impl DiskStats {
     }
 }
 
+/// What the driver did above the drive: coalescing and batching.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriverStats {
+    /// Requests handed to the driver before coalescing.
+    pub logical_requests: u64,
+    /// Requests issued to the disk after coalescing.
+    pub physical_requests: u64,
+    /// Logical requests eliminated by scatter/gather merging.
+    pub coalesced: u64,
+    /// Batches submitted.
+    pub batches: u64,
+}
+
+impl ToJson for DriverStats {
+    fn to_json(&self) -> Json {
+        obj![
+            ("logical_requests", self.logical_requests.to_json()),
+            ("physical_requests", self.physical_requests.to_json()),
+            ("coalesced", self.coalesced.to_json()),
+            ("batches", self.batches.to_json()),
+        ]
+    }
+}
+
+impl DriverStats {
+    /// Counters accumulated since `baseline`.
+    pub fn delta_since(&self, baseline: &DriverStats) -> DriverStats {
+        DriverStats {
+            logical_requests: self.logical_requests - baseline.logical_requests,
+            physical_requests: self.physical_requests - baseline.physical_requests,
+            coalesced: self.coalesced - baseline.coalesced,
+            batches: self.batches - baseline.batches,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_service_time_empty() {
-        assert_eq!(DiskStats::default().mean_service_time(), None);
-    }
-
-    #[test]
     fn delta() {
         let a = DiskStats { reads: 10, seek_ns: 100, busy_ns: 100, ..Default::default() };
-        let b = DiskStats { reads: 25, seek_ns: 300, busy_ns: 350, ..Default::default() };
+        let b = DiskStats { reads: 25, writes: 3, seek_ns: 300, busy_ns: 350, ..Default::default() };
         let d = b.delta_since(&a);
-        assert_eq!(d.reads, 15);
-        assert_eq!(d.seek_ns, 200);
-        assert_eq!(d.mean_service_time(), Some(SimDuration(250 / 15)));
-    }
-
-    #[test]
-    fn totals() {
-        let s = DiskStats {
-            reads: 2,
-            writes: 3,
-            sectors_read: 8,
-            sectors_written: 16,
-            ..Default::default()
-        };
-        assert_eq!(s.total_requests(), 5);
-        assert_eq!(s.total_bytes(), 24 * 512);
+        assert_eq!((d.reads, d.seek_ns, d.busy_ns), (15, 200, 250));
+        assert_eq!(d.total_requests(), 18);
+        let a = DriverStats { logical_requests: 4, coalesced: 1, ..Default::default() };
+        let b = DriverStats { logical_requests: 9, physical_requests: 5, coalesced: 3, batches: 2 };
+        let want = DriverStats { logical_requests: 5, physical_requests: 5, coalesced: 2, batches: 2 };
+        assert_eq!(b.delta_since(&a), want);
     }
 }

@@ -327,8 +327,6 @@ impl FileSystem for ModelFs {
     fn io_stats(&self) -> IoStats {
         IoStats::default()
     }
-
-    fn reset_io_stats(&self) {}
 }
 
 #[cfg(test)]

@@ -54,10 +54,9 @@
 
 use crate::cpu::CpuModel;
 use crate::error::FsResult;
-use cffs_disksim::{DiskStats, SimTime};
-use cffs_disksim::driver::DriverStats;
+use cffs_disksim::{DiskStats, DriverStats, SimTime, SECTOR_SIZE};
 use cffs_obs::json::{Json, ToJson};
-use cffs_obs::obj;
+use cffs_obs::{obj, Ctr};
 
 /// An inode number. For embedded inodes this encodes a physical location;
 /// treat it as opaque.
@@ -117,8 +116,8 @@ pub struct StatFs {
     pub free_inodes: u64,
 }
 
-/// Buffer-cache statistics, defined here so the trait can expose them
-/// without a circular crate dependency.
+/// The buffer cache's rows of [`IoStats`], defined here so the trait can
+/// expose them without a circular crate dependency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Block lookups.
@@ -159,7 +158,27 @@ impl ToJson for CacheStats {
     }
 }
 
-/// Combined I/O accounting: what the E8 reproduction reads out.
+impl CacheStats {
+    /// Counters accumulated since `baseline`.
+    pub fn delta_since(&self, baseline: &CacheStats) -> CacheStats {
+        CacheStats {
+            lookups: self.lookups - baseline.lookups,
+            phys_hits: self.phys_hits - baseline.phys_hits,
+            logical_hits: self.logical_hits - baseline.logical_hits,
+            backbinds: self.backbinds - baseline.backbinds,
+            evictions: self.evictions - baseline.evictions,
+            writebacks: self.writebacks - baseline.writebacks,
+            sync_writes: self.sync_writes - baseline.sync_writes,
+            group_reads: self.group_reads - baseline.group_reads,
+            group_read_blocks: self.group_read_blocks - baseline.group_read_blocks,
+        }
+    }
+}
+
+/// Combined I/O accounting: what the E8 reproduction reads out. A view
+/// of the stack's monotonic `cffs_obs` counters (see
+/// [`IoStats::from_counters`]), so it is cumulative; a phase is the
+/// [`delta_since`](IoStats::delta_since) of two views.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoStats {
     /// Drive-level counters.
@@ -170,6 +189,58 @@ pub struct IoStats {
     pub cache: CacheStats,
 }
 
+impl IoStats {
+    /// The one way to build the view: every field is what `get` returns
+    /// for its counter (one registry's value, or a sum over volumes), and
+    /// the disk's controller overhead is what its service time leaves
+    /// after seek, rotation and transfer.
+    pub fn from_counters(get: impl Fn(Ctr) -> u64) -> IoStats {
+        let (seek_ns, rotation_ns) = (get(Ctr::DiskSeekNs), get(Ctr::DiskRotationNs));
+        let (transfer_ns, busy_ns) = (get(Ctr::DiskTransferNs), get(Ctr::DiskServiceNs));
+        IoStats {
+            disk: DiskStats {
+                reads: get(Ctr::DiskReads),
+                writes: get(Ctr::DiskWrites),
+                sectors_read: get(Ctr::DiskBytesRead) / SECTOR_SIZE as u64,
+                sectors_written: get(Ctr::DiskBytesWritten) / SECTOR_SIZE as u64,
+                cache_hits: get(Ctr::DiskCacheHits),
+                seek_ns,
+                rotation_ns,
+                transfer_ns,
+                // Saturating: a view read while another thread's request
+                // is half counted may see a bucket ahead of the total.
+                overhead_ns: busy_ns.saturating_sub(seek_ns + rotation_ns + transfer_ns),
+                busy_ns,
+            },
+            driver: DriverStats {
+                logical_requests: get(Ctr::DriverLogicalRequests),
+                physical_requests: get(Ctr::DriverPhysicalRequests),
+                coalesced: get(Ctr::DriverCoalesced),
+                batches: get(Ctr::DriverBatches),
+            },
+            cache: CacheStats {
+                lookups: get(Ctr::CacheLookups),
+                phys_hits: get(Ctr::CachePhysHits),
+                logical_hits: get(Ctr::CacheLogicalHits),
+                backbinds: get(Ctr::CacheBackbinds),
+                evictions: get(Ctr::CacheEvictions),
+                writebacks: get(Ctr::CacheWritebacks),
+                sync_writes: get(Ctr::CacheSyncFlushes),
+                group_reads: get(Ctr::CacheGroupReads),
+                group_read_blocks: get(Ctr::CacheGroupReadBlocks),
+            },
+        }
+    }
+
+    /// Counters accumulated since `baseline`: a phase's I/O.
+    pub fn delta_since(&self, baseline: &IoStats) -> IoStats {
+        IoStats {
+            disk: self.disk.delta_since(&baseline.disk),
+            driver: self.driver.delta_since(&baseline.driver),
+            cache: self.cache.delta_since(&baseline.cache),
+        }
+    }
+}
 
 impl ToJson for IoStats {
     fn to_json(&self) -> Json {
@@ -259,11 +330,10 @@ pub trait FileSystem {
     /// The calling thread's current simulated time (the experiment clock).
     fn now(&self) -> SimTime;
 
-    /// Cumulative I/O statistics.
+    /// Cumulative I/O statistics: a view of the stack's counters (zero
+    /// for a stack without them). Take the
+    /// [`delta_since`](IoStats::delta_since) of two for a phase.
     fn io_stats(&self) -> IoStats;
-
-    /// Reset I/O statistics (for per-phase measurement).
-    fn reset_io_stats(&self);
 
     /// Sync, then drop all clean cached state, emulating a remount so the
     /// next phase starts cold — how the benchmark separates create and read
@@ -301,6 +371,31 @@ mod tests {
         let s = StatFs::default();
         assert_eq!(s.free_blocks, 0);
         assert_eq!(s.group_slack_blocks, 0);
+    }
+
+    #[test]
+    fn io_stats_view_maps_and_derives_from_counters() {
+        let view = |scale: u64| {
+            IoStats::from_counters(|c| {
+                scale
+                    * match c {
+                        Ctr::DiskReads => 3,
+                        Ctr::DiskBytesRead => 3 * 4096,
+                        Ctr::DiskServiceNs => 100,
+                        Ctr::DiskSeekNs => 30,
+                        Ctr::DiskRotationNs => 20,
+                        Ctr::DiskTransferNs => 10,
+                        Ctr::DriverCoalesced => 5,
+                        Ctr::CacheSyncFlushes => 7,
+                        _ => 0,
+                    }
+            })
+        };
+        let (one, two) = (view(1), view(2));
+        assert_eq!((one.disk.reads, one.disk.sectors_read), (3, 24));
+        assert_eq!((one.disk.busy_ns, one.disk.overhead_ns), (100, 40));
+        assert_eq!((one.driver.coalesced, one.cache.sync_writes), (5, 7));
+        assert_eq!(two.delta_since(&one), one, "a phase is the delta of two views");
     }
 
     #[test]

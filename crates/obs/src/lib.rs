@@ -74,6 +74,12 @@ counters! {
     DiskSeeks => "disk_seeks",
     /// Nanoseconds the arm spent seeking.
     DiskSeekNs => "disk_seek_ns",
+    /// Nanoseconds spent waiting for the target sector to rotate under
+    /// the head.
+    DiskRotationNs => "disk_rotation_ns",
+    /// Nanoseconds spent moving data: media transfer with its head and
+    /// cylinder switches, or the bus transfer of an on-board cache hit.
+    DiskTransferNs => "disk_transfer_ns",
     /// Total simulated service time, nanoseconds.
     DiskServiceNs => "disk_service_ns",
     /// Bytes transferred from the media on reads.

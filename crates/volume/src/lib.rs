@@ -338,46 +338,9 @@ impl VolumeSet {
         out
     }
 
-    /// Field-wise sum of every volume's I/O statistics.
+    /// The I/O view of every volume's counters, summed.
     pub fn io_stats(&self) -> IoStats {
-        let mut out = IoStats::default();
-        for v in &self.vols {
-            let s = v.fs.io_stats();
-            let d = &mut out.disk;
-            d.reads += s.disk.reads;
-            d.writes += s.disk.writes;
-            d.sectors_read += s.disk.sectors_read;
-            d.sectors_written += s.disk.sectors_written;
-            d.cache_hits += s.disk.cache_hits;
-            d.seek_ns += s.disk.seek_ns;
-            d.rotation_ns += s.disk.rotation_ns;
-            d.transfer_ns += s.disk.transfer_ns;
-            d.overhead_ns += s.disk.overhead_ns;
-            d.busy_ns += s.disk.busy_ns;
-            let r = &mut out.driver;
-            r.logical_requests += s.driver.logical_requests;
-            r.physical_requests += s.driver.physical_requests;
-            r.coalesced += s.driver.coalesced;
-            r.batches += s.driver.batches;
-            let c = &mut out.cache;
-            c.lookups += s.cache.lookups;
-            c.phys_hits += s.cache.phys_hits;
-            c.logical_hits += s.cache.logical_hits;
-            c.backbinds += s.cache.backbinds;
-            c.evictions += s.cache.evictions;
-            c.writebacks += s.cache.writebacks;
-            c.sync_writes += s.cache.sync_writes;
-            c.group_reads += s.cache.group_reads;
-            c.group_read_blocks += s.cache.group_read_blocks;
-        }
-        out
-    }
-
-    /// Reset every volume's I/O statistics.
-    pub fn reset_io_stats(&self) {
-        for v in &self.vols {
-            v.fs.reset_io_stats();
-        }
+        IoStats::from_counters(|c| self.vols.iter().map(|v| v.obs.get(c)).sum())
     }
 
     /// One volume's per-cylinder-group usage.
@@ -1021,10 +984,6 @@ impl FileSystem for VolumeSet {
 
     fn io_stats(&self) -> IoStats {
         VolumeSet::io_stats(self)
-    }
-
-    fn reset_io_stats(&self) {
-        VolumeSet::reset_io_stats(self)
     }
 
     fn drop_caches(&self) -> FsResult<()> {

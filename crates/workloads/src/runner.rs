@@ -1,8 +1,8 @@
 //! Phase measurement.
 //!
-//! Each benchmark phase is wrapped in [`measure`]: statistics are reset,
-//! the phase body runs, and the simulated elapsed time plus I/O deltas are
-//! captured. The paper's discipline is followed exactly: "In all of our
+//! Each benchmark phase is wrapped in [`measure`]: the counters are read,
+//! the phase body runs, and the simulated elapsed time plus the I/O
+//! deltas since that read are captured. The paper's discipline is followed exactly: "In all of our
 //! experiments, we forcefully write back all dirty blocks before
 //! considering the measurement complete" — the phase body is followed by a
 //! `sync` *inside* the measured region.
@@ -93,7 +93,8 @@ impl PhaseResult {
     }
 }
 
-/// Run `body` as a measured phase: reset stats, execute, sync, capture.
+/// Run `body` as a measured phase: read the counters, execute, sync,
+/// capture the deltas.
 /// `items` and `bytes` describe the completed work for rate computation.
 pub fn measure<F: FileSystem + ?Sized>(
     fs: &F,
@@ -102,7 +103,7 @@ pub fn measure<F: FileSystem + ?Sized>(
     bytes: u64,
     body: impl FnOnce(&F) -> FsResult<()>,
 ) -> FsResult<PhaseResult> {
-    fs.reset_io_stats();
+    let io0 = fs.io_stats();
     let before = fs.obs().map(|o| o.snapshot(fs.label(), fs.now().as_nanos()));
     let t0 = fs.now();
     let host_t0 = std::time::Instant::now();
@@ -110,8 +111,8 @@ pub fn measure<F: FileSystem + ?Sized>(
     fs.sync()?;
     let host_ns = host_t0.elapsed().as_nanos() as u64;
     let elapsed = fs.now() - t0;
-    // Obs counters are monotonic (never reset), so the phase's share is a
-    // snapshot delta rather than a raw read.
+    // Counters are monotonic (never reset), so the phase's share is a
+    // delta rather than a raw read.
     let counters = fs.obs().zip(before).map(|(o, b)| {
         o.snapshot(fs.label(), fs.now().as_nanos()).delta(&b)
     });
@@ -122,7 +123,7 @@ pub fn measure<F: FileSystem + ?Sized>(
         elapsed,
         items,
         bytes,
-        io: fs.io_stats(),
+        io: fs.io_stats().delta_since(&io0),
         counters,
         host_ns,
     })

@@ -94,11 +94,10 @@ fn main() -> FsResult<()> {
         let fs = build::on_disk(models::seagate_st31200(), cfg);
         let dirs = populate(&fs)?;
         fs.set_disk_trace(true);
-        fs.reset_io_stats();
+        let io0 = fs.io_stats();
         read_phase(&fs, &dirs)?;
         analyze(&label, &fs);
-        let io = fs.io_stats();
-        let d = io.disk;
+        let d = fs.io_stats().delta_since(&io0).disk;
         let busy = d.busy_ns.max(1) as f64;
         println!(
             "{:<16} time: {:.0}% seek, {:.0}% rotation, {:.0}% transfer, {:.0}% overhead\n",

@@ -33,14 +33,13 @@ fn main() -> FsResult<()> {
 
     // Cold-read the tree (drop caches = remount) and look at the cost.
     fs.drop_caches()?;
-    fs.reset_io_stats();
-    let t0 = fs.now();
+    let (io0, t0) = (fs.io_stats(), fs.now());
     let text = path::read_file(&fs, "/src/main.c")?;
     let _ = path::read_file(&fs, "/src/include/util.h")?;
     let _ = path::read_file(&fs, "/src/README")?;
     let t1 = fs.now();
 
-    let io = fs.io_stats();
+    let io = fs.io_stats().delta_since(&io0);
     println!("\nread back {:?}...", String::from_utf8_lossy(&text[..12]));
     println!("cold read of 3 small files took {} simulated", t1 - t0);
     println!(

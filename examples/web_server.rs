@@ -53,8 +53,7 @@ fn serve_all(fs: &Cffs, html: Ino, img: Ino) -> FsResult<(SimDuration, u64)> {
     let mut reqs = 0u64;
     for d in 0..DOCS {
         fs.drop_caches()?;
-        fs.reset_io_stats();
-        let t0 = fs.now();
+        let (io0, t0) = (fs.io_stats(), fs.now());
         let page = fs.lookup(html, &format!("page{d:02}.html"))?;
         let _ = path::read_all(fs, page)?;
         for i in 0..IMAGES_PER_DOC {
@@ -62,7 +61,7 @@ fn serve_all(fs: &Cffs, html: Ino, img: Ino) -> FsResult<(SimDuration, u64)> {
             let _ = path::read_all(fs, gif)?;
         }
         total += fs.now() - t0;
-        reqs += fs.io_stats().disk.total_requests();
+        reqs += fs.io_stats().delta_since(&io0).disk.total_requests();
     }
     Ok((SimDuration::from_nanos(total.as_nanos() / DOCS as u64), reqs))
 }

@@ -54,8 +54,9 @@
 //! the elapsed simulated time, and equal seeds give byte-identical
 //! output.
 
-use cffs::core::layout::{decode_ino, InoRef};
+use cffs::core::layout::{decode_ino, InoRef, Superblock, SB_BLOCK};
 use cffs::core::{fsck, Cffs, CffsConfig};
+use cffs::fslib::{BLOCK_SIZE, SECTORS_PER_BLOCK};
 use cffs::prelude::*;
 use cffs_disksim::{models, Disk};
 use cffs_obs::json::{Json, ToJson};
@@ -149,10 +150,20 @@ fn disk_from(arg: Option<&str>) -> Disk {
     }
 }
 
+/// Mount `disk` with the inode placement its superblock records: an
+/// image with per-CG inode tables is classic FFS, any other a C-FFS.
+fn mount(disk: Disk) -> Cffs {
+    let mut buf = vec![0u8; BLOCK_SIZE];
+    disk.raw_read(SB_BLOCK * SECTORS_PER_BLOCK, &mut buf);
+    let sb = Superblock::read_from(&buf).expect("superblock");
+    let cfg = if sb.itable_bytes != 0 { CffsConfig::ffs() } else { CffsConfig::cffs() };
+    Cffs::mount(disk, cfg).expect("mount")
+}
+
 /// Mount and walk the whole namespace cold so the counters and trace ring
 /// reflect a real traversal of the image.
 fn mounted_walk(disk: Disk) -> Cffs {
-    let fs = Cffs::mount(disk, CffsConfig::cffs()).expect("mount");
+    let fs = mount(disk);
     let mut out = String::new();
     let root = fs.root();
     walk(&fs, root, "  /", &mut out);
@@ -374,7 +385,7 @@ fn regroup_cmd(args: &[String]) {
     let apply = args.iter().any(|a| a == "--apply");
     let json = args.iter().any(|a| a == "--json");
     let image = image_arg(args);
-    let mut fs = Cffs::mount(disk_from(image), CffsConfig::cffs()).expect("mount");
+    let mut fs = mount(disk_from(image));
     let cfg = cffs::regroup::RegroupConfig::exhaustive();
     let plan = cffs::regroup::plan(&mut fs, &cfg).expect("plan");
     if json {
@@ -596,7 +607,7 @@ fn main() {
         None => usage(),
     };
 
-    let fs = Cffs::mount(disk, CffsConfig::cffs()).expect("mount");
+    let fs = mount(disk);
     let sb = fs.superblock().clone();
     println!("superblock:");
     println!("  total blocks        {}", sb.total_blocks);

@@ -8,13 +8,15 @@
 //! resident blocks, `Driver::{read, write}`, and the file-system calls
 //! built on them — a `Cffs` lookup + read and create + write + unlink,
 //! and a `VolumeSet` resolve, read, overwrite and striped read — must
-//! make zero heap requests. Misses, group reads and write-backs move
-//! bytes straight between the platter and recycled cache buffers, so
-//! none of them makes a block-sized request either; a cold grouped
-//! lookup + read makes an exactly pinned number of small ones.
+//! make zero heap requests, and so must reading either one's I/O view.
+//! Misses, group reads and write-backs move bytes straight between the
+//! platter and recycled cache buffers, so none of them makes a
+//! block-sized request either; a cold grouped lookup + read makes an
+//! exactly pinned number of small ones.
 
 use cffs::cache::{BufferCache, CacheConfig};
 use cffs::core::{CffsConfig, MkfsParams};
+use cffs::obs::Ctr;
 use cffs_disksim::{models, Disk, Driver, DriverConfig, SECTOR_SIZE};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::BLOCK_SIZE;
@@ -92,7 +94,7 @@ fn warm_cache_hits_allocate_nothing() {
     for blk in 0..64u64 {
         cache.read_block_bound(&drv, blk, 3, blk).expect("load");
     }
-    let requests = drv.stats().logical_requests;
+    let requests = drv.obs().get(Ctr::DriverLogicalRequests);
 
     let mut sum = 0u64;
     let heap = heap_of(|| {
@@ -105,7 +107,7 @@ fn warm_cache_hits_allocate_nothing() {
     });
     std::hint::black_box(sum);
     assert_eq!(heap, (0, 0), "{} warm hits made heap requests", 3 * N);
-    assert_eq!(drv.stats().logical_requests, requests);
+    assert_eq!(drv.obs().get(Ctr::DriverLogicalRequests), requests);
 }
 
 /// A warm lookup (dcache off, so a dirent scan through the cache) plus a
@@ -166,7 +168,7 @@ fn driver_single_block_requests_allocate_nothing() {
         }
     });
     assert_eq!(heap, (0, 0), "{N} writes + {N} reads made heap requests");
-    assert_eq!(drv.stats().logical_requests, 2 * (BLOCKS + N));
+    assert_eq!(drv.obs().get(Ctr::DriverLogicalRequests), 2 * (BLOCKS + N));
 }
 
 /// A warm create + 1 KB write + unlink makes no heap request after one
@@ -253,6 +255,31 @@ fn warm_volume_set_resolve_and_striped_read_allocate_nothing() {
     assert_eq!(whole, striped);
 }
 
+/// The I/O view a benchmark reads around every measured window is built
+/// from counter reads alone: `Cffs::io_stats` and `VolumeSet::io_stats`
+/// (a sum over volumes) make no heap request.
+#[test]
+fn io_stats_views_allocate_nothing() {
+    use cffs::volume::{VolumeCfg, VolumeSet};
+    use cffs_fslib::{FileSystem, IoStats};
+    let cfg = CffsConfig::cffs().with_mode(MetadataMode::Delayed);
+    let disk = Disk::new(models::tiny_test_disk());
+    let fs = cffs::core::mkfs::mkfs(disk, MkfsParams::tiny(), cfg.clone()).expect("mkfs");
+    let disks = (0..2).map(|_| Disk::new(models::tiny_test_disk())).collect();
+    let vs = VolumeSet::format(disks, VolumeCfg::new(cfg).with_mkfs(MkfsParams::tiny()))
+        .expect("format");
+    for sys in [&fs as &dyn FileSystem, &vs] {
+        let f = sys.create(sys.root(), "f").expect("create");
+        sys.write(f, 0, &[7; 4096]).expect("write");
+        sys.sync().expect("sync");
+    }
+
+    let mut views = [IoStats::default(); 2];
+    let heap = heap_of(|| views = [fs.io_stats(), vs.io_stats()]);
+    assert_eq!(heap, (0, 0), "building the I/O views made heap requests");
+    assert!(views.iter().all(|v| v.disk.writes > 0 && v.cache.lookups > 0), "{views:?}");
+}
+
 /// A cold 16-block group read scatters straight into the buffers it
 /// installs: once evictions have stocked the free list, it makes no
 /// block-sized heap request — nothing is staged, copied or allocated.
@@ -264,14 +291,14 @@ fn cold_group_read_makes_no_block_sized_request() {
     for extent in 0..8u64 {
         cache.read_group(&drv, &[(extent * 16, 16)]).expect("warm-up fetch");
     }
-    let reads = drv.disk_stats().reads;
+    let reads = drv.obs().get(Ctr::DiskReads);
 
     let largest = largest_request_of(|| {
         cache.read_group(&drv, &[(8 * 16, 16)]).expect("cold fetch");
     });
     assert!(largest < BLOCK_SIZE as u64, "a cold group read requested {largest} bytes at once");
-    assert_eq!(drv.disk_stats().reads, reads + 1, "the fetch was one disk read");
-    assert_eq!(cache.stats().group_read_blocks, 9 * 16);
+    assert_eq!(drv.obs().get(Ctr::DiskReads), reads + 1, "the fetch was one disk read");
+    assert_eq!(cache.obs().get(Ctr::CacheGroupReadBlocks), 9 * 16);
 }
 
 /// Heap requests of one cold lookup + 1 KB read in a grouped directory
@@ -329,11 +356,11 @@ fn sync_of_dirty_blocks_copies_no_block() {
     dirty_all(1);
     cache.sync(&drv).expect("sync");
     dirty_all(2);
-    let writes = drv.disk_stats().writes;
+    let writes = drv.obs().get(Ctr::DiskWrites);
 
     let largest = largest_request_of(|| cache.sync(&drv).expect("sync"));
     assert!(largest < BLOCK_SIZE as u64, "a sync of 64 blocks requested {largest} bytes at once");
-    assert_eq!(drv.disk_stats().writes, writes + 4, "four coalesced runs");
+    assert_eq!(drv.obs().get(Ctr::DiskWrites), writes + 4, "four coalesced runs");
     assert_eq!(cache.dirty_count(), 0);
     let mut back = vec![0u8; BLOCK_SIZE];
     drv.with_disk(|d| d.raw_read(40 * (BLOCK_SIZE / SECTOR_SIZE) as u64, &mut back));
@@ -366,11 +393,11 @@ fn misses_under_eviction_pressure_allocate_no_block() {
     // One untimed sweep materializes the platter's chunks.
     sweep(1);
     cache.sync(&drv).expect("sync");
-    let evictions = cache.stats().evictions;
+    let evictions = cache.obs().get(Ctr::CacheEvictions);
 
     let largest = largest_request_of(|| (2..6).for_each(sweep));
     assert!(largest < BLOCK_SIZE as u64, "a miss requested {largest} bytes at once");
-    assert_eq!(cache.stats().evictions, evictions + 4 * BLOCKS, "every access missed");
+    assert_eq!(cache.obs().get(Ctr::CacheEvictions), evictions + 4 * BLOCKS, "every access missed");
     let mut back = vec![0u8; BLOCK_SIZE];
     drv.with_disk(|d| d.raw_read(lba(1), &mut back));
     assert_eq!(back[0], 5, "the last sweep's dirty blocks were written back");

@@ -120,6 +120,25 @@ fn cli_fold_is_deterministic_and_totals_sim_ns() {
     assert_eq!(fold_total(&a), sim_ns, "fold total must equal elapsed sim time");
 }
 
+/// `cffs-inspect` mounts a saved classic-FFS image (inodes in per-CG
+/// tables) with the placement its superblock records, and its walk reads
+/// every inode from a table.
+#[test]
+fn cli_stats_mounts_an_ffs_image() {
+    let disk = Disk::new(models::tiny_test_disk());
+    let fs = mkfs::mkfs(disk, MkfsParams::tiny(), CffsConfig::ffs()).expect("mkfs");
+    path::mkdir_p(&fs, "/src").expect("mkdir");
+    path::write_file(&fs, "/src/main.c", &[b'm'; 1800]).expect("write");
+    let img = std::env::temp_dir().join(format!("cffs-inspect-ffs-{}.img", std::process::id()));
+    fs.unmount().expect("unmount").save_image(&img).expect("save image");
+    let out = inspect(&["stats", img.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&img).expect("remove image");
+    let counters = parse(&out).expect("stats json").get("counters").cloned().expect("counters");
+    let ctr = |c: Ctr| counters.get(c.name()).and_then(Json::as_u64).expect("counter");
+    assert!(ctr(Ctr::FsExternalInodeOps) > 0, "the walk read no inode:\n{out}");
+    assert_eq!(ctr(Ctr::FsEmbeddedInodeOps), 0, "an FFS image has no embedded inode");
+}
+
 /// `--svg-ready` renders a self-contained SVG document.
 #[test]
 fn cli_svg_ready_renders_svg() {
