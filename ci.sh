@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -94,6 +94,12 @@ done
 if grep -rnE 'fn (reset_io_stats|reset_stats|disk_stats)\b|[a-z_]+: *(Mutex<)?(Cache|Driver|Disk)Stats\b' \
     crates/disksim/src crates/cache/src crates/core/src crates/volume/src; then
     echo "a second set of I/O books (a stat struct field or a reset) is back"; exit 1
+fi
+# Seek, rotation and transfer are computed once, by DiskModel::position:
+# the drive services media requests through it and the scheduler predicts
+# with it, so the driver spells out no seek curve or platter angle.
+if grep -nE 'sector_angle\(|seek_time\(' crates/disksim/src/driver.rs; then
+    echo "the driver computes positioning itself instead of DiskModel::position"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

@@ -86,6 +86,103 @@ impl DiskModel {
     pub fn capacity_bytes(&self) -> u64 {
         self.geometry.total_sectors() * SECTOR_SIZE as u64
     }
+
+    /// The one positioning model: where a media access (one that misses
+    /// the on-board cache) of `nsect` sectors at `lba` leaves the drive
+    /// when service starts at `start` with the arm over cylinder `arm`.
+    /// Pure: [`Disk`] services every media request through it, and the
+    /// driver's scheduler predicts completions with it.
+    pub fn position(&self, start: SimTime, arm: u32, lba: u64, nsect: u64, write: bool) -> Positioning {
+        let rev = self.revolution();
+        let rev_s = rev.as_secs_f64();
+        let pos = self.geometry.lba_to_chs(lba);
+        let mut t = start + self.controller_overhead;
+
+        // Seek.
+        let dist = pos.cylinder.abs_diff(arm);
+        let mut seek = self.seek.seek_time(dist);
+        if write && dist > 0 {
+            seek += self.write_settle;
+        }
+        t += seek;
+
+        // Rotational latency: wait for the target sector to come around.
+        let r = rev.as_nanos();
+        let angle_now = (t.as_nanos() % r) as f64 / r as f64;
+        let target = self.geometry.sector_angle(pos);
+        let mut wait = target - angle_now;
+        if wait < 0.0 {
+            wait += 1.0;
+        }
+        let rotation = SimDuration::from_secs_f64(wait * rev_s);
+        t += rotation;
+
+        // Media transfer: walk the run track by track, paying switch costs
+        // (hidden by skew when the skew is large enough).
+        let mut remaining = nsect;
+        let mut cur = pos;
+        let mut transfer = SimDuration::ZERO;
+        while remaining > 0 {
+            let on_track = (cur.sectors_per_track - cur.sector) as u64;
+            let take = on_track.min(remaining);
+            let frac = take as f64 / cur.sectors_per_track as f64;
+            transfer += SimDuration::from_secs_f64(frac * rev_s);
+            remaining -= take;
+            if remaining == 0 {
+                break;
+            }
+            // Advance to the start of the next track.
+            let (next_cyl, next_head, crossing_cyl) = if cur.head + 1 < self.geometry.heads {
+                (cur.cylinder, cur.head + 1, false)
+            } else {
+                (cur.cylinder + 1, 0, true)
+            };
+            let spt_next = self.geometry.sectors_per_track_at(next_cyl);
+            let skew_sectors = if crossing_cyl {
+                self.geometry.track_skew + self.geometry.cylinder_skew
+            } else {
+                self.geometry.track_skew
+            } as f64;
+            let skew_time = SimDuration::from_secs_f64(skew_sectors / spt_next as f64 * rev_s);
+            let switch = if crossing_cyl {
+                self.seek.seek_time(1).max(self.head_switch)
+            } else {
+                self.head_switch
+            };
+            // If the skew hides the switch we pay only the skew's rotation;
+            // otherwise the switch overruns and we lose a full revolution
+            // minus the slack — model the common case as max(switch, skew).
+            transfer += switch.max(skew_time);
+            cur = crate::geometry::ChsPos {
+                cylinder: next_cyl,
+                head: next_head,
+                sector: 0,
+                sectors_per_track: spt_next,
+            };
+        }
+        t += transfer;
+
+        // The arm ends up where the transfer ended.
+        Positioning { seek_cylinders: dist, seek, rotation, transfer, done: t, cylinder: cur.cylinder }
+    }
+}
+
+/// What one media access costs and where it leaves the arm (see
+/// [`DiskModel::position`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Positioning {
+    /// Cylinders the arm moved to reach the request.
+    pub seek_cylinders: u32,
+    /// Seek time, write settle included.
+    pub seek: SimDuration,
+    /// Wait for the first sector to come under the head.
+    pub rotation: SimDuration,
+    /// Media transfer, track and cylinder switches included.
+    pub transfer: SimDuration,
+    /// Completion time (controller overhead included).
+    pub done: SimTime,
+    /// Cylinder the arm rests over afterwards.
+    pub cylinder: u32,
 }
 
 /// One serviced request, for access-pattern analysis (recording is off by
@@ -188,6 +285,12 @@ impl Disk {
     /// Cylinder the arm currently rests over (for scheduler decisions).
     pub fn arm_cylinder(&self) -> u32 {
         self.arm_cylinder
+    }
+
+    /// Completion time of the last request: a request submitted earlier
+    /// starts then (for scheduler decisions).
+    pub fn busy_until(&self) -> SimTime {
+        self.last_completion
     }
 
     /// Drop the on-board cache contents (e.g. simulating a power cycle).
@@ -356,13 +459,12 @@ impl Disk {
     fn service(&mut self, now: SimTime, lba: u64, nsect: u64, is_write: bool) -> SimTime {
         // The drive can't start before the previous request finished.
         let start = now.max(self.last_completion);
-        let mut t = start + self.model.controller_overhead;
 
         if !is_write && self.cache.hit(lba, nsect) {
             // Cache hit: bus transfer only.
             let bytes = nsect * SECTOR_SIZE as u64;
             let xfer = SimDuration::from_secs_f64(bytes as f64 / (self.model.bus_mb_per_s * 1e6));
-            t += xfer;
+            let t = start + self.model.controller_overhead + xfer;
             self.last_completion = t;
             self.obs.bump(Ctr::DiskCacheHits);
             self.obs.add(Ctr::DiskTransferNs, xfer.as_nanos());
@@ -385,81 +487,17 @@ impl Disk {
             return t;
         }
 
-        let rev = self.model.revolution();
-        let pos = self.model.geometry.lba_to_chs(lba);
-
-        // Seek.
-        let dist = pos.cylinder.abs_diff(self.arm_cylinder);
-        let mut seek = self.model.seek.seek_time(dist);
-        if is_write && dist > 0 {
-            seek += self.model.write_settle;
-        }
-        t += seek;
-        if dist > 0 {
+        let p = self.model.position(start, self.arm_cylinder, lba, nsect, is_write);
+        if p.seek_cylinders > 0 {
             self.obs.bump(Ctr::DiskSeeks);
-            self.obs.histos().disk_seek_cylinders.record(u64::from(dist));
+            self.obs.histos().disk_seek_cylinders.record(u64::from(p.seek_cylinders));
         }
-        self.obs.add(Ctr::DiskSeekNs, seek.as_nanos());
+        self.obs.add(Ctr::DiskSeekNs, p.seek.as_nanos());
+        self.obs.add(Ctr::DiskRotationNs, p.rotation.as_nanos());
+        self.obs.add(Ctr::DiskTransferNs, p.transfer.as_nanos());
+        let t = p.done;
 
-        // Rotational latency: wait for the target sector to come around.
-        let angle_now = Self::angle_at(t, rev);
-        let target = self.model.geometry.sector_angle(pos);
-        let mut wait = target - angle_now;
-        if wait < 0.0 {
-            wait += 1.0;
-        }
-        let rot = SimDuration::from_secs_f64(wait * rev.as_secs_f64());
-        t += rot;
-        self.obs.add(Ctr::DiskRotationNs, rot.as_nanos());
-
-        // Media transfer: walk the run track by track, paying switch costs
-        // (hidden by skew when the skew is large enough).
-        let mut remaining = nsect;
-        let mut cur = pos;
-        let mut xfer = SimDuration::ZERO;
-        while remaining > 0 {
-            let on_track = (cur.sectors_per_track - cur.sector) as u64;
-            let take = on_track.min(remaining);
-            let frac = take as f64 / cur.sectors_per_track as f64;
-            xfer += SimDuration::from_secs_f64(frac * rev.as_secs_f64());
-            remaining -= take;
-            if remaining == 0 {
-                break;
-            }
-            // Advance to the start of the next track.
-            let (next_cyl, next_head, crossing_cyl) = if cur.head + 1 < self.model.geometry.heads {
-                (cur.cylinder, cur.head + 1, false)
-            } else {
-                (cur.cylinder + 1, 0, true)
-            };
-            let spt_next = self.model.geometry.sectors_per_track_at(next_cyl);
-            let skew_sectors = if crossing_cyl {
-                self.model.geometry.track_skew + self.model.geometry.cylinder_skew
-            } else {
-                self.model.geometry.track_skew
-            } as f64;
-            let skew_time = SimDuration::from_secs_f64(skew_sectors / spt_next as f64 * rev.as_secs_f64());
-            let switch = if crossing_cyl {
-                self.model.seek.seek_time(1).max(self.model.head_switch)
-            } else {
-                self.model.head_switch
-            };
-            // If the skew hides the switch we pay only the skew's rotation;
-            // otherwise the switch overruns and we lose a full revolution
-            // minus the slack — model the common case as max(switch, skew).
-            xfer += switch.max(skew_time);
-            cur = crate::geometry::ChsPos {
-                cylinder: next_cyl,
-                head: next_head,
-                sector: 0,
-                sectors_per_track: spt_next,
-            };
-        }
-        t += xfer;
-        self.obs.add(Ctr::DiskTransferNs, xfer.as_nanos());
-
-        // Arm ends up where the transfer ended.
-        self.arm_cylinder = cur.cylinder;
+        self.arm_cylinder = p.cylinder;
         if !is_write {
             self.cache.fill(lba, nsect, self.capacity_sectors());
         }
@@ -480,18 +518,12 @@ impl Disk {
                 lba,
                 sectors: nsect,
                 write: is_write,
-                seek_cylinders: dist,
+                seek_cylinders: p.seek_cylinders,
                 service: t - start,
                 cache_hit: false,
             });
         }
         t
-    }
-
-    /// Platter angle (fraction of a revolution) at absolute time `t`.
-    fn angle_at(t: SimTime, rev: SimDuration) -> f64 {
-        let r = rev.as_nanos();
-        (t.as_nanos() % r) as f64 / r as f64
     }
 }
 
@@ -617,6 +649,47 @@ mod tests {
         for i in 0..20 {
             t = d.write(t, i * 12_345 % 1_000_000, &buf);
         }
+        assert_eq!(service_ns(&d), buckets_ns(&d));
+    }
+
+    /// One model: for single media requests, the completion the pure
+    /// positioning function predicts is the one the drive reports, and
+    /// the arm ends where it says, over seeks of 0, 1 and many
+    /// cylinders, other heads, and transfers that cross tracks and a
+    /// cylinder.
+    #[test]
+    fn position_predicts_what_the_drive_does() {
+        let mut d = disk();
+        let geom = d.model().geometry.clone();
+        let at = |cylinder, head, sector| {
+            let sectors_per_track = geom.sectors_per_track_at(cylinder);
+            geom.chs_to_lba(crate::geometry::ChsPos { cylinder, head, sector, sectors_per_track })
+        };
+        // (lba, sectors, write, idle gap before submitting in µs)
+        let cases = [
+            (at(0, 0, 10), 8, true, 0),       // no seek
+            (at(0, 3, 50), 8, true, 0),       // another head, same cylinder
+            (at(0, 3, 58), 8, false, 0),      // read right behind the last write
+            (at(1, 0, 0), 8, true, 1_234),    // one cylinder
+            (at(400, 5, 20), 16, false, 0),   // many cylinders, read
+            (at(400, 7, 100), 300, true, 0),  // three tracks and into cylinder 401
+            (at(100, 2, 0), 216, false, 777), // two whole tracks, long seek back
+            (at(2_000, 8, 71), 2, true, 0),   // last sector of a cylinder, across
+            (at(2_001, 0, 1), 8, true, 5_000),
+        ];
+        let mut now = SimTime::ZERO;
+        for (lba, nsect, write, gap) in cases {
+            now += SimDuration::from_micros(gap);
+            // A read that misses the on-board cache is a media access.
+            d.flush_onboard_cache();
+            let p = d.model().position(now.max(d.busy_until()), d.arm_cylinder(), lba, nsect, write);
+            let mut buf = vec![0u8; nsect as usize * SECTOR_SIZE];
+            now = if write { d.write(now, lba, &buf) } else { d.read(now, lba, &mut buf) };
+            assert_eq!(now, p.done, "lba {lba}, {nsect} sectors, write {write}");
+            assert_eq!(d.arm_cylinder(), p.cylinder, "arm after lba {lba}");
+        }
+        assert_eq!(d.arm_cylinder(), 2_001);
+        assert_eq!(d.obs().get(Ctr::DiskCacheHits), 0);
         assert_eq!(service_ns(&d), buckets_ns(&d));
     }
 

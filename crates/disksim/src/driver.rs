@@ -243,7 +243,7 @@ impl Driver {
             return reqs;
         }
         self.submit(reqs.len(), true, |disk, now| {
-            order(self.config.scheduler, disk, &mut reqs);
+            order(self.config.scheduler, disk, &mut reqs, now);
             service_batch(disk, &self.obs, &mut reqs, now)
         });
         reqs
@@ -282,6 +282,20 @@ fn count_physical(obs: &Obs, segments: usize) {
     obs.add(Ctr::DriverCoalesced, segments as u64 - 1);
 }
 
+/// The run that starts at `reqs[i]`: the requests `service_batch` merges
+/// into one disk transfer (adjacent on the platter, one direction).
+/// Returns its end (exclusive) and its length in sectors.
+fn run_at<B: Payload>(reqs: &[IoReq<B>], i: usize) -> (usize, u64) {
+    let dir = reqs[i].dir;
+    let mut end_lba = reqs[i].lba;
+    let mut end = i;
+    while end < reqs.len() && reqs[end].dir == dir && reqs[end].lba == end_lba {
+        end_lba += (reqs[end].byte_len() / SECTOR_SIZE) as u64;
+        end += 1;
+    }
+    (end, end_lba - reqs[i].lba)
+}
+
 /// Service an ordered batch on `disk` from `now`, one disk request per
 /// run of physically adjacent same-direction requests. Returns the
 /// completion time of the last.
@@ -293,17 +307,11 @@ fn service_batch<B: Payload>(
 ) -> SimTime {
     let mut start = 0;
     while start < reqs.len() {
-        let dir = reqs[start].dir;
-        let mut end_lba = reqs[start].lba;
-        let mut end = start;
-        while end < reqs.len() && reqs[end].dir == dir && reqs[end].lba == end_lba {
-            end_lba += (reqs[end].byte_len() / SECTOR_SIZE) as u64;
-            end += 1;
-        }
+        let (end, _) = run_at(reqs, start);
         let run = &mut reqs[start..end];
         count_physical(obs, run.len());
         let lba = run[0].lba;
-        now = match dir {
+        now = match run[0].dir {
             IoDir::Write => disk.transfer(now, lba, Xfer::Write(&*run)),
             IoDir::Read => disk.transfer(now, lba, Xfer::Read(run)),
         };
@@ -312,9 +320,10 @@ fn service_batch<B: Payload>(
     now
 }
 
-/// Order a batch for service (needs the live arm position, so it runs
-/// under the disk lock).
-fn order<B>(sched: Scheduler, disk: &Disk, reqs: &mut Vec<IoReq<B>>) {
+/// Order a batch for service from `now` (needs the live arm position and
+/// the drive's clock, so it runs under the disk lock).
+fn order<B: Payload>(sched: Scheduler, disk: &Disk, reqs: &mut [IoReq<B>], now: SimTime) {
+    let cylinder = |r: &IoReq<B>| disk.model().geometry.lba_to_chs(r.lba).cylinder;
     match sched {
         Scheduler::Fcfs => {}
         Scheduler::CLook => {
@@ -325,28 +334,99 @@ fn order<B>(sched: Scheduler, disk: &Disk, reqs: &mut Vec<IoReq<B>>) {
             // Find the first request at or beyond the arm and rotate the
             // ascending order to start there (one sweep, then wrap).
             let arm = disk.arm_cylinder();
-            let split = reqs
-                .iter()
-                .position(|r| disk.model().geometry.lba_to_chs(r.lba).cylinder >= arm)
-                .unwrap_or(0);
+            let split = reqs.iter().position(|r| cylinder(r) >= arm).unwrap_or(0);
             reqs.rotate_left(split);
+            by_rotation(disk, reqs, now);
         }
         Scheduler::Sstf => {
-            // Greedy nearest-cylinder-first from the current arm position.
-            let geom = &disk.model().geometry;
+            // Greedy nearest-cylinder-first from the current arm position,
+            // in place. The unplaced rest stays in LBA order, so a tie goes
+            // to the lowest LBA and adjacent requests stay adjacent.
+            reqs.sort_unstable_by_key(|r| r.lba);
             let mut cur = disk.arm_cylinder();
-            let mut rest = std::mem::take(reqs);
-            while !rest.is_empty() {
-                let (i, _) = rest
+            for k in 0..reqs.len() {
+                let (i, _) = reqs[k..]
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, r)| geom.lba_to_chs(r.lba).cylinder.abs_diff(cur))
+                    .min_by_key(|(_, r)| cylinder(r).abs_diff(cur))
                     .expect("nonempty");
-                let r = rest.swap_remove(i);
-                cur = geom.lba_to_chs(r.lba).cylinder;
-                reqs.push(r);
+                reqs[k..=k + i].rotate_right(1);
+                cur = cylinder(&reqs[k]);
             }
         }
+    }
+}
+
+/// Within each cylinder of a C-LOOK sweep, serve the runs in the order
+/// the platter brings them under the head: from the batch's start, pick
+/// the run that [`DiskModel::position`](crate::DiskModel::position) says
+/// finishes first, then the next from there. A cylinder keeps LBA order
+/// when that finishes no later. The cylinder sequence is C-LOOK's: a run
+/// that leaves its cylinder is the last in LBA order and stays last.
+///
+/// Only writes are reordered. A read may be served from the on-board
+/// cache, which the positioning model does not predict, so the pass stops
+/// at the first read. In place; quadratic in the runs of one cylinder.
+fn by_rotation<B: Payload>(disk: &Disk, reqs: &mut [IoReq<B>], now: SimTime) {
+    let model = disk.model();
+    let cylinder = |lba: u64| model.geometry.lba_to_chs(lba).cylinder;
+    let write = |reqs: &[IoReq<B>], i: usize| i < reqs.len() && reqs[i].dir == IoDir::Write;
+    // Service `reqs[from..to]` run by run from `(t, arm)`.
+    let serve = |reqs: &[IoReq<B>], from: usize, to: usize, (mut t, mut arm): (SimTime, u32)| {
+        let mut i = from;
+        while i < to {
+            let (end, nsect) = run_at(reqs, i);
+            let p = model.position(t, arm, reqs[i].lba, nsect, true);
+            (t, arm, i) = (p.done, p.cylinder, end);
+        }
+        (t, arm)
+    };
+    let mut at = (now.max(disk.busy_until()), disk.arm_cylinder());
+    let mut i = 0;
+    while write(reqs, i) {
+        // The cylinder's runs: `reqs[i..end]`, the last starting at `last`.
+        let cyl = cylinder(reqs[i].lba);
+        let (mut end, mut last, mut last_nsect) = (i, i, 0);
+        while write(reqs, end) && cylinder(reqs[end].lba) == cyl {
+            last = end;
+            (end, last_nsect) = run_at(reqs, end);
+        }
+        let free = if cylinder(reqs[last].lba + last_nsect - 1) == cyl { end } else { last };
+        let in_lba_order = serve(reqs, i, end, at);
+        if run_at(reqs, i).0 >= free {
+            // Nothing to reorder: at most one run is free to move.
+            (at, i) = (in_lba_order, end);
+            continue;
+        }
+        // Greedy: move the run that finishes first to the front of the
+        // unplaced rest (ties go to the lowest LBA), and go on from there.
+        let mut placed = i;
+        let mut greedy = at;
+        while placed < free {
+            // (completion, arm after, run start, run end) of the first to finish.
+            let mut first: Option<(SimTime, u32, usize, usize)> = None;
+            let mut j = placed;
+            while j < free {
+                let (run_end, nsect) = run_at(reqs, j);
+                let p = model.position(greedy.0, greedy.1, reqs[j].lba, nsect, true);
+                if first.is_none_or(|f| p.done < f.0) {
+                    first = Some((p.done, p.cylinder, j, run_end));
+                }
+                j = run_end;
+            }
+            let (done, arm, start, run_end) = first.expect("a run left to place");
+            reqs[placed..run_end].rotate_right(run_end - start);
+            placed += run_end - start;
+            greedy = (done, arm);
+        }
+        let greedy = serve(reqs, free, end, greedy);
+        at = if greedy.0 < in_lba_order.0 {
+            greedy
+        } else {
+            reqs[i..end].sort_unstable_by_key(|r| r.lba);
+            in_lba_order
+        };
+        i = end;
     }
 }
 
@@ -448,6 +528,50 @@ mod tests {
         let done = d.submit_batch(reqs);
         // Arm starts at cylinder 0: nearest is lba 100.
         assert_eq!(done[0].lba, 100);
+    }
+
+    /// Six adjacent 4 KB writes are one disk request under SSTF too: a
+    /// tie on cylinder distance goes to the lowest LBA.
+    #[test]
+    fn sstf_coalesces_adjacent_runs() {
+        let d = driver(Scheduler::Sstf);
+        let lbas: Vec<u64> = (0..6).map(|i| 40_000 + i * 8).collect();
+        let reqs = lbas.iter().map(|&lba| IoReq::write(lba, vec![lba as u8; 4096])).collect();
+        let done = d.submit_batch(reqs);
+        assert_eq!(done.iter().map(|r| r.lba).collect::<Vec<_>>(), lbas);
+        assert_eq!(d.obs().get(Ctr::DriverPhysicalRequests), 1);
+        assert_eq!(d.obs().get(Ctr::DriverCoalesced), 5);
+    }
+
+    /// Two-block runs on the nine heads of one cylinder, at scattered
+    /// angles: C-LOOK serves them as the platter brings them round, keeps
+    /// each run one request, and finishes well before the LBA order does
+    /// on a twin drive.
+    #[test]
+    fn clook_serves_a_cylinder_in_rotational_order() {
+        let run = |head: u64| {
+            let lba = 9 * 108 * 10 + head * 108 + (head * 61) % 108;
+            (0..2).map(move |k| IoReq::write(lba + 8 * k, vec![head as u8; 4096]))
+        };
+        let batch = || (0..9).flat_map(run).collect::<Vec<IoReq>>();
+        let d = driver(Scheduler::CLook);
+        let lbas = |reqs: &[IoReq]| reqs.iter().map(|r| r.lba).collect::<Vec<_>>();
+        let done = d.submit_batch(batch());
+        assert_ne!(lbas(&done), lbas(&batch()), "served in LBA order");
+        assert_eq!(d.obs().get(Ctr::DriverPhysicalRequests), 9, "runs stay whole");
+
+        let twin = driver(Scheduler::CLook);
+        let obs = twin.obs();
+        let lba_order =
+            twin.with_disk_mut(|disk| service_batch(disk, &obs, &mut batch(), SimTime::ZERO));
+        assert!(
+            d.now().as_nanos() * 10 < lba_order.as_nanos() * 8,
+            "rotational order {} vs LBA order {lba_order}",
+            d.now()
+        );
+        let mut back = vec![0u8; 4096];
+        d.read(9 * 108 * 10 + 4 * 108 + (4 * 61) % 108 + 8, &mut back);
+        assert!(back.iter().all(|&b| b == 4));
     }
 
     #[test]
@@ -589,6 +713,94 @@ mod proptests {
             let obs = drv.obs();
             prop_assert_eq!(obs.get(Ctr::DriverLogicalRequests), n);
             prop_assert_eq!(obs.get(Ctr::DriverPhysicalRequests) + obs.get(Ctr::DriverCoalesced), n);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+        /// C-LOOK's rotational pass, against plain C-LOOK (LBA order
+        /// from the arm, one wrap) on a twin drive with the same history:
+        /// the batch comes back permuted, every plain run stays whole and
+        /// in order (so as many disk requests), the cylinders are visited
+        /// in the same sequence, and the batch completes no later.
+        #[test]
+        fn rotational_order_keeps_runs_sweep_and_never_loses(
+            blocks in prop::collection::vec((0u64..120, 0u8..8), 1..64),
+            arm_block in 0u64..7_000,
+            read_block in 0u64..7_000,
+            gap_us in 0u64..20_000,
+            skew in 0u64..8,
+        ) {
+            let mut blocks = blocks;
+            blocks.sort_unstable_by_key(|b| b.0);
+            blocks.dedup_by_key(|b| b.0);
+            // One read in four; `skew` sectors off block alignment, a
+            // block can straddle a track or a cylinder.
+            let batch = || -> Vec<IoReq> {
+                blocks
+                    .iter()
+                    .map(|&(b, dir)| {
+                        let lba = b * 8 + skew;
+                        if dir < 2 {
+                            IoReq::read(lba, 4096)
+                        } else {
+                            IoReq::write(lba, vec![b as u8; 4096])
+                        }
+                    })
+                    .collect()
+            };
+            let drive = || {
+                let d = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+                d.read(read_block * 8, &mut [0u8; 4096]);
+                d.write(arm_block * 8, &[1u8; 4096]);
+                d.advance(SimDuration::from_micros(gap_us));
+                d
+            };
+
+            let (d, twin) = (drive(), drive());
+            let out: Vec<u64> = d.submit_batch(batch()).iter().map(|r| r.lba).collect();
+            let obs = twin.obs();
+            let mut plain = batch();
+            plain.sort_unstable_by_key(|r| r.lba);
+            let plain_done = twin.with_disk_mut(|disk| {
+                let cyl = |lba: u64| disk.model().geometry.lba_to_chs(lba).cylinder;
+                let split = plain.iter().position(|r| cyl(r.lba) >= disk.arm_cylinder()).unwrap_or(0);
+                plain.rotate_left(split);
+                service_batch(disk, &obs, &mut plain, twin.now())
+            });
+            let lbas: Vec<u64> = plain.iter().map(|r| r.lba).collect();
+
+            let mut sorted = out.clone();
+            sorted.sort_unstable();
+            let mut want = lbas.clone();
+            want.sort_unstable();
+            prop_assert_eq!(&sorted, &want, "not a permutation");
+
+            let mut runs = Vec::new();
+            let mut i = 0;
+            while i < plain.len() {
+                let (end, _) = run_at(&plain, i);
+                runs.push(lbas[i..end].to_vec());
+                i = end;
+            }
+            for run in &runs {
+                let at = out.iter().position(|&l| l == run[0]).expect("permutation");
+                prop_assert_eq!(&out[at..at + run.len()], &run[..], "a run was split");
+            }
+            prop_assert_eq!(
+                d.obs().get(Ctr::DriverPhysicalRequests),
+                twin.obs().get(Ctr::DriverPhysicalRequests)
+            );
+
+            let geom = models::tiny_test_disk().geometry;
+            let sweep = |lbas: &[u64]| {
+                let mut c: Vec<u32> = lbas.iter().map(|&l| geom.lba_to_chs(l).cylinder).collect();
+                c.dedup();
+                c
+            };
+            prop_assert_eq!(sweep(&out), sweep(&lbas), "cylinder sweep differs from C-LOOK's");
+            prop_assert!(d.now() <= plain_done, "rotational order {} later than {}", d.now(), plain_done);
         }
     }
 }

@@ -26,6 +26,9 @@
 //!   segments which let sequential reads hit in the drive's buffer.
 //! * **Request scheduling** ([`driver::Driver`]): FCFS, C-LOOK (the paper's
 //!   testbed driver used C-LOOK) and SSTF, with scatter/gather coalescing.
+//!   C-LOOK serves each cylinder's runs in the order the platter brings
+//!   them round, predicted by the drive's own positioning model
+//!   ([`DiskModel::position`]), never in a worse order than LBA order.
 //!
 //! Five drive models ship in [`models`]: the paper's testbed Seagate ST31200
 //! (Table 2), the three 1996 drives of Table 1 (HP C3653, Seagate Barracuda
@@ -62,7 +65,7 @@ pub mod time;
 
 mod disk;
 
-pub use disk::{Disk, DiskModel, TraceEntry};
+pub use disk::{Disk, DiskModel, Positioning, TraceEntry};
 pub use driver::{Driver, DriverConfig, IoDir, IoReq, Payload, Scheduler};
 pub use geometry::{Geometry, Zone};
 pub use seek::SeekCurve;

@@ -17,7 +17,7 @@
 use cffs::cache::{BufferCache, CacheConfig};
 use cffs::core::{CffsConfig, MkfsParams};
 use cffs::obs::Ctr;
-use cffs_disksim::{models, Disk, Driver, DriverConfig, SECTOR_SIZE};
+use cffs_disksim::{models, Disk, Driver, DriverConfig, Scheduler, SECTOR_SIZE};
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::BLOCK_SIZE;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -365,6 +365,39 @@ fn sync_of_dirty_blocks_copies_no_block() {
     let mut back = vec![0u8; BLOCK_SIZE];
     drv.with_disk(|d| d.raw_read(40 * (BLOCK_SIZE / SECTOR_SIZE) as u64, &mut back));
     assert!(back.iter().all(|&b| b == 2));
+}
+
+/// A warm sync whose dirty runs lie on several heads of one cylinder is
+/// served in rotational order (it waits less for the platter than the
+/// LBA order FCFS keeps) and makes no heap request: the scheduler
+/// reorders the batch in place.
+#[test]
+fn sync_across_heads_of_one_cylinder_allocates_nothing() {
+    // Seagate ST31200 cylinder 3 holds blocks 365–485 on nine heads of
+    // 108 sectors: six 3-block runs spread over it.
+    let blocks = || (0..6u64).flat_map(|run| 366 + run * 23..369 + run * 23);
+    let rotation_of_warm_sync = |scheduler| {
+        let drv = Driver::new(Disk::new(models::seagate_st31200()), DriverConfig { scheduler });
+        let cache = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let dirty_all = |byte: u8| {
+            for blk in blocks() {
+                cache.modify_block(&drv, blk, false, true, |d| d.fill(byte)).expect("modify");
+            }
+        };
+        // One untimed round materializes the platter's chunks.
+        dirty_all(1);
+        cache.sync(&drv).expect("sync");
+        dirty_all(2);
+        let (writes, rotation) = (drv.obs().get(Ctr::DiskWrites), drv.obs().get(Ctr::DiskRotationNs));
+        let heap = heap_of(|| cache.sync(&drv).expect("sync"));
+        assert_eq!(heap, (0, 0), "a warm {scheduler:?} sync made heap requests");
+        assert_eq!(drv.obs().get(Ctr::DiskWrites), writes + 6, "six coalesced runs");
+        assert_eq!(cache.dirty_count(), 0);
+        drv.obs().get(Ctr::DiskRotationNs) - rotation
+    };
+    let clook = rotation_of_warm_sync(Scheduler::CLook);
+    let lba_order = rotation_of_warm_sync(Scheduler::Fcfs);
+    assert!(clook < lba_order, "C-LOOK waited {clook} ns for the platter, LBA order {lba_order} ns");
 }
 
 /// Under eviction pressure a miss reuses the evicted buffer: reading and

@@ -253,10 +253,10 @@ const PINNED_RANGE_SCRIPT: [(&str, u64, u64, u64, u64, u64, u64); 7] = [
     ("FFS", 443_287_033, 368, 198, 2, 0, 76),
     ("conventional", 469_444_440, 400, 230, 2, 0, 76),
     ("embedded inodes", 436_111_107, 412, 240, 2, 0, 76),
-    ("explicit grouping", 543_287_032, 420, 245, 2, 2, 78),
+    ("explicit grouping", 537_037_032, 420, 245, 2, 2, 78),
     ("C-FFS", 492_592_588, 432, 256, 2, 2, 77),
     ("C-FFS prefetch 8", 481_481_477, 483, 327, 2, 9, 64),
-    ("C-FFS group 4", 490_509_254, 419, 249, 2, 3, 77),
+    ("C-FFS group 4", 479_398_143, 419, 249, 2, 3, 77),
 ];
 
 #[test]
