@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -101,6 +101,12 @@ fi
 if grep -nE 'sector_angle\(|seek_time\(' crates/disksim/src/driver.rs; then
     echo "the driver computes positioning itself instead of DiskModel::position"; exit 1
 fi
+# Every experiment runs through the one registry-driven `repro` binary:
+# no per-experiment launcher, and no doc or script names one.
+if ls crates/bench/src/bin/repro_*.rs 2>/dev/null \
+    || grep -rn 'repro_[a-z]' ci.sh README.md DESIGN.md EXPERIMENTS.md crates src tests; then
+    echo "a per-experiment repro launcher (or a mention of one) is back"; exit 1
+fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].
 find crates/*/src crates/*/benches src -name '*.rs' 2>/dev/null | sort | xargs awk '
@@ -129,28 +135,28 @@ echo "== benchmark package (offline build + its own tests) =="
 cargo build --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 cargo test --offline -q --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
 
-echo "== bench smoke (repro_smallfile + repro_aging_regroup + repro_concurrent + repro_namei + repro_volume, reduced scale) =="
+echo "== bench smoke (repro smallfile, aging_regroup, concurrent, namei, volume; reduced scale) =="
 BENCH_TMP=$(mktemp -d)
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_smallfile -- --files 60 --dirs 3 --mode sync --seed 1997 \
+    --bin repro -- smallfile --files 60 --dirs 3 --mode sync --seed 1997 \
     --flight "$BENCH_TMP/flight" > /dev/null
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_aging_regroup -- --feed "$BENCH_TMP/feed.jsonl" > /dev/null
+    --bin repro -- aging_regroup --feed "$BENCH_TMP/feed.jsonl" > /dev/null
 # Reduced scale must match the checked-in BENCH_CONCURRENT baseline
 # invocation exactly (the scaling ratio is scale-sensitive).
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_concurrent -- --dirs 2 --files 12 --rounds 8 > /dev/null
+    --bin repro -- concurrent --dirs 2 --files 12 --rounds 8 > /dev/null
 # Reduced scale must match the checked-in BENCH_NAMEI baseline invocation
 # exactly. Keep --files at 256: the p99 speedup the gate enforces needs
 # multi-block leaf directories to measure anything.
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_namei -- --branches 4 --dirs 4 --files 256 --sample 1024 --rounds 3 \
+    --bin repro -- namei --branches 4 --dirs 4 --files 256 --sample 1024 --rounds 3 \
     > /dev/null
 # Reduced scale must match the checked-in BENCH_VOLUME baseline invocation
 # exactly (the volume scaling ratio is scale-sensitive). Records a live
 # per-volume feed for the schema smoke below.
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
-    --bin repro_volume -- --seed 1997 --sessions 480 --dirs 64 --files 16 \
+    --bin repro -- volume --seed 1997 --sessions 480 --dirs 64 --files 16 \
     --ops 6 --threads 4 --feed "$BENCH_TMP/feed_volume.jsonl" > /dev/null
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     "$BENCH_TMP"/out/BENCH_*.json
@@ -160,7 +166,7 @@ echo "== telemetry feed smoke (frame schema + cffs-top headless replay) =="
 # validate, and the dashboard must replay it headless.
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     --feed "$BENCH_TMP/feed.jsonl"
-# The repro_volume smoke recorded a feed with per-volume rows; every
+# The repro volume smoke recorded a feed with per-volume rows; every
 # frame (including its volumes array) must validate too.
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     --feed "$BENCH_TMP/feed_volume.jsonl"
@@ -204,7 +210,7 @@ cmp -s "$BENCH_TMP/diff_a.json" "$BENCH_TMP/diff_b.json" \
 # Attribution: a perturbed smallfile run (different scale, same rows)
 # against the ci run must attribute at least one moved metric.
 BENCH_OUT_DIR="$BENCH_TMP/out2" cargo run --release --offline -p cffs-bench \
-    --bin repro_smallfile -- --files 72 --dirs 3 --mode sync --seed 1997 \
+    --bin repro -- smallfile --files 72 --dirs 3 --mode sync --seed 1997 \
     > /dev/null
 cargo run --release --offline --bin cffs-inspect -- diff --json \
     "$BENCH_TMP/out/BENCH_SMALLFILE_SYNC.json" \
@@ -232,7 +238,8 @@ cargo run --release --offline --bin cffs-inspect -- flamegraph --svg-ready --dem
 echo "== bench perf gate (p90 latency + group-fetch utilization vs baselines) =="
 # Simulated time is deterministic, so unchanged code reproduces the
 # baselines exactly; the band absorbs small intentional shifts. Refresh
-# with: BENCH_OUT_DIR=crates/bench/baselines <repro binary>
+# with: BENCH_OUT_DIR=crates/bench/baselines target/release/repro <experiment>
+# and the smoke step's flags for it
 cargo run --release --offline -p cffs-bench --bin bench_gate -- \
     "$BENCH_TMP/out/BENCH_SMALLFILE_SYNC.json" \
     crates/bench/baselines/BENCH_SMALLFILE_SYNC.json --tolerance-pct 25

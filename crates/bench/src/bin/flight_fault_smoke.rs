@@ -14,8 +14,9 @@ use cffs_disksim::models;
 use cffs_disksim::Disk;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    cffs_bench::wire_telemetry(&args);
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = cffs_bench::experiments::parse(&[], &argv);
+    args.expect("usage: flight_fault_smoke --flight DIR").wire_telemetry();
 
     let fs = mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), CffsConfig::cffs())
         .expect("mkfs");

@@ -159,8 +159,3 @@ pub fn report() -> (String, Json) {
     ];
     (out, json)
 }
-
-/// Render all sweeps.
-pub fn run() -> String {
-    report().0
-}

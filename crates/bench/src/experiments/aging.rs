@@ -56,14 +56,6 @@ fn rates(rows: &[PhaseResult]) -> (f64, f64) {
     (create.items_per_sec(), read.items_per_sec())
 }
 
-/// One aged measurement: create+read throughput (files/s) after aging to
-/// `util` on the 64 MB test disk.
-pub fn point(cfg: CffsConfig, util: f64, ops: usize) -> (f64, f64, f64) {
-    let (rows, actual) = point_rows(cfg, util, ops);
-    let (c, r) = rates(&rows);
-    (c, r, actual)
-}
-
 /// Run the sweep once, rendering both the text report and the JSON payload.
 pub fn report(ops: usize) -> (String, Json) {
     let mut points: Vec<Json> = Vec::new();
@@ -113,9 +105,4 @@ pub fn report(ops: usize) -> (String, Json) {
         ("points", Json::Arr(points)),
     ];
     (out, json)
-}
-
-/// Render the sweep.
-pub fn run(ops: usize) -> String {
-    report(ops).0
 }

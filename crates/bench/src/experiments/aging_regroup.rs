@@ -324,8 +324,3 @@ pub fn report(seed: u64) -> (String, Json) {
     ];
     (out, json)
 }
-
-/// Render the experiment.
-pub fn run(seed: u64) -> String {
-    report(seed).0
-}

@@ -117,30 +117,14 @@ fn point(p: &ConcurrentParams) -> Point {
     }
 }
 
-/// Run the experiment. `dirs_per_thread`/`files_per_dir` scale the work
-/// (CI smoke passes reduced values). Returns the text report and the
+/// Run the experiment: `p` at each of [`POINTS`]' thread counts (its own
+/// `nthreads` is not used). `dirs_per_thread`/`files_per_dir` scale the
+/// work (CI smoke passes reduced values). Returns the text report and the
 /// BENCH payload.
-pub fn report(
-    seed: u64,
-    dirs_per_thread: usize,
-    files_per_dir: usize,
-    read_rounds: usize,
-) -> (String, Json) {
-    let points: Vec<Point> = POINTS
-        .iter()
-        .map(|&n| {
-            point(&ConcurrentParams {
-                nthreads: n,
-                dirs_per_thread,
-                files_per_dir,
-                file_size: 4096,
-                shared_dirs: 0,
-                shared_files_per_thread: 0,
-                read_rounds,
-                seed,
-            })
-        })
-        .collect();
+pub fn report(p: ConcurrentParams) -> (String, Json) {
+    let ConcurrentParams { dirs_per_thread, files_per_dir, seed, .. } = p;
+    let points: Vec<Point> =
+        POINTS.iter().map(|&n| point(&ConcurrentParams { nthreads: n, ..p })).collect();
 
     let base = &points[0];
     let top = &points[points.len() - 1];
@@ -199,9 +183,4 @@ pub fn report(
         ("rows", rows_json(&points.into_iter().map(|p| p.row).collect::<Vec<_>>())),
     ];
     (out, json)
-}
-
-/// Render the experiment at full scale.
-pub fn run(seed: u64) -> String {
-    report(seed, 4, 24, 20).0
 }

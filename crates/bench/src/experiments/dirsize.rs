@@ -87,8 +87,3 @@ pub fn report() -> (String, Json) {
     ];
     (out, json)
 }
-
-/// Render the report.
-pub fn run() -> String {
-    report().0
-}

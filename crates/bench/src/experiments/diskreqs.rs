@@ -12,19 +12,14 @@
 //!   removing the files because there are no separate inode blocks."
 
 use crate::experiments::smallfile::{rows_payload, run_all};
-use crate::report::header;
+use crate::report::{header, row};
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::Json;
 use cffs_workloads::smallfile::SmallFileParams;
-use cffs_workloads::PhaseResult;
-
-fn find<'a>(rows: &'a [PhaseResult], fs: &str, phase: &str) -> &'a PhaseResult {
-    rows.iter().find(|r| r.fs == fs && r.phase == phase).expect("row present")
-}
 
 /// Run once, rendering both the text report and the JSON payload.
 pub fn report(params: SmallFileParams) -> (String, Json) {
-    let rows = run_all(MetadataMode::Synchronous, params);
+    let (rows, _) = run_all(MetadataMode::Synchronous, params);
     let mut json = rows_payload(MetadataMode::Synchronous, params, &rows);
     if let Json::Obj(m) = &mut json {
         if let Some(e) = m.iter_mut().find(|(k, _)| k == "experiment") {
@@ -53,12 +48,12 @@ pub fn report(params: SmallFileParams) -> (String, Json) {
         ));
     }
 
-    let conv_read = find(&rows, "conventional", "read");
-    let cffs_read = find(&rows, "C-FFS", "read");
-    let conv_create = find(&rows, "conventional", "create");
-    let emb_create = find(&rows, "embedded inodes", "create");
-    let conv_del = find(&rows, "conventional", "delete");
-    let emb_del = find(&rows, "embedded inodes", "delete");
+    let conv_read = row(&rows, "conventional", "read");
+    let cffs_read = row(&rows, "C-FFS", "read");
+    let conv_create = row(&rows, "conventional", "create");
+    let emb_create = row(&rows, "embedded inodes", "create");
+    let conv_del = row(&rows, "conventional", "delete");
+    let emb_del = row(&rows, "embedded inodes", "delete");
 
     out.push_str(&format!(
         "\nclaims vs counters:\n\
@@ -80,9 +75,4 @@ pub fn report(params: SmallFileParams) -> (String, Json) {
             / (emb_del.io.cache.writebacks + emb_del.io.cache.sync_writes).max(1) as f64,
     ));
     (out, json)
-}
-
-/// Render the accounting report.
-pub fn run(params: SmallFileParams) -> String {
-    report(params).0
 }

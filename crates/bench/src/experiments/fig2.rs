@@ -41,11 +41,6 @@ pub fn point(model: cffs_disksim::DiskModel, size: usize, n: usize) -> (f64, Sta
     ((t - t0).as_millis_f64() / n as f64, snap)
 }
 
-/// Average access time (ms) of `n` random reads of `size` bytes.
-pub fn avg_access_ms(model: cffs_disksim::DiskModel, size: usize, n: usize) -> f64 {
-    point(model, size, n).0
-}
-
 /// Run the figure once, rendering the table and the JSON payload.
 pub fn report(samples: usize) -> (String, Json) {
     let mut points: Vec<Json> = Vec::new();
@@ -81,8 +76,8 @@ pub fn report(samples: usize) -> (String, Json) {
     }
     // The argument in one number: 4 KB → 64 KB on the first drive.
     let d = &drives[0];
-    let t4 = avg_access_ms(d.clone(), 4 * 1024, samples);
-    let t64 = avg_access_ms(d.clone(), 64 * 1024, samples);
+    let t4 = point(d.clone(), 4 * 1024, samples).0;
+    let t64 = point(d.clone(), 64 * 1024, samples).0;
     out.push_str(&format!(
         "\n16x the data (4 KB -> 64 KB) costs only {:.2}x the time on the {} —\n\
          adjacency converts positioning time into useful transfer.\n",
@@ -95,9 +90,4 @@ pub fn report(samples: usize) -> (String, Json) {
         ("points", Json::Arr(points)),
     ];
     (out, json)
-}
-
-/// Render the figure as a table (ms per request, and effective MB/s).
-pub fn run(samples: usize) -> String {
-    report(samples).0
 }

@@ -39,11 +39,6 @@ fn rates(rows: &[PhaseResult]) -> (f64, f64) {
     (create.mb_per_sec(), read.mb_per_sec())
 }
 
-/// Create + read throughput (MB/s) for one variant at one file size.
-pub fn point(cfg: CffsConfig, size: usize) -> (f64, f64) {
-    rates(&point_rows(cfg, size))
-}
-
 /// Run the sweep once, rendering both the text report and the JSON payload.
 pub fn report() -> (String, Json) {
     let mut points: Vec<Json> = Vec::new();
@@ -89,9 +84,4 @@ pub fn report() -> (String, Json) {
         ("points", Json::Arr(points)),
     ];
     (out, json)
-}
-
-/// Render the sweep.
-pub fn run() -> String {
-    report().0
 }

@@ -112,28 +112,13 @@ fn run_point(cfg: CffsConfig, p: &NameiParams) -> RunOut {
     RunOut { label, rows, warm_hit_rate, warm_p50_ns, warm_p90_ns, warm_p99_ns, fsck_clean }
 }
 
-/// Run the experiment at the given scale. Returns the text report and
-/// the BENCH payload. `branches`/`dirs_per_branch` scale the tree width
+/// Run the experiment at scale `p`. Returns the text report and the
+/// BENCH payload. `branches`/`dirs_per_branch` scale the tree width
 /// (CI smoke passes reduced values); `files_per_dir` should stay at the
 /// default 256 — shrinking it collapses leaf directories to a block or
 /// two and the scan-vs-probe gap the gate measures disappears.
-pub fn report(
-    seed: u64,
-    branches: usize,
-    dirs_per_branch: usize,
-    files_per_dir: usize,
-    sample: usize,
-    rounds: usize,
-) -> (String, Json) {
-    let p = NameiParams {
-        branches,
-        dirs_per_branch,
-        files_per_dir,
-        file_size: 0,
-        sample,
-        rounds,
-        seed,
-    };
+pub fn report(p: NameiParams) -> (String, Json) {
+    let NameiParams { branches, dirs_per_branch, files_per_dir, sample, rounds, seed, .. } = p;
     // Cache sized 25% over the namespace so eviction never competes with
     // the acceptance measurement; capacity pressure is the dcache unit
     // tests' concern, not E15's.
@@ -204,9 +189,4 @@ pub fn report(
         ),
     ];
     (out, json)
-}
-
-/// Render the experiment at full scale: the million-file tree.
-pub fn run(seed: u64) -> String {
-    report(seed, 64, 64, 256, 4096, 3).0
 }

@@ -5,26 +5,19 @@
 //! create/delete/read/append churn (mail, news, web). Not a paper
 //! artifact — included because a 1997 reviewer would have asked for it.
 
-use crate::report::{header, phase_table, rows_json, speedup};
+use crate::report::{header, phase_table, row, rows_json, speedup};
 use cffs::build;
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
 use cffs_workloads::postmark::{self, PostmarkParams};
-use cffs_workloads::PhaseResult;
-
-/// Run PostMark on all five file systems.
-pub fn run_all(mode: MetadataMode, params: PostmarkParams) -> Vec<PhaseResult> {
-    let mut all = Vec::new();
-    for fs in build::five_configs(mode) {
-        all.extend(postmark::run(&fs, params).expect("postmark run"));
-    }
-    all
-}
 
 /// Run once, rendering both the text report and the JSON payload.
 pub fn report(mode: MetadataMode, params: PostmarkParams) -> (String, Json) {
-    let rows = run_all(mode, params);
+    let mut rows = Vec::new();
+    for fs in build::five_configs(mode) {
+        rows.extend(postmark::run(&fs, params).expect("postmark run"));
+    }
     let json = obj![
         ("experiment", "postmark".to_json()),
         ("mode", format!("{mode:?}").to_json()),
@@ -46,11 +39,8 @@ pub fn report(mode: MetadataMode, params: PostmarkParams) -> (String, Json) {
     out.push_str(&phase_table(&rows));
     out.push_str("\nC-FFS speedup over conventional:\n");
     for phase in ["pm-create", "pm-transactions", "pm-delete"] {
-        let base = rows
-            .iter()
-            .find(|r| r.fs == "conventional" && r.phase == phase)
-            .expect("baseline row");
-        let new = rows.iter().find(|r| r.fs == "C-FFS" && r.phase == phase).expect("cffs row");
+        let base = row(&rows, "conventional", phase);
+        let new = row(&rows, "C-FFS", phase);
         out.push_str(&format!(
             "  {phase:<16} {:>5.2}x   ({} -> {} disk requests)\n",
             speedup(base, new),
@@ -59,9 +49,4 @@ pub fn report(mode: MetadataMode, params: PostmarkParams) -> (String, Json) {
         ));
     }
     (out, json)
-}
-
-/// Render the report.
-pub fn run(mode: MetadataMode, params: PostmarkParams) -> String {
-    report(mode, params).0
 }

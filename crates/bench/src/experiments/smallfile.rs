@@ -7,7 +7,7 @@
 //! writes — the paper's soft-updates emulation ("[Ganger94] shows that
 //! this will accurately predict the performance impact of soft updates").
 
-use crate::report::{header, phase_table, rows_json, speedup};
+use crate::report::{header, phase_table, row, rows_json, speedup};
 use cffs::build;
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::{Json, ToJson};
@@ -15,21 +15,13 @@ use cffs_obs::{obj, prof, SpanRecord};
 use cffs_workloads::smallfile::{self, SmallFileParams};
 use cffs_workloads::PhaseResult;
 
-/// Run the benchmark on all five file systems.
-pub fn run_all(mode: MetadataMode, params: SmallFileParams) -> Vec<PhaseResult> {
-    run_all_with_folds(mode, params).0
-}
-
-/// Run the benchmark on all five file systems and also collect a
+/// Run the benchmark on all five file systems and collect a
 /// collapsed-stack fold of the C-FFS run: its span log is segmented by
 /// each phase's simulated-time window, so the fold reads
 /// `{phase};{op};disk_req/{queue,service}` with per-phase `idle` frames;
 /// setup and cold-boundary work between phases folds under
 /// `(unmeasured)`.
-pub fn run_all_with_folds(
-    mode: MetadataMode,
-    params: SmallFileParams,
-) -> (Vec<PhaseResult>, prof::Fold) {
+pub fn run_all(mode: MetadataMode, params: SmallFileParams) -> (Vec<PhaseResult>, prof::Fold) {
     let mut all = Vec::new();
     let mut fold = prof::Fold::default();
     for fs in build::five_configs(mode) {
@@ -57,26 +49,17 @@ pub fn run_all_with_folds(
 /// (directory setup, cold boundaries) fold under `(unmeasured)` with no
 /// idle frame (their windows are gaps, not measured intervals).
 fn fold_phases(fold: &mut prof::Fold, log: &[SpanRecord], rows: &[PhaseResult]) {
+    let mut by_phase: Vec<Vec<SpanRecord>> = vec![Vec::new(); rows.len()];
     let mut unmeasured: Vec<SpanRecord> = Vec::new();
-    'records: for &rec in log {
-        for r in rows {
-            let start = r.start_ns;
-            let end = start + r.elapsed.as_nanos();
-            if rec.t0_ns >= start && rec.t0_ns < end {
-                continue 'records;
-            }
+    let window = |r: &PhaseResult| r.start_ns..r.start_ns + r.elapsed.as_nanos();
+    for &rec in log {
+        match rows.iter().position(|r| window(r).contains(&rec.t0_ns)) {
+            Some(i) => by_phase[i].push(rec),
+            None => unmeasured.push(rec),
         }
-        unmeasured.push(rec);
     }
-    for r in rows {
-        let start = r.start_ns;
-        let end = start + r.elapsed.as_nanos();
-        let recs: Vec<SpanRecord> = log
-            .iter()
-            .filter(|s| s.t0_ns >= start && s.t0_ns < end)
-            .copied()
-            .collect();
-        prof::fold_log_into(fold, &recs, &r.phase, r.elapsed.as_nanos());
+    for (r, recs) in rows.iter().zip(&by_phase) {
+        prof::fold_log_into(fold, recs, &r.phase, r.elapsed.as_nanos());
     }
     let covered: u64 = unmeasured.iter().map(|s| s.dur_ns).sum();
     prof::fold_log_into(fold, &unmeasured, "(unmeasured)", covered);
@@ -100,20 +83,11 @@ pub fn rows_payload(mode: MetadataMode, params: SmallFileParams, rows: &[PhaseRe
     ]
 }
 
-/// Run one metadata mode and render both the text report and the JSON
-/// payload from the same pass.
-pub fn report(mode: MetadataMode, params: SmallFileParams) -> (String, Json) {
-    let (text, json, _) = report_with_folds(mode, params);
-    (text, json)
-}
-
-/// [`report`], plus the C-FFS run's collapsed-stack fold (for
-/// `FOLD_SMALLFILE_*.txt` artifacts).
-pub fn report_with_folds(
-    mode: MetadataMode,
-    params: SmallFileParams,
-) -> (String, Json, prof::Fold) {
-    let (all, fold) = run_all_with_folds(mode, params);
+/// Run one metadata mode and render the text report, the JSON payload
+/// and the C-FFS run's collapsed-stack fold (for `FOLD_SMALLFILE_*.txt`
+/// artifacts) from the same pass.
+pub fn report(mode: MetadataMode, params: SmallFileParams) -> (String, Json, prof::Fold) {
+    let (all, fold) = run_all(mode, params);
     let json = rows_payload(mode, params, &all);
     let mut out = header(&format!(
         "small-file benchmark: {} x {} B in {} dirs, metadata={:?}",
@@ -122,11 +96,8 @@ pub fn report_with_folds(
     out.push_str(&phase_table(&all));
     out.push_str("\nspeedup of C-FFS over conventional (same code base, techniques off):\n");
     for phase in ["create", "read", "overwrite", "delete"] {
-        let base = all
-            .iter()
-            .find(|r| r.fs == "conventional" && r.phase == phase)
-            .expect("baseline row");
-        let new = all.iter().find(|r| r.fs == "C-FFS" && r.phase == phase).expect("cffs row");
+        let base = row(&all, "conventional", phase);
+        let new = row(&all, "C-FFS", phase);
         out.push_str(&format!(
             "  {phase:<10} {:>5.2}x   (disk requests: {} -> {})\n",
             speedup(base, new),
@@ -135,9 +106,4 @@ pub fn report_with_folds(
         ));
     }
     (out, json, fold)
-}
-
-/// Render the report for one metadata mode.
-pub fn run(mode: MetadataMode, params: SmallFileParams) -> String {
-    report(mode, params).0
 }

@@ -20,8 +20,9 @@ fn row(label: &str, f: impl Fn(&DiskModel) -> String, drives: &[DiskModel]) -> S
     s
 }
 
-/// Render the table.
-pub fn run() -> String {
+/// Render the table, plus its JSON payload (the drive models themselves;
+/// the counter snapshot is all-zero because a spec table does no I/O).
+pub fn report() -> (String, Json) {
     let drives = models::table1_drives();
     let mut out = String::new();
     out.push_str(&row("", |d| d.name.clone(), &drives));
@@ -91,17 +92,10 @@ pub fn run() -> String {
         access_old,
         access_new,
     ));
-    out
-}
-
-/// Text report plus JSON payload (the drive models themselves; the
-/// counter snapshot is all-zero because a spec table does no I/O).
-pub fn report() -> (String, Json) {
-    let drives = models::table1_drives();
     let json = obj![
         ("experiment", "table1".to_json()),
         ("drives", Json::Arr(drives.iter().map(|d| d.to_json()).collect())),
         ("counters", Obs::new().snapshot("static-table", 0).to_json()),
     ];
-    (run(), json)
+    (out, json)
 }

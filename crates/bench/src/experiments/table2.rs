@@ -10,8 +10,9 @@ use cffs_disksim::models;
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::{obj, Obs};
 
-/// Render the table.
-pub fn run() -> String {
+/// Render the table, plus its JSON payload (the testbed model itself;
+/// the counter snapshot is all-zero because a spec table does no I/O).
+pub fn report() -> (String, Json) {
     let d = models::seagate_st31200();
     let spts: Vec<u32> = d.geometry.zones.iter().map(|z| z.sectors_per_track).collect();
     let mut out = String::new();
@@ -50,16 +51,10 @@ pub fn run() -> String {
         ),
     );
     push("Driver scheduling", "C-LOOK, scatter/gather".to_string());
-    out
-}
-
-/// Text report plus JSON payload (the testbed model itself; the counter
-/// snapshot is all-zero because a spec table does no I/O).
-pub fn report() -> (String, Json) {
     let json = obj![
         ("experiment", "table2".to_json()),
-        ("drive", models::seagate_st31200().to_json()),
+        ("drive", d.to_json()),
         ("counters", Obs::new().snapshot("static-table", 0).to_json()),
     ];
-    (run(), json)
+    (out, json)
 }

@@ -120,23 +120,10 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
 /// `ops_per_session` scale the work (CI smoke passes reduced values);
 /// `nthreads` is the fixed client-thread count. Returns the text report
 /// and the BENCH payload.
-pub fn report(
-    seed: u64,
-    sessions: usize,
-    ndirs: usize,
-    files_per_dir: usize,
-    ops_per_session: usize,
-    nthreads: usize,
-) -> (String, Json) {
-    let p = MulticlientParams {
-        nthreads,
-        sessions,
-        ndirs,
-        files_per_dir,
-        ops_per_session,
-        seed,
-        ..MulticlientParams::default()
-    };
+pub fn report(p: MulticlientParams) -> (String, Json) {
+    let MulticlientParams {
+        nthreads, sessions, ndirs, files_per_dir, ops_per_session, seed, ..
+    } = p;
     let points: Vec<Point> = POINTS.iter().map(|&n| point(n, &p)).collect();
 
     let base = &points[0];
@@ -200,9 +187,4 @@ pub fn report(
         ("rows", rows_json(&points.into_iter().map(|pt| pt.row).collect::<Vec<_>>())),
     ];
     (out, json)
-}
-
-/// Render the experiment at full scale.
-pub fn run(seed: u64) -> String {
-    report(seed, 2000, 64, 16, 8, 4).0
 }

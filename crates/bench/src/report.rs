@@ -1,4 +1,5 @@
-//! Report formatting shared by all reproduction binaries.
+//! Report formatting shared by all experiments, and the one writer of
+//! their artifacts (`BENCH_*.json`, `FOLD_*.txt`).
 
 use cffs_obs::json::{Json, ToJson};
 use cffs_workloads::PhaseResult;
@@ -27,6 +28,11 @@ pub fn phase_table(rows: &[PhaseResult]) -> String {
     out
 }
 
+/// The row of file system `fs`'s `phase`.
+pub fn row<'a>(rows: &'a [PhaseResult], fs: &str, phase: &str) -> &'a PhaseResult {
+    rows.iter().find(|r| r.fs == fs && r.phase == phase).expect("row present")
+}
+
 /// Speedup of `new` over `base` by elapsed time, as a factor.
 pub fn speedup(base: &PhaseResult, new: &PhaseResult) -> f64 {
     base.elapsed.as_secs_f64() / new.elapsed.as_secs_f64()
@@ -42,15 +48,6 @@ pub fn rows_json(rows: &[PhaseResult]) -> Json {
     Json::Arr(rows.iter().map(|r| r.to_json()).collect())
 }
 
-/// Write a reproduction result to `BENCH_<NAME>.json` in the directory
-/// named by `BENCH_OUT_DIR` (default: the current directory). Returns the
-/// path written. Every `repro_*` binary calls this with a payload that
-/// carries the simulated-time results *and* the observability counter
-/// snapshots, so runs are machine-comparable.
-pub fn write_bench(name: &str, payload: Json) -> std::io::Result<std::path::PathBuf> {
-    write_artifact(&format!("BENCH_{name}.json"), &(payload.to_string_pretty() + "\n"))
-}
-
 /// Write a named artifact into `BENCH_OUT_DIR` atomically
 /// ([`cffs_obs::write_atomic`]), so a crash mid-write can never leave a
 /// half-written file that poisons `bench_gate` baselines or fold
@@ -63,8 +60,11 @@ pub fn write_artifact(name: &str, content: &str) -> std::io::Result<std::path::P
     Ok(path)
 }
 
-/// [`write_artifact`] with `emit_bench`'s hard-error policy: CI consumes
-/// these files, so a failed write refuses to claim success.
+/// Write an artifact and report its path on stdout. Failing to persist
+/// it is a hard error: CI gates consume these files, so degrading to a
+/// notice would let a mis-set `BENCH_OUT_DIR` silently skip the perf
+/// gate. The text report has already been printed by the time this runs,
+/// so nothing is lost — the run just refuses to claim success.
 pub fn emit_artifact(name: &str, content: &str) {
     match write_artifact(name, content) {
         Ok(path) => println!("wrote {}", path.display()),
@@ -76,27 +76,6 @@ pub fn emit_artifact(name: &str, content: &str) {
             // Salvage the run's telemetry before dying: the flight
             // recorders (if `--flight` armed any) hold the final frames
             // this exit would otherwise lose. No-op when none are armed.
-            cffs_obs::flight::dump_all("bench_write_failure");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Write and report on stdout. Failing to persist the BENCH artifact is a
-/// hard error: CI gates consume these files, so degrading to a notice
-/// would let a mis-set `BENCH_OUT_DIR` silently skip the perf gate. The
-/// text report has already been printed by the time this runs, so nothing
-/// is lost — the run just refuses to claim success.
-pub fn emit_bench(name: &str, payload: Json) {
-    match write_bench(name, payload) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => {
-            eprintln!(
-                "error: cannot write BENCH_{name}.json: {e}\n\
-                 (point BENCH_OUT_DIR at a writable directory)"
-            );
-            // Same salvage as emit_artifact: flush the black boxes so
-            // the partial run's telemetry survives the hard exit.
             cffs_obs::flight::dump_all("bench_write_failure");
             std::process::exit(1);
         }
@@ -141,7 +120,7 @@ mod tests {
     static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
-    fn write_bench_creates_missing_output_dir() {
+    fn write_artifact_creates_missing_output_dir() {
         let _guard = ENV_LOCK.lock().unwrap();
         // A nested, not-yet-existing BENCH_OUT_DIR must be created rather
         // than failing the write.
@@ -149,7 +128,7 @@ mod tests {
             .join(format!("cffs-bench-test-{}", std::process::id()))
             .join("nested");
         std::env::set_var("BENCH_OUT_DIR", &dir);
-        let path = write_bench("REPORT_TEST", Json::Int(1)).expect("write succeeds");
+        let path = write_artifact("BENCH_REPORT_TEST.json", "1\n").expect("write succeeds");
         std::env::remove_var("BENCH_OUT_DIR");
         assert!(path.starts_with(&dir));
         let body = std::fs::read_to_string(&path).expect("file exists");
@@ -158,11 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn write_bench_is_atomic_no_tmp_left_behind() {
+    fn write_artifact_is_atomic_no_tmp_left_behind() {
         let _guard = ENV_LOCK.lock().unwrap();
         let dir = std::env::temp_dir().join(format!("cffs-bench-atomic-{}", std::process::id()));
         std::env::set_var("BENCH_OUT_DIR", &dir);
-        let path = write_bench("ATOMIC_TEST", Json::Int(7)).expect("write succeeds");
+        let path = write_artifact("BENCH_ATOMIC_TEST.json", "7\n").expect("write succeeds");
         let fold = write_artifact("FOLD_TEST.txt", "run;idle 10\n").expect("write succeeds");
         std::env::remove_var("BENCH_OUT_DIR");
         assert_eq!(std::fs::read_to_string(&path).unwrap().trim(), "7");
@@ -221,15 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn write_bench_surfaces_unwritable_output_dir() {
+    fn write_artifact_surfaces_unwritable_output_dir() {
         let _guard = ENV_LOCK.lock().unwrap();
         // BENCH_OUT_DIR nested under a regular file cannot be created;
-        // the error must surface (emit_bench turns it into exit(1)).
+        // the error must surface (emit_artifact turns it into exit(1)).
         let file = std::env::temp_dir().join(format!("cffs-bench-block-{}", std::process::id()));
         std::fs::write(&file, b"not a directory").unwrap();
         let dir = file.join("nested");
         std::env::set_var("BENCH_OUT_DIR", &dir);
-        let res = write_bench("REPORT_TEST", Json::Int(1));
+        let res = write_artifact("BENCH_REPORT_TEST.json", "1\n");
         std::env::remove_var("BENCH_OUT_DIR");
         assert!(res.is_err(), "writing under a regular file must fail");
         std::fs::remove_file(&file).ok();

@@ -1,6 +1,6 @@
 //! Smoke tests: every reproduction runs end to end at reduced scale and
 //! its report contains the structural markers the full run relies on.
-//! This keeps `repro_all` from rotting between full benchmark runs.
+//! This keeps `repro all` from rotting between full benchmark runs.
 
 use cffs_bench::experiments::*;
 use cffs_fslib::MetadataMode;
@@ -13,7 +13,7 @@ fn small() -> SmallFileParams {
 
 #[test]
 fn e1_table1() {
-    let out = table1::run();
+    let out = table1::report().0;
     for needle in ["HP C3653", "Quantum Atlas II", "8.7 ms", "Average seek"] {
         assert!(out.contains(needle), "missing {needle:?} in:\n{out}");
     }
@@ -21,14 +21,14 @@ fn e1_table1() {
 
 #[test]
 fn e2_fig2() {
-    let out = fig2::run(40);
+    let out = fig2::report(40).0;
     assert!(out.contains("64 KB"));
     assert!(out.contains("adjacency converts positioning time"));
 }
 
 #[test]
 fn e3_table2() {
-    let out = table2::run();
+    let out = table2::report().0;
     assert!(out.contains("Seagate ST31200N"));
     assert!(out.contains("C-LOOK"));
 }
@@ -36,7 +36,7 @@ fn e3_table2() {
 #[test]
 fn e4_e5_smallfile_both_modes() {
     for mode in [MetadataMode::Synchronous, MetadataMode::Delayed] {
-        let out = smallfile::run(mode, small());
+        let out = smallfile::report(mode, small()).0;
         for fsname in ["FFS", "conventional", "embedded inodes", "explicit grouping", "C-FFS"] {
             assert!(out.contains(fsname), "{mode:?}: missing {fsname}");
         }
@@ -46,7 +46,7 @@ fn e4_e5_smallfile_both_modes() {
 
 #[test]
 fn e4_rows_cover_all_phases() {
-    let rows = smallfile::run_all(MetadataMode::Delayed, small());
+    let (rows, _) = smallfile::run_all(MetadataMode::Delayed, small());
     assert_eq!(rows.len(), 5 * 4, "5 file systems x 4 phases");
     for r in &rows {
         assert!(r.elapsed.as_nanos() > 0, "{}/{} took zero time", r.fs, r.phase);
@@ -54,29 +54,36 @@ fn e4_rows_cover_all_phases() {
     }
 }
 
+/// The create and read rows of one sweep point both moved data.
+fn creates_and_reads(rows: &[cffs_workloads::PhaseResult]) {
+    for phase in ["create", "read"] {
+        let r = rows.iter().find(|r| r.phase == phase).expect("phase row");
+        assert!(r.items_per_sec() > 0.0 && r.mb_per_sec() > 0.0, "{phase}");
+    }
+}
+
 #[test]
 fn e6_filesize_point() {
-    let (create, read) = filesize::point(cffs_core::CffsConfig::cffs(), 4096);
-    assert!(create > 0.0 && read > 0.0);
+    creates_and_reads(&filesize::point_rows(cffs_core::CffsConfig::cffs(), 4096));
 }
 
 #[test]
 fn e7_aging_point() {
-    let (c, r, util) = aging::point(cffs_core::CffsConfig::cffs(), 0.3, 1500);
-    assert!(c > 0.0 && r > 0.0);
+    let (rows, util) = aging::point_rows(cffs_core::CffsConfig::cffs(), 0.3, 1500);
+    creates_and_reads(&rows);
     assert!((0.05..0.9).contains(&util), "utilization {util}");
 }
 
 #[test]
 fn e8_diskreqs() {
-    let out = diskreqs::run(small());
+    let out = diskreqs::report(small()).0;
     assert!(out.contains("claims vs counters"));
     assert!(out.contains("sync writes per create"));
 }
 
 #[test]
 fn e9_apps() {
-    let out = apps::run(MetadataMode::Synchronous, DevTreeParams::small());
+    let out = apps::report(MetadataMode::Synchronous, DevTreeParams::small()).0;
     for phase in ["untar", "copy", "compile", "search", "clean"] {
         assert!(out.contains(phase), "missing {phase}");
     }
@@ -85,17 +92,16 @@ fn e9_apps() {
 
 #[test]
 fn e10_dirsize() {
-    let out = dirsize::run();
+    let out = dirsize::report().0;
     assert!(out.contains("static preallocation"));
     assert!(out.contains("entries"));
 }
 
 #[test]
 fn e12_postmark() {
-    let out = postmark::run(
-        MetadataMode::Delayed,
-        cffs_workloads::postmark::PostmarkParams::small(),
-    );
+    let out =
+        postmark::report(MetadataMode::Delayed, cffs_workloads::postmark::PostmarkParams::small())
+            .0;
     for needle in ["pm-create", "pm-transactions", "pm-delete", "C-FFS speedup"] {
         assert!(out.contains(needle), "missing {needle:?}");
     }

@@ -91,7 +91,7 @@ pub struct CffsConfig {
     /// the miss to fetch that run as one group read.
     pub group_read_min: u32,
     /// Blocks per group extent (1..=16; the paper's unit is 16 = 64 KB).
-    /// Exposed for the group-size ablation (`repro_ablation`).
+    /// Exposed for the group-size ablation (`repro ablation`).
     pub group_blocks: u8,
     /// File-level sequential read-ahead, in blocks (0 = off, matching the
     /// paper's own implementation: "it currently does not support

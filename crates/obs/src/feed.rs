@@ -39,7 +39,7 @@ use crate::json::Json;
 use crate::{obj, CgStat, Ctr, Event, Obs, Sampler, Sig, THREAD_SLOTS};
 
 /// Default simulated-time frame cadence: 50 ms of simulated time, a few
-/// dozen frames per benchmark phase at the repro binaries' scales.
+/// dozen frames per benchmark phase at the `repro` experiments' scales.
 pub const SIM_INTERVAL_DEFAULT_NS: u64 = 50_000_000;
 
 /// Counters carried in every frame, in frame order.
@@ -459,7 +459,7 @@ pub fn attach_with_volumes(
     TapGuard { tap, host }
 }
 
-/// Process-wide sink used by the repro binaries' `--feed <path>` flag:
+/// Process-wide sink used by `repro`'s `--feed <path>` flag:
 /// set once in `main`, then any stage anywhere in the process can
 /// [`tap_global`] without parameter plumbing through the experiment
 /// modules.

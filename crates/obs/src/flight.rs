@@ -295,7 +295,7 @@ fn live() -> Vec<Arc<Flight>> {
     reg.iter().filter_map(Weak::upgrade).collect()
 }
 
-/// Process-wide output directory set by the repro binaries' `--flight`
+/// Process-wide output directory set by `repro`'s `--flight`
 /// flag; [`arm_global`] is a no-op until this is set.
 static GLOBAL_DIR: Mutex<Option<std::path::PathBuf>> = Mutex::new(None);
 

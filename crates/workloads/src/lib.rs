@@ -26,7 +26,7 @@
 //! * [`trace`] — operation traces: random generation, recording, replay;
 //!   the substrate for cross-implementation equivalence tests.
 //! * [`soak`] — open-ended mixed churn for watching the stack live via
-//!   the telemetry feed (`repro_soak --feed` + `cffs-top --follow`).
+//!   the telemetry feed (`repro soak --feed` + `cffs-top --follow`).
 //! * [`runner`] — phase measurement: simulated elapsed time + I/O deltas.
 //! * [`concurrent`] — N client threads over one shared `FileSystem + Sync`
 //!   instance: disjoint per-thread directory sets plus an optional shared
@@ -36,7 +36,7 @@
 //!   workload behind the namespace-cache (dcache) acceptance gate.
 //! * [`multiclient`] — thousands of seeded user sessions (open/read/
 //!   write/fsync mixes, Zipf-skewed directory popularity) over a few OS
-//!   threads: the scale-out volume workload behind E16 `repro_volume`.
+//!   threads: the scale-out volume workload behind E16 `repro volume`.
 
 pub mod aging;
 pub mod appdev;

@@ -3,7 +3,7 @@
 //! Replays a fleet of seeded user *sessions* — open/read/write/fsync
 //! mixes with Zipf-skewed directory popularity — against any
 //! `FileSystem + Sync` instance. This is the workload behind E16
-//! (`repro_volume`): thousands of sessions spread over a handful of OS
+//! (`repro volume`): thousands of sessions spread over a handful of OS
 //! threads, where a popular-project skew concentrates traffic the way a
 //! production namespace would, and per-directory sharding decides how
 //! much of it each disk absorbs.

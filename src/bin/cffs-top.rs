@@ -4,8 +4,8 @@
 //!   cffs-top --follow <feed.jsonl> [--interval-ms N] [--headless] [--frames N] [--no-color]
 //!   cffs-top --replay <feed.jsonl> [--interval-ms N] [--headless] [--frames N] [--no-color]
 //!
-//! `--follow` tails a feed file a repro binary is writing (start one
-//! with `--feed <path>`, e.g. `repro_aging_regroup --feed /tmp/feed.jsonl`)
+//! `--follow` tails a feed file a `repro` run is writing (start one
+//! with `--feed <path>`, e.g. `repro aging_regroup --feed /tmp/feed.jsonl`)
 //! and redraws the dashboard as frames land. The sink appends one whole
 //! line per frame and the parser skips a last line still missing its
 //! `\n`, so a poll always reads a complete prefix of frames.

@@ -206,7 +206,7 @@ fn group_fetch_utilization_accounts_every_fetched_block() {
 
 /// Every phase row that reaches a `BENCH_*.json` carries per-op-kind
 /// latency percentiles (`PhaseResult::to_json` is the single emission
-/// path the repro binaries share).
+/// path every `repro` experiment shares).
 #[test]
 fn phase_rows_carry_per_op_latency_percentiles() {
     let fs = cffs::build::on_disk(models::seagate_st31200(), CffsConfig::cffs());
