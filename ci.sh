@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -107,6 +107,11 @@ if ls crates/bench/src/bin/repro_*.rs 2>/dev/null \
     || grep -rn 'repro_[a-z]' ci.sh README.md DESIGN.md EXPERIMENTS.md crates src tests; then
     echo "a per-experiment repro launcher (or a mention of one) is back"; exit 1
 fi
+# E14 and E16 run on one multi-client driver, workloads::concurrent, and
+# its one clock-ordered schedule: no second (free-running) driver.
+if [ -e crates/workloads/src/multiclient.rs ] || grep -rnE 'multiclient::|MulticlientParams' $SRC; then
+    echo "a second multi-client driver (workloads::multiclient) is back"; exit 1
+fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].
 find crates/*/src crates/*/benches src -name '*.rs' 2>/dev/null | sort | xargs awk '
@@ -153,7 +158,9 @@ BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     --bin repro -- namei --branches 4 --dirs 4 --files 256 --sample 1024 --rounds 3 \
     > /dev/null
 # Reduced scale must match the checked-in BENCH_VOLUME baseline invocation
-# exactly (the volume scaling ratio is scale-sensitive). Records a live
+# exactly (the volume scaling ratio is scale-sensitive). The four clients
+# take their steps on the driver's clock-ordered schedule, so the ratio
+# and every row's elapsed_ns repeat exactly run to run. Records a live
 # per-volume feed for the schema smoke below.
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     --bin repro -- volume --seed 1997 --sessions 480 --dirs 64 --files 16 \
@@ -257,7 +264,8 @@ cargo run --release --offline -p cffs-bench --bin bench_gate -- \
     "$BENCH_TMP/out/BENCH_NAMEI.json" \
     crates/bench/baselines/BENCH_NAMEI.json --tolerance-pct 25
 # Volume scaling: relative band vs baseline plus the absolute >= 3.0x
-# 4-volume acceptance floor enforced inside bench_gate.
+# 4-volume acceptance floor enforced inside bench_gate. The run is a
+# function of the seed, so a failure here is the code's, not the host's.
 cargo run --release --offline -p cffs-bench --bin bench_gate -- \
     "$BENCH_TMP/out/BENCH_VOLUME.json" \
     crates/bench/baselines/BENCH_VOLUME.json --tolerance-pct 25

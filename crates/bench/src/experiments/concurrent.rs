@@ -1,14 +1,14 @@
 //! E14 — concurrent scaling on disjoint cylinder groups.
 //!
-//! N client threads share one `Cffs` instance, each driving a seeded
-//! session against its own directory set (directories spread round-robin
-//! across cylinder groups, so threads allocate from different CGs and the
-//! per-CG sharding is on the hot path). Thread clocks are virtual: each
-//! thread's CPU work advances its own simulated timeline, disk requests
-//! serialize on the shared disk lock, and a run's elapsed time
-//! is the cross-thread high-water mark. Aggregate throughput therefore
-//! scales with threads exactly as far as the stack's sharding lets
-//! cache-hit work overlap — which is the property under test.
+//! N clients share one `Cffs` instance, each driving a seeded session
+//! against its own directory set (directories spread round-robin across
+//! cylinder groups, so clients allocate from different CGs and the
+//! per-CG sharding is on the hot path). The multi-client driver
+//! (`workloads::concurrent`, warm window) runs them on its clock-ordered
+//! schedule: each client's CPU work advances its own simulated timeline,
+//! and a window's elapsed time is the cross-client high-water mark.
+//! Aggregate throughput therefore scales with clients exactly as far as
+//! cache-hit work overlaps — which is the property under test.
 //!
 //! Acceptance (ISSUE 6): at 4 threads, aggregate ops/s on disjoint CGs
 //! must be ≥ 2.5× the 1-thread figure, with the `group_fetch_util_pct`
@@ -72,7 +72,7 @@ fn point(p: &ConcurrentParams) -> Point {
     })
     .expect("concurrent run");
     // Cold grouped re-read (single-threaded, unmeasured): drop the cache,
-    // then walk every thread's directories reading each surviving file,
+    // then walk every client's directories reading each surviving file,
     // so the end-state layout actually exercises group fetches and the
     // `group_fetch_util_pct` histogram has samples from *this* run. The
     // trailing drop retires outstanding fetches inside the counter
@@ -80,13 +80,10 @@ fn point(p: &ConcurrentParams) -> Point {
     Cffs::drop_caches(&fs).expect("drop caches");
     let root = Cffs::root(&fs);
     let mut buf = vec![0u8; 4096];
-    for t in 0..p.nthreads {
-        for d in 0..p.dirs_per_thread {
-            let dir =
-                Cffs::lookup(&fs, root, &format!("t{t}_d{d}")).expect("thread dir survives");
-            for e in Cffs::readdir(&fs, dir).expect("readdir") {
-                Cffs::read(&fs, e.ino, 0, &mut buf).expect("cold read");
-            }
+    for d in 0..p.ndirs {
+        let dir = Cffs::lookup(&fs, root, &format!("p{d}")).expect("client dir survives");
+        for e in Cffs::readdir(&fs, dir).expect("readdir") {
+            Cffs::read(&fs, e.ino, 0, &mut buf).expect("cold read");
         }
     }
     Cffs::drop_caches(&fs).expect("drop caches");
@@ -117,14 +114,17 @@ fn point(p: &ConcurrentParams) -> Point {
     }
 }
 
-/// Run the experiment: `p` at each of [`POINTS`]' thread counts (its own
-/// `nthreads` is not used). `dirs_per_thread`/`files_per_dir` scale the
+/// Run the experiment: `p` at each of [`POINTS`]' client counts, with
+/// `dirs_per_thread` directories per client (`p`'s own `nthreads` and
+/// `ndirs` are not used). `dirs_per_thread`/`files_per_dir` scale the
 /// work (CI smoke passes reduced values). Returns the text report and the
 /// BENCH payload.
-pub fn report(p: ConcurrentParams) -> (String, Json) {
-    let ConcurrentParams { dirs_per_thread, files_per_dir, seed, .. } = p;
-    let points: Vec<Point> =
-        POINTS.iter().map(|&n| point(&ConcurrentParams { nthreads: n, ..p })).collect();
+pub fn report(dirs_per_thread: usize, p: ConcurrentParams) -> (String, Json) {
+    let ConcurrentParams { files_per_dir, seed, .. } = p;
+    let points: Vec<Point> = POINTS
+        .iter()
+        .map(|&n| point(&ConcurrentParams { nthreads: n, ndirs: dirs_per_thread * n, ..p }))
+        .collect();
 
     let base = &points[0];
     let top = &points[points.len() - 1];

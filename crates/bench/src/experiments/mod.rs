@@ -27,8 +27,7 @@ use crate::report::emit_artifact;
 use cffs_fslib::MetadataMode;
 use cffs_obs::json::Json;
 use cffs_workloads::appdev::DevTreeParams;
-use cffs_workloads::concurrent::ConcurrentParams;
-use cffs_workloads::multiclient::MulticlientParams;
+use cffs_workloads::concurrent::{ConcurrentParams, Window};
 use cffs_workloads::namei::NameiParams;
 use cffs_workloads::postmark::PostmarkParams;
 use cffs_workloads::smallfile::{Assignment, SmallFileParams};
@@ -196,13 +195,12 @@ pub const REGISTRY: &[Experiment] = &[
         flags: &[SEED, num("--dirs", "4"), num("--files", "24"), num("--rounds", "20")],
         run: |a| {
             let p = ConcurrentParams {
-                dirs_per_thread: a.num("--dirs"),
                 files_per_dir: a.num("--files"),
-                read_rounds: a.num("--rounds"),
+                window: Window::Warm { rounds: a.num("--rounds") },
                 seed: a.num("--seed"),
                 ..ConcurrentParams::default()
             };
-            show("CONCURRENT", concurrent::report(p))
+            show("CONCURRENT", concurrent::report(a.num("--dirs"), p))
         },
     },
     Experiment {
@@ -241,14 +239,13 @@ pub const REGISTRY: &[Experiment] = &[
             num("--threads", "4"),
         ],
         run: |a| {
-            let p = MulticlientParams {
+            let p = ConcurrentParams {
                 nthreads: a.num("--threads"),
-                sessions: a.num("--sessions"),
                 ndirs: a.num("--dirs"),
                 files_per_dir: a.num("--files"),
-                ops_per_session: a.num("--ops"),
+                file_size: 4096,
+                window: Window::Zipf { sessions: a.num("--sessions"), ops: a.num("--ops") },
                 seed: a.num("--seed"),
-                ..MulticlientParams::default()
             };
             show("VOLUME", volume::report(p))
         },

@@ -1,14 +1,16 @@
 //! E16 — scale-out volume sets: multi-disk striping + sharded metadata.
 //!
-//! The multi-client session driver (`workloads::multiclient`) replays
+//! The multi-client driver (`workloads::concurrent`, Zipf window) replays
 //! thousands of seeded sessions with Zipf-skewed directory popularity
 //! against a [`VolumeSet`] of 1, 2, 4 and 8 independent simulated disks.
 //! Directories shard across volumes by path hash, files larger than the
 //! stripe threshold spread in group-sized parts, and every volume's
 //! caches are dropped at the populate barrier so the measured sessions
-//! window is cold and disk-bound. Thread count is held fixed across
+//! window is cold and disk-bound. Client count is held fixed across
 //! points: any throughput gain comes from the extra spindles, i.e. from
-//! the sharded namespace letting per-volume disk timelines overlap.
+//! the sharded namespace letting per-volume disk timelines overlap. The
+//! clients run on the driver's clock-ordered schedule, so every point is
+//! a function of the seed.
 //!
 //! Acceptance (ISSUE 9): aggregate sessions-window ops/s at 4 volumes
 //! must be ≥ 3.0× the 1-volume figure, and every volume must fsck clean
@@ -22,7 +24,7 @@ use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
 use cffs_regroup::RegroupConfig;
 use cffs_volume::{VolumeCfg, VolumeSet};
-use cffs_workloads::multiclient::{self, MulticlientParams};
+use cffs_workloads::concurrent::{self, ConcurrentParams, Window};
 use cffs_workloads::PhaseResult;
 
 /// Volume counts measured, in order. The acceptance pair is 1 volume
@@ -44,7 +46,7 @@ struct Point {
 /// merged per-volume counter delta as a phase row. Thread count and all
 /// workload parameters are identical across points — only the number of
 /// spindles changes.
-fn point(nvols: usize, p: &MulticlientParams) -> Point {
+fn point(nvols: usize, p: &ConcurrentParams) -> Point {
     let disks: Vec<Disk> =
         (0..nvols).map(|_| Disk::new(models::tiny_test_disk())).collect();
     // Each volume is one scale-out node's slice: a 4 MB cache (so the
@@ -74,7 +76,7 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
         &format!("volume-{nvols}v"),
         cffs_obs::feed::Cadence::Manual,
     );
-    let r = multiclient::run_with_phase_hook(&vs, p, |phase| {
+    let r = concurrent::run_with_phase_hook(&vs, p, |phase| {
         if phase == "populate" {
             vs.drop_caches_all().expect("drop caches");
         }
@@ -82,7 +84,7 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
             tap.frame(&format!("volume-{nvols}v/{phase}"));
         }
     })
-    .expect("multiclient run");
+    .expect("multi-client run");
     drop(feed);
 
     let counters = vs.merged_snapshot(&label).delta(&before);
@@ -108,7 +110,7 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
         .unwrap_or(false);
     Point {
         nvols,
-        session_ops: r.total_session_ops(),
+        session_ops: r.total_window_ops(),
         ops_per_sec: r.ops_per_sec(),
         stripes,
         fsck_clean,
@@ -116,14 +118,15 @@ fn point(nvols: usize, p: &MulticlientParams) -> Point {
     }
 }
 
-/// Run the experiment. `sessions`/`ndirs`/`files_per_dir`/
-/// `ops_per_session` scale the work (CI smoke passes reduced values);
-/// `nthreads` is the fixed client-thread count. Returns the text report
-/// and the BENCH payload.
-pub fn report(p: MulticlientParams) -> (String, Json) {
-    let MulticlientParams {
-        nthreads, sessions, ndirs, files_per_dir, ops_per_session, seed, ..
-    } = p;
+/// Run the experiment. `ndirs`/`files_per_dir` and the Zipf window's
+/// `sessions`/`ops` scale the work (CI smoke passes reduced values);
+/// `nthreads` is the fixed client count. Returns the text report and
+/// the BENCH payload.
+pub fn report(p: ConcurrentParams) -> (String, Json) {
+    let ConcurrentParams { nthreads, ndirs, files_per_dir, seed, window, .. } = p;
+    let Window::Zipf { sessions, ops: ops_per_session } = window else {
+        panic!("E16 replays Zipf sessions");
+    };
     let points: Vec<Point> = POINTS.iter().map(|&n| point(n, &p)).collect();
 
     let base = &points[0];
@@ -131,7 +134,7 @@ pub fn report(p: MulticlientParams) -> (String, Json) {
     let scaling_ratio = four.ops_per_sec / base.ops_per_sec.max(f64::MIN_POSITIVE);
 
     let mut out = header(&format!(
-        "scale-out volume sets (seed {seed}, {sessions} sessions × {ops_per_session} ops, {ndirs} dirs × {files_per_dir} files, {nthreads} threads)"
+        "scale-out volume sets (seed {seed}, {sessions} sessions × {ops_per_session} ops, {ndirs} dirs × {files_per_dir} files, {nthreads} clients)"
     ));
     out.push_str(&format!(
         "{:<10} {:>12} {:>14} {:>12} {:>9} {:>8}\n",

@@ -740,17 +740,27 @@ impl BufferCache {
     /// Write every shard's dirty buffers back as one scheduled,
     /// coalesced batch, on the one reused request list.
     fn flush(&self, ctx: &Ctx) {
-        let mut reqs =
+        let reqs =
             std::mem::take(&mut *self.obs.lock_timed(&self.writeback, Ctr::LockWaitNsCache));
-        for shard in &self.shards {
-            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).take_dirty(&mut reqs);
-        }
-        let mut reqs = flush_batch(ctx, reqs);
+        let mut reqs = self.flush_from(ctx, 0, reqs);
         reqs.clear();
         let mut kept = self.obs.lock_timed(&self.writeback, Ctr::LockWaitNsCache);
         if reqs.capacity() > kept.capacity() {
             *kept = reqs;
         }
+    }
+
+    /// Collect the dirty buffers of shards `idx..` and write the batch
+    /// back, holding every one of those shard locks until it has landed.
+    /// A buffer marked clean here must not be evicted and re-read from
+    /// the platter, nor modified and written back by an eviction, before
+    /// this older batch is on the disk. Shards lock in ascending order
+    /// (as `relocate_phys` does), one stack frame per guard.
+    fn flush_from(&self, ctx: &Ctx, idx: usize, mut reqs: Vec<IoReq<Block>>) -> Vec<IoReq<Block>> {
+        let Some(shard) = self.shards.get(idx) else { return flush_batch(ctx, reqs) };
+        let mut core = self.obs.lock_timed(shard, Ctr::LockWaitNsCache);
+        core.take_dirty(&mut reqs);
+        self.flush_from(ctx, idx + 1, reqs)
     }
 
     /// Core miss/hit path: lock `blkno`'s shard and return it with the

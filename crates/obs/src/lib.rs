@@ -1212,11 +1212,13 @@ impl Obs {
 
     /// Pin the calling thread's clock mirror to at least `ns` without
     /// touching the shared high-water mark. A fan-out point calls this at
-    /// the top of each spawned worker, passing the fork-time watermark:
-    /// without the pin, a worker whose first op happens to run late in
-    /// *wall* time falls back to the global mirror — which its siblings
-    /// have already pushed forward — and the virtual timelines chain one
-    /// after another instead of overlapping.
+    /// the top of each spawned worker, passing the fork-time watermark,
+    /// so every worker starts at the same simulated instant: without the
+    /// pin, a worker with no mirror yet reads the global mirror — which
+    /// its siblings may already have pushed forward — and the virtual
+    /// timelines chain one after another instead of overlapping. (The
+    /// multi-client driver then orders its workers' steps by this clock;
+    /// a volume set pins each volume's clock per op the same way.)
     #[inline]
     pub fn pin_clock_ns(&self, ns: u64) {
         CLOCK_TLS.with(|t| {

@@ -37,8 +37,11 @@
 //! * **Virtual-time fan-out.** Each logical op pins every participating
 //!   volume's clock to the same start time and completes at the max of
 //!   their finish times, so multi-volume work overlaps in simulated time
-//!   exactly like the per-thread clock discipline of the concurrent
-//!   stack — aggregate throughput can genuinely scale with volume count.
+//!   — aggregate throughput can genuinely scale with volume count. Each
+//!   volume keeps its own disk timeline; the multi-client driver
+//!   (`cffs_workloads::concurrent`) orders its clients' steps by
+//!   simulated clock, so which client reaches a volume's disk first is a
+//!   function of the seed, not of OS scheduling.
 //!
 //! `rmdir`, `link`, `rename` and `truncate` would each have to change more
 //! than one volume atomically and return [`FsError::Unsupported`] (see

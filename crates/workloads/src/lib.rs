@@ -28,20 +28,19 @@
 //! * [`soak`] — open-ended mixed churn for watching the stack live via
 //!   the telemetry feed (`repro soak --feed` + `cffs-top --follow`).
 //! * [`runner`] — phase measurement: simulated elapsed time + I/O deltas.
-//! * [`concurrent`] — N client threads over one shared `FileSystem + Sync`
-//!   instance: disjoint per-thread directory sets plus an optional shared
-//!   contention set, throughput in simulated time.
+//! * [`concurrent`] — the one multi-client driver: N clients over one
+//!   shared `FileSystem + Sync` instance, each on its own thread, run on
+//!   one clock-ordered schedule so simulated time is a function of the
+//!   seed. Two measured windows: warm re-reads of disjoint per-client
+//!   directories (E14 `repro concurrent`) and Zipf-skewed open/read/
+//!   write/fsync sessions (E16 `repro volume`).
 //! * [`namei`] — the million-file deep-tree name-resolution benchmark:
 //!   seeded full-path lookups against multi-block leaf directories, the
 //!   workload behind the namespace-cache (dcache) acceptance gate.
-//! * [`multiclient`] — thousands of seeded user sessions (open/read/
-//!   write/fsync mixes, Zipf-skewed directory popularity) over a few OS
-//!   threads: the scale-out volume workload behind E16 `repro volume`.
 
 pub mod aging;
 pub mod appdev;
 pub mod concurrent;
-pub mod multiclient;
 pub mod namegen;
 pub mod namei;
 pub mod postmark;

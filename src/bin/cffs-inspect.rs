@@ -426,7 +426,7 @@ fn regroup_cmd(args: &[String]) {
 /// other subcommands keep).
 fn volumes_cmd(args: &[String]) {
     use cffs::volume::{VolumeCfg, VolumeSet};
-    use cffs::workloads::multiclient::{self, MulticlientParams};
+    use cffs::workloads::concurrent::{self, ConcurrentParams, Window};
     use cffs_obs::{Ctr, Sig};
 
     let json = args.iter().any(|a| a == "--json");
@@ -440,16 +440,16 @@ fn volumes_cmd(args: &[String]) {
     // Small enough to finish in well under a second, big enough that the
     // Zipf-skewed sessions shard directories across every volume and the
     // big-file reads exercise the striped layout.
-    let p = MulticlientParams {
+    let (sessions, ops) = (48, 8);
+    let p = ConcurrentParams {
         nthreads: 1,
-        sessions: 48,
         ndirs: 8,
         files_per_dir: 4,
-        ops_per_session: 8,
+        file_size: 4096,
+        window: Window::Zipf { sessions, ops },
         seed: 42,
-        ..MulticlientParams::default()
     };
-    let r = multiclient::run(&vs, &p).expect("multiclient run");
+    let r = concurrent::run(&vs, &p).expect("multi-client run");
     let fscks = vs.fsck_all().expect("fsck every volume");
     let depths = vs.queue_depths();
 
@@ -513,7 +513,7 @@ fn volumes_cmd(args: &[String]) {
     );
     println!(
         "workload: {} sessions x {} ops, {} dirs x {} files, seed {} ({} thread)",
-        p.sessions, p.ops_per_session, p.ndirs, p.files_per_dir, p.seed, p.nthreads
+        sessions, ops, p.ndirs, p.files_per_dir, p.seed, p.nthreads
     );
     println!("total: {} ops, {} bytes, elapsed {}\n", r.total_ops(), r.bytes, r.elapsed);
     println!(

@@ -1,7 +1,9 @@
 //! Concurrency: N client threads over one shared `Cffs`.
 //!
 //! What sharing one instance between threads must guarantee, checked end
-//! to end:
+//! to end. Every test spawns its own threads and lets them race: the
+//! multi-client driver runs its clients one step at a time, so it would
+//! hide the interleavings these tests are after.
 //!
 //! * a multi-threaded run over disjoint per-thread directory sets leaves
 //!   an fsck-clean image, and its op tally is exactly the sum of the
@@ -9,14 +11,17 @@
 //! * threads hammering the *same* directories never corrupt entries or
 //!   tear file contents;
 //! * online relocation racing foreground writes preserves block-level
-//!   atomicity — every block is wholly one writer's payload.
+//!   atomicity — every block is wholly one writer's payload;
+//! * delayed write-back racing eviction loses no update.
 
 use cffs::core::{fsck, Cffs, CffsConfig, MkfsParams};
 use cffs::prelude::FsResult;
-use cffs::workloads::concurrent::{self, ConcurrentParams};
 use cffs_disksim::models;
 use cffs_disksim::Disk;
+use cffs_fslib::path::{read_file, resolve, write_file};
 use cffs_fslib::FileSystem;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn fresh() -> Cffs {
     cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), CffsConfig::cffs())
@@ -30,75 +35,154 @@ fn assert_fsck_clean(fs: &Cffs, context: &str) {
     assert!(report.clean(), "{context}: fsck found {:?}", report.errors);
 }
 
+/// Client `t`'s seeded session over its own directories `/t{t}_d*`:
+/// create and write every file, read each back (checking its bytes) and
+/// stat it for `rounds` rounds, overwrite a seeded eighth by full path
+/// and unlink a seeded quarter. Returns the operations it completed.
+fn disjoint_session(fs: &Cffs, t: usize, dirs: usize, files: usize, seed: u64) -> FsResult<u64> {
+    const SIZE: usize = 4096;
+    const ROUNDS: usize = 2;
+    let mut rng = StdRng::seed_from_u64(seed ^ t as u64);
+    let payload = vec![t as u8; SIZE];
+    let root = Cffs::root(fs);
+    let mut ops = 0u64;
+    let mut own = Vec::with_capacity(dirs);
+    for d in 0..dirs {
+        own.push(Cffs::mkdir(fs, root, &format!("t{t}_d{d}"))?);
+        ops += 1;
+    }
+    // Interleave across the client's directories so consecutive ops hit
+    // different cylinder groups.
+    for f in 0..files {
+        for &dir in &own {
+            let ino = Cffs::create(fs, dir, &format!("f{f}"))?;
+            Cffs::write(fs, ino, 0, &payload)?;
+            ops += 2;
+        }
+    }
+    let mut buf = vec![0u8; SIZE];
+    for _round in 0..ROUNDS {
+        for &dir in &own {
+            for f in 0..files {
+                let ino = Cffs::lookup(fs, dir, &format!("f{f}"))?;
+                assert_eq!(Cffs::read(fs, ino, 0, &mut buf)?, SIZE);
+                assert!(buf == payload, "t{t}: f{f} content belongs to its writer");
+                Cffs::getattr(fs, ino)?;
+                ops += 3;
+            }
+        }
+    }
+    for d in 0..dirs {
+        for f in 0..files {
+            if rng.gen_range(0..8u64) == 0 {
+                let ino = resolve(fs, &format!("/t{t}_d{d}/f{f}"))?;
+                Cffs::write(fs, ino, 0, &payload)?;
+                ops += 2;
+            }
+        }
+    }
+    for &dir in &own {
+        for f in 0..files {
+            if rng.gen_range(0..4u64) == 0 {
+                Cffs::unlink(fs, dir, &format!("f{f}"))?;
+                ops += 1;
+            }
+        }
+    }
+    Ok(ops)
+}
+
 #[test]
 fn disjoint_cg_stress_is_fsck_clean_and_ops_sum_to_single_thread() {
-    let p = ConcurrentParams {
-        nthreads: 4,
-        dirs_per_thread: 2,
-        files_per_dir: 24,
-        file_size: 4096,
-        shared_dirs: 0,
-        shared_files_per_thread: 0,
-        read_rounds: 2,
-        seed: 7,
-    };
+    const NTHREADS: usize = 4;
+    const DIRS: usize = 2;
+    const FILES: usize = 24;
+    const SEED: u64 = 7;
     let fs = fresh();
-    let r = concurrent::run(&fs, &p).expect("concurrent run");
-    assert_eq!(r.nthreads, 4);
+    let per_thread_ops: Vec<u64> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..NTHREADS)
+            .map(|t| {
+                let fs = &fs;
+                scope.spawn(move || disjoint_session(fs, t, DIRS, FILES, SEED))
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("worker panicked").expect("worker ops")).collect()
+    });
+    assert_eq!(per_thread_ops.len(), NTHREADS);
     assert_fsck_clean(&fs, "4-thread disjoint stress");
 
     // The same four sessions, replayed one at a time on fresh instances:
-    // thread t's session is seeded from `seed ^ t`, so a 1-thread run
-    // with `seed ^ t` reproduces its op stream exactly.
+    // session t is seeded from `SEED ^ t` whatever thread runs it.
     let mut sequential_total = 0u64;
-    for t in 0..4u64 {
-        let solo = ConcurrentParams { nthreads: 1, seed: p.seed ^ t, ..p };
+    for t in 0..NTHREADS {
         let sfs = fresh();
-        let sr = concurrent::run(&sfs, &solo).expect("solo run");
+        sequential_total += disjoint_session(&sfs, t, DIRS, FILES, SEED).expect("solo session");
         assert_fsck_clean(&sfs, "solo session");
-        sequential_total += sr.total_ops();
     }
     assert_eq!(
-        r.total_ops(),
+        per_thread_ops.iter().sum::<u64>(),
         sequential_total,
         "4-thread op tally must equal the sum of its single-thread sessions"
     );
-    assert!(r.per_thread_ops.iter().all(|&o| o > 0), "every thread did work");
+    assert!(per_thread_ops.iter().all(|&o| o > 0), "every thread did work");
 }
 
 #[test]
 fn shared_directory_contention_keeps_entries_and_contents_intact() {
-    let p = ConcurrentParams {
-        nthreads: 4,
-        dirs_per_thread: 1,
-        files_per_dir: 4,
-        file_size: 4096,
-        shared_dirs: 2,
-        shared_files_per_thread: 12,
-        read_rounds: 1,
-        seed: 99,
-    };
+    const NTHREADS: usize = 4;
+    const SHARED: usize = 2;
+    const FILES: usize = 12;
+    const SIZE: usize = 4096;
     let fs = fresh();
-    concurrent::run(&fs, &p).expect("contended run");
+    let root = Cffs::root(&fs);
+    let dirs: Vec<_> =
+        (0..SHARED).map(|s| Cffs::mkdir(&fs, root, &format!("shared{s}")).expect("mkdir")).collect();
+    // Every thread creates its own (thread-unique) names in every shared
+    // directory, then re-reads and re-lists, so the per-directory op
+    // stripe and the shared CG state genuinely collide. Files go through
+    // the path helpers: racing threads resolve "/sharedN" concurrently
+    // while siblings insert into it.
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..NTHREADS)
+            .map(|t| {
+                let (fs, dirs) = (&fs, &dirs);
+                scope.spawn(move || -> FsResult<()> {
+                    let payload = vec![t as u8; SIZE];
+                    for (s, &dir) in dirs.iter().enumerate() {
+                        for f in 0..FILES {
+                            write_file(fs, &format!("/shared{s}/t{t}_s{f}"), &payload)?;
+                        }
+                        for f in 0..FILES {
+                            let data = read_file(fs, &format!("/shared{s}/t{t}_s{f}"))?;
+                            assert_eq!(data.len(), SIZE, "shared{s}/t{t}_s{f}: read back whole");
+                        }
+                        Cffs::readdir(fs, dir)?;
+                    }
+                    Ok(())
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().expect("worker panicked").expect("worker ops");
+        }
+    });
     assert_fsck_clean(&fs, "shared-directory contention");
 
-    let root = Cffs::root(&fs);
-    for s in 0..p.shared_dirs {
-        let dir = Cffs::lookup(&fs, root, &format!("shared{s}")).expect("shared dir survives");
+    for (s, &dir) in dirs.iter().enumerate() {
         let entries = Cffs::readdir(&fs, dir).expect("readdir");
         assert_eq!(
             entries.len(),
-            p.nthreads * p.shared_files_per_thread,
+            NTHREADS * FILES,
             "shared{s}: every thread's files present exactly once"
         );
         // Every file reads back as its writer's fill byte, full length:
         // racing creates never cross-wired name → inode → data.
-        let mut buf = vec![0u8; p.file_size];
-        for t in 0..p.nthreads {
-            for f in 0..p.shared_files_per_thread {
+        let mut buf = vec![0u8; SIZE];
+        for t in 0..NTHREADS {
+            for f in 0..FILES {
                 let ino = Cffs::lookup(&fs, dir, &format!("t{t}_s{f}")).expect("entry resolves");
                 let n = Cffs::read(&fs, ino, 0, &mut buf).expect("read");
-                assert_eq!(n, p.file_size);
+                assert_eq!(n, SIZE);
                 assert!(
                     buf.iter().all(|&b| b == t as u8),
                     "shared{s}/t{t}_s{f}: content belongs to thread {t}"
@@ -341,5 +425,101 @@ fn block_handle_held_by_a_reader_survives_a_concurrent_modify() {
         assert!(current, "round {round}: the writer modified the current bytes");
         assert!(snapshot, "round {round}: the held handle kept the old bytes");
         assert!(fresh, "round {round}: a fresh read saw the new bytes");
+    }
+}
+
+/// Write-back racing eviction must lose no update. Four threads fill
+/// disjoint directories of a bare file system whose buffer cache is far
+/// smaller than the data, so delayed write-back batches and evictions
+/// interleave across threads; then the cache is dropped and every entry
+/// is walked and read back from the platter. A write-back batch that
+/// runs outside the cache's locks lets a concurrent eviction re-read a
+/// block before its write lands (or overwrite a newer write with an
+/// older one): a directory then reads back short, or a file with
+/// another generation's bytes.
+#[test]
+fn write_back_racing_eviction_loses_no_update() {
+    use cffs_fslib::MetadataMode;
+    const NTHREADS: usize = 4;
+    const NDIRS: usize = 64;
+    const FILES: usize = 16;
+    const SIZE: usize = 4096;
+    const BIG: usize = 256 * 1024;
+    const TRIALS: usize = 5;
+    let fill = |d: usize, f: usize| ((d * 31 + f) & 0xff) as u8;
+    let variants = [
+        CffsConfig::conventional(),
+        CffsConfig::grouping_only(),
+        CffsConfig::cffs(),
+        CffsConfig::ffs(),
+        CffsConfig::embedded_only(),
+    ];
+    for (v, base) in variants.into_iter().enumerate() {
+        for trial in 0..TRIALS {
+            let mut cfg = base.clone().with_mode(MetadataMode::Delayed);
+            cfg.cache.nbufs = 256;
+            let label = format!("{} trial {trial}", cfg.label);
+            let fs = cffs::core::mkfs::mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::default(), cfg)
+                .expect("mkfs");
+            let root = Cffs::root(&fs);
+            let dirs: Vec<_> =
+                (0..NDIRS).map(|d| Cffs::mkdir(&fs, root, &format!("p{d}")).expect("mkdir")).collect();
+            Cffs::sync(&fs).expect("sync");
+            std::thread::scope(|scope| {
+                let workers: Vec<_> = (0..NTHREADS)
+                    .map(|t| {
+                        let (fs, dirs) = (&fs, &dirs);
+                        scope.spawn(move || -> FsResult<()> {
+                            for d in (t..NDIRS).step_by(NTHREADS) {
+                                for f in 0..FILES {
+                                    let ino = Cffs::create(fs, dirs[d], &format!("f{f}"))?;
+                                    Cffs::write(fs, ino, 0, &vec![fill(d, f); SIZE])?;
+                                }
+                                if d % 4 == v % 4 {
+                                    let big = Cffs::create(fs, dirs[d], "big")?;
+                                    let payload: Vec<u8> = (0..BIG).map(|i| (i % 251) as u8).collect();
+                                    Cffs::write(fs, big, 0, &payload)?;
+                                }
+                            }
+                            Ok(())
+                        })
+                    })
+                    .collect();
+                for w in workers {
+                    w.join().expect("worker panicked").unwrap_or_else(|e| panic!("{label}: {e:?}"));
+                }
+            });
+            Cffs::drop_caches(&fs).expect("drop caches");
+
+            let mut buf = vec![0u8; BIG];
+            for (d, &dir) in dirs.iter().enumerate() {
+                let mut names: Vec<String> =
+                    Cffs::readdir(&fs, dir).expect("readdir").into_iter().map(|e| e.name).collect();
+                names.sort();
+                let mut want: Vec<String> = (0..FILES).map(|f| format!("f{f}")).collect();
+                if d % 4 == v % 4 {
+                    want.push("big".to_string());
+                }
+                want.sort();
+                assert_eq!(names, want, "{label}: /p{d} lost entries");
+                for f in 0..FILES {
+                    let ino = Cffs::lookup(&fs, dir, &format!("f{f}")).expect("entry resolves");
+                    let n = Cffs::read(&fs, ino, 0, &mut buf).expect("read");
+                    assert!(
+                        n == SIZE && buf[..n].iter().all(|&b| b == fill(d, f)),
+                        "{label}: /p{d}/f{f} read back {n} bytes of the wrong contents"
+                    );
+                }
+                if d % 4 == v % 4 {
+                    let ino = Cffs::lookup(&fs, dir, "big").expect("big resolves");
+                    let n = Cffs::read(&fs, ino, 0, &mut buf).expect("read big");
+                    assert!(
+                        n == BIG && buf.iter().enumerate().all(|(i, &b)| b == (i % 251) as u8),
+                        "{label}: /p{d}/big read back {n} bytes of the wrong contents"
+                    );
+                }
+            }
+            assert_fsck_clean(&fs, &label);
+        }
     }
 }

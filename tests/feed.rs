@@ -11,7 +11,7 @@ use cffs::obs::feed::{self, Cadence};
 use cffs::prelude::*;
 use cffs_core::CffsConfig;
 use cffs_disksim::models;
-use cffs_workloads::concurrent::{self, ConcurrentParams};
+use cffs_workloads::concurrent::{self, ConcurrentParams, Window};
 use cffs_workloads::soak::{self, SoakParams};
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -88,20 +88,15 @@ fn concurrent_producer(tag: &str, seed: u64) -> String {
     let obs = cffs_core::Cffs::obs(&fs);
     {
         let tap = feed::attach(&sink, &obs, "concurrent", Cadence::Manual);
-        // One dir per thread on a 4-CG disk: the round-robin dir rotor
-        // gives each thread its own cylinder group, so no two threads
-        // ever race on the same CG allocator. With shared CGs the churn
-        // phase's alloc/free interleaving picks different physical
-        // blocks run to run — same work, different seeks — and the
-        // barrier timestamp legitimately shifts by a disk revolution.
+        // One directory per client. The driver runs its clients on one
+        // clock-ordered schedule, so every frame — barrier timestamps
+        // included — is a function of the seed.
         let p = ConcurrentParams {
             nthreads: 4,
-            dirs_per_thread: 1,
+            ndirs: 4,
             files_per_dir: 16,
             file_size: 4096,
-            shared_dirs: 0,
-            shared_files_per_thread: 0,
-            read_rounds: 2,
+            window: Window::Warm { rounds: 2 },
             seed,
         };
         concurrent::run_with_phase_hook(&fs, &p, |phase| tap.frame(phase))

@@ -15,7 +15,7 @@ use cffs_obs::json::{parse, Json, ToJson};
 use cffs_obs::{prof, Ctr, Obs};
 use cffs_regroup::AutotriggerConfig;
 use cffs_workloads::aging::{age_adversarial, AdversarialParams};
-use cffs_workloads::concurrent::{self, ConcurrentParams};
+use cffs_workloads::concurrent::{self, ConcurrentParams, Window};
 use cffs_workloads::runner::measure;
 use cffs_workloads::smallfile::{self, SmallFileParams};
 use std::process::Command;
@@ -67,8 +67,8 @@ fn fold_conserves_time_across_ring_wrap() {
 }
 
 /// The same conservation invariant with *threaded* producers: four
-/// client threads race events into the same tiny ring (wrapping it many
-/// times over, with interleaved per-thread virtual clocks), and the fold
+/// client threads record events into the same tiny ring (wrapping it
+/// many times over, with interleaved per-thread virtual clocks), and the fold
 /// of whatever survives must still account for exactly the run's elapsed
 /// simulated time — the cross-thread clock high-water mark. A frontier
 /// clip or per-thread stamp that escaped the retained window would break
@@ -80,12 +80,10 @@ fn fold_conserves_time_across_ring_wrap_with_threaded_producers() {
     let fs = mkfs::mkfs(disk, MkfsParams::tiny(), CffsConfig::cffs()).expect("mkfs");
     let p = ConcurrentParams {
         nthreads: 4,
-        dirs_per_thread: 1,
+        ndirs: 4,
         files_per_dir: 12,
         file_size: 700,
-        shared_dirs: 1,
-        shared_files_per_thread: 4,
-        read_rounds: 2,
+        window: Window::Warm { rounds: 2 },
         seed: 3,
     };
     concurrent::run(&fs, &p).expect("threaded run");

@@ -1,41 +1,42 @@
-//! Determinism of the multi-client session driver on a volume set.
+//! Determinism of the multi-client driver, on a volume set (E16's Zipf
+//! sessions) and on a bare C-FFS (E14's warm window).
 //!
-//! Two contracts, one per thread regime:
+//! The driver runs its clients on one clock-ordered schedule, so a run is
+//! a function of the seed at any client count:
 //!
-//! * **Single-threaded runs are byte-stable.** With `nthreads = 1` the
-//!   whole simulated timeline is a pure function of the seed: two runs
-//!   agree on every op count, every payload byte, the final simulated
-//!   clock to the nanosecond, and the full namespace walk. This is the
-//!   regime `cffs-inspect volumes` relies on for byte-identical output.
+//! * **Single-client runs are byte-stable.** Two runs agree on every op
+//!   count, every payload byte, the final simulated clock to the
+//!   nanosecond, the full namespace walk and every feed frame. This is
+//!   the regime `cffs-inspect volumes` relies on for byte-identical
+//!   output.
 //!
-//! * **Multi-threaded runs are count-stable.** With `nthreads > 1` the
-//!   interleaving (and so the simulated clock) may differ run to run,
-//!   but the seeded session streams themselves do not: per-thread op
-//!   counts, session-window op counts, and total payload bytes must be
-//!   identical, and a different seed must actually change the stream.
+//! * **Multi-client runs are nanosecond-stable.** With four clients, each
+//!   on its own OS thread, two runs agree on per-client op counts, the
+//!   window's elapsed simulated time, the final simulated clock, payload
+//!   bytes and every counter of the registry; a different seed must
+//!   actually change the stream.
 
-use cffs::core::CffsConfig;
+use cffs::core::{Cffs, CffsConfig};
 use cffs::feedview::FeedView;
 use cffs::obs::feed::{self, Cadence};
 use cffs::volume::{VolumeCfg, VolumeSet};
-use cffs::workloads::multiclient::{self, MulticlientParams};
+use cffs::workloads::concurrent::{self, ConcurrentParams, Window};
 use cffs_disksim::{models, Disk};
-use cffs_fslib::{FileKind, FileSystem, Ino};
+use cffs_fslib::{FileKind, FileSystem, Ino, MetadataMode};
 
 fn set(nvols: usize) -> VolumeSet {
     let disks = (0..nvols).map(|_| Disk::new(models::tiny_test_disk())).collect();
     VolumeSet::format(disks, VolumeCfg::new(CffsConfig::cffs())).expect("format volume set")
 }
 
-fn params(nthreads: usize, seed: u64) -> MulticlientParams {
-    MulticlientParams {
+fn params(nthreads: usize, seed: u64) -> ConcurrentParams {
+    ConcurrentParams {
         nthreads,
-        sessions: 40,
         ndirs: 8,
         files_per_dir: 4,
-        ops_per_session: 6,
+        file_size: 4096,
+        window: Window::Zipf { sessions: 40, ops: 6 },
         seed,
-        ..MulticlientParams::default()
     }
 }
 
@@ -58,12 +59,12 @@ fn walk(fs: &VolumeSet, dir: Ino, prefix: &str, out: &mut Vec<String>) {
 fn single_threaded_run_is_byte_stable() {
     let run = |seed: u64| {
         let vs = set(2);
-        let r = multiclient::run(&vs, &params(1, seed)).expect("multiclient");
+        let r = concurrent::run(&vs, &params(1, seed)).expect("multi-client run");
         let mut ns = Vec::new();
         walk(&vs, vs.root(), "", &mut ns);
         (
             r.per_thread_ops.clone(),
-            r.session_ops.clone(),
+            r.window_ops.clone(),
             r.bytes,
             r.elapsed.as_nanos(),
             vs.now().as_nanos(),
@@ -92,8 +93,8 @@ fn feed_producer(tag: &str, seed: u64) -> String {
             "multiclient",
             Cadence::Manual,
         );
-        multiclient::run_with_phase_hook(&vs, &params(1, seed), |phase| tap.frame(phase))
-            .expect("multiclient");
+        concurrent::run_with_phase_hook(&vs, &params(1, seed), |phase| tap.frame(phase))
+            .expect("multi-client run");
     }
     let text = std::fs::read_to_string(&path).expect("read feed");
     std::fs::remove_file(&path).ok();
@@ -124,14 +125,52 @@ fn single_threaded_feed_rendering_is_byte_deterministic() {
 }
 
 #[test]
-fn multi_threaded_run_has_stable_counts() {
+fn multi_threaded_run_is_nanosecond_stable() {
     let run = |seed: u64| {
         let vs = set(2);
-        let r = multiclient::run(&vs, &params(4, seed)).expect("multiclient");
-        (r.per_thread_ops.clone(), r.session_ops.clone(), r.bytes, vs.stripe_count())
+        let r = concurrent::run(&vs, &params(4, seed)).expect("multi-client run");
+        (
+            r.per_thread_ops.clone(),
+            r.window_ops.clone(),
+            r.elapsed.as_nanos(),
+            vs.set_obs().global_clock_ns(),
+            r.bytes,
+            vs.stripe_count(),
+        )
     };
-    // The clock is scheduling-dependent under real threads, but the op
-    // and byte streams are seed-pure: counts must match exactly.
-    assert_eq!(run(42), run(42), "equal seeds must produce identical counts");
-    assert_ne!(run(42), run(43), "the seed must actually steer the stream");
+    // Four clients on four OS threads, one clock-ordered schedule: the
+    // simulated clock is as seed-pure as the op and byte streams.
+    let a = run(42);
+    assert!(a.0.iter().all(|&o| o > 0), "every client did work: {:?}", a.0);
+    assert_eq!(a, run(42), "equal seeds must replay the same timeline");
+    assert_ne!(a, run(43), "the seed must actually steer the stream");
+}
+
+/// E14's shape: four clients over disjoint directories of one bare
+/// C-FFS with delayed metadata, warm window. Two runs agree on the
+/// window's elapsed time and on every counter of the registry — disk
+/// requests, seek/rotation/transfer time and cache traffic included.
+#[test]
+fn multi_threaded_bare_cffs_run_repeats_every_counter() {
+    let run = || {
+        let fs = cffs::build::on_disk(
+            models::tiny_test_disk(),
+            CffsConfig::cffs().with_mode(MetadataMode::Delayed),
+        );
+        let p = ConcurrentParams {
+            nthreads: 4,
+            ndirs: 8,
+            files_per_dir: 12,
+            file_size: 4096,
+            window: Window::Warm { rounds: 4 },
+            seed: 1997,
+        };
+        let r = concurrent::run(&fs, &p).expect("multi-client run");
+        let obs = Cffs::obs(&fs);
+        let snap = obs.snapshot("e14", obs.global_clock_ns());
+        (r.per_thread_ops, r.elapsed.as_nanos(), snap.sim_ns, snap.counters)
+    };
+    let a = run();
+    assert!(a.3.iter().any(|(n, v)| n == "disk_writes" && *v > 0), "the run reached the disk");
+    assert_eq!(a, run(), "two 4-client runs must agree on every counter");
 }
