@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -111,6 +111,12 @@ fi
 # its one clock-ordered schedule: no second (free-running) driver.
 if [ -e crates/workloads/src/multiclient.rs ] || grep -rnE 'multiclient::|MulticlientParams' $SRC; then
     echo "a second multi-client driver (workloads::multiclient) is back"; exit 1
+fi
+# A setting that only ever takes one value is a constant: the SLO
+# objectives are one table, signals have floors only, feeds run on the
+# simulated clock, and the autotrigger's policy is fixed.
+if grep -rnE 'fn (set_slo|arm_default_slos|set_signal_ceiling)\b|Cadence::Host|AutotriggerConfig|"--host-ms"' $SRC; then
+    echo "a one-value setting (SLO registry, signal ceiling, host feed cadence or AutotriggerConfig) is back"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

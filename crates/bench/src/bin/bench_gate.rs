@@ -39,6 +39,7 @@
 //! Improvements beyond the band pass but are called out so the baseline
 //! gets refreshed. Exits nonzero listing every violation.
 
+use cffs_obs::diff::{collect_rows, row_key};
 use cffs_obs::json::{parse, Json};
 use cffs_obs::obj;
 
@@ -133,35 +134,6 @@ impl Gate {
                 .push(format!("{what}: {current:.0} improved well below baseline {base:.0} — refresh the baseline"));
         }
     }
-}
-
-fn row_key(row: &Json) -> Option<(String, String)> {
-    Some((
-        row.get("fs")?.as_str()?.to_string(),
-        row.get("phase")?.as_str()?.to_string(),
-    ))
-}
-
-/// Every row anywhere in the payload: top-level `rows`, plus `rows` nested
-/// one level down in arrays like E7's `points` or E13's sweeps.
-fn collect_rows(j: &Json) -> Vec<&Json> {
-    fn push_rows<'a>(node: &'a Json, out: &mut Vec<&'a Json>) {
-        if let Some(rows) = node.get("rows").and_then(Json::as_arr) {
-            out.extend(rows.iter());
-        }
-    }
-    let mut out = Vec::new();
-    push_rows(j, &mut out);
-    if let Json::Obj(members) = j {
-        for (_, v) in members {
-            if let Json::Arr(items) = v {
-                for item in items {
-                    push_rows(item, &mut out);
-                }
-            }
-        }
-    }
-    out
 }
 
 fn hist_mean(row: &Json, name: &str) -> Option<f64> {

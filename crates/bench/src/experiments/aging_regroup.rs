@@ -27,7 +27,7 @@ use cffs_disksim::models;
 use cffs_fslib::{FileKind, FsResult, Ino, MetadataMode, BLOCK_SIZE};
 use cffs_obs::json::{Json, ToJson};
 use cffs_obs::obj;
-use cffs_regroup::{AutotriggerConfig, RegroupConfig, RegroupMode, RegroupOutcome};
+use cffs_regroup::{RegroupConfig, RegroupMode, RegroupOutcome};
 use cffs_workloads::aging::{age_adversarial, AdversarialParams};
 use cffs_workloads::runner::{cold_boundary, measure};
 use cffs_workloads::PhaseResult;
@@ -162,7 +162,6 @@ struct AutotriggerResult {
 /// the same cold grouped read as every other stage.
 fn autotrigger_run(seed: u64) -> AutotriggerResult {
     let mut fs = aged_instance(seed);
-    let cfg = AutotriggerConfig::default();
     let obs = fs.obs();
     // The stage the feed exists to show: the utilization EWMA decaying
     // until the floor crossing fires budgeted regroup passes live.
@@ -181,7 +180,7 @@ fn autotrigger_run(seed: u64) -> AutotriggerResult {
                 fs.read(ino, 0, &mut buf).expect("read");
             }
             // Idle moment: the directory's blocks are still resident.
-            if let Some(o) = cffs_regroup::autotrigger(&mut fs, &cfg).expect("autotrigger") {
+            if let Some(o) = cffs_regroup::autotrigger(&mut fs).expect("autotrigger") {
                 fires += 1;
                 blocks_moved += o.blocks_moved;
             }

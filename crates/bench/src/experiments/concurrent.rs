@@ -62,6 +62,7 @@ fn point(p: &ConcurrentParams) -> Point {
     // fan-out because client threads bind slots 1..=N.
     let feed = cffs_obs::feed::tap_global(
         &obs,
+        &[],
         &format!("concurrent-{}t", p.nthreads),
         cffs_obs::feed::Cadence::Manual,
     );

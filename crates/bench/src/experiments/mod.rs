@@ -252,15 +252,9 @@ pub const REGISTRY: &[Experiment] = &[
     },
     Experiment {
         name: "soak",
-        about: "open-ended churn to watch live with cffs-top (no BENCH payload); \
-                --host-ms N samples the feed every N wall-clock ms",
-        flags: &[
-            num("--rounds", "8"),
-            num("--dirs", "6"),
-            num("--files", "24"),
-            SEED,
-            Flag("--host-ms", Kind::Num, None),
-        ],
+        about: "open-ended churn to watch live with cffs-top --follow (no BENCH payload); \
+                --feed streams frames on the simulated clock",
+        flags: &[num("--rounds", "8"), num("--dirs", "6"), num("--files", "24"), SEED],
         run: run_soak,
     },
     Experiment {
@@ -416,12 +410,10 @@ fn run_smallfile(a: &Args) {
 
 /// Runs the [`cffs_workloads::soak`] workload on a fresh C-FFS image.
 /// With `--feed`, telemetry streams at the deterministic simulated
-/// cadence by default, or sampled every N wall-clock milliseconds with
-/// `--host-ms` (the mode to pair with `cffs-top --follow PATH` in a
-/// second terminal). It produces activity to watch, not a number to gate
-/// on, so it writes no BENCH payload.
+/// cadence, to pair with `cffs-top --follow PATH` in a second terminal.
+/// It produces activity to watch, not a number to gate on, so it writes
+/// no BENCH payload.
 fn run_soak(a: &Args) {
-    use cffs_obs::feed;
     let p = cffs_workloads::soak::SoakParams {
         rounds: a.num("--rounds"),
         ndirs: a.num("--dirs"),
@@ -433,14 +425,7 @@ fn run_soak(a: &Args) {
         cffs_disksim::models::tiny_test_disk(),
         cffs_core::CffsConfig::cffs().with_mode(MetadataMode::Delayed),
     );
-    let obs = fs.obs();
-    let _feed = match a.get("--host-ms") {
-        Some(_) => {
-            let every = std::time::Duration::from_millis(a.num("--host-ms"));
-            feed::tap_global(&obs, "soak", feed::Cadence::Host(every))
-        }
-        None => feed::tap_global_sim(&obs, "soak"),
-    };
+    let _feed = cffs_obs::feed::tap_global_sim(&fs.obs(), "soak");
     let r = cffs_workloads::soak::run(&fs, &p, |i| {
         eprintln!("soak: round {}/{} done", i + 1, p.rounds);
     })

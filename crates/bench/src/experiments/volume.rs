@@ -70,7 +70,7 @@ fn point(nvols: usize, p: &ConcurrentParams) -> Point {
     // fetch utilization per spindle). Frames are cut at the quiescent
     // phase barriers; the populate hook also drops every volume's caches
     // so the sessions window starts cold.
-    let feed = cffs_obs::feed::tap_global_volumes(
+    let feed = cffs_obs::feed::tap_global(
         &set_obs,
         &vs.vol_obs(),
         &format!("volume-{nvols}v"),

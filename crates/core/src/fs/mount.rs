@@ -77,11 +77,8 @@ impl Cffs {
             .into_iter()
             .map(|hdr| Mutex::new(CgSlot { hdr, dirty: false }))
             .collect();
-        // Per-op latency objectives (burn is derived lazily from the op
-        // histograms, so arming costs the hot path nothing) and the
-        // forensic black box (no-op without a `--flight` opt-in).
-        obs.arm_default_slos();
-        let flight = cffs_obs::flight::arm_global(&obs, &cfg.label);
+        // The forensic black box (no-op without a `--flight` opt-in).
+        let flight = cffs_obs::flight::arm_global(&obs, &[], &cfg.label);
         let obs_for_dcache = obs.clone();
         let fs = Cffs {
             drv,

@@ -15,10 +15,10 @@ use crate::json::Json;
 use crate::{obj, HistogramSnapshot};
 
 /// Every row anywhere in a payload: top-level `rows`, plus `rows`
-/// nested one level down in arrays (sweeps like E7/E13). Mirrors the
-/// `bench_gate` walk so the two tools can never disagree about what a
-/// row is.
-fn collect_rows(j: &Json) -> Vec<&Json> {
+/// nested one level down in arrays (sweeps like E7's `points` or E13's).
+/// `bench_gate` walks payloads with this too, so the gate and the diff
+/// can never disagree about what a row is.
+pub fn collect_rows(j: &Json) -> Vec<&Json> {
     fn push_rows<'a>(node: &'a Json, out: &mut Vec<&'a Json>) {
         if let Some(Json::Arr(rows)) = node.get("rows") {
             out.extend(rows.iter());
@@ -38,7 +38,8 @@ fn collect_rows(j: &Json) -> Vec<&Json> {
     out
 }
 
-fn row_key(row: &Json) -> Option<(String, String)> {
+/// A row's identity across payloads: its `(fs, phase)` pair.
+pub fn row_key(row: &Json) -> Option<(String, String)> {
     Some((
         row.get("fs")?.as_str()?.to_string(),
         row.get("phase")?.as_str()?.to_string(),

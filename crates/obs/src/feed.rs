@@ -21,8 +21,6 @@
 //!   when nothing is armed) and may drive a flight recorder at its own
 //!   interval beside it. Emission happens at deterministic points of a
 //!   deterministic run: same seed ⇒ byte-identical feed.
-//! * `Host(duration)` — a background sampler thread cuts frames in wall
-//!   time, for watching long soaks live.
 //! * `Manual` — frames only via [`TapGuard::frame`], e.g. at the phase
 //!   barriers of a multi-threaded run where the registries are
 //!   quiescent.
@@ -32,7 +30,6 @@
 //! — see DESIGN.md §8 for the consistency model.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
@@ -83,7 +80,7 @@ pub const FRAME_FIELDS: &[(&str, &str)] = &[
     ("ops", "outermost file-system ops completed since the previous frame"),
     ("queue_depth", "threads waiting for the disk lock in the driver right now"),
     ("histos", "per-histogram {dsum, dcount} deltas since the previous frame"),
-    ("signals", "live signal registry: EWMAs, armed thresholds, crossing counts"),
+    ("signals", "live signal registry: EWMAs, armed floors, crossing counts"),
     ("cgs", "per-cylinder-group occupancy, utilization EWMA, and I/O deltas"),
     ("threads", "per-thread-slot op deltas since the previous frame"),
     ("events", "signal.* and regroup.* trace events recorded since the previous frame"),
@@ -93,7 +90,7 @@ pub const FRAME_FIELDS: &[(&str, &str)] = &[
     ),
     (
         "slo_burn_milli",
-        "worst per-op SLO error-budget burn so far, milli-units (1000 = exactly at budget); 0 when no objectives are armed",
+        "worst per-op SLO error-budget burn so far, milli-units (1000 = exactly at budget); 0 before any op misses its objective",
     ),
     (
         "volumes",
@@ -107,9 +104,6 @@ pub enum Cadence {
     /// A frame each time the simulated clock crosses an interval
     /// boundary (deterministic for a deterministic run).
     Sim(u64),
-    /// A background sampler thread cuts frames every wall-clock
-    /// interval (for watching live; frame count is nondeterministic).
-    Host(std::time::Duration),
     /// Frames only on explicit [`TapGuard::frame`] calls.
     Manual,
 }
@@ -161,9 +155,10 @@ impl Frame {
         Frame {
             t_ns,
             counters: FRAME_COUNTERS.iter().map(|&c| obs.get(c)).collect(),
-            histos: [&h.group_fetch_util_pct, &h.driver_batch_reqs, &h.cache_shard_hit_pct, &h.dcache_hit_pct]
+            histos: FRAME_HISTOS
                 .iter()
-                .map(|hg| {
+                .map(|&n| {
+                    let hg = h.by_name(n).expect("FRAME_HISTOS names a registered histogram");
                     let s = hg.snapshot();
                     (s.sum, s.count())
                 })
@@ -379,19 +374,16 @@ impl Sampler for FeedTap {
     }
 }
 
-/// Guard returned by [`attach`]. Dropping it detaches the tap (stopping
-/// the pacer / sampler thread) and cuts one final frame, so every stage
-/// is guaranteed at least one frame even if its run ended between
-/// cadence boundaries.
+/// Guard returned by [`attach`]. Dropping it detaches the tap from the
+/// pacer and cuts one final frame, so every stage is guaranteed at least
+/// one frame even if its run ended between cadence boundaries.
 pub struct TapGuard {
     tap: Arc<FeedTap>,
-    /// The `Host` cadence's sampler thread and its stop flag.
-    host: Option<(Arc<AtomicBool>, std::thread::JoinHandle<()>)>,
 }
 
 impl TapGuard {
     /// Cut a frame right now, relabelling the tap's stage. The manual
-    /// cadence's only trigger; valid (if rarely needed) on the others.
+    /// cadence's only trigger; valid (if rarely needed) on `Sim` too.
     pub fn frame(&self, stage: &str) {
         self.tap.emit(self.tap.obs.global_clock_ns(), Some(stage));
     }
@@ -399,10 +391,6 @@ impl TapGuard {
 
 impl Drop for TapGuard {
     fn drop(&mut self) {
-        if let Some((stop, join)) = self.host.take() {
-            stop.store(true, Ordering::Relaxed);
-            let _ = join.join();
-        }
         self.tap.obs.disarm_sampler(&self.tap);
         self.tap.emit(self.tap.obs.global_clock_ns(), None);
     }
@@ -435,28 +423,10 @@ pub fn attach_with_volumes(
         vols: vols.to_vec(),
         state: Mutex::new((stage.to_string(), first)),
     });
-    let host = match cadence {
-        Cadence::Sim(interval_ns) => {
-            obs.arm_sampler(&tap, interval_ns);
-            None
-        }
-        Cadence::Host(every) => {
-            let stop = Arc::new(AtomicBool::new(false));
-            let (t, s) = (Arc::clone(&tap), Arc::clone(&stop));
-            // The background sampler: cut a frame per wall interval until
-            // the guard drops.
-            let join = std::thread::spawn(move || loop {
-                std::thread::sleep(every);
-                if s.load(Ordering::Relaxed) {
-                    break;
-                }
-                t.emit(t.obs.global_clock_ns(), None);
-            });
-            Some((stop, join))
-        }
-        Cadence::Manual => None,
-    };
-    TapGuard { tap, host }
+    if let Cadence::Sim(interval_ns) = cadence {
+        obs.arm_sampler(&tap, interval_ns);
+    }
+    TapGuard { tap }
 }
 
 /// Process-wide sink used by `repro`'s `--feed <path>` flag:
@@ -473,16 +443,12 @@ pub fn set_global(path: impl Into<std::path::PathBuf>) -> std::io::Result<Arc<Fe
     Ok(sink)
 }
 
-/// Attach `obs` to the process-global sink (no-op `None` when `--feed`
-/// was not given). Stages across one process share the sink, so a run's
-/// consecutive stages accumulate into one replayable feed.
-pub fn tap_global(obs: &Arc<Obs>, stage: &str, cadence: Cadence) -> Option<TapGuard> {
-    tap_global_volumes(obs, &[], stage, cadence)
-}
-
-/// [`tap_global`] with per-volume registries attached (see
-/// [`attach_with_volumes`]).
-pub fn tap_global_volumes(
+/// Attach `obs` and a volume set's per-volume registries `vols` (empty
+/// for single-volume producers, see [`attach_with_volumes`]) to the
+/// process-global sink (no-op `None` when `--feed` was not given).
+/// Stages across one process share the sink, so a run's consecutive
+/// stages accumulate into one replayable feed.
+pub fn tap_global(
     obs: &Arc<Obs>,
     vols: &[Arc<Obs>],
     stage: &str,
@@ -495,7 +461,7 @@ pub fn tap_global_volumes(
 /// [`tap_global`] at the default simulated cadence — the one-liner the
 /// experiment stages use.
 pub fn tap_global_sim(obs: &Arc<Obs>, stage: &str) -> Option<TapGuard> {
-    tap_global(obs, stage, Cadence::Sim(SIM_INTERVAL_DEFAULT_NS))
+    tap_global(obs, &[], stage, Cadence::Sim(SIM_INTERVAL_DEFAULT_NS))
 }
 
 /// Validate one parsed frame — a feed line or a flight `frame` record —
@@ -547,17 +513,11 @@ pub fn validate_frame(frame: &Json) -> Result<(), String> {
                 .and_then(Json::as_u64)
                 .ok_or_else(|| format!("signal {:?} lacks u64 {k:?}", sig.name()))?;
         }
-        for k in ["low", "high"] {
-            match s.get(k) {
-                Some(Json::Bool(_)) => {}
-                _ => return Err(format!("signal {:?} lacks bool {k:?}", sig.name())),
-            }
+        if !matches!(s.get("low"), Some(Json::Bool(_))) {
+            return Err(format!("signal {:?} lacks bool \"low\"", sig.name()));
         }
-        for k in ["floor_milli", "ceiling_milli"] {
-            match s.get(k) {
-                Some(Json::Null) | Some(Json::Int(_)) => {}
-                _ => return Err(format!("signal {:?} lacks null-or-int {k:?}", sig.name())),
-            }
+        if !matches!(s.get("floor_milli"), Some(Json::Null | Json::Int(_))) {
+            return Err(format!("signal {:?} lacks null-or-int \"floor_milli\"", sig.name()));
         }
     }
     let Some(Json::Arr(cgs)) = frame.get("cgs") else {
@@ -720,27 +680,6 @@ mod tests {
         let frames = parse_feed(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(frames[0].get("t_ns").and_then(Json::as_u64), Some(1_200));
         assert_eq!(frames[1].get("t_ns").and_then(Json::as_u64), Some(5_000));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn host_cadence_samples_in_wall_time() {
-        let path = tmp_path("host");
-        let sink = FeedSink::create(&path).unwrap();
-        let obs = Obs::new();
-        {
-            let _tap = attach(
-                &sink,
-                &obs,
-                "soak",
-                Cadence::Host(std::time::Duration::from_millis(1)),
-            );
-            obs.set_clock_ns(42);
-            std::thread::sleep(std::time::Duration::from_millis(20));
-        }
-        // At least the detach frame; almost surely sampler frames too.
-        assert!(sink.frames() >= 1);
-        parse_feed(&std::fs::read_to_string(&path).unwrap()).expect("frames validate");
         std::fs::remove_file(&path).ok();
     }
 

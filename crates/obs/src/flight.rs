@@ -335,18 +335,10 @@ fn unique_name(dir: &std::path::Path, name: &str) -> String {
 
 /// Arm a recorder on `obs` under the global directory (no-op `None` when
 /// `--flight` was not given — the hot path then keeps its single relaxed
-/// load and mounts stay untouched).
-pub fn arm_global(obs: &Arc<Obs>, name: &str) -> Option<FlightGuard> {
-    arm_global_volumes(obs, &[], name)
-}
-
-/// [`arm_global`] for a volume-set producer: per-volume spans/events are
-/// merged into the one ring tagged with their volume index.
-pub fn arm_global_volumes(
-    obs: &Arc<Obs>,
-    vols: &[Arc<Obs>],
-    name: &str,
-) -> Option<FlightGuard> {
+/// load and mounts stay untouched). A volume-set producer passes its
+/// per-volume registries as `vols`: their spans/events are merged into
+/// the one ring tagged with their volume index.
+pub fn arm_global(obs: &Arc<Obs>, vols: &[Arc<Obs>], name: &str) -> Option<FlightGuard> {
     let dir = GLOBAL_DIR.lock().expect("flight dir poisoned").clone()?;
     let name = unique_name(&dir, name);
     Some(arm(dir, obs, vols, &name))
@@ -501,13 +493,10 @@ pub fn postmortem(dump: &FlightDump) -> Json {
     if let Some(signals) = last.get("signals") {
         for sig in Sig::ALL {
             let Some(s) = signals.get(sig.name()) else { continue };
-            let low = matches!(s.get("low"), Some(Json::Bool(true)));
-            let high = matches!(s.get("high"), Some(Json::Bool(true)));
-            if low || high {
+            if matches!(s.get("low"), Some(Json::Bool(true))) {
                 signal_notes.push(format!(
-                    "signal {} was {} at capture (ewma {} milli, {} low / {} high crossings)",
+                    "signal {} was low at capture (ewma {} milli, {} low / {} high crossings)",
                     sig.name(),
-                    if low { "low" } else { "high" },
                     fu(s, "ewma_milli"),
                     fu(s, "low_count"),
                     fu(s, "high_count"),

@@ -183,7 +183,7 @@ counters! {
     // ---- health signals ----
     /// Signal EWMA crossings below a configured floor.
     SignalLowEvents => "signal_low_events",
-    /// Signal EWMA crossings above a configured ceiling.
+    /// Signal EWMA recoveries back above a floor's rearm point.
     SignalHighEvents => "signal_high_events",
 
     // ---- lock contention (host-time; zero in single-threaded runs) ----
@@ -553,36 +553,37 @@ impl Histos {
         &self.op_ns[op as usize]
     }
 
+    /// The histograms after the per-op ones, with their stable names, in
+    /// registry order — the one list of them.
+    fn fixed(&self) -> [(&'static str, &Histogram); 7] {
+        [
+            ("disk_req_sectors", &self.disk_req_sectors),
+            ("disk_seek_cylinders", &self.disk_seek_cylinders),
+            ("disk_req_service_ns", &self.disk_req_service_ns),
+            ("group_fetch_util_pct", &self.group_fetch_util_pct),
+            ("driver_batch_reqs", &self.driver_batch_reqs),
+            ("cache_shard_hit_pct", &self.cache_shard_hit_pct),
+            ("dcache_hit_pct", &self.dcache_hit_pct),
+        ]
+    }
+
     /// `(stable name, histogram)` pairs in registry (snapshot) order.
     pub fn named(&self) -> Vec<(String, &Histogram)> {
-        let mut out: Vec<(String, &Histogram)> = OpKind::ALL
-            .iter()
-            .map(|&op| (format!("op_ns_{}", op.name()), &self.op_ns[op as usize]))
-            .collect();
-        out.push(("disk_req_sectors".to_string(), &self.disk_req_sectors));
-        out.push(("disk_seek_cylinders".to_string(), &self.disk_seek_cylinders));
-        out.push(("disk_req_service_ns".to_string(), &self.disk_req_service_ns));
-        out.push(("group_fetch_util_pct".to_string(), &self.group_fetch_util_pct));
-        out.push(("driver_batch_reqs".to_string(), &self.driver_batch_reqs));
-        out.push(("cache_shard_hit_pct".to_string(), &self.cache_shard_hit_pct));
-        out.push(("dcache_hit_pct".to_string(), &self.dcache_hit_pct));
-        out
+        let ops = OpKind::ALL.iter().map(|&op| (format!("op_ns_{}", op.name()), self.op_ns(op)));
+        ops.chain(self.fixed().into_iter().map(|(n, h)| (n.to_string(), h))).collect()
     }
 
     /// All registered histogram names, in snapshot order.
     pub fn names() -> Vec<String> {
-        let mut out: Vec<String> = OpKind::ALL
-            .iter()
-            .map(|&op| format!("op_ns_{}", op.name()))
-            .collect();
-        out.push("disk_req_sectors".to_string());
-        out.push("disk_seek_cylinders".to_string());
-        out.push("disk_req_service_ns".to_string());
-        out.push("group_fetch_util_pct".to_string());
-        out.push("driver_batch_reqs".to_string());
-        out.push("cache_shard_hit_pct".to_string());
-        out.push("dcache_hit_pct".to_string());
-        out
+        Histos::new().named().into_iter().map(|(n, _)| n).collect()
+    }
+
+    /// The histogram registered under `name` (allocation-free).
+    pub(crate) fn by_name(&self, name: &str) -> Option<&Histogram> {
+        match name.strip_prefix("op_ns_") {
+            Some(op) => OpKind::from_name(op).map(|op| self.op_ns(op)),
+            None => self.fixed().into_iter().find(|&(n, _)| n == name).map(|(_, h)| h),
+        }
     }
 }
 
@@ -728,9 +729,6 @@ pub struct Obs {
     due_ns: AtomicU64,
     /// The samplers armed on the pacer, with their boundaries.
     samplers: Mutex<Vec<Armed>>,
-    /// Per-op p99 latency objectives, nanoseconds (0 = no objective
-    /// armed for that op). See [`Obs::set_slo`].
-    slo_ns: [AtomicU64; OpKind::COUNT],
 }
 
 /// A frame producer the simulated-clock pacer in [`Obs::set_clock_ns`]
@@ -786,16 +784,20 @@ struct SpanTls {
     last_end: u64,
 }
 
+/// Everything one thread keeps for one `Obs`.
+#[derive(Debug, Clone, Copy, Default)]
+struct ThreadTls {
+    span: SpanTls,
+    /// Simulated-clock mirror — each client thread runs its own virtual
+    /// timeline. `None` until this thread moves or pins the clock.
+    clock: Option<u64>,
+    /// Bound thread-op slot (0 until [`Obs::bind_thread_slot`]).
+    slot: usize,
+}
+
 thread_local! {
-    /// Span state per (thread, Obs-uid).
-    static SPAN_TLS: std::cell::RefCell<std::collections::HashMap<u64, SpanTls>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
-    /// Simulated-clock mirror per (thread, Obs-uid) — each client thread
-    /// runs its own virtual timeline.
-    static CLOCK_TLS: std::cell::RefCell<std::collections::HashMap<u64, u64>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
-    /// Bound thread-op slot per (thread, Obs-uid); absent means slot 0.
-    static SLOT_TLS: std::cell::RefCell<std::collections::HashMap<u64, usize>> =
+    /// Per-thread state per (thread, Obs-uid).
+    static TLS: std::cell::RefCell<std::collections::HashMap<u64, ThreadTls>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
 }
 
@@ -808,11 +810,13 @@ impl std::fmt::Debug for Obs {
 /// Default trace-ring capacity (events retained).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
-/// Default p99 latency objectives armed at mount, simulated nanoseconds.
-/// Deliberately lenient for a seek-bound simulated disk: a healthy run
-/// burns 0; a collapsed cache or a starved regrouper shows up as burn
-/// long before it shows up as a failed bench gate.
-pub const DEFAULT_SLO_P99_NS: &[(OpKind, u64)] = &[
+/// The p99 latency objectives every stack is held to, simulated
+/// nanoseconds, in [`OpKind::ALL`] order. Deliberately lenient for a
+/// seek-bound simulated disk: a healthy run burns 0; a collapsed cache or
+/// a starved regrouper shows up as burn long before it shows up as a
+/// failed bench gate. Burn is computed lazily from the op's log2 latency
+/// histogram, so the objectives cost the hot path nothing.
+pub const SLO_P99_NS: &[(OpKind, u64)] = &[
     (OpKind::Lookup, 50_000_000),
     (OpKind::Getattr, 20_000_000),
     (OpKind::Create, 100_000_000),
@@ -841,14 +845,13 @@ impl Obs {
             thread_ops: std::array::from_fn(|_| AtomicU64::new(0)),
             due_ns: AtomicU64::new(u64::MAX),
             samplers: Mutex::new(Vec::new()),
-            slo_ns: std::array::from_fn(|_| AtomicU64::new(0)),
         })
     }
 
-    /// Run `f` on this handle's slot in the calling thread's span table.
+    /// Run `f` on this handle's entry in the calling thread's table.
     #[inline]
-    fn with_tls<R>(&self, f: impl FnOnce(&mut SpanTls) -> R) -> R {
-        SPAN_TLS.with(|t| f(t.borrow_mut().entry(self.uid).or_default()))
+    fn with_tls<R>(&self, f: impl FnOnce(&mut ThreadTls) -> R) -> R {
+        TLS.with(|t| f(t.borrow_mut().entry(self.uid).or_default()))
     }
 
     #[inline]
@@ -874,7 +877,7 @@ impl Obs {
     /// Like [`Obs::trace`], with an explicit duration (e.g. the service
     /// time of a disk request).
     pub fn trace_io(&self, t_ns: u64, tag: &'static str, a: u64, b: u64, dur_ns: u64) {
-        let (span, op) = self.current_span_fields();
+        let (span, op) = self.current_span().map_or((0, ""), |(SpanId(id), op)| (id, op.name()));
         if dur_ns > 0 && tag.starts_with("disk.") {
             self.attribute_disk_request(span != 0, t_ns, dur_ns);
         }
@@ -897,7 +900,7 @@ impl Obs {
     /// duration); requests outside any span count as pure service.
     fn attribute_disk_request(&self, in_span: bool, t_ns: u64, dur_ns: u64) {
         if in_span {
-            self.with_tls(|t| {
+            self.with_tls(|ThreadTls { span: t, .. }| {
                 let gap = t_ns.saturating_sub(t.last_end);
                 t.q += gap;
                 t.svc += dur_ns;
@@ -938,14 +941,13 @@ impl Obs {
     /// Fold one raw sample into a signal's EWMA (`ewma += (v - ewma)/8`
     /// in fixed-point milli-units, step rounded away from zero so the
     /// EWMA converges *exactly* onto a constant sample stream; the first
-    /// sample seeds the EWMA directly). Armed thresholds are checked on
-    /// every sample: a crossing bumps
-    /// `signal_low_events`/`signal_high_events` and drops a
-    /// `signal.<name>.low`/`.recovered`/`.high` event in the trace ring
-    /// (operands: EWMA and threshold in milli-units).
+    /// sample seeds the EWMA directly). An armed floor is checked on
+    /// every sample: falling below it bumps `signal_low_events` and drops
+    /// a `signal.<name>.low` event in the trace ring, climbing back past
+    /// the rearm point bumps `signal_high_events` and drops its recovery
+    /// tag (operands: EWMA and floor in milli-units).
     pub fn signal_sample(&self, sig: Sig, v: f64) {
-        let mut crossings: Vec<(&'static str, f64, f64, Ctr)> = Vec::new();
-        {
+        let crossing = {
             let mut sigs = self.signals.lock().expect("signals poisoned");
             let s = &mut sigs[sig as usize];
             let vm = (v * 1000.0).round() as i64;
@@ -961,45 +963,31 @@ impl Obs {
             }
             s.samples += 1;
             let ewma = s.ewma();
-            if let Some(floor) = s.floor {
-                if !s.low && ewma < floor {
+            match s.floor {
+                Some(floor) if !s.low && ewma < floor => {
                     s.low = true;
                     s.low_count += 1;
-                    crossings.push((sig.low_tag(), ewma, floor, Ctr::SignalLowEvents));
-                } else if s.low && ewma >= floor * SIGNAL_REARM {
+                    Some((sig.low_tag(), ewma, floor, Ctr::SignalLowEvents))
+                }
+                Some(floor) if s.low && ewma >= floor * SIGNAL_REARM => {
                     s.low = false;
                     s.high_count += 1;
-                    crossings.push((sig.high_tag(), ewma, floor, Ctr::SignalHighEvents));
+                    Some((sig.recovered_tag(), ewma, floor, Ctr::SignalHighEvents))
                 }
+                _ => None,
             }
-            if let Some(ceiling) = s.ceiling {
-                if !s.high && ewma > ceiling {
-                    s.high = true;
-                    s.high_count += 1;
-                    crossings.push((sig.high_tag(), ewma, ceiling, Ctr::SignalHighEvents));
-                } else if s.high && ewma <= ceiling / SIGNAL_REARM {
-                    s.high = false;
-                    s.low_count += 1;
-                    crossings.push((sig.low_tag(), ewma, ceiling, Ctr::SignalLowEvents));
-                }
-            }
-        }
+        };
         // Trace outside the signals lock (trace_io takes the ring lock).
-        for (tag, ewma, threshold, ctr) in crossings {
+        if let Some((tag, ewma, floor, ctr)) = crossing {
             self.counters.bump(ctr);
-            self.trace(self.clock_ns(), tag, milli(ewma), milli(threshold));
+            self.trace(self.clock_ns(), tag, milli(ewma), milli(floor));
         }
     }
 
     /// Smoothed view of one signal.
     pub fn signal(&self, sig: Sig) -> SignalView {
         let s = self.signals.lock().expect("signals poisoned")[sig as usize];
-        SignalView {
-            ewma: s.ewma(),
-            samples: s.samples,
-            low: s.low,
-            high: s.high,
-        }
+        SignalView { ewma: s.ewma(), samples: s.samples, low: s.low }
     }
 
     /// Arm a floor on a signal: once the EWMA drops below it, the signal
@@ -1009,36 +997,26 @@ impl Obs {
         self.signals.lock().expect("signals poisoned")[sig as usize].floor = Some(floor);
     }
 
-    /// Arm a ceiling on a signal (symmetric to [`Obs::set_signal_floor`]).
-    pub fn set_signal_ceiling(&self, sig: Sig, ceiling: f64) {
-        self.signals.lock().expect("signals poisoned")[sig as usize].ceiling = Some(ceiling);
-    }
-
     /// JSON view of every signal — EWMAs as milli-unit integers so the
     /// rendering is deterministic across platforms. Carries the armed
-    /// thresholds (`floor_milli`/`ceiling_milli`, `null` when unarmed)
-    /// and the cumulative crossing counts alongside the live state, so
-    /// `cffs-inspect stats` and telemetry feed frames share one schema.
+    /// floor (`floor_milli`, `null` when unarmed) and the cumulative
+    /// crossing counts alongside the live state, so `cffs-inspect stats`
+    /// and telemetry feed frames share one schema.
     pub fn signals_json(&self) -> Json {
         let sigs = self.signals.lock().expect("signals poisoned");
-        let thresh = |t: Option<f64>| match t {
-            Some(v) => Json::Int(milli(v) as i64),
-            None => Json::Null,
-        };
         Json::Obj(
             Sig::ALL
                 .iter()
                 .map(|&sig| {
                     let s = &sigs[sig as usize];
+                    let floor = s.floor.map_or(Json::Null, |f| Json::Int(milli(f) as i64));
                     (
                         sig.name().to_string(),
                         obj![
                             ("ewma_milli", Json::Int(s.ewma_milli.max(0))),
                             ("samples", Json::Int(s.samples as i64)),
                             ("low", Json::Bool(s.low)),
-                            ("high", Json::Bool(s.high)),
-                            ("floor_milli", thresh(s.floor)),
-                            ("ceiling_milli", thresh(s.ceiling)),
+                            ("floor_milli", floor),
                             ("low_count", Json::Int(s.low_count as i64)),
                             ("high_count", Json::Int(s.high_count as i64)),
                         ],
@@ -1048,100 +1026,59 @@ impl Obs {
         )
     }
 
-    /// Arm a p99 latency objective for one op kind, nanoseconds
-    /// (`target_ns == 0` disarms it). Burn is computed lazily from the
-    /// op's log2 latency histogram — arming costs the hot path nothing.
-    pub fn set_slo(&self, op: OpKind, target_ns: u64) {
-        self.slo_ns[op as usize].store(target_ns, Ordering::Relaxed);
-    }
-
-    /// The armed p99 target for an op kind (0 = none).
-    pub fn slo_target(&self, op: OpKind) -> u64 {
-        self.slo_ns[op as usize].load(Ordering::Relaxed)
-    }
-
-    /// Arm [`DEFAULT_SLO_P99_NS`] (called at mount by the full stack).
-    pub fn arm_default_slos(&self) {
-        for &(op, ns) in DEFAULT_SLO_P99_NS {
-            self.set_slo(op, ns);
-        }
-    }
-
-    /// Error-budget burn for one armed op, milli-units: the observed
-    /// fraction of ops slower than the p99 target, scaled so 1000 means
-    /// "exactly at budget" (1% of ops over target). 0 when disarmed,
-    /// empty, or within budget bucket-conservatively — a violation is a
-    /// sample in a bucket whose *lower* bound already exceeds the
-    /// target, so log2 rounding never charges false positives.
-    pub fn slo_op_burn_milli(&self, op: OpKind) -> u64 {
-        let target = self.slo_target(op);
-        if target == 0 {
-            return 0;
-        }
+    /// `(samples, violations)` of one op's latency histogram against a
+    /// p99 target. A violation is a sample in a bucket whose *lower*
+    /// bound already exceeds the target, so log2 rounding never charges
+    /// a false positive.
+    fn slo_tally(&self, op: OpKind, target_ns: u64) -> (u64, u64) {
         let snap = self.histos.op_ns(op).snapshot();
-        let count = snap.count();
-        if count == 0 {
-            return 0;
-        }
-        let violations: u64 = snap
+        let violations = snap
             .buckets
             .iter()
             .enumerate()
-            .filter(|&(i, _)| histo_bucket_lo(i) > target)
+            .filter(|&(i, _)| histo_bucket_lo(i) > target_ns)
             .map(|(_, &n)| n)
             .sum();
-        violations.saturating_mul(100_000) / count
+        (snap.count(), violations)
     }
 
-    /// Worst [`Obs::slo_op_burn_milli`] across every armed objective
-    /// (the feed's `slo_burn_milli` field). 0 when nothing is armed.
+    /// Error-budget burn for one op of [`SLO_P99_NS`], milli-units: the
+    /// observed fraction of ops slower than its p99 target, scaled so
+    /// 1000 means "exactly at budget" (1% of ops over target). 0 for an
+    /// op without an objective, with no samples, or within budget
+    /// bucket-conservatively (see [`Obs::slo_tally`]).
+    pub fn slo_op_burn_milli(&self, op: OpKind) -> u64 {
+        let Some(&(_, target)) = SLO_P99_NS.iter().find(|&&(o, _)| o == op) else { return 0 };
+        let (count, violations) = self.slo_tally(op, target);
+        burn_milli(count, violations)
+    }
+
+    /// Worst [`Obs::slo_op_burn_milli`] across [`SLO_P99_NS`] (the feed's
+    /// `slo_burn_milli` field).
     pub fn slo_burn_milli(&self) -> u64 {
-        OpKind::ALL
-            .iter()
-            .map(|&op| self.slo_op_burn_milli(op))
-            .max()
-            .unwrap_or(0)
+        SLO_P99_NS.iter().map(|&(op, _)| self.slo_op_burn_milli(op)).max().unwrap_or(0)
     }
 
-    /// The SLO registry as JSON: one row per armed objective with its
+    /// The objectives as JSON: one row per [`SLO_P99_NS`] op with its
     /// target, sample count, violation count, and burn.
     pub fn slo_json(&self) -> Json {
         Json::Obj(
-            OpKind::ALL
+            SLO_P99_NS
                 .iter()
-                .filter(|&&op| self.slo_target(op) > 0)
-                .map(|&op| {
-                    let target = self.slo_target(op);
-                    let snap = self.histos.op_ns(op).snapshot();
-                    let violations: u64 = snap
-                        .buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| histo_bucket_lo(i) > target)
-                        .map(|(_, &n)| n)
-                        .sum();
+                .map(|&(op, target)| {
+                    let (count, violations) = self.slo_tally(op, target);
                     (
                         op.name().to_string(),
                         obj![
                             ("target_ns", Json::Int(target as i64)),
-                            ("count", Json::Int(snap.count() as i64)),
+                            ("count", Json::Int(count as i64)),
                             ("violations", Json::Int(violations as i64)),
-                            ("burn_milli", Json::Int(self.slo_op_burn_milli(op) as i64)),
+                            ("burn_milli", Json::Int(burn_milli(count, violations) as i64)),
                         ],
                     )
                 })
                 .collect(),
         )
-    }
-
-    fn current_span_fields(&self) -> (u64, &'static str) {
-        self.with_tls(|t| {
-            if t.cur_span == 0 {
-                (0, "")
-            } else {
-                (t.cur_span, OpKind::ALL[t.cur_op].name())
-            }
-        })
     }
 
     /// The histogram registry.
@@ -1155,11 +1092,7 @@ impl Obs {
     /// high-water mark across all threads.
     #[inline]
     pub fn set_clock_ns(&self, now_ns: u64) {
-        CLOCK_TLS.with(|t| {
-            let mut map = t.borrow_mut();
-            let slot = map.entry(self.uid).or_insert(0);
-            *slot = (*slot).max(now_ns);
-        });
+        self.pin_clock_ns(now_ns);
         self.clock_ns.fetch_max(now_ns, Ordering::Relaxed);
         // Sampling pacer: one relaxed load while nothing is armed. No call
         // site holds an obs lock (checked against the driver's submit and
@@ -1221,19 +1154,14 @@ impl Obs {
     /// a volume set pins each volume's clock per op the same way.)
     #[inline]
     pub fn pin_clock_ns(&self, ns: u64) {
-        CLOCK_TLS.with(|t| {
-            let mut map = t.borrow_mut();
-            let slot = map.entry(self.uid).or_insert(0);
-            *slot = (*slot).max(ns);
-        });
+        self.with_tls(|t| t.clock = t.clock.max(Some(ns)));
     }
 
     /// The calling thread's simulated time, nanoseconds: its own clock
     /// mirror when it has one, else the cross-thread high-water mark.
     pub fn clock_ns(&self) -> u64 {
-        CLOCK_TLS
-            .with(|t| t.borrow().get(&self.uid).copied())
-            .unwrap_or_else(|| self.clock_ns.load(Ordering::Relaxed))
+        let own = TLS.with(|t| t.borrow().get(&self.uid).and_then(|s| s.clock));
+        own.unwrap_or_else(|| self.global_clock_ns())
     }
 
     /// Cross-thread high-water mark of the simulated clock — the elapsed
@@ -1244,7 +1172,7 @@ impl Obs {
 
     /// The op span currently open **on the calling thread**, if any.
     pub fn current_span(&self) -> Option<(SpanId, OpKind)> {
-        self.with_tls(|t| {
+        self.with_tls(|ThreadTls { span: t, .. }| {
             if t.cur_span == 0 {
                 None
             } else {
@@ -1263,13 +1191,13 @@ impl Obs {
     /// the outermost — user-visible — operation. Guards must be dropped
     /// on the thread that opened them.
     pub fn span(self: &Arc<Obs>, op: OpKind) -> SpanGuard {
-        let t0 = self.clock_ns();
         let opened = self.with_tls(|t| {
-            if t.cur_span != 0 {
+            if t.span.cur_span != 0 {
                 return None;
             }
+            let t0 = t.clock.unwrap_or_else(|| self.global_clock_ns());
             let id = self.next_span.fetch_add(1, Ordering::Relaxed);
-            *t = SpanTls {
+            t.span = SpanTls {
                 cur_span: id,
                 cur_op: op as usize,
                 q: 0,
@@ -1413,14 +1341,7 @@ impl Obs {
     /// [`Obs::pin_clock_ns`]; unbound threads (the main thread) tally
     /// into slot 0.
     pub fn bind_thread_slot(&self, slot: usize) {
-        SLOT_TLS.with(|t| {
-            t.borrow_mut().insert(self.uid, slot.min(THREAD_SLOTS - 1));
-        });
-    }
-
-    /// The calling thread's bound op-counter slot (0 when never bound).
-    fn thread_slot(&self) -> usize {
-        SLOT_TLS.with(|t| t.borrow().get(&self.uid).copied().unwrap_or(0))
+        self.with_tls(|t| t.slot = slot.min(THREAD_SLOTS - 1));
     }
 
     /// Ops completed per thread slot (outermost span closes), slot 0
@@ -1478,17 +1399,22 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((SpanId(id), t0)) = self.opened {
-            let latency = self.obs.clock_ns().saturating_sub(t0);
+            // One visit to the thread's entry: read the clock, the
+            // attribution accounts and the op slot, and close the span.
+            let (clock, q, svc, slot) = self.obs.with_tls(|t| {
+                debug_assert_eq!(t.span.cur_span, id, "span closed on a foreign thread");
+                let out = (t.clock, t.span.q, t.span.svc, t.slot);
+                t.span = SpanTls::default();
+                out
+            });
+            let now = clock.unwrap_or_else(|| self.obs.global_clock_ns());
+            let latency = now.saturating_sub(t0);
             self.obs.histos.op_ns(self.op).record(latency);
             // Close the attribution accounts: whatever span time was not
             // queueing or disk service is in-memory op work. Queue gaps
             // can be computed against a clock that ran past the span's
             // close (nested sync paths), so the residue saturates at 0 —
             // the documented `op_ns >= queue_ns + service_ns` caveat.
-            let (q, svc) = self.obs.with_tls(|t| {
-                debug_assert_eq!(t.cur_span, id, "span closed on a foreign thread");
-                (t.q, t.svc)
-            });
             self.obs.counters.add(Ctr::AttrQueueNs, q);
             self.obs.counters.add(Ctr::AttrServiceNs, svc);
             self.obs
@@ -1507,13 +1433,19 @@ impl Drop for SpanGuard {
                     });
                 }
             }
-            // Emit while the span is still current so the event is
-            // stamped with its own span/op, then close.
-            self.obs.trace_io(t0, self.op.tag(), 0, 0, latency);
-            self.obs.with_tls(|t| *t = SpanTls::default());
+            // The span's own event, stamped with its span and op.
+            self.obs.trace.lock().expect("trace ring poisoned").record(Event {
+                t_ns: t0,
+                tag: self.op.tag(),
+                a: 0,
+                b: 0,
+                span: id,
+                op: self.op.name(),
+                dur_ns: latency,
+            });
             // Outermost closes only, so per-thread tallies count
             // user-visible ops, not nested entry points.
-            self.obs.thread_ops[self.obs.thread_slot()].fetch_add(1, Ordering::Relaxed);
+            self.obs.thread_ops[slot].fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -1542,11 +1474,11 @@ pub struct SpanRecord {
 }
 
 macro_rules! signals {
-    ($($(#[$doc:meta])* $variant:ident => $name:literal / $low:literal / $high:literal,)+) => {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal / $low:literal / $recovered:literal,)+) => {
         /// Health signals tracked as windowed EWMAs on [`Obs`]. Layers
         /// feed raw samples via [`Obs::signal_sample`]; policy code reads
-        /// the smoothed view via [`Obs::signal`] and arms thresholds
-        /// whose crossings land in the trace ring.
+        /// the smoothed view via [`Obs::signal`] and arms floors whose
+        /// crossings land in the trace ring.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
         #[repr(usize)]
         pub enum Sig {
@@ -1570,10 +1502,10 @@ macro_rules! signals {
                 match self { $(Sig::$variant => $low,)+ }
             }
 
-            /// Trace tag emitted when the EWMA crosses back above the
-            /// rearm point (floor × 1.02) or above the ceiling.
-            pub fn high_tag(self) -> &'static str {
-                match self { $(Sig::$variant => $high,)+ }
+            /// Trace tag emitted when the EWMA climbs back above the
+            /// rearm point (floor × 1.02).
+            pub fn recovered_tag(self) -> &'static str {
+                match self { $(Sig::$variant => $recovered,)+ }
             }
         }
     };
@@ -1587,11 +1519,11 @@ signals! {
     /// EWMA of logical requests per driver batch (queue depth at submit).
     QueueDepth => "driver_queue_depth_ewma"
         / "signal.queue_depth.low"
-        / "signal.queue_depth.high",
+        / "signal.queue_depth.recovered",
     /// EWMA of dirty blocks collected per sync sweep (writeback backlog).
     DirtyBacklog => "cache_dirty_backlog_ewma"
         / "signal.dirty_backlog.low"
-        / "signal.dirty_backlog.high",
+        / "signal.dirty_backlog.recovered",
 }
 
 /// EWMA smoothing divisor: `ewma += (sample - ewma) / 8`, computed in
@@ -1724,6 +1656,12 @@ pub struct CgStat {
 /// EWMA climbs back above `floor * SIGNAL_REARM`.
 const SIGNAL_REARM: f64 = 1.02;
 
+/// SLO burn in milli-units: `violations` as a share of `count`, where
+/// 1000 is the 1% a p99 objective allows. 0 when `count` is 0.
+fn burn_milli(count: u64, violations: u64) -> u64 {
+    violations.saturating_mul(100_000).checked_div(count).unwrap_or(0)
+}
+
 /// A signal value in milli-units, rounded — the integer form used for
 /// trace-event operands and JSON so output stays deterministic.
 fn milli(v: f64) -> u64 {
@@ -1737,14 +1675,11 @@ struct SignalState {
     ewma_milli: i64,
     samples: u64,
     floor: Option<f64>,
-    ceiling: Option<f64>,
     /// Currently below the floor (set on crossing, cleared on re-arm).
     low: bool,
-    /// Currently above the ceiling.
-    high: bool,
     /// Crossings that bumped `signal_low_events` for this signal.
     low_count: u64,
-    /// Crossings that bumped `signal_high_events` for this signal.
+    /// Floor recoveries, which bumped `signal_high_events`.
     high_count: u64,
 }
 
@@ -1763,8 +1698,6 @@ pub struct SignalView {
     pub samples: u64,
     /// True while the EWMA sits below the armed floor.
     pub low: bool,
-    /// True while the EWMA sits above the armed ceiling.
-    pub high: bool,
 }
 
 /// Serializable copy of the whole counter and histogram registry at one

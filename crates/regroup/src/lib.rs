@@ -375,55 +375,41 @@ pub fn execute(fs: &mut Cffs, plan: &RegroupPlan, cfg: &RegroupConfig) -> FsResu
     Ok(out)
 }
 
-/// Policy knobs for the signal-driven autotrigger
-/// ([`autotrigger`]) — the loop that turns `group_fetch_util_ewma`
-/// decay into budgeted regroup passes without explicit invocation.
-#[derive(Debug, Clone)]
-pub struct AutotriggerConfig {
-    /// Fire when the group-fetch-utilization EWMA sits below this
-    /// percentage.
-    pub util_floor_pct: f64,
-    /// Ignore the EWMA until it has folded in at least this many
-    /// fetches (a handful of samples says nothing about decay).
-    pub min_samples: u64,
-    /// Relocation budget handed to each fired pass.
-    pub budget_blocks: usize,
-    /// Mode for fired passes. Defaults to [`RegroupMode::IdleOnly`]: the
-    /// trigger runs inside live traffic, so it must not add read I/O.
-    pub mode: RegroupMode,
-}
+/// The autotrigger fires while the group-fetch-utilization EWMA sits
+/// below this percentage.
+const AUTOTRIGGER_FLOOR_PCT: f64 = 85.0;
 
-impl Default for AutotriggerConfig {
-    fn default() -> Self {
-        AutotriggerConfig {
-            util_floor_pct: 85.0,
-            min_samples: 8,
-            budget_blocks: 64,
-            mode: RegroupMode::IdleOnly,
-        }
-    }
-}
+/// The autotrigger ignores the EWMA until it has folded in this many
+/// fetches (a handful of samples says nothing about decay).
+const AUTOTRIGGER_MIN_SAMPLES: u64 = 8;
+
+/// Relocation budget of each autotriggered pass.
+const AUTOTRIGGER_BUDGET_BLOCKS: usize = 64;
 
 /// Check the stack's health signals and, if group-fetch utilization has
-/// decayed below the configured floor, fire one budgeted regroup pass.
+/// decayed below `AUTOTRIGGER_FLOOR_PCT`, fire one regroup pass of at
+/// most `AUTOTRIGGER_BUDGET_BLOCKS` blocks.
 ///
 /// Call this from any convenient point in the serving loop (between
-/// requests, after a sync, on a timer tick). The floor is armed on the
-/// [`Sig::GroupFetchUtil`] signal, so each decay episode also leaves a
-/// `signal.group_fetch_util.low` event in the trace ring; every fired
-/// pass bumps `regroup_autotriggers` and drops a `regroup.autotrigger`
-/// event (operands: EWMA in milli-percent, blocks moved). Returns
-/// `None` when the signal is healthy or still warming up.
-pub fn autotrigger(fs: &mut Cffs, cfg: &AutotriggerConfig) -> FsResult<Option<RegroupOutcome>> {
+/// requests, after a sync, on a timer tick). The first call arms the
+/// floor on the [`Sig::GroupFetchUtil`] signal, so each decay episode
+/// also leaves a `signal.group_fetch_util.low` event in the trace ring;
+/// every fired pass bumps `regroup_autotriggers` and drops a
+/// `regroup.autotrigger` event (operands: EWMA in milli-percent, blocks
+/// moved). Passes run [`RegroupMode::IdleOnly`]: the trigger fires
+/// inside live traffic, so it must not add read I/O. Returns `None`
+/// while the signal is healthy or has folded in fewer than
+/// `AUTOTRIGGER_MIN_SAMPLES` fetches.
+pub fn autotrigger(fs: &mut Cffs) -> FsResult<Option<RegroupOutcome>> {
     let obs = fs.obs();
-    obs.set_signal_floor(Sig::GroupFetchUtil, cfg.util_floor_pct);
+    obs.set_signal_floor(Sig::GroupFetchUtil, AUTOTRIGGER_FLOOR_PCT);
     let v = obs.signal(Sig::GroupFetchUtil);
-    if v.samples < cfg.min_samples || !v.low {
+    if v.samples < AUTOTRIGGER_MIN_SAMPLES || !v.low {
         return Ok(None);
     }
     let outcome = run(
         fs,
-        &RegroupConfig { max_blocks: cfg.budget_blocks, mode: cfg.mode },
+        &RegroupConfig { max_blocks: AUTOTRIGGER_BUDGET_BLOCKS, mode: RegroupMode::IdleOnly },
     )?;
     obs.bump(Ctr::RegroupAutotriggers);
     obs.trace(

@@ -285,9 +285,8 @@ impl VolumeSet {
         let set_obs = Obs::new();
         let t = vols.iter().map(|v| v.obs.clock_ns()).max().unwrap_or(0);
         set_obs.set_clock_ns(t);
-        set_obs.arm_default_slos();
         let vol_registries: Vec<Arc<Obs>> = vols.iter().map(|v| Arc::clone(&v.obs)).collect();
-        let flight = cffs_obs::flight::arm_global_volumes(&set_obs, &vol_registries, &label);
+        let flight = cffs_obs::flight::arm_global(&set_obs, &vol_registries, &label);
         Ok(VolumeSet {
             label,
             cfg,

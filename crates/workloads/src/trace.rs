@@ -8,8 +8,6 @@
 //! implementation-agnostic.
 
 use cffs_fslib::{path, FileKind, FileSystem, FsError, FsResult};
-use cffs_obs::json::{FromJson, Json, JsonError, ToJson};
-use cffs_obs::obj;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -67,60 +65,6 @@ pub enum Op {
         /// New name.
         name: String,
     },
-}
-
-
-impl ToJson for Op {
-    fn to_json(&self) -> Json {
-        match self {
-            Op::Write { path, data } => obj![
-                ("op", "write".to_json()),
-                ("path", path.to_json()),
-                ("data", data.to_json()),
-            ],
-            Op::Append { path, data } => obj![
-                ("op", "append".to_json()),
-                ("path", path.to_json()),
-                ("data", data.to_json()),
-            ],
-            Op::Truncate { path, size } => obj![
-                ("op", "truncate".to_json()),
-                ("path", path.to_json()),
-                ("size", size.to_json()),
-            ],
-            Op::Mkdir { path } => obj![("op", "mkdir".to_json()), ("path", path.to_json())],
-            Op::Unlink { path } => obj![("op", "unlink".to_json()), ("path", path.to_json())],
-            Op::Rmdir { path } => obj![("op", "rmdir".to_json()), ("path", path.to_json())],
-            Op::Rename { from, to } => obj![
-                ("op", "rename".to_json()),
-                ("from", from.to_json()),
-                ("to", to.to_json()),
-            ],
-            Op::Link { target, name } => obj![
-                ("op", "link".to_json()),
-                ("target", target.to_json()),
-                ("name", name.to_json()),
-            ],
-        }
-    }
-}
-
-impl FromJson for Op {
-    fn from_json(j: &Json) -> Result<Self, JsonError> {
-        let kind = j.want("op")?.as_str().ok_or_else(|| JsonError("op must be a string".into()))?;
-        let path = |key: &str| -> Result<String, JsonError> { String::from_json(j.want(key)?) };
-        Ok(match kind {
-            "write" => Op::Write { path: path("path")?, data: Vec::from_json(j.want("data")?)? },
-            "append" => Op::Append { path: path("path")?, data: Vec::from_json(j.want("data")?)? },
-            "truncate" => Op::Truncate { path: path("path")?, size: u64::from_json(j.want("size")?)? },
-            "mkdir" => Op::Mkdir { path: path("path")? },
-            "unlink" => Op::Unlink { path: path("path")? },
-            "rmdir" => Op::Rmdir { path: path("path")? },
-            "rename" => Op::Rename { from: path("from")?, to: path("to")? },
-            "link" => Op::Link { target: path("target")?, name: path("name")? },
-            other => return Err(JsonError(format!("unknown op {other:?}"))),
-        })
-    }
 }
 
 /// Replay one op; "expected" errors (name collisions the generator allows)
@@ -218,26 +162,6 @@ pub fn snapshot(fs: &(impl FileSystem + ?Sized)) -> FsResult<Snapshot> {
     Ok(out)
 }
 
-/// Serialize a trace to JSON (record once, replay anywhere — including
-/// against a different file-system implementation or configuration).
-///
-/// # Errors
-/// Propagates I/O errors from the writer.
-pub fn save(ops: &[Op], w: &mut impl std::io::Write) -> std::io::Result<()> {
-    w.write_all(ops.to_vec().to_json().to_string().as_bytes())
-}
-
-/// Deserialize a trace saved by [`save`].
-///
-/// # Errors
-/// Returns an error for malformed JSON.
-pub fn load(r: &mut impl std::io::Read) -> std::io::Result<Vec<Op>> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
-    let parsed = cffs_obs::json::parse(&text).map_err(std::io::Error::other)?;
-    Vec::<Op>::from_json(&parsed).map_err(std::io::Error::other)
-}
-
 /// Generate a random trace over a bounded namespace. Deterministic in
 /// `seed`; sizes span holes, block boundaries and multi-block files so
 /// replay exercises direct and indirect mappings.
@@ -319,21 +243,6 @@ mod tests {
             replay(&fs, &ops).unwrap();
             snapshot(&fs).unwrap();
         }
-    }
-
-    #[test]
-    fn trace_json_round_trip() {
-        let ops = random_trace(3, 50);
-        let mut bytes = Vec::new();
-        save(&ops, &mut bytes).unwrap();
-        let back = load(&mut bytes.as_slice()).unwrap();
-        assert_eq!(back, ops);
-        // A reloaded trace replays to the same state.
-        let a = ModelFs::new();
-        replay(&a, &ops).unwrap();
-        let b = ModelFs::new();
-        replay(&b, &back).unwrap();
-        assert_eq!(snapshot(&a).unwrap(), snapshot(&b).unwrap());
     }
 
     #[test]

@@ -359,7 +359,7 @@ mod tests {
 
     #[test]
     fn view_renders_pushed_frame() {
-        let line = r#"{"seq":0,"stage":"warm","t_ns":1000,"counters":{"disk_requests":5,"lock_wait_ns_alloc":99},"ops":2,"queue_depth":1,"histos":{},"signals":{"group_fetch_util_ewma":{"ewma_milli":77000,"samples":3,"low":false,"high":false,"floor_milli":null,"ceiling_milli":null,"low_count":0,"high_count":0}},"cgs":[{"cg":0,"data_blocks":100,"used":50,"util_ewma_milli":77000,"util_samples":3,"dread_ios":4,"dwrite_ios":0,"dread_sectors":32,"dwrite_sectors":0}],"threads":[2,0],"events":[{"t_ns":900,"tag":"signal.group_fetch_util.low","a":48,"b":0}]}"#;
+        let line = r#"{"seq":0,"stage":"warm","t_ns":1000,"counters":{"disk_requests":5,"lock_wait_ns_alloc":99},"ops":2,"queue_depth":1,"histos":{},"signals":{"group_fetch_util_ewma":{"ewma_milli":77000,"samples":3,"low":false,"floor_milli":null,"low_count":0,"high_count":0}},"cgs":[{"cg":0,"data_blocks":100,"used":50,"util_ewma_milli":77000,"util_samples":3,"dread_ios":4,"dwrite_ios":0,"dread_sectors":32,"dwrite_sectors":0}],"threads":[2,0],"events":[{"t_ns":900,"tag":"signal.group_fetch_util.low","a":48,"b":0}]}"#;
         let frame = cffs_obs::json::parse(line).unwrap();
         let mut view = FeedView::new(false);
         assert_eq!(view.render(), "");

@@ -246,3 +246,68 @@ fn identical_seeded_runs_produce_byte_identical_timelines() {
     assert!(!a.is_empty());
     assert_eq!(a, b, "fixed-seed timelines must be byte-identical");
 }
+
+/// The SLO table on a mounted stack: burn is charged bucket-
+/// conservatively off the op histograms, and the feed, the `slo` rows
+/// and a flight dump's head all read the same numbers. Samples go
+/// straight into the lookup histogram; the mount records no lookups.
+#[test]
+fn slo_burn_is_charged_by_bucket_lower_bound() {
+    use cffs_obs::json::Json;
+    use cffs_obs::OpKind;
+
+    let fs = fresh(CffsConfig::cffs());
+    let obs = Cffs::obs(&fs);
+    let lookups = obs.histos().op_ns(OpKind::Lookup);
+    assert_eq!(lookups.snapshot().count(), 0, "the mount recorded a lookup");
+    assert_eq!(obs.slo_burn_milli(), 0);
+
+    // 1 % of lookups over the 50 ms target: exactly at budget.
+    for _ in 0..99 {
+        lookups.record(1_000_000);
+    }
+    lookups.record(100_000_000);
+    assert_eq!(obs.slo_op_burn_milli(OpKind::Lookup), 1000);
+    assert_eq!(obs.slo_burn_milli(), 1000);
+
+    // 60 ms is over the target, but its bucket starts at 2^25 ns
+    // (33.5 ms), under it: not charged.
+    lookups.record(60_000_000);
+    assert_eq!(obs.slo_op_burn_milli(OpKind::Lookup), 100_000 / 101);
+
+    let slo = obs.slo_json();
+    let Json::Obj(rows) = &slo else { panic!("slo_json is not an object: {slo}") };
+    let targets = [
+        (OpKind::Lookup, 50_000_000),
+        (OpKind::Getattr, 20_000_000),
+        (OpKind::Create, 100_000_000),
+        (OpKind::Unlink, 100_000_000),
+        (OpKind::Read, 100_000_000),
+        (OpKind::Write, 100_000_000),
+    ];
+    let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, targets.map(|(op, _)| op.name()));
+    for (op, target) in targets {
+        let row = slo.get(op.name()).unwrap();
+        let field = |k: &str| row.get(k).and_then(Json::as_u64).unwrap();
+        let (count, violations) = match op {
+            OpKind::Lookup => (101, 1),
+            _ => (obs.histos().op_ns(op).snapshot().count(), 0),
+        };
+        assert_eq!(field("target_ns"), target, "{}", op.name());
+        assert_eq!(field("count"), count, "{}", op.name());
+        assert_eq!(field("violations"), violations, "{}", op.name());
+        assert_eq!(field("burn_milli"), obs.slo_op_burn_milli(op), "{}", op.name());
+    }
+
+    // A flight recorder's head carries the same rows.
+    let dir = std::env::temp_dir().join(format!("cffs-slo-flight-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let guard = cffs_obs::flight::arm(&dir, &obs, &[], "slo-burn");
+    guard.flight().dump("slo");
+    let text = std::fs::read_to_string(guard.flight().path()).unwrap();
+    let dump = cffs_obs::flight::parse_flight(&text).expect("valid flight dump");
+    assert_eq!(dump.head.get("slo").map(Json::to_string), Some(obs.slo_json().to_string()));
+    drop(guard);
+    std::fs::remove_dir_all(&dir).ok();
+}

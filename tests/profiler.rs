@@ -13,7 +13,6 @@ use cffs_disksim::models;
 use cffs_disksim::Disk;
 use cffs_obs::json::{parse, Json, ToJson};
 use cffs_obs::{prof, Ctr, Obs};
-use cffs_regroup::AutotriggerConfig;
 use cffs_workloads::aging::{age_adversarial, AdversarialParams};
 use cffs_workloads::concurrent::{self, ConcurrentParams, Window};
 use cffs_workloads::runner::measure;
@@ -274,7 +273,6 @@ fn autotrigger_fires_on_util_decay_and_recovers() {
     // directory's blocks are still resident (IdleOnly relocates only
     // resident blocks), and the cache drop afterwards resolves the group
     // fetches so the EWMA keeps sampling.
-    let cfg = AutotriggerConfig::default();
     let mut fires = 0u64;
     for _ in 0..6 {
         let dirs: Vec<_> = {
@@ -298,7 +296,7 @@ fn autotrigger_fires_on_util_decay_and_recovers() {
                     fs.read(e.ino, 0, &mut b).unwrap();
                 }
             }
-            if cffs_regroup::autotrigger(&mut fs, &cfg).expect("autotrigger").is_some() {
+            if cffs_regroup::autotrigger(&mut fs).expect("autotrigger").is_some() {
                 fires += 1;
             }
             fs.drop_caches().unwrap();
