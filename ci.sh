@@ -96,10 +96,13 @@ if grep -rnE 'fn (reset_io_stats|reset_stats|disk_stats)\b|[a-z_]+: *(Mutex<)?(C
     echo "a second set of I/O books (a stat struct field or a reset) is back"; exit 1
 fi
 # Seek, rotation and transfer are computed once, by DiskModel::position:
-# the drive services media requests through it and the scheduler predicts
-# with it, so the driver spells out no seek curve or platter angle.
-if grep -nE 'sector_angle\(|seek_time\(' crates/disksim/src/driver.rs; then
-    echo "the driver computes positioning itself instead of DiskModel::position"; exit 1
+# the drive services media requests through it, the scheduler predicts
+# with it and the file system places synchronous entries with its
+# earliest_sector, so neither the driver nor the file system spells out a
+# seek curve, a platter angle or a sector's cylinder.
+if grep -nE 'sector_angle\(|seek_time\(' crates/disksim/src/driver.rs \
+    || grep -rnE 'sector_angle\(|seek_time\(|lba_to_chs\(' crates/core/src; then
+    echo "the driver or the file system computes positioning itself instead of DiskModel"; exit 1
 fi
 # Every experiment runs through the one registry-driven `repro` binary:
 # no per-experiment launcher, and no doc or script names one.

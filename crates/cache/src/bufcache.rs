@@ -861,6 +861,20 @@ impl BufferCache {
         }
     }
 
+    /// Run `f` on the contents of the resident block bound to `(ino,
+    /// lbn)`, if there is one: a look that reads nothing from the disk
+    /// and, not being a use, leaves the LRU order and the counters alone.
+    /// Returns the physical block number with `f`'s result.
+    pub fn peek_logical<R>(&self, ino: Ino, lbn: u64, f: impl FnOnce(&[u8]) -> R) -> Option<(u64, R)> {
+        let blk = {
+            let lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
+            lm.get(&(ino, lbn)).copied()
+        }?;
+        let core = self.lock_shard(self.shard_of(blk));
+        let b = core.bufs[core.slot_of(blk)?].as_ref()?;
+        (b.logical == Some((ino, lbn))).then(|| (blk, f(&b.data)))
+    }
+
     /// Read a block through the cache, returning a shared handle on its
     /// contents (see [`Block`]).
     pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Block> {

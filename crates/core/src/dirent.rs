@@ -35,6 +35,10 @@ use cffs_fslib::{FileKind, FsError, FsResult, BLOCK_SIZE};
 /// Chunk size within which an entry must fit (one sector).
 pub const DIRBLKSIZ: usize = 512;
 
+/// Chunks in a directory block: the bits of a [`roomy_chunks`] mask.
+const CHUNKS: usize = BLOCK_SIZE / DIRBLKSIZ;
+const _: () = assert!(CHUNKS == u8::BITS as usize);
+
 /// Fixed part of an entry before the name.
 pub const ENTRY_HEADER: usize = 8;
 
@@ -87,7 +91,7 @@ pub fn image_offset(entry_off: usize, namelen: usize) -> usize {
 /// Initialize an empty directory block.
 pub fn init_block(buf: &mut [u8]) {
     buf[..BLOCK_SIZE].fill(0);
-    for chunk in 0..BLOCK_SIZE / DIRBLKSIZ {
+    for chunk in 0..CHUNKS {
         put_u16(buf, chunk * DIRBLKSIZ, DIRBLKSIZ as u16);
     }
 }
@@ -103,33 +107,39 @@ fn kind_of(flags: u8) -> FileKind {
 /// Walk all records; `f(off, flags, namelen, reclen)`; return `false` from
 /// `f` to stop early.
 fn walk(buf: &[u8], mut f: impl FnMut(usize, u8, usize, usize) -> bool) -> FsResult<()> {
-    for chunk in 0..BLOCK_SIZE / DIRBLKSIZ {
-        let base = chunk * DIRBLKSIZ;
-        let mut off = base;
-        while off < base + DIRBLKSIZ {
-            let reclen = get_u16(buf, off) as usize;
-            if reclen < ENTRY_HEADER || off + reclen > base + DIRBLKSIZ || !reclen.is_multiple_of(8) {
-                return Err(FsError::Corrupt(format!("bad reclen {reclen} at offset {off}")));
-            }
-            let flags = buf[off + 3];
-            let namelen = buf[off + 2] as usize;
-            if flags & FLAG_USED != 0 {
-                let need = if flags & FLAG_EMBEDDED != 0 {
-                    embedded_len(namelen)
-                } else {
-                    external_len(namelen)
-                };
-                if need > reclen {
-                    return Err(FsError::Corrupt(format!("entry overflows reclen at {off}")));
-                }
-            }
-            if !f(off, flags, namelen, reclen) {
-                return Ok(());
-            }
-            off += reclen;
+    for chunk in 0..CHUNKS {
+        if !walk_chunk(buf, chunk, &mut f)? {
+            break;
         }
     }
     Ok(())
+}
+
+/// Walk the records of chunk `chunk` as [`walk`] does; `Ok(false)` when
+/// `f` stopped the walk.
+fn walk_chunk(
+    buf: &[u8],
+    chunk: usize,
+    f: &mut impl FnMut(usize, u8, usize, usize) -> bool,
+) -> FsResult<bool> {
+    let base = chunk * DIRBLKSIZ;
+    let mut off = base;
+    while off < base + DIRBLKSIZ {
+        let reclen = get_u16(buf, off) as usize;
+        if reclen < ENTRY_HEADER || off + reclen > base + DIRBLKSIZ || !reclen.is_multiple_of(8) {
+            return Err(FsError::Corrupt(format!("bad reclen {reclen} at offset {off}")));
+        }
+        let flags = buf[off + 3];
+        let namelen = buf[off + 2] as usize;
+        if used_len(flags, namelen) > reclen {
+            return Err(FsError::Corrupt(format!("entry overflows reclen at {off}")));
+        }
+        if !f(off, flags, namelen, reclen) {
+            return Ok(false);
+        }
+        off += reclen;
+    }
+    Ok(true)
 }
 
 /// Decode the used entry at `off`, borrowing its name from the block.
@@ -202,44 +212,53 @@ pub fn entry_at(buf: &[u8], off: usize) -> FsResult<CEntry> {
     hit.unwrap_or(Err(FsError::StaleHandle))
 }
 
-/// Would an entry of `len` bytes fit somewhere in this block?
-pub fn has_space_for(buf: &[u8], len: usize) -> FsResult<bool> {
-    let mut found = false;
-    walk(buf, |_, flags, namelen, reclen| {
-        let used = if flags & FLAG_USED == 0 {
-            0
-        } else if flags & FLAG_EMBEDDED != 0 {
-            embedded_len(namelen)
-        } else {
-            external_len(namelen)
-        };
-        if reclen - used >= len {
-            found = true;
-            return false;
-        }
-        true
-    })?;
-    Ok(found)
+/// Bytes a record's entry occupies: 0 when it is free.
+fn used_len(flags: u8, namelen: usize) -> usize {
+    if flags & FLAG_USED == 0 {
+        0
+    } else if flags & FLAG_EMBEDDED != 0 {
+        embedded_len(namelen)
+    } else {
+        external_len(namelen)
+    }
 }
 
-/// Find a slot of `need` bytes; returns the offset to write the new entry
-/// at, carving slack or claiming a free record as needed.
-fn claim(buf: &mut [u8], need: usize) -> FsResult<Option<usize>> {
-    let mut slot = None;
-    walk(buf, |off, flags, namelen, reclen| {
-        let used = if flags & FLAG_USED == 0 {
-            0
-        } else if flags & FLAG_EMBEDDED != 0 {
-            embedded_len(namelen)
-        } else {
-            external_len(namelen)
-        };
-        if reclen - used >= need {
-            slot = Some((off, used, reclen));
-            return false;
+/// The chunks of this block an entry of `len` bytes would fit in, as a
+/// mask: bit `c` is the chunk at byte `c * DIRBLKSIZ` (a block has 8).
+/// With `first_only`, just the lowest of them — the first fit — and the
+/// chunks after it are not walked.
+pub fn roomy_chunks(buf: &[u8], len: usize, first_only: bool) -> FsResult<u8> {
+    let mut roomy = 0u8;
+    for chunk in 0..CHUNKS {
+        // A chunk's walk stops at its first record with room.
+        let full = walk_chunk(buf, chunk, &mut |_, flags, namelen, reclen| {
+            reclen - used_len(flags, namelen) < len
+        })?;
+        roomy |= u8::from(!full) << chunk;
+        if first_only && roomy != 0 {
+            break;
         }
-        true
-    })?;
+    }
+    Ok(roomy)
+}
+
+/// Find a slot of `need` bytes in a chunk of mask `chunks`, the first in
+/// block order; returns the offset to write the new entry at, carving
+/// slack or claiming a free record as needed.
+fn claim(buf: &mut [u8], chunks: u8, need: usize) -> FsResult<Option<usize>> {
+    let mut slot = None;
+    for chunk in (0..CHUNKS).filter(|c| chunks >> c & 1 == 1) {
+        walk_chunk(buf, chunk, &mut |off, flags, namelen, reclen| {
+            let used = used_len(flags, namelen);
+            if reclen - used >= need {
+                slot = Some((off, used, reclen));
+            }
+            slot.is_none()
+        })?;
+        if slot.is_some() {
+            break;
+        }
+    }
     let Some((off, used, reclen)) = slot else { return Ok(None) };
     if used == 0 {
         // Claim the free record whole.
@@ -265,15 +284,17 @@ fn write_header(buf: &mut [u8], off: usize, namelen: usize, flags: u8, ext_slot:
     buf[off + ENTRY_HEADER + namelen..pad_end].fill(0);
 }
 
-/// Insert an entry referencing an external inode slot. Returns its offset,
-/// or `None` if the block is full.
+/// Insert an entry referencing an external inode slot, in the first chunk
+/// of mask `chunks` with room (see [`roomy_chunks`]). Returns its offset,
+/// or `None` if none of those chunks has room.
 pub fn insert_external(
     buf: &mut [u8],
+    chunks: u8,
     name: &str,
     slot: u32,
     kind: FileKind,
 ) -> FsResult<Option<usize>> {
-    let Some(off) = claim(buf, external_len(name.len()))? else { return Ok(None) };
+    let Some(off) = claim(buf, chunks, external_len(name.len()))? else { return Ok(None) };
     let mut flags = FLAG_USED;
     if kind == FileKind::Dir {
         flags |= FLAG_DIR;
@@ -282,15 +303,17 @@ pub fn insert_external(
     Ok(Some(off))
 }
 
-/// Insert an entry with an embedded inode image. Returns `(entry_offset,
-/// image_offset)`, or `None` if the block is full.
+/// Insert an entry with an embedded inode image, in the first chunk of
+/// mask `chunks` with room. Returns `(entry_offset, image_offset)`, or
+/// `None` if none of those chunks has room.
 pub fn insert_embedded(
     buf: &mut [u8],
+    chunks: u8,
     name: &str,
     kind: FileKind,
     inode: &Inode,
 ) -> FsResult<Option<(usize, usize)>> {
-    let Some(off) = claim(buf, embedded_len(name.len()))? else { return Ok(None) };
+    let Some(off) = claim(buf, chunks, embedded_len(name.len()))? else { return Ok(None) };
     let mut flags = FLAG_USED | FLAG_EMBEDDED;
     if kind == FileKind::Dir {
         flags |= FLAG_DIR;
@@ -393,7 +416,7 @@ mod tests {
     fn embedded_insert_find_read_inode() {
         let mut b = block();
         let ino = inode(777);
-        let (off, img) = insert_embedded(&mut b, "hello.c", FileKind::File, &ino)
+        let (off, img) = insert_embedded(&mut b, u8::MAX, "hello.c", FileKind::File, &ino)
             .unwrap()
             .unwrap();
         let e = find(&b, "hello.c").unwrap().unwrap();
@@ -410,7 +433,7 @@ mod tests {
         for i in 0..40 {
             let name = format!("{}{}", "x".repeat(1 + (i * 7) % 60), i);
             if let Some((off, img)) =
-                insert_embedded(&mut b, &name, FileKind::File, &inode(i as u64)).unwrap()
+                insert_embedded(&mut b, u8::MAX, &name, FileKind::File, &inode(i as u64)).unwrap()
             {
                 let end = img + INODE_SIZE;
                 assert_eq!(off / DIRBLKSIZ, (end - 1) / DIRBLKSIZ, "entry '{name}' crosses a sector");
@@ -419,11 +442,37 @@ mod tests {
     }
 
     #[test]
+    fn roomy_chunks_masks_and_chunk_restricted_inserts() {
+        let mut b = block();
+        let need = embedded_len(4);
+        assert_eq!(roomy_chunks(&b, need, false).unwrap(), 0xFF);
+        assert_eq!(roomy_chunks(&b, need, true).unwrap(), 0x01, "first fit is chunk 0");
+        // Three short-named entries fill chunk 0.
+        for i in 0..3 {
+            let (off, _) = insert_embedded(&mut b, 0x01, &format!("a{i:03}"), FileKind::File, &inode(0))
+                .unwrap()
+                .unwrap();
+            assert_eq!(off / DIRBLKSIZ, 0);
+        }
+        assert!(insert_embedded(&mut b, 0x01, "full", FileKind::File, &inode(0)).unwrap().is_none());
+        assert_eq!(roomy_chunks(&b, need, false).unwrap(), 0xFE);
+        assert_eq!(roomy_chunks(&b, need, true).unwrap(), 0x02);
+        // A mask picks the chunk: the first of the mask's chunks with room.
+        let (off, _) = insert_embedded(&mut b, 0b1010_0001, "b000", FileKind::File, &inode(0))
+            .unwrap()
+            .unwrap();
+        assert_eq!(off, 5 * DIRBLKSIZ);
+        let off = insert_external(&mut b, 1 << 7, "c000", 3, FileKind::File).unwrap().unwrap();
+        assert_eq!(off, 7 * DIRBLKSIZ);
+        assert_eq!(find(&b, "b000").unwrap().map(|e| e.offset), Some(5 * DIRBLKSIZ));
+    }
+
+    #[test]
     fn capacity_matches_paper_scale() {
         // Short names: 144-byte entries → 3 per chunk, 24 per 4 KB block.
         let mut b = block();
         let mut n = 0;
-        while insert_embedded(&mut b, &format!("f{n:03}"), FileKind::File, &inode(0))
+        while insert_embedded(&mut b, u8::MAX, &format!("f{n:03}"), FileKind::File, &inode(0))
             .unwrap()
             .is_some()
         {
@@ -436,7 +485,7 @@ mod tests {
     fn external_entries_are_compact() {
         let mut b = block();
         let mut n = 0u32;
-        while insert_external(&mut b, &format!("f{n:04}"), n, FileKind::File)
+        while insert_external(&mut b, u8::MAX, &format!("f{n:04}"), n, FileKind::File)
             .unwrap()
             .is_some()
         {
@@ -449,8 +498,8 @@ mod tests {
     #[test]
     fn mixed_entries_round_trip() {
         let mut b = block();
-        insert_embedded(&mut b, "emb", FileKind::File, &inode(1)).unwrap().unwrap();
-        insert_external(&mut b, "ext", 9, FileKind::Dir).unwrap().unwrap();
+        insert_embedded(&mut b, u8::MAX, "emb", FileKind::File, &inode(1)).unwrap().unwrap();
+        insert_external(&mut b, u8::MAX, "ext", 9, FileKind::Dir).unwrap().unwrap();
         let mut names: Vec<(String, FileKind)> =
             list(&b).unwrap().into_iter().map(|(name, e)| (name, e.kind)).collect();
         names.sort_by(|a, b| a.0.cmp(&b.0));
@@ -465,21 +514,21 @@ mod tests {
     fn remove_frees_space() {
         let mut b = block();
         for i in 0..24 {
-            insert_embedded(&mut b, &format!("f{i:03}"), FileKind::File, &inode(0))
+            insert_embedded(&mut b, u8::MAX, &format!("f{i:03}"), FileKind::File, &inode(0))
                 .unwrap()
                 .unwrap();
         }
-        assert!(insert_embedded(&mut b, "extra", FileKind::File, &inode(0)).unwrap().is_none());
+        assert!(insert_embedded(&mut b, u8::MAX, "extra", FileKind::File, &inode(0)).unwrap().is_none());
         let found = find(&b, "f005").unwrap().unwrap();
         assert_eq!(remove(&mut b, "f005").unwrap(), Some(found));
         assert!(find(&b, "f005").unwrap().is_none());
-        assert!(insert_embedded(&mut b, "extra", FileKind::File, &inode(0)).unwrap().is_some());
+        assert!(insert_embedded(&mut b, u8::MAX, "extra", FileKind::File, &inode(0)).unwrap().is_some());
     }
 
     #[test]
     fn entry_at_validates_offsets() {
         let mut b = block();
-        let (off, img) = insert_embedded(&mut b, "real", FileKind::File, &inode(5)).unwrap().unwrap();
+        let (off, img) = insert_embedded(&mut b, u8::MAX, "real", FileKind::File, &inode(5)).unwrap().unwrap();
         let e = entry_at(&b, off).unwrap();
         assert_eq!((e.offset, e.kind, e.loc), (off, FileKind::File, EntryLoc::Embedded(img)));
         assert_eq!(find(&b, "real").unwrap(), Some(e));
@@ -494,7 +543,7 @@ mod tests {
     #[test]
     fn entry_at_reports_an_undecodable_name_as_corrupt() {
         let mut b = block();
-        let (off, _) = insert_embedded(&mut b, "real", FileKind::File, &inode(5)).unwrap().unwrap();
+        let (off, _) = insert_embedded(&mut b, u8::MAX, "real", FileKind::File, &inode(5)).unwrap().unwrap();
         b[off + ENTRY_HEADER] = 0xFF;
         assert!(matches!(entry_at(&b, off), Err(FsError::Corrupt(_))));
         // The same bytes behind a free record are merely stale.
@@ -505,7 +554,7 @@ mod tests {
     #[test]
     fn convert_to_external_preserves_name_and_kind() {
         let mut b = block();
-        let (off, _) = insert_embedded(&mut b, "linked", FileKind::File, &inode(3)).unwrap().unwrap();
+        let (off, _) = insert_embedded(&mut b, u8::MAX, "linked", FileKind::File, &inode(3)).unwrap().unwrap();
         convert_to_external(&mut b, off, 42);
         let e = find(&b, "linked").unwrap().unwrap();
         assert_eq!(e.loc, EntryLoc::External(42));
@@ -516,7 +565,7 @@ mod tests {
     #[test]
     fn update_inode_image_in_place() {
         let mut b = block();
-        let (_, img) = insert_embedded(&mut b, "grow", FileKind::File, &inode(0)).unwrap().unwrap();
+        let (_, img) = insert_embedded(&mut b, u8::MAX, "grow", FileKind::File, &inode(0)).unwrap().unwrap();
         let mut ino2 = inode(8192);
         ino2.blocks = 2;
         ino2.write_to(&mut b, img);
@@ -527,7 +576,7 @@ mod tests {
     #[test]
     fn corrupt_reclen_detected() {
         let mut b = block();
-        insert_external(&mut b, "x", 1, FileKind::File).unwrap().unwrap();
+        insert_external(&mut b, u8::MAX, "x", 1, FileKind::File).unwrap().unwrap();
         put_u16(&mut b, 0, 12); // not a multiple of 8
         assert!(matches!(list(&b), Err(FsError::Corrupt(_))));
     }
@@ -548,10 +597,10 @@ mod tests {
                             model.entry(name.clone())
                         {
                             let ok = if emb {
-                                insert_embedded(&mut b, &name, FileKind::File, &inode(1))
+                                insert_embedded(&mut b, u8::MAX, &name, FileKind::File, &inode(1))
                                     .unwrap().is_some()
                             } else {
-                                insert_external(&mut b, &name, 7, FileKind::File)
+                                insert_external(&mut b, u8::MAX, &name, 7, FileKind::File)
                                     .unwrap().is_some()
                             };
                             if ok { slot.insert(emb); }

@@ -937,7 +937,9 @@ mod tests {
 
     #[test]
     fn generation_guard_rejects_recycled_slots() {
-        let fs = fresh(CffsConfig::cffs());
+        // Delayed metadata places entries first fit (synchronous creates
+        // choose their sector by rotation), so the slot is recycled.
+        let fs = fresh(CffsConfig::cffs().with_mode(MetadataMode::Delayed));
         let root = fs.root();
         // Create and delete so the next create reuses the same entry slot.
         let old = fs.create(root, "victim").unwrap();

@@ -4,12 +4,13 @@
 use crate::dirent::{self, CEntry, EntryLoc};
 use crate::layout::{decode_ino, embedded_ino, external_ino, InoRef, GEN_MASK};
 use cffs_dcache::DcacheAnswer;
+use cffs_disksim::SimTime;
 use cffs_fslib::bmap;
 use cffs_fslib::error::check_name;
 use cffs_fslib::file::{self, FileStore};
 use cffs_fslib::inode::Inode;
 use cffs_fslib::vfs::MetadataMode;
-use cffs_fslib::{Attr, DirEntry, FileKind, FsError, FsResult, Ino, BLOCK_SIZE};
+use cffs_fslib::{Attr, DirEntry, FileKind, FsError, FsResult, Ino, BLOCK_SIZE, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, OpKind};
 use super::{AllocCtx, Cffs, Fetch, InodePlacement};
 
@@ -53,6 +54,10 @@ impl Cffs {
     /// persist the directory inode *durably* after flushing the entry —
     /// the inode's new block pointer and size are part of the create's
     /// ordered update, or a crash would orphan the new block's entries.
+    ///
+    /// The entry goes in the first chunk with room (first fit), except
+    /// an embedded entry whose durability is one sector write: that one
+    /// goes where [`Cffs::earliest_chunk`] says the write lands first.
     fn dir_insert(
         &self,
         dirino: Ino,
@@ -65,14 +70,20 @@ impl Cffs {
             InsertPayload::Embedded(_) => dirent::embedded_len(name.len()),
             InsertPayload::External(_) => dirent::external_len(name.len()),
         };
+        let by_rotation = matches!(payload, InsertPayload::Embedded(_)) && self.sector_durable();
         let t = self.tree(dirino, None);
         let roomy = file::dir_blocks(&t, dinode, |lbn, blk| {
             self.charge(self.cpu_model().scan_cost(16));
             // The handle is dropped before the insert modifies the block.
-            Ok(dirent::has_space_for(&t.fetch(blk, lbn)?, need)?.then_some((lbn, blk)))
+            let free = dirent::roomy_chunks(&t.fetch(blk, lbn)?, need, !by_rotation)?;
+            Ok((free != 0).then_some((lbn, blk, free)))
         })?;
-        let (lbn, blk, grew) = match roomy {
-            Some((lbn, blk)) => (lbn, blk, false),
+        let (lbn, blk, chunks, grew) = match roomy {
+            Some(first) if by_rotation => {
+                let (lbn, blk, chunk) = self.earliest_chunk(dirino, dinode, first, need)?;
+                (lbn, blk, 1 << chunk, false)
+            }
+            Some((lbn, blk, free)) => (lbn, blk, free, false),
             None => {
                 // Grow by one block — itself group-allocated when grouping
                 // is on, so directory blocks co-locate with their files' data.
@@ -81,16 +92,70 @@ impl Cffs {
                 let blk = self.bmap_alloc(dirino, dinode, lbn, ctx)?;
                 dinode.size += BLOCK_SIZE as u64;
                 t.modify(blk, lbn, false, dirent::init_block)?;
-                (lbn, blk, true)
+                (lbn, blk, u8::MAX, true)
             }
         };
         let off = t.modify(blk, lbn, true, |d| match payload {
             InsertPayload::Embedded(inode) => {
-                dirent::insert_embedded(d, name, kind, inode).map(|o| o.map(|(e, _)| e))
+                dirent::insert_embedded(d, chunks, name, kind, inode).map(|o| o.map(|(e, _)| e))
             }
-            InsertPayload::External(slot) => dirent::insert_external(d, name, slot, kind),
+            InsertPayload::External(slot) => dirent::insert_external(d, chunks, name, slot, kind),
         })??;
         Ok((blk, off.ok_or(FsError::NoSpace)?, grew))
+    }
+
+    /// Whether a directory mutation is made durable by one sector write
+    /// (synchronous metadata, embedded inodes): see [`Cffs::dir_durable`].
+    fn sector_durable(&self) -> bool {
+        self.cfg.metadata_mode == MetadataMode::Synchronous && self.cfg.inodes == InodePlacement::Embedded
+    }
+
+    /// Rotation-aware placement (eager writing kept inside the directory):
+    /// of the chunks with room for `need` bytes in `first` — the first-fit
+    /// `(lbn, block, roomy chunks)` — and in every resident directory
+    /// block after it, the one whose one-sector write, issued now, the
+    /// disk model says completes first; the lowest `(lbn, chunk)` on a
+    /// tie. Reads nothing from the disk. The scan is charged before the
+    /// prediction and nothing moves the clock between it and the write,
+    /// so the write issues at the predicted instant. Returns `(lbn,
+    /// block, chunk)`.
+    fn earliest_chunk(
+        &self,
+        dirino: Ino,
+        dinode: &Inode,
+        first: (u64, u64, u8),
+        need: usize,
+    ) -> FsResult<(u64, u64, u32)> {
+        let mut cands = [first; MAX_PLACEMENT_BLOCKS];
+        let (mut n, mut scanned) = (1, 0);
+        for lbn in first.0 + 1..dinode.size / BLOCK_SIZE as u64 {
+            if n == cands.len() {
+                break;
+            }
+            let roomy = |d: &[u8]| dirent::roomy_chunks(d, need, false);
+            let Some((blk, free)) = self.cache.peek_logical(dirino, lbn, roomy) else { continue };
+            scanned += 1;
+            let free = free?;
+            if free != 0 {
+                cands[n] = (lbn, blk, free);
+                n += 1;
+            }
+        }
+        self.charge(self.cpu_model().scan_cost(16 * scanned));
+        let now = self.drv.now();
+        Ok(self.drv.with_disk(|d| {
+            let (start, arm, model) = (now.max(d.busy_until()), d.arm_cylinder(), d.model());
+            let mut best = (first.0, first.1, first.2.trailing_zeros(), SimTime(u64::MAX));
+            for &(lbn, blk, free) in &cands[..n] {
+                let lba = blk * SECTORS_PER_BLOCK;
+                if let Some((chunk, p)) = model.earliest_sector(start, arm, lba, free.into(), true) {
+                    if p.done < best.3 {
+                        best = (lbn, blk, chunk, p.done);
+                    }
+                }
+            }
+            (best.0, best.1, best.2)
+        }))
     }
 
     /// Flush the durability unit for a directory mutation at `(blk, off)`:
@@ -636,6 +701,10 @@ impl Cffs {
         Ok(out)
     }
 }
+
+/// Most directory blocks [`Cffs::earliest_chunk`] weighs for one entry:
+/// a stack array's worth, 512 sectors.
+const MAX_PLACEMENT_BLOCKS: usize = 64;
 
 /// What a new directory entry carries.
 #[derive(Clone, Copy)]

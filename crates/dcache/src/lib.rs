@@ -17,9 +17,10 @@
 //!   lock acquired inside.
 //! * **Bounded capacity, CLOCK eviction.** Each shard owns a fixed slot
 //!   array swept by a clock hand; a probe sets the entry's referenced
-//!   bit, the hand clears it, and only an unreferenced entry is evicted
-//!   (second chance). Capacity is fixed at construction — a million-file
-//!   tree cannot grow the cache without bound.
+//!   bit (an insert does not), the hand clears it, and only an
+//!   unreferenced entry is evicted (second chance). Capacity is fixed
+//!   at construction — a million-file tree cannot grow the cache
+//!   without bound.
 //! * **Precise invalidation.** The file-system layer invalidates exact
 //!   `(parent, name)` keys on namespace mutations and purges by inode
 //!   number when embedded-inode renumbering retires an ino. The cache
@@ -116,16 +117,18 @@ impl Shard {
         }
     }
 
+    /// Cache `dir/name -> ino`. An entry starts unreferenced and an
+    /// update keeps its bit: only a probe earns a second chance, so a
+    /// burst of inserts (a mass create, a listing) cannot pin itself
+    /// while the hand evicts the names being looked up.
     fn insert(&mut self, obs: &Obs, dir: Ino, name: &str, ino: Option<Ino>) {
         let h = key_hash(dir, name);
         if let Some(i) = self.find(h, dir, name) {
-            let e = self.slots[i].as_mut().expect("indexed slot is occupied");
-            e.ino = ino;
-            e.referenced = true;
+            self.slots[i].as_mut().expect("indexed slot is occupied").ino = ino;
             return;
         }
         let i = self.take_slot(obs);
-        self.slots[i] = Some(Entry { dir, name: name.into(), ino, referenced: true });
+        self.slots[i] = Some(Entry { dir, name: name.into(), ino, referenced: false });
         self.index.entry(h).or_default().push(i);
     }
 }
@@ -349,8 +352,8 @@ mod tests {
         for i in 0..cap {
             d.insert_pos(1, &format!("f{i}"), i);
         }
-        // First overflow sweeps the ring (clearing every fresh referenced
-        // bit) and evicts the oldest entry.
+        // Fresh entries are unreferenced: the first overflow evicts the
+        // oldest at once.
         d.insert_pos(1, "spill", 98);
         assert_eq!(d.lookup(1, "f0"), DcacheAnswer::Miss);
         // Re-reference f1; the next overflow must skip it and take f2.

@@ -4,7 +4,7 @@
 
 use crate::cache::{OnboardCache, OnboardCacheConfig};
 use crate::driver::Payload;
-use crate::geometry::Geometry;
+use crate::geometry::{slot_angle, ChsPos, Geometry};
 use crate::seek::SeekCurve;
 use crate::store::SectorStore;
 use crate::time::{SimDuration, SimTime};
@@ -96,24 +96,8 @@ impl DiskModel {
         let rev = self.revolution();
         let rev_s = rev.as_secs_f64();
         let pos = self.geometry.lba_to_chs(lba);
-        let mut t = start + self.controller_overhead;
-
-        // Seek.
-        let dist = pos.cylinder.abs_diff(arm);
-        let mut seek = self.seek.seek_time(dist);
-        if write && dist > 0 {
-            seek += self.write_settle;
-        }
-        t += seek;
-
-        // Rotational latency: wait for the target sector to come around.
-        let r = rev.as_nanos();
-        let angle_now = (t.as_nanos() % r) as f64 / r as f64;
-        let target = self.geometry.sector_angle(pos);
-        let mut wait = target - angle_now;
-        if wait < 0.0 {
-            wait += 1.0;
-        }
+        let (dist, seek, mut t) = self.seek_to(start, arm, pos.cylinder, write);
+        let wait = wait_for(angle_at(t, rev), self.geometry.sector_angle(pos));
         let rotation = SimDuration::from_secs_f64(wait * rev_s);
         t += rotation;
 
@@ -125,8 +109,7 @@ impl DiskModel {
         while remaining > 0 {
             let on_track = (cur.sectors_per_track - cur.sector) as u64;
             let take = on_track.min(remaining);
-            let frac = take as f64 / cur.sectors_per_track as f64;
-            transfer += SimDuration::from_secs_f64(frac * rev_s);
+            transfer += track_time(take, cur.sectors_per_track, rev_s);
             remaining -= take;
             if remaining == 0 {
                 break;
@@ -165,6 +148,127 @@ impl DiskModel {
         // The arm ends up where the transfer ended.
         Positioning { seek_cylinders: dist, seek, rotation, transfer, done: t, cylinder: cur.cylinder }
     }
+
+    /// Of the one-sector accesses to the sectors `lba + i` whose bit `i`
+    /// is set in `free`, the one that completes first when service starts
+    /// at `start` with the arm over `arm`: its `i` and exactly the
+    /// [`Positioning`] that [`DiskModel::position`] gives it, the lowest
+    /// `i` on a tie. `None` when `free` is empty.
+    ///
+    /// It works a cylinder at a time. There the seek, and so the angle the
+    /// platter has turned to when it ends, is shared, and the sector with
+    /// the least rotational wait completes first: a cylinder has one track
+    /// size, so its sectors' angles differ by whole sectors, far more than
+    /// the nanosecond rounding. One seek and one completion are evaluated
+    /// per cylinder, not per sector.
+    pub fn earliest_sector(
+        &self,
+        start: SimTime,
+        arm: u32,
+        lba: u64,
+        free: u64,
+        write: bool,
+    ) -> Option<(u32, Positioning)> {
+        let last = free.checked_ilog2()?;
+        let rev = self.revolution();
+        let mut pos = self.geometry.lba_to_chs(lba);
+        let mut slot = self.geometry.rotational_slot(pos);
+        let mut seek = self.seek_to(start, arm, pos.cylinder, write);
+        let mut now = angle_at(seek.2, rev);
+        // This cylinder's least-wait sector, and the earliest completion
+        // of the cylinders before it.
+        let mut win: Option<(u32, ChsPos, f64)> = None;
+        let mut best: Option<(u32, Positioning)> = None;
+        for i in 0..=last {
+            if i > 0 {
+                // Step to sector `lba + i`, as `lba_to_chs` places it.
+                let cylinder = pos.cylinder;
+                pos.sector += 1;
+                slot = if slot + 1 == pos.sectors_per_track { 0 } else { slot + 1 };
+                if pos.sector == pos.sectors_per_track {
+                    pos.sector = 0;
+                    pos.head += 1;
+                    if pos.head == self.geometry.heads {
+                        pos.head = 0;
+                        pos.cylinder += 1;
+                        pos.sectors_per_track = self.geometry.sectors_per_track_at(pos.cylinder);
+                    }
+                    slot = self.geometry.rotational_slot(pos);
+                }
+                if pos.cylinder != cylinder {
+                    best = earlier(best, win.take().map(|w| self.complete(seek, w, rev)));
+                    seek = self.seek_to(start, arm, pos.cylinder, write);
+                    now = angle_at(seek.2, rev);
+                }
+            }
+            if free >> i & 1 == 1 {
+                let wait = wait_for(now, slot_angle(slot, pos.sectors_per_track));
+                if win.is_none_or(|(_, _, w)| wait < w) {
+                    win = Some((i, pos, wait));
+                }
+            }
+        }
+        earlier(best, win.map(|w| self.complete(seek, w, rev)))
+    }
+
+    /// The [`Positioning`] of a one-sector access to `(i, pos)`, reached
+    /// after `seek` (as [`DiskModel::seek_to`] gives it) and a rotational
+    /// wait of `wait` revolutions.
+    fn complete(
+        &self,
+        (seek_cylinders, seek, t): (u32, SimDuration, SimTime),
+        (i, pos, wait): (u32, ChsPos, f64),
+        rev: SimDuration,
+    ) -> (u32, Positioning) {
+        let rotation = SimDuration::from_secs_f64(wait * rev.as_secs_f64());
+        let transfer = track_time(1, pos.sectors_per_track, rev.as_secs_f64());
+        let done = t + rotation + transfer;
+        (i, Positioning { seek_cylinders, seek, rotation, transfer, done, cylinder: pos.cylinder })
+    }
+
+    /// The seek to cylinder `cyl` of an access that starts service at
+    /// `start` with the arm over `arm`: `(cylinders moved, seek time with
+    /// any write settle, when the arm has settled)`.
+    fn seek_to(&self, start: SimTime, arm: u32, cyl: u32, write: bool) -> (u32, SimDuration, SimTime) {
+        let dist = cyl.abs_diff(arm);
+        let mut seek = self.seek.seek_time(dist);
+        if write && dist > 0 {
+            seek += self.write_settle;
+        }
+        (dist, seek, start + self.controller_overhead + seek)
+    }
+}
+
+/// Of two candidate accesses, the one that completes first; `a` on a tie.
+fn earlier(a: Option<(u32, Positioning)>, b: Option<(u32, Positioning)>) -> Option<(u32, Positioning)> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(if y.1.done < x.1.done { y } else { x }),
+        (x, y) => x.or(y),
+    }
+}
+
+/// How far a platter turning once per `rev` has turned at `t`, in
+/// revolutions, in `[0, 1)`.
+fn angle_at(t: SimTime, rev: SimDuration) -> f64 {
+    let r = rev.as_nanos();
+    (t.as_nanos() % r) as f64 / r as f64
+}
+
+/// Rotational latency, in revolutions, from platter angle `now` to angle
+/// `at`, where the wanted sector starts.
+fn wait_for(now: f64, at: f64) -> f64 {
+    let wait = at - now;
+    if wait < 0.0 {
+        wait + 1.0
+    } else {
+        wait
+    }
+}
+
+/// Media time for `sectors` consecutive sectors of one track of `spt`
+/// sectors, at `rev_s` seconds per revolution.
+fn track_time(sectors: u64, spt: u32, rev_s: f64) -> SimDuration {
+    SimDuration::from_secs_f64(sectors as f64 / spt as f64 * rev_s)
 }
 
 /// What one media access costs and where it leaves the arm (see
@@ -764,6 +868,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::geometry::ChsPos;
     use crate::models;
     use proptest::prelude::*;
 
@@ -812,6 +917,47 @@ mod proptests {
                 t = d.read(t, sector, &mut buf);
                 prop_assert!(buf.iter().all(|&b| b == byte), "sector {} corrupted", sector);
             }
+        }
+
+        /// `earliest_sector` is the brute-force minimum of `position` over
+        /// its mask, on every drive model, from any start and arm: the same
+        /// sector (lowest on a tie) and the same `Positioning`, for runs
+        /// anywhere, across a track boundary and across a cylinder one.
+        #[test]
+        fn earliest_sector_is_brute_force_minimum(
+            drive in 0usize..6,
+            start_ns in 0u64..1_000_000_000_000,
+            arm_r in any::<u32>(),
+            at in (0u8..3, any::<u64>(), 1u64..8),
+            free in 1u64..256,
+            write in any::<bool>(),
+        ) {
+            let mut drives = models::table1_drives();
+            drives.extend([models::seagate_st31200(), models::hp_c2247(), models::tiny_test_disk()]);
+            let m = &drives[drive];
+            let g = &m.geometry;
+            let cyls = g.total_cylinders();
+            let arm = arm_r % cyls;
+            let (kind, r, back) = at;
+            // A run of 8 sectors: anywhere, or starting `back` sectors
+            // before the end of a track (inside a cylinder) or of a cylinder.
+            let cyl = (r % (cyls as u64 - 1)) as u32;
+            let spt = g.sectors_per_track_at(cyl);
+            let near_end = |head| ChsPos { cylinder: cyl, head, sector: spt - back as u32, sectors_per_track: spt };
+            let lba = match kind {
+                0 => r % (g.total_sectors() - 8),
+                1 => g.chs_to_lba(near_end(0)),
+                _ => g.chs_to_lba(near_end(g.heads - 1)),
+            };
+            let start = SimTime(start_ns);
+            let mut brute: Option<(u32, Positioning)> = None;
+            for i in (0..8).filter(|i| free >> i & 1 == 1) {
+                let p = m.position(start, arm, lba + i as u64, 1, write);
+                if brute.is_none_or(|(_, b)| p.done < b.done) {
+                    brute = Some((i, p));
+                }
+            }
+            prop_assert_eq!(m.earliest_sector(start, arm, lba, free, write), brute);
         }
 
         /// Torn crashes never tear inside a sector and never touch sectors

@@ -215,11 +215,21 @@ impl Geometry {
     /// Angular position (fraction of a revolution in `[0, 1)`) at which the
     /// given sector *starts* on its track.
     pub fn sector_angle(&self, pos: ChsPos) -> f64 {
-        let spt = pos.sectors_per_track as u64;
-        let skew = self.track_skew_offset(pos.cylinder, pos.head) % spt;
-        let logical = (pos.sector as u64 + skew) % spt;
-        logical as f64 / spt as f64
+        slot_angle(self.rotational_slot(pos), pos.sectors_per_track)
     }
+
+    /// Which of its track's `sectors_per_track` equal angular slots,
+    /// counted from the index mark, the sector at `pos` starts in.
+    pub(crate) fn rotational_slot(&self, pos: ChsPos) -> u32 {
+        let skewed = pos.sector as u64 + self.track_skew_offset(pos.cylinder, pos.head);
+        (skewed % pos.sectors_per_track as u64) as u32
+    }
+}
+
+/// The start angle, in revolutions, of angular slot `slot` of a track of
+/// `spt` sectors (see [`Geometry::rotational_slot`]).
+pub(crate) fn slot_angle(slot: u32, spt: u32) -> f64 {
+    slot as f64 / spt as f64
 }
 
 #[cfg(test)]

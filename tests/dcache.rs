@@ -201,3 +201,36 @@ fn drop_caches_clears_and_records_hit_rate() {
     assert!(ctr(&fs, Ctr::DcacheHits) > hits_before);
     fs.getattr(after).expect("cold-resolved ino is live");
 }
+
+#[test]
+fn inserts_never_evict_the_names_being_looked_up() {
+    // A 64-entry cache is one CLOCK ring. Creating past its capacity
+    // leaves it full of the newest names; the oldest sixteen of those
+    // are the working set, probed once.
+    let fs = fresh(64);
+    let root = fs.root();
+    let dir = fs.mkdir(root, "d").expect("mkdir");
+    let cap = 64;
+    let mut inos = Vec::new();
+    for i in 0..cap + 36 {
+        inos.push(fs.create(dir, &format!("f{i}")).expect("create"));
+    }
+    let working = 37..37 + 16;
+    for i in working.clone() {
+        let hits = ctr(&fs, Ctr::DcacheHits);
+        assert_eq!(fs.lookup(dir, &format!("f{i}")), Ok(inos[i]));
+        assert_eq!(ctr(&fs, Ctr::DcacheHits), hits + 1, "f{i} is cached before the sweep");
+    }
+    // Fewer fresh names than the capacity: the hand evicts the names
+    // that were only inserted, and must pass over the probed ones.
+    for i in 0..cap - 24 {
+        fs.create(dir, &format!("new{i}")).expect("create");
+    }
+    let (hits, misses) = (ctr(&fs, Ctr::DcacheHits), ctr(&fs, Ctr::DcacheMisses));
+    for i in working.clone() {
+        assert_eq!(fs.lookup(dir, &format!("f{i}")), Ok(inos[i]));
+    }
+    assert_eq!(ctr(&fs, Ctr::DcacheMisses), misses, "a probed name was evicted by inserts");
+    assert_eq!(ctr(&fs, Ctr::DcacheHits), hits + working.len() as u64);
+    assert!(ctr(&fs, Ctr::DcacheEvictions) > 0, "the creates actually evicted");
+}

@@ -252,11 +252,11 @@ fn fixed_range_script() -> Vec<RangeOp> {
 const PINNED_RANGE_SCRIPT: [(&str, u64, u64, u64, u64, u64, u64); 7] = [
     ("FFS", 443_287_033, 368, 198, 2, 0, 76),
     ("conventional", 469_444_440, 400, 230, 2, 0, 76),
-    ("embedded inodes", 436_111_107, 412, 240, 2, 0, 76),
+    ("embedded inodes", 424_999_996, 412, 240, 2, 0, 76),
     ("explicit grouping", 537_037_032, 420, 245, 2, 2, 78),
-    ("C-FFS", 492_592_588, 432, 256, 2, 2, 77),
-    ("C-FFS prefetch 8", 481_481_477, 483, 327, 2, 9, 64),
-    ("C-FFS group 4", 479_398_143, 419, 249, 2, 3, 77),
+    ("C-FFS", 481_481_477, 432, 256, 2, 2, 77),
+    ("C-FFS prefetch 8", 470_370_366, 483, 327, 2, 9, 64),
+    ("C-FFS group 4", 468_287_032, 419, 249, 2, 3, 77),
 ];
 
 #[test]
@@ -338,7 +338,7 @@ fn deterministic_simulated_time_with_feed_and_flight_armed() {
 
 /// `(attr_queue_ns, attr_service_ns, attr_op_ns)` after
 /// [`fixed_range_script`] and a sync on a synchronous-metadata C-FFS.
-const PINNED_SYNC_ATTR: [u64; 3] = [2_338_000, 482_893_588, 7_105_000];
+const PINNED_SYNC_ATTR: [u64; 3] = [2_338_000, 471_782_477, 7_105_000];
 
 /// Byte offsets on and around what the data path treats specially: every
 /// block edge of the first 24 blocks (4096·k − 1, + 0, + 1), and the first

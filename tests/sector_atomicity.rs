@@ -8,12 +8,19 @@
 //! (which renumber embedded inodes), hard-link transitions (which migrate
 //! an inode from embedded to the external file), unlink/create churn that
 //! splits and coalesces records, and directory growth.
+//!
+//! A synchronous embedded create may put its entry in any free sector of
+//! the directory's resident blocks; the placement tests below check that
+//! it takes the one whose write completes first, and that delayed
+//! metadata keeps first fit.
 
 use cffs::core::dirent::{self, external_len, EntryLoc, DIRBLKSIZ};
+use cffs::core::layout::{decode_ino, InoRef};
 use cffs::core::{fsck, Cffs, CffsConfig, MkfsParams};
 use cffs::prelude::*;
 use cffs_disksim::models;
 use cffs_disksim::Disk;
+use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::inode::INODE_SIZE;
 use cffs_fslib::{BLOCK_SIZE, SECTORS_PER_BLOCK};
 
@@ -152,4 +159,115 @@ fn entries_never_straddle_sectors_external() {
     // Embedding disabled: every entry is external, but the layout rule
     // (entry within one 512-byte chunk) still holds.
     churn(CffsConfig::conventional());
+}
+
+/// One create of [`placement_script`]: the directory's blocks before it
+/// as `(lbn, block, chunks with room)`, the new inode number, the disk
+/// requests the create made, and the arm's cylinder before them.
+struct Placed {
+    before: Vec<(u64, u64, u8)>,
+    ino: Ino,
+    requests: Vec<cffs_disksim::TraceEntry>,
+    arm: u32,
+}
+
+/// A churned directory (seven resident blocks, every third name
+/// unlinked, so free slots lie in all of them), then forty creates, each
+/// preceded by a
+/// sync so the image shows the blocks as the create found them. Checks
+/// after each synchronous create that a crash image keeps the name, and
+/// at the end that no entry straddles a sector and fsck is clean.
+fn placement_script(mode: MetadataMode) -> Vec<Placed> {
+    let geo = models::tiny_test_disk().geometry;
+    let fs = fresh(CffsConfig::cffs().with_mode(mode));
+    fs.set_disk_trace(true);
+    let root = fs.root();
+    let dir = fs.mkdir(root, "churned").unwrap();
+    for i in 0..150 {
+        fs.create(dir, &format!("f{i:03}")).unwrap();
+    }
+    for i in (0..150).step_by(3) {
+        fs.unlink(dir, &format!("f{i:03}")).unwrap();
+    }
+    let need = dirent::embedded_len(4);
+    let mut placed = Vec::new();
+    for k in 0..40 {
+        let name = format!("n{k:03}");
+        fs.sync().unwrap();
+        fs.readdir(dir).unwrap();
+        let size = fs.getattr(dir).unwrap().size;
+        let img = fs.crash_image();
+        let before: Vec<_> = (0..size / BLOCK_SIZE as u64)
+            .map(|lbn| {
+                let blk = fs.cache_block_of(dir, lbn).expect("directory block resident");
+                let mut buf = vec![0u8; BLOCK_SIZE];
+                img.raw_read(blk * SECTORS_PER_BLOCK, &mut buf);
+                (lbn, blk, dirent::roomy_chunks(&buf, need, false).unwrap())
+            })
+            .collect();
+        let trace = fs.disk_trace();
+        let last = trace.iter().rev().find(|e| !e.cache_hit).expect("a media request");
+        let arm = geo.lba_to_chs(last.lba + last.sectors - 1).cylinder;
+        let ino = fs.create(dir, &name).unwrap();
+        let requests = fs.disk_trace()[trace.len()..].to_vec();
+        if mode == MetadataMode::Synchronous {
+            // The name survives a crash right after the create returns.
+            let crashed = Cffs::mount(fs.crash_image(), fs.config().clone()).expect("mount crash image");
+            let cdir = crashed.lookup(crashed.root(), "churned").unwrap();
+            assert!(crashed.lookup(cdir, &name).is_ok(), "{name} lost in a crash after its create");
+        }
+        placed.push(Placed { before, ino, requests, arm });
+    }
+    assert_sector_atomic(&fs, &format!("{mode:?} placement"));
+    let mut img = fs.unmount().expect("unmount");
+    let report = fsck::fsck(&mut img, false).expect("fsck");
+    assert!(report.clean(), "{mode:?} placement: fsck errors: {:?}", report.errors);
+    placed
+}
+
+/// The embedded entry's `(block, chunk)`, from its inode number.
+fn chunk_of(ino: Ino) -> (u64, usize) {
+    match decode_ino(ino) {
+        InoRef::Embedded { blk, off, .. } => (blk, off / DIRBLKSIZ),
+        InoRef::External(_) => panic!("expected an embedded inode"),
+    }
+}
+
+#[test]
+fn synchronous_create_writes_the_free_sector_that_lands_first() {
+    let model = models::tiny_test_disk();
+    let mut not_first_fit = 0;
+    for p in placement_script(MetadataMode::Synchronous) {
+        assert_eq!(p.requests.len(), 1, "a warm synchronous create is one request: {:?}", p.requests);
+        let w = p.requests[0];
+        assert!(w.write && w.sectors == 1 && !w.cache_hit, "one one-sector write: {w:?}");
+        // Brute force over every free chunk of every block from the first
+        // with room on, first fit winning ties.
+        let mut best: Option<(u64, SimTime)> = None;
+        for &(_, blk, free) in p.before.iter().skip_while(|b| b.2 == 0) {
+            for chunk in (0..8).filter(|c| free >> c & 1 == 1) {
+                let lba = blk * SECTORS_PER_BLOCK + chunk;
+                let done = model.position(w.start, p.arm, lba, 1, true).done;
+                if best.is_none_or(|(_, d)| done < d) {
+                    best = Some((lba, done));
+                }
+            }
+        }
+        let (lba, done) = best.expect("the churned directory has room");
+        assert_eq!(w.lba, lba, "the create wrote a later-landing sector than the earliest free one");
+        assert_eq!(w.start + w.service, done, "the write landed when the model predicted");
+        let (blk, chunk) = chunk_of(p.ino);
+        assert_eq!(blk * SECTORS_PER_BLOCK + chunk as u64, w.lba, "the entry is in the sector written");
+        let &(_, ff_blk, ff_free) = p.before.iter().find(|b| b.2 != 0).expect("room");
+        not_first_fit += usize::from((blk, chunk) != (ff_blk, ff_free.trailing_zeros() as usize));
+    }
+    assert!(not_first_fit > 0, "no create left first fit: the script tests nothing");
+}
+
+#[test]
+fn delayed_create_places_entries_first_fit() {
+    for p in placement_script(MetadataMode::Delayed) {
+        let &(_, blk, free) = p.before.iter().find(|b| b.2 != 0).expect("room");
+        assert_eq!(chunk_of(p.ino), (blk, free.trailing_zeros() as usize), "not first fit");
+    }
 }
