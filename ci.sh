@@ -111,9 +111,13 @@ if ls crates/bench/src/bin/repro_*.rs 2>/dev/null \
     echo "a per-experiment repro launcher (or a mention of one) is back"; exit 1
 fi
 # E14 and E16 run on one multi-client driver, workloads::concurrent, and
-# its one clock-ordered schedule: no second (free-running) driver.
+# its one clock-ordered schedule: no second (free-running) driver. Its
+# clients are contexts on the calling thread, not threads handed turns.
 if [ -e crates/workloads/src/multiclient.rs ] || grep -rnE 'multiclient::|MulticlientParams' $SRC; then
     echo "a second multi-client driver (workloads::multiclient) is back"; exit 1
+fi
+if grep -rnE 'Condvar|thread::scope|thread::spawn|fn fan_out|struct Seat' crates/workloads/src; then
+    echo "a thread or a turn hand-off is back in crates/workloads"; exit 1
 fi
 # A setting that only ever takes one value is a constant: the SLO
 # objectives are one table, signals have floors only, feeds run on the
@@ -168,9 +172,9 @@ BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     > /dev/null
 # Reduced scale must match the checked-in BENCH_VOLUME baseline invocation
 # exactly (the volume scaling ratio is scale-sensitive). The four clients
-# take their steps on the driver's clock-ordered schedule, so the ratio
-# and every row's elapsed_ns repeat exactly run to run. Records a live
-# per-volume feed for the schema smoke below.
+# are contexts on one thread, taking their steps in clock order, so the
+# ratio and every row's elapsed_ns repeat exactly run to run. Records a
+# live per-volume feed for the schema smoke below.
 BENCH_OUT_DIR="$BENCH_TMP/out" cargo run --release --offline -p cffs-bench \
     --bin repro -- volume --seed 1997 --sessions 480 --dirs 64 --files 16 \
     --ops 6 --threads 4 --feed "$BENCH_TMP/feed_volume.jsonl" > /dev/null

@@ -4,11 +4,11 @@
 //! against its own directory set (directories spread round-robin across
 //! cylinder groups, so clients allocate from different CGs and the
 //! per-CG sharding is on the hot path). The multi-client driver
-//! (`workloads::concurrent`, warm window) runs them on its clock-ordered
-//! schedule: each client's CPU work advances its own simulated timeline,
-//! and a window's elapsed time is the cross-client high-water mark.
-//! Aggregate throughput therefore scales with clients exactly as far as
-//! cache-hit work overlaps — which is the property under test.
+//! (`workloads::concurrent`, warm window) runs them as contexts on one
+//! thread, in clock order: each client's CPU work advances its own
+//! simulated timeline, and a window's elapsed time is the cross-client
+//! high-water mark. Aggregate throughput therefore scales with clients
+//! exactly as far as cache-hit work overlaps — the property under test.
 //!
 //! Acceptance (ISSUE 6): at 4 threads, aggregate ops/s on disjoint CGs
 //! must be ≥ 2.5× the 1-thread figure, with the `group_fetch_util_pct`
@@ -57,9 +57,9 @@ fn point(p: &ConcurrentParams) -> Point {
 
     // Telemetry: a manual-cadence tap (when the repro binary set up a
     // feed with --feed) cutting one frame per phase barrier. The phases
-    // themselves are multi-threaded, so frames are cut only at the
-    // quiescent hook points — and the per-thread op rows still show the
-    // fan-out because client threads bind slots 1..=N.
+    // interleave every client's steps, so frames are cut only at the
+    // quiescent hook points — and the per-thread op rows still tell the
+    // clients apart because each client's context binds slots 1..=N.
     let feed = cffs_obs::feed::tap_global(
         &obs,
         &[],

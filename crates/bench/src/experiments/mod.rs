@@ -483,4 +483,5 @@ fn run_all(a: &Args) {
     show("DIRSIZE", dirsize::report()); // E10
     show("ABLATION", ablation::report()); // E11 (extra)
     show("POSTMARK_SYNC", postmark::report(MetadataMode::Synchronous, pm)); // E12 (extra)
+    show("POSTMARK_SOFTDEP", postmark::report(MetadataMode::Delayed, pm)); // E12 (extra)
 }

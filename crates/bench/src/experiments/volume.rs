@@ -9,8 +9,8 @@
 //! window is cold and disk-bound. Client count is held fixed across
 //! points: any throughput gain comes from the extra spindles, i.e. from
 //! the sharded namespace letting per-volume disk timelines overlap. The
-//! clients run on the driver's clock-ordered schedule, so every point is
-//! a function of the seed.
+//! clients are contexts on one thread, taking their steps in clock
+//! order, so every point is a function of the seed.
 //!
 //! Acceptance (ISSUE 9): aggregate sessions-window ops/s at 4 volumes
 //! must be ≥ 3.0× the 1-volume figure, and every volume must fsck clean

@@ -719,7 +719,7 @@ pub struct Obs {
     /// incremented before the lock is taken, decremented once it is held).
     queue_depth: AtomicU64,
     /// Ops completed per bound thread slot (outermost span closes). Slot
-    /// 0 is the main thread; fan-out workers bind 1.. via
+    /// 0 is the main thread; multi-client contexts bind 1.. via
     /// [`Obs::bind_thread_slot`].
     thread_ops: [AtomicU64; THREAD_SLOTS],
     /// Earliest simulated instant an armed sampler (a `Sim`-cadence feed
@@ -767,7 +767,7 @@ pub fn write_atomic(path: &std::path::Path, content: &[u8]) -> std::io::Result<(
 }
 
 /// Fixed number of per-thread op-counter slots (slot 0 = main thread,
-/// 1.. = fan-out workers; binds past the last slot clamp onto it).
+/// 1.. = client contexts; binds past the last slot clamp onto it).
 pub const THREAD_SLOTS: usize = 16;
 
 /// Source of [`Obs::uid`] values.
@@ -788,8 +788,9 @@ struct SpanTls {
 #[derive(Debug, Clone, Copy, Default)]
 struct ThreadTls {
     span: SpanTls,
-    /// Simulated-clock mirror — each client thread runs its own virtual
-    /// timeline. `None` until this thread moves or pins the clock.
+    /// Simulated-clock mirror — each thread, or each client context
+    /// swapped onto one ([`swap_thread_state`]), runs its own virtual
+    /// timeline. `None` until the context moves or pins the clock.
     clock: Option<u64>,
     /// Bound thread-op slot (0 until [`Obs::bind_thread_slot`]).
     slot: usize,
@@ -799,6 +800,22 @@ thread_local! {
     /// Per-thread state per (thread, Obs-uid).
     static TLS: std::cell::RefCell<std::collections::HashMap<u64, ThreadTls>> =
         std::cell::RefCell::new(std::collections::HashMap::new());
+}
+
+/// One client context's thread-local state for every `Obs`: clock
+/// mirrors, op slots and span state. `Default` is a fresh thread's.
+#[derive(Debug, Default)]
+pub struct ThreadState(std::collections::HashMap<u64, ThreadTls>);
+
+/// Swap the calling thread's state for every `Obs` with `state`, so one
+/// host thread can run several clients, each in its own context. Panics
+/// if the outgoing state has an open span.
+pub fn swap_thread_state(state: &mut ThreadState) {
+    TLS.with(|t| {
+        let mut t = t.borrow_mut();
+        assert!(t.values().all(|s| s.span.cur_span == 0), "swap_thread_state with an open span");
+        std::mem::swap(&mut *t, &mut state.0);
+    });
 }
 
 impl std::fmt::Debug for Obs {
@@ -1144,14 +1161,14 @@ impl Obs {
     }
 
     /// Pin the calling thread's clock mirror to at least `ns` without
-    /// touching the shared high-water mark. A fan-out point calls this at
-    /// the top of each spawned worker, passing the fork-time watermark,
-    /// so every worker starts at the same simulated instant: without the
-    /// pin, a worker with no mirror yet reads the global mirror — which
-    /// its siblings may already have pushed forward — and the virtual
-    /// timelines chain one after another instead of overlapping. (The
-    /// multi-client driver then orders its workers' steps by this clock;
-    /// a volume set pins each volume's clock per op the same way.)
+    /// touching the shared high-water mark. The multi-client driver calls
+    /// this in each client's fresh context, passing the fork-time
+    /// watermark, so every client starts at the same simulated instant:
+    /// without the pin, a client with no mirror yet reads the global
+    /// mirror — which its siblings may already have pushed forward — and
+    /// the virtual timelines chain one after another instead of
+    /// overlapping. (The driver then orders its clients' steps by this
+    /// clock; a volume set pins each volume's clock per op the same way.)
     #[inline]
     pub fn pin_clock_ns(&self, ns: u64) {
         self.with_tls(|t| t.clock = t.clock.max(Some(ns)));
@@ -1337,7 +1354,7 @@ impl Obs {
     }
 
     /// Bind the calling thread to a per-thread op-counter slot (clamped
-    /// to [`THREAD_SLOTS`]). Fan-out workers call this next to
+    /// to [`THREAD_SLOTS`]). Client contexts call this next to
     /// [`Obs::pin_clock_ns`]; unbound threads (the main thread) tally
     /// into slot 0.
     pub fn bind_thread_slot(&self, slot: usize) {
@@ -2231,6 +2248,47 @@ mod tests {
         let snap = obs.snapshot("t", 2_000);
         assert_eq!(snap.op_latency(OpKind::Read).unwrap().count(), 4);
         assert_eq!(snap.get(Ctr::AttrServiceNs), 4 * 50);
+    }
+
+    /// Client contexts swapped on and off one thread keep their own
+    /// clocks, op slots and per-`Obs` entries, and the caller's state
+    /// comes back intact.
+    #[test]
+    fn swapped_contexts_keep_separate_state() {
+        let (a, b) = (Obs::new(), Obs::new());
+        a.set_clock_ns(500);
+        b.set_clock_ns(900);
+        a.pin_clock_ns(600);
+        let mut ctx: Vec<ThreadState> = (0..2).map(|_| ThreadState::default()).collect();
+        for (i, c) in ctx.iter_mut().enumerate() {
+            swap_thread_state(c);
+            assert_eq!(a.clock_ns(), 500, "a fresh context reads the global mirror");
+            a.pin_clock_ns(1_000 * (i as u64 + 1));
+            a.bind_thread_slot(i + 1);
+            if i == 1 {
+                b.pin_clock_ns(2_000);
+            }
+            swap_thread_state(c);
+        }
+        for (i, c) in ctx.iter_mut().enumerate() {
+            swap_thread_state(c);
+            assert_eq!(a.clock_ns(), 1_000 * (i as u64 + 1));
+            assert_eq!(b.clock_ns(), [900, 2_000][i], "b's entry is per context");
+            drop(a.span(OpKind::Read));
+            swap_thread_state(c);
+        }
+        assert_eq!(a.thread_ops()[..3], [0, 1, 1], "each context tallies into its own slot");
+        assert_eq!((a.clock_ns(), b.clock_ns()), (600, 900), "the caller's state is back");
+        drop(a.span(OpKind::Read));
+        assert_eq!(a.thread_ops()[0], 1, "the caller is still unbound");
+    }
+
+    #[test]
+    #[should_panic(expected = "open span")]
+    fn swapping_out_an_open_span_panics() {
+        let obs = Obs::new();
+        let _span = obs.span(OpKind::Read);
+        swap_thread_state(&mut ThreadState::default());
     }
 
     /// A disk request serviced on the span's own thread splits into

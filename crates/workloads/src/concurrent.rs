@@ -1,8 +1,8 @@
 //! The multi-client driver behind E14 (`repro concurrent`) and E16
 //! (`repro volume`).
 //!
-//! N clients share one `FileSystem + Sync` instance — a bare C-FFS or a
-//! volume set. Client `t` owns the project directories `/p{d}` with
+//! N clients share one `FileSystem` instance — a bare C-FFS or a volume
+//! set. Client `t` owns the project directories `/p{d}` with
 //! `d % nthreads == t`, so clients allocate from different cylinder
 //! groups (and, on a volume set, from different home volumes). The
 //! measured window replays one of two session generators ([`Window`]):
@@ -10,7 +10,7 @@
 //! * [`Window::Warm`] (E14): seeded re-reads, `getattr` and `readdir` of
 //!   the client's own files. Strictly read-only and every op a cache hit,
 //!   so the window is pure per-client CPU and aggregate ops/s scales with
-//!   clients exactly as far as the sharded locks let work overlap.
+//!   clients exactly as far as their simulated timelines overlap.
 //! * [`Window::Zipf`] (E16): seeded user sessions. A session picks a
 //!   directory by Zipf rank through one seeded permutation, then runs
 //!   `ops` iterations: resolve a file by full path (the "open"), then
@@ -20,7 +20,7 @@
 //!
 //! ## Phases
 //!
-//! 1. **Setup** (main thread): the project directories, then `sync`.
+//! 1. **Setup** (the caller): the project directories, then `sync`.
 //! 2. **Populate**: each client fills its directories with small files
 //!    (plus, for Zipf sessions, one `big` file in every
 //!    fourth directory, sized past a volume set's stripe
@@ -33,25 +33,28 @@
 //!
 //! ## Time discipline: one clock-ordered schedule
 //!
-//! Each client is its own OS thread with its own simulated clock (the
-//! thread-local mirror in [`cffs_obs::Obs`]), and every phase runs its
-//! clients on one schedule (`fan_out`): before each workload step
-//! — one loop iteration, e.g. one create+write or one open+op — a client
-//! waits until its clock is the lowest among the live clients, ties to
-//! the lowest index. Exactly one client runs at a time, so the order in
-//! which requests reach a disk is a function of the seed, not of OS
-//! scheduling: every count and every simulated nanosecond repeats run to
-//! run, at any client count. Contention for one spindle is resolved per
-//! workload step (a step's requests queue behind those of every earlier
-//! step); overlap across volumes, each with its own disk timeline, stays
-//! exact. A window's elapsed time is the delta of
+//! A client is a context, not a thread: its own simulated clock (the
+//! thread-local mirror in [`cffs_obs::Obs`]), feed op row and per-volume
+//! clocks, kept in a [`cffs_obs::ThreadState`]. Each phase first plans
+//! every client's workload steps from the seed — one step is one loop
+//! iteration, e.g. one create+write or one open+op — and then takes them
+//! on the calling thread, always the step of the client whose clock is
+//! lowest, ties to the lowest index, with that client's context swapped
+//! in. The order in which requests reach a disk is therefore a function
+//! of the seed: every count and every simulated nanosecond repeats run
+//! to run, at any client count. Contention for one spindle is resolved
+//! per workload step (a step's requests queue behind those of every
+//! earlier step); overlap across volumes, each with its own disk
+//! timeline, stays exact. A window's elapsed time is the delta of
 //! `Obs::global_clock_ns` — every client's work fits before it.
 
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use cffs_disksim::SimDuration;
 use cffs_fslib::path::{mkdir_p, resolve};
 use cffs_fslib::{FileSystem, FsResult, Ino};
+use cffs_obs::{swap_thread_state, ThreadState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -144,7 +147,8 @@ impl Window {
 /// Parameters of one multi-client run.
 #[derive(Debug, Clone, Copy)]
 pub struct ConcurrentParams {
-    /// Clients, each its own OS thread, sharing the file system.
+    /// Clients sharing the file system, each in its own context with
+    /// its own simulated clock (all run on the calling thread).
     pub nthreads: usize,
     /// Project directories `/p0 .. /p{ndirs-1}`; client `t` owns those
     /// with `d % nthreads == t`.
@@ -210,106 +214,139 @@ impl ConcurrentResult {
     }
 }
 
-/// The clock-ordered schedule [`fan_out`] runs a phase's clients on: the
-/// simulated clock each client waits at (`None` once it left), and one
-/// condition variable per client, so a hand-off wakes only the client
-/// whose turn it is.
-struct Schedule {
-    clocks: Mutex<Vec<Option<u64>>>,
-    turns: Vec<Condvar>,
+/// How a step's read or write finds its file. Every variant but
+/// `Held` is one more file-system call, so it counts one op.
+enum File {
+    /// A file the client already holds.
+    Held(Ino),
+    /// `create(dir, name)`.
+    Create(Ino, String),
+    /// `lookup(dir, name)`.
+    Lookup(Ino, String),
+    /// Resolve a full path from the root (the "open").
+    Resolve(String),
 }
 
-impl Schedule {
-    fn lock(&self) -> MutexGuard<'_, Vec<Option<u64>>> {
-        self.clocks.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Wake the client whose turn it now is, if any.
-    fn hand_off(&self, clocks: &[Option<u64>]) {
-        if let Some(next) = lowest(clocks) {
-            self.turns[next].notify_one();
-        }
-    }
+/// One file-system call of a client's step; each counts one op.
+enum Op {
+    /// Write `len` bytes at offset 0: all `fill`, or the big file's
+    /// `i % 251` pattern for `None`.
+    Write(File, usize, Option<u8>),
+    /// Read `len` bytes from offset 0.
+    Read(File, usize),
+    Getattr(Ino),
+    Readdir(Ino),
+    Unlink(Ino, String),
+    Sync,
 }
 
-/// The live client whose clock is lowest, ties to the lowest index.
-fn lowest(clocks: &[Option<u64>]) -> Option<usize> {
-    clocks.iter().enumerate().filter_map(|(t, c)| c.map(|ns| (ns, t))).min().map(|(_, t)| t)
+/// One workload step: an op, and maybe a second one on the same turn
+/// (a re-read's `getattr`, an unlink's re-create).
+type Step = (Op, Option<Op>);
+
+/// One client's running totals across phases.
+#[derive(Default)]
+struct Tally {
+    ops: u64,
+    bytes: u64,
+    /// Every file the client created, in order.
+    inos: Vec<Ino>,
 }
 
-/// One client's seat on the schedule. Dropping it — at the end of the
-/// client's body, on an error return or in a panic — leaves the
-/// schedule, so a failed client never holds its siblings up.
-struct Seat<'a> {
-    sched: &'a Schedule,
-    t: usize,
-}
+/// A client's context, swapped onto this thread for one step. Dropping
+/// it — after the step, or in a panic — swaps the caller's state back.
+struct Swapped<'a>(&'a mut ThreadState);
 
-impl Seat<'_> {
-    /// Wait for this client's turn to take its next workload step: until
-    /// its simulated clock (`fs.now()` on this thread) is the lowest
-    /// among the live clients.
-    fn step(&self, fs: &(impl FileSystem + ?Sized)) {
-        let mut clocks = self.sched.lock();
-        clocks[self.t] = Some(fs.now().as_nanos());
-        if lowest(&clocks) == Some(self.t) {
-            return;
-        }
-        self.sched.hand_off(&clocks);
-        while lowest(&clocks) != Some(self.t) {
-            clocks = self.sched.turns[self.t].wait(clocks).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-impl Drop for Seat<'_> {
+impl Drop for Swapped<'_> {
     fn drop(&mut self) {
-        let mut clocks = self.sched.lock();
-        clocks[self.t] = None;
-        self.sched.hand_off(&clocks);
+        swap_thread_state(self.0);
     }
 }
 
-/// Fan a per-client body over client indices on the clock-ordered
-/// schedule and collect each client's result, propagating the first
-/// error. The body calls [`Seat::step`] before each workload step and
-/// touches the file system only inside a step.
+/// Run one phase: every client's planned steps, one step at a time,
+/// always the client whose simulated clock is lowest next (ties to the
+/// lowest index). The first failing step ends the phase.
 ///
-/// Each client is a scoped OS thread, so its clock, its feed op row
-/// (`Obs::bind_thread_slot`) and a volume set's per-volume clocks stay
-/// thread-local. Every client's clock is pinned to the fork-time
-/// watermark before its first step: the clients start the phase at one
-/// simulated instant, whatever order their threads start in.
-fn fan_out<R: Send>(
-    fs: &(impl FileSystem + Sync + ?Sized),
-    nthreads: usize,
-    body: impl Fn(usize, &Seat) -> FsResult<R> + Sync,
-) -> FsResult<Vec<R>> {
+/// Each client runs in its own context ([`ThreadState`]): its clock, its
+/// feed op row and a volume set's per-volume clocks. A context starts
+/// fresh, as a new thread's would, pinned to the fork-time watermark so
+/// every client starts the phase at one simulated instant, and bound to
+/// op slot `t + 1` so the feed tells clients from the caller's slot 0.
+fn run_phase(
+    fs: &(impl FileSystem + ?Sized),
+    plans: Vec<Vec<Step>>,
+    tallies: &mut [Tally],
+) -> FsResult<()> {
     let obs = fs.obs();
     let fork_ns = clock_ns(fs);
-    let sched = Schedule {
-        clocks: Mutex::new(vec![Some(fork_ns); nthreads]),
-        turns: (0..nthreads).map(|_| Condvar::new()).collect(),
+    let mut ctx: Vec<ThreadState> = plans.iter().map(|_| ThreadState::default()).collect();
+    let mut plans: Vec<_> = plans.into_iter().map(Vec::into_iter).collect();
+    let mut turns: BinaryHeap<_> = (0..plans.len()).map(|t| Reverse((fork_ns, t))).collect();
+    let mut buf = Vec::new();
+    while let Some(Reverse((_, t))) = turns.pop() {
+        let Some(step) = plans[t].next() else { continue };
+        let now = {
+            swap_thread_state(&mut ctx[t]);
+            let _back = Swapped(&mut ctx[t]);
+            if let Some(o) = &obs {
+                // Both are no-ops after the client's first step.
+                o.pin_clock_ns(fork_ns);
+                o.bind_thread_slot(t + 1);
+            }
+            apply(fs, step, &mut tallies[t], &mut buf).map(|()| fs.now().as_nanos())
+        }?;
+        turns.push(Reverse((now, t)));
+    }
+    Ok(())
+}
+
+/// Take one step on `fs`, tallying its ops, payload bytes and creates.
+fn apply(
+    fs: &(impl FileSystem + ?Sized),
+    (first, then): Step,
+    tally: &mut Tally,
+    buf: &mut Vec<u8>,
+) -> FsResult<()> {
+    for op in std::iter::once(first).chain(then) {
+        tally.ops += 1;
+        match op {
+            Op::Write(file, len, fill) => {
+                let ino = open(fs, file, tally)?;
+                let data: Vec<u8> = match fill {
+                    Some(b) => vec![b; len],
+                    None => (0..len).map(|i| (i % 251) as u8).collect(),
+                };
+                fs.write(ino, 0, &data)?;
+                tally.bytes += len as u64;
+            }
+            Op::Read(file, len) => {
+                let ino = open(fs, file, tally)?;
+                buf.resize(buf.len().max(len), 0);
+                tally.bytes += fs.read(ino, 0, &mut buf[..len])? as u64;
+            }
+            Op::Getattr(ino) => fs.getattr(ino).map(|_| ())?,
+            Op::Readdir(dir) => fs.readdir(dir).map(|_| ())?,
+            Op::Unlink(dir, name) => fs.unlink(dir, &name)?,
+            Op::Sync => fs.sync()?,
+        }
+    }
+    Ok(())
+}
+
+/// Find a step's file.
+fn open(fs: &(impl FileSystem + ?Sized), file: File, tally: &mut Tally) -> FsResult<Ino> {
+    let ino = match file {
+        File::Held(ino) => return Ok(ino),
+        File::Create(dir, name) => {
+            let ino = fs.create(dir, &name)?;
+            tally.inos.push(ino);
+            ino
+        }
+        File::Lookup(dir, name) => fs.lookup(dir, &name)?,
+        File::Resolve(path) => resolve(fs, &path)?,
     };
-    let results: Vec<FsResult<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..nthreads)
-            .map(|t| {
-                let (body, obs, sched) = (&body, obs.clone(), &sched);
-                scope.spawn(move || {
-                    let seat = Seat { sched, t };
-                    if let Some(o) = obs {
-                        o.pin_clock_ns(fork_ns);
-                        // Slot 0 is the main thread; clients are 1-based
-                        // so the feed's per-thread op rows tell them apart.
-                        o.bind_thread_slot(t + 1);
-                    }
-                    body(t, &seat)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("client thread panicked")).collect()
-    });
-    results.into_iter().collect()
+    tally.ops += 1;
+    Ok(ino)
 }
 
 /// Deterministic content byte for small file `f` of directory `d`.
@@ -317,61 +354,39 @@ fn fill_byte(d: usize, f: usize) -> u8 {
     ((d.wrapping_mul(31) + f) & 0xff) as u8
 }
 
-/// Phase 2 body: fill this client's directories. Returns (ops, bytes,
-/// small-file inos per directory).
-fn populate(
-    fs: &(impl FileSystem + Sync + ?Sized),
-    seat: &Seat,
-    dirs: &[(usize, Ino)],
-    p: &ConcurrentParams,
-) -> FsResult<(u64, u64, Vec<Vec<Ino>>)> {
-    let mut ops = 0u64;
-    let mut bytes = 0u64;
-    let mut inos = Vec::with_capacity(dirs.len());
+/// Phase 2 plan: fill this client's directories.
+fn populate(dirs: &[(usize, Ino)], p: &ConcurrentParams) -> Vec<Step> {
+    let mut plan = Vec::new();
     for &(d, dir) in dirs {
-        let mut files = Vec::with_capacity(p.files_per_dir);
         for f in 0..p.files_per_dir {
-            seat.step(fs);
-            let ino = fs.create(dir, &format!("f{f}"))?;
-            fs.write(ino, 0, &vec![fill_byte(d, f); p.file_size])?;
-            ops += 2;
-            bytes += p.file_size as u64;
-            files.push(ino);
+            let file = File::Create(dir, format!("f{f}"));
+            plan.push((Op::Write(file, p.file_size, Some(fill_byte(d, f))), None));
         }
         if p.window.has_big(d) {
-            seat.step(fs);
-            let big = fs.create(dir, "big")?;
-            let payload: Vec<u8> = (0..BIG_SIZE).map(|i| (i % 251) as u8).collect();
-            fs.write(big, 0, &payload)?;
-            ops += 2;
-            bytes += BIG_SIZE as u64;
+            plan.push((Op::Write(File::Create(dir, "big".into()), BIG_SIZE, None), None));
         }
-        inos.push(files);
     }
-    Ok((ops, bytes, inos))
+    plan
 }
 
-/// Phase 3 body under [`Window::Warm`]: seeded re-reads, attribute and
-/// directory scans, all cache hits and strictly read-only. Returns
-/// (ops, bytes).
+/// Phase 3 plan under [`Window::Warm`]: seeded re-reads, attribute and
+/// directory scans, all cache hits and strictly read-only. `inos` are
+/// the client's populated files (no `big` ones under this window), in
+/// directory order.
 ///
 /// The window issues no writes on purpose: a dirty buffer can trip the
 /// delayed-flush watermark mid-window, and the resulting write-back's
 /// completion time on the shared disk timeline would make the window
 /// measure the disk, not the per-client CPU whose overlap it is about.
 fn warm(
-    fs: &(impl FileSystem + Sync + ?Sized),
-    seat: &Seat,
     t: usize,
     dirs: &[(usize, Ino)],
-    inos: &[Vec<Ino>],
+    inos: &[Ino],
     rounds: usize,
     p: &ConcurrentParams,
-) -> FsResult<(u64, u64)> {
+) -> Vec<Step> {
     let mut rng = StdRng::seed_from_u64((p.seed ^ t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut buf = vec![0u8; p.file_size];
-    let mut ops = 0u64;
-    let mut bytes = 0u64;
+    let mut plan = Vec::new();
     for _round in 0..rounds {
         let mut order: Vec<(usize, usize)> = (0..dirs.len())
             .flat_map(|i| (0..p.files_per_dir).map(move |f| (i, f)))
@@ -380,118 +395,81 @@ fn warm(
             order.swap(i, rng.gen_range(0..=i as u64) as usize);
         }
         for (i, f) in order {
-            seat.step(fs);
-            let n = fs.read(inos[i][f], 0, &mut buf)?;
-            ops += 1;
-            bytes += n as u64;
-            match rng.gen_range(0..16u64) {
-                0..=3 => {
-                    fs.getattr(inos[i][f])?;
-                    ops += 1;
-                }
-                4..=5 => {
-                    fs.readdir(dirs[i].1)?;
-                    ops += 1;
-                }
-                _ => {}
-            }
+            let ino = inos[i * p.files_per_dir + f];
+            let then = match rng.gen_range(0..16u64) {
+                0..=3 => Some(Op::Getattr(ino)),
+                4..=5 => Some(Op::Readdir(dirs[i].1)),
+                _ => None,
+            };
+            plan.push((Op::Read(File::Held(ino), p.file_size), then));
         }
     }
-    Ok((ops, bytes))
+    plan
 }
 
-/// Phase 3 body under [`Window::Zipf`]: replay this client's sessions,
-/// drawing each session's directory from `popularity` (the sampler and
-/// the rank → directory permutation). Returns (ops, bytes).
+/// Phase 3 plan under [`Window::Zipf`]: this client's sessions, drawing
+/// each session's directory from `popularity` (the sampler and the
+/// rank → directory permutation).
 fn zipf_sessions(
-    fs: &(impl FileSystem + Sync + ?Sized),
-    seat: &Seat,
     t: usize,
     sessions: usize,
     ops_per_session: usize,
     (zipf, dir_perm): &(Zipf, Vec<usize>),
     p: &ConcurrentParams,
-) -> FsResult<(u64, u64)> {
-    let mut ops = 0u64;
-    let mut bytes = 0u64;
-    let mut buf = vec![0u8; p.file_size.max(BIG_SIZE)];
+) -> Vec<Step> {
+    let mut plan = Vec::new();
     for s in (t..sessions).step_by(p.nthreads) {
         let mut rng =
             StdRng::seed_from_u64((p.seed ^ s as u64).wrapping_mul(0xA076_1D64_78BD_642F));
         let d = dir_perm[zipf.sample(&mut rng)];
         for _ in 0..ops_per_session {
-            seat.step(fs);
             let f = rng.gen_range(0..p.files_per_dir as u64) as usize;
             let roll = rng.gen_range(0..100u64) as u32;
-            if roll < WRITE_PCT {
-                let ino = resolve(fs, &format!("/p{d}/f{f}"))?;
-                fs.write(ino, 0, &vec![fill_byte(d, f); p.file_size])?;
-                ops += 2;
-                bytes += p.file_size as u64;
+            let small = || File::Resolve(format!("/p{d}/f{f}"));
+            let op = if roll < WRITE_PCT {
+                Op::Write(small(), p.file_size, Some(fill_byte(d, f)))
             } else if roll < WRITE_PCT + FSYNC_PCT {
-                fs.sync()?;
-                ops += 1;
+                Op::Sync
             } else if roll < WRITE_PCT + FSYNC_PCT + BIG_PCT && p.window.has_big(d) {
-                let ino = resolve(fs, &format!("/p{d}/big"))?;
-                let n = fs.read(ino, 0, &mut buf[..BIG_SIZE])?;
-                ops += 2;
-                bytes += n as u64;
+                Op::Read(File::Resolve(format!("/p{d}/big")), BIG_SIZE)
             } else {
-                let ino = resolve(fs, &format!("/p{d}/f{f}"))?;
-                let n = fs.read(ino, 0, &mut buf[..p.file_size])?;
-                ops += 2;
-                bytes += n as u64;
-            }
+                Op::Read(small(), p.file_size)
+            };
+            plan.push((op, None));
         }
     }
-    Ok((ops, bytes))
+    plan
 }
 
-/// Phase 4 body: seeded unlink + re-create and overwrite churn in this
-/// client's directories. Returns (ops, bytes).
-fn churn(
-    fs: &(impl FileSystem + Sync + ?Sized),
-    seat: &Seat,
-    t: usize,
-    dirs: &[(usize, Ino)],
-    p: &ConcurrentParams,
-) -> FsResult<(u64, u64)> {
+/// Phase 4 plan: seeded unlink + re-create and overwrite churn in this
+/// client's directories. A draw that picks neither does no I/O, so it
+/// takes no step.
+fn churn(t: usize, dirs: &[(usize, Ino)], p: &ConcurrentParams) -> Vec<Step> {
     let mut rng =
         StdRng::seed_from_u64((p.seed ^ t as u64).wrapping_mul(0xD134_2543_DE82_EF95));
-    let mut ops = 0u64;
-    let mut bytes = 0u64;
+    let mut plan = Vec::new();
     for &(d, dir) in dirs {
         for f in 0..p.files_per_dir {
-            seat.step(fs);
+            let (name, fill) = (format!("f{f}"), Some(fill_byte(d, f)));
             match rng.gen_range(0..4u64) {
                 0 => {
                     // delete, half the time recreate smaller
-                    fs.unlink(dir, &format!("f{f}"))?;
-                    ops += 1;
-                    if rng.gen_range(0..2u64) == 0 {
-                        let ino = fs.create(dir, &format!("f{f}"))?;
-                        let half = (p.file_size / 2).max(1);
-                        fs.write(ino, 0, &vec![fill_byte(d, f); half])?;
-                        ops += 2;
-                        bytes += half as u64;
-                    }
+                    let half = (p.file_size / 2).max(1);
+                    let recreate = (rng.gen_range(0..2u64) == 0)
+                        .then(|| Op::Write(File::Create(dir, name.clone()), half, fill));
+                    plan.push((Op::Unlink(dir, name), recreate));
                 }
-                1 => {
-                    let ino = fs.lookup(dir, &format!("f{f}"))?;
-                    fs.write(ino, 0, &vec![fill_byte(d, f); p.file_size])?;
-                    ops += 2;
-                    bytes += p.file_size as u64;
-                }
+                1 => plan.push((Op::Write(File::Lookup(dir, name), p.file_size, fill), None)),
                 _ => {}
             }
         }
     }
-    Ok((ops, bytes))
+    plan
 }
 
 /// The simulated clock a window is timed against: the cross-client
 /// high-water mark.
-fn clock_ns(fs: &(impl FileSystem + Sync + ?Sized)) -> u64 {
+fn clock_ns(fs: &(impl FileSystem + ?Sized)) -> u64 {
     match fs.obs() {
         Some(o) => o.global_clock_ns(),
         None => fs.now().as_nanos(),
@@ -500,26 +478,24 @@ fn clock_ns(fs: &(impl FileSystem + Sync + ?Sized)) -> u64 {
 
 /// Run the workload: set up the directories, populate, sync to a
 /// quiescent point, run the measured window, churn, final sync.
-pub fn run(
-    fs: &(impl FileSystem + Sync + ?Sized),
-    p: &ConcurrentParams,
-) -> FsResult<ConcurrentResult> {
+pub fn run(fs: &(impl FileSystem + ?Sized), p: &ConcurrentParams) -> FsResult<ConcurrentResult> {
     run_with_phase_hook(fs, p, |_| {})
 }
 
 /// [`run`], invoking `hook` with the phase name at each quiescent point
 /// (after every barrier: "setup", "populate", [`Window::name`],
-/// "churn"). No client thread is live when the hook runs, so it can cut
+/// "churn"). No client is mid-step when the hook runs, so it can cut
 /// feed frames — or drop every volume's caches after "populate" to make
 /// the measured window cold and disk-bound.
 pub fn run_with_phase_hook(
-    fs: &(impl FileSystem + Sync + ?Sized),
+    fs: &(impl FileSystem + ?Sized),
     p: &ConcurrentParams,
     hook: impl Fn(&str),
 ) -> FsResult<ConcurrentResult> {
     assert!(p.nthreads > 0 && p.ndirs > 0 && p.files_per_dir > 0);
+    let clients = 0..p.nthreads;
 
-    // Phase 1 — setup (main thread). Directory CGs are assigned
+    // Phase 1 — setup (the caller). Directory CGs are assigned
     // round-robin by the allocator, so consecutive mkdirs land in
     // different cylinder groups.
     let mut owned: Vec<Vec<(usize, Ino)>> = vec![Vec::new(); p.nthreads];
@@ -529,21 +505,9 @@ pub fn run_with_phase_hook(
     fs.sync()?;
     hook("setup");
 
-    let mut per_thread_ops = vec![0u64; p.nthreads];
-    let mut bytes = 0u64;
-    let mut tally = |t: usize, (ops, b): (u64, u64)| {
-        per_thread_ops[t] += ops;
-        bytes += b;
-        ops
-    };
-
     // Phase 2 — populate, then a sync barrier.
-    let pop = fan_out(fs, p.nthreads, |t, seat| populate(fs, seat, &owned[t], p))?;
-    let mut inos = Vec::with_capacity(p.nthreads);
-    for (t, (ops, b, files)) in pop.into_iter().enumerate() {
-        tally(t, (ops, b));
-        inos.push(files);
-    }
+    let mut tallies: Vec<Tally> = clients.clone().map(|_| Tally::default()).collect();
+    run_phase(fs, clients.clone().map(|t| populate(&owned[t], p)).collect(), &mut tallies)?;
     fs.sync()?;
     hook("populate");
 
@@ -555,30 +519,28 @@ pub fn run_with_phase_hook(
         dir_perm.swap(i, prng.gen_range(0..=i as u64) as usize);
     }
     let popularity = (Zipf::new(p.ndirs, ZIPF_MILLI), dir_perm);
+    let plans = clients.clone().map(|t| match p.window {
+        Window::Warm { rounds } => warm(t, &owned[t], &tallies[t].inos, rounds, p),
+        Window::Zipf { sessions, ops } => zipf_sessions(t, sessions, ops, &popularity, p),
+    });
+    let plans = plans.collect();
+    let before: Vec<u64> = tallies.iter().map(|c| c.ops).collect();
     let start_ns = clock_ns(fs);
-    let ran = fan_out(fs, p.nthreads, |t, seat| match p.window {
-        Window::Warm { rounds } => warm(fs, seat, t, &owned[t], &inos[t], rounds, p),
-        Window::Zipf { sessions, ops } => {
-            zipf_sessions(fs, seat, t, sessions, ops, &popularity, p)
-        }
-    })?;
+    run_phase(fs, plans, &mut tallies)?;
     let end_ns = clock_ns(fs);
-    let window_ops: Vec<u64> = ran.into_iter().enumerate().map(|(t, r)| tally(t, r)).collect();
+    let window_ops = tallies.iter().zip(before).map(|(c, b)| c.ops - b).collect();
     hook(p.window.name());
 
     // Phase 4 — churn, then the final sync.
-    let churned = fan_out(fs, p.nthreads, |t, seat| churn(fs, seat, t, &owned[t], p))?;
-    for (t, r) in churned.into_iter().enumerate() {
-        tally(t, r);
-    }
+    run_phase(fs, clients.map(|t| churn(t, &owned[t], p)).collect(), &mut tallies)?;
     fs.sync()?;
     hook("churn");
 
     Ok(ConcurrentResult {
         nthreads: p.nthreads,
-        per_thread_ops,
+        per_thread_ops: tallies.iter().map(|c| c.ops).collect(),
         window_ops,
-        bytes,
+        bytes: tallies.iter().map(|c| c.bytes).sum(),
         elapsed: SimDuration::from_nanos(end_ns.saturating_sub(start_ns)),
     })
 }

@@ -23,15 +23,15 @@
 //!   over a pool of small files.
 //! * [`sizes`] — 1990s file-size distributions (79% of files under 8 KB,
 //!   the paper's Figure 1 shape).
-//! * [`trace`] — operation traces: random generation, recording, replay;
-//!   the substrate for cross-implementation equivalence tests.
+//! * [`trace`] — operation traces: random generation and replay; the
+//!   substrate for cross-implementation equivalence tests.
 //! * [`soak`] — open-ended mixed churn for watching the stack live via
 //!   the telemetry feed (`repro soak --feed` + `cffs-top --follow`).
 //! * [`runner`] — phase measurement: simulated elapsed time + I/O deltas.
 //! * [`concurrent`] — the one multi-client driver: N clients over one
-//!   shared `FileSystem + Sync` instance, each on its own thread, run on
-//!   one clock-ordered schedule so simulated time is a function of the
-//!   seed. Two measured windows: warm re-reads of disjoint per-client
+//!   shared `FileSystem` instance, each a context with its own simulated
+//!   clock, taking their steps on the calling thread in clock order so
+//!   simulated time is a function of the seed. Two measured windows: warm re-reads of disjoint per-client
 //!   directories (E14 `repro concurrent`) and Zipf-skewed open/read/
 //!   write/fsync sessions (E16 `repro volume`).
 //! * [`namei`] — the million-file deep-tree name-resolution benchmark:

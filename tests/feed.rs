@@ -118,14 +118,14 @@ fn concurrent_feed_rendering_is_byte_deterministic() {
         for (la, lb) in ra.lines().zip(rb.lines()) {
             if la != lb {
                 panic!(
-                    "multi-threaded producer must render byte-identically;\n  a: {la}\n  b: {lb}"
+                    "multi-client producer must render byte-identically;\n  a: {la}\n  b: {lb}"
                 );
             }
         }
         panic!("renderings differ in length: {} vs {}", ra.len(), rb.len());
     }
-    // Every client thread's slot shows up in the per-thread panel
-    // (slots 1..=4; slot 0 is the main thread's setup/sync work).
+    // Every client context's slot shows up in the per-thread panel
+    // (slots 1..=4; slot 0 is the caller's setup/sync work).
     for t in 1..=4 {
         assert!(ra.contains(&format!("t{t}:")), "thread slot {t} missing:\n{ra}");
     }

@@ -65,13 +65,13 @@ fn fold_conserves_time_across_ring_wrap() {
     assert!(fold.contains("run;(evicted) "), "pre-window time must be explicit:\n{fold}");
 }
 
-/// The same conservation invariant with *threaded* producers: four
-/// client threads record events into the same tiny ring (wrapping it
-/// many times over, with interleaved per-thread virtual clocks), and the fold
-/// of whatever survives must still account for exactly the run's elapsed
-/// simulated time — the cross-thread clock high-water mark. A frontier
-/// clip or per-thread stamp that escaped the retained window would break
-/// the equality.
+/// The same conservation invariant with several producers: four clients,
+/// each in its own context, record events into the same tiny ring
+/// (wrapping it many times over, with interleaved per-client virtual
+/// clocks), and the fold of whatever survives must still account for
+/// exactly the run's elapsed simulated time — the cross-client clock
+/// high-water mark. A frontier clip or per-client stamp that escaped the
+/// retained window would break the equality.
 #[test]
 fn fold_conserves_time_across_ring_wrap_with_threaded_producers() {
     let mut disk = Disk::new(models::tiny_test_disk());
@@ -85,7 +85,7 @@ fn fold_conserves_time_across_ring_wrap_with_threaded_producers() {
         window: Window::Warm { rounds: 2 },
         seed: 3,
     };
-    concurrent::run(&fs, &p).expect("threaded run");
+    concurrent::run(&fs, &p).expect("multi-client run");
     let obs = Cffs::obs(&fs);
     let events = obs.recent_events(usize::MAX);
     assert!(obs.events_recorded() > events.len() as u64, "ring must wrap");
@@ -94,7 +94,7 @@ fn fold_conserves_time_across_ring_wrap_with_threaded_producers() {
     assert_eq!(
         fold_total(&fold),
         elapsed,
-        "threaded fold must conserve simulated time:\n{fold}"
+        "multi-client fold must conserve simulated time:\n{fold}"
     );
     assert!(fold.contains("run;(evicted) "), "pre-window time must be explicit:\n{fold}");
 }

@@ -11,10 +11,11 @@
 //!   output.
 //!
 //! * **Multi-client runs are nanosecond-stable.** With four clients, each
-//!   on its own OS thread, two runs agree on per-client op counts, the
-//!   window's elapsed simulated time, the final simulated clock, payload
-//!   bytes and every counter of the registry; a different seed must
-//!   actually change the stream.
+//!   in its own context with its own simulated clock, two runs agree on
+//!   per-client op counts, the window's elapsed simulated time, the final
+//!   simulated clock, payload bytes and every counter of the registry,
+//!   and equal the values pinned from the driver that ran each client on
+//!   an OS thread; a different seed must actually change the stream.
 
 use cffs::core::{Cffs, CffsConfig};
 use cffs::feedview::FeedView;
@@ -125,7 +126,7 @@ fn single_threaded_feed_rendering_is_byte_deterministic() {
 }
 
 #[test]
-fn multi_threaded_run_is_nanosecond_stable() {
+fn multi_client_run_is_nanosecond_stable() {
     let run = |seed: u64| {
         let vs = set(2);
         let r = concurrent::run(&vs, &params(4, seed)).expect("multi-client run");
@@ -138,20 +139,25 @@ fn multi_threaded_run_is_nanosecond_stable() {
             vs.stripe_count(),
         )
     };
-    // Four clients on four OS threads, one clock-ordered schedule: the
-    // simulated clock is as seed-pure as the op and byte streams.
+    // Four client contexts, one clock-ordered schedule: the simulated
+    // clock is as seed-pure as the op and byte streams.
     let a = run(42);
     assert!(a.0.iter().all(|&o| o > 0), "every client did work: {:?}", a.0);
     assert_eq!(a, run(42), "equal seeds must replay the same timeline");
+    // Pinned from the driver that ran each client on its own OS thread.
+    let pinned =
+        (vec![146, 142, 142, 144], vec![120, 119, 120, 120], 59_018_962, 889_583_325, 4_767_744, 2);
+    assert_eq!(a, pinned, "the timeline moved");
     assert_ne!(a, run(43), "the seed must actually steer the stream");
 }
 
 /// E14's shape: four clients over disjoint directories of one bare
 /// C-FFS with delayed metadata, warm window. Two runs agree on the
 /// window's elapsed time and on every counter of the registry — disk
-/// requests, seek/rotation/transfer time and cache traffic included.
+/// requests, seek/rotation/transfer time and cache traffic included —
+/// and so did the driver that ran each client on an OS thread.
 #[test]
-fn multi_threaded_bare_cffs_run_repeats_every_counter() {
+fn multi_client_bare_cffs_run_repeats_every_counter() {
     let run = || {
         let fs = cffs::build::on_disk(
             models::tiny_test_disk(),
@@ -168,9 +174,51 @@ fn multi_threaded_bare_cffs_run_repeats_every_counter() {
         let r = concurrent::run(&fs, &p).expect("multi-client run");
         let obs = Cffs::obs(&fs);
         let snap = obs.snapshot("e14", obs.global_clock_ns());
-        (r.per_thread_ops, r.elapsed.as_nanos(), snap.sim_ns, snap.counters)
+        let ops = (r.per_thread_ops, r.window_ops, r.elapsed.as_nanos(), snap.sim_ns, r.bytes);
+        (ops, snap.counters)
     };
     let a = run();
-    assert!(a.3.iter().any(|(n, v)| n == "disk_writes" && *v > 0), "the run reached the disk");
+    assert!(a.1.iter().any(|(n, v)| n == "disk_writes" && *v > 0), "the run reached the disk");
     assert_eq!(a, run(), "two 4-client runs must agree on every counter");
+    // Pinned from the driver that ran each client on its own OS thread;
+    // every counter not listed is zero.
+    let ops =
+        (vec![203, 211, 204, 210], vec![129, 132, 134, 139], 12_607_000, 443_333_329, 2_101_248);
+    assert_eq!(a.0, ops, "the timeline moved");
+    let nonzero: Vec<(&str, u64)> =
+        a.1.iter().filter(|(_, v)| *v != 0).map(|(n, v)| (n.as_str(), *v)).collect();
+    let pinned = [
+        ("disk_requests", 50),
+        ("disk_reads", 6),
+        ("disk_writes", 44),
+        ("disk_seeks", 15),
+        ("disk_seek_ns", 97_682_709),
+        ("disk_rotation_ns", 128_607_327),
+        ("disk_transfer_ns", 185_412_293),
+        ("disk_service_ns", 441_702_329),
+        ("disk_bytes_read", 24_576),
+        ("disk_bytes_written", 688_128),
+        ("disk_cache_hits", 1),
+        ("driver_logical_requests", 174),
+        ("driver_physical_requests", 50),
+        ("driver_sg_segments", 174),
+        ("driver_coalesced", 124),
+        ("driver_batches", 3),
+        ("driver_queue_submit", 9),
+        ("cache_lookups", 3_058),
+        ("cache_phys_hits", 2_413),
+        ("cache_logical_hits", 410),
+        ("cache_misses", 125),
+        ("cache_backbinds", 119),
+        ("cache_writebacks", 168),
+        ("cache_coalesced_runs", 28),
+        ("cache_delayed_flushes", 168),
+        ("fs_embedded_inode_ops", 1_232),
+        ("fs_external_inode_ops", 24),
+        ("fs_delayed_meta_writes", 149),
+        ("attr_op_ns", 82_536_000),
+        ("attr_queue_ns", 75_000),
+        ("attr_service_ns", 441_702_329),
+    ];
+    assert_eq!(nonzero, pinned, "a counter moved");
 }
