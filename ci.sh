@@ -50,9 +50,13 @@ if grep -rnE 'adopt_span|end_adopt|fold_attr|SpanCtx|AttrDelta' $SRC; then
     echo "the span hand-off between threads is back"; exit 1
 fi
 # The feed and the flight recorder are one sampler: one frame table and
-# validator, one pacer atomic, one slow path off the clock.
+# validator, one pacer atomic, one slow path off the clock. The recorder
+# is a feed tap on a bounded sink: no tap, ring or parser of its own.
 if grep -rnE 'feed_due_ns|flight_due_ns|FLIGHT_FRAME_FIELDS|validate_flight_frame' crates/obs; then
     echo "a second sampling pacer, frame table or frame validator is back in crates/obs"; exit 1
+fi
+if grep -rnE 'struct Flight\b|FlightState|fn parse_flight|FLIGHT_EVENTS|fn harvest' crates/obs; then
+    echo "a second telemetry tap, ring or parser (the old flight recorder) is back in crates/obs"; exit 1
 fi
 if [ "$(grep -rn 'fn sim_fire' crates/obs | wc -l)" -gt 1 ]; then
     echo "sim_fire defined more than once under crates/obs"; exit 1
@@ -190,6 +194,10 @@ cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
 # frame (including its volumes array) must validate too.
 cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
     --feed "$BENCH_TMP/feed_volume.jsonl"
+# The smallfile smoke's flight dumps are read by the same parser and
+# validator: frames and heads.
+cargo run --release --offline -p cffs-bench --bin bench_schema_check -- \
+    --feed "$BENCH_TMP"/flight/FLIGHT_*.jsonl
 cargo run --release --offline --bin cffs-top -- \
     --replay "$BENCH_TMP/feed.jsonl" --headless --frames 5 \
     | grep -q '^rendered 5 frames$' \
@@ -238,6 +246,19 @@ cargo run --release --offline --bin cffs-inspect -- diff --json \
 grep -q '"total_attributions": 0,' "$BENCH_TMP/diff_c.json" \
     && { echo "diff of two different-scale runs attributed nothing"; exit 1; }
 
+echo "== baselines reproduce exactly (cffs-inspect diff attributes nothing) =="
+# Simulated time is a function of the seed, so each smoke run above must
+# reproduce its checked-in baseline exactly: a baseline that drifted
+# inside the gate's band would otherwise go unnoticed. Regenerate with
+# the smoke step's flags (see the perf gate below) when a change moves it.
+for name in SMALLFILE_SYNC AGING_REGROUP CONCURRENT NAMEI VOLUME; do
+    cargo run --release --offline --bin cffs-inspect -- diff --json \
+        "crates/bench/baselines/BENCH_$name.json" "$BENCH_TMP/out/BENCH_$name.json" \
+        > "$BENCH_TMP/diff_$name.json"
+    grep -q '"total_attributions": 0,' "$BENCH_TMP/diff_$name.json" \
+        || { echo "BENCH_$name does not reproduce its baseline (cffs-inspect diff attributes moves)"; exit 1; }
+done
+
 echo "== profiler smoke (flamegraph fold + smallfile FOLD artifact) =="
 # The fold must be non-empty, every line must be `stack weight`, and the
 # smallfile smoke above must have left a per-phase FOLD artifact behind.
@@ -257,9 +278,10 @@ cargo run --release --offline --bin cffs-inspect -- flamegraph --svg-ready --dem
 
 echo "== bench perf gate (p90 latency + group-fetch utilization vs baselines) =="
 # Simulated time is deterministic, so unchanged code reproduces the
-# baselines exactly; the band absorbs small intentional shifts. Refresh
-# with: BENCH_OUT_DIR=crates/bench/baselines target/release/repro <experiment>
-# and the smoke step's flags for it
+# baselines exactly (the step above checks it); the gate adds the
+# absolute floors and writes each check's verdict to a GATE_REPORT.
+# Refresh with: BENCH_OUT_DIR=crates/bench/baselines target/release/repro
+# <experiment> and the smoke step's flags for it
 cargo run --release --offline -p cffs-bench --bin bench_gate -- \
     "$BENCH_TMP/out/BENCH_SMALLFILE_SYNC.json" \
     crates/bench/baselines/BENCH_SMALLFILE_SYNC.json --tolerance-pct 25

@@ -4,9 +4,9 @@
 //!        bench_schema_check --feed <feed.jsonl>...
 //!
 //! `--feed` switches to feed mode: each file is a JSONL telemetry feed
-//! (written by a repro binary's `--feed` flag) and every frame must
-//! validate against `cffs_obs::feed::validate_frame` — the same checker
-//! the feed unit tests use, so the frame schema cannot drift from CI.
+//! or flight dump (a repro binary's `--feed` or `--flight`), read by
+//! `cffs_obs::feed::parse_feed` — the one parser, which validates every
+//! frame and head, so the record schemas cannot drift from CI.
 //!
 //! Each file must parse with the in-tree JSON reader and carry the
 //! observability payload the analysis tooling relies on: a non-empty
@@ -93,13 +93,12 @@ fn check(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Feed mode: parse + validate every frame, and require at least one
-/// (an empty feed means the producer never cut a frame — a wiring bug,
-/// not a quiet success).
+/// Feed mode: parse + validate every record of a feed or flight dump,
+/// and require at least one frame (an empty feed means the producer
+/// never cut a frame — a wiring bug, not a quiet success).
 fn check_feed(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    let frames = cffs_obs::feed::parse_feed(&text)?;
-    if frames.is_empty() {
+    if cffs_obs::feed::parse_feed(&text)?.frames.is_empty() {
         return Err("feed has no frames".into());
     }
     Ok(())

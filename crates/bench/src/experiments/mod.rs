@@ -293,10 +293,10 @@ impl Args {
 
     /// Arm the process-global telemetry sinks: `--feed` streams the feed
     /// (watch it with `cffs-top --follow PATH`); with `--flight`, every
-    /// stack mounted afterwards keeps a bounded black box of recent
-    /// frames, spans, and signal/regroup events, persisted atomically
-    /// under DIR as `FLIGHT_<label>.jsonl` on every cut and flushed on
-    /// panic, fsck failure, or bench-writer death (`cffs-inspect
+    /// stack mounted afterwards appends a cumulative frame per cut to a
+    /// bounded black box under DIR, `FLIGHT_<label>.jsonl`, and a head
+    /// (final counters, SLO table, last op spans) on panic, fsck
+    /// failure, bench-writer death and unmount (`cffs-inspect
     /// postmortem` reads the dumps).
     pub fn wire_telemetry(&self) {
         if let Some(path) = self.get("--feed") {

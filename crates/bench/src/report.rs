@@ -73,9 +73,9 @@ pub fn emit_artifact(name: &str, content: &str) {
                 "error: cannot write {name}: {e}\n\
                  (point BENCH_OUT_DIR at a writable directory)"
             );
-            // Salvage the run's telemetry before dying: the flight
-            // recorders (if `--flight` armed any) hold the final frames
-            // this exit would otherwise lose. No-op when none are armed.
+            // Salvage the run's telemetry before dying: each flight
+            // recorder (if `--flight` armed any) appends the final frame
+            // and head this exit would otherwise lose. No-op when none.
             cffs_obs::flight::dump_all("bench_write_failure");
             std::process::exit(1);
         }

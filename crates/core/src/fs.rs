@@ -319,8 +319,8 @@ pub struct Cffs {
     cfg: CffsConfig,
     /// Armed flight recorder for this mount (`None` unless the process
     /// opted in via `cffs_obs::flight::set_global`, i.e. `--flight`).
-    /// Held so unmount cuts a final frame and detaches the pacer.
-    _flight: Option<cffs_obs::flight::FlightGuard>,
+    /// Held so unmount detaches the pacer and dumps (reason `"detach"`).
+    _flight: Option<cffs_obs::feed::TapGuard>,
 }
 
 impl std::fmt::Debug for Cffs {

@@ -3,14 +3,18 @@
 //! A [`Frame`] samples one observed stack ([`Obs`], plus a volume set's
 //! per-volume registries) and has one renderer. A feed line renders it
 //! against the tap's previous frame, so it carries deltas; a flight
-//! recorder `frame` record ([`crate::flight`]) renders it against zero,
-//! so it carries cumulative values under the same field names. Either
-//! way the fields are [`FRAME_FIELDS`] and [`validate_frame`] checks
-//! them.
+//! recorder's `frame` record ([`crate::flight`]) renders it against
+//! zero, so it carries cumulative values under the same field names.
+//! Either way the fields are [`FRAME_FIELDS`] and [`validate_frame`]
+//! checks them.
 //!
-//! A [`FeedSink`] owns the feed file and appends one JSONL line per
-//! frame. [`parse_feed`] ignores a final line that lacks its `\n`, so a
-//! follower polling the path only ever sees complete frames.
+//! A [`FeedSink`] owns the file and appends one JSONL line per frame. A
+//! flight recorder's sink is bounded: a `head` opens its file, and once
+//! the file holds `2 × FLIGHT_FRAMES` frames, the sink rewrites it
+//! atomically as a fresh head plus its last `FLIGHT_FRAMES` frames.
+//! [`parse_feed`] reads both files and ignores a final line that lacks
+//! its `\n`, so a follower polling the path, or a reader of a run killed
+//! mid-write, only ever sees complete records.
 //!
 //! A tap attaches one observed stack to a sink and decides *when*
 //! frames are cut ([`Cadence`]):
@@ -29,9 +33,12 @@
 //! frame is a consistent-enough snapshot without ever stopping the stack
 //! — see DESIGN.md §8 for the consistency model.
 
+use std::collections::VecDeque;
 use std::io::Write as _;
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
+use crate::flight::{Recorder, FLIGHT_FRAMES};
 use crate::json::Json;
 use crate::{obj, CgStat, Ctr, Event, Obs, Sampler, Sig, THREAD_SLOTS};
 
@@ -127,9 +134,9 @@ pub(crate) struct Frame {
     vols: Vec<VolRow>,
     /// Trace events recorded after the watermark the frame was captured
     /// against (all tags; the renderer keeps `signal.*`/`regroup.*`).
-    pub(crate) fresh: Vec<Event>,
+    fresh: Vec<Event>,
     /// Trace-ring watermark after [`Frame::fresh`].
-    pub(crate) mark: u64,
+    mark: u64,
 }
 
 /// One volume's registers in a [`Frame`].
@@ -282,16 +289,34 @@ impl Frame {
     }
 }
 
-/// The feed file, appended one line per frame.
+/// Lock `m`, recovering it if a panicking thread poisoned it: a flight
+/// recorder dumps from the panic hook, where a second panic aborts. Each
+/// update of a tap's or a sink's state leaves it valid, so a cut that
+/// panics midway at worst skips a `seq`.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The file a tap appends to, one line per frame: a feed, or a flight
+/// recorder's bounded dump (see the module docs).
 pub struct FeedSink {
     path: std::path::PathBuf,
+    /// Set on a flight recorder's sink: its frames render against zero,
+    /// its dumps append heads, and its file is bounded.
+    recorder: Option<Recorder>,
     state: Mutex<SinkState>,
 }
 
+#[derive(Default)]
 struct SinkState {
-    /// The feed file; `None` once a write failed, which ends the feed.
+    /// The file; `None` once a write failed, which ends the sink.
     file: Option<std::fs::File>,
     frames: u64,
+    /// A recorder's last [`FLIGHT_FRAMES`] frames, each line ending in
+    /// `\n` and a dump's frame followed by its head.
+    tail: VecDeque<String>,
+    /// Frames a recorder's file holds.
+    in_file: usize,
 }
 
 impl FeedSink {
@@ -300,11 +325,19 @@ impl FeedSink {
     /// before the first frame.
     pub fn create(path: impl Into<std::path::PathBuf>) -> std::io::Result<Arc<FeedSink>> {
         let path = path.into();
-        let file = std::fs::File::create(&path)?;
-        Ok(Arc::new(FeedSink {
-            path,
-            state: Mutex::new(SinkState { file: Some(file), frames: 0 }),
-        }))
+        let state = SinkState { file: Some(std::fs::File::create(&path)?), ..SinkState::default() };
+        Ok(Arc::new(FeedSink { path, recorder: None, state: Mutex::new(state) }))
+    }
+
+    /// A flight recorder's sink: the file at `path` opens with a head
+    /// (reason `"armed"`). A file that cannot be written warns once and
+    /// records nothing, like a failed feed write.
+    pub(crate) fn bounded(path: std::path::PathBuf, recorder: Recorder) -> Arc<FeedSink> {
+        let sink = FeedSink { path, recorder: Some(recorder), state: Mutex::default() };
+        if let Err(e) = sink.rewrite(&mut lock(&sink.state), "armed") {
+            sink.warn(&e);
+        }
+        Arc::new(sink)
     }
 
     /// Where the feed is being written.
@@ -314,37 +347,76 @@ impl FeedSink {
 
     /// Frames appended so far.
     pub fn frames(&self) -> u64 {
-        self.state.lock().expect("feed sink poisoned").frames
+        lock(&self.state).frames
     }
 
     /// Number the rendered frame `body`, label it `stage` and append it
-    /// as one line. The line goes out in one `write_all` ending in `\n`;
-    /// a reader that catches it half-written sees a last line without
-    /// its `\n`, which [`parse_feed`] skips. A failed write warns once
-    /// and ends the feed rather than the run — telemetry must never fail
-    /// the experiment it watches — and a torn line it leaves stays last.
-    fn append(&self, stage: &str, body: Vec<(String, Json)>) {
-        let mut st = self.state.lock().expect("feed sink poisoned");
-        let mut frame = vec![
-            ("seq".to_string(), Json::Int(st.frames as i64)),
-            ("stage".to_string(), Json::Str(stage.to_string())),
-        ];
+    /// as one line (a recorder's tagged `"rec": "frame"`). A recorder's
+    /// `dump` frame goes out in one write with the head that follows it.
+    fn append(&self, t_ns: u64, stage: &str, body: Vec<(String, Json)>, dump: bool) {
+        let mut st = lock(&self.state);
+        let mut frame = Vec::with_capacity(body.len() + 3);
+        if self.recorder.is_some() {
+            frame.push(("rec".to_string(), Json::Str("frame".into())));
+        }
+        frame.push(("seq".to_string(), Json::Int(st.frames as i64)));
+        frame.push(("stage".to_string(), Json::Str(stage.to_string())));
         frame.extend(body);
         st.frames += 1;
-        let Some(file) = st.file.as_mut() else { return };
-        let line = Json::Obj(frame).to_string() + "\n";
-        if let Err(e) = file.write_all(line.as_bytes()) {
-            st.file = None;
-            eprintln!("warning: telemetry feed write to {} failed: {e}", self.path.display());
+        let mut line = Json::Obj(frame).to_string() + "\n";
+        if let Some(rec) = self.recorder.as_ref().filter(|_| dump) {
+            line = line + &rec.head(stage, t_ns).to_string() + "\n";
         }
+        self.write_line(&mut st, line);
+    }
+
+    /// Append `line` in one `write_all`: a reader that catches it
+    /// half-written sees a last line without its `\n`, which
+    /// [`parse_feed`] skips. A recorder's file that now holds
+    /// `2 × FLIGHT_FRAMES` frames is compacted. A failed
+    /// write warns once and ends the sink rather than the run —
+    /// telemetry must never fail the experiment it watches.
+    fn write_line(&self, st: &mut SinkState, line: String) {
+        let Some(file) = st.file.as_mut() else { return };
+        let mut res = file.write_all(line.as_bytes());
+        if res.is_ok() && self.recorder.is_some() {
+            st.tail.push_back(line);
+            if st.tail.len() > FLIGHT_FRAMES {
+                st.tail.pop_front();
+            }
+            st.in_file += 1;
+            if st.in_file >= 2 * FLIGHT_FRAMES {
+                res = self.rewrite(st, "compacted");
+            }
+        }
+        if let Err(e) = res {
+            st.file = None;
+            self.warn(&e);
+        }
+    }
+
+    /// Rewrite a recorder's file atomically as a fresh head plus its last
+    /// [`FLIGHT_FRAMES`] frames, then append to the new file.
+    fn rewrite(&self, st: &mut SinkState, reason: &str) -> std::io::Result<()> {
+        let rec = self.recorder.as_ref().expect("only a recorder's file is rewritten");
+        let mut text = rec.head(reason, rec.obs.global_clock_ns()).to_string() + "\n";
+        text.extend(st.tail.iter().map(String::as_str));
+        crate::write_atomic(&self.path, text.as_bytes())?;
+        st.file = Some(std::fs::OpenOptions::new().append(true).open(&self.path)?);
+        st.in_file = st.tail.len();
+        Ok(())
+    }
+
+    fn warn(&self, e: &std::io::Error) {
+        eprintln!("warning: telemetry write to {} failed: {e}", self.path.display());
     }
 }
 
 /// One attachment of an [`Obs`] to a [`FeedSink`] (see the module docs
-/// for cadences). Created via [`attach`]; frames stop when the returned
-/// [`TapGuard`] drops.
-struct FeedTap {
-    sink: Arc<FeedSink>,
+/// for cadences). Created via [`attach`] or [`crate::flight::arm`];
+/// frames stop when the returned [`TapGuard`] drops.
+pub(crate) struct FeedTap {
+    pub(crate) sink: Arc<FeedSink>,
     obs: Arc<Obs>,
     /// Per-volume registries of a volume-set producer, in volume order
     /// (empty for single-volume producers; drives the `volumes` rows).
@@ -354,45 +426,81 @@ struct FeedTap {
 }
 
 impl FeedTap {
-    /// Cut one frame at simulated time `t_ns` (stage overridable for
-    /// manual frames).
-    fn emit(&self, t_ns: u64, stage: Option<&str>) {
-        let mut st = self.state.lock().expect("feed tap poisoned");
+    /// Cut one frame at simulated time `t_ns`, a recorder's `dump` frame
+    /// followed by a head. A feed tap's `stage` relabels it; a
+    /// recorder's labels only the frame it cuts, and its frames render
+    /// against zero.
+    fn emit(&self, t_ns: u64, stage: Option<&str>, dump: bool) {
+        let mut st = lock(&self.state);
         let (label, prev) = &mut *st;
-        if let Some(s) = stage {
-            *label = s.to_string();
-        }
         let cur = Frame::capture(&self.obs, &self.vols, t_ns, prev.mark);
-        self.sink.append(label, cur.render(prev));
+        if self.sink.recorder.is_some() {
+            let body = cur.render(&Frame::default());
+            self.sink.append(t_ns, stage.unwrap_or(label), body, dump);
+        } else {
+            if let Some(s) = stage {
+                *label = s.to_string();
+            }
+            self.sink.append(t_ns, label, cur.render(prev), false);
+        }
         *prev = cur;
+    }
+
+    /// A flight recorder's dump: cut a frame labelled `reason`, then
+    /// append a head. A feed tap has no heads, so this does nothing
+    /// there. The tap and sink locks recover from poisoning, and a panic
+    /// on a poisoned registry lock is caught: a dump runs in the panic
+    /// hook and must never fail the run it records.
+    pub(crate) fn dump(&self, reason: &str) {
+        if self.sink.recorder.is_none() {
+            return;
+        }
+        let t = self.obs.global_clock_ns();
+        let _ = catch_unwind(AssertUnwindSafe(|| self.emit(t, Some(reason), true)));
     }
 }
 
 impl Sampler for FeedTap {
     fn sample(&self, now_ns: u64) {
-        self.emit(now_ns, None);
+        self.emit(now_ns, None, false);
     }
 }
 
-/// Guard returned by [`attach`]. Dropping it detaches the tap from the
-/// pacer and cuts one final frame, so every stage is guaranteed at least
-/// one frame even if its run ended between cadence boundaries.
+/// Guard returned by [`attach`] and [`crate::flight::arm`]. Dropping it
+/// detaches the tap from the pacer and cuts one final frame, so every
+/// stage is guaranteed at least one frame even if its run ended between
+/// cadence boundaries; a recorder's is a dump with reason `"detach"`.
 pub struct TapGuard {
-    tap: Arc<FeedTap>,
+    pub(crate) tap: Arc<FeedTap>,
 }
 
 impl TapGuard {
     /// Cut a frame right now, relabelling the tap's stage. The manual
     /// cadence's only trigger; valid (if rarely needed) on `Sim` too.
     pub fn frame(&self, stage: &str) {
-        self.tap.emit(self.tap.obs.global_clock_ns(), Some(stage));
+        self.tap.emit(self.tap.obs.global_clock_ns(), Some(stage), false);
+    }
+
+    /// A flight recorder's explicit dump: cut a frame labelled `reason`,
+    /// then append a head. Does nothing on a feed tap.
+    pub fn dump(&self, reason: &str) {
+        self.tap.dump(reason);
+    }
+
+    /// The file the tap's sink writes.
+    pub fn path(&self) -> &std::path::Path {
+        self.tap.sink.path()
     }
 }
 
 impl Drop for TapGuard {
     fn drop(&mut self) {
         self.tap.obs.disarm_sampler(&self.tap);
-        self.tap.emit(self.tap.obs.global_clock_ns(), None);
+        if self.tap.sink.recorder.is_some() {
+            self.tap.dump("detach");
+        } else {
+            self.tap.emit(self.tap.obs.global_clock_ns(), None, false);
+        }
     }
 }
 
@@ -465,9 +573,8 @@ pub fn tap_global_sim(obs: &Arc<Obs>, stage: &str) -> Option<TapGuard> {
 }
 
 /// Validate one parsed frame — a feed line or a flight `frame` record —
-/// against the schema documented by [`FRAME_FIELDS`]. Shared by
-/// `bench_schema_check --feed`, the flight parser and the feed tests so
-/// the schema cannot drift from its checker.
+/// against the schema documented by [`FRAME_FIELDS`]. [`parse_feed`]
+/// calls it on every frame, so the schema cannot drift from its checker.
 pub fn validate_frame(frame: &Json) -> Result<(), String> {
     let want_u64 = |name: &str| -> Result<u64, String> {
         frame
@@ -588,19 +695,38 @@ pub fn validate_frame(frame: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse a feed file's JSONL into frames, validating each. Returns the
-/// frames in file order. A final line without its `\n` is a frame the
-/// sink is still appending, so it is skipped rather than parsed.
-pub fn parse_feed(text: &str) -> Result<Vec<Json>, String> {
+/// A parsed feed or flight dump: its frames in file order, and its heads,
+/// each with the number of frames before it.
+#[derive(Debug, Clone, Default)]
+pub struct Records {
+    pub frames: Vec<Json>,
+    pub heads: Vec<(usize, Json)>,
+}
+
+/// Parse a feed or flight file's JSONL, validating each record: a
+/// `"rec": "head"` line as a flight head, any other as a frame. A final
+/// line without its `\n` is a record the sink is still appending, so it
+/// is skipped rather than parsed.
+pub fn parse_feed(text: &str) -> Result<Records, String> {
     let complete = &text[..text.rfind('\n').map_or(0, |i| i + 1)];
-    let mut out = Vec::new();
+    let mut out = Records::default();
     for (i, line) in complete.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let j = crate::json::parse(line).map_err(|e| format!("feed line {}: {e:?}", i + 1))?;
-        validate_frame(&j).map_err(|e| format!("feed line {}: {e}", i + 1))?;
-        out.push(j);
+        let at = |e: String| format!("feed line {}: {e}", i + 1);
+        let j = crate::json::parse(line).map_err(|e| at(format!("{e:?}")))?;
+        match j.get("rec").and_then(Json::as_str) {
+            Some("head") => {
+                crate::flight::validate_head(&j).map_err(at)?;
+                out.heads.push((out.frames.len(), j));
+            }
+            None | Some("frame") => {
+                validate_frame(&j).map_err(at)?;
+                out.frames.push(j);
+            }
+            Some(other) => return Err(at(format!("unknown record type {other:?}"))),
+        }
     }
     Ok(out)
 }
@@ -631,12 +757,14 @@ mod tests {
             obs.cg_used_delta(1, 3);
             obs.cg_util_sample(1, 75);
             tap.frame("churn");
+            tap.dump("ignored"); // a feed tap has no dumps
         } // drop cuts the final frame
         let text = std::fs::read_to_string(&path).unwrap();
-        let frames = parse_feed(&text).expect("all frames validate");
+        let frames = parse_feed(&text).expect("all frames validate").frames;
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].get("stage").and_then(Json::as_str), Some("warm"));
         assert_eq!(frames[1].get("stage").and_then(Json::as_str), Some("churn"));
+        assert_eq!(frames[2].get("stage").and_then(Json::as_str), Some("churn"));
         // Deltas: the disk request and op land in frame 0 only.
         assert_eq!(
             frames[0].get("counters").and_then(|c| c.get("disk_requests")).and_then(Json::as_u64),
@@ -677,7 +805,7 @@ mod tests {
         // Detach reset the pacer: further clock movement is frame-free.
         obs.set_clock_ns(100_000);
         assert_eq!(sink.frames(), 3);
-        let frames = parse_feed(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let frames = parse_feed(&std::fs::read_to_string(&path).unwrap()).unwrap().frames;
         assert_eq!(frames[0].get("t_ns").and_then(Json::as_u64), Some(1_200));
         assert_eq!(frames[1].get("t_ns").and_then(Json::as_u64), Some(5_000));
         std::fs::remove_file(&path).ok();
@@ -698,7 +826,7 @@ mod tests {
             assert!(text.ends_with('\n'));
             assert!(text.len() > seen, "frame {i} appended, not rewritten smaller");
             seen = text.len();
-            let frames = parse_feed(&text).unwrap();
+            let frames = parse_feed(&text).unwrap().frames;
             assert_eq!(frames.len(), i + 1);
             assert_eq!(frames[i].get("seq").and_then(Json::as_u64), Some(i as u64));
         }
@@ -719,7 +847,7 @@ mod tests {
         // A reader racing the sink sees the next line cut short.
         for cut in [1, next.len() / 2, next.len()] {
             let torn = format!("{text}{}", &next[..cut]);
-            assert_eq!(parse_feed(&torn).unwrap().len(), 2, "cut at byte {cut}");
+            assert_eq!(parse_feed(&torn).unwrap().frames.len(), 2, "cut at byte {cut}");
         }
         // A malformed line that does end in `\n` is still an error.
         assert!(parse_feed(&format!("{text}{}\n", &next[..next.len() / 2])).is_err());

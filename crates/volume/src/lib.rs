@@ -252,9 +252,9 @@ pub struct VolumeSet {
     /// `.stripe` directory's local ino on each volume.
     stripe_dirs: Vec<Ino>,
     /// Set-level flight recorder (`None` without a `--flight` opt-in):
-    /// per-volume spans and events merge into its ring tagged with the
-    /// volume index, alongside each volume's own per-mount recorder.
-    _flight: Option<cffs_obs::flight::FlightGuard>,
+    /// its frames carry one `volumes` row per volume; each volume's own
+    /// mount arms its own recorder for its spans and events.
+    _flight: Option<cffs_obs::feed::TapGuard>,
 }
 
 impl VolumeSet {

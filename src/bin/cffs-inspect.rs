@@ -540,11 +540,11 @@ fn postmortem_cmd(args: &[String]) {
         eprintln!("cffs-inspect: read {path}: {e}");
         std::process::exit(2);
     });
-    let dump = cffs_obs::flight::parse_flight(&text).unwrap_or_else(|e| {
+    let report = cffs_obs::feed::parse_feed(&text).and_then(|dump| cffs_obs::flight::postmortem(&dump));
+    let report = report.unwrap_or_else(|e| {
         eprintln!("cffs-inspect: {path}: {e}");
         std::process::exit(2);
     });
-    let report = cffs_obs::flight::postmortem(&dump);
     if json_mode {
         println!("{}", report.to_string_pretty());
     } else {

@@ -136,7 +136,7 @@ fn emit(s: &str) {
 }
 
 fn parse_or_die(text: &str, path: &str) -> Vec<Json> {
-    feed::parse_feed(text).unwrap_or_else(|e| {
+    feed::parse_feed(text).map(|r| r.frames).unwrap_or_else(|e| {
         eprintln!("cffs-top: {path}: {e}");
         std::process::exit(1);
     })

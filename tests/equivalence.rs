@@ -327,7 +327,7 @@ fn deterministic_simulated_time_with_feed_and_flight_armed() {
             let recorder = flight::arm(&dir, &obs, &[], fs.label());
             let row = range_script_numbers(fs);
             drop((tap, recorder));
-            let frames = feed::parse_feed(&std::fs::read_to_string(sink.path()).unwrap()).unwrap();
+            let frames = feed::parse_feed(&std::fs::read_to_string(sink.path()).unwrap()).unwrap().frames;
             assert!(frames.len() > 20, "{}: the tap cut {} frames", row.0, frames.len());
             row
         })

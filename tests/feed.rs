@@ -21,7 +21,7 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 /// Replay a feed through the `cffs-top` rendering engine in headless
 /// (deterministic) mode, concatenating every frame's dashboard.
 fn render_feed(text: &str) -> String {
-    let frames = feed::parse_feed(text).expect("every frame validates");
+    let frames = feed::parse_feed(text).expect("every frame validates").frames;
     assert!(!frames.is_empty(), "feed has frames");
     let mut view = FeedView::new(false);
     let mut out = String::new();
@@ -67,7 +67,7 @@ fn single_threaded_feed_rendering_is_byte_deterministic() {
     // The run did real work and the frames show it.
     assert!(ra.contains("stage=soak"), "{ra}");
     assert!(ra.contains("cg heatmap"), "{ra}");
-    let frames = feed::parse_feed(&a).unwrap();
+    let frames = feed::parse_feed(&a).unwrap().frames;
     assert!(frames.len() >= 3, "sim cadence cut several frames, got {}", frames.len());
     // A different seed produces a different feed (the determinism above
     // is not vacuous).
@@ -130,7 +130,7 @@ fn concurrent_feed_rendering_is_byte_deterministic() {
         assert!(ra.contains(&format!("t{t}:")), "thread slot {t} missing:\n{ra}");
     }
     // One frame per phase barrier plus the detach frame.
-    let frames = feed::parse_feed(&a).unwrap();
+    let frames = feed::parse_feed(&a).unwrap().frames;
     assert_eq!(frames.len(), 5, "setup/populate/warm/churn + detach");
     let stages: Vec<&str> =
         frames.iter().filter_map(|f| f.get("stage").and_then(|s| s.as_str())).collect();
@@ -142,7 +142,7 @@ fn feed_frames_validate_against_the_shared_schema_checker() {
     // parse_feed already validates; this pins the specific shape a
     // downstream consumer greps for.
     let text = sim_producer("schema", 11);
-    let frames = feed::parse_feed(&text).unwrap();
+    let frames = feed::parse_feed(&text).unwrap().frames;
     let last = frames.last().unwrap();
     assert!(last.get("seq").and_then(|s| s.as_u64()).unwrap() as usize == frames.len() - 1);
     let cgs = last.get("cgs").and_then(|c| c.as_arr()).unwrap();

@@ -304,10 +304,11 @@ fn slo_burn_is_charged_by_bucket_lower_bound() {
     let dir = std::env::temp_dir().join(format!("cffs-slo-flight-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let guard = cffs_obs::flight::arm(&dir, &obs, &[], "slo-burn");
-    guard.flight().dump("slo");
-    let text = std::fs::read_to_string(guard.flight().path()).unwrap();
-    let dump = cffs_obs::flight::parse_flight(&text).expect("valid flight dump");
-    assert_eq!(dump.head.get("slo").map(Json::to_string), Some(obs.slo_json().to_string()));
+    guard.dump("slo");
+    let text = std::fs::read_to_string(guard.path()).unwrap();
+    let dump = cffs_obs::feed::parse_feed(&text).expect("valid flight dump");
+    let (_, head) = dump.heads.last().expect("the dump's head");
+    assert_eq!(head.get("slo").map(Json::to_string), Some(obs.slo_json().to_string()));
     drop(guard);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -173,21 +173,32 @@ fn flight_dump_is_valid_at_every_tear_point() {
         fsck::fsck(&mut img, true).unwrap_or_else(|e| panic!("{ctx}: repair diverged: {e}"));
         // Dump at this tear point and require the black box to be
         // internally exact, not merely parseable.
-        guard.flight().dump(&ctx);
-        let text = std::fs::read_to_string(guard.flight().path()).expect("read dump");
-        let dump = cffs_obs::flight::parse_flight(&text)
-            .unwrap_or_else(|e| panic!("{ctx}: invalid flight dump: {e}"));
+        guard.dump(&ctx);
+        // A dump's frame and head go out in one write, so the file ends in
+        // a head — unless a sibling's dump is being appended right now:
+        // its half-written last line is skipped, so read again.
+        let dump = (0..1000)
+            .map(|_| {
+                let text = std::fs::read_to_string(guard.path()).expect("read dump");
+                cffs_obs::feed::parse_feed(&text)
+                    .unwrap_or_else(|e| panic!("{ctx}: invalid flight dump: {e}"))
+            })
+            .find(|d| d.heads.last().is_some_and(|(before, _)| *before == d.frames.len()))
+            .unwrap_or_else(|| panic!("{ctx}: frames were cut after the last head"));
+        let head = &dump.heads.last().expect("a head").1;
         // Our explicit dump is normally the last word, but the sibling
         // tests in this binary also fsck dirty images, and each unclean
         // verdict re-flushes every recorder in the process registry —
         // either reason proves the dump is current, and the counter
         // assertions below hold for both (this obs is quiescent here).
-        let reason = dump.head.get("reason").and_then(Json::as_str).unwrap_or("");
+        let reason = head.get("reason").and_then(Json::as_str).unwrap_or("");
         assert!(
             reason == ctx || reason == "fsck_failure",
             "{ctx}: dump is stale (reason {reason:?})"
         );
+        // The dump cut its own frame just before its head.
         let last = dump.frames.last().expect("frames");
+        assert_eq!(last.get("stage"), head.get("reason"), "{ctx}: the dump cut no frame");
         for &c in FRAME_COUNTERS {
             let dumped = last
                 .get("counters")
@@ -196,7 +207,7 @@ fn flight_dump_is_valid_at_every_tear_point() {
                 .unwrap_or_else(|| panic!("{ctx}: frame lacks {}", c.name()));
             assert_eq!(dumped, obs.get(c), "{ctx}: counter {} diverged", c.name());
         }
-        let report = cffs_obs::flight::postmortem(&dump);
+        let report = cffs_obs::flight::postmortem(&dump).expect("postmortem");
         assert_eq!(
             report.get("consistent"),
             Some(&Json::Bool(true)),

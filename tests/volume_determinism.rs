@@ -105,7 +105,7 @@ fn feed_producer(tag: &str, seed: u64) -> String {
 #[test]
 fn single_threaded_feed_rendering_is_byte_deterministic() {
     let render = |text: &str| {
-        let frames = feed::parse_feed(text).expect("every frame validates");
+        let frames = feed::parse_feed(text).expect("every frame validates").frames;
         assert!(!frames.is_empty());
         let mut view = FeedView::new(false);
         let mut out = String::new();
