@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings, no hashing on the per-call path) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -128,6 +128,18 @@ fi
 # simulated clock, and the autotrigger's policy is fixed.
 if grep -rnE 'fn (set_slo|arm_default_slos|set_signal_ceiling)\b|Cadence::Host|AutotriggerConfig|"--host-ms"' $SRC; then
     echo "a one-value setting (SLO registry, signal ceiling, host feed cadence or AutotriggerConfig) is back"; exit 1
+fi
+# The warm path pays no hashing for its bookkeeping: per-context obs
+# state is a short table searched by uid, the namespace hints are keyed
+# by the integer hasher, and a clock move is one visit to the context's
+# clock (Obs::advance_clock_ns), not a read and a separate write.
+if grep -rnE 'HashMap<u64, ThreadTls>|RefCell<std::collections::HashMap' crates/obs/src \
+    || grep -rnE '(parent_of|last_read): HashMap<' crates/core/src; then
+    echo "a SipHash map is back on the per-call path (obs context table or NsState)"; exit 1
+fi
+ADVANCE=$(awk '/pub fn advance\(/ { f = 1 } f { print } f && /^    }$/ { exit }' crates/disksim/src/driver.rs)
+if [ -z "$ADVANCE" ] || printf '%s\n' "$ADVANCE" | grep -n 'set_clock_ns('; then
+    echo "Driver::advance is missing or moves the clock with a separate read and set_clock_ns"; exit 1
 fi
 # Non-test lines per crate (printed, not gated): what every deletion PR
 # quotes. Lines of each source file before its first #[cfg(test)].

@@ -542,6 +542,22 @@ impl CacheCore {
         ctx.obs.bump(Ctr::CacheEvictions);
     }
 
+    /// A lookup of the resident buffer in `slot` by its physical block
+    /// number: counted as a hit, and a use.
+    fn phys_hit(&mut self, ctx: &Ctx, slot: usize) {
+        self.lookups += 1;
+        self.hits += 1;
+        ctx.obs.bump(Ctr::CacheLookups);
+        ctx.obs.bump(Ctr::CachePhysHits);
+        self.touch(slot);
+        self.gfetch_used(ctx, slot);
+    }
+
+    /// A handle on the resident buffer in `slot`.
+    fn data(&self, slot: usize) -> Block {
+        self.bufs[slot].as_ref().expect("resident").data.clone()
+    }
+
     /// A group-fetched buffer was hit for the first time: the speculation
     /// paid off. No-op for buffers that did not arrive via group fetch or
     /// were already counted.
@@ -773,15 +789,12 @@ impl BufferCache {
         let idx = self.shard_of(blkno);
         loop {
             let mut core = self.lock_shard(idx);
-            core.lookups += 1;
-            ctx.obs.bump(Ctr::CacheLookups);
             if let Some(slot) = core.slot_of(blkno) {
-                core.hits += 1;
-                ctx.obs.bump(Ctr::CachePhysHits);
-                core.touch(slot);
-                core.gfetch_used(ctx, slot);
+                core.phys_hit(ctx, slot);
                 return (core, slot);
             }
+            core.lookups += 1;
+            ctx.obs.bump(Ctr::CacheLookups);
             ctx.obs.bump(Ctr::CacheMisses);
             let mut data = self.budget.take_spare(ctx.obs);
             if read {
@@ -839,6 +852,28 @@ impl BufferCache {
     /// Returns the physical block number on a hit — the caller skips the
     /// bmap translation entirely, which is the point of the second index.
     pub fn lookup_logical(&self, ino: Ino, lbn: u64) -> Option<u64> {
+        let (mut core, slot, blk) = self.logical_slot(ino, lbn)?;
+        core.touch(slot);
+        Some(blk)
+    }
+
+    /// Read the resident block bound to `(ino, lbn)`, if there is one:
+    /// the logical-index probe of [`lookup_logical`] and the physical hit
+    /// of [`read_block_bound`] under one shard lock, counted as those two
+    /// lookups. On `None` only the probe was counted; nothing was read.
+    ///
+    /// [`lookup_logical`]: BufferCache::lookup_logical
+    /// [`read_block_bound`]: BufferCache::read_block_bound
+    pub fn read_logical(&self, driver: &Driver, ino: Ino, lbn: u64) -> Option<Block> {
+        let (mut core, slot, _) = self.logical_slot(ino, lbn)?;
+        core.phys_hit(&self.ctx(driver), slot);
+        Some(core.data(slot))
+    }
+
+    /// The logical-index probe: the block bound to `(ino, lbn)`, validated
+    /// in its owning shard, returned locked with its slot. Counts one
+    /// lookup, and a logical hit when it finds one.
+    fn logical_slot(&self, ino: Ino, lbn: u64) -> Option<(MutexGuard<'_, CacheCore>, usize, u64)> {
         self.obs.bump(Ctr::CacheLookups);
         // Read the authoritative map, release it, then validate against
         // the owning shard (never hold logical → shard; see lock order).
@@ -848,17 +883,13 @@ impl BufferCache {
         }?;
         let mut core = self.lock_shard(self.shard_of(blk));
         core.lookups += 1;
-        match core.slot_of(blk) {
-            Some(slot)
-                if core.bufs[slot].as_ref().is_some_and(|b| b.logical == Some((ino, lbn))) =>
-            {
-                core.hits += 1;
-                self.obs.bump(Ctr::CacheLogicalHits);
-                core.touch(slot);
-                Some(blk)
-            }
-            _ => None, // entry went stale between the two locks
-        }
+        // `None` when the entry went stale between the two locks.
+        let slot = core
+            .slot_of(blk)
+            .filter(|&slot| core.bufs[slot].as_ref().is_some_and(|b| b.logical == Some((ino, lbn))))?;
+        core.hits += 1;
+        self.obs.bump(Ctr::CacheLogicalHits);
+        Some((core, slot, blk))
     }
 
     /// Run `f` on the contents of the resident block bound to `(ino,
@@ -880,7 +911,25 @@ impl BufferCache {
     pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Block> {
         let ctx = self.ctx(driver);
         let (core, slot) = self.get_slot(&ctx, blkno, true);
-        Ok(core.bufs[slot].as_ref().expect("resident").data.clone())
+        Ok(core.data(slot))
+    }
+
+    /// Read `blkno` if it is resident, binding it to `id` when given: the
+    /// hit path of [`read_block`] / [`read_block_bound`], counted the same,
+    /// under one shard lock. A miss counts nothing and reads nothing, so
+    /// the caller can plan its fetch before the counted read.
+    ///
+    /// [`read_block`]: BufferCache::read_block
+    /// [`read_block_bound`]: BufferCache::read_block_bound
+    pub fn read_resident(&self, driver: &Driver, blkno: u64, id: Option<(Ino, u64)>) -> Option<Block> {
+        let ctx = self.ctx(driver);
+        let mut core = self.lock_shard(self.shard_of(blkno));
+        let slot = core.slot_of(blkno)?;
+        core.phys_hit(&ctx, slot);
+        if let Some((ino, lbn)) = id {
+            core.bind_slot(&ctx, slot, ino, lbn);
+        }
+        Some(core.data(slot))
     }
 
     /// Read a block and bind it to a logical identity in one step (the
@@ -895,7 +944,7 @@ impl BufferCache {
         let ctx = self.ctx(driver);
         let (mut core, slot) = self.get_slot(&ctx, blkno, true);
         core.bind_slot(&ctx, slot, ino, lbn);
-        Ok(core.bufs[slot].as_ref().expect("resident").data.clone())
+        Ok(core.data(slot))
     }
 
     /// Mutate a block in place. `read_first` controls whether a cache miss

@@ -59,9 +59,8 @@ use cffs_disksim::driver::{Driver, Scheduler};
 use cffs_disksim::{SimDuration, SimTime};
 use cffs_fslib::inode::Inode;
 use cffs_fslib::vfs::MetadataMode;
-use cffs_fslib::{Attr, CpuModel, DirEntry, FsError, FsResult, FileSystem, Ino, IoStats, StatFs, BLOCK_SIZE};
+use cffs_fslib::{Attr, CpuModel, DirEntry, FsError, FsResult, FileSystem, Ino, IntMap, IoStats, StatFs, BLOCK_SIZE};
 use cffs_obs::{Ctr, Obs, OpKind, SpanGuard};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -241,12 +240,12 @@ const NS_PARENT_CAP: usize = 1 << 16;
 /// read per inode for sequential-read detection.
 #[derive(Debug)]
 struct NsState {
-    parent_of: HashMap<Ino, Ino>,
+    parent_of: IntMap<Ino, Ino>,
     /// Insertion order of `parent_of` keys, for FIFO eviction at
     /// [`NS_PARENT_CAP`]. May hold stale keys (removed or renumbered
     /// inodes); eviction skips them.
     parent_fifo: std::collections::VecDeque<Ino>,
-    last_read: HashMap<Ino, u64>,
+    last_read: IntMap<Ino, u64>,
 }
 
 impl NsState {
@@ -394,8 +393,8 @@ impl Cffs {
     /// disk request issued while it is open is stamped with this op (see
     /// [`Obs::span`]; nested entry-point calls stay attributed to the
     /// outermost op).
-    fn op_span(&self, op: OpKind) -> SpanGuard {
-        self.drv.obs().span(op)
+    fn op_span(&self, op: OpKind) -> SpanGuard<'_> {
+        self.obs.span(op)
     }
 
     /// Next generation stamp for a freshly embedded inode.
@@ -460,15 +459,20 @@ impl Cffs {
         self.charge(self.cpu_model().block_op);
         match decode_ino(ino) {
             InoRef::External(slot) => {
-                self.obs().bump(Ctr::FsExternalInodeOps);
+                self.obs.bump(Ctr::FsExternalInodeOps);
                 let (blk, off) = self.exfile_locate(slot)?;
                 let data = self.cache.read_block(&self.drv, blk)?;
                 Inode::read_from(&data, off).ok_or(FsError::StaleHandle)
             }
             InoRef::Embedded { blk, off, gen } => {
-                self.obs().bump(Ctr::FsEmbeddedInodeOps);
-                self.fetch_group_for(blk, fetch)?;
-                let data = self.cache.read_block(&self.drv, blk)?;
+                self.obs.bump(Ctr::FsEmbeddedInodeOps);
+                let data = match self.cache.read_resident(&self.drv, blk, None) {
+                    Some(data) => data,
+                    None => {
+                        self.fetch_group_for(blk, fetch)?;
+                        self.cache.read_block(&self.drv, blk)?
+                    }
+                };
                 let entry = dirent::entry_at(&data, off)?;
                 let EntryLoc::Embedded(img) = entry.loc else {
                     return Err(FsError::StaleHandle);
@@ -491,7 +495,7 @@ impl Cffs {
         self.charge(self.cpu_model().block_op);
         let sync = durable && self.cfg.metadata_mode == MetadataMode::Synchronous;
         if durable {
-            self.obs().bump(if sync {
+            self.obs.bump(if sync {
                 Ctr::FsSyncMetaWrites
             } else {
                 Ctr::FsDelayedMetaWrites
@@ -499,7 +503,7 @@ impl Cffs {
         }
         match decode_ino(ino) {
             InoRef::External(slot) => {
-                self.obs().bump(Ctr::FsExternalInodeOps);
+                self.obs.bump(Ctr::FsExternalInodeOps);
                 let (blk, off) = self.exfile_locate(slot)?;
                 self.cache
                     .modify_block(&self.drv, blk, true, true, |d| inode.write_to(d, off))?;
@@ -508,7 +512,7 @@ impl Cffs {
                 }
             }
             InoRef::Embedded { blk, off, gen } => {
-                self.obs().bump(Ctr::FsEmbeddedInodeOps);
+                self.obs.bump(Ctr::FsEmbeddedInodeOps);
                 let img = {
                     let data = self.cache.read_block(&self.drv, blk)?;
                     let entry = dirent::entry_at(&data, off)?;

@@ -62,7 +62,7 @@ impl Cffs {
     /// are left on disk: a miss is evidence of demand for its neighbours,
     /// not for the whole extent.
     pub(super) fn fetch_group_for(&self, blk: u64, fetch: Fetch) -> FsResult<()> {
-        if fetch == Fetch::Block || !self.cfg.group || self.cache.contains(blk) {
+        if fetch == Fetch::Block || !self.cfg.group {
             return Ok(());
         }
         let run = {
@@ -81,8 +81,11 @@ impl Cffs {
     }
 
     /// Read a block with logical binding, group-fetching on a miss as
-    /// `fetch` allows.
+    /// `fetch` allows. A resident block costs one shard lock.
     pub(super) fn fetch_block(&self, blk: u64, ino: Ino, lbn: u64, fetch: Fetch) -> FsResult<Block> {
+        if let Some(data) = self.cache.read_resident(&self.drv, blk, Some((ino, lbn))) {
+            return Ok(data);
+        }
         self.fetch_group_for(blk, fetch)?;
         self.cache.read_block_bound(&self.drv, blk, ino, lbn)
     }
@@ -141,15 +144,11 @@ impl Cffs {
         // Sequential-read detection + read-ahead (prefetching extension).
         let first_lbn = off / BLOCK_SIZE as u64;
         let last_lbn = (off + done.max(1) as u64 - 1) / BLOCK_SIZE as u64;
-        if self.cfg.prefetch_blocks > 0 {
-            let sequential =
-                first_lbn == 0
-                    || self.lock_ns().last_read.get(&ino).is_some_and(|&l| l + 1 >= first_lbn);
-            if sequential {
-                self.prefetch_ahead(ino, &inode, last_lbn + 1)?;
-            }
+        let prev = self.lock_ns().last_read.insert(ino, last_lbn);
+        let sequential = first_lbn == 0 || prev.is_some_and(|l| l + 1 >= first_lbn);
+        if self.cfg.prefetch_blocks > 0 && sequential {
+            self.prefetch_ahead(ino, &inode, last_lbn + 1)?;
         }
-        self.lock_ns().last_read.insert(ino, last_lbn);
         Ok(done)
     }
 
@@ -287,6 +286,10 @@ impl FileStore for Tree<'_> {
         self.fs.cache.lookup_logical(self.ino, lbn)
     }
 
+    fn read_cached(&self, lbn: u64) -> Option<Block> {
+        self.fs.cache.read_logical(&self.fs.drv, self.ino, lbn)
+    }
+
     fn fetch(&self, blk: u64, lbn: u64) -> FsResult<Block> {
         self.fs.fetch_block(blk, self.ino, lbn, self.fetch)
     }
@@ -296,6 +299,9 @@ impl FileStore for Tree<'_> {
     }
 
     fn before_partial_overwrite(&self, blk: u64) -> FsResult<()> {
+        if self.fs.cache.contains(blk) {
+            return Ok(());
+        }
         self.fs.fetch_group_for(blk, self.fetch)
     }
 }

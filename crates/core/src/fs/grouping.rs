@@ -484,7 +484,7 @@ impl Cffs {
     /// the paper prescribes ("placement of data for large files remains
     /// unchanged").
     pub(super) fn degroup(&self, ino: Ino, inode: &mut Inode) -> FsResult<()> {
-        self.obs().bump(Ctr::FsDegroupings);
+        self.obs.bump(Ctr::FsDegroupings);
         let near = match self.data_ctx(ino)? {
             AllocCtx::Plain { near } | AllocCtx::Grouped { near, .. } => near,
         };

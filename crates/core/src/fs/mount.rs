@@ -9,9 +9,8 @@ use cffs_dcache::Dcache;
 use cffs_disksim::driver::{Driver, DriverConfig};
 use cffs_disksim::{Disk, SimTime};
 use cffs_fslib::inode::{Inode, INODE_SIZE};
-use cffs_fslib::{CpuModel, FsError, FsResult, Ino, IoStats, StatFs, BLOCK_SIZE};
+use cffs_fslib::{CpuModel, FsError, FsResult, Ino, IntMap, IoStats, StatFs, BLOCK_SIZE};
 use cffs_obs::{Obs, OpKind};
-use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
 use std::sync::{Arc, Mutex};
 use super::{Cffs, CffsConfig, ExMeta, CgSlot, InodePlacement, NsState, OP_STRIPES};
@@ -89,9 +88,9 @@ impl Cffs {
             cg_state,
             groups: Mutex::new(groups),
             ns: Mutex::new(NsState {
-                parent_of: HashMap::new(),
+                parent_of: IntMap::default(),
                 parent_fifo: std::collections::VecDeque::new(),
-                last_read: HashMap::new(),
+                last_read: IntMap::default(),
             }),
             dcache: (cfg.dcache_entries > 0).then(|| {
                 let mut dc = Dcache::new(cfg.dcache_entries);

@@ -162,10 +162,10 @@ impl Cffs {
     /// one sector with embedded inodes, the whole block otherwise.
     fn dir_durable(&self, blk: u64, off: usize) -> FsResult<()> {
         if self.cfg.metadata_mode != MetadataMode::Synchronous {
-            self.obs().bump(Ctr::FsDelayedMetaWrites);
+            self.obs.bump(Ctr::FsDelayedMetaWrites);
             return Ok(());
         }
-        self.obs().bump(Ctr::FsSyncMetaWrites);
+        self.obs.bump(Ctr::FsSyncMetaWrites);
         if self.cfg.inodes == InodePlacement::Embedded {
             self.cache.flush_sector_sync(&self.drv, blk, off)
         } else {
@@ -178,7 +178,7 @@ impl Cffs {
     /// or a crash leaves garbage chunks around the one flushed sector.
     fn dir_durable_grown(&self, blk: u64, off: usize, grew: bool) -> FsResult<()> {
         if grew && self.cfg.metadata_mode == MetadataMode::Synchronous {
-            self.obs().bump(Ctr::FsSyncMetaWrites);
+            self.obs.bump(Ctr::FsSyncMetaWrites);
             self.cache.flush_block_sync(&self.drv, blk)
         } else {
             self.dir_durable(blk, off)

@@ -187,9 +187,10 @@ impl Driver {
         SimTime(self.obs.clock_ns())
     }
 
-    /// Advance the calling thread's clock by `d` (CPU work, think time).
+    /// Advance the calling thread's clock by `d` (CPU work, think time):
+    /// one visit to the thread's clock.
     pub fn advance(&self, d: SimDuration) {
-        self.obs.set_clock_ns(self.obs.clock_ns() + d.as_nanos());
+        self.obs.advance_clock_ns(d.as_nanos());
     }
 
     /// The shared observability handle (owned by the disk).

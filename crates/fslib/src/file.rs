@@ -38,6 +38,10 @@ pub trait FileStore: PtrStore {
     /// skips the block map.
     fn cached(&self, lbn: u64) -> Option<u64>;
 
+    /// The contents of the block the cache has bound to logical block
+    /// `lbn`, if it is resident: a hit skips the block map and the fetch.
+    fn read_cached(&self, lbn: u64) -> Option<Self::Buf>;
+
     /// Read block `blk`, binding it to logical block `lbn`.
     fn fetch(&self, blk: u64, lbn: u64) -> FsResult<Self::Buf>;
 
@@ -87,12 +91,12 @@ pub fn read<S: FileStore>(s: &S, inode: &Inode, off: u64, buf: &mut [u8]) -> FsR
     let want = buf.len().min((inode.size - off) as usize);
     for (lbn, at, r) in pieces(off, want) {
         let n = r.len();
-        let blk = match s.cached(lbn) {
-            Some(b) => Some(b),
-            None => map(s, inode, lbn)?,
+        let data = match s.read_cached(lbn) {
+            Some(d) => Some(d),
+            None => map(s, inode, lbn)?.map(|b| s.fetch(b, lbn)).transpose()?,
         };
-        match blk {
-            Some(b) => buf[r].copy_from_slice(&s.fetch(b, lbn)?[at..at + n]),
+        match data {
+            Some(d) => buf[r].copy_from_slice(&d[at..at + n]),
             None => buf[r].fill(0),
         }
         s.charge(s.cpu().copy_cost(n));
@@ -254,6 +258,12 @@ mod tests {
             self.bound.borrow().get(&lbn).copied()
         }
 
+        fn read_cached(&self, lbn: u64) -> Option<Vec<u8>> {
+            self.note(format!("read_cached {lbn}"));
+            let blk = self.bound.borrow().get(&lbn).copied()?;
+            Some(self.block(blk))
+        }
+
         fn fetch(&self, blk: u64, lbn: u64) -> FsResult<Vec<u8>> {
             self.note(format!("fetch {lbn}"));
             self.bound.borrow_mut().insert(lbn, blk);
@@ -342,15 +352,20 @@ mod tests {
         assert_eq!(
             s.take_log(),
             strs(&[
-                "cached 1",
+                "read_cached 1",
                 &format!("charge {OP}"),
                 &format!("charge {KB}"),
-                "cached 2",
+                "read_cached 2",
                 &format!("charge {OP}"),
                 "fetch 2",
                 &format!("charge {KB}"),
             ])
         );
+        // The fetch bound block 2: a second read takes it from the cache,
+        // with no map probe and no fetch.
+        assert_eq!(read(&s, &inode, 2 * BS, &mut buf[..3]), Ok(3));
+        assert_eq!(&buf[..3], b"end");
+        assert_eq!(s.take_log(), strs(&["read_cached 2", &format!("charge {KB}")]));
         assert_eq!(read(&s, &inode, 2 * BS + 3, &mut buf), Ok(0));
     }
 

@@ -1,6 +1,8 @@
 //! A small multiplicative hasher for the process-private, integer-keyed
 //! indexes on the cache hit paths (block number → slot, `(ino, lbn)` →
-//! block, dcache key hash → slots).
+//! block, dcache key hash → slots) and for `cffs-core`'s namespace hints
+//! (`NsState::parent_of`, child → directory, noted on every lookup, and
+//! `NsState::last_read`, inode → last block read, on every read).
 //!
 //! `std`'s default SipHash defends a map against keys an adversary
 //! chooses; these keys are block numbers and inode numbers the file

@@ -473,6 +473,25 @@ pub fn render_postmortem(report: &Json) -> String {
             }
         }
     }
+    let cg_rows = |k: &str| match report.get(k) {
+        Some(Json::Arr(rows)) => rows.as_slice(),
+        _ => &[],
+    };
+    let ru = |r: &Json, k: &str| r.get(k).and_then(Json::as_u64).unwrap_or(0);
+    let hot = cg_rows("hot_cgs");
+    if !hot.is_empty() {
+        out.push_str("\nhottest cylinder groups (disk I/Os over the window):\n");
+        for r in hot {
+            out.push_str(&format!("  CG {:<6} {}\n", ru(r, "cg"), ru(r, "window_ios")));
+        }
+    }
+    let drops = cg_rows("util_drops");
+    if !drops.is_empty() {
+        out.push_str("\ngroup-fetch utilization drops (milli-pct):\n");
+        for r in drops {
+            out.push_str(&format!("  CG {:<6} {} -> {}\n", ru(r, "cg"), ru(r, "from_milli"), ru(r, "to_milli")));
+        }
+    }
     if let Some(Json::Arr(spans)) = report.get("top_spans") {
         if !spans.is_empty() {
             out.push_str("\nslowest spans in the window:\n");
@@ -728,6 +747,43 @@ mod tests {
         assert_eq!(report.get("queue_depth_last").and_then(Json::as_u64), Some(2));
         let text = render_postmortem(&report);
         assert!(text.contains("2 threads were waiting for the disk lock at capture"), "{text}");
+        drop(guard);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The text report names the busiest cylinder group first and each
+    /// group whose fetch utilization collapsed over the window.
+    #[test]
+    fn postmortem_text_names_hot_groups_and_utilization_drops() {
+        let _s = serial();
+        let dir = tmp_dir("hotcg");
+        let obs = Obs::new();
+        // Four groups of 100 blocks, 8 sectors each: CG c covers sectors
+        // 800c..800(c+1).
+        obs.configure_cg_table(crate::CgTableConfig {
+            first_block: 0,
+            cg_size: 100,
+            sectors_per_block: 8,
+            groups: vec![(90, 0); 4],
+        });
+        obs.cg_util_sample(3, 100);
+        let guard = arm(&dir, &obs, &[], "unit-hotcg");
+        for (cg, n) in [(0, 2), (2, 9), (1, 4)] {
+            for _ in 0..n {
+                obs.trace_io(0, "disk.read", cg * 800 + 16, 8, 10);
+            }
+        }
+        for _ in 0..8 {
+            obs.cg_util_sample(3, 10);
+        }
+        guard.dump("check");
+        let text = render_postmortem(&postmortem(&read(&guard)).unwrap());
+        let hot = text.split("hottest cylinder groups").nth(1).expect("a hot-group section");
+        let rows: Vec<&str> = hot.lines().skip(1).take_while(|l| l.starts_with("  CG")).collect();
+        assert_eq!(rows.len(), 3, "{text}");
+        assert!(rows[0].starts_with("  CG 2 ") && rows[0].ends_with(" 9"), "busiest first: {text}");
+        assert!(text.contains("group-fetch utilization drops"), "{text}");
+        assert!(text.contains("CG 3      100000 -> "), "{text}");
         drop(guard);
         std::fs::remove_dir_all(&dir).ok();
     }

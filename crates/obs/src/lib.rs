@@ -22,6 +22,7 @@ pub mod flight;
 pub mod json;
 pub mod prof;
 
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
@@ -221,11 +222,13 @@ impl Counters {
         }
     }
 
-    /// Add `n` to a counter. Relaxed: counters are statistics, not
-    /// synchronization.
+    /// Add `n` to a counter; adding 0 touches nothing. Relaxed: counters
+    /// are statistics, not synchronization.
     #[inline]
     pub fn add(&self, c: Ctr, n: u64) {
-        self.vals[c as usize].fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            self.vals[c as usize].fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Increment a counter by one.
@@ -691,9 +694,10 @@ impl TraceRing {
 /// still come from one shared counter, so a single-threaded run sees
 /// the same deterministic ids (1, 2, ...) as before.
 pub struct Obs {
-    /// Process-unique id keying this handle's slots in the thread-local
-    /// span/clock tables (an id, not a pointer, so a freed `Obs` can
-    /// never alias a new one's state).
+    /// Process-unique id tagging this handle's entry in each context's
+    /// [`TLS`] table (an id, not a pointer, so a freed `Obs` can never
+    /// alias a new one's state, even through an entry it left behind in
+    /// another thread's table).
     uid: u64,
     counters: Counters,
     histos: Histos,
@@ -707,7 +711,9 @@ pub struct Obs {
     next_span: AtomicU64,
     /// Optional unbounded log of every closed span (plus unattributed
     /// disk requests), for full-run folds that outlive the trace ring.
-    span_log: Mutex<Option<Vec<SpanRecord>>>,
+    /// Unset until [`Obs::enable_span_log`], so a span closing with no
+    /// log takes no lock.
+    span_log: OnceLock<Mutex<Vec<SpanRecord>>>,
     /// Health-signal EWMAs (see [`Sig`]).
     signals: Mutex<[SignalState; Sig::COUNT]>,
     /// Per-cylinder-group live registers (occupancy gauge, I/O tallies,
@@ -784,9 +790,11 @@ struct SpanTls {
     last_end: u64,
 }
 
-/// Everything one thread keeps for one `Obs`.
+/// Everything one context keeps for one `Obs`: an entry of its [`TLS`]
+/// table, tagged with the handle's [`Obs::uid`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ThreadTls {
+    uid: u64,
     span: SpanTls,
     /// Simulated-clock mirror — each thread, or each client context
     /// swapped onto one ([`swap_thread_state`]), runs its own virtual
@@ -797,15 +805,21 @@ struct ThreadTls {
 }
 
 thread_local! {
-    /// Per-thread state per (thread, Obs-uid).
-    static TLS: std::cell::RefCell<std::collections::HashMap<u64, ThreadTls>> =
-        std::cell::RefCell::new(std::collections::HashMap::new());
+    /// The calling context's state, one [`ThreadTls`] per `Obs` it has
+    /// touched. A context touches a few handles (a stack's; a volume
+    /// set's and one per volume), so this is a short vector searched
+    /// newest entry first: a visit is a few uid compares, no hashing.
+    /// A dropped `Obs` removes its entry from the dropping thread's
+    /// table; entries it left in other threads' tables, or in
+    /// swapped-out [`ThreadState`]s, never match again and go with them.
+    static TLS: RefCell<Vec<ThreadTls>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One client context's thread-local state for every `Obs`: clock
-/// mirrors, op slots and span state. `Default` is a fresh thread's.
+/// mirrors, op slots and span state, the whole [`TLS`] table. `Default`
+/// is a fresh thread's.
 #[derive(Debug, Default)]
-pub struct ThreadState(std::collections::HashMap<u64, ThreadTls>);
+pub struct ThreadState(Vec<ThreadTls>);
 
 /// Swap the calling thread's state for every `Obs` with `state`, so one
 /// host thread can run several clients, each in its own context. Panics
@@ -813,7 +827,7 @@ pub struct ThreadState(std::collections::HashMap<u64, ThreadTls>);
 pub fn swap_thread_state(state: &mut ThreadState) {
     TLS.with(|t| {
         let mut t = t.borrow_mut();
-        assert!(t.values().all(|s| s.span.cur_span == 0), "swap_thread_state with an open span");
+        assert!(t.iter().all(|s| s.span.cur_span == 0), "swap_thread_state with an open span");
         std::mem::swap(&mut *t, &mut state.0);
     });
 }
@@ -821,6 +835,21 @@ pub fn swap_thread_state(state: &mut ThreadState) {
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs").finish_non_exhaustive()
+    }
+}
+
+impl Drop for Obs {
+    /// Take this handle's entry out of the dropping thread's table, so a
+    /// thread that makes and drops handles keeps a table no longer than
+    /// its live ones. A no-op during the thread's own teardown.
+    fn drop(&mut self) {
+        let _ = TLS.try_with(|t| {
+            if let Ok(mut t) = t.try_borrow_mut() {
+                if let Some(i) = t.iter().rposition(|e| e.uid == self.uid) {
+                    t.remove(i);
+                }
+            }
+        });
     }
 }
 
@@ -855,7 +884,7 @@ impl Obs {
             trace: Mutex::new(TraceRing::new(capacity)),
             clock_ns: AtomicU64::new(0),
             next_span: AtomicU64::new(1),
-            span_log: Mutex::new(None),
+            span_log: OnceLock::new(),
             signals: Mutex::new(std::array::from_fn(|_| SignalState::default())),
             cg_table: OnceLock::new(),
             queue_depth: AtomicU64::new(0),
@@ -865,10 +894,28 @@ impl Obs {
         })
     }
 
-    /// Run `f` on this handle's entry in the calling thread's table.
+    /// Run `f` on this handle's entry in the calling context's table,
+    /// adding a fresh entry on the context's first touch.
     #[inline]
     fn with_tls<R>(&self, f: impl FnOnce(&mut ThreadTls) -> R) -> R {
-        TLS.with(|t| f(t.borrow_mut().entry(self.uid).or_default()))
+        TLS.with(|t| {
+            let mut t = t.borrow_mut();
+            let i = match t.iter().rposition(|e| e.uid == self.uid) {
+                Some(i) => i,
+                None => {
+                    t.push(ThreadTls { uid: self.uid, ..ThreadTls::default() });
+                    t.len() - 1
+                }
+            };
+            f(&mut t[i])
+        })
+    }
+
+    /// Append `rec` to the span log, if one is enabled.
+    fn log_span(&self, rec: SpanRecord) {
+        if let Some(log) = self.span_log.get() {
+            log.lock().expect("span log poisoned").push(rec);
+        }
     }
 
     #[inline]
@@ -925,17 +972,14 @@ impl Obs {
             });
         } else {
             self.counters.add(Ctr::AttrServiceNs, dur_ns);
-            let mut log = self.span_log.lock().expect("span log poisoned");
-            if let Some(records) = log.as_mut() {
-                records.push(SpanRecord {
-                    op: None,
-                    t0_ns: t_ns,
-                    dur_ns,
-                    queue_ns: 0,
-                    service_ns: dur_ns,
-                    truncated: false,
-                });
-            }
+            self.log_span(SpanRecord {
+                op: None,
+                t0_ns: t_ns,
+                dur_ns,
+                queue_ns: 0,
+                service_ns: dur_ns,
+                truncated: false,
+            });
         }
     }
 
@@ -944,15 +988,12 @@ impl Obs {
     /// [`SpanRecord`]. Unbounded — meant for bounded benchmark runs, not
     /// long-lived mounts.
     pub fn enable_span_log(&self) {
-        let mut log = self.span_log.lock().expect("span log poisoned");
-        if log.is_none() {
-            *log = Some(Vec::new());
-        }
+        self.span_log.get_or_init(|| Mutex::new(Vec::new()));
     }
 
     /// Copy of the span log collected so far (None when never enabled).
     pub fn span_log(&self) -> Option<Vec<SpanRecord>> {
-        self.span_log.lock().expect("span log poisoned").clone()
+        self.span_log.get().map(|log| log.lock().expect("span log poisoned").clone())
     }
 
     /// Fold one raw sample into a signal's EWMA (`ewma += (v - ewma)/8`
@@ -1110,6 +1151,26 @@ impl Obs {
     #[inline]
     pub fn set_clock_ns(&self, now_ns: u64) {
         self.pin_clock_ns(now_ns);
+        self.publish_clock_ns(now_ns);
+    }
+
+    /// Move the calling context's clock `d_ns` past where it reads now
+    /// ([`Obs::clock_ns`]) and publish it as [`Obs::set_clock_ns`] does,
+    /// in one visit to the context's table.
+    #[inline]
+    pub fn advance_clock_ns(&self, d_ns: u64) {
+        let now_ns = self.with_tls(|t| {
+            let now = t.clock.unwrap_or_else(|| self.global_clock_ns()) + d_ns;
+            t.clock = Some(now);
+            now
+        });
+        self.publish_clock_ns(now_ns);
+    }
+
+    /// Raise the shared high-water mark to `now_ns` and cut any frame an
+    /// armed sampler has due.
+    #[inline]
+    fn publish_clock_ns(&self, now_ns: u64) {
         self.clock_ns.fetch_max(now_ns, Ordering::Relaxed);
         // Sampling pacer: one relaxed load while nothing is armed. No call
         // site holds an obs lock (checked against the driver's submit and
@@ -1177,8 +1238,7 @@ impl Obs {
     /// The calling thread's simulated time, nanoseconds: its own clock
     /// mirror when it has one, else the cross-thread high-water mark.
     pub fn clock_ns(&self) -> u64 {
-        let own = TLS.with(|t| t.borrow().get(&self.uid).and_then(|s| s.clock));
-        own.unwrap_or_else(|| self.global_clock_ns())
+        self.with_tls(|t| t.clock).unwrap_or_else(|| self.global_clock_ns())
     }
 
     /// Cross-thread high-water mark of the simulated clock — the elapsed
@@ -1207,7 +1267,7 @@ impl Obs {
     /// `sync`), the inner guard is inert and all I/O stays attributed to
     /// the outermost — user-visible — operation. Guards must be dropped
     /// on the thread that opened them.
-    pub fn span(self: &Arc<Obs>, op: OpKind) -> SpanGuard {
+    pub fn span(&self, op: OpKind) -> SpanGuard<'_> {
         let opened = self.with_tls(|t| {
             if t.span.cur_span != 0 {
                 return None;
@@ -1223,11 +1283,7 @@ impl Obs {
             };
             Some((SpanId(id), t0))
         });
-        SpanGuard {
-            obs: Arc::clone(self),
-            op,
-            opened,
-        }
+        SpanGuard { obs: self, op, opened }
     }
 
     /// Lock `m`, charging host-time wait on contention to counter `ctr`.
@@ -1399,21 +1455,21 @@ pub struct SpanId(pub u64);
 /// `op_ns_*` histogram and an `op.*` trace event is emitted carrying the
 /// span id and latency. Inert when the span was nested (see
 /// [`Obs::span`]).
-pub struct SpanGuard {
-    obs: Arc<Obs>,
+pub struct SpanGuard<'a> {
+    obs: &'a Obs,
     op: OpKind,
     /// `(id, open-time ns)` when this guard actually opened a span.
     opened: Option<(SpanId, u64)>,
 }
 
-impl SpanGuard {
+impl SpanGuard<'_> {
     /// The span id, when this guard opened one (None when nested).
     pub fn id(&self) -> Option<SpanId> {
         self.opened.map(|(id, _)| id)
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some((SpanId(id), t0)) = self.opened {
             // One visit to the thread's entry: read the clock, the
@@ -1437,19 +1493,14 @@ impl Drop for SpanGuard {
             self.obs
                 .counters
                 .add(Ctr::AttrOpNs, latency.saturating_sub(q.saturating_add(svc)));
-            {
-                let mut log = self.obs.span_log.lock().expect("span log poisoned");
-                if let Some(records) = log.as_mut() {
-                    records.push(SpanRecord {
-                        op: Some(self.op),
-                        t0_ns: t0,
-                        dur_ns: latency,
-                        queue_ns: q,
-                        service_ns: svc,
-                        truncated: false,
-                    });
-                }
-            }
+            self.obs.log_span(SpanRecord {
+                op: Some(self.op),
+                t0_ns: t0,
+                dur_ns: latency,
+                queue_ns: q,
+                service_ns: svc,
+                truncated: false,
+            });
             // The span's own event, stamped with its span and op.
             self.obs.trace.lock().expect("trace ring poisoned").record(Event {
                 t_ns: t0,
@@ -2281,6 +2332,59 @@ mod tests {
         assert_eq!((a.clock_ns(), b.clock_ns()), (600, 900), "the caller's state is back");
         drop(a.span(OpKind::Read));
         assert_eq!(a.thread_ops()[0], 1, "the caller is still unbound");
+    }
+
+    /// Entries in the calling thread's table.
+    fn table_len() -> usize {
+        TLS.with(|t| t.borrow().len())
+    }
+
+    /// A dropped handle takes its entry with it: a thread that makes and
+    /// drops 10 000 handles keeps a table no longer than its live ones,
+    /// and the live handle's clock is untouched.
+    #[test]
+    fn dropped_handles_leave_the_context_table() {
+        std::thread::spawn(|| {
+            let keep = Obs::new();
+            keep.set_clock_ns(777);
+            for i in 0..10_000 {
+                let o = Obs::new();
+                o.advance_clock_ns(i);
+                assert_eq!(table_len(), 2);
+            }
+            assert_eq!(table_len(), 1, "only the live handle's entry is left");
+            assert_eq!(keep.clock_ns(), 777);
+            drop(keep);
+            assert_eq!(table_len(), 0);
+        })
+        .join()
+        .unwrap();
+    }
+
+    /// Two threads driving one handle each advance their own clock; the
+    /// shared mirror is the later of the two.
+    #[test]
+    fn threads_on_one_handle_keep_separate_clocks() {
+        let obs = Obs::new();
+        let turn = std::sync::Barrier::new(2);
+        let clocks: Vec<u64> = std::thread::scope(|s| {
+            let run = |step: u64| {
+                let (obs, turn) = (&obs, &turn);
+                s.spawn(move || {
+                    obs.pin_clock_ns(0);
+                    for _ in 0..100 {
+                        turn.wait();
+                        obs.advance_clock_ns(step);
+                    }
+                    obs.clock_ns()
+                })
+            };
+            let threads = [run(30), run(7)];
+            threads.map(|t| t.join().unwrap()).to_vec()
+        });
+        assert_eq!(clocks, [3_000, 700]);
+        assert_eq!(obs.global_clock_ns(), 3_000);
+        assert_eq!(obs.clock_ns(), 3_000, "a thread without a clock reads the shared mirror");
     }
 
     #[test]

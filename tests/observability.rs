@@ -312,3 +312,40 @@ fn slo_burn_is_charged_by_bucket_lower_bound() {
     drop(guard);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The warm hit path, hand-counted: a lookup of the last name in a
+/// multi-block directory and a 1 KB read of that cached file touch the
+/// disk not at all, and the cache's lookup counters move by exact
+/// amounts. A read that found the block through the logical index counts
+/// that probe and the physical read as two lookups, so fusing them under
+/// one lock cannot silently change what the counters mean.
+#[test]
+fn warm_lookup_and_read_counts_exact_cache_lookups() {
+    let fs = fresh(CffsConfig::cffs());
+    let root = fs.root();
+    let d = fs.mkdir(root, "d").unwrap();
+    let names: Vec<String> = (0..200).map(|i| format!("file-with-a-longish-name-{i:04}")).collect();
+    for n in &names {
+        let f = fs.create(d, n).unwrap();
+        fs.write(f, 0, &[3u8; 1024]).unwrap();
+    }
+    let dir_blocks = fs.getattr(d).unwrap().size / cffs_fslib::BLOCK_SIZE as u64;
+    assert!(dir_blocks >= 3, "the directory spans {dir_blocks} blocks");
+    let last = names.last().unwrap();
+    let f = fs.lookup(d, last).unwrap();
+    let mut buf = [0u8; 1024];
+    fs.read(f, 0, &mut buf).unwrap();
+    let obs = Cffs::obs(&fs);
+    let before = obs.snapshot("warm", fs.now().as_nanos());
+    assert_eq!(fs.lookup(d, last).unwrap(), f);
+    assert_eq!(fs.read(f, 0, &mut buf).unwrap(), 1024);
+    assert!(buf.iter().all(|&b| b == 3));
+    let delta = obs.snapshot("warm", fs.now().as_nanos()).delta(&before);
+    assert_eq!(delta.get_named("disk_requests"), 0);
+    assert_eq!(delta.get_named("cache_misses"), 0);
+    // The lookup's inode and directory-block reads, the read's inode, and
+    // its data block: one logical-index probe plus one physical read.
+    assert_eq!(delta.get_named("cache_lookups"), 13);
+    assert_eq!(delta.get_named("cache_phys_hits"), 12);
+    assert_eq!(delta.get_named("cache_logical_hits"), 1);
+}
