@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, no staging copy, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings, no hashing on the per-call path) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, reads share the platter's blocks, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings, no hashing on the per-call path) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -61,15 +61,25 @@ fi
 if [ "$(grep -rn 'fn sim_fire' crates/obs | wc -l)" -gt 1 ]; then
     echo "sim_fire defined more than once under crates/obs"; exit 1
 fi
-# Group reads and write-backs move bytes straight between the sector
-# store and cache buffers: no block copy in the cache, no staging buffer
-# in the driver (non-test lines: before the file's first #[cfg(test)]).
+# Reads share the platter's blocks: the sector store's chunks are the
+# cache's `Block`s, so a miss or group read installs a handle on the
+# platter's chunk, and write-backs hand the driver the cache's handles. No
+# block copy in the cache, no staging buffer in the driver, no free-list
+# buffer taken by a group read, no boxed byte chunk in the store
+# (non-test lines: before the file's first #[cfg(test)]).
 nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ":" $0 }' "$1"; }
 if nontest crates/cache/src/bufcache.rs | grep -E 'copy_of|\.to_vec\(\)'; then
     echo "a staging copy is back in the buffer cache"; exit 1
 fi
 if nontest crates/disksim/src/driver.rs | grep -E 'vec!\[0u8; total\]|Vec::with_capacity\(total\)'; then
     echo "a staging buffer is back in the driver"; exit 1
+fi
+GROUP=$(nontest crates/cache/src/bufcache.rs | awk '/pub fn read_group\(/ { f = 1 } f { print } f && /:    }$/ { exit }')
+if [ -z "$GROUP" ] || printf '%s\n' "$GROUP" | grep -E 'spare|take_spare'; then
+    echo "read_group is missing or fills free-list buffers instead of taking the platter's blocks"; exit 1
+fi
+if nontest crates/disksim/src/store.rs | grep -E 'Box<\[u8; *CHUNK_SIZE\]>'; then
+    echo "the sector store keeps boxed byte chunks instead of the cache's Block"; exit 1
 fi
 # Name resolution builds no string: the volume skeleton is keyed by
 # (parent index, name), not by path. Retiring a dead inode does not scan
@@ -130,12 +140,14 @@ if grep -rnE 'fn (set_slo|arm_default_slos|set_signal_ceiling)\b|Cadence::Host|A
     echo "a one-value setting (SLO registry, signal ceiling, host feed cadence or AutotriggerConfig) is back"; exit 1
 fi
 # The warm path pays no hashing for its bookkeeping: per-context obs
-# state is a short table searched by uid, the namespace hints are keyed
-# by the integer hasher, and a clock move is one visit to the context's
+# state is a short table searched by uid, the namespace hints and the
+# sector store's chunk map (hashed on every disk request) are keyed by
+# the integer hasher, and a clock move is one visit to the context's
 # clock (Obs::advance_clock_ns), not a read and a separate write.
 if grep -rnE 'HashMap<u64, ThreadTls>|RefCell<std::collections::HashMap' crates/obs/src \
-    || grep -rnE '(parent_of|last_read): HashMap<' crates/core/src; then
-    echo "a SipHash map is back on the per-call path (obs context table or NsState)"; exit 1
+    || grep -rnE '(parent_of|last_read): HashMap<' crates/core/src \
+    || grep -nE '\bHashMap\b' crates/disksim/src/store.rs; then
+    echo "a SipHash map is back on the per-call path (obs context table, NsState or the sector store)"; exit 1
 fi
 ADVANCE=$(awk '/pub fn advance\(/ { f = 1 } f { print } f && /^    }$/ { exit }' crates/disksim/src/driver.rs)
 if [ -z "$ADVANCE" ] || printf '%s\n' "$ADVANCE" | grep -n 'set_clock_ns('; then

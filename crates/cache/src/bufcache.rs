@@ -18,10 +18,17 @@
 //! takes the cache over budget evicts under the victim shard's lock
 //! alone, releasing its own shard lock first unless that is the victim.
 
-use cffs_disksim::driver::{Driver, IoDir, IoReq, Payload};
-use cffs_fslib::{FsResult, Ino, IntMap, BLOCK_SIZE, SECTORS_PER_BLOCK};
+use cffs_disksim::driver::{Driver, IoDir, IoReq};
+// A buffer's contents are a `Block`, the sector store's own chunk type:
+// a read hands out a handle on the buffer (a reference-count bump, no
+// copy), and a miss or group read installs a handle on the platter's
+// chunk (no copy either). A buffer is written only while the cache holds
+// its one handle: `writable` first copies a shared one — the platter's
+// chunk, or a buffer a reader still holds — into a free-list buffer, so
+// the platter and every earlier handle keep the bytes they had.
+use cffs_disksim::Block;
+use cffs_fslib::{FsResult, Ino, IntMap, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, Obs, Sig};
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -47,53 +54,6 @@ impl Default for CacheConfig {
         // not fit (as it did not on the testbed), large enough that a
         // round-robin sweep over 100 directories' group extents survives.
         CacheConfig { nbufs: 4096, flush_watermark_pct: 25 }
-    }
-}
-
-/// A shared, immutable handle on one cached block's contents, as of the
-/// moment it was read. Handing one out is a reference-count bump: a cache
-/// hit allocates and copies nothing.
-///
-/// Writers go through [`BufferCache::modify_block`] (or `_bound`), which
-/// mutates the buffer in place when no handle is outstanding and copies it
-/// first when one is — so a handle held across a modify of the same block
-/// stays correct (it keeps reading the old bytes) but costs that modify a
-/// 4 KB copy. Drop the handle before modifying the block it came from.
-#[derive(Debug, Clone)]
-pub struct Block(Arc<[u8; BLOCK_SIZE]>);
-
-impl Block {
-    fn zeroed() -> Block {
-        Block(Arc::new([0u8; BLOCK_SIZE]))
-    }
-
-    /// The bytes, writable: in place when unshared, a fresh copy otherwise.
-    fn make_mut(&mut self) -> &mut [u8] {
-        &mut Arc::make_mut(&mut self.0)[..]
-    }
-}
-
-impl Deref for Block {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.0[..]
-    }
-}
-
-/// A buffer is a disk request's memory: a write-back hands the driver a
-/// handle, a group read fills the buffer it will install.
-impl Payload for Block {
-    fn byte_len(&self) -> usize {
-        BLOCK_SIZE
-    }
-
-    fn gather(&self, f: &mut impl FnMut(&[u8])) {
-        f(self)
-    }
-
-    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
-        f(self.make_mut())
     }
 }
 
@@ -184,14 +144,17 @@ struct Budget {
     /// One per shard, by shard index.
     heads: Box<[Head]>,
     /// Free list: unshared buffers of evicted, invalidated and dropped
-    /// blocks (stale bytes), reused by the next miss or group fetch.
-    /// Survives `clear`. A buffer is kept only while resident + spare
-    /// stays within `nbufs` plus the largest fetch, so the cache owns at
-    /// most its capacity plus one group fetch.
+    /// blocks (stale bytes), taken by the first write to a shared buffer
+    /// (a miss or group read installs the platter's own chunk, a miss
+    /// that overwrites its block unread the zero block). Survives
+    /// `clear`. Every unshared buffer that leaves the cache is kept, up to
+    /// `nbufs` plus the largest fetch on the list alone: resident buffers
+    /// mostly share the platter's chunks and cost the cache nothing, so
+    /// counting them against the list would drop buffers the next writes
+    /// allocate anew.
     spare: Mutex<Vec<Block>>,
     /// Blocks in the largest fetch so far (a miss fetches one): the
-    /// free list's slack beyond `nbufs`, so that a fetch under eviction
-    /// pressure finds its buffers on the list the evictions refilled.
+    /// free list's slack beyond `nbufs`.
     largest_fetch: AtomicUsize,
 }
 
@@ -215,21 +178,30 @@ impl Budget {
         self.resident.load(Relaxed) > self.nbufs
     }
 
-    /// Memory for a block about to be installed: a spare buffer, still
-    /// holding its last block's bytes, or a fresh zeroed one.
-    fn take_spare(&self, obs: &Obs) -> Block {
-        obs.lock_timed(&self.spare, Ctr::LockWaitNsCache).pop().unwrap_or_else(Block::zeroed)
+    /// `data`'s bytes, writable: in place when the cache holds its only
+    /// handle, else first copied into a buffer that replaces it — a spare
+    /// one (unshared, its stale bytes overwritten), or a fresh one only
+    /// when the free list is empty.
+    fn writable<'b>(&self, obs: &Obs, data: &'b mut Block) -> &'b mut [u8] {
+        if data.get_mut().is_none() {
+            let spare = obs.lock_timed(&self.spare, Ctr::LockWaitNsCache).pop();
+            let mut own = spare.unwrap_or_else(Block::zeroed);
+            own.get_mut().expect("a spare buffer is unshared").copy_from_slice(data);
+            *data = own;
+        }
+        data.get_mut().expect("unshared above")
     }
 
-    /// Keep a departing buffer's memory for a later miss — only if no
-    /// reader holds a handle on it, and only while resident buffers plus
-    /// the free list stay within the cache's capacity plus one fetch.
-    fn recycle(&self, obs: &Obs, mut data: Block) {
-        if Arc::get_mut(&mut data.0).is_none() {
+    /// Keep a departing buffer's memory for a later write — only if
+    /// nothing else holds it (neither the platter nor a reader), and only
+    /// while the free list stays within the cache's capacity plus one
+    /// fetch.
+    fn recycle(&self, obs: &Obs, data: Block) {
+        if data.is_shared() {
             return;
         }
         let mut spare = obs.lock_timed(&self.spare, Ctr::LockWaitNsCache);
-        if spare.len() + self.resident.load(Relaxed) < self.nbufs + self.largest_fetch.load(Relaxed) {
+        if spare.len() < self.nbufs + self.largest_fetch.load(Relaxed) {
             spare.push(data);
         }
     }
@@ -608,7 +580,7 @@ impl CacheCore {
         }
     }
 
-    /// Forget every buffer; their memory joins the free list.
+    /// Forget every buffer; the unshared ones join the free list.
     fn clear(&mut self, obs: &Obs) {
         self.budget.resident.fetch_sub(self.phys.len(), Relaxed);
         self.sub_dirty(self.ndirty);
@@ -781,8 +753,8 @@ impl BufferCache {
 
     /// Core miss/hit path: lock `blkno`'s shard and return it with the
     /// block's slot, reading from disk on a miss when `read` is set
-    /// (otherwise installing a zeroed buffer: callers rely on a new block
-    /// reading as zeros). A miss that takes the cache over budget makes
+    /// (otherwise installing the shared zero block: callers rely on a new
+    /// block reading as zeros, and the write that follows copies it). A miss that takes the cache over budget makes
     /// room, releasing the shard (and re-taking it) unless it is the
     /// victim's.
     fn get_slot(&self, ctx: &Ctx, blkno: u64, read: bool) -> (MutexGuard<'_, CacheCore>, usize) {
@@ -796,12 +768,7 @@ impl BufferCache {
             core.lookups += 1;
             ctx.obs.bump(Ctr::CacheLookups);
             ctx.obs.bump(Ctr::CacheMisses);
-            let mut data = self.budget.take_spare(ctx.obs);
-            if read {
-                ctx.driver.read(blkno * SECTORS_PER_BLOCK, data.make_mut());
-            } else {
-                data.make_mut().fill(0);
-            }
+            let data = if read { ctx.driver.read_block(blkno * SECTORS_PER_BLOCK) } else { Block::zero() };
             let slot =
                 core.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch: None });
             if !self.budget.over() {
@@ -947,10 +914,12 @@ impl BufferCache {
         Ok(core.data(slot))
     }
 
-    /// Mutate a block in place. `read_first` controls whether a cache miss
-    /// fetches the old contents (true for partial updates, false when the
-    /// caller will overwrite the whole block). The buffer is left dirty;
-    /// durability is the caller's policy decision.
+    /// Mutate a block in place (a block that shares the platter's chunk or
+    /// a reader's handle is first copied into a free-list buffer).
+    /// `read_first` controls whether a cache miss fetches the old contents
+    /// (true for partial updates, false when the caller will overwrite the
+    /// whole block). The buffer is left dirty; durability is the caller's
+    /// policy decision.
     pub fn modify_block<R>(
         &self,
         driver: &Driver,
@@ -963,7 +932,7 @@ impl BufferCache {
         let (mut core, slot) = self.get_slot(&ctx, blkno, read_first);
         let b = core.dirty_buf(slot);
         b.meta = meta;
-        Ok(f(b.data.make_mut()))
+        Ok(f(self.budget.writable(&self.obs, &mut b.data)))
     }
 
     /// Mutate a block and bind its logical identity (file-write path).
@@ -979,7 +948,7 @@ impl BufferCache {
         let ctx = self.ctx(driver);
         let (mut core, slot) = self.get_slot(&ctx, blkno, read_first);
         core.bind_slot(&ctx, slot, ino, lbn);
-        Ok(f(core.dirty_buf(slot).data.make_mut()))
+        Ok(f(self.budget.writable(&self.obs, &mut core.dirty_buf(slot).data)))
     }
 
     /// If `blkno` is dirty, write it to disk *now* and mark it clean. This
@@ -1144,31 +1113,27 @@ impl BufferCache {
     /// later via back-binding.
     ///
     /// Each piece of a run between resident blocks is one read request
-    /// whose payload is the list of buffers it will install, so the disk
-    /// scatters straight into them — and the scheduler sees one request
-    /// per piece, as C-LOOK must (its wrap point can fall inside a run).
-    /// The fetch installs all its blocks, then makes room once.
+    /// whose payload is the list of blocks it will install, so the disk
+    /// lends each the platter's chunk (a handle, no copy and no free-list
+    /// buffer: the first write to one copies it, see [`modify_block`]) —
+    /// and the scheduler sees one request per piece, as C-LOOK must (its
+    /// wrap point can fall inside a run). The fetch installs all its
+    /// blocks, then makes room once.
+    ///
+    /// [`modify_block`]: BufferCache::modify_block
     pub fn read_group(&self, driver: &Driver, runs: &[(u64, usize)]) -> FsResult<()> {
         let ctx = self.ctx(driver);
         let mut reqs: Vec<IoReq<Vec<Block>>> = Vec::new();
-        // Consecutive blocks of one shard share one shard lock, and one
-        // free-list lock under it.
+        // Consecutive blocks of one shard share one shard lock.
         let mut held: Held = None;
-        let mut spare: Option<MutexGuard<Vec<Block>>> = None;
         for &(start, n) in runs {
             // Split each run at resident blocks.
             let mut piece: Option<IoReq<Vec<Block>>> = None;
             for blk in start..start + n as u64 {
-                let idx = self.shard_of(blk);
-                if held.as_ref().is_some_and(|(i, _)| *i != idx) {
-                    spare = None;
-                }
-                if self.shard_held(&mut held, idx).phys.contains_key(&blk) {
+                if self.shard_held(&mut held, self.shard_of(blk)).phys.contains_key(&blk) {
                     reqs.extend(piece.take());
                     continue;
                 }
-                let spare = spare
-                    .get_or_insert_with(|| self.obs.lock_timed(&self.budget.spare, Ctr::LockWaitNsCache));
                 piece
                     .get_or_insert_with(|| IoReq {
                         lba: blk * SECTORS_PER_BLOCK,
@@ -1176,11 +1141,11 @@ impl BufferCache {
                         data: Vec::with_capacity(n),
                     })
                     .data
-                    .push(spare.pop().unwrap_or_else(Block::zeroed));
+                    .push(Block::zero());
             }
             reqs.extend(piece);
         }
-        drop((spare, held));
+        drop(held);
         if reqs.is_empty() {
             return Ok(());
         }
@@ -1206,8 +1171,8 @@ impl BufferCache {
                 let core = self.shard_held(&mut held, self.shard_of(blk));
                 if core.phys.contains_key(&blk) {
                     // A concurrent installer beat us to this block; the
-                    // speculative buffer goes back unused, a waste.
-                    self.budget.recycle(&self.obs, data);
+                    // speculative block is dropped unused, a waste.
+                    drop(data);
                     gfetch_wasted(&ctx, fetch_id);
                     continue;
                 }
@@ -1279,9 +1244,14 @@ impl BufferCache {
 
 #[cfg(test)]
 impl BufferCache {
-    /// Buffers the cache owns: its resident ones plus its free list.
+    /// Buffers the cache owns: its unshared resident ones plus its free
+    /// list. A resident block that shares the platter's chunk is the
+    /// platter's memory, not the cache's.
     fn owned(&self) -> usize {
-        self.resident() + self.budget.spare.lock().unwrap().len()
+        let unshared = |s: &Mutex<CacheCore>| {
+            s.lock().unwrap().bufs.iter().flatten().filter(|b| !b.data.is_shared()).count()
+        };
+        self.shards.iter().map(unshared).sum::<usize>() + self.budget.spare.lock().unwrap().len()
     }
 }
 
@@ -1289,6 +1259,7 @@ impl BufferCache {
 mod tests {
     use super::*;
     use cffs_disksim::{models, Disk, DriverConfig};
+    use cffs_fslib::BLOCK_SIZE;
 
     fn driver() -> Driver {
         Driver::new(Disk::new(models::seagate_st31200()), DriverConfig::default())
@@ -1689,11 +1660,12 @@ mod tests {
         assert_eq!(c.dirty_count(), 1, "re-homed buffer is dirty");
     }
 
-    /// Group reads, misses, relocations and invalidations under eviction
-    /// pressure all return buffers to the one free list; it stops at the
-    /// cache's capacity plus the largest fetch, so however the buffers
-    /// move between shards, the cache owns at most its capacity plus one
-    /// 16-block group fetch.
+    /// Group reads, misses, first writes to shared blocks, relocations
+    /// and invalidations under eviction pressure: every unshared buffer
+    /// that leaves the cache joins the one free list, and a write to a
+    /// shared block takes one back. However the buffers move between
+    /// shards, the cache's unshared buffers (resident ones and the free
+    /// list) stay within its capacity plus one 16-block group fetch.
     #[test]
     fn free_list_is_capped_by_cache_capacity() {
         let drv = driver();
@@ -1703,6 +1675,7 @@ mod tests {
             c.read_group(&drv, &[(32 * (i % 4), 16)]).unwrap();
             let old = 16 * (i % 8) + i % 16;
             let _ = c.read_block(&drv, old).unwrap();
+            c.modify_block(&drv, old, false, true, |d| d[0] = i as u8).unwrap();
             c.relocate_phys(&drv, old, old ^ 16);
             c.invalidate_block(&drv, i % 48);
             assert!(c.resident() <= 16, "{} buffers resident", c.resident());
@@ -1896,6 +1869,7 @@ mod tests {
 mod proptests {
     use super::*;
     use cffs_disksim::{models, Disk, DriverConfig, Scheduler};
+    use cffs_fslib::BLOCK_SIZE;
     use proptest::prelude::*;
     use proptest::TestCaseError;
     use std::collections::HashMap;
@@ -2209,8 +2183,8 @@ mod proptests {
     /// Drive a 2-shard cache with calls that recycle buffers; every byte
     /// handed out must match the model of platter plus dirty set (a
     /// non-reading miss sees zeros, never a recycled buffer's old bytes),
-    /// a held handle keeps its snapshot, and the cache owns no more than
-    /// its capacity plus one group fetch.
+    /// a held handle keeps its snapshot, and the cache owns no more
+    /// unshared buffers than its capacity plus one group fetch.
     fn check_recycling(ops: Vec<RecycleOp>) -> Result<(), TestCaseError> {
         const MAX_GROUP: usize = 15;
         let drv = tiny_driver(Scheduler::default());

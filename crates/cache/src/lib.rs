@@ -30,16 +30,18 @@
 //! * Reads hand out a [`Block`]: a shared, immutable handle on the
 //!   buffer's contents as of that moment. A cache hit is a reference-count
 //!   bump and one list relink — no allocation, no copy. `modify_block*`
-//!   mutate an unshared buffer in place and copy it first only while some
-//!   reader still holds a handle (which then keeps its snapshot), so drop
-//!   a handle before modifying the block it came from.
+//!   mutate an unshared buffer in place and copy a shared one first (a
+//!   reader's handle then keeps its snapshot), so drop a handle before
+//!   modifying the block it came from.
 //!
-//! * Buffers are reused, and the disk path copies none: the cache keeps
-//!   the unshared buffers of evicted, invalidated and dropped blocks on
-//!   one free list (capped so that resident buffers plus the list stay
-//!   within the capacity plus one group fetch) for the next miss or group
-//!   fetch; a group read scatters straight into the buffers it installs,
-//!   and a write-back hands the driver [`Block`] handles, not copies.
+//! * Reads share the platter's blocks: [`Block`] is the sector store's
+//!   own chunk type, so a miss or a group read installs a handle on the
+//!   platter's chunk and copies nothing. The first write to such a block
+//!   copies it into a buffer from the one free list, which keeps every
+//!   unshared buffer of an evicted, invalidated or dropped block (up to
+//!   the capacity plus one group fetch, on the list alone); the platter
+//!   keeps its bytes until the write-back, and a write-back hands the
+//!   driver [`Block`] handles, not copies.
 //!
 //! * The capacity ([`CacheConfig::nbufs`]) is one budget for the whole
 //!   cache. [`BufferCache::shard_by_cg`] splits the *locks* by cylinder
@@ -59,4 +61,7 @@
 
 mod bufcache;
 
-pub use bufcache::{Block, BufferCache, CacheConfig};
+pub use bufcache::{BufferCache, CacheConfig};
+/// The cache's buffer type: the sector store's chunk type, so a miss or a
+/// group read installs the platter's own chunk.
+pub use cffs_disksim::Block;

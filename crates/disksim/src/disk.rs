@@ -3,7 +3,7 @@
 //! one request at a time and keeps a consistent mechanical state.
 
 use crate::cache::{OnboardCache, OnboardCacheConfig};
-use crate::driver::Payload;
+use crate::driver::{Payload, Piece};
 use crate::geometry::{slot_angle, ChsPos, Geometry};
 use crate::seek::SeekCurve;
 use crate::store::SectorStore;
@@ -501,9 +501,10 @@ impl Disk {
     }
 
     /// Service one request for the whole payload at `lba`, starting no
-    /// earlier than `now`, and move its bytes in place: the store
-    /// scatters into a read's pieces, a write's pieces are gathered into
-    /// the store. Returns the completion time.
+    /// earlier than `now`, and move its bytes in place: the store lends a
+    /// read's block pieces its chunks (a handle each, no copy) and copies
+    /// into its byte pieces; a write's pieces are gathered into the store.
+    /// Returns the completion time.
     pub(crate) fn transfer<P: Payload + ?Sized>(
         &mut self,
         now: SimTime,
@@ -520,8 +521,17 @@ impl Disk {
         match xfer {
             Xfer::Read(p) => {
                 p.scatter(&mut |piece| {
-                    self.store.read(at, piece);
-                    at += (piece.len() / SECTOR_SIZE) as u64;
+                    let len = match piece {
+                        Piece::Bytes(buf) => {
+                            self.store.read(at, buf);
+                            buf.len()
+                        }
+                        Piece::Block(block) => {
+                            self.store.lend(at, block);
+                            block.len()
+                        }
+                    };
+                    at += (len / SECTOR_SIZE) as u64;
                 });
                 self.obs.bump(Ctr::DiskReads);
                 self.obs.add(Ctr::DiskBytesRead, n * SECTOR_SIZE as u64);

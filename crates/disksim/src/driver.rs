@@ -7,7 +7,10 @@
 //! scheduler, physically adjacent requests of the same direction are merged
 //! into a single disk request, and the batch is serviced back-to-back. A
 //! merged run moves its bytes straight between the platter and each
-//! request's own memory (see [`Payload`]); nothing is staged.
+//! request's own memory (see [`Payload`]); nothing is staged. A read
+//! whose memory is a [`Block`] at a block boundary is not even copied:
+//! the platter lends it its chunk ([`Driver::read_block`], and each block
+//! of a batch read's pieces).
 //!
 //! The driver also owns the simulated clock. File systems charge CPU time
 //! to it (via [`Driver::advance`]) and I/O time flows through the disk's
@@ -15,6 +18,7 @@
 //! experiment taken so far".
 
 use crate::disk::{Disk, Xfer};
+use crate::store::Block;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
 use cffs_obs::{Ctr, Obs, Sig};
@@ -49,17 +53,28 @@ pub enum IoDir {
     Write,
 }
 
+/// One piece of a read's memory, as the disk fills it.
+#[derive(Debug)]
+pub enum Piece<'a> {
+    /// Plain bytes: the platter's contents are copied in.
+    Bytes(&'a mut [u8]),
+    /// A block handle: at a block boundary it becomes a handle on the
+    /// platter's chunk (see [`SectorStore::lend`](crate::store::SectorStore::lend)).
+    Block(&'a mut Block),
+}
+
 /// The memory one request moves: a byte length (a whole number of
 /// sectors) and its pieces in disk order. The disk gathers a write's
-/// pieces into the sector store and scatters a read into them in place,
-/// so a payload made of cache buffers is never staged or copied.
+/// pieces into the sector store, and scatters a read into them in place
+/// or, for a [`Block`] piece, lends it the platter's chunk: a payload
+/// made of cache buffers is never staged, and a read of one not copied.
 pub trait Payload {
     /// Total length in bytes.
     fn byte_len(&self) -> usize;
     /// Hand each piece, in disk order, to `f` to be written out.
     fn gather(&self, f: &mut impl FnMut(&[u8]));
     /// Hand each piece, in disk order, to `f` to be filled.
-    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8]));
+    fn scatter(&mut self, f: &mut impl FnMut(Piece<'_>));
 }
 
 impl Payload for [u8] {
@@ -71,8 +86,24 @@ impl Payload for [u8] {
         f(self)
     }
 
-    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+    fn scatter(&mut self, f: &mut impl FnMut(Piece<'_>)) {
+        f(Piece::Bytes(self))
+    }
+}
+
+/// A block is a disk request's memory: a write-back hands the driver the
+/// cache's handle, a read takes a handle on the platter's chunk.
+impl Payload for Block {
+    fn byte_len(&self) -> usize {
+        self.len()
+    }
+
+    fn gather(&self, f: &mut impl FnMut(&[u8])) {
         f(self)
+    }
+
+    fn scatter(&mut self, f: &mut impl FnMut(Piece<'_>)) {
+        f(Piece::Block(self))
     }
 }
 
@@ -86,7 +117,7 @@ impl<P: Payload> Payload for [P] {
         self.iter().for_each(|p| p.gather(f))
     }
 
-    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+    fn scatter(&mut self, f: &mut impl FnMut(Piece<'_>)) {
         self.iter_mut().for_each(|p| p.scatter(f))
     }
 }
@@ -103,7 +134,7 @@ where
         self[..].gather(f)
     }
 
-    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+    fn scatter(&mut self, f: &mut impl FnMut(Piece<'_>)) {
         self[..].scatter(f)
     }
 }
@@ -145,7 +176,7 @@ impl<B: Payload> Payload for IoReq<B> {
         self.data.gather(f)
     }
 
-    fn scatter(&mut self, f: &mut impl FnMut(&mut [u8])) {
+    fn scatter(&mut self, f: &mut impl FnMut(Piece<'_>)) {
         self.data.scatter(f)
     }
 }
@@ -224,6 +255,19 @@ impl Driver {
             count_physical(&self.obs, 1);
             disk.read(now, lba, buf)
         });
+    }
+
+    /// Synchronously read the 4 KB at `lba` as a [`Block`], advancing the
+    /// calling thread's clock to the request's completion: one request,
+    /// timed and counted as [`Driver::read`]'s, whose block is a handle on
+    /// the platter's chunk when `lba` is block-aligned (nothing copied).
+    pub fn read_block(&self, lba: u64) -> Block {
+        let mut block = Block::zero();
+        self.submit(1, false, |disk, now| {
+            count_physical(&self.obs, 1);
+            disk.transfer(now, lba, Xfer::Read(&mut block))
+        });
+        block
     }
 
     /// Synchronously write `buf` at `lba`, advancing the calling thread's

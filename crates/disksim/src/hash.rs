@@ -1,13 +1,16 @@
 //! A small multiplicative hasher for the process-private, integer-keyed
-//! indexes on the cache hit paths (block number → slot, `(ino, lbn)` →
-//! block, dcache key hash → slots) and for `cffs-core`'s namespace hints
-//! (`NsState::parent_of`, child → directory, noted on every lookup, and
-//! `NsState::last_read`, inode → last block read, on every read).
+//! indexes on the per-call paths: the sector store's chunk map (chunk
+//! index → chunk, hashed on every disk request), the cache hit paths
+//! (block number → slot, `(ino, lbn)` → block, dcache key hash → slots)
+//! and `cffs-core`'s namespace hints (`NsState::parent_of`, child →
+//! directory, noted on every lookup, and `NsState::last_read`, inode →
+//! last block read, on every read). `cffs_fslib` re-exports this module
+//! as `cffs_fslib::hash`.
 //!
 //! `std`'s default SipHash defends a map against keys an adversary
-//! chooses; these keys are block numbers and inode numbers the file
-//! system handed out itself, so that defence buys nothing and costs most
-//! of a lookup. Keep the default hasher for keys that come from outside
+//! chooses; these keys are chunk, block and inode numbers the program
+//! computed or handed out itself, so that defence buys nothing and costs
+//! most of a lookup. Keep the default hasher for keys that come from outside
 //! the program (path strings, names).
 //!
 //! No caller may depend on iteration order: it differs from SipHash's

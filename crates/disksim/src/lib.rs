@@ -37,7 +37,9 @@
 //!
 //! Time is simulated: every access returns a completion time and the drive
 //! keeps its arm/rotation state consistent with that clock. Nothing here
-//! does real I/O; sector contents live in a sparse in-memory store.
+//! does real I/O; sector contents live in a sparse in-memory store of
+//! 4 KB [`Block`] chunks, which a block-aligned read into a `Block` shares
+//! instead of copying.
 //!
 //! ## Example
 //!
@@ -57,6 +59,7 @@
 pub mod cache;
 pub mod driver;
 pub mod geometry;
+pub mod hash;
 pub mod models;
 pub mod seek;
 pub mod stats;
@@ -66,10 +69,11 @@ pub mod time;
 mod disk;
 
 pub use disk::{Disk, DiskModel, Positioning, TraceEntry};
-pub use driver::{Driver, DriverConfig, IoDir, IoReq, Payload, Scheduler};
+pub use driver::{Driver, DriverConfig, IoDir, IoReq, Payload, Piece, Scheduler};
 pub use geometry::{Geometry, Zone};
 pub use seek::SeekCurve;
 pub use stats::{DiskStats, DriverStats};
+pub use store::Block;
 pub use time::{SimDuration, SimTime};
 
 /// Size of a disk sector in bytes. All 90s-era SCSI drives used 512.

@@ -44,7 +44,9 @@
 //!   included.
 //! * [`codec`] — little-endian on-disk integer codecs.
 //! * [`hash::IntMap`] — `HashMap` with a multiplicative hasher for the
-//!   process-private integer-keyed indexes on the cache hit paths.
+//!   process-private integer-keyed indexes on the cache hit paths
+//!   (`cffs_disksim::hash`, re-exported: the sector store keys its
+//!   chunks with it too).
 
 pub mod bitmap;
 pub mod bmap;
@@ -53,7 +55,6 @@ pub mod cpu;
 pub mod error;
 pub mod file;
 pub mod fsck;
-pub mod hash;
 pub mod inode;
 pub mod model;
 pub mod path;
@@ -62,6 +63,7 @@ pub mod vfs;
 pub use bitmap::Bitmap;
 pub use cpu::CpuModel;
 pub use error::{FsError, FsResult};
+pub use cffs_disksim::hash;
 pub use hash::IntMap;
 pub use inode::Inode;
 pub use vfs::{

@@ -9,12 +9,15 @@
 //! built on them — a `Cffs` lookup + read and create + write + unlink,
 //! and a `VolumeSet` resolve, read, overwrite and striped read — must
 //! make zero heap requests, and so must reading either one's I/O view.
-//! Misses, group reads and write-backs move bytes straight between the
-//! platter and recycled cache buffers, so none of them makes a
-//! block-sized request either; a cold grouped lookup + read makes an
-//! exactly pinned number of small ones.
+//! A miss or a group read installs the platter's own chunk (a handle,
+//! no copy), the first write to such a shared block copies it into a
+//! recycled cache buffer, and a write-back hands the driver the cache's
+//! handles, so none of them makes a block-sized request either; a cold
+//! group read and a cold grouped lookup + read make exactly pinned
+//! numbers of small ones, and the platter keeps its bytes until the
+//! write-back.
 
-use cffs::cache::{BufferCache, CacheConfig};
+use cffs::cache::{Block, BufferCache, CacheConfig};
 use cffs::core::{CffsConfig, MkfsParams};
 use cffs::obs::Ctr;
 use cffs_disksim::{models, Disk, Driver, DriverConfig, Scheduler, SECTOR_SIZE};
@@ -177,7 +180,7 @@ fn driver_single_block_requests_allocate_nothing() {
 /// of the dead inode does not scan the cache. In synchronous mode the
 /// directory block goes through the driver on every create and unlink;
 /// the write goes to the fresh file, whose newly allocated block is a
-/// cache miss served by the buffer the previous unlink's freed block
+/// cache miss written into the buffer the previous unlink's freed block
 /// left on the free list.
 #[test]
 fn warm_create_write_unlink_allocates_nothing() {
@@ -280,9 +283,9 @@ fn io_stats_views_allocate_nothing() {
     assert!(views.iter().all(|v| v.disk.writes > 0 && v.cache.lookups > 0), "{views:?}");
 }
 
-/// A cold 16-block group read scatters straight into the buffers it
-/// installs: once evictions have stocked the free list, it makes no
-/// block-sized heap request — nothing is staged, copied or allocated.
+/// A cold 16-block group read under eviction pressure installs the
+/// platter's chunks: it makes no block-sized heap request — nothing is
+/// staged, copied or allocated.
 #[test]
 fn cold_group_read_makes_no_block_sized_request() {
     let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
@@ -299,6 +302,80 @@ fn cold_group_read_makes_no_block_sized_request() {
     assert!(largest < BLOCK_SIZE as u64, "a cold group read requested {largest} bytes at once");
     assert_eq!(drv.obs().get(Ctr::DiskReads), reads + 1, "the fetch was one disk read");
     assert_eq!(cache.obs().get(Ctr::CacheGroupReadBlocks), 9 * 16);
+}
+
+/// Heap requests of a cold 16-block group read with no block resident:
+/// `read_group`'s request list and its one request's block list. The
+/// blocks themselves are the platter's chunks, lent, not copied.
+const COLD_GROUP_READ_ALLOCS: u64 = 2;
+
+/// A 16-block extent the platter holds, each block with its own bytes.
+fn write_extent(drv: &Driver, first: u64) {
+    for blk in first..first + 16 {
+        drv.with_disk_mut(|d| d.raw_write(blk * (BLOCK_SIZE / SECTOR_SIZE) as u64, &[blk as u8; BLOCK_SIZE]));
+    }
+}
+
+/// A cold group read makes no buffer of its own: every block it installs
+/// is the platter's chunk (the same memory, not a copy of it), and once
+/// evictions have sized the cache's slot tables, its only heap requests
+/// are its request lists.
+#[test]
+fn cold_group_read_installs_the_platters_blocks() {
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let cache = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+    for extent in 0..9u64 {
+        write_extent(&drv, extent * 16);
+    }
+    // Twice the capacity: the later fetches evict the earlier ones.
+    for extent in 0..8u64 {
+        cache.read_group(&drv, &[(extent * 16, 16)]).expect("warm-up fetch");
+    }
+
+    let (allocs, bytes) = heap_of(|| cache.read_group(&drv, &[(8 * 16, 16)]).expect("cold fetch"));
+    assert_eq!(allocs, COLD_GROUP_READ_ALLOCS, "heap requests of a cold 16-block group read");
+    assert!(bytes < BLOCK_SIZE as u64, "a cold group read requested {bytes} bytes");
+    for blk in 8 * 16..9 * 16u64 {
+        let cached = cache.read_block(&drv, blk).expect("resident");
+        let platter = drv.read_block(blk * (BLOCK_SIZE / SECTOR_SIZE) as u64);
+        assert!(Block::ptr_eq(&cached, &platter), "block {blk} is a copy of the platter's chunk");
+        assert!(cached.iter().all(|&b| b == blk as u8), "block {blk} read wrong bytes");
+    }
+    assert_eq!(cache.obs().get(Ctr::CacheGroupReadBlocks), 9 * 16);
+}
+
+/// The first write to a group-read block copies it into a buffer from
+/// the free list, so it makes no heap request while the list holds one;
+/// the platter keeps its bytes (and its chunk) until the write-back.
+#[test]
+fn first_modify_of_a_group_read_block_reuses_a_free_buffer() {
+    let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
+    let cache = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+    let lba = |blk: u64| blk * (BLOCK_SIZE / SECTOR_SIZE) as u64;
+    write_extent(&drv, 0);
+    // Stock the free list: a write makes a buffer of the cache's own, and
+    // forgetting its block puts that buffer on the list.
+    cache.modify_block(&drv, 500, false, false, |d| d[0] = 1).expect("modify");
+    cache.invalidate_block(&drv, 500);
+    cache.read_group(&drv, &[(0, 16)]).expect("group read");
+    let platter = drv.read_block(lba(5));
+
+    let heap = heap_of(|| {
+        cache.modify_block(&drv, 5, false, true, |d| d[0] = 0xAB).expect("first modify");
+    });
+    assert_eq!(heap, (0, 0), "the first modify of a group-read block made heap requests");
+    let cached = cache.read_block(&drv, 5).expect("resident");
+    assert!(!Block::ptr_eq(&cached, &platter), "the modify wrote into the platter's chunk");
+    assert_eq!((cached[0], cached[1]), (0xAB, 5), "the copy carries the block's other bytes");
+
+    let mut back = [0u8; BLOCK_SIZE];
+    drv.with_disk(|d| d.raw_read(lba(5), &mut back));
+    assert!(back.iter().all(|&b| b == 5), "the platter changed before the write-back");
+    assert!(platter.iter().all(|&b| b == 5), "the platter's chunk changed under its holder");
+    cache.sync(&drv).expect("sync");
+    drv.with_disk(|d| d.raw_read(lba(5), &mut back));
+    assert_eq!((back[0], back[1]), (0xAB, 5), "the write-back landed");
+    assert!(platter.iter().all(|&b| b == 5), "a held handle on the old chunk keeps its bytes");
 }
 
 /// Heap requests of one cold lookup + 1 KB read in a grouped directory
@@ -400,17 +477,17 @@ fn sync_across_heads_of_one_cylinder_allocates_nothing() {
     assert!(clook < lba_order, "C-LOOK waited {clook} ns for the platter, LBA order {lba_order} ns");
 }
 
-/// Under eviction pressure a miss reuses the evicted buffer: reading and
-/// non-reading misses, each evicting a dirty block and writing it back,
-/// make no block-sized heap request.
+/// Under eviction pressure a reading miss installs the platter's chunk and
+/// a non-reading miss reuses an evicted buffer: both, each evicting a
+/// dirty block and writing it back, make no block-sized heap request.
 #[test]
 fn misses_under_eviction_pressure_allocate_no_block() {
     const BLOCKS: u64 = 64;
     let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
     let cache = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
     let lba = |blk: u64| blk * (BLOCK_SIZE / SECTOR_SIZE) as u64;
-    // Even blocks are read and hold 0xEE, so their recycled buffers carry
-    // stale bytes; odd ones are overwritten without a read.
+    // Even blocks are read and hold 0xEE; odd ones are overwritten
+    // without a read, into recycled buffers that carry stale bytes.
     for blk in (0..BLOCKS).step_by(2) {
         drv.with_disk_mut(|d| d.raw_write(lba(blk), &[0xEE; BLOCK_SIZE]));
     }
