@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, reads share the platter's blocks, no path keys, one run per miss, one cache budget, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings, no hashing on the per-call path) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, reads share the platter's blocks, no path keys, one run per miss, one cache budget, one cache lock, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings, no hashing on the per-call path) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -96,13 +96,20 @@ fi
 if grep -rn 'live_runs(' crates/core/src; then
     echo "the whole-group read plan (live_runs) is back in crates/core"; exit 1
 fi
-# The buffer cache's shards split its locks, not its capacity: one
-# cache-wide budget, no per-shard share of `nbufs` carved out again.
+# The buffer cache's shards partition its eviction, not its capacity:
+# one cache-wide budget, no per-shard share of `nbufs` carved out again.
 for f in crates/cache/src/*.rs; do
     if nontest "$f" | grep -E 'nbufs / n\b|per_shard'; then
         echo "a per-shard capacity division is back in crates/cache"; exit 1
     fi
 done
+# The buffer cache is one mutex over one plain state struct, held for a
+# whole call: no second lock, no published atomics, no shard-lock
+# hand-off and no lock-per-frame recursive flush.
+if [ "$(nontest crates/cache/src/bufcache.rs | grep -c 'Mutex<')" -ne 1 ] \
+    || nontest crates/cache/src/bufcache.rs | grep -E 'atomic::|Atomic(U|I|Bool|Ptr)|\bHeld\b|shard_held|flush_from'; then
+    echo "the buffer cache has a second lock, atomics, a shard-lock hand-off or a recursive flush"; exit 1
+fi
 # I/O is counted once, in the Obs registry: IoStats is a view of its
 # counters, so no layer keeps a stat struct of its own, or resets one.
 if grep -rnE 'fn (reset_io_stats|reset_stats|disk_stats)\b|[a-z_]+: *(Mutex<)?(Cache|Driver|Disk)Stats\b' \

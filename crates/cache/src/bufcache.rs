@@ -1,22 +1,4 @@
 //! The buffer cache implementation. See the crate docs for the design.
-//!
-//! # Concurrency
-//!
-//! The cache's *locks* are sharded: physical blocks map to independently
-//! locked shards (by cylinder group when [`BufferCache::shard_by_cg`] is
-//! configured, a single shard otherwise), so threads working disjoint
-//! CGs never contend on buffer state. Its *capacity* is not: one budget,
-//! one touch clock, one dirty count and one free list span every shard
-//! (see [`Budget`]). The logical (file, offset) index is a separate
-//! authoritative map guarded by its own lock; per-buffer back-pointers
-//! only validate it. Lock order: shard locks in ascending shard index,
-//! then the logical map, then the group-fetch tally — never the
-//! reverse; the free list and the write-back list are leaves, taken
-//! alone. A lookup that starts from a logical identity takes the logical
-//! lock, *releases it*, then takes the owning shard lock and
-//! re-validates, so staleness can only manifest as a miss. A miss that
-//! takes the cache over budget evicts under the victim shard's lock
-//! alone, releasing its own shard lock first unless that is the victim.
 
 use cffs_disksim::driver::{Driver, IoDir, IoReq};
 // A buffer's contents are a `Block`, the sector store's own chunk type:
@@ -29,7 +11,6 @@ use cffs_disksim::driver::{Driver, IoDir, IoReq};
 use cffs_disksim::Block;
 use cffs_fslib::{FsResult, Ino, IntMap, SECTORS_PER_BLOCK};
 use cffs_obs::{Ctr, Obs, Sig};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Buffer-cache configuration.
@@ -60,6 +41,10 @@ impl Default for CacheConfig {
 #[derive(Debug)]
 struct Buf {
     blkno: u64,
+    /// The logical identity this buffer was last bound to. The logical
+    /// index is authoritative: an entry always names a resident buffer
+    /// whose `logical` is that entry's key, but a buffer keeps its
+    /// `logical` after the identity is bound to another block.
     logical: Option<(Ino, u64)>,
     data: Block,
     dirty: bool,
@@ -88,7 +73,7 @@ struct GroupFetch {
 }
 
 /// Physical-block → shard mapping: blocks of one cylinder group always
-/// land in one shard, so per-CG workloads lock exactly one shard.
+/// land in one shard.
 #[derive(Debug, Clone, Copy)]
 struct ShardMap {
     cg_blocks: u64,
@@ -110,129 +95,11 @@ struct Link {
 
 const UNLINKED: Link = Link { prev: NIL, next: NIL, tick: 0 };
 
-/// What one shard publishes for victim selection, written under its
-/// lock and read without it.
+/// One eviction partition: its buffers, physical index and LRU list.
+/// Capacity, the touch clock, the logical index and the free list are
+/// the cache's, in [`State`].
 #[derive(Debug)]
-struct Head {
-    /// Resident buffers in the shard.
-    len: AtomicUsize,
-    /// Last-touch tick of the shard's LRU head (`u64::MAX` when empty).
-    tick: AtomicU64,
-}
-
-/// The state every shard shares: one capacity for the whole cache.
-///
-/// The atomics are `Relaxed` because they publish no data: buffers are
-/// only ever read under their shard's lock, and a victim chosen from
-/// the published heads is re-checked under its shard's lock. A count
-/// read stale by a concurrent thread only hastens or delays one
-/// eviction; single-threaded, every count and tick is exact.
-#[derive(Debug)]
-struct Budget {
-    /// Capacity in buffers, cache-wide.
-    nbufs: usize,
-    /// A shard's fair share of `nbufs`. A shard may grow past it while
-    /// the cache has room; over budget, only shards past it give up a
-    /// buffer, so borrowed capacity goes back first.
-    fair: usize,
-    /// Resident buffers, cache-wide.
-    resident: AtomicUsize,
-    /// Dirty buffers, cache-wide: what the flush watermark compares.
-    dirty: AtomicUsize,
-    /// The touch clock: each use of a buffer stamps the next tick.
-    clock: AtomicU64,
-    /// One per shard, by shard index.
-    heads: Box<[Head]>,
-    /// Free list: unshared buffers of evicted, invalidated and dropped
-    /// blocks (stale bytes), taken by the first write to a shared buffer
-    /// (a miss or group read installs the platter's own chunk, a miss
-    /// that overwrites its block unread the zero block). Survives
-    /// `clear`. Every unshared buffer that leaves the cache is kept, up to
-    /// `nbufs` plus the largest fetch on the list alone: resident buffers
-    /// mostly share the platter's chunks and cost the cache nothing, so
-    /// counting them against the list would drop buffers the next writes
-    /// allocate anew.
-    spare: Mutex<Vec<Block>>,
-    /// Blocks in the largest fetch so far (a miss fetches one): the
-    /// free list's slack beyond `nbufs`.
-    largest_fetch: AtomicUsize,
-}
-
-impl Budget {
-    fn new(nbufs: usize, nshards: usize) -> Arc<Budget> {
-        Arc::new(Budget {
-            nbufs,
-            fair: nbufs / nshards,
-            resident: AtomicUsize::new(0),
-            dirty: AtomicUsize::new(0),
-            clock: AtomicU64::new(0),
-            heads: (0..nshards)
-                .map(|_| Head { len: AtomicUsize::new(0), tick: AtomicU64::new(u64::MAX) })
-                .collect(),
-            spare: Mutex::new(Vec::new()),
-            largest_fetch: AtomicUsize::new(1),
-        })
-    }
-
-    fn over(&self) -> bool {
-        self.resident.load(Relaxed) > self.nbufs
-    }
-
-    /// `data`'s bytes, writable: in place when the cache holds its only
-    /// handle, else first copied into a buffer that replaces it — a spare
-    /// one (unshared, its stale bytes overwritten), or a fresh one only
-    /// when the free list is empty.
-    fn writable<'b>(&self, obs: &Obs, data: &'b mut Block) -> &'b mut [u8] {
-        if data.get_mut().is_none() {
-            let spare = obs.lock_timed(&self.spare, Ctr::LockWaitNsCache).pop();
-            let mut own = spare.unwrap_or_else(Block::zeroed);
-            own.get_mut().expect("a spare buffer is unshared").copy_from_slice(data);
-            *data = own;
-        }
-        data.get_mut().expect("unshared above")
-    }
-
-    /// Keep a departing buffer's memory for a later write — only if
-    /// nothing else holds it (neither the platter nor a reader), and only
-    /// while the free list stays within the cache's capacity plus one
-    /// fetch.
-    fn recycle(&self, obs: &Obs, data: Block) {
-        if data.is_shared() {
-            return;
-        }
-        let mut spare = obs.lock_timed(&self.spare, Ctr::LockWaitNsCache);
-        if spare.len() < self.nbufs + self.largest_fetch.load(Relaxed) {
-            spare.push(data);
-        }
-    }
-
-    /// The shard to evict from: of those holding more than their fair
-    /// share, the one whose LRU head was touched longest ago. With one
-    /// shard this is exact LRU.
-    fn victim(&self) -> Option<usize> {
-        let mut best: Option<(u64, usize)> = None;
-        for (i, h) in self.heads.iter().enumerate() {
-            if h.len.load(Relaxed) > self.fair {
-                let tick = h.tick.load(Relaxed);
-                if best.is_none_or(|(t, _)| tick < t) {
-                    best = Some((tick, i));
-                }
-            }
-        }
-        best.map(|(_, i)| i)
-    }
-}
-
-/// One independently locked cache shard: its buffers, physical index
-/// and LRU list. Capacity, the touch clock and the free list are the
-/// cache-wide [`Budget`]'s; logical identities live in the cache-wide
-/// map, and each buffer's `logical` field is a back-pointer used for
-/// validation.
-#[derive(Debug)]
-struct CacheCore {
-    /// This shard's index in `budget.heads`.
-    idx: usize,
-    budget: Arc<Budget>,
+struct Shard {
     bufs: Vec<Option<Buf>>,
     free_slots: Vec<usize>,
     phys: IntMap<u64, usize>,
@@ -243,8 +110,8 @@ struct CacheCore {
     links: Vec<Link>,
     lru_head: usize,
     lru_tail: usize,
-    /// Number of dirty buffers in this shard, kept in step (with the
-    /// budget's cache-wide count) at every `dirty` flip.
+    /// Number of dirty buffers in this shard, kept in step at every
+    /// `dirty` flip.
     ndirty: usize,
     /// Lookups this shard answered, and how many of them hit, since the
     /// last [`BufferCache::drop_all`] sampled its hit rate.
@@ -252,97 +119,12 @@ struct CacheCore {
     hits: u64,
 }
 
-/// The one shard lock a multi-block path holds at a time, with its index.
-type Held<'a> = Option<(usize, MutexGuard<'a, CacheCore>)>;
-
-/// Shared context threaded into shard operations: everything a shard
-/// may need *while its own lock is held* (the driver and the two
-/// cache-wide side tables that sit below shards in the lock order).
-struct Ctx<'a> {
-    obs: &'a Arc<Obs>,
-    driver: &'a Driver,
-    logical: &'a Mutex<IntMap<(Ino, u64), u64>>,
-    gfetches: &'a Mutex<IntMap<u32, GroupFetch>>,
-}
-
-/// Remove the authoritative logical entry for `id` if it still names
-/// `blkno` (it may have been rebound to a newer block meanwhile).
-fn unbind_entry(ctx: &Ctx, id: (Ino, u64), blkno: u64) {
-    let mut lm = ctx.obs.lock_timed(ctx.logical, Ctr::LockWaitNsCache);
-    if lm.get(&id) == Some(&blkno) {
-        lm.remove(&id);
-    }
-}
-
-/// A group-fetched buffer left the cache without ever being hit.
-fn gfetch_wasted(ctx: &Ctx, id: u32) {
-    ctx.obs.bump(Ctr::GroupFetchBlocksWasted);
-    gfetch_resolve(ctx, id, false);
-}
-
-/// One block of fetch `id` resolved; once all have, record the
-/// fetch's utilization (percent of blocks used) and retire it.
-fn gfetch_resolve(ctx: &Ctx, id: u32, used: bool) {
-    let mut tallies = ctx.obs.lock_timed(ctx.gfetches, Ctr::LockWaitNsCache);
-    let Some(g) = tallies.get_mut(&id) else { return };
-    g.resolved += 1;
-    if used {
-        g.used += 1;
-    }
-    if g.resolved == g.fetched {
-        let g = tallies.remove(&id).expect("checked above");
-        drop(tallies);
-        let pct = u64::from(g.used) * 100 / u64::from(g.fetched);
-        ctx.obs.histos().group_fetch_util_pct.record(pct);
-        ctx.obs.signal_sample(Sig::GroupFetchUtil, pct as f64);
-        if let Some(cg) = g.cg {
-            ctx.obs.cg_util_sample(cg, pct);
-        }
-    }
-}
-
-/// Write a collected dirty set back as one sorted, coalesced batch and
-/// hand the request list back for reuse. Physically adjacent dirty
-/// blocks — grouped small files — merge into single scatter/gather
-/// writes here.
-fn flush_batch(ctx: &Ctx, mut dirty: Vec<IoReq<Block>>) -> Vec<IoReq<Block>> {
-    ctx.obs.signal_sample(Sig::DirtyBacklog, dirty.len() as f64);
-    if dirty.is_empty() {
-        return dirty;
-    }
-    // Each block is queued once, so an unstable sort (which never
-    // allocates scratch) orders the batch exactly as a stable one would.
-    dirty.sort_unstable_by_key(|req| req.lba);
-    debug_assert!(dirty.windows(2).all(|w| w[0].lba < w[1].lba), "a block queued twice");
-    ctx.obs.add(Ctr::CacheWritebacks, dirty.len() as u64);
-    ctx.obs.add(Ctr::CacheDelayedFlushes, dirty.len() as u64);
-    // Count physically contiguous runs of 2+ blocks: each becomes one
-    // scatter/gather write at the driver instead of N single writes.
-    let mut run_len = 1u64;
-    for w in dirty.windows(2) {
-        if w[1].lba == w[0].lba + SECTORS_PER_BLOCK {
-            run_len += 1;
-        } else {
-            if run_len > 1 {
-                ctx.obs.bump(Ctr::CacheCoalescedRuns);
-            }
-            run_len = 1;
-        }
-    }
-    if run_len > 1 {
-        ctx.obs.bump(Ctr::CacheCoalescedRuns);
-    }
-    ctx.driver.submit_batch(dirty)
-}
-
-impl CacheCore {
-    fn new(idx: usize, budget: Arc<Budget>) -> Self {
-        CacheCore {
-            idx,
+impl Shard {
+    fn new(fair: usize) -> Self {
+        Shard {
             // Sized for the shard's fair share up front, so a shard that
             // stays within it never grows its index.
-            phys: IntMap::with_capacity_and_hasher(budget.fair, Default::default()),
-            budget,
+            phys: IntMap::with_capacity_and_hasher(fair, Default::default()),
             bufs: Vec::new(),
             free_slots: Vec::new(),
             links: Vec::new(),
@@ -354,39 +136,17 @@ impl CacheCore {
         }
     }
 
-    fn head(&self) -> &Head {
-        &self.budget.heads[self.idx]
-    }
-
-    /// Publish the LRU head's tick after the head changed.
-    fn publish_head(&self) {
-        let tick = match self.lru_head {
+    /// Last-touch tick of the LRU head (`u64::MAX` when empty).
+    fn head_tick(&self) -> u64 {
+        match self.lru_head {
             NIL => u64::MAX,
             h => self.links[h].tick,
-        };
-        self.head().tick.store(tick, Relaxed);
-    }
-
-    /// Publish the resident count after a buffer came or went.
-    fn publish_len(&self) {
-        self.head().len.store(self.phys.len(), Relaxed);
+        }
     }
 
     fn dirty_count(&self) -> usize {
         debug_assert_eq!(self.ndirty, self.bufs.iter().flatten().filter(|b| b.dirty).count());
         self.ndirty
-    }
-
-    /// `n` more buffers of this shard turned dirty.
-    fn add_dirty(&mut self, n: usize) {
-        self.ndirty += n;
-        self.budget.dirty.fetch_add(n, Relaxed);
-    }
-
-    /// `n` dirty buffers of this shard turned clean or left.
-    fn sub_dirty(&mut self, n: usize) {
-        self.ndirty -= n;
-        self.budget.dirty.fetch_sub(n, Relaxed);
     }
 
     /// Take a resident slot out of the LRU list.
@@ -397,49 +157,43 @@ impl CacheCore {
             n => self.links[n].prev = prev,
         }
         match prev {
-            NIL => {
-                self.lru_head = next;
-                self.publish_head();
-            }
+            NIL => self.lru_head = next,
             p => self.links[p].next = next,
         }
     }
 
-    /// Append an unlinked slot as the most recently touched, stamped with
-    /// the next tick of the cache-wide clock.
-    fn push_tail(&mut self, slot: usize) {
-        let tick = self.budget.clock.fetch_add(1, Relaxed);
+    /// Append an unlinked slot as the most recently touched, at `tick`.
+    fn push_tail(&mut self, slot: usize, tick: u64) {
         self.links[slot] = Link { prev: self.lru_tail, next: NIL, tick };
         match self.lru_tail {
-            NIL => {
-                self.lru_head = slot;
-                self.publish_head();
-            }
+            NIL => self.lru_head = slot,
             t => self.links[t].next = slot,
         }
         self.lru_tail = slot;
     }
 
-    /// A resident slot was used: it becomes the most recently touched.
-    fn touch(&mut self, slot: usize) {
+    /// A resident slot was used at `tick`: it becomes the most recently
+    /// touched.
+    fn touch(&mut self, slot: usize, tick: u64) {
         if self.lru_tail != slot {
             self.unlink(slot);
-            self.push_tail(slot);
-            return;
+            self.push_tail(slot, tick);
+        } else {
+            self.links[slot].tick = tick;
         }
-        self.links[slot].tick = self.budget.clock.fetch_add(1, Relaxed);
-        if self.lru_head == slot {
-            self.publish_head();
-        }
+    }
+
+    fn buf(&mut self, slot: usize) -> &mut Buf {
+        self.bufs[slot].as_mut().expect("resident")
     }
 
     /// The resident buffer in `slot`, marked dirty.
     fn dirty_buf(&mut self, slot: usize) -> &mut Buf {
-        if !self.bufs[slot].as_ref().expect("resident").dirty {
-            self.add_dirty(1);
-        }
         let b = self.bufs[slot].as_mut().expect("resident");
-        b.dirty = true;
+        if !b.dirty {
+            b.dirty = true;
+            self.ndirty += 1;
+        }
         b
     }
 
@@ -459,25 +213,22 @@ impl CacheCore {
             out.push(IoReq::write(b.blkno * SECTORS_PER_BLOCK, b.data.clone()));
             b.dirty = false;
         }
-        self.sub_dirty(self.ndirty);
+        self.ndirty = 0;
     }
 
-    /// Put `buf` into a free slot as the most recently touched. A shard
-    /// never evicts to make room: the cache's budget does that.
-    fn install(&mut self, buf: Buf) -> usize {
+    /// Put `buf` into a free slot as the most recently touched, at
+    /// `tick`. A shard never evicts to make room: the cache does that.
+    fn install(&mut self, buf: Buf, tick: u64) -> usize {
         let slot = self.free_slots.pop().unwrap_or_else(|| {
             self.bufs.push(None);
             self.links.push(UNLINKED);
             self.bufs.len() - 1
         });
-        self.phys.insert(buf.blkno, slot);
-        if buf.dirty {
-            self.add_dirty(1);
-        }
+        let was = self.phys.insert(buf.blkno, slot);
+        debug_assert!(was.is_none(), "block {} installed twice", buf.blkno);
+        self.ndirty += usize::from(buf.dirty);
         self.bufs[slot] = Some(buf);
-        self.push_tail(slot);
-        self.publish_len();
-        self.budget.resident.fetch_add(1, Relaxed);
+        self.push_tail(slot, tick);
         slot
     }
 
@@ -486,139 +237,369 @@ impl CacheCore {
         self.unlink(slot);
         let b = self.bufs[slot].take().expect("indexed slot is resident");
         self.phys.remove(&b.blkno);
-        if b.dirty {
-            self.sub_dirty(1);
-        }
+        self.ndirty -= usize::from(b.dirty);
         self.free_slots.push(slot);
-        self.publish_len();
-        self.budget.resident.fetch_sub(1, Relaxed);
         b
     }
+}
 
-    /// Evict the shard's least recently touched buffer, writing it back
-    /// first when dirty.
-    fn evict_head(&mut self, ctx: &Ctx) {
-        let b = self.take_resident(self.lru_head);
+/// `data`'s bytes, writable: in place when the cache holds its only
+/// handle, else first copied into a buffer that replaces it — a spare one
+/// from the free list (unshared, its stale bytes overwritten), or a fresh
+/// one only when the list is empty.
+fn writable<'b>(spare: &mut Vec<Block>, data: &'b mut Block) -> &'b mut [u8] {
+    if data.get_mut().is_none() {
+        let mut own = spare.pop().unwrap_or_else(Block::zeroed);
+        own.get_mut().expect("a spare buffer is unshared").copy_from_slice(data);
+        *data = own;
+    }
+    data.get_mut().expect("unshared above")
+}
+
+/// A group-fetched buffer left the cache without ever being hit.
+fn gfetch_wasted(tallies: &mut IntMap<u32, GroupFetch>, obs: &Obs, id: u32) {
+    obs.bump(Ctr::GroupFetchBlocksWasted);
+    gfetch_resolve(tallies, obs, id, false);
+}
+
+/// One block of fetch `id` resolved; once all have, record the
+/// fetch's utilization (percent of blocks used) and retire it.
+fn gfetch_resolve(tallies: &mut IntMap<u32, GroupFetch>, obs: &Obs, id: u32, used: bool) {
+    let Some(g) = tallies.get_mut(&id) else { return };
+    g.resolved += 1;
+    g.used += u32::from(used);
+    if g.resolved == g.fetched {
+        let g = tallies.remove(&id).expect("checked above");
+        let pct = u64::from(g.used) * 100 / u64::from(g.fetched);
+        obs.histos().group_fetch_util_pct.record(pct);
+        obs.signal_sample(Sig::GroupFetchUtil, pct as f64);
+        if let Some(cg) = g.cg {
+            obs.cg_util_sample(cg, pct);
+        }
+    }
+}
+
+/// Write a collected dirty set back as one sorted, coalesced batch and
+/// hand the request list back for reuse. Physically adjacent dirty
+/// blocks — grouped small files — merge into single scatter/gather
+/// writes here.
+fn flush_batch(obs: &Obs, driver: &Driver, mut dirty: Vec<IoReq<Block>>) -> Vec<IoReq<Block>> {
+    obs.signal_sample(Sig::DirtyBacklog, dirty.len() as f64);
+    if dirty.is_empty() {
+        return dirty;
+    }
+    // Each block is queued once, so an unstable sort (which never
+    // allocates scratch) orders the batch exactly as a stable one would.
+    dirty.sort_unstable_by_key(|req| req.lba);
+    debug_assert!(dirty.windows(2).all(|w| w[0].lba < w[1].lba), "a block queued twice");
+    obs.add(Ctr::CacheWritebacks, dirty.len() as u64);
+    obs.add(Ctr::CacheDelayedFlushes, dirty.len() as u64);
+    // Count physically contiguous runs of 2+ blocks: each becomes one
+    // scatter/gather write at the driver instead of N single writes.
+    let mut run_len = 1u64;
+    for w in dirty.windows(2) {
+        if w[1].lba == w[0].lba + SECTORS_PER_BLOCK {
+            run_len += 1;
+        } else {
+            if run_len > 1 {
+                obs.bump(Ctr::CacheCoalescedRuns);
+            }
+            run_len = 1;
+        }
+    }
+    if run_len > 1 {
+        obs.bump(Ctr::CacheCoalescedRuns);
+    }
+    driver.submit_batch(dirty)
+}
+
+/// Everything the cache's one lock guards.
+#[derive(Debug)]
+struct State {
+    config: CacheConfig,
+    map: Option<ShardMap>,
+    /// A shard's fair share of `nbufs`. A shard may grow past it while
+    /// the cache has room; over budget, only shards past it give up a
+    /// buffer, so borrowed capacity goes back first.
+    fair: usize,
+    shards: Vec<Shard>,
+    /// The logical index: (ino, lbn) → physical block, always resident.
+    logical: IntMap<(Ino, u64), u64>,
+    /// In-flight group-fetch utilization accounting, fetch id → tally.
+    /// An entry is dropped (and its utilization histogram sample
+    /// recorded) once all of its blocks resolved as used or wasted.
+    gfetches: IntMap<u32, GroupFetch>,
+    next_gfetch: u32,
+    /// The touch clock: each use of a buffer stamps the next tick.
+    clock: u64,
+    /// Free list: unshared buffers of evicted, invalidated and dropped
+    /// blocks (stale bytes), taken by the first write to a shared buffer
+    /// (a miss or group read installs the platter's own chunk, a miss
+    /// that overwrites its block unread the zero block). Survives
+    /// `clear`. Every unshared buffer that leaves the cache is kept, up to
+    /// `nbufs` plus the largest fetch on the list alone: resident buffers
+    /// mostly share the platter's chunks and cost the cache nothing, so
+    /// counting them against the list would drop buffers the next writes
+    /// allocate anew.
+    spare: Vec<Block>,
+    /// Blocks in the largest fetch so far (a miss fetches one): the
+    /// free list's slack beyond `nbufs`.
+    largest_fetch: usize,
+    /// The write-back request list, reused by every flush.
+    writeback: Vec<IoReq<Block>>,
+    /// The group-read request list and its emptied block lists, reused
+    /// by every fetch.
+    group: Vec<IoReq<Vec<Block>>>,
+    pieces: Vec<Vec<Block>>,
+}
+
+impl State {
+    fn new(config: CacheConfig) -> State {
+        State {
+            config,
+            map: None,
+            fair: config.nbufs,
+            shards: vec![Shard::new(config.nbufs)],
+            logical: IntMap::with_capacity_and_hasher(config.nbufs, Default::default()),
+            gfetches: IntMap::default(),
+            next_gfetch: 0,
+            clock: 0,
+            spare: Vec::new(),
+            largest_fetch: 1,
+            writeback: Vec::new(),
+            group: Vec::new(),
+            pieces: Vec::new(),
+        }
+    }
+
+    fn shard_of(&self, blkno: u64) -> usize {
+        match self.map {
+            Some(m) => ((blkno / m.cg_blocks) as usize) % m.nshards,
+            None => 0,
+        }
+    }
+
+    /// `blkno`'s shard and slot, if resident.
+    fn find(&self, blkno: u64) -> Option<(usize, usize)> {
+        let s = self.shard_of(blkno);
+        Some((s, self.shards[s].slot_of(blkno)?))
+    }
+
+    fn resident(&self) -> usize {
+        self.shards.iter().map(|s| s.phys.len()).sum()
+    }
+
+    fn over(&self) -> bool {
+        self.resident() > self.config.nbufs
+    }
+
+    /// The next tick of the touch clock.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock - 1
+    }
+
+    fn touch(&mut self, s: usize, slot: usize) {
+        let tick = self.tick();
+        self.shards[s].touch(slot, tick);
+    }
+
+    /// Install `buf` in its shard as the most recently touched; returns
+    /// the slot. Never evicts: callers make room afterwards.
+    fn install(&mut self, buf: Buf) -> usize {
+        let (s, tick) = (self.shard_of(buf.blkno), self.tick());
+        self.shards[s].install(buf, tick)
+    }
+
+    /// Keep a departing buffer's memory for a later write — only if
+    /// nothing else holds it (neither the platter nor a reader), and only
+    /// while the free list stays within the cache's capacity plus one
+    /// fetch.
+    fn recycle(&mut self, data: Block) {
+        if !data.is_shared() && self.spare.len() < self.config.nbufs + self.largest_fetch {
+            self.spare.push(data);
+        }
+    }
+
+    /// The shard to evict from: of those holding more than their fair
+    /// share, the one whose LRU head was touched longest ago. With one
+    /// shard this is exact LRU.
+    fn victim(&self) -> Option<usize> {
+        let over = self.shards.iter().enumerate().filter(|(_, s)| s.phys.len() > self.fair);
+        over.min_by_key(|(_, s)| s.head_tick()).map(|(i, _)| i)
+    }
+
+    /// A buffer left the cache: drop the logical entry naming it, and
+    /// settle its group fetch if it was never hit.
+    fn forget(&mut self, obs: &Obs, b: &Buf) {
         if let Some(id) = b.logical {
-            unbind_entry(ctx, id, b.blkno);
+            if self.logical.get(&id) == Some(&b.blkno) {
+                self.logical.remove(&id);
+            }
         }
         if let Some(id) = b.gfetch {
-            gfetch_wasted(ctx, id);
+            gfetch_wasted(&mut self.gfetches, obs, id);
         }
-        if b.dirty {
-            ctx.driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
-            ctx.obs.bump(Ctr::CacheWritebacks);
-            ctx.obs.bump(Ctr::CacheDelayedFlushes);
-        }
-        self.budget.recycle(ctx.obs, b.data);
-        ctx.obs.bump(Ctr::CacheEvictions);
-    }
-
-    /// A lookup of the resident buffer in `slot` by its physical block
-    /// number: counted as a hit, and a use.
-    fn phys_hit(&mut self, ctx: &Ctx, slot: usize) {
-        self.lookups += 1;
-        self.hits += 1;
-        ctx.obs.bump(Ctr::CacheLookups);
-        ctx.obs.bump(Ctr::CachePhysHits);
-        self.touch(slot);
-        self.gfetch_used(ctx, slot);
-    }
-
-    /// A handle on the resident buffer in `slot`.
-    fn data(&self, slot: usize) -> Block {
-        self.bufs[slot].as_ref().expect("resident").data.clone()
     }
 
     /// A group-fetched buffer was hit for the first time: the speculation
     /// paid off. No-op for buffers that did not arrive via group fetch or
     /// were already counted.
-    fn gfetch_used(&mut self, ctx: &Ctx, slot: usize) {
-        let Some(b) = self.bufs[slot].as_mut() else { return };
-        let Some(id) = b.gfetch.take() else { return };
-        ctx.obs.bump(Ctr::GroupFetchBlocksUsed);
-        gfetch_resolve(ctx, id, true);
+    fn gfetch_used(&mut self, obs: &Obs, s: usize, slot: usize) {
+        let Some(id) = self.shards[s].buf(slot).gfetch.take() else { return };
+        obs.bump(Ctr::GroupFetchBlocksUsed);
+        gfetch_resolve(&mut self.gfetches, obs, id, true);
     }
 
-    /// Bind (or rebind) a resident buffer's logical identity, keeping the
-    /// authoritative cache-wide map in step. Counts a back-bind when the
-    /// buffer arrived identity-less from a group read.
-    fn bind_slot(&mut self, ctx: &Ctx, slot: usize, ino: Ino, lbn: u64) {
+    /// A lookup of the resident buffer in `slot` by its physical block
+    /// number: counted as a hit, and a use.
+    fn phys_hit(&mut self, obs: &Obs, s: usize, slot: usize) {
+        self.shards[s].lookups += 1;
+        self.shards[s].hits += 1;
+        obs.bump(Ctr::CacheLookups);
+        obs.bump(Ctr::CachePhysHits);
+        self.touch(s, slot);
+        self.gfetch_used(obs, s, slot);
+    }
+
+    /// A handle on the resident buffer in `slot`.
+    fn data(&mut self, s: usize, slot: usize) -> Block {
+        self.shards[s].buf(slot).data.clone()
+    }
+
+    /// Bind (or rebind) a resident buffer's logical identity, moving the
+    /// index entry to it. Counts a back-bind when the buffer arrived
+    /// identity-less from a group read.
+    fn bind_slot(&mut self, obs: &Obs, s: usize, slot: usize, id: (Ino, u64)) {
         // Claiming a group-fetched buffer (back-binding) is a use.
-        self.gfetch_used(ctx, slot);
-        let b = self.bufs[slot].as_mut().expect("resident");
+        self.gfetch_used(obs, s, slot);
+        let b = self.shards[s].buf(slot);
         let blkno = b.blkno;
-        match b.logical {
-            Some(id) if id == (ino, lbn) => {}
-            old => {
-                if old.is_none() {
-                    ctx.obs.bump(Ctr::CacheBackbinds);
-                }
-                b.logical = Some((ino, lbn));
-                let mut lm = ctx.obs.lock_timed(ctx.logical, Ctr::LockWaitNsCache);
-                if let Some(oldid) = old {
-                    if lm.get(&oldid) == Some(&blkno) {
-                        lm.remove(&oldid);
-                    }
-                }
-                lm.insert((ino, lbn), blkno);
+        match b.logical.replace(id) {
+            None => obs.bump(Ctr::CacheBackbinds),
+            Some(old) if old != id && self.logical.get(&old) == Some(&blkno) => {
+                self.logical.remove(&old);
             }
+            Some(_) => {}
         }
+        // Even when the buffer already carries `id`, the index may name
+        // another block: `id` was bound there since.
+        self.logical.insert(id, blkno);
+    }
+
+    /// The logical-index probe: the block bound to `(ino, lbn)`, with its
+    /// shard and slot. Counts one lookup, and a logical hit when it finds
+    /// one.
+    fn logical_slot(&mut self, obs: &Obs, id: (Ino, u64)) -> Option<(usize, usize, u64)> {
+        obs.bump(Ctr::CacheLookups);
+        let blk = *self.logical.get(&id)?;
+        let (s, slot) = self.find(blk).expect("the logical index names resident blocks");
+        debug_assert_eq!(self.shards[s].buf(slot).logical, Some(id));
+        self.shards[s].lookups += 1;
+        self.shards[s].hits += 1;
+        obs.bump(Ctr::CacheLogicalHits);
+        Some((s, slot, blk))
     }
 
     /// Forget a resident block (invalidate) without any write-back.
-    fn invalidate(&mut self, ctx: &Ctx, blkno: u64) {
-        if let Some(slot) = self.slot_of(blkno) {
-            let b = self.take_resident(slot);
-            if let Some(id) = b.logical {
-                unbind_entry(ctx, id, b.blkno);
-            }
-            if let Some(id) = b.gfetch {
-                gfetch_wasted(ctx, id);
-            }
-            self.budget.recycle(ctx.obs, b.data);
+    fn invalidate(&mut self, obs: &Obs, blkno: u64) {
+        if let Some((s, slot)) = self.find(blkno) {
+            let b = self.shards[s].take_resident(slot);
+            self.forget(obs, &b);
+            self.recycle(b.data);
         }
+    }
+
+    /// Bring the cache back within its budget after installs took it
+    /// over. Under dirty pressure every dirty buffer goes out first, as
+    /// one sorted batch; then each victim is the least recently touched
+    /// buffer of [`State::victim`]'s shard, written back first when
+    /// dirty.
+    fn make_room(&mut self, obs: &Obs, driver: &Driver) {
+        if !self.over() {
+            return;
+        }
+        // Update-daemon behaviour: under dirty pressure, flush everything
+        // as one sorted, coalesced batch instead of dribbling single-block
+        // write-backs out of the eviction path. The count excludes the
+        // buffer just installed, which a caller dirties only afterwards.
+        let pct = self.config.flush_watermark_pct as usize;
+        let dirty: usize = self.shards.iter().map(|s| s.ndirty).sum();
+        if pct < 100 && dirty * 100 >= self.config.nbufs * pct {
+            self.flush(obs, driver);
+        }
+        while self.over() {
+            let Some(v) = self.victim() else { return };
+            let head = self.shards[v].lru_head;
+            let b = self.shards[v].take_resident(head);
+            self.forget(obs, &b);
+            if b.dirty {
+                driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
+                obs.bump(Ctr::CacheWritebacks);
+                obs.bump(Ctr::CacheDelayedFlushes);
+            }
+            self.recycle(b.data);
+            obs.bump(Ctr::CacheEvictions);
+        }
+    }
+
+    /// Write every dirty buffer back as one scheduled, coalesced batch,
+    /// on the one reused request list.
+    fn flush(&mut self, obs: &Obs, driver: &Driver) {
+        let mut reqs = std::mem::take(&mut self.writeback);
+        for shard in &mut self.shards {
+            shard.take_dirty(&mut reqs);
+        }
+        self.writeback = flush_batch(obs, driver, reqs);
+        self.writeback.clear();
+    }
+
+    /// Core miss/hit path: `blkno`'s shard and slot, reading from disk on
+    /// a miss when `read` is set (otherwise installing the shared zero
+    /// block: callers rely on a new block reading as zeros, and the write
+    /// that follows copies it). A miss installs its block, then makes
+    /// room: the disk sees the read before a victim's write-back.
+    fn get_slot(&mut self, obs: &Obs, driver: &Driver, blkno: u64, read: bool) -> (usize, usize) {
+        if let Some((s, slot)) = self.find(blkno) {
+            self.phys_hit(obs, s, slot);
+            return (s, slot);
+        }
+        let s = self.shard_of(blkno);
+        self.shards[s].lookups += 1;
+        obs.bump(Ctr::CacheLookups);
+        obs.bump(Ctr::CacheMisses);
+        let data = if read { driver.read_block(blkno * SECTORS_PER_BLOCK) } else { Block::zero() };
+        let slot = self.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch: None });
+        // The new buffer is its shard's most recently touched, never a
+        // victim.
+        self.make_room(obs, driver);
+        (s, slot)
     }
 
     /// Forget every buffer; the unshared ones join the free list.
-    fn clear(&mut self, obs: &Obs) {
-        self.budget.resident.fetch_sub(self.phys.len(), Relaxed);
-        self.sub_dirty(self.ndirty);
-        self.phys.clear();
-        self.publish_len();
-        while let Some(slot) = self.bufs.pop() {
-            if let Some(b) = slot {
-                self.budget.recycle(obs, b.data);
+    fn clear(&mut self) {
+        for s in 0..self.shards.len() {
+            let shard = &mut self.shards[s];
+            shard.phys.clear();
+            shard.free_slots.clear();
+            shard.links.clear();
+            (shard.lru_head, shard.lru_tail, shard.ndirty) = (NIL, NIL, 0);
+            while let Some(slot) = self.shards[s].bufs.pop() {
+                if let Some(b) = slot {
+                    self.recycle(b.data);
+                }
             }
         }
-        self.free_slots.clear();
-        self.links.clear();
-        (self.lru_head, self.lru_tail) = (NIL, NIL);
-        self.publish_head();
+        self.logical.clear();
     }
 }
 
-/// The dual-indexed, sharded buffer cache. All operations take `&self`;
-/// the handle is `Send + Sync` and shared freely across threads.
+/// The dual-indexed buffer cache. All operations take `&self` and hold
+/// the cache's one lock for their whole body; the handle is `Send +
+/// Sync`.
 #[derive(Debug)]
 pub struct BufferCache {
-    config: CacheConfig,
-    map: Option<ShardMap>,
-    shards: Vec<Mutex<CacheCore>>,
-    /// Capacity, touch clock, dirty count and free list: one for every
-    /// shard.
-    budget: Arc<Budget>,
-    /// Authoritative logical index: (ino, lbn) → physical block. The
-    /// owning shard's buffer back-pointer validates each entry.
-    logical: Mutex<IntMap<(Ino, u64), u64>>,
-    /// In-flight group-fetch utilization accounting, fetch id → tally.
-    /// An entry is dropped (and its utilization histogram sample
-    /// recorded) once all of its blocks resolved as used or wasted.
-    gfetches: Mutex<IntMap<u32, GroupFetch>>,
-    next_gfetch: AtomicU32,
-    /// The write-back request list, reused by every flush: taken out for
-    /// the flush's duration and put back empty.
-    writeback: Mutex<Vec<IoReq<Block>>>,
+    state: Mutex<State>,
     /// Shared observability handle. Starts as a private instance; the
     /// file-system layer rebinds it to the disk's handle via [`set_obs`]
     /// so the whole stack reports into one [`StatsSnapshot`].
@@ -635,155 +616,33 @@ impl BufferCache {
     /// [`shard_by_cg`]: BufferCache::shard_by_cg
     pub fn new(config: CacheConfig) -> Self {
         assert!(config.nbufs >= 8, "cache must hold at least 8 buffers");
-        let budget = Budget::new(config.nbufs, 1);
-        BufferCache {
-            config,
-            map: None,
-            shards: vec![Mutex::new(CacheCore::new(0, Arc::clone(&budget)))],
-            budget,
-            logical: Mutex::new(IntMap::with_capacity_and_hasher(config.nbufs, Default::default())),
-            gfetches: Mutex::new(IntMap::default()),
-            next_gfetch: AtomicU32::new(0),
-            writeback: Mutex::new(Vec::new()),
-            obs: Obs::new(),
-        }
+        BufferCache { state: Mutex::new(State::new(config)), obs: Obs::new() }
     }
 
-    /// Split the cache's locks into per-cylinder-group shards: block `b`
-    /// belongs to CG `b / cg_blocks`, and CGs are distributed round-robin
-    /// over `nshards` locks (capped so every shard's fair share is at
-    /// least 8 buffers). Capacity stays one cache-wide budget: a shard
-    /// grows past its fair share while the cache has room, and gives the
-    /// borrowed buffers back first once it is full. Must be called while
-    /// the cache is empty — the file-system layer does it at mount,
-    /// before the handle is shared.
+    /// Partition eviction by cylinder group: block `b` belongs to CG `b /
+    /// cg_blocks`, and CGs are distributed round-robin over `nshards`
+    /// shards (capped so every shard's fair share is at least 8
+    /// buffers). Capacity stays one cache-wide budget: a shard grows past
+    /// its fair share while the cache has room, and gives the borrowed
+    /// buffers back first once it is full. Must be called while the
+    /// cache is empty — the file-system layer does it at mount.
     pub fn shard_by_cg(&mut self, cg_blocks: u64, nshards: usize) {
         assert!(cg_blocks >= 1, "cylinder group size must be positive");
-        assert_eq!(self.resident(), 0, "cannot reshard a populated cache");
-        let n = nshards.clamp(1, self.config.nbufs / 8);
-        self.map = if n > 1 { Some(ShardMap { cg_blocks, nshards: n }) } else { None };
-        self.budget = Budget::new(self.config.nbufs, n);
-        self.shards =
-            (0..n).map(|i| Mutex::new(CacheCore::new(i, Arc::clone(&self.budget)))).collect();
+        let st = self.state.get_mut().expect("cache lock poisoned");
+        assert_eq!(st.resident(), 0, "cannot reshard a populated cache");
+        let nshards = nshards.clamp(1, st.config.nbufs / 8);
+        st.map = (nshards > 1).then_some(ShardMap { cg_blocks, nshards });
+        st.fair = st.config.nbufs / nshards;
+        st.shards = (0..nshards).map(|_| Shard::new(st.fair)).collect();
     }
 
     /// Number of shards the cache is split into.
     pub fn nshards(&self) -> usize {
-        self.shards.len()
+        self.lock().shards.len()
     }
 
-    fn shard_of(&self, blkno: u64) -> usize {
-        match self.map {
-            Some(m) => ((blkno / m.cg_blocks) as usize) % m.nshards,
-            None => 0,
-        }
-    }
-
-    fn lock_shard(&self, idx: usize) -> MutexGuard<'_, CacheCore> {
-        self.obs.lock_timed(&self.shards[idx], Ctr::LockWaitNsCache)
-    }
-
-    fn ctx<'a>(&'a self, driver: &'a Driver) -> Ctx<'a> {
-        Ctx { obs: &self.obs, driver, logical: &self.logical, gfetches: &self.gfetches }
-    }
-
-    /// Shard `idx`, locked: the guard in `held` when it is that shard's,
-    /// else a fresh lock (released first: one shard lock at a time).
-    fn shard_held<'a, 'h>(&'a self, held: &'h mut Held<'a>, idx: usize) -> &'h mut CacheCore {
-        if held.as_ref().is_none_or(|(i, _)| *i != idx) {
-            *held = None;
-            *held = Some((idx, self.lock_shard(idx)));
-        }
-        &mut held.as_mut().expect("locked above").1
-    }
-
-    /// Bring the cache back within its budget after installs took it
-    /// over. `held` is the one shard lock the caller may hold; it is
-    /// kept when that shard is the victim. Under dirty pressure every
-    /// shard's dirty buffers go out first, as one sorted batch; then each
-    /// victim is picked from the shards' published heads without taking
-    /// a lock, and only its shard is locked (and re-checked) to evict.
-    fn make_room<'a>(&'a self, ctx: &Ctx, held: &mut Held<'a>) {
-        if !self.budget.over() {
-            return;
-        }
-        // Update-daemon behaviour: under dirty pressure, flush everything
-        // as one sorted, coalesced batch instead of dribbling single-block
-        // write-backs out of the eviction path. The count excludes the
-        // buffer just installed, which a caller dirties only afterwards.
-        let pct = self.config.flush_watermark_pct as usize;
-        if pct < 100 && self.budget.dirty.load(Relaxed) * 100 >= self.config.nbufs * pct {
-            *held = None;
-            self.flush(ctx);
-        }
-        while self.budget.over() {
-            let Some(v) = self.budget.victim() else { return };
-            let core = self.shard_held(held, v);
-            if core.phys.len() > self.budget.fair {
-                core.evict_head(ctx);
-            }
-        }
-    }
-
-    /// Write every shard's dirty buffers back as one scheduled,
-    /// coalesced batch, on the one reused request list.
-    fn flush(&self, ctx: &Ctx) {
-        let reqs =
-            std::mem::take(&mut *self.obs.lock_timed(&self.writeback, Ctr::LockWaitNsCache));
-        let mut reqs = self.flush_from(ctx, 0, reqs);
-        reqs.clear();
-        let mut kept = self.obs.lock_timed(&self.writeback, Ctr::LockWaitNsCache);
-        if reqs.capacity() > kept.capacity() {
-            *kept = reqs;
-        }
-    }
-
-    /// Collect the dirty buffers of shards `idx..` and write the batch
-    /// back, holding every one of those shard locks until it has landed.
-    /// A buffer marked clean here must not be evicted and re-read from
-    /// the platter, nor modified and written back by an eviction, before
-    /// this older batch is on the disk. Shards lock in ascending order
-    /// (as `relocate_phys` does), one stack frame per guard.
-    fn flush_from(&self, ctx: &Ctx, idx: usize, mut reqs: Vec<IoReq<Block>>) -> Vec<IoReq<Block>> {
-        let Some(shard) = self.shards.get(idx) else { return flush_batch(ctx, reqs) };
-        let mut core = self.obs.lock_timed(shard, Ctr::LockWaitNsCache);
-        core.take_dirty(&mut reqs);
-        self.flush_from(ctx, idx + 1, reqs)
-    }
-
-    /// Core miss/hit path: lock `blkno`'s shard and return it with the
-    /// block's slot, reading from disk on a miss when `read` is set
-    /// (otherwise installing the shared zero block: callers rely on a new
-    /// block reading as zeros, and the write that follows copies it). A miss that takes the cache over budget makes
-    /// room, releasing the shard (and re-taking it) unless it is the
-    /// victim's.
-    fn get_slot(&self, ctx: &Ctx, blkno: u64, read: bool) -> (MutexGuard<'_, CacheCore>, usize) {
-        let idx = self.shard_of(blkno);
-        loop {
-            let mut core = self.lock_shard(idx);
-            if let Some(slot) = core.slot_of(blkno) {
-                core.phys_hit(ctx, slot);
-                return (core, slot);
-            }
-            core.lookups += 1;
-            ctx.obs.bump(Ctr::CacheLookups);
-            ctx.obs.bump(Ctr::CacheMisses);
-            let data = if read { ctx.driver.read_block(blkno * SECTORS_PER_BLOCK) } else { Block::zero() };
-            let slot =
-                core.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch: None });
-            if !self.budget.over() {
-                return (core, slot);
-            }
-            let mut held = Some((idx, core));
-            self.make_room(ctx, &mut held);
-            self.shard_held(&mut held, idx);
-            let (_, core) = held.expect("locked above");
-            // The new buffer is the most recently touched, so only a
-            // concurrent eviction can have taken it; then miss again.
-            if let Some(slot) = core.slot_of(blkno) {
-                return (core, slot);
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.obs.lock_timed(&self.state, Ctr::LockWaitNsCache)
     }
 
     /// Rebind the observability handle (normally to `driver.obs()`, so
@@ -799,104 +658,78 @@ impl BufferCache {
 
     /// Number of resident buffers.
     pub fn resident(&self) -> usize {
-        self.budget.resident.load(Relaxed)
+        self.lock().resident()
     }
 
     /// Number of dirty buffers.
     pub fn dirty_count(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| self.obs.lock_timed(s, Ctr::LockWaitNsCache).dirty_count())
-            .sum()
+        self.lock().shards.iter().map(Shard::dirty_count).sum()
     }
 
     /// Is the block resident (for tests and group-read planning)?
     pub fn contains(&self, blkno: u64) -> bool {
-        self.lock_shard(self.shard_of(blkno)).phys.contains_key(&blkno)
+        self.lock().find(blkno).is_some()
     }
 
     /// Look a block up by logical identity without touching the disk.
     /// Returns the physical block number on a hit — the caller skips the
     /// bmap translation entirely, which is the point of the second index.
     pub fn lookup_logical(&self, ino: Ino, lbn: u64) -> Option<u64> {
-        let (mut core, slot, blk) = self.logical_slot(ino, lbn)?;
-        core.touch(slot);
+        let mut st = self.lock();
+        let (s, slot, blk) = st.logical_slot(&self.obs, (ino, lbn))?;
+        st.touch(s, slot);
         Some(blk)
     }
 
     /// Read the resident block bound to `(ino, lbn)`, if there is one:
     /// the logical-index probe of [`lookup_logical`] and the physical hit
-    /// of [`read_block_bound`] under one shard lock, counted as those two
+    /// of [`read_block_bound`] in one visit, counted as those two
     /// lookups. On `None` only the probe was counted; nothing was read.
     ///
     /// [`lookup_logical`]: BufferCache::lookup_logical
     /// [`read_block_bound`]: BufferCache::read_block_bound
-    pub fn read_logical(&self, driver: &Driver, ino: Ino, lbn: u64) -> Option<Block> {
-        let (mut core, slot, _) = self.logical_slot(ino, lbn)?;
-        core.phys_hit(&self.ctx(driver), slot);
-        Some(core.data(slot))
-    }
-
-    /// The logical-index probe: the block bound to `(ino, lbn)`, validated
-    /// in its owning shard, returned locked with its slot. Counts one
-    /// lookup, and a logical hit when it finds one.
-    fn logical_slot(&self, ino: Ino, lbn: u64) -> Option<(MutexGuard<'_, CacheCore>, usize, u64)> {
-        self.obs.bump(Ctr::CacheLookups);
-        // Read the authoritative map, release it, then validate against
-        // the owning shard (never hold logical → shard; see lock order).
-        let blk = {
-            let lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
-            lm.get(&(ino, lbn)).copied()
-        }?;
-        let mut core = self.lock_shard(self.shard_of(blk));
-        core.lookups += 1;
-        // `None` when the entry went stale between the two locks.
-        let slot = core
-            .slot_of(blk)
-            .filter(|&slot| core.bufs[slot].as_ref().is_some_and(|b| b.logical == Some((ino, lbn))))?;
-        core.hits += 1;
-        self.obs.bump(Ctr::CacheLogicalHits);
-        Some((core, slot, blk))
+    pub fn read_logical(&self, _driver: &Driver, ino: Ino, lbn: u64) -> Option<Block> {
+        let mut st = self.lock();
+        let (s, slot, _) = st.logical_slot(&self.obs, (ino, lbn))?;
+        st.phys_hit(&self.obs, s, slot);
+        Some(st.data(s, slot))
     }
 
     /// Run `f` on the contents of the resident block bound to `(ino,
     /// lbn)`, if there is one: a look that reads nothing from the disk
     /// and, not being a use, leaves the LRU order and the counters alone.
-    /// Returns the physical block number with `f`'s result.
+    /// Returns the physical block number with `f`'s result. `f` runs
+    /// under the cache's lock, so it must not call back into the cache.
     pub fn peek_logical<R>(&self, ino: Ino, lbn: u64, f: impl FnOnce(&[u8]) -> R) -> Option<(u64, R)> {
-        let blk = {
-            let lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
-            lm.get(&(ino, lbn)).copied()
-        }?;
-        let core = self.lock_shard(self.shard_of(blk));
-        let b = core.bufs[core.slot_of(blk)?].as_ref()?;
-        (b.logical == Some((ino, lbn))).then(|| (blk, f(&b.data)))
+        let mut st = self.lock();
+        let blk = *st.logical.get(&(ino, lbn))?;
+        let (s, slot) = st.find(blk).expect("the logical index names resident blocks");
+        Some((blk, f(&st.shards[s].buf(slot).data)))
     }
 
     /// Read a block through the cache, returning a shared handle on its
     /// contents (see [`Block`]).
     pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Block> {
-        let ctx = self.ctx(driver);
-        let (core, slot) = self.get_slot(&ctx, blkno, true);
-        Ok(core.data(slot))
+        let mut st = self.lock();
+        let (s, slot) = st.get_slot(&self.obs, driver, blkno, true);
+        Ok(st.data(s, slot))
     }
 
     /// Read `blkno` if it is resident, binding it to `id` when given: the
-    /// hit path of [`read_block`] / [`read_block_bound`], counted the same,
-    /// under one shard lock. A miss counts nothing and reads nothing, so
-    /// the caller can plan its fetch before the counted read.
+    /// hit path of [`read_block`] / [`read_block_bound`], counted the
+    /// same. A miss counts nothing and reads nothing, so the caller can
+    /// plan its fetch before the counted read.
     ///
     /// [`read_block`]: BufferCache::read_block
     /// [`read_block_bound`]: BufferCache::read_block_bound
-    pub fn read_resident(&self, driver: &Driver, blkno: u64, id: Option<(Ino, u64)>) -> Option<Block> {
-        let ctx = self.ctx(driver);
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        let slot = core.slot_of(blkno)?;
-        core.phys_hit(&ctx, slot);
-        if let Some((ino, lbn)) = id {
-            core.bind_slot(&ctx, slot, ino, lbn);
+    pub fn read_resident(&self, _driver: &Driver, blkno: u64, id: Option<(Ino, u64)>) -> Option<Block> {
+        let mut st = self.lock();
+        let (s, slot) = st.find(blkno)?;
+        st.phys_hit(&self.obs, s, slot);
+        if let Some(id) = id {
+            st.bind_slot(&self.obs, s, slot, id);
         }
-        Some(core.data(slot))
+        Some(st.data(s, slot))
     }
 
     /// Read a block and bind it to a logical identity in one step (the
@@ -908,10 +741,10 @@ impl BufferCache {
         ino: Ino,
         lbn: u64,
     ) -> FsResult<Block> {
-        let ctx = self.ctx(driver);
-        let (mut core, slot) = self.get_slot(&ctx, blkno, true);
-        core.bind_slot(&ctx, slot, ino, lbn);
-        Ok(core.data(slot))
+        let mut st = self.lock();
+        let (s, slot) = st.get_slot(&self.obs, driver, blkno, true);
+        st.bind_slot(&self.obs, s, slot, (ino, lbn));
+        Ok(st.data(s, slot))
     }
 
     /// Mutate a block in place (a block that shares the platter's chunk or
@@ -919,7 +752,8 @@ impl BufferCache {
     /// `read_first` controls whether a cache miss fetches the old contents
     /// (true for partial updates, false when the caller will overwrite the
     /// whole block). The buffer is left dirty; durability is the caller's
-    /// policy decision.
+    /// policy decision. `f` runs under the cache's lock, so it must not
+    /// call back into the cache.
     pub fn modify_block<R>(
         &self,
         driver: &Driver,
@@ -928,11 +762,12 @@ impl BufferCache {
         read_first: bool,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> FsResult<R> {
-        let ctx = self.ctx(driver);
-        let (mut core, slot) = self.get_slot(&ctx, blkno, read_first);
-        let b = core.dirty_buf(slot);
+        let mut st = self.lock();
+        let (s, slot) = st.get_slot(&self.obs, driver, blkno, read_first);
+        let State { shards, spare, .. } = &mut *st;
+        let b = shards[s].dirty_buf(slot);
         b.meta = meta;
-        Ok(f(self.budget.writable(&self.obs, &mut b.data)))
+        Ok(f(writable(spare, &mut b.data)))
     }
 
     /// Mutate a block and bind its logical identity (file-write path).
@@ -945,23 +780,25 @@ impl BufferCache {
         read_first: bool,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> FsResult<R> {
-        let ctx = self.ctx(driver);
-        let (mut core, slot) = self.get_slot(&ctx, blkno, read_first);
-        core.bind_slot(&ctx, slot, ino, lbn);
-        Ok(f(self.budget.writable(&self.obs, &mut core.dirty_buf(slot).data)))
+        let mut st = self.lock();
+        let (s, slot) = st.get_slot(&self.obs, driver, blkno, read_first);
+        st.bind_slot(&self.obs, s, slot, (ino, lbn));
+        let State { shards, spare, .. } = &mut *st;
+        Ok(f(writable(spare, &mut shards[s].dirty_buf(slot).data)))
     }
 
     /// If `blkno` is dirty, write it to disk *now* and mark it clean. This
     /// is the synchronous-metadata primitive: the conventional create path
     /// calls it on the inode block before the directory block, and so on.
     pub fn flush_block_sync(&self, driver: &Driver, blkno: u64) -> FsResult<()> {
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        if let Some(slot) = core.slot_of(blkno) {
-            let b = core.bufs[slot].as_mut().expect("resident");
+        let mut st = self.lock();
+        if let Some((s, slot)) = st.find(blkno) {
+            let shard = &mut st.shards[s];
+            let b = shard.buf(slot);
             if b.dirty {
                 driver.write(blkno * SECTORS_PER_BLOCK, &b.data);
                 b.dirty = false;
-                core.sub_dirty(1);
+                shard.ndirty -= 1;
                 self.obs.bump(Ctr::CacheSyncFlushes);
             }
         }
@@ -976,9 +813,9 @@ impl BufferCache {
     /// The rest of the block stays dirty if it was dirty before.
     pub fn flush_sector_sync(&self, driver: &Driver, blkno: u64, offset: usize) -> FsResult<()> {
         let sector_in_block = offset / cffs_disksim::SECTOR_SIZE;
-        let core = self.lock_shard(self.shard_of(blkno));
-        if let Some(slot) = core.slot_of(blkno) {
-            let b = core.bufs[slot].as_ref().expect("resident");
+        let mut st = self.lock();
+        if let Some((s, slot)) = st.find(blkno) {
+            let b = st.shards[s].buf(slot);
             let lo = sector_in_block * cffs_disksim::SECTOR_SIZE;
             let hi = lo + cffs_disksim::SECTOR_SIZE;
             driver.write(blkno * SECTORS_PER_BLOCK + sector_in_block as u64, &b.data[lo..hi]);
@@ -989,11 +826,10 @@ impl BufferCache {
 
     /// Bind (or rebind) the logical identity of a resident block. Counts a
     /// back-bind when the buffer arrived identity-less from a group read.
-    pub fn bind_logical(&self, driver: &Driver, blkno: u64, ino: Ino, lbn: u64) {
-        let ctx = self.ctx(driver);
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        if let Some(slot) = core.slot_of(blkno) {
-            core.bind_slot(&ctx, slot, ino, lbn);
+    pub fn bind_logical(&self, _driver: &Driver, blkno: u64, ino: Ino, lbn: u64) {
+        let mut st = self.lock();
+        if let Some((s, slot)) = st.find(blkno) {
+            st.bind_slot(&self.obs, s, slot, (ino, lbn));
         }
     }
 
@@ -1003,107 +839,54 @@ impl BufferCache {
     /// index entries go, so a future holder of the same number can never
     /// hit another file's stale bindings.
     pub fn purge_ino(&self, ino: Ino) {
-        let entries: Vec<((Ino, u64), u64)> = {
-            let mut lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
-            let keys: Vec<(Ino, u64)> = lm.keys().filter(|(i, _)| *i == ino).copied().collect();
-            keys.into_iter().map(|k| (k, lm.remove(&k).expect("collected above"))).collect()
-        };
-        for (id, blk) in entries {
-            let mut core = self.lock_shard(self.shard_of(blk));
-            if let Some(slot) = core.slot_of(blk) {
-                if let Some(b) = core.bufs[slot].as_mut() {
-                    if b.logical == Some(id) {
-                        b.logical = None;
-                    }
-                }
+        let mut st = self.lock();
+        let State { logical, shards, .. } = &mut *st;
+        for b in shards.iter_mut().flat_map(|s| s.bufs.iter_mut().flatten()) {
+            if b.logical.is_some_and(|id| id.0 == ino && logical.get(&id) == Some(&b.blkno)) {
+                b.logical = None;
             }
         }
+        logical.retain(|id, _| id.0 != ino);
     }
 
     /// Drop the logical identity for `(ino, lbn)` (file truncate/delete).
     pub fn unbind_logical(&self, ino: Ino, lbn: u64) {
-        let blk = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache).remove(&(ino, lbn));
-        if let Some(blk) = blk {
-            let mut core = self.lock_shard(self.shard_of(blk));
-            if let Some(slot) = core.slot_of(blk) {
-                if let Some(b) = core.bufs[slot].as_mut() {
-                    if b.logical == Some((ino, lbn)) {
-                        b.logical = None;
-                    }
-                }
-            }
+        let mut st = self.lock();
+        if let Some(blk) = st.logical.remove(&(ino, lbn)) {
+            let (s, slot) = st.find(blk).expect("the logical index names resident blocks");
+            st.shards[s].buf(slot).logical = None;
         }
     }
 
     /// Relocation-aware rebinding: the regrouper is moving a block's
     /// storage from physical address `old` to `new`. If `old` is resident,
     /// its buffer — data, logical identity and all — is re-homed to `new`
-    /// in place (no disk I/O) and marked dirty, since the contents now
-    /// belong at the new address; any stale buffer already sitting at
-    /// `new` is invalidated first. Returns `true` on success, `false` when
-    /// `old` is not resident (the caller must copy through the disk
-    /// instead). A group-fetched buffer that gets relocated counts as
-    /// used: the speculative fetch delivered exactly the block the
-    /// regrouper needed. A move never grows the cache, so it never
-    /// evicts.
-    pub fn relocate_phys(&self, driver: &Driver, old: u64, new: u64) -> bool {
-        if old == new {
-            return false;
+    /// (no disk I/O) and marked dirty, since the contents now belong at
+    /// the new address; any stale buffer already sitting at `new` is
+    /// invalidated first. Returns `true` on success, `false` when `old`
+    /// is not resident (the caller must copy through the disk instead). A
+    /// group-fetched buffer that gets relocated counts as used: the
+    /// speculative fetch delivered exactly the block the regrouper
+    /// needed. The move is a use, in `new`'s shard; it never grows the
+    /// cache, so it never evicts.
+    pub fn relocate_phys(&self, _driver: &Driver, old: u64, new: u64) -> bool {
+        let mut st = self.lock();
+        let Some((s, slot)) = st.find(old).filter(|_| old != new) else { return false };
+        st.invalidate(&self.obs, new);
+        st.gfetch_used(&self.obs, s, slot);
+        let mut b = st.shards[s].take_resident(slot);
+        (b.blkno, b.dirty) = (new, true);
+        if let Some(id) = b.logical.filter(|id| st.logical.get(id) == Some(&old)) {
+            st.logical.insert(id, new);
         }
-        let ctx = self.ctx(driver);
-        let (so, sn) = (self.shard_of(old), self.shard_of(new));
-        if so == sn {
-            let mut core = self.lock_shard(so);
-            if !core.phys.contains_key(&old) {
-                return false;
-            }
-            core.invalidate(&ctx, new);
-            let slot = core.phys.remove(&old).expect("checked resident");
-            core.gfetch_used(&ctx, slot);
-            let b = core.dirty_buf(slot);
-            b.blkno = new;
-            let id = b.logical;
-            core.phys.insert(new, slot);
-            core.touch(slot);
-            if let Some(id) = id {
-                let mut lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
-                if lm.get(&id) == Some(&old) {
-                    lm.insert(id, new);
-                }
-            }
-            return true;
-        }
-        // Cross-shard re-homing: take both shard locks in ascending
-        // index order, lift the buffer out of the old shard and install
-        // it into the new one.
-        let (lo, hi) = (so.min(sn), so.max(sn));
-        let mut g_lo = self.lock_shard(lo);
-        let mut g_hi = self.lock_shard(hi);
-        let (src, dst): (&mut CacheCore, &mut CacheCore) =
-            if so == lo { (&mut g_lo, &mut g_hi) } else { (&mut g_hi, &mut g_lo) };
-        let Some(slot) = src.slot_of(old) else { return false };
-        src.gfetch_used(&ctx, slot);
-        let mut b = src.take_resident(slot);
-        dst.invalidate(&ctx, new);
-        b.blkno = new;
-        b.dirty = true;
-        let id = b.logical;
-        dst.install(b);
-        if let Some(id) = id {
-            let mut lm = self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache);
-            if lm.get(&id) == Some(&old) {
-                lm.insert(id, new);
-            }
-        }
+        st.install(b);
         true
     }
 
     /// Forget a block entirely (its disk space was freed). Dirty contents
     /// are discarded — writing a freed block back would be a bug.
-    pub fn invalidate_block(&self, driver: &Driver, blkno: u64) {
-        let ctx = self.ctx(driver);
-        let mut core = self.lock_shard(self.shard_of(blkno));
-        core.invalidate(&ctx, blkno);
+    pub fn invalidate_block(&self, _driver: &Driver, blkno: u64) {
+        self.lock().invalidate(&self.obs, blkno);
     }
 
     /// Fetch a set of contiguous block runs as *one* batch of scatter/gather
@@ -1117,78 +900,63 @@ impl BufferCache {
     /// lends each the platter's chunk (a handle, no copy and no free-list
     /// buffer: the first write to one copies it, see [`modify_block`]) —
     /// and the scheduler sees one request per piece, as C-LOOK must (its
-    /// wrap point can fall inside a run). The fetch installs all its
-    /// blocks, then makes room once.
+    /// wrap point can fall inside a run). The request list and the
+    /// pieces' block lists are the cache's, emptied and reused by every
+    /// fetch. The fetch installs all its blocks, then makes room once.
     ///
     /// [`modify_block`]: BufferCache::modify_block
     pub fn read_group(&self, driver: &Driver, runs: &[(u64, usize)]) -> FsResult<()> {
-        let ctx = self.ctx(driver);
-        let mut reqs: Vec<IoReq<Vec<Block>>> = Vec::new();
-        // Consecutive blocks of one shard share one shard lock.
-        let mut held: Held = None;
+        let mut st = self.lock();
+        let st = &mut *st;
+        let mut reqs = std::mem::take(&mut st.group);
         for &(start, n) in runs {
             // Split each run at resident blocks.
             let mut piece: Option<IoReq<Vec<Block>>> = None;
             for blk in start..start + n as u64 {
-                if self.shard_held(&mut held, self.shard_of(blk)).phys.contains_key(&blk) {
+                if st.find(blk).is_some() {
                     reqs.extend(piece.take());
                     continue;
                 }
-                piece
-                    .get_or_insert_with(|| IoReq {
-                        lba: blk * SECTORS_PER_BLOCK,
-                        dir: IoDir::Read,
-                        data: Vec::with_capacity(n),
-                    })
-                    .data
-                    .push(Block::zero());
+                let lba = blk * SECTORS_PER_BLOCK;
+                let piece = piece.get_or_insert_with(|| IoReq {
+                    lba,
+                    dir: IoDir::Read,
+                    data: st.pieces.pop().unwrap_or_default(),
+                });
+                piece.data.push(Block::zero());
             }
             reqs.extend(piece);
         }
-        drop(held);
         if reqs.is_empty() {
+            st.group = reqs;
             return Ok(());
         }
-        let done = driver.submit_batch(reqs);
+        let mut done = driver.submit_batch(reqs);
         self.obs.bump(Ctr::CacheGroupReads);
-        let fetch_id = self.next_gfetch.fetch_add(1, Relaxed);
+        let fetch_id = st.next_gfetch;
+        st.next_gfetch = fetch_id.wrapping_add(1);
         // Register the tally before installing: with a tiny cache, making
         // room afterwards can evict blocks of this very fetch, and their
         // "wasted" resolution must find the entry.
         let fetched: u32 = done.iter().map(|r| r.data.len() as u32).sum();
-        self.budget.largest_fetch.fetch_max(fetched as usize, Relaxed);
+        st.largest_fetch = st.largest_fetch.max(fetched as usize);
         let cg = done.first().and_then(|r| self.obs.cg_of_sector(r.lba));
-        self.obs
-            .lock_timed(&self.gfetches, Ctr::LockWaitNsCache)
-            .insert(fetch_id, GroupFetch { fetched, resolved: 0, used: 0, cg });
+        st.gfetches.insert(fetch_id, GroupFetch { fetched, resolved: 0, used: 0, cg });
         // Install every fetched block, identity-less. Block numbers come
         // from the requests themselves — the scheduler may have serviced
         // them in any order.
-        let mut held: Held = None;
-        for req in done {
+        for req in &mut done {
             let base = req.lba / SECTORS_PER_BLOCK;
-            for (blk, data) in (base..).zip(req.data) {
-                let core = self.shard_held(&mut held, self.shard_of(blk));
-                if core.phys.contains_key(&blk) {
-                    // A concurrent installer beat us to this block; the
-                    // speculative block is dropped unused, a waste.
-                    drop(data);
-                    gfetch_wasted(&ctx, fetch_id);
-                    continue;
-                }
-                core.install(Buf {
-                    blkno: blk,
-                    logical: None,
-                    data,
-                    dirty: false,
-                    meta: false,
-                    gfetch: Some(fetch_id),
-                });
+            let gfetch = Some(fetch_id);
+            for (blkno, data) in (base..).zip(req.data.drain(..)) {
+                st.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch });
                 self.obs.bump(Ctr::CacheGroupReadBlocks);
             }
+            st.pieces.push(std::mem::take(&mut req.data));
         }
-        self.make_room(&ctx, &mut held);
-        drop(held);
+        done.clear();
+        st.group = done;
+        st.make_room(&self.obs, driver);
         Ok(())
     }
 
@@ -1196,35 +964,33 @@ impl BufferCache {
     /// Physically adjacent dirty blocks — grouped small files — merge into
     /// single scatter/gather writes here.
     pub fn sync(&self, driver: &Driver) -> FsResult<()> {
-        self.flush(&self.ctx(driver));
+        self.lock().flush(&self.obs, driver);
         Ok(())
     }
 
     /// Sync, then drop *all* buffers: the cold-cache boundary between
     /// benchmark phases (the moral equivalent of unmount + mount).
     pub fn drop_all(&self, driver: &Driver) -> FsResult<()> {
-        self.sync(driver)?;
-        let ctx = self.ctx(driver);
-        for shard in &self.shards {
-            let mut core = self.obs.lock_timed(shard, Ctr::LockWaitNsCache);
+        let mut st = self.lock();
+        st.flush(&self.obs, driver);
+        let State { shards, gfetches, .. } = &mut *st;
+        for shard in shards {
             // Every still-untouched group-fetched buffer leaves the cache
             // here: resolve them as wasted so in-flight fetch tallies settle
             // (this is what makes `used + wasted == fetched` hold at every
             // cold-cache boundary).
-            let pending: Vec<u32> = core.bufs.iter().flatten().filter_map(|b| b.gfetch).collect();
-            for id in pending {
-                gfetch_wasted(&ctx, id);
+            for id in shard.bufs.iter().flatten().filter_map(|b| b.gfetch) {
+                gfetch_wasted(gfetches, &self.obs, id);
             }
             // One hit-rate sample per shard per cold boundary, over the
             // epoch it closes: uneven shard rates are the signature of a
             // skewed workload.
-            if let Some(pct) = (core.hits * 100).checked_div(core.lookups) {
+            if let Some(pct) = (shard.hits * 100).checked_div(shard.lookups) {
                 self.obs.histos().cache_shard_hit_pct.record(pct);
             }
-            (core.lookups, core.hits) = (0, 0);
-            core.clear(&self.obs);
+            (shard.lookups, shard.hits) = (0, 0);
         }
-        self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache).clear();
+        st.clear();
         Ok(())
     }
 
@@ -1232,13 +998,11 @@ impl BufferCache {
     /// crash. The disk image is left exactly as the write history produced
     /// it; fsck gets to pick up the pieces.
     pub fn crash(&self) {
-        for shard in &self.shards {
-            self.obs.lock_timed(shard, Ctr::LockWaitNsCache).clear(&self.obs);
-        }
-        self.obs.lock_timed(&self.logical, Ctr::LockWaitNsCache).clear();
+        let mut st = self.lock();
+        st.clear();
         // A crash is not an eviction: abandon in-flight utilization
         // accounting rather than charging the lost buffers as "wasted".
-        self.obs.lock_timed(&self.gfetches, Ctr::LockWaitNsCache).clear();
+        st.gfetches.clear();
     }
 }
 
@@ -1248,10 +1012,9 @@ impl BufferCache {
     /// list. A resident block that shares the platter's chunk is the
     /// platter's memory, not the cache's.
     fn owned(&self) -> usize {
-        let unshared = |s: &Mutex<CacheCore>| {
-            s.lock().unwrap().bufs.iter().flatten().filter(|b| !b.data.is_shared()).count()
-        };
-        self.shards.iter().map(unshared).sum::<usize>() + self.budget.spare.lock().unwrap().len()
+        let st = self.lock();
+        let unshared = |s: &Shard| s.bufs.iter().flatten().filter(|b| !b.data.is_shared()).count();
+        st.shards.iter().map(unshared).sum::<usize>() + st.spare.len()
     }
 }
 
@@ -1596,6 +1359,23 @@ mod tests {
         assert_eq!(c.lookup_logical(5, 0), Some(61));
     }
 
+    /// An identity bound back to a block whose buffer still carries it
+    /// from before moves the index entry back: the buffer keeps its
+    /// `logical` when the identity is bound elsewhere, and that leftover
+    /// must not make the rebind a no-op.
+    #[test]
+    fn rebind_to_a_buffer_that_kept_the_identity_moves_the_index() {
+        let drv = driver();
+        let c = BufferCache::new(CacheConfig { nbufs: 12, flush_watermark_pct: 100 });
+        c.modify_block_bound(&drv, 55, 5, 5, false, |d| d.fill(1)).unwrap();
+        c.modify_block_bound(&drv, 9, 5, 5, false, |d| d.fill(2)).unwrap();
+        assert_eq!(c.lookup_logical(5, 5), Some(9));
+        c.modify_block_bound(&drv, 55, 5, 5, false, |d| d.fill(3)).unwrap();
+        assert_eq!(c.lookup_logical(5, 5), Some(55), "the identity went back to block 55");
+        assert_eq!(c.read_logical(&drv, 5, 5).unwrap()[0], 3);
+        assert_eq!(c.obs().get(Ctr::CacheBackbinds), 2, "a rebind is not a back-bind");
+    }
+
     #[test]
     fn relocate_phys_rehomes_resident_buffer() {
         let drv = driver();
@@ -1794,11 +1574,12 @@ mod tests {
             }
         }
         assert_eq!(drv.obs().get(Ctr::DiskReads), 32, "only the loads reached the disk");
-        let core = c.lock_shard(0);
+        let st = c.lock();
+        let core = &st.shards[0];
         assert_eq!(core.bufs.len(), 32);
         assert_eq!(core.links.len(), 32, "bookkeeping is one link per slot");
         // And the list threads every resident slot exactly once, oldest
-        // tick first, and publishes its head's tick.
+        // tick first.
         let (mut seen, mut slot, mut prev) = (0, core.lru_head, NIL);
         while slot != NIL {
             assert_eq!(core.links[slot].prev, prev);
@@ -1809,7 +1590,6 @@ mod tests {
             seen += 1;
         }
         assert_eq!((seen, prev), (32, core.lru_tail));
-        assert_eq!(core.head().tick.load(Relaxed), core.links[core.lru_head].tick);
     }
 
     #[test]

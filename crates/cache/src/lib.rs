@@ -43,11 +43,13 @@
 //!   keeps its bytes until the write-back, and a write-back hands the
 //!   driver [`Block`] handles, not copies.
 //!
-//! * The capacity ([`CacheConfig::nbufs`]) is one budget for the whole
-//!   cache. [`BufferCache::shard_by_cg`] splits the *locks* by cylinder
-//!   group, not the capacity: a busy shard grows past its fair share
-//!   (`nbufs / nshards`) while other shards sit idle, and the dirty
-//!   watermark counts dirty buffers cache-wide.
+//! * The cache has one lock, held for the whole of each call; its
+//!   state is one plain struct. The capacity ([`CacheConfig::nbufs`]) is
+//!   one budget for the whole cache. [`BufferCache::shard_by_cg`]
+//!   partitions *eviction* by cylinder group, not the capacity: a busy
+//!   shard grows past its fair share (`nbufs / nshards`) while other
+//!   shards sit idle, and the dirty watermark counts dirty buffers
+//!   cache-wide.
 //!
 //! Replacement is LRU over clean and dirty buffers alike. Each shard keeps
 //! its buffers on an intrusive doubly-linked list over buffer slots
@@ -57,7 +59,9 @@
 //! recently touched buffer among the shards holding more than their fair
 //! share, so borrowed capacity goes back first; with one shard this is
 //! exact LRU. Evicting a dirty buffer writes it back first, exactly like
-//! a classic `getblk`/`bwrite` buffer cache.
+//! a classic `getblk`/`bwrite` buffer cache. The shards exist for this
+//! policy alone, not for locking: exact global LRU (one shard) moves
+//! simulated results (DESIGN.md §10).
 
 mod bufcache;
 

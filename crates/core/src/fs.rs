@@ -285,7 +285,7 @@ impl NsState {
 /// 3. `groups` (group index)
 /// 4. `cg_state[i]` (per-CG header + bitmap; persist callbacks from
 ///    `groups` lock these, never the reverse)
-/// 5. buffer-cache shards, then the disk mutex
+/// 5. the buffer cache's one lock, then the disk mutex
 ///
 /// `ns` is leaf-scoped: taken and released with no other lock acquired
 /// inside. Contention on any of these surfaces in the

@@ -81,7 +81,7 @@ impl Cffs {
     }
 
     /// Read a block with logical binding, group-fetching on a miss as
-    /// `fetch` allows. A resident block costs one shard lock.
+    /// `fetch` allows. A resident block costs one cache lock.
     pub(super) fn fetch_block(&self, blk: u64, ino: Ino, lbn: u64, fetch: Fetch) -> FsResult<Block> {
         if let Some(data) = self.cache.read_resident(&self.drv, blk, Some((ino, lbn))) {
             return Ok(data);

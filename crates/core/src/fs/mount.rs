@@ -64,8 +64,8 @@ impl Cffs {
         });
         let mut cache = BufferCache::new(cfg.cache);
         cache.set_obs(obs.clone());
-        // Shard the cache on the cylinder-group stride so threads working
-        // in disjoint CGs take disjoint shard locks.
+        // Partition the cache's eviction on the cylinder-group stride: a
+        // victim is the oldest buffer of a CG shard past its fair share.
         cache.shard_by_cg(sb.cg_size as u64, (sb.cg_count as usize).min(16));
         let meta = ExMeta {
             exfile: sb.exfile.clone(),

@@ -15,7 +15,7 @@
 //! trait: threaded workloads ask for `FileSystem + Sync`.
 //!
 //! * `Cffs` and `VolumeSet` shard and lock their own state (per-cylinder-
-//!   group allocation maps, cache shards, the driver's disk lock) and are
+//!   group allocation maps, the cache's lock, the driver's disk lock) and are
 //!   `Sync`. Each client thread advances its own virtual clock (the
 //!   thread-local mirror in `cffs_obs::Obs`); elapsed simulated time is the
 //!   cross-thread high-water mark `Obs::global_clock_ns`, so CPU work on

@@ -191,8 +191,8 @@ counters! {
     /// Host nanoseconds spent waiting on contended allocation-map /
     /// group-index / namespace locks in the FS core.
     LockWaitNsAlloc => "lock_wait_ns_alloc",
-    /// Host nanoseconds spent waiting on contended buffer-cache shard
-    /// locks.
+    /// Host nanoseconds spent waiting on the contended buffer-cache
+    /// lock.
     LockWaitNsCache => "lock_wait_ns_cache",
     /// Host nanoseconds spent waiting on contended driver queue / disk
     /// locks.

@@ -304,10 +304,11 @@ fn cold_group_read_makes_no_block_sized_request() {
     assert_eq!(cache.obs().get(Ctr::CacheGroupReadBlocks), 9 * 16);
 }
 
-/// Heap requests of a cold 16-block group read with no block resident:
-/// `read_group`'s request list and its one request's block list. The
-/// blocks themselves are the platter's chunks, lent, not copied.
-const COLD_GROUP_READ_ALLOCS: u64 = 2;
+/// Heap requests of a cold 16-block group read with no block resident,
+/// once earlier fetches have sized the cache's tables: none. The request
+/// list and its block lists are the cache's own, emptied and reused by
+/// every fetch, and the blocks are the platter's chunks, lent, not copied.
+const COLD_GROUP_READ_ALLOCS: u64 = 0;
 
 /// A 16-block extent the platter holds, each block with its own bytes.
 fn write_extent(drv: &Driver, first: u64) {
@@ -318,8 +319,8 @@ fn write_extent(drv: &Driver, first: u64) {
 
 /// A cold group read makes no buffer of its own: every block it installs
 /// is the platter's chunk (the same memory, not a copy of it), and once
-/// evictions have sized the cache's slot tables, its only heap requests
-/// are its request lists.
+/// evictions have sized the cache's slot tables and earlier fetches its
+/// request lists, it makes no heap request at all.
 #[test]
 fn cold_group_read_installs_the_platters_blocks() {
     let drv = Driver::new(Disk::new(models::tiny_test_disk()), DriverConfig::default());
@@ -381,11 +382,11 @@ fn first_modify_of_a_group_read_block_reuses_a_free_buffer() {
 /// Heap requests of one cold lookup + 1 KB read in a grouped directory
 /// (dcache off), once a first cold round has sized every lazily grown
 /// table. The dirent-block miss fetches the live run around it as one
-/// group read: its one-run plan lives on the stack, and `read_group`'s
-/// request list and the request's buffer list are the two allocations.
+/// group read: its one-run plan lives on the stack, and `read_group`
+/// reuses the cache's request and block lists, so nothing is allocated.
 /// The count is exact, so a planner that collects a `Vec` again, or any
 /// new allocation on the cold path, moves it.
-const COLD_GROUPED_LOOKUP_READ_ALLOCS: u64 = 2;
+const COLD_GROUPED_LOOKUP_READ_ALLOCS: u64 = 0;
 
 #[test]
 fn cold_grouped_lookup_and_read_allocations_are_pinned() {
