@@ -97,7 +97,7 @@ const UNLINKED: Link = Link { prev: NIL, next: NIL, tick: 0 };
 
 /// One eviction partition: its buffers, physical index and LRU list.
 /// Capacity, the touch clock, the logical index and the free list are
-/// the cache's, in [`State`].
+/// the cache's, in [`Cache`].
 #[derive(Debug)]
 struct Shard {
     bufs: Vec<Option<Buf>>,
@@ -114,7 +114,7 @@ struct Shard {
     /// `dirty` flip.
     ndirty: usize,
     /// Lookups this shard answered, and how many of them hit, since the
-    /// last [`BufferCache::drop_all`] sampled its hit rate.
+    /// last [`Cache::drop_all`] sampled its hit rate.
     lookups: u64,
     hits: u64,
 }
@@ -313,10 +313,20 @@ fn flush_batch(obs: &Obs, driver: &Driver, mut dirty: Vec<IoReq<Block>>) -> Vec<
     driver.submit_batch(dirty)
 }
 
-/// Everything the cache's one lock guards.
+/// The dual-indexed buffer cache: one plain struct, every operation on
+/// `&mut self`. Its owner serializes the calls — the file system holds
+/// it inside its one lock, and [`BufferCache`] wraps it in a mutex for a
+/// cache shared on its own.
 #[derive(Debug)]
-struct State {
+pub struct Cache {
     config: CacheConfig,
+    /// Shared observability handle. Starts as a private instance; the
+    /// file-system layer rebinds it to the disk's handle via [`set_obs`]
+    /// so the whole stack reports into one [`StatsSnapshot`].
+    ///
+    /// [`set_obs`]: Cache::set_obs
+    /// [`StatsSnapshot`]: cffs_obs::StatsSnapshot
+    obs: Arc<Obs>,
     map: Option<ShardMap>,
     /// A shard's fair share of `nbufs`. A shard may grow past it while
     /// the cache has room; over budget, only shards past it give up a
@@ -353,10 +363,16 @@ struct State {
     pieces: Vec<Vec<Block>>,
 }
 
-impl State {
-    fn new(config: CacheConfig) -> State {
-        State {
+impl Cache {
+    /// Create an empty cache (one shard until [`shard_by_cg`] says
+    /// otherwise).
+    ///
+    /// [`shard_by_cg`]: Cache::shard_by_cg
+    pub fn new(config: CacheConfig) -> Cache {
+        assert!(config.nbufs >= 8, "cache must hold at least 8 buffers");
+        Cache {
             config,
+            obs: Obs::new(),
             map: None,
             fair: config.nbufs,
             shards: vec![Shard::new(config.nbufs)],
@@ -383,10 +399,6 @@ impl State {
     fn find(&self, blkno: u64) -> Option<(usize, usize)> {
         let s = self.shard_of(blkno);
         Some((s, self.shards[s].slot_of(blkno)?))
-    }
-
-    fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.phys.len()).sum()
     }
 
     fn over(&self) -> bool {
@@ -431,35 +443,35 @@ impl State {
 
     /// A buffer left the cache: drop the logical entry naming it, and
     /// settle its group fetch if it was never hit.
-    fn forget(&mut self, obs: &Obs, b: &Buf) {
+    fn forget(&mut self, b: &Buf) {
         if let Some(id) = b.logical {
             if self.logical.get(&id) == Some(&b.blkno) {
                 self.logical.remove(&id);
             }
         }
         if let Some(id) = b.gfetch {
-            gfetch_wasted(&mut self.gfetches, obs, id);
+            gfetch_wasted(&mut self.gfetches, &self.obs, id);
         }
     }
 
     /// A group-fetched buffer was hit for the first time: the speculation
     /// paid off. No-op for buffers that did not arrive via group fetch or
     /// were already counted.
-    fn gfetch_used(&mut self, obs: &Obs, s: usize, slot: usize) {
+    fn gfetch_used(&mut self, s: usize, slot: usize) {
         let Some(id) = self.shards[s].buf(slot).gfetch.take() else { return };
-        obs.bump(Ctr::GroupFetchBlocksUsed);
-        gfetch_resolve(&mut self.gfetches, obs, id, true);
+        self.obs.bump(Ctr::GroupFetchBlocksUsed);
+        gfetch_resolve(&mut self.gfetches, &self.obs, id, true);
     }
 
     /// A lookup of the resident buffer in `slot` by its physical block
     /// number: counted as a hit, and a use.
-    fn phys_hit(&mut self, obs: &Obs, s: usize, slot: usize) {
+    fn phys_hit(&mut self, s: usize, slot: usize) {
         self.shards[s].lookups += 1;
         self.shards[s].hits += 1;
-        obs.bump(Ctr::CacheLookups);
-        obs.bump(Ctr::CachePhysHits);
+        self.obs.bump(Ctr::CacheLookups);
+        self.obs.bump(Ctr::CachePhysHits);
         self.touch(s, slot);
-        self.gfetch_used(obs, s, slot);
+        self.gfetch_used(s, slot);
     }
 
     /// A handle on the resident buffer in `slot`.
@@ -470,13 +482,13 @@ impl State {
     /// Bind (or rebind) a resident buffer's logical identity, moving the
     /// index entry to it. Counts a back-bind when the buffer arrived
     /// identity-less from a group read.
-    fn bind_slot(&mut self, obs: &Obs, s: usize, slot: usize, id: (Ino, u64)) {
+    fn bind_slot(&mut self, s: usize, slot: usize, id: (Ino, u64)) {
         // Claiming a group-fetched buffer (back-binding) is a use.
-        self.gfetch_used(obs, s, slot);
+        self.gfetch_used(s, slot);
         let b = self.shards[s].buf(slot);
         let blkno = b.blkno;
         match b.logical.replace(id) {
-            None => obs.bump(Ctr::CacheBackbinds),
+            None => self.obs.bump(Ctr::CacheBackbinds),
             Some(old) if old != id && self.logical.get(&old) == Some(&blkno) => {
                 self.logical.remove(&old);
             }
@@ -490,32 +502,23 @@ impl State {
     /// The logical-index probe: the block bound to `(ino, lbn)`, with its
     /// shard and slot. Counts one lookup, and a logical hit when it finds
     /// one.
-    fn logical_slot(&mut self, obs: &Obs, id: (Ino, u64)) -> Option<(usize, usize, u64)> {
-        obs.bump(Ctr::CacheLookups);
+    fn logical_slot(&mut self, id: (Ino, u64)) -> Option<(usize, usize, u64)> {
+        self.obs.bump(Ctr::CacheLookups);
         let blk = *self.logical.get(&id)?;
         let (s, slot) = self.find(blk).expect("the logical index names resident blocks");
         debug_assert_eq!(self.shards[s].buf(slot).logical, Some(id));
         self.shards[s].lookups += 1;
         self.shards[s].hits += 1;
-        obs.bump(Ctr::CacheLogicalHits);
+        self.obs.bump(Ctr::CacheLogicalHits);
         Some((s, slot, blk))
-    }
-
-    /// Forget a resident block (invalidate) without any write-back.
-    fn invalidate(&mut self, obs: &Obs, blkno: u64) {
-        if let Some((s, slot)) = self.find(blkno) {
-            let b = self.shards[s].take_resident(slot);
-            self.forget(obs, &b);
-            self.recycle(b.data);
-        }
     }
 
     /// Bring the cache back within its budget after installs took it
     /// over. Under dirty pressure every dirty buffer goes out first, as
     /// one sorted batch; then each victim is the least recently touched
-    /// buffer of [`State::victim`]'s shard, written back first when
+    /// buffer of [`Cache::victim`]'s shard, written back first when
     /// dirty.
-    fn make_room(&mut self, obs: &Obs, driver: &Driver) {
+    fn make_room(&mut self, driver: &Driver) {
         if !self.over() {
             return;
         }
@@ -526,31 +529,31 @@ impl State {
         let pct = self.config.flush_watermark_pct as usize;
         let dirty: usize = self.shards.iter().map(|s| s.ndirty).sum();
         if pct < 100 && dirty * 100 >= self.config.nbufs * pct {
-            self.flush(obs, driver);
+            self.flush(driver);
         }
         while self.over() {
             let Some(v) = self.victim() else { return };
             let head = self.shards[v].lru_head;
             let b = self.shards[v].take_resident(head);
-            self.forget(obs, &b);
+            self.forget(&b);
             if b.dirty {
                 driver.write(b.blkno * SECTORS_PER_BLOCK, &b.data);
-                obs.bump(Ctr::CacheWritebacks);
-                obs.bump(Ctr::CacheDelayedFlushes);
+                self.obs.bump(Ctr::CacheWritebacks);
+                self.obs.bump(Ctr::CacheDelayedFlushes);
             }
             self.recycle(b.data);
-            obs.bump(Ctr::CacheEvictions);
+            self.obs.bump(Ctr::CacheEvictions);
         }
     }
 
     /// Write every dirty buffer back as one scheduled, coalesced batch,
     /// on the one reused request list.
-    fn flush(&mut self, obs: &Obs, driver: &Driver) {
+    fn flush(&mut self, driver: &Driver) {
         let mut reqs = std::mem::take(&mut self.writeback);
         for shard in &mut self.shards {
             shard.take_dirty(&mut reqs);
         }
-        self.writeback = flush_batch(obs, driver, reqs);
+        self.writeback = flush_batch(&self.obs, driver, reqs);
         self.writeback.clear();
     }
 
@@ -559,20 +562,20 @@ impl State {
     /// block: callers rely on a new block reading as zeros, and the write
     /// that follows copies it). A miss installs its block, then makes
     /// room: the disk sees the read before a victim's write-back.
-    fn get_slot(&mut self, obs: &Obs, driver: &Driver, blkno: u64, read: bool) -> (usize, usize) {
+    fn get_slot(&mut self, driver: &Driver, blkno: u64, read: bool) -> (usize, usize) {
         if let Some((s, slot)) = self.find(blkno) {
-            self.phys_hit(obs, s, slot);
+            self.phys_hit(s, slot);
             return (s, slot);
         }
         let s = self.shard_of(blkno);
         self.shards[s].lookups += 1;
-        obs.bump(Ctr::CacheLookups);
-        obs.bump(Ctr::CacheMisses);
+        self.obs.bump(Ctr::CacheLookups);
+        self.obs.bump(Ctr::CacheMisses);
         let data = if read { driver.read_block(blkno * SECTORS_PER_BLOCK) } else { Block::zero() };
         let slot = self.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch: None });
         // The new buffer is its shard's most recently touched, never a
         // victim.
-        self.make_room(obs, driver);
+        self.make_room(driver);
         (s, slot)
     }
 
@@ -594,31 +597,7 @@ impl State {
     }
 }
 
-/// The dual-indexed buffer cache. All operations take `&self` and hold
-/// the cache's one lock for their whole body; the handle is `Send +
-/// Sync`.
-#[derive(Debug)]
-pub struct BufferCache {
-    state: Mutex<State>,
-    /// Shared observability handle. Starts as a private instance; the
-    /// file-system layer rebinds it to the disk's handle via [`set_obs`]
-    /// so the whole stack reports into one [`StatsSnapshot`].
-    ///
-    /// [`set_obs`]: BufferCache::set_obs
-    /// [`StatsSnapshot`]: cffs_obs::StatsSnapshot
-    obs: Arc<Obs>,
-}
-
-impl BufferCache {
-    /// Create an empty cache (one shard until [`shard_by_cg`] says
-    /// otherwise).
-    ///
-    /// [`shard_by_cg`]: BufferCache::shard_by_cg
-    pub fn new(config: CacheConfig) -> Self {
-        assert!(config.nbufs >= 8, "cache must hold at least 8 buffers");
-        BufferCache { state: Mutex::new(State::new(config)), obs: Obs::new() }
-    }
-
+impl Cache {
     /// Partition eviction by cylinder group: block `b` belongs to CG `b /
     /// cg_blocks`, and CGs are distributed round-robin over `nshards`
     /// shards (capped so every shard's fair share is at least 8
@@ -628,21 +607,16 @@ impl BufferCache {
     /// cache is empty — the file-system layer does it at mount.
     pub fn shard_by_cg(&mut self, cg_blocks: u64, nshards: usize) {
         assert!(cg_blocks >= 1, "cylinder group size must be positive");
-        let st = self.state.get_mut().expect("cache lock poisoned");
-        assert_eq!(st.resident(), 0, "cannot reshard a populated cache");
-        let nshards = nshards.clamp(1, st.config.nbufs / 8);
-        st.map = (nshards > 1).then_some(ShardMap { cg_blocks, nshards });
-        st.fair = st.config.nbufs / nshards;
-        st.shards = (0..nshards).map(|_| Shard::new(st.fair)).collect();
+        assert_eq!(self.resident(), 0, "cannot reshard a populated cache");
+        let nshards = nshards.clamp(1, self.config.nbufs / 8);
+        self.map = (nshards > 1).then_some(ShardMap { cg_blocks, nshards });
+        self.fair = self.config.nbufs / nshards;
+        self.shards = (0..nshards).map(|_| Shard::new(self.fair)).collect();
     }
 
     /// Number of shards the cache is split into.
     pub fn nshards(&self) -> usize {
-        self.lock().shards.len()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, State> {
-        self.obs.lock_timed(&self.state, Ctr::LockWaitNsCache)
+        self.shards.len()
     }
 
     /// Rebind the observability handle (normally to `driver.obs()`, so
@@ -658,61 +632,57 @@ impl BufferCache {
 
     /// Number of resident buffers.
     pub fn resident(&self) -> usize {
-        self.lock().resident()
+        self.shards.iter().map(|s| s.phys.len()).sum()
     }
 
     /// Number of dirty buffers.
     pub fn dirty_count(&self) -> usize {
-        self.lock().shards.iter().map(Shard::dirty_count).sum()
+        self.shards.iter().map(Shard::dirty_count).sum()
     }
 
     /// Is the block resident (for tests and group-read planning)?
     pub fn contains(&self, blkno: u64) -> bool {
-        self.lock().find(blkno).is_some()
+        self.find(blkno).is_some()
     }
 
     /// Look a block up by logical identity without touching the disk.
     /// Returns the physical block number on a hit — the caller skips the
     /// bmap translation entirely, which is the point of the second index.
-    pub fn lookup_logical(&self, ino: Ino, lbn: u64) -> Option<u64> {
-        let mut st = self.lock();
-        let (s, slot, blk) = st.logical_slot(&self.obs, (ino, lbn))?;
-        st.touch(s, slot);
+    pub fn lookup_logical(&mut self, ino: Ino, lbn: u64) -> Option<u64> {
+        let (s, slot, blk) = self.logical_slot((ino, lbn))?;
+        self.touch(s, slot);
         Some(blk)
     }
 
     /// Read the resident block bound to `(ino, lbn)`, if there is one:
     /// the logical-index probe of [`lookup_logical`] and the physical hit
-    /// of [`read_block_bound`] in one visit, counted as those two
+    /// of [`read_block_bound`] in one call, counted as those two
     /// lookups. On `None` only the probe was counted; nothing was read.
     ///
-    /// [`lookup_logical`]: BufferCache::lookup_logical
-    /// [`read_block_bound`]: BufferCache::read_block_bound
-    pub fn read_logical(&self, _driver: &Driver, ino: Ino, lbn: u64) -> Option<Block> {
-        let mut st = self.lock();
-        let (s, slot, _) = st.logical_slot(&self.obs, (ino, lbn))?;
-        st.phys_hit(&self.obs, s, slot);
-        Some(st.data(s, slot))
+    /// [`lookup_logical`]: Cache::lookup_logical
+    /// [`read_block_bound`]: Cache::read_block_bound
+    pub fn read_logical(&mut self, ino: Ino, lbn: u64) -> Option<Block> {
+        let (s, slot, _) = self.logical_slot((ino, lbn))?;
+        self.phys_hit(s, slot);
+        Some(self.data(s, slot))
     }
 
     /// Run `f` on the contents of the resident block bound to `(ino,
     /// lbn)`, if there is one: a look that reads nothing from the disk
     /// and, not being a use, leaves the LRU order and the counters alone.
-    /// Returns the physical block number with `f`'s result. `f` runs
-    /// under the cache's lock, so it must not call back into the cache.
+    /// Returns the physical block number with `f`'s result.
     pub fn peek_logical<R>(&self, ino: Ino, lbn: u64, f: impl FnOnce(&[u8]) -> R) -> Option<(u64, R)> {
-        let mut st = self.lock();
-        let blk = *st.logical.get(&(ino, lbn))?;
-        let (s, slot) = st.find(blk).expect("the logical index names resident blocks");
-        Some((blk, f(&st.shards[s].buf(slot).data)))
+        let blk = *self.logical.get(&(ino, lbn))?;
+        let (s, slot) = self.find(blk).expect("the logical index names resident blocks");
+        let b = self.shards[s].bufs[slot].as_ref().expect("resident");
+        Some((blk, f(&b.data)))
     }
 
     /// Read a block through the cache, returning a shared handle on its
     /// contents (see [`Block`]).
-    pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Block> {
-        let mut st = self.lock();
-        let (s, slot) = st.get_slot(&self.obs, driver, blkno, true);
-        Ok(st.data(s, slot))
+    pub fn read_block(&mut self, driver: &Driver, blkno: u64) -> FsResult<Block> {
+        let (s, slot) = self.get_slot(driver, blkno, true);
+        Ok(self.data(s, slot))
     }
 
     /// Read `blkno` if it is resident, binding it to `id` when given: the
@@ -720,31 +690,23 @@ impl BufferCache {
     /// same. A miss counts nothing and reads nothing, so the caller can
     /// plan its fetch before the counted read.
     ///
-    /// [`read_block`]: BufferCache::read_block
-    /// [`read_block_bound`]: BufferCache::read_block_bound
-    pub fn read_resident(&self, _driver: &Driver, blkno: u64, id: Option<(Ino, u64)>) -> Option<Block> {
-        let mut st = self.lock();
-        let (s, slot) = st.find(blkno)?;
-        st.phys_hit(&self.obs, s, slot);
+    /// [`read_block`]: Cache::read_block
+    /// [`read_block_bound`]: Cache::read_block_bound
+    pub fn read_resident(&mut self, blkno: u64, id: Option<(Ino, u64)>) -> Option<Block> {
+        let (s, slot) = self.find(blkno)?;
+        self.phys_hit(s, slot);
         if let Some(id) = id {
-            st.bind_slot(&self.obs, s, slot, id);
+            self.bind_slot(s, slot, id);
         }
-        Some(st.data(s, slot))
+        Some(self.data(s, slot))
     }
 
     /// Read a block and bind it to a logical identity in one step (the
     /// common file-read path: bmap said `(ino, lbn)` lives at `blkno`).
-    pub fn read_block_bound(
-        &self,
-        driver: &Driver,
-        blkno: u64,
-        ino: Ino,
-        lbn: u64,
-    ) -> FsResult<Block> {
-        let mut st = self.lock();
-        let (s, slot) = st.get_slot(&self.obs, driver, blkno, true);
-        st.bind_slot(&self.obs, s, slot, (ino, lbn));
-        Ok(st.data(s, slot))
+    pub fn read_block_bound(&mut self, driver: &Driver, blkno: u64, ino: Ino, lbn: u64) -> FsResult<Block> {
+        let (s, slot) = self.get_slot(driver, blkno, true);
+        self.bind_slot(s, slot, (ino, lbn));
+        Ok(self.data(s, slot))
     }
 
     /// Mutate a block in place (a block that shares the platter's chunk or
@@ -752,27 +714,24 @@ impl BufferCache {
     /// `read_first` controls whether a cache miss fetches the old contents
     /// (true for partial updates, false when the caller will overwrite the
     /// whole block). The buffer is left dirty; durability is the caller's
-    /// policy decision. `f` runs under the cache's lock, so it must not
-    /// call back into the cache.
+    /// policy decision.
     pub fn modify_block<R>(
-        &self,
+        &mut self,
         driver: &Driver,
         blkno: u64,
         meta: bool,
         read_first: bool,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> FsResult<R> {
-        let mut st = self.lock();
-        let (s, slot) = st.get_slot(&self.obs, driver, blkno, read_first);
-        let State { shards, spare, .. } = &mut *st;
-        let b = shards[s].dirty_buf(slot);
+        let (s, slot) = self.get_slot(driver, blkno, read_first);
+        let b = self.shards[s].dirty_buf(slot);
         b.meta = meta;
-        Ok(f(writable(spare, &mut b.data)))
+        Ok(f(writable(&mut self.spare, &mut b.data)))
     }
 
     /// Mutate a block and bind its logical identity (file-write path).
     pub fn modify_block_bound<R>(
-        &self,
+        &mut self,
         driver: &Driver,
         blkno: u64,
         ino: Ino,
@@ -780,20 +739,17 @@ impl BufferCache {
         read_first: bool,
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> FsResult<R> {
-        let mut st = self.lock();
-        let (s, slot) = st.get_slot(&self.obs, driver, blkno, read_first);
-        st.bind_slot(&self.obs, s, slot, (ino, lbn));
-        let State { shards, spare, .. } = &mut *st;
-        Ok(f(writable(spare, &mut shards[s].dirty_buf(slot).data)))
+        let (s, slot) = self.get_slot(driver, blkno, read_first);
+        self.bind_slot(s, slot, (ino, lbn));
+        Ok(f(writable(&mut self.spare, &mut self.shards[s].dirty_buf(slot).data)))
     }
 
     /// If `blkno` is dirty, write it to disk *now* and mark it clean. This
     /// is the synchronous-metadata primitive: the conventional create path
     /// calls it on the inode block before the directory block, and so on.
-    pub fn flush_block_sync(&self, driver: &Driver, blkno: u64) -> FsResult<()> {
-        let mut st = self.lock();
-        if let Some((s, slot)) = st.find(blkno) {
-            let shard = &mut st.shards[s];
+    pub fn flush_block_sync(&mut self, driver: &Driver, blkno: u64) -> FsResult<()> {
+        if let Some((s, slot)) = self.find(blkno) {
+            let shard = &mut self.shards[s];
             let b = shard.buf(slot);
             if b.dirty {
                 driver.write(blkno * SECTORS_PER_BLOCK, &b.data);
@@ -811,11 +767,10 @@ impl BufferCache {
     /// updates both atomically (the disk guarantees sector atomicity).
     ///
     /// The rest of the block stays dirty if it was dirty before.
-    pub fn flush_sector_sync(&self, driver: &Driver, blkno: u64, offset: usize) -> FsResult<()> {
+    pub fn flush_sector_sync(&mut self, driver: &Driver, blkno: u64, offset: usize) -> FsResult<()> {
         let sector_in_block = offset / cffs_disksim::SECTOR_SIZE;
-        let mut st = self.lock();
-        if let Some((s, slot)) = st.find(blkno) {
-            let b = st.shards[s].buf(slot);
+        if let Some((s, slot)) = self.find(blkno) {
+            let b = self.shards[s].buf(slot);
             let lo = sector_in_block * cffs_disksim::SECTOR_SIZE;
             let hi = lo + cffs_disksim::SECTOR_SIZE;
             driver.write(blkno * SECTORS_PER_BLOCK + sector_in_block as u64, &b.data[lo..hi]);
@@ -826,10 +781,9 @@ impl BufferCache {
 
     /// Bind (or rebind) the logical identity of a resident block. Counts a
     /// back-bind when the buffer arrived identity-less from a group read.
-    pub fn bind_logical(&self, _driver: &Driver, blkno: u64, ino: Ino, lbn: u64) {
-        let mut st = self.lock();
-        if let Some((s, slot)) = st.find(blkno) {
-            st.bind_slot(&self.obs, s, slot, (ino, lbn));
+    pub fn bind_logical(&mut self, blkno: u64, ino: Ino, lbn: u64) {
+        if let Some((s, slot)) = self.find(blkno) {
+            self.bind_slot(s, slot, (ino, lbn));
         }
     }
 
@@ -838,10 +792,9 @@ impl BufferCache {
     /// externalization). Physical buffers stay resident; only the logical
     /// index entries go, so a future holder of the same number can never
     /// hit another file's stale bindings.
-    pub fn purge_ino(&self, ino: Ino) {
-        let mut st = self.lock();
-        let State { logical, shards, .. } = &mut *st;
-        for b in shards.iter_mut().flat_map(|s| s.bufs.iter_mut().flatten()) {
+    pub fn purge_ino(&mut self, ino: Ino) {
+        let logical = &mut self.logical;
+        for b in self.shards.iter_mut().flat_map(|s| s.bufs.iter_mut().flatten()) {
             if b.logical.is_some_and(|id| id.0 == ino && logical.get(&id) == Some(&b.blkno)) {
                 b.logical = None;
             }
@@ -850,11 +803,10 @@ impl BufferCache {
     }
 
     /// Drop the logical identity for `(ino, lbn)` (file truncate/delete).
-    pub fn unbind_logical(&self, ino: Ino, lbn: u64) {
-        let mut st = self.lock();
-        if let Some(blk) = st.logical.remove(&(ino, lbn)) {
-            let (s, slot) = st.find(blk).expect("the logical index names resident blocks");
-            st.shards[s].buf(slot).logical = None;
+    pub fn unbind_logical(&mut self, ino: Ino, lbn: u64) {
+        if let Some(blk) = self.logical.remove(&(ino, lbn)) {
+            let (s, slot) = self.find(blk).expect("the logical index names resident blocks");
+            self.shards[s].buf(slot).logical = None;
         }
     }
 
@@ -869,24 +821,27 @@ impl BufferCache {
     /// speculative fetch delivered exactly the block the regrouper
     /// needed. The move is a use, in `new`'s shard; it never grows the
     /// cache, so it never evicts.
-    pub fn relocate_phys(&self, _driver: &Driver, old: u64, new: u64) -> bool {
-        let mut st = self.lock();
-        let Some((s, slot)) = st.find(old).filter(|_| old != new) else { return false };
-        st.invalidate(&self.obs, new);
-        st.gfetch_used(&self.obs, s, slot);
-        let mut b = st.shards[s].take_resident(slot);
+    pub fn relocate_phys(&mut self, old: u64, new: u64) -> bool {
+        let Some((s, slot)) = self.find(old).filter(|_| old != new) else { return false };
+        self.invalidate_block(new);
+        self.gfetch_used(s, slot);
+        let mut b = self.shards[s].take_resident(slot);
         (b.blkno, b.dirty) = (new, true);
-        if let Some(id) = b.logical.filter(|id| st.logical.get(id) == Some(&old)) {
-            st.logical.insert(id, new);
+        if let Some(id) = b.logical.filter(|id| self.logical.get(id) == Some(&old)) {
+            self.logical.insert(id, new);
         }
-        st.install(b);
+        self.install(b);
         true
     }
 
     /// Forget a block entirely (its disk space was freed). Dirty contents
     /// are discarded — writing a freed block back would be a bug.
-    pub fn invalidate_block(&self, _driver: &Driver, blkno: u64) {
-        self.lock().invalidate(&self.obs, blkno);
+    pub fn invalidate_block(&mut self, blkno: u64) {
+        if let Some((s, slot)) = self.find(blkno) {
+            let b = self.shards[s].take_resident(slot);
+            self.forget(&b);
+            self.recycle(b.data);
+        }
     }
 
     /// Fetch a set of contiguous block runs as *one* batch of scatter/gather
@@ -904,16 +859,14 @@ impl BufferCache {
     /// pieces' block lists are the cache's, emptied and reused by every
     /// fetch. The fetch installs all its blocks, then makes room once.
     ///
-    /// [`modify_block`]: BufferCache::modify_block
-    pub fn read_group(&self, driver: &Driver, runs: &[(u64, usize)]) -> FsResult<()> {
-        let mut st = self.lock();
-        let st = &mut *st;
-        let mut reqs = std::mem::take(&mut st.group);
+    /// [`modify_block`]: Cache::modify_block
+    pub fn read_group(&mut self, driver: &Driver, runs: &[(u64, usize)]) -> FsResult<()> {
+        let mut reqs = std::mem::take(&mut self.group);
         for &(start, n) in runs {
             // Split each run at resident blocks.
             let mut piece: Option<IoReq<Vec<Block>>> = None;
             for blk in start..start + n as u64 {
-                if st.find(blk).is_some() {
+                if self.find(blk).is_some() {
                     reqs.extend(piece.take());
                     continue;
                 }
@@ -921,27 +874,27 @@ impl BufferCache {
                 let piece = piece.get_or_insert_with(|| IoReq {
                     lba,
                     dir: IoDir::Read,
-                    data: st.pieces.pop().unwrap_or_default(),
+                    data: self.pieces.pop().unwrap_or_default(),
                 });
                 piece.data.push(Block::zero());
             }
             reqs.extend(piece);
         }
         if reqs.is_empty() {
-            st.group = reqs;
+            self.group = reqs;
             return Ok(());
         }
         let mut done = driver.submit_batch(reqs);
         self.obs.bump(Ctr::CacheGroupReads);
-        let fetch_id = st.next_gfetch;
-        st.next_gfetch = fetch_id.wrapping_add(1);
+        let fetch_id = self.next_gfetch;
+        self.next_gfetch = fetch_id.wrapping_add(1);
         // Register the tally before installing: with a tiny cache, making
         // room afterwards can evict blocks of this very fetch, and their
         // "wasted" resolution must find the entry.
         let fetched: u32 = done.iter().map(|r| r.data.len() as u32).sum();
-        st.largest_fetch = st.largest_fetch.max(fetched as usize);
+        self.largest_fetch = self.largest_fetch.max(fetched as usize);
         let cg = done.first().and_then(|r| self.obs.cg_of_sector(r.lba));
-        st.gfetches.insert(fetch_id, GroupFetch { fetched, resolved: 0, used: 0, cg });
+        self.gfetches.insert(fetch_id, GroupFetch { fetched, resolved: 0, used: 0, cg });
         // Install every fetched block, identity-less. Block numbers come
         // from the requests themselves — the scheduler may have serviced
         // them in any order.
@@ -949,38 +902,36 @@ impl BufferCache {
             let base = req.lba / SECTORS_PER_BLOCK;
             let gfetch = Some(fetch_id);
             for (blkno, data) in (base..).zip(req.data.drain(..)) {
-                st.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch });
+                self.install(Buf { blkno, logical: None, data, dirty: false, meta: false, gfetch });
                 self.obs.bump(Ctr::CacheGroupReadBlocks);
             }
-            st.pieces.push(std::mem::take(&mut req.data));
+            self.pieces.push(std::mem::take(&mut req.data));
         }
         done.clear();
-        st.group = done;
-        st.make_room(&self.obs, driver);
+        self.group = done;
+        self.make_room(driver);
         Ok(())
     }
 
     /// Write back every dirty buffer as one scheduled, coalesced batch.
     /// Physically adjacent dirty blocks — grouped small files — merge into
     /// single scatter/gather writes here.
-    pub fn sync(&self, driver: &Driver) -> FsResult<()> {
-        self.lock().flush(&self.obs, driver);
+    pub fn sync(&mut self, driver: &Driver) -> FsResult<()> {
+        self.flush(driver);
         Ok(())
     }
 
     /// Sync, then drop *all* buffers: the cold-cache boundary between
     /// benchmark phases (the moral equivalent of unmount + mount).
-    pub fn drop_all(&self, driver: &Driver) -> FsResult<()> {
-        let mut st = self.lock();
-        st.flush(&self.obs, driver);
-        let State { shards, gfetches, .. } = &mut *st;
-        for shard in shards {
+    pub fn drop_all(&mut self, driver: &Driver) -> FsResult<()> {
+        self.flush(driver);
+        for shard in &mut self.shards {
             // Every still-untouched group-fetched buffer leaves the cache
             // here: resolve them as wasted so in-flight fetch tallies settle
             // (this is what makes `used + wasted == fetched` hold at every
             // cold-cache boundary).
             for id in shard.bufs.iter().flatten().filter_map(|b| b.gfetch) {
-                gfetch_wasted(gfetches, &self.obs, id);
+                gfetch_wasted(&mut self.gfetches, &self.obs, id);
             }
             // One hit-rate sample per shard per cold boundary, over the
             // epoch it closes: uneven shard rates are the signature of a
@@ -990,31 +941,99 @@ impl BufferCache {
             }
             (shard.lookups, shard.hits) = (0, 0);
         }
-        st.clear();
+        self.clear();
         Ok(())
     }
 
     /// Discard every buffer *without* writing dirty data — simulates a
     /// crash. The disk image is left exactly as the write history produced
     /// it; fsck gets to pick up the pieces.
-    pub fn crash(&self) {
-        let mut st = self.lock();
-        st.clear();
+    pub fn crash(&mut self) {
+        self.clear();
         // A crash is not an eviction: abandon in-flight utilization
         // accounting rather than charging the lost buffers as "wasted".
-        st.gfetches.clear();
+        self.gfetches.clear();
+    }
+}
+
+/// A [`Cache`] shared on its own: the cache behind one mutex, taken once
+/// per call (its wait charged to `lock_wait_ns_cache`). A file system
+/// keeps its cache inside its own lock instead; this adapter serves
+/// callers that drive a cache directly through `&self`, from one thread
+/// or several. Calls beyond the common ones go through [`lock`].
+///
+/// [`lock`]: BufferCache::lock
+#[derive(Debug)]
+pub struct BufferCache {
+    cache: Mutex<Cache>,
+    /// The cache's own handle, for charging the lock wait.
+    obs: Arc<Obs>,
+}
+
+impl BufferCache {
+    /// An empty cache behind its lock.
+    pub fn new(config: CacheConfig) -> Self {
+        let cache = Cache::new(config);
+        BufferCache { obs: cache.obs(), cache: Mutex::new(cache) }
+    }
+
+    /// The cache, held until the guard drops.
+    pub fn lock(&self) -> MutexGuard<'_, Cache> {
+        self.obs.lock_timed(&self.cache, Ctr::LockWaitNsCache)
+    }
+
+    /// The observability handle the cache reports into.
+    pub fn obs(&self) -> Arc<Obs> {
+        Arc::clone(&self.obs)
+    }
+
+    /// [`Cache::read_block`] under the lock.
+    pub fn read_block(&self, driver: &Driver, blkno: u64) -> FsResult<Block> {
+        self.lock().read_block(driver, blkno)
+    }
+
+    /// [`Cache::read_block_bound`] under the lock.
+    pub fn read_block_bound(&self, driver: &Driver, blkno: u64, ino: Ino, lbn: u64) -> FsResult<Block> {
+        self.lock().read_block_bound(driver, blkno, ino, lbn)
+    }
+
+    /// [`Cache::modify_block`] under the lock: `f` runs under it, so it
+    /// must not call back into this cache.
+    pub fn modify_block<R>(
+        &self,
+        driver: &Driver,
+        blkno: u64,
+        meta: bool,
+        read_first: bool,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> FsResult<R> {
+        self.lock().modify_block(driver, blkno, meta, read_first, f)
+    }
+
+    /// [`Cache::read_group`] under the lock.
+    pub fn read_group(&self, driver: &Driver, runs: &[(u64, usize)]) -> FsResult<()> {
+        self.lock().read_group(driver, runs)
+    }
+
+    /// [`Cache::sync`] under the lock.
+    pub fn sync(&self, driver: &Driver) -> FsResult<()> {
+        self.lock().sync(driver)
+    }
+
+    /// [`Cache::drop_all`] under the lock.
+    pub fn drop_all(&self, driver: &Driver) -> FsResult<()> {
+        self.lock().drop_all(driver)
     }
 }
 
 #[cfg(test)]
-impl BufferCache {
+impl Cache {
     /// Buffers the cache owns: its unshared resident ones plus its free
     /// list. A resident block that shares the platter's chunk is the
     /// platter's memory, not the cache's.
     fn owned(&self) -> usize {
-        let st = self.lock();
         let unshared = |s: &Shard| s.bufs.iter().flatten().filter(|b| !b.data.is_shared()).count();
-        st.shards.iter().map(unshared).sum::<usize>() + st.spare.len()
+        self.shards.iter().map(unshared).sum::<usize>() + self.spare.len()
     }
 }
 
@@ -1028,14 +1047,14 @@ mod tests {
         Driver::new(Disk::new(models::seagate_st31200()), DriverConfig::default())
     }
 
-    fn small_cache() -> BufferCache {
-        BufferCache::new(CacheConfig { nbufs: 8, flush_watermark_pct: 100 })
+    fn small_cache() -> Cache {
+        Cache::new(CacheConfig { nbufs: 8, flush_watermark_pct: 100 })
     }
 
     #[test]
     fn read_miss_then_hit() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         drv.with_disk_mut(|d| d.raw_write(100 * SECTORS_PER_BLOCK, &[7u8; BLOCK_SIZE]));
         let d = c.read_block(&drv, 100).unwrap();
         assert!(d.iter().all(|&b| b == 7));
@@ -1048,7 +1067,7 @@ mod tests {
     #[test]
     fn modify_without_read_first_skips_disk() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         c.modify_block(&drv, 50, false, false, |d| d.fill(9)).unwrap();
         assert_eq!(drv.obs().get(Ctr::DiskReads), 0);
         assert_eq!(c.dirty_count(), 1);
@@ -1062,7 +1081,7 @@ mod tests {
     #[test]
     fn sync_coalesces_adjacent_dirty_blocks() {
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         // A 16-block "group" of dirty buffers plus a loner far away.
         for blk in 1000..1016 {
             c.modify_block(&drv, blk, false, false, |d| d.fill(1)).unwrap();
@@ -1076,7 +1095,7 @@ mod tests {
     #[test]
     fn sync_counts_coalesced_runs_in_shared_obs() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.set_obs(drv.obs());
         // Two contiguous runs (4 and 2 blocks) plus two isolated loners.
         for blk in 1000..1004u64 {
@@ -1105,7 +1124,7 @@ mod tests {
         // ends at the *last* element of the sorted dirty list must still be
         // counted (the loop only closes runs on a discontinuity).
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.set_obs(drv.obs());
         c.modify_block(&drv, 10, false, false, |d| d.fill(9)).unwrap();
         for blk in 100..103u64 {
@@ -1118,7 +1137,7 @@ mod tests {
 
         // And a pair at the *head* of the list, loner at the tail.
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.set_obs(drv.obs());
         c.modify_block(&drv, 20, false, false, |d| d.fill(9)).unwrap();
         c.modify_block(&drv, 21, false, false, |d| d.fill(9)).unwrap();
@@ -1131,7 +1150,7 @@ mod tests {
     #[test]
     fn flush_block_sync_writes_once() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         c.modify_block(&drv, 10, true, false, |d| d.fill(3)).unwrap();
         c.flush_block_sync(&drv, 10).unwrap();
         assert_eq!(c.obs().get(Ctr::CacheSyncFlushes), 1);
@@ -1146,7 +1165,7 @@ mod tests {
     #[test]
     fn flush_sector_sync_writes_single_sector() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         c.modify_block(&drv, 20, true, false, |d| d.fill(0xAB)).unwrap();
         c.flush_sector_sync(&drv, 20, 1024).unwrap();
         assert_eq!(drv.obs().get(Ctr::DiskBytesWritten), cffs_disksim::SECTOR_SIZE as u64);
@@ -1161,7 +1180,7 @@ mod tests {
     #[test]
     fn lru_eviction_writes_dirty_victim() {
         let drv = driver();
-        let c = small_cache(); // 8 buffers
+        let mut c = small_cache(); // 8 buffers
         c.modify_block(&drv, 0, false, false, |d| d.fill(0xEE)).unwrap();
         for blk in 1..9 {
             let _ = c.read_block(&drv, blk).unwrap();
@@ -1178,7 +1197,7 @@ mod tests {
     #[test]
     fn group_read_is_one_physical_request() {
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         for blk in 200..216u64 {
             drv.with_disk_mut(|d| d.raw_write(blk * SECTORS_PER_BLOCK, &vec![blk as u8; BLOCK_SIZE]));
         }
@@ -1197,7 +1216,7 @@ mod tests {
     #[test]
     fn group_read_skips_resident_dirty_blocks() {
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.modify_block(&drv, 205, false, false, |d| d.fill(0x77)).unwrap();
         c.read_group(&drv, &[(200, 16)]).unwrap();
         // The dirty buffer must survive untouched.
@@ -1215,7 +1234,7 @@ mod tests {
     #[test]
     fn group_read_across_the_arm_cylinder_is_one_request() {
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         let cyl = |blk: u64| {
             drv.with_disk(|d| d.model().geometry.lba_to_chs(blk * SECTORS_PER_BLOCK).cylinder)
         };
@@ -1232,7 +1251,7 @@ mod tests {
     #[test]
     fn backbinding_after_group_read() {
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.read_group(&drv, &[(300, 4)]).unwrap();
         assert_eq!(c.obs().get(Ctr::CacheBackbinds), 0);
         // File 42 claims block 301 as its lbn 0.
@@ -1248,7 +1267,7 @@ mod tests {
     fn group_fetch_utilization_used_plus_wasted_equals_fetched() {
         use cffs_obs::Ctr;
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.read_group(&drv, &[(200, 16)]).unwrap();
         let obs = c.obs();
         assert_eq!(obs.get(Ctr::GroupFetchBlocksUsed), 0);
@@ -1285,7 +1304,7 @@ mod tests {
         let drv = driver();
         // 8-buffer cache, 8-block fetch: reading 8 other blocks evicts
         // the whole untouched fetch.
-        let c = small_cache();
+        let mut c = small_cache();
         c.read_group(&drv, &[(100, 8)]).unwrap();
         for blk in 500..508 {
             let _ = c.read_block(&drv, blk).unwrap();
@@ -1301,7 +1320,7 @@ mod tests {
     #[test]
     fn logical_lookup_miss_and_unbind() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         assert_eq!(c.lookup_logical(1, 0), None);
         let _ = c.read_block_bound(&drv, 77, 1, 0).unwrap();
         assert_eq!(c.lookup_logical(1, 0), Some(77));
@@ -1314,9 +1333,9 @@ mod tests {
     #[test]
     fn invalidate_discards_dirty_data() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         c.modify_block(&drv, 33, false, false, |d| d.fill(5)).unwrap();
-        c.invalidate_block(&drv, 33);
+        c.invalidate_block(33);
         c.sync(&drv).unwrap();
         assert_eq!(drv.obs().get(Ctr::DiskWrites), 0, "freed block must not be written");
     }
@@ -1324,7 +1343,7 @@ mod tests {
     #[test]
     fn crash_loses_unsynced_writes() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         c.modify_block(&drv, 11, false, false, |d| d.fill(1)).unwrap();
         c.flush_block_sync(&drv, 11).unwrap();
         c.modify_block(&drv, 12, false, false, |d| d.fill(2)).unwrap();
@@ -1339,7 +1358,7 @@ mod tests {
     #[test]
     fn drop_all_flushes_then_empties() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         c.modify_block(&drv, 9, false, false, |d| d.fill(4)).unwrap();
         c.drop_all(&drv).unwrap();
         assert_eq!(c.resident(), 0);
@@ -1351,7 +1370,7 @@ mod tests {
     #[test]
     fn rebind_moves_identity() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         let _ = c.read_block_bound(&drv, 60, 5, 0).unwrap();
         // The file's block moved (e.g. degrouping relocated it) — same
         // identity now maps to block 61.
@@ -1366,23 +1385,23 @@ mod tests {
     #[test]
     fn rebind_to_a_buffer_that_kept_the_identity_moves_the_index() {
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 12, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 12, flush_watermark_pct: 100 });
         c.modify_block_bound(&drv, 55, 5, 5, false, |d| d.fill(1)).unwrap();
         c.modify_block_bound(&drv, 9, 5, 5, false, |d| d.fill(2)).unwrap();
         assert_eq!(c.lookup_logical(5, 5), Some(9));
         c.modify_block_bound(&drv, 55, 5, 5, false, |d| d.fill(3)).unwrap();
         assert_eq!(c.lookup_logical(5, 5), Some(55), "the identity went back to block 55");
-        assert_eq!(c.read_logical(&drv, 5, 5).unwrap()[0], 3);
+        assert_eq!(c.read_logical(5, 5).unwrap()[0], 3);
         assert_eq!(c.obs().get(Ctr::CacheBackbinds), 2, "a rebind is not a back-bind");
     }
 
     #[test]
     fn relocate_phys_rehomes_resident_buffer() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         drv.with_disk_mut(|d| d.raw_write(70 * SECTORS_PER_BLOCK, &[0xAB; BLOCK_SIZE]));
         let _ = c.read_block(&drv, 70).unwrap();
-        assert!(c.relocate_phys(&drv, 70, 71));
+        assert!(c.relocate_phys(70, 71));
         // The buffer answers under its new address, dirty, with the old
         // contents; the old address is gone from the index.
         assert!(!c.contains(70));
@@ -1397,18 +1416,18 @@ mod tests {
     #[test]
     fn relocate_phys_misses_cold_blocks() {
         let drv = driver();
-        let c = small_cache();
-        assert!(!c.relocate_phys(&drv, 80, 81));
+        let mut c = small_cache();
+        assert!(!c.relocate_phys(80, 81));
         let _ = c.read_block(&drv, 80).unwrap();
         // Relocating onto itself is a no-op.
-        assert!(!c.relocate_phys(&drv, 80, 80));
+        assert!(!c.relocate_phys(80, 80));
         assert!(c.contains(80));
     }
 
     #[test]
     fn sharded_cache_keeps_cg_blocks_in_one_shard() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.shard_by_cg(16, 4);
         assert_eq!(c.nshards(), 4);
         // Blocks 0..16 (CG 0) and 16..32 (CG 1) land in different shards;
@@ -1429,11 +1448,11 @@ mod tests {
     #[test]
     fn sharded_relocate_crosses_shards() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.shard_by_cg(16, 4);
         let _ = c.read_block_bound(&drv, 3, 9, 0).unwrap();
         // Block 3 (CG 0, shard 0) relocates to block 20 (CG 1, shard 1).
-        assert!(c.relocate_phys(&drv, 3, 20));
+        assert!(c.relocate_phys(3, 20));
         assert!(!c.contains(3));
         assert!(c.contains(20));
         assert_eq!(c.lookup_logical(9, 0), Some(20), "identity follows the move");
@@ -1449,15 +1468,15 @@ mod tests {
     #[test]
     fn free_list_is_capped_by_cache_capacity() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
         c.shard_by_cg(16, 2);
         for i in 0..64u64 {
             c.read_group(&drv, &[(32 * (i % 4), 16)]).unwrap();
             let old = 16 * (i % 8) + i % 16;
             let _ = c.read_block(&drv, old).unwrap();
             c.modify_block(&drv, old, false, true, |d| d[0] = i as u8).unwrap();
-            c.relocate_phys(&drv, old, old ^ 16);
-            c.invalidate_block(&drv, i % 48);
+            c.relocate_phys(old, old ^ 16);
+            c.invalidate_block(i % 48);
             assert!(c.resident() <= 16, "{} buffers resident", c.resident());
             assert!(c.owned() <= 16 + 16, "the cache owns {} buffers", c.owned());
         }
@@ -1471,7 +1490,7 @@ mod tests {
     #[test]
     fn one_hot_shard_borrows_the_whole_budget() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.shard_by_cg(64, 4);
         // Eight blocks of CG 1 (shard 1), touched before anything else.
         for blk in 64..72u64 {
@@ -1504,7 +1523,7 @@ mod tests {
     #[test]
     fn watermark_trips_on_the_cache_wide_dirty_count() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 25 });
+        let mut c = Cache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 25 });
         c.set_obs(drv.obs());
         c.shard_by_cg(16, 2);
         // Two dirty blocks in each shard: 4 of 16, the 25 % watermark.
@@ -1530,7 +1549,7 @@ mod tests {
     #[test]
     fn sharded_drop_all_samples_per_shard_hit_rates() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         c.shard_by_cg(16, 2);
         // Shard of CG 0: one miss then three hits; shard of CG 1: one miss.
         for _ in 0..4 {
@@ -1559,7 +1578,7 @@ mod tests {
     #[test]
     fn hits_leave_exactly_one_lru_link_per_slot() {
         let drv = driver();
-        let c = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 100 });
         for blk in 0..32u64 {
             let _ = c.read_block_bound(&drv, blk, 7, blk).unwrap();
         }
@@ -1574,8 +1593,7 @@ mod tests {
             }
         }
         assert_eq!(drv.obs().get(Ctr::DiskReads), 32, "only the loads reached the disk");
-        let st = c.lock();
-        let core = &st.shards[0];
+        let core = &c.shards[0];
         assert_eq!(core.bufs.len(), 32);
         assert_eq!(core.links.len(), 32, "bookkeeping is one link per slot");
         // And the list threads every resident slot exactly once, oldest
@@ -1595,7 +1613,7 @@ mod tests {
     #[test]
     fn block_handle_is_a_snapshot_across_modify() {
         let drv = driver();
-        let c = small_cache();
+        let mut c = small_cache();
         c.modify_block(&drv, 5, false, false, |d| d.fill(1)).unwrap();
         let held = c.read_block(&drv, 5).unwrap();
         // The modify sees the current bytes, not zeroes, and does not
@@ -1619,7 +1637,7 @@ mod tests {
     #[test]
     fn dirty_counter_tracks_every_flip() {
         let drv = driver();
-        let mut c = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
+        let mut c = Cache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 100 });
         c.shard_by_cg(16, 2);
         // `dirty_count` debug-asserts the counter against a scan.
         for blk in 0..6u64 {
@@ -1628,10 +1646,10 @@ mod tests {
         c.modify_block(&drv, 0, false, true, |d| d.fill(2)).unwrap(); // already dirty
         assert_eq!(c.dirty_count(), 6);
         c.flush_block_sync(&drv, 0).unwrap();
-        c.invalidate_block(&drv, 1);
+        c.invalidate_block(1);
         assert_eq!(c.dirty_count(), 4);
-        assert!(c.relocate_phys(&drv, 0, 7), "clean buffer re-homed in its shard");
-        assert!(c.relocate_phys(&drv, 2, 20), "dirty buffer re-homed across shards");
+        assert!(c.relocate_phys(0, 7), "clean buffer re-homed in its shard");
+        assert!(c.relocate_phys(2, 20), "dirty buffer re-homed across shards");
         assert_eq!(c.dirty_count(), 5);
         for blk in 32..48u64 {
             let _ = c.read_block(&drv, blk).unwrap(); // evicts shard 0's dirty buffers
@@ -1699,7 +1717,7 @@ mod proptests {
 
     /// After a sync nothing is dirty and the platter holds the model.
     fn check_all_durable(
-        cache: &BufferCache,
+        cache: &mut Cache,
         drv: &Driver,
         model: &HashMap<u64, u8>,
     ) -> Result<(), TestCaseError> {
@@ -1712,7 +1730,7 @@ mod proptests {
 
     /// Run the transparency model against a cache (sharded or not).
     fn check_transparent(
-        cache: &BufferCache,
+        cache: &mut Cache,
         drv: &Driver,
         ops: Vec<CacheOp>,
     ) -> Result<(), TestCaseError> {
@@ -1761,7 +1779,7 @@ mod proptests {
                 }
                 CacheOp::Invalidate(b) => {
                     // Contract: dirty contents are discarded.
-                    cache.invalidate_block(drv, b);
+                    cache.invalidate_block(b);
                     model.insert(b, on_disk(drv, b));
                 }
                 CacheOp::GroupRead(start, n) => {
@@ -1770,7 +1788,7 @@ mod proptests {
                 CacheOp::PurgeIno(ino) => cache.purge_ino(ino),
                 CacheOp::Relocate(old, new) => {
                     let resident = cache.contains(old);
-                    let moved = cache.relocate_phys(drv, old, new);
+                    let moved = cache.relocate_phys(old, new);
                     prop_assert_eq!(moved, resident && old != new);
                     if moved {
                         // The buffer answers at `new` now (whatever was
@@ -1846,7 +1864,7 @@ mod proptests {
     fn check_eviction_order(nbufs: usize, nshards: usize, ops: Vec<CacheOp>) -> Result<(), TestCaseError> {
         // FCFS keeps a group read's install order the submission order.
         let drv = tiny_driver(Scheduler::Fcfs);
-        let mut cache = BufferCache::new(CacheConfig { nbufs, flush_watermark_pct: 50 });
+        let mut cache = Cache::new(CacheConfig { nbufs, flush_watermark_pct: 50 });
         cache.shard_by_cg(16, nshards);
         let mut m = LruModel { cg_blocks: 16, nshards, nbufs, order: Vec::new() };
         for op in ops {
@@ -1878,7 +1896,7 @@ mod proptests {
                     m.order.clear();
                 }
                 CacheOp::Invalidate(b) => {
-                    cache.invalidate_block(&drv, b);
+                    cache.invalidate_block(b);
                     m.forget(b);
                 }
                 CacheOp::GroupRead(start, n) => {
@@ -1892,7 +1910,7 @@ mod proptests {
                     m.settle();
                 }
                 CacheOp::Relocate(old, new) => {
-                    let moved = cache.relocate_phys(&drv, old, new);
+                    let moved = cache.relocate_phys(old, new);
                     prop_assert_eq!(moved, old != new && m.resident(old));
                     if moved {
                         // Re-homing is a use, and vacates `new` first.
@@ -1968,7 +1986,7 @@ mod proptests {
     fn check_recycling(ops: Vec<RecycleOp>) -> Result<(), TestCaseError> {
         const MAX_GROUP: usize = 15;
         let drv = tiny_driver(Scheduler::default());
-        let mut cache = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 50 });
+        let mut cache = Cache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 50 });
         cache.shard_by_cg(16, 2);
         // What the cache must present for each block (see `want`).
         let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
@@ -2004,11 +2022,11 @@ mod proptests {
                     cache.read_group(&drv, &[(start, n as usize)]).unwrap();
                 }
                 RecycleOp::Invalidate(b) => {
-                    cache.invalidate_block(&drv, b);
+                    cache.invalidate_block(b);
                     model.insert(b, platter(&drv, b));
                 }
                 RecycleOp::Relocate(old, new) => {
-                    if cache.relocate_phys(&drv, old, new) {
+                    if cache.relocate_phys(old, new) {
                         model.insert(new, want(&model, old));
                         model.insert(old, platter(&drv, old));
                     }
@@ -2059,8 +2077,8 @@ mod proptests {
         #[test]
         fn cache_is_transparent(ops in prop::collection::vec(arb_op(), 1..120)) {
             let drv = tiny_driver(Scheduler::default());
-            let cache = BufferCache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 50 });
-            check_transparent(&cache, &drv, ops)?;
+            let mut cache = Cache::new(CacheConfig { nbufs: 16, flush_watermark_pct: 50 });
+            check_transparent(&mut cache, &drv, ops)?;
         }
 
         /// Same transparency contract with the cache split into four
@@ -2068,9 +2086,9 @@ mod proptests {
         #[test]
         fn sharded_cache_is_transparent(ops in prop::collection::vec(arb_op(), 1..120)) {
             let drv = tiny_driver(Scheduler::default());
-            let mut cache = BufferCache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 50 });
+            let mut cache = Cache::new(CacheConfig { nbufs: 64, flush_watermark_pct: 50 });
             cache.shard_by_cg(16, 4);
-            check_transparent(&cache, &drv, ops)?;
+            check_transparent(&mut cache, &drv, ops)?;
         }
 
         /// Replacement is exact LRU: the victim is always the least
@@ -2099,7 +2117,7 @@ mod proptests {
         #[test]
         fn dual_index_consistent(ops in prop::collection::vec(arb_op(), 1..100)) {
             let drv = tiny_driver(Scheduler::default());
-            let cache = BufferCache::new(CacheConfig { nbufs: 12, flush_watermark_pct: 100 });
+            let mut cache = Cache::new(CacheConfig { nbufs: 12, flush_watermark_pct: 100 });
             let mut bound: HashMap<(u64, u64), u64> = HashMap::new();
             for op in ops {
                 match op {
@@ -2113,14 +2131,14 @@ mod proptests {
                         let _ = cache.read_block(&drv, b).unwrap();
                     }
                     CacheOp::Invalidate(b) => {
-                        cache.invalidate_block(&drv, b);
+                        cache.invalidate_block(b);
                         bound.retain(|_, &mut blk| blk != b);
                     }
                     CacheOp::PurgeIno(ino) => {
                         cache.purge_ino(ino);
                         bound.retain(|&(i, _), _| i != ino);
                     }
-                    CacheOp::Relocate(old, new) if cache.relocate_phys(&drv, old, new) => {
+                    CacheOp::Relocate(old, new) if cache.relocate_phys(old, new) => {
                         // Identities follow the buffer; whatever was
                         // bound at `new` went with its buffer.
                         bound.retain(|_, &mut blk| blk != new);

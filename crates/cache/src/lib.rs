@@ -20,10 +20,10 @@
 //!   the paper's "back-binding". The `cache_backbinds` counter records
 //!   how often this happens.
 //! * Write-back policy is split by the caller: data writes are **delayed**
-//!   (flushed by [`BufferCache::sync`], which sorts, coalesces physically
+//!   (flushed by [`Cache::sync`], which sorts, coalesces physically
 //!   adjacent buffers into scatter/gather writes, and issues one batch —
 //!   this is where grouped files get written "as a unit"); metadata writes
-//!   are either **synchronous** ([`BufferCache::flush_block_sync`], used by
+//!   are either **synchronous** ([`Cache::flush_block_sync`], used by
 //!   the conventional ordering discipline) or delayed (the soft-updates
 //!   emulation).
 //!
@@ -43,9 +43,12 @@
 //!   keeps its bytes until the write-back, and a write-back hands the
 //!   driver [`Block`] handles, not copies.
 //!
-//! * The cache has one lock, held for the whole of each call; its
-//!   state is one plain struct. The capacity ([`CacheConfig::nbufs`]) is
-//!   one budget for the whole cache. [`BufferCache::shard_by_cg`]
+//! * The cache is one plain struct, [`Cache`], and every operation takes
+//!   `&mut self`: its owner serializes the calls. The file system keeps
+//!   it inside its own one lock; [`BufferCache`] is the cache behind a
+//!   mutex of its own, with `&self` forwarders, for a cache shared on its
+//!   own. The capacity ([`CacheConfig::nbufs`]) is
+//!   one budget for the whole cache. [`Cache::shard_by_cg`]
 //!   partitions *eviction* by cylinder group, not the capacity: a busy
 //!   shard grows past its fair share (`nbufs / nshards`) while other
 //!   shards sit idle, and the dirty watermark counts dirty buffers
@@ -65,7 +68,7 @@
 
 mod bufcache;
 
-pub use bufcache::{BufferCache, CacheConfig};
+pub use bufcache::{BufferCache, Cache, CacheConfig};
 /// The cache's buffer type: the sector store's chunk type, so a miss or a
 /// group read installs the platter's own chunk.
 pub use cffs_disksim::Block;

@@ -26,21 +26,21 @@
 //! inodes the name and inode share one 512-byte sector, so create/delete
 //! take **one** synchronous *sector* write and the ordering constraint
 //! between name and inode disappears — the paper's Section 3 argument,
-//! reproduced literally by [`cffs_cache::BufferCache::flush_sector_sync`].
+//! reproduced literally by [`cffs_cache::Cache::flush_sector_sync`].
 //!
 //! ## Inode renumbering
 //!
 //! Embedded inode numbers encode physical location, so two operations
 //! renumber files: `rename` (the entry moves) and `link` (the inode is
 //! externalized). Both return the new number, the in-core caches are
-//! purged ([`cffs_cache::BufferCache::purge_ino`]), and group ownership is
+//! purged ([`cffs_cache::Cache::purge_ino`]), and group ownership is
 //! transferred ([`crate::groups::GroupIndex::reown`]) — the same
 //! bookkeeping a C-FFS kernel does against its in-core inode table.
 //!
 //! ## Layout
 //!
-//! This file holds the configuration, the mount's shared state, locking
-//! and inode access; `Cffs`'s other methods live by concern in `mount`,
+//! This file holds the configuration, the mount's state and its one
+//! lock, and inode access; `Cffs`'s other methods live by concern in `mount`,
 //! `namespace`, `data` and `grouping`.
 
 mod data;
@@ -52,8 +52,8 @@ use data::Fetch;
 use crate::dirent::{self, EntryLoc};
 use crate::exfile::SlotPool;
 use crate::groups::GroupIndex;
-use crate::layout::{decode_ino, CgHeader, InoRef, Superblock, GEN_MASK, GROUP_BLOCKS, INO_ROOT};
-use cffs_cache::{BufferCache, CacheConfig};
+use crate::layout::{decode_ino, CgHeader, GroupDescDisk, InoRef, Superblock, GEN_MASK, GROUP_BLOCKS, INO_ROOT};
+use cffs_cache::{Cache, CacheConfig};
 use cffs_dcache::Dcache;
 use cffs_disksim::driver::{Driver, Scheduler};
 use cffs_disksim::{SimDuration, SimTime};
@@ -61,7 +61,6 @@ use cffs_fslib::inode::Inode;
 use cffs_fslib::vfs::MetadataMode;
 use cffs_fslib::{Attr, CpuModel, DirEntry, FsError, FsResult, FileSystem, Ino, IntMap, IoStats, StatFs, BLOCK_SIZE};
 use cffs_obs::{Ctr, Obs, OpKind, SpanGuard};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Where a mount keeps its inodes. The per-CG table is an on-disk format
@@ -202,15 +201,9 @@ pub struct CgUsage {
     pub used_blocks: u32,
 }
 
-/// Number of operation stripes: public entry points serialize per-inode
-/// on a hashed stripe, so operations on distinct files interleave while
-/// two racing mutations of one directory stay ordered.
-const OP_STRIPES: usize = 64;
-
 /// External-inode-file state: the only superblock fields that change
-/// after mkfs, so they live behind their own lock while the geometry
-/// stays immutable. With per-CG tables the file stays empty and `expool`
-/// holds the tables' free slots.
+/// after mkfs, kept apart from the immutable geometry. With per-CG tables
+/// the file stays empty and `expool` holds the tables' free slots.
 #[derive(Debug)]
 struct ExMeta {
     exfile: Inode,
@@ -218,13 +211,20 @@ struct ExMeta {
     expool: SlotPool,
 }
 
-/// One cylinder group's in-core header plus its dirty flag — the
-/// allocation shard. Each CG locks independently, so allocators working
-/// in different groups never contend.
+/// One cylinder group's in-core header plus its dirty flag.
 #[derive(Debug)]
 struct CgSlot {
     hdr: CgHeader,
     dirty: bool,
+}
+
+impl CgSlot {
+    /// Store group descriptor `i` in the header (the group index's
+    /// persist callback) and mark the header dirty.
+    fn set_group(&mut self, i: u32, d: Option<&GroupDescDisk>) {
+        self.hdr.groups[i as usize] = d.copied();
+        self.dirty = true;
+    }
 }
 
 /// Bound on [`NsState::parent_of`]: beyond this many entries the oldest
@@ -235,9 +235,8 @@ struct CgSlot {
 /// (no eviction means byte-identical timelines).
 const NS_PARENT_CAP: usize = 1 << 16;
 
-/// Namespace knowledge, leaf-locked (nothing else is acquired while it
-/// is held): child inode -> naming directory, and last logical block
-/// read per inode for sequential-read detection.
+/// Namespace knowledge: child inode -> naming directory, and last
+/// logical block read per inode for sequential-read detection.
 #[derive(Debug)]
 struct NsState {
     parent_of: IntMap<Ino, Ino>,
@@ -272,49 +271,49 @@ impl NsState {
     }
 }
 
+/// Everything a mount changes after mkfs, guarded by its one lock: the
+/// buffer cache, the external inode slots, every cylinder group's header,
+/// the group index and the namespace hints.
+struct Inner {
+    cache: Cache,
+    meta: ExMeta,
+    cgs: Vec<CgSlot>,
+    groups: GroupIndex,
+    ns: NsState,
+    /// Rotor for spreading new directories across cylinder groups (the
+    /// FFS policy; C-FFS keeps it, per the paper's "what is not
+    /// different" discussion of allocation).
+    dir_rotor: u32,
+    /// Generation counter for freshly embedded inodes (wraps in
+    /// 1..=0x7FFF; 15 bits travel in the inode number as a stale-handle
+    /// guard).
+    gen_counter: u32,
+}
+
 /// A mounted C-FFS.
 ///
 /// ## Concurrency model
 ///
-/// `Cffs` is `Send + Sync`: every operation takes `&self` and state is
-/// sharded behind interior mutability. The lock hierarchy (acquire
-/// strictly downward, see DESIGN.md §10):
-///
-/// 1. op stripes (per-inode hash, ascending when two are needed)
-/// 2. `meta` (external inode slots)
-/// 3. `groups` (group index)
-/// 4. `cg_state[i]` (per-CG header + bitmap; persist callbacks from
-///    `groups` lock these, never the reverse)
-/// 5. the buffer cache's one lock, then the disk mutex
-///
-/// `ns` is leaf-scoped: taken and released with no other lock acquired
-/// inside. Contention on any of these surfaces in the
+/// `Cffs` is `Send + Sync`: every operation takes `&self`. Its mutable
+/// state is one plain struct behind one mutex, which each public entry
+/// point takes once, holds for its whole body and passes down as `&mut`
+/// (an entry point that does another's work calls its internals instead
+/// of locking again). Under it the only locks are leaves: the dcache's
+/// shard locks, taken and released with nothing acquired inside, and
+/// the disk mutex (see DESIGN.md §10). Contention surfaces in the
 /// `lock_wait_ns_*` counters.
 pub struct Cffs {
     drv: Driver,
-    cache: BufferCache,
     obs: Arc<Obs>,
     /// Immutable geometry snapshot. Its `exfile`/`exfile_slots` fields
-    /// are stale after mount; the live copies are in `meta` and merged
-    /// back by [`Cffs::superblock`] and `sync`.
+    /// are stale after mount; the live copies are in `Inner::meta` and
+    /// merged back by [`Cffs::superblock`] and `sync`.
     geo: Superblock,
-    meta: Mutex<ExMeta>,
-    cg_state: Vec<Mutex<CgSlot>>,
-    groups: Mutex<GroupIndex>,
-    ns: Mutex<NsState>,
+    inner: Mutex<Inner>,
     /// Sharded namespace cache ((parent, name) -> ino, with negative
     /// entries). `None` unless `cfg.dcache_entries > 0`. Shard locks
-    /// are leaves, like `ns`.
+    /// are leaves.
     dcache: Option<Dcache>,
-    /// Rotor for spreading new directories across cylinder groups (the
-    /// FFS policy; C-FFS keeps it, per the paper's "what is not
-    /// different" discussion of allocation).
-    dir_rotor: AtomicU32,
-    /// Per-mount generation counter for freshly embedded inodes (wraps
-    /// in 1..=0x7FFF; 15 bits travel in the inode number as a
-    /// stale-handle guard).
-    gen_counter: AtomicU32,
-    op_stripes: Vec<Mutex<()>>,
     cfg: CffsConfig,
     /// Armed flight recorder for this mount (`None` unless the process
     /// opted in via `cffs_obs::flight::set_global`, i.e. `--flight`).
@@ -331,7 +330,7 @@ impl std::fmt::Debug for Cffs {
     }
 }
 
-// The whole point: one mount, many worker threads.
+// One mount, shared by worker threads (the benchmark's `Fs` trait is `Sync`).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Cffs>();
@@ -340,44 +339,10 @@ const _: () = {
 impl Cffs {
     // ----- locking ------------------------------------------------------
 
-    /// The operation stripe an inode hashes to.
-    fn stripe(ino: Ino) -> usize {
-        ((ino ^ (ino >> 17)).wrapping_mul(0x9E37_79B9) % OP_STRIPES as u64) as usize
-    }
-
-    /// Serialize with other operations on the same inode. Contention is
-    /// charged to `lock_wait_ns_alloc` (the FS-core bucket).
-    fn op_lock(&self, ino: Ino) -> MutexGuard<'_, ()> {
-        self.obs.lock_timed(&self.op_stripes[Self::stripe(ino)], Ctr::LockWaitNsAlloc)
-    }
-
-    /// Acquire the stripes of two inodes in ascending order (one guard
-    /// when they collide) — the deadlock-free shape for `rename`/`link`.
-    fn op_lock2(&self, a: Ino, b: Ino) -> (MutexGuard<'_, ()>, Option<MutexGuard<'_, ()>>) {
-        let (sa, sb) = (Self::stripe(a), Self::stripe(b));
-        if sa == sb {
-            return (self.op_lock(a), None);
-        }
-        let (lo, hi) = if sa < sb { (sa, sb) } else { (sb, sa) };
-        let g1 = self.obs.lock_timed(&self.op_stripes[lo], Ctr::LockWaitNsAlloc);
-        let g2 = self.obs.lock_timed(&self.op_stripes[hi], Ctr::LockWaitNsAlloc);
-        (g1, Some(g2))
-    }
-
-    fn lock_meta(&self) -> MutexGuard<'_, ExMeta> {
-        self.obs.lock_timed(&self.meta, Ctr::LockWaitNsAlloc)
-    }
-
-    fn lock_cg(&self, cg: u32) -> MutexGuard<'_, CgSlot> {
-        self.obs.lock_timed(&self.cg_state[cg as usize], Ctr::LockWaitNsAlloc)
-    }
-
-    fn lock_groups(&self) -> MutexGuard<'_, GroupIndex> {
-        self.obs.lock_timed(&self.groups, Ctr::LockWaitNsAlloc)
-    }
-
-    fn lock_ns(&self) -> MutexGuard<'_, NsState> {
-        self.obs.lock_timed(&self.ns, Ctr::LockWaitNsAlloc)
+    /// The file system's one lock, taken once per public entry point.
+    /// Contention is charged to `lock_wait_ns_alloc`.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.obs.lock_timed(&self.inner, Ctr::LockWaitNsAlloc)
     }
 
     /// The namespace cache, when configured (`cfg.dcache_entries > 0`).
@@ -398,37 +363,28 @@ impl Cffs {
     }
 
     /// Next generation stamp for a freshly embedded inode.
-    fn next_gen(&self) -> u16 {
-        let prev = self
-            .gen_counter
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |g| Some((g % 0x7FFF) + 1))
-            .expect("fetch_update closure always returns Some");
-        ((prev % 0x7FFF) + 1) as u16
+    fn next_gen(st: &mut Inner) -> u16 {
+        st.gen_counter = (st.gen_counter % 0x7FFF) + 1;
+        st.gen_counter as u16
     }
 
     /// Physical location of external slot `slot`.
-    fn exfile_locate(&self, slot: u32) -> FsResult<(u64, usize)> {
-        let exinode = {
-            let m = self.lock_meta();
-            if slot >= m.exfile_slots {
-                return Err(FsError::StaleHandle);
-            }
-            m.exfile.clone()
-        };
+    fn exfile_locate(&self, st: &mut Inner, slot: u32) -> FsResult<(u64, usize)> {
+        if slot >= st.meta.exfile_slots {
+            return Err(FsError::StaleHandle);
+        }
+        let exinode = st.meta.exfile.clone();
         self.geo
-            .slot_location(slot, |lbn| self.bmap(INO_ROOT, &exinode, lbn))?
+            .slot_location(slot, |lbn| self.bmap(st, INO_ROOT, &exinode, lbn))?
             .ok_or_else(|| FsError::Corrupt("hole in external inode file".into()))
     }
 
     /// Allocate an external inode slot: the lowest free one in `home`'s
     /// table, spilling to the following groups' when it is full; from the
-    /// inode file, grown if needed, when there are no tables. The meta
-    /// lock is held across the growth so two racing allocators cannot
-    /// both extend the file.
-    fn alloc_external_slot(&self, home: u32) -> FsResult<u32> {
+    /// inode file, grown if needed, when there are no tables.
+    fn alloc_external_slot(&self, st: &mut Inner, home: u32) -> FsResult<u32> {
         self.charge(self.cpu_model().alloc_op);
-        let mut m = self.lock_meta();
-        if let Some(s) = m.expool.take(home * self.geo.slots_per_table()) {
+        if let Some(s) = st.meta.expool.take(home * self.geo.slots_per_table()) {
             return Ok(s);
         }
         if self.geo.itable_bytes != 0 {
@@ -436,11 +392,12 @@ impl Cffs {
         }
         // Grow by one block. The external file's blocks never participate
         // in grouping and never move.
-        let mut exinode = m.exfile.clone();
+        let mut exinode = st.meta.exfile.clone();
         let lbn = exinode.size / BLOCK_SIZE as u64;
-        let blk = self.bmap_alloc(INO_ROOT, &mut exinode, lbn, AllocCtx::Plain { near: 0 })?;
-        self.cache.modify_block(&self.drv, blk, true, false, |d| d.fill(0))?;
+        let blk = self.bmap_alloc(st, INO_ROOT, &mut exinode, lbn, AllocCtx::Plain { near: 0 })?;
+        st.cache.modify_block(&self.drv, blk, true, false, |d| d.fill(0))?;
         exinode.size += BLOCK_SIZE as u64;
+        let m = &mut st.meta;
         m.exfile = exinode;
         let range = m.expool.grow();
         m.exfile_slots = range.end;
@@ -449,28 +406,28 @@ impl Cffs {
 
     // ----- inode access -------------------------------------------------
 
-    fn read_inode(&self, ino: Ino) -> FsResult<Inode> {
-        self.read_inode_with(ino, Fetch::Run)
+    fn read_inode(&self, st: &mut Inner, ino: Ino) -> FsResult<Inode> {
+        self.read_inode_with(st, ino, Fetch::Run)
     }
 
     /// Read an inode; a miss on an embedded inode's directory block is
     /// served as `fetch` says.
-    fn read_inode_with(&self, ino: Ino, fetch: Fetch) -> FsResult<Inode> {
+    fn read_inode_with(&self, st: &mut Inner, ino: Ino, fetch: Fetch) -> FsResult<Inode> {
         self.charge(self.cpu_model().block_op);
         match decode_ino(ino) {
             InoRef::External(slot) => {
                 self.obs.bump(Ctr::FsExternalInodeOps);
-                let (blk, off) = self.exfile_locate(slot)?;
-                let data = self.cache.read_block(&self.drv, blk)?;
+                let (blk, off) = self.exfile_locate(st, slot)?;
+                let data = st.cache.read_block(&self.drv, blk)?;
                 Inode::read_from(&data, off).ok_or(FsError::StaleHandle)
             }
             InoRef::Embedded { blk, off, gen } => {
                 self.obs.bump(Ctr::FsEmbeddedInodeOps);
-                let data = match self.cache.read_resident(&self.drv, blk, None) {
+                let data = match st.cache.read_resident(blk, None) {
                     Some(data) => data,
                     None => {
-                        self.fetch_group_for(blk, fetch)?;
-                        self.cache.read_block(&self.drv, blk)?
+                        self.fetch_group_for(st, blk, fetch)?;
+                        st.cache.read_block(&self.drv, blk)?
                     }
                 };
                 let entry = dirent::entry_at(&data, off)?;
@@ -491,7 +448,7 @@ impl Cffs {
     /// Write an inode image back. `durable` applies the synchronous policy:
     /// a single *sector* write for embedded inodes, a block write for
     /// external ones.
-    fn write_inode(&self, ino: Ino, inode: &Inode, durable: bool) -> FsResult<()> {
+    fn write_inode(&self, st: &mut Inner, ino: Ino, inode: &Inode, durable: bool) -> FsResult<()> {
         self.charge(self.cpu_model().block_op);
         let sync = durable && self.cfg.metadata_mode == MetadataMode::Synchronous;
         if durable {
@@ -504,17 +461,16 @@ impl Cffs {
         match decode_ino(ino) {
             InoRef::External(slot) => {
                 self.obs.bump(Ctr::FsExternalInodeOps);
-                let (blk, off) = self.exfile_locate(slot)?;
-                self.cache
-                    .modify_block(&self.drv, blk, true, true, |d| inode.write_to(d, off))?;
+                let (blk, off) = self.exfile_locate(st, slot)?;
+                st.cache.modify_block(&self.drv, blk, true, true, |d| inode.write_to(d, off))?;
                 if sync {
-                    self.cache.flush_block_sync(&self.drv, blk)?;
+                    st.cache.flush_block_sync(&self.drv, blk)?;
                 }
             }
             InoRef::Embedded { blk, off, gen } => {
                 self.obs.bump(Ctr::FsEmbeddedInodeOps);
                 let img = {
-                    let data = self.cache.read_block(&self.drv, blk)?;
+                    let data = st.cache.read_block(&self.drv, blk)?;
                     let entry = dirent::entry_at(&data, off)?;
                     if entry.gen != gen {
                         return Err(FsError::StaleHandle);
@@ -524,10 +480,9 @@ impl Cffs {
                         EntryLoc::External(_) => return Err(FsError::StaleHandle),
                     }
                 };
-                self.cache
-                    .modify_block(&self.drv, blk, true, true, |d| inode.write_to(d, img))?;
+                st.cache.modify_block(&self.drv, blk, true, true, |d| inode.write_to(d, img))?;
                 if sync {
-                    self.cache.flush_sector_sync(&self.drv, blk, off)?;
+                    st.cache.flush_sector_sync(&self.drv, blk, off)?;
                 }
             }
         }
@@ -535,14 +490,13 @@ impl Cffs {
     }
 
     /// Clear an external inode slot and return it to the pool.
-    fn free_external_slot(&self, slot: u32, durable: bool) -> FsResult<()> {
-        let (blk, off) = self.exfile_locate(slot)?;
-        self.cache
-            .modify_block(&self.drv, blk, true, true, |d| Inode::clear_slot(d, off))?;
+    fn free_external_slot(&self, st: &mut Inner, slot: u32, durable: bool) -> FsResult<()> {
+        let (blk, off) = self.exfile_locate(st, slot)?;
+        st.cache.modify_block(&self.drv, blk, true, true, |d| Inode::clear_slot(d, off))?;
         if durable && self.cfg.metadata_mode == MetadataMode::Synchronous {
-            self.cache.flush_block_sync(&self.drv, blk)?;
+            st.cache.flush_block_sync(&self.drv, blk)?;
         }
-        self.lock_meta().expool.put(slot);
+        st.meta.expool.put(slot);
         Ok(())
     }
 }
@@ -814,11 +768,12 @@ mod tests {
         let _ = blk;
         fs.write(f, limit as u64, b"!").unwrap();
         fs.sync().unwrap();
+        let sb = fs.superblock();
         for lbn in 0..=(limit / BLOCK_SIZE) as u64 {
             fs.read(f, lbn * BLOCK_SIZE as u64, &mut probe).unwrap();
             if let Some(b) = fs.cache_block_of(f, lbn) {
                 assert!(
-                    fs.group_index().group_of_block(&fs.superblock(), b).is_none(),
+                    fs.group_index().group_of_block(&sb, b).is_none(),
                     "block {b} (lbn {lbn}) still grouped past the threshold"
                 );
             }

@@ -4,16 +4,15 @@
 use crate::exfile::SlotPool;
 use crate::groups::GroupIndex;
 use crate::layout::{CgHeader, Superblock, INO_ROOT, SB_BLOCK};
-use cffs_cache::BufferCache;
+use cffs_cache::Cache;
 use cffs_dcache::Dcache;
 use cffs_disksim::driver::{Driver, DriverConfig};
 use cffs_disksim::{Disk, SimTime};
 use cffs_fslib::inode::{Inode, INODE_SIZE};
 use cffs_fslib::{CpuModel, FsError, FsResult, Ino, IntMap, IoStats, StatFs, BLOCK_SIZE};
 use cffs_obs::{Obs, OpKind};
-use std::sync::atomic::AtomicU32;
 use std::sync::{Arc, Mutex};
-use super::{Cffs, CffsConfig, ExMeta, CgSlot, InodePlacement, NsState, OP_STRIPES};
+use super::{Cffs, CffsConfig, ExMeta, CgSlot, Inner, InodePlacement, NsState};
 
 impl Cffs {
     /// Mount an existing C-FFS from `disk`.
@@ -52,7 +51,7 @@ impl Cffs {
         let obs = drv.obs();
         // Per-CG telemetry registers: geometry + current occupancy. The
         // allocator keeps the gauge live from here on (bitmap set/clear
-        // sites call cg_used_delta under the CG lock).
+        // sites call cg_used_delta).
         obs.configure_cg_table(cffs_obs::CgTableConfig {
             first_block: crate::layout::FIRST_CG_BLOCK,
             cg_size: sb.cg_size as u64,
@@ -62,7 +61,7 @@ impl Cffs {
                 .map(|h| (h.block_bitmap.len() as u64, h.block_bitmap.used() as u64))
                 .collect(),
         });
-        let mut cache = BufferCache::new(cfg.cache);
+        let mut cache = Cache::new(cfg.cache);
         cache.set_obs(obs.clone());
         // Partition the cache's eviction on the cylinder-group stride: a
         // victim is the oldest buffer of a CG shard past its fair share.
@@ -72,39 +71,37 @@ impl Cffs {
             exfile_slots: sb.exfile_slots,
             expool: SlotPool::new(sb.exfile_slots, table_free),
         };
-        let cg_state = cgs
-            .into_iter()
-            .map(|hdr| Mutex::new(CgSlot { hdr, dirty: false }))
-            .collect();
+        let cgs = cgs.into_iter().map(|hdr| CgSlot { hdr, dirty: false }).collect();
         // The forensic black box (no-op without a `--flight` opt-in).
         let flight = cffs_obs::flight::arm_global(&obs, &[], &cfg.label);
         let obs_for_dcache = obs.clone();
         let fs = Cffs {
             drv,
-            cache,
             obs,
             geo: sb,
-            meta: Mutex::new(meta),
-            cg_state,
-            groups: Mutex::new(groups),
-            ns: Mutex::new(NsState {
-                parent_of: IntMap::default(),
-                parent_fifo: std::collections::VecDeque::new(),
-                last_read: IntMap::default(),
+            inner: Mutex::new(Inner {
+                cache,
+                meta,
+                cgs,
+                groups,
+                ns: NsState {
+                    parent_of: IntMap::default(),
+                    parent_fifo: std::collections::VecDeque::new(),
+                    last_read: IntMap::default(),
+                },
+                dir_rotor: 0,
+                gen_counter: 0,
             }),
             dcache: (cfg.dcache_entries > 0).then(|| {
                 let mut dc = Dcache::new(cfg.dcache_entries);
                 dc.set_obs(obs_for_dcache.clone());
                 dc
             }),
-            dir_rotor: AtomicU32::new(0),
-            gen_counter: AtomicU32::new(0),
-            op_stripes: (0..OP_STRIPES).map(|_| Mutex::new(())).collect(),
             cfg,
             _flight: flight,
         };
         if fs.geo.itable_bytes == 0 {
-            fs.scan_exfile()?;
+            fs.scan_exfile(&mut fs.lock())?;
         }
         Ok(fs)
     }
@@ -131,10 +128,14 @@ impl Cffs {
     /// A point-in-time snapshot of the mounted superblock: the immutable
     /// geometry merged with the current external-inode-file state.
     pub fn superblock(&self) -> Superblock {
+        self.superblock_of(&self.lock())
+    }
+
+    /// The geometry merged with `st`'s external-inode-file state.
+    fn superblock_of(&self, st: &Inner) -> Superblock {
         let mut sb = self.geo.clone();
-        let m = self.lock_meta();
-        sb.exfile = m.exfile.clone();
-        sb.exfile_slots = m.exfile_slots;
+        sb.exfile = st.meta.exfile.clone();
+        sb.exfile_slots = st.meta.exfile_slots;
         sb
     }
 
@@ -161,17 +162,17 @@ impl Cffs {
     }
 
     /// Rebuild the external-inode free pool by scanning the file.
-    fn scan_exfile(&self) -> FsResult<()> {
-        let slots = self.lock_meta().exfile_slots;
+    fn scan_exfile(&self, st: &mut Inner) -> FsResult<()> {
+        let slots = st.meta.exfile_slots;
         let mut free = Vec::new();
         for slot in 0..slots {
-            let (blk, off) = self.exfile_locate(slot)?;
-            let data = self.cache.read_block(&self.drv, blk)?;
+            let (blk, off) = self.exfile_locate(st, slot)?;
+            let data = st.cache.read_block(&self.drv, blk)?;
             if Inode::read_from(&data, off).is_none() {
                 free.push(slot);
             }
         }
-        self.lock_meta().expool = SlotPool::new(slots, free);
+        st.meta.expool = SlotPool::new(slots, free);
         Ok(())
     }
 
@@ -188,11 +189,15 @@ impl Cffs {
     /// Flush dirty CG headers, the superblock, and the cache — see
     /// [`FileSystem::sync`].
     pub fn sync(&self) -> FsResult<()> {
+        self.sync_locked(&mut self.lock())
+    }
+
+    fn sync_locked(&self, st: &mut Inner) -> FsResult<()> {
         let _span = self.op_span(OpKind::Sync);
         self.charge(self.cpu_model().syscall);
         for cg in 0..self.geo.cg_count {
             let img = {
-                let mut s = self.lock_cg(cg);
+                let s = &mut st.cgs[cg as usize];
                 if s.dirty {
                     let mut img = vec![0u8; BLOCK_SIZE];
                     s.hdr.write_to(&mut img);
@@ -203,34 +208,32 @@ impl Cffs {
                 }
             };
             if let Some(img) = img {
-                self.cache.modify_block(&self.drv, self.geo.cg_header_block(cg), true, false, |d| {
+                st.cache.modify_block(&self.drv, self.geo.cg_header_block(cg), true, false, |d| {
                     d.copy_from_slice(&img)
                 })?;
             }
         }
-        let sb = self.superblock();
+        let sb = self.superblock_of(st);
         let mut sb_img = vec![0u8; BLOCK_SIZE];
         sb.write_to(&mut sb_img);
-        self.cache
-            .modify_block(&self.drv, SB_BLOCK, true, false, |d| d.copy_from_slice(&sb_img))?;
-        self.cache.sync(&self.drv)
+        st.cache.modify_block(&self.drv, SB_BLOCK, true, false, |d| d.copy_from_slice(&sb_img))?;
+        st.cache.sync(&self.drv)
     }
 
     /// Space accounting — see [`FileSystem::statfs`].
     pub fn statfs(&self) -> FsResult<StatFs> {
+        let st = &*self.lock();
         let _span = self.op_span(OpKind::Statfs);
         // Inodes are dynamic (no preallocation limit) unless tables hold them.
         let (total_inodes, free_inodes) = match self.geo.itable_bytes {
             0 => (u64::MAX, u64::MAX),
-            _ => (self.geo.exfile_slots as u64, self.lock_meta().expool.available() as u64),
+            _ => (self.geo.exfile_slots as u64, st.meta.expool.available() as u64),
         };
         Ok(StatFs {
             block_size: BLOCK_SIZE as u32,
             total_blocks: self.geo.total_blocks,
-            free_blocks: (0..self.geo.cg_count)
-                .map(|cg| self.lock_cg(cg).hdr.block_bitmap.free() as u64)
-                .sum(),
-            group_slack_blocks: self.lock_groups().total_slack(),
+            free_blocks: st.cgs.iter().map(|s| s.hdr.block_bitmap.free() as u64).sum(),
+            group_slack_blocks: st.groups.total_slack(),
             total_inodes,
             free_inodes,
         })
@@ -248,9 +251,10 @@ impl Cffs {
 
     /// Sync then drop clean cache state — see [`FileSystem::drop_caches`].
     pub fn drop_caches(&self) -> FsResult<()> {
+        let st = &mut *self.lock();
         let _span = self.op_span(OpKind::DropCaches);
-        self.sync()?;
-        self.cache.drop_all(&self.drv)?;
+        self.sync_locked(st)?;
+        st.cache.drop_all(&self.drv)?;
         if let Some(dc) = self.dcache() {
             // Cold boundary: record the epoch's per-shard hit rates
             // into `dcache_hit_pct` and start fresh.

@@ -188,11 +188,11 @@ counters! {
     SignalHighEvents => "signal_high_events",
 
     // ---- lock contention (host-time; zero in single-threaded runs) ----
-    /// Host nanoseconds spent waiting on contended allocation-map /
-    /// group-index / namespace locks in the FS core.
-    LockWaitNsAlloc => "lock_wait_ns_alloc",
-    /// Host nanoseconds spent waiting on the contended buffer-cache
+    /// Host nanoseconds spent waiting on a file system's contended one
     /// lock.
+    LockWaitNsAlloc => "lock_wait_ns_alloc",
+    /// Host nanoseconds spent waiting on a contended dcache shard lock
+    /// or standalone buffer-cache lock.
     LockWaitNsCache => "lock_wait_ns_cache",
     /// Host nanoseconds spent waiting on contended driver queue / disk
     /// locks.

@@ -105,7 +105,7 @@ fn warm_cache_hits_allocate_nothing() {
             let blk = (i * 11) % 64;
             sum += u64::from(cache.read_block(&drv, blk).expect("hit")[0]);
             sum += u64::from(cache.read_block_bound(&drv, blk, 3, blk).expect("hit")[0]);
-            sum += cache.lookup_logical(3, blk).expect("bound");
+            sum += cache.lock().lookup_logical(3, blk).expect("bound");
         }
     });
     std::hint::black_box(sum);
@@ -357,7 +357,7 @@ fn first_modify_of_a_group_read_block_reuses_a_free_buffer() {
     // Stock the free list: a write makes a buffer of the cache's own, and
     // forgetting its block puts that buffer on the list.
     cache.modify_block(&drv, 500, false, false, |d| d[0] = 1).expect("modify");
-    cache.invalidate_block(&drv, 500);
+    cache.lock().invalidate_block(500);
     cache.read_group(&drv, &[(0, 16)]).expect("group read");
     let platter = drv.read_block(lba(5));
 
@@ -439,7 +439,7 @@ fn sync_of_dirty_blocks_copies_no_block() {
     let largest = largest_request_of(|| cache.sync(&drv).expect("sync"));
     assert!(largest < BLOCK_SIZE as u64, "a sync of 64 blocks requested {largest} bytes at once");
     assert_eq!(drv.obs().get(Ctr::DiskWrites), writes + 4, "four coalesced runs");
-    assert_eq!(cache.dirty_count(), 0);
+    assert_eq!(cache.lock().dirty_count(), 0);
     let mut back = vec![0u8; BLOCK_SIZE];
     drv.with_disk(|d| d.raw_read(40 * (BLOCK_SIZE / SECTOR_SIZE) as u64, &mut back));
     assert!(back.iter().all(|&b| b == 2));
@@ -470,7 +470,7 @@ fn sync_across_heads_of_one_cylinder_allocates_nothing() {
         let heap = heap_of(|| cache.sync(&drv).expect("sync"));
         assert_eq!(heap, (0, 0), "a warm {scheduler:?} sync made heap requests");
         assert_eq!(drv.obs().get(Ctr::DiskWrites), writes + 6, "six coalesced runs");
-        assert_eq!(cache.dirty_count(), 0);
+        assert_eq!(cache.lock().dirty_count(), 0);
         drv.obs().get(Ctr::DiskRotationNs) - rotation
     };
     let clook = rotation_of_warm_sync(Scheduler::CLook);

@@ -12,7 +12,9 @@
 //!   tear file contents;
 //! * online relocation racing foreground writes preserves block-level
 //!   atomicity — every block is wholly one writer's payload;
-//! * delayed write-back racing eviction loses no update.
+//! * delayed write-back racing eviction loses no update;
+//! * an entry point that does another's work takes the file system's
+//!   one lock once: none deadlocks by locking it again.
 
 use cffs::core::{fsck, Cffs, CffsConfig, MkfsParams};
 use cffs::prelude::FsResult;
@@ -214,8 +216,8 @@ fn relocation_racing_foreground_writes_is_block_atomic() {
 
     // Writer thread: rewrites whole blocks with generation bytes 2..=9,
     // deterministic order. Relocator thread: carves fresh groups and
-    // moves the same blocks, concurrently. The op-stripe lock must make
-    // each write and each relocation atomic at block granularity.
+    // moves the same blocks, concurrently. The file system's one lock
+    // must make each write and each relocation atomic at block granularity.
     std::thread::scope(|scope| {
         let writer = {
             let inos = inos.clone();
@@ -521,5 +523,80 @@ fn write_back_racing_eviction_loses_no_update() {
             }
             assert_fsck_clean(&fs, &label);
         }
+    }
+}
+
+/// Every public entry point that does another's work takes the file
+/// system's one lock once: `unmount` and `drop_caches` sync,
+/// `relocate_block_into` claims a group slot, rename, link, mkdir/rmdir
+/// and truncate run allocation and cache internals, and the regrouper
+/// plans and relocates a churned image. A path that took the lock again
+/// would deadlock, so each step runs on a worker thread that reports it
+/// before starting, and the test waits for each report with a timeout: a
+/// re-locking path fails within seconds, naming its step, instead of
+/// hanging the suite.
+#[test]
+fn nested_entry_points_take_the_lock_once() {
+    use cffs::prelude::MetadataMode;
+    use cffs_regroup::RegroupConfig;
+    use cffs_workloads::aging::{age_adversarial, AdversarialParams};
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    use std::time::Duration;
+
+    let (tx, rx) = channel::<&'static str>();
+    let worker = std::thread::spawn(move || {
+        let step = |name| tx.send(name).expect("the test is listening");
+        let fs = fresh();
+        let root = fs.root();
+        step("mkdir");
+        let a = fs.mkdir(root, "a").expect("mkdir a");
+        let b = fs.mkdir(root, "b").expect("mkdir b");
+        let f = fs.create(a, "f").expect("create");
+        fs.write(f, 0, &[7u8; 6000]).expect("write");
+        step("link");
+        let f = fs.link(f, b, "alias").expect("link");
+        step("rename within one directory");
+        fs.rename(a, "f", a, "g").expect("rename within a");
+        step("rename across two directories");
+        fs.rename(a, "g", b, "h").expect("rename a -> b");
+        step("mkdir and rmdir");
+        fs.mkdir(a, "sub").expect("mkdir sub");
+        fs.rmdir(a, "sub").expect("rmdir sub");
+        step("truncate");
+        fs.truncate(f, 100).expect("truncate");
+        step("relocate_block_into");
+        let r = fs.create(a, "r").expect("create r");
+        fs.write(r, 0, &[1u8; 4096]).expect("write r");
+        let group = fs.carve_group_for(a).expect("carve").expect("grouping is on");
+        assert!(fs.relocate_block_into(r, 0, group).expect("relocate").is_some(), "block moved");
+        step("drop_caches");
+        fs.drop_caches().expect("drop_caches");
+        step("unmount");
+        fs.unmount().expect("unmount");
+        step("regroup a churned image");
+        let mut fs = cffs::build::on_disk(
+            models::tiny_test_disk(),
+            CffsConfig::cffs().with_mode(MetadataMode::Delayed),
+        );
+        let churn = AdversarialParams { rounds: 2, storm_files: 60, ndirs: 4, seed: 42 };
+        age_adversarial(&mut fs, churn, |_, _| Ok(())).expect("aging");
+        let out = cffs_regroup::run(&mut fs, &RegroupConfig::exhaustive()).expect("regroup");
+        assert!(out.blocks_moved > 0, "the churned image had blocks to move");
+        step("done");
+    });
+    // A deadlocked worker cannot be joined: on a timeout the test fails
+    // and leaves it blocked. Otherwise it is joined, so its panic shows.
+    let mut last = "mount";
+    loop {
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok("done") => break,
+            Ok(step) => last = step,
+            Err(RecvTimeoutError::Timeout) => panic!("`{last}` did not finish in 30 s: it locked again"),
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    if let Err(cause) = worker.join() {
+        eprintln!("the worker failed during `{last}`");
+        std::panic::resume_unwind(cause);
     }
 }
