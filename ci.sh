@@ -6,7 +6,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, reads share the platter's blocks, no path keys, one run per miss, one cache budget, one cache lock, one file-system lock, one set of I/O books, one positioning model, one repro launcher, one multi-client driver, no one-value settings, no hashing on the per-call path) =="
+echo "== one surface (one file system, one FS trait, one helper set, shared borrows, one block map, one file engine, one fsck report, one disk lock, one sampler, reads share the platter's blocks, no path keys, one run per miss, one cache budget, one cache lock, one file-system lock, one set of I/O books, one positioning model, one walk per name, one repro launcher, one multi-client driver, no one-value settings, no hashing on the per-call path) =="
 # The former second trait survives only as the alias line benchmark/
 # still imports; the `_c` helper twins and the second model are gone; and
 # nothing takes a file system by `&mut` through the trait (the handle-
@@ -124,14 +124,22 @@ if grep -rnE 'fn (reset_io_stats|reset_stats|disk_stats)\b|[a-z_]+: *(Mutex<)?(C
     crates/disksim/src crates/cache/src crates/core/src crates/volume/src; then
     echo "a second set of I/O books (a stat struct field or a reset) is back"; exit 1
 fi
-# Seek, rotation and transfer are computed once, by DiskModel::position:
-# the drive services media requests through it, the scheduler predicts
-# with it and the file system places synchronous entries with its
-# earliest_sector, so neither the driver nor the file system spells out a
-# seek curve, a platter angle or a sector's cylinder.
+# Seek, rotation and transfer are computed once, by DiskModel: a run's
+# geometry (DiskModel::run) and the seek and rotation that reach it
+# (DiskModel::reach), composed by DiskModel::position. The drive services
+# media requests through them, the scheduler predicts with them and the
+# file system places synchronous entries with their earliest_sector, so
+# neither the driver nor the file system spells out a seek curve, a
+# platter angle or a sector's cylinder.
 if grep -nE 'sector_angle\(|seek_time\(' crates/disksim/src/driver.rs \
     || grep -rnE 'sector_angle\(|seek_time\(|lba_to_chs\(' crates/core/src; then
     echo "the driver or the file system computes positioning itself instead of DiskModel"; exit 1
+fi
+# One walk per name: a removal takes out the entry its scan already found
+# (dirent::remove_at, one chunk), so nothing walks a block again for the
+# name: no name-based removal, and no caller of one.
+if grep -rn 'dirent::remove(' crates/core/src || nontest crates/core/src/dirent.rs | grep -E 'fn remove\('; then
+    echo "a name-based dirent::remove is back in crates/core"; exit 1
 fi
 # Every experiment runs through the one registry-driven `repro` binary:
 # no per-experiment launcher, and no doc or script names one.

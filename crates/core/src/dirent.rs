@@ -23,10 +23,13 @@
 //! "Directory sizes" discussion weighs against the access savings.
 //!
 //! A decoded [`CEntry`] carries no name: [`find`], [`entry_at`] and
-//! [`remove`] — the lookup, embedded-inode and unlink paths — check that
-//! the name is UTF-8 but leave it in the block, so resolving a name
+//! [`remove_at`] — the lookup, embedded-inode and unlink paths — check
+//! that the name is UTF-8 but leave it in the block, so resolving a name
 //! makes no heap request. Only [`list`] (readdir, fsck, relocation)
 //! copies names out, pairing each entry with its own.
+//!
+//! An entry never leaves its chunk, so the operations on the entry at a
+//! known offset ([`entry_at`], [`remove_at`]) walk that one chunk.
 
 use cffs_fslib::codec::{get_u16, get_u32, put_u16, put_u32};
 use cffs_fslib::inode::{Inode, INODE_SIZE};
@@ -122,6 +125,7 @@ fn walk_chunk(
     chunk: usize,
     f: &mut impl FnMut(usize, u8, usize, usize) -> bool,
 ) -> FsResult<bool> {
+    note_walk();
     let base = chunk * DIRBLKSIZ;
     let mut off = base;
     while off < base + DIRBLKSIZ {
@@ -140,6 +144,13 @@ fn walk_chunk(
         off += reclen;
     }
     Ok(true)
+}
+
+/// Whether the record at `off` is a used entry named `name`.
+fn named(buf: &[u8], off: usize, flags: u8, namelen: usize, name: &str) -> bool {
+    flags & FLAG_USED != 0
+        && namelen == name.len()
+        && &buf[off + ENTRY_HEADER..off + ENTRY_HEADER + namelen] == name.as_bytes()
 }
 
 /// Decode the used entry at `off`, borrowing its name from the block.
@@ -182,10 +193,7 @@ pub fn list(buf: &[u8]) -> FsResult<Vec<(String, CEntry)>> {
 pub fn find(buf: &[u8], name: &str) -> FsResult<Option<CEntry>> {
     let mut found = None;
     walk(buf, |off, flags, namelen, _| {
-        if flags & FLAG_USED != 0
-            && namelen == name.len()
-            && &buf[off + ENTRY_HEADER..off + ENTRY_HEADER + namelen] == name.as_bytes()
-        {
+        if named(buf, off, flags, namelen, name) {
             found = Some(decode(buf, off, flags, namelen).map(|(e, _)| e));
             return false;
         }
@@ -194,22 +202,60 @@ pub fn find(buf: &[u8], name: &str) -> FsResult<Option<CEntry>> {
     found.transpose()
 }
 
+/// [`find`] and [`roomy_chunks`] in one walk: the entry named `name`,
+/// and the chunks an entry of `len` bytes would fit in — the whole mask,
+/// meaningful when the name is absent (the walk stops where it is found).
+pub fn find_room(buf: &[u8], name: &str, len: usize) -> FsResult<(Option<CEntry>, u8)> {
+    let (mut found, mut roomy) = (None, 0u8);
+    walk(buf, |off, flags, namelen, reclen| {
+        if named(buf, off, flags, namelen, name) {
+            found = Some(decode(buf, off, flags, namelen).map(|(e, _)| e));
+            return false;
+        }
+        if reclen - used_len(flags, namelen) >= len {
+            roomy |= 1 << (off / DIRBLKSIZ);
+        }
+        true
+    })?;
+    Ok((found.transpose()?, roomy))
+}
+
+/// A used record found at a known offset (see [`used_at`]).
+struct Used {
+    /// The record before it in its chunk, if any.
+    prev: Option<usize>,
+    flags: u8,
+    namelen: usize,
+    reclen: usize,
+}
+
+/// The record that starts at `off`, if it is a used entry. Walks only the
+/// chunk that holds `off`, since no entry crosses a chunk.
+fn used_at(buf: &[u8], off: usize) -> FsResult<Option<Used>> {
+    if off >= BLOCK_SIZE {
+        return Ok(None);
+    }
+    let (mut hit, mut prev) = (None, None);
+    walk_chunk(buf, off / DIRBLKSIZ, &mut |o, flags, namelen, reclen| {
+        if o == off {
+            if flags & FLAG_USED != 0 {
+                hit = Some(Used { prev, flags, namelen, reclen });
+            }
+            return false;
+        }
+        prev = Some(o);
+        o < off
+    })?;
+    Ok(hit)
+}
+
 /// Decode and validate the entry starting at `off` (an inode-number
 /// dereference). Fails with [`FsError::StaleHandle`] if no entry starts
 /// there or it is free, and with [`FsError::Corrupt`] if the used entry
 /// there does not decode.
 pub fn entry_at(buf: &[u8], off: usize) -> FsResult<CEntry> {
-    let mut hit = None;
-    walk(buf, |o, flags, namelen, _| {
-        if o == off {
-            if flags & FLAG_USED != 0 {
-                hit = Some(decode(buf, o, flags, namelen).map(|(e, _)| e));
-            }
-            return false;
-        }
-        o < off
-    })?;
-    hit.unwrap_or(Err(FsError::StaleHandle))
+    let u = used_at(buf, off)?.ok_or(FsError::StaleHandle)?;
+    decode(buf, off, u.flags, u.namelen).map(|(e, _)| e)
 }
 
 /// Bytes a record's entry occupies: 0 when it is free.
@@ -341,37 +387,24 @@ pub fn convert_to_external(buf: &mut [u8], off: usize, slot: u32) {
     put_u32(buf, off + 4, slot);
 }
 
-/// Remove the entry named `name`. Returns the removed entry.
-pub fn remove(buf: &mut [u8], name: &str) -> FsResult<Option<CEntry>> {
-    let mut target: Option<(usize, Option<usize>, u8, usize, usize)> = None;
-    let mut prev: Option<usize> = None;
-    walk(buf, |off, flags, namelen, reclen| {
-        if off % DIRBLKSIZ == 0 {
-            prev = None;
-        }
-        if flags & FLAG_USED != 0
-            && namelen == name.len()
-            && &buf[off + ENTRY_HEADER..off + ENTRY_HEADER + namelen] == name.as_bytes()
-        {
-            target = Some((off, prev, flags, namelen, reclen));
-            return false;
-        }
-        prev = Some(off);
-        true
-    })?;
-    let Some((off, prev, flags, namelen, reclen)) = target else { return Ok(None) };
-    let (entry, _) = decode(buf, off, flags, namelen)?;
-    match prev {
+/// Remove the entry starting at `off` — one a scan has just found — and
+/// return it: its space joins the record before it in its chunk, or
+/// becomes a free record when it is the chunk's first. Walks that one
+/// chunk; fails as [`entry_at`] does when no used entry starts at `off`.
+pub fn remove_at(buf: &mut [u8], off: usize) -> FsResult<CEntry> {
+    let u = used_at(buf, off)?.ok_or(FsError::StaleHandle)?;
+    let (entry, _) = decode(buf, off, u.flags, u.namelen)?;
+    match u.prev {
         Some(p) => {
             let p_reclen = get_u16(buf, p) as usize;
-            put_u16(buf, p, (p_reclen + reclen) as u16);
+            put_u16(buf, p, (p_reclen + u.reclen) as u16);
         }
         None => {
             buf[off + 2] = 0;
             buf[off + 3] = 0;
         }
     }
-    Ok(Some(entry))
+    Ok(entry)
 }
 
 /// True if the block holds no used entries.
@@ -385,6 +418,28 @@ pub fn is_empty(buf: &[u8]) -> FsResult<bool> {
         true
     })?;
     Ok(!any)
+}
+
+/// Count one chunk walk (see [`walked_chunks`]); nothing outside tests.
+#[cfg(not(test))]
+fn note_walk() {}
+
+#[cfg(test)]
+thread_local! {
+    /// Chunks walked on this thread.
+    static WALKED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[cfg(test)]
+fn note_walk() {
+    WALKED.with(|w| w.set(w.get() + 1));
+}
+
+/// Chunk walks made on this thread so far: the work a directory
+/// operation does, pinned by the file system's tests.
+#[cfg(test)]
+pub(crate) fn walked_chunks() -> u64 {
+    WALKED.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]
@@ -581,7 +636,118 @@ mod tests {
         assert!(matches!(list(&b), Err(FsError::Corrupt(_))));
     }
 
+    /// The block-wide [`entry_at`] that walked every record from byte 0:
+    /// the oracle for the one-chunk walk.
+    fn entry_at_oracle(buf: &[u8], off: usize) -> FsResult<CEntry> {
+        let mut hit = None;
+        walk(buf, |o, flags, namelen, _| {
+            if o == off {
+                if flags & FLAG_USED != 0 {
+                    hit = Some(decode(buf, o, flags, namelen).map(|(e, _)| e));
+                }
+                return false;
+            }
+            o < off
+        })?;
+        hit.unwrap_or(Err(FsError::StaleHandle))
+    }
+
+    /// The name-based removal that walked the block looking for `name`:
+    /// the oracle for [`remove_at`].
+    fn remove_oracle(buf: &mut [u8], name: &str) -> FsResult<Option<CEntry>> {
+        let mut target: Option<(usize, Option<usize>, u8, usize, usize)> = None;
+        let mut prev: Option<usize> = None;
+        walk(buf, |off, flags, namelen, reclen| {
+            if off % DIRBLKSIZ == 0 {
+                prev = None;
+            }
+            if named(buf, off, flags, namelen, name) {
+                target = Some((off, prev, flags, namelen, reclen));
+                return false;
+            }
+            prev = Some(off);
+            true
+        })?;
+        let Some((off, prev, flags, namelen, reclen)) = target else { return Ok(None) };
+        let (entry, _) = decode(buf, off, flags, namelen)?;
+        match prev {
+            Some(p) => {
+                let p_reclen = get_u16(buf, p) as usize;
+                put_u16(buf, p, (p_reclen + reclen) as u16);
+            }
+            None => {
+                buf[off + 2] = 0;
+                buf[off + 3] = 0;
+            }
+        }
+        Ok(Some(entry))
+    }
+
+    /// Remove the entry named `name`, as the file system does: find it,
+    /// then remove it at its offset.
+    fn remove(buf: &mut [u8], name: &str) -> FsResult<Option<CEntry>> {
+        match find(buf, name)? {
+            Some(e) => remove_at(buf, e.offset).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// A valid block from a random history of inserts (embedded or
+    /// external, names of 1 to 60 bytes) and removals.
+    fn random_block(ops: &[(bool, usize, usize, bool)]) -> Vec<u8> {
+        let mut b = block();
+        for &(add, i, len, emb) in ops {
+            let name = format!("{}{i}", "n".repeat(len));
+            if add {
+                if find(&b, &name).unwrap().is_none() {
+                    let _ = if emb {
+                        insert_embedded(&mut b, u8::MAX, &name, FileKind::File, &inode(i as u64)).unwrap().map(|p| p.0)
+                    } else {
+                        insert_external(&mut b, u8::MAX, &name, i as u32, FileKind::File).unwrap()
+                    };
+                }
+            } else {
+                remove(&mut b, &name).unwrap();
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn entry_and_removal_at_an_offset_walk_one_chunk() {
+        let mut b = block();
+        let (off, _) = insert_embedded(&mut b, 1 << 6, "walk", FileKind::File, &inode(1)).unwrap().unwrap();
+        let before = walked_chunks();
+        entry_at(&b, off).unwrap();
+        remove_at(&mut b, off).unwrap();
+        assert_eq!(walked_chunks() - before, 2, "one chunk each");
+        assert_eq!(remove_at(&mut b, off).unwrap_err(), FsError::StaleHandle);
+    }
+
     proptest! {
+        #[test]
+        fn chunk_walks_match_the_block_walks(
+            ops in proptest::collection::vec((any::<bool>(), 0usize..40, 1usize..60, any::<bool>()), 0..160),
+            probe in 0usize..BLOCK_SIZE + 64,
+            need_len in 1usize..60,
+        ) {
+            let b = random_block(&ops);
+            prop_assert_eq!(entry_at(&b, probe), entry_at_oracle(&b, probe));
+            for (name, e) in list(&b).unwrap() {
+                prop_assert_eq!(entry_at(&b, e.offset), entry_at_oracle(&b, e.offset));
+                let (mut at, mut by_name) = (b.clone(), b.clone());
+                prop_assert_eq!(remove_at(&mut at, e.offset).map(Some), remove_oracle(&mut by_name, &name));
+                prop_assert_eq!(at, by_name, "{} removed differently", name);
+                prop_assert_eq!(find_room(&b, &name, 8).unwrap().0, Some(e));
+            }
+            for need in [external_len(need_len), embedded_len(need_len)] {
+                prop_assert_eq!(
+                    find_room(&b, "absent", need).unwrap(),
+                    (None, roomy_chunks(&b, need, false).unwrap())
+                );
+            }
+        }
+
         #[test]
         fn random_ops_match_model(
             ops in proptest::collection::vec((0u8..3, 0usize..30, any::<bool>()), 0..120)

@@ -585,6 +585,60 @@ mod tests {
         mkfs(Disk::new(models::tiny_test_disk()), MkfsParams::tiny(), cfg).expect("mkfs")
     }
 
+    /// One walk per name, in chunk walks (a block is 8): a synchronous
+    /// embedded create over an n-block directory walks each block once —
+    /// its existence scan; the insert re-fetches without walking and the
+    /// placement takes the scan's masks — plus the chunk its entry goes
+    /// in. An unlink walks the blocks up to its name, then one chunk for
+    /// the embedded inode and one for the removal.
+    #[test]
+    fn a_create_walks_each_block_once_and_an_unlink_one_chunk_past_its_name() {
+        let fs = fresh(CffsConfig::cffs().with_mode(MetadataMode::Synchronous));
+        let root = fs.root();
+        for i in 0..150 {
+            fs.create(root, &format!("f{i:03}")).unwrap();
+        }
+        for i in (0..150).step_by(3) {
+            fs.unlink(root, &format!("f{i:03}")).unwrap();
+        }
+        let n = fs.getattr(root).unwrap().size / BLOCK_SIZE as u64;
+        assert!(n >= 6, "a {n}-block directory");
+        for k in 0..10 {
+            let before = dirent::walked_chunks();
+            fs.create(root, &format!("n{k:03}")).unwrap();
+            assert_eq!(dirent::walked_chunks() - before, 8 * n + 1, "create n{k:03}");
+        }
+        for name in ["f001", "f077", "f149"] {
+            let InoRef::Embedded { blk, off, .. } = decode_ino(fs.lookup(root, name).unwrap()) else {
+                panic!("{name} is embedded");
+            };
+            let lbn = (0..n).find(|&l| fs.cache_block_of(root, l) == Some(blk)).expect("a root block");
+            let before = dirent::walked_chunks();
+            fs.unlink(root, name).unwrap();
+            let to_name = 8 * lbn + (off / dirent::DIRBLKSIZ) as u64 + 1;
+            assert_eq!(dirent::walked_chunks() - before, to_name + 2, "unlink {name}");
+        }
+    }
+
+    /// `fs.group_index().group_of_block(..)` takes its geometry from the
+    /// guard: it returns, where reading the superblock inside the
+    /// expression used to deadlock on the file system's lock.
+    #[test]
+    fn group_of_block_through_the_guard_returns() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let fs = fresh(CffsConfig::cffs());
+            let f = fs.create(fs.root(), "g").unwrap();
+            fs.write(f, 0, &[1u8; 100]).unwrap();
+            let blk = fs.cache_block_of(f, 0).expect("resident");
+            tx.send(fs.group_index().group_of_block(blk).is_some()).unwrap();
+        });
+        let grouped = rx.recv_timeout(Duration::from_secs(30)).expect("group_of_block deadlocked");
+        assert!(grouped, "a small file's block is grouped");
+    }
+
     #[test]
     fn sparse_file_reads_zero_in_holes() {
         let fs = fresh(CffsConfig::cffs());
@@ -768,12 +822,11 @@ mod tests {
         let _ = blk;
         fs.write(f, limit as u64, b"!").unwrap();
         fs.sync().unwrap();
-        let sb = fs.superblock();
         for lbn in 0..=(limit / BLOCK_SIZE) as u64 {
             fs.read(f, lbn * BLOCK_SIZE as u64, &mut probe).unwrap();
             if let Some(b) = fs.cache_block_of(f, lbn) {
                 assert!(
-                    fs.group_index().group_of_block(&sb, b).is_none(),
+                    fs.group_index().group_of_block(b).is_none(),
                     "block {b} (lbn {lbn}) still grouped past the threshold"
                 );
             }

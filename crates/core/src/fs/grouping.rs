@@ -3,7 +3,8 @@
 //! relocation protocol.
 
 use crate::dirent::{self, EntryLoc};
-use crate::groups::{FreeOutcome, GroupIndex};
+use crate::groups::{FreeOutcome, Group, GroupIndex};
+use crate::layout::Superblock;
 use crate::layout::{decode_ino, embedded_ino, InoRef};
 use cffs_fslib::bmap;
 use cffs_fslib::inode::{Inode, NO_BLOCK};
@@ -14,15 +15,28 @@ use std::sync::MutexGuard;
 use super::{AllocCtx, Cffs, CgUsage, Fetch, Inner};
 
 /// The in-core group index, read under the file system's lock: the lock
-/// is held until the guard drops, so keep it short and call nothing else
-/// on the file system while it lives.
-pub struct GroupIndexGuard<'a>(MutexGuard<'a, Inner>);
+/// is held until the guard drops, so any other call on the same `Cffs`
+/// while the guard lives deadlocks. Keep it short; what a query needs
+/// from the file system the guard carries ([`GroupIndexGuard::group_of_block`]).
+pub struct GroupIndexGuard<'a> {
+    st: MutexGuard<'a, Inner>,
+    geo: &'a Superblock,
+}
 
 impl Deref for GroupIndexGuard<'_> {
     type Target = GroupIndex;
 
     fn deref(&self) -> &GroupIndex {
-        &self.0.groups
+        &self.st.groups
+    }
+}
+
+impl GroupIndexGuard<'_> {
+    /// The group holding block `blk`, if any ([`GroupIndex::group_of_block`]
+    /// on the mount's own geometry, so no superblock is read while the
+    /// guard holds the lock).
+    pub fn group_of_block(&self, blk: u64) -> Option<&Group> {
+        self.st.groups.group_of_block(self.geo, blk)
     }
 }
 
@@ -30,7 +44,7 @@ impl Cffs {
     /// The in-core group index (benchmarks, tests), under the file
     /// system's lock for the guard's lifetime.
     pub fn group_index(&self) -> GroupIndexGuard<'_> {
-        GroupIndexGuard(self.lock())
+        GroupIndexGuard { st: self.lock(), geo: &self.geo }
     }
 
     /// Application-directed grouping across directories — the richer form
@@ -528,7 +542,7 @@ impl Cffs {
         self.charge(self.cpu_model().syscall);
         let dinode = self.require_dir(st, dirino)?;
         for name in names {
-            let Some((blk, _, e)) = self.dir_find(st, dirino, &dinode, name, Fetch::Run)? else {
+            let Some((blk, _, e)) = self.dir_find(st, dirino, &dinode, name, Fetch::Run, None)? else {
                 return Err(FsError::NotFound);
             };
             if e.kind != FileKind::File {

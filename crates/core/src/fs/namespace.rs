@@ -4,7 +4,6 @@
 use crate::dirent::{self, CEntry, EntryLoc};
 use crate::layout::{decode_ino, embedded_ino, external_ino, InoRef, GEN_MASK};
 use cffs_dcache::DcacheAnswer;
-use cffs_disksim::SimTime;
 use cffs_fslib::bmap;
 use cffs_fslib::error::check_name;
 use cffs_fslib::file::{self, FileStore};
@@ -33,8 +32,10 @@ impl Cffs {
         }
     }
 
-    /// Scan a directory for `name`, serving misses as `fetch` says.
-    /// Returns `(block, lbn, entry)`.
+    /// Scan a directory for `name`, serving misses as `fetch` says, and
+    /// note in `room`, when given, each walked block's chunks with room
+    /// for a new entry: a create's existence scan, whose walk then also
+    /// serves the insert. Returns `(block, lbn, entry)`.
     pub(super) fn dir_find(
         &self,
         st: &mut Inner,
@@ -42,11 +43,21 @@ impl Cffs {
         dinode: &Inode,
         name: &str,
         fetch: Fetch,
+        mut room: Option<&mut Room>,
     ) -> FsResult<Option<(u64, u64, CEntry)>> {
         let t = self.tree(st, dirino, None).fetching(fetch);
         file::dir_blocks(&t, dinode, |lbn, blk| {
             self.charge(self.cpu_model().scan_cost(16));
-            Ok(dirent::find(&t.fetch(blk, lbn)?, name)?.map(|e| (blk, lbn, e)))
+            let data = t.fetch(blk, lbn)?;
+            let found = match room.as_deref_mut() {
+                Some(room) => {
+                    let (found, free) = dirent::find_room(&data, name, room.need)?;
+                    room.note(lbn, free);
+                    found
+                }
+                None => dirent::find(&data, name)?,
+            };
+            Ok(found.map(|e| (blk, lbn, e)))
         })
     }
 
@@ -59,32 +70,35 @@ impl Cffs {
     /// The entry goes in the first chunk with room (first fit), except
     /// an embedded entry whose durability is one sector write: that one
     /// goes where [`Cffs::earliest_chunk`] says the write lands first.
+    /// `room` holds the masks an existence scan of the unchanged
+    /// directory already took; a block without one is walked here.
     fn dir_insert(
         &self,
         st: &mut Inner,
         dirino: Ino,
         dinode: &mut Inode,
         name: &str,
-        kind: FileKind,
         payload: InsertPayload<'_>,
+        room: &Room,
     ) -> FsResult<(u64, usize, bool)> {
-        let need = match payload {
-            InsertPayload::Embedded(_) => dirent::embedded_len(name.len()),
-            InsertPayload::External(_) => dirent::external_len(name.len()),
-        };
-        let by_rotation = matches!(payload, InsertPayload::Embedded(_)) && self.sector_durable();
-        let roomy = {
+        let by_rotation = matches!(payload, InsertPayload::Embedded(..)) && self.sector_durable();
+        let first = {
             let t = self.tree(st, dirino, None);
             file::dir_blocks(&t, dinode, |lbn, blk| {
                 self.charge(self.cpu_model().scan_cost(16));
-                // The handle is dropped before the insert modifies the block.
-                let free = dirent::roomy_chunks(&t.fetch(blk, lbn)?, need, !by_rotation)?;
+                // The fetch is the counted use of the block; the handle is
+                // dropped before the insert modifies it.
+                let data = t.fetch(blk, lbn)?;
+                let free = match room.mask(lbn) {
+                    Some(free) => free,
+                    None => dirent::roomy_chunks(&data, room.need, !by_rotation)?,
+                };
                 Ok((free != 0).then_some((lbn, blk, free)))
             })?
         };
-        let (lbn, blk, chunks, grew) = match roomy {
+        let (lbn, blk, chunks, grew) = match first {
             Some(first) if by_rotation => {
-                let (lbn, blk, chunk) = self.earliest_chunk(st, dirino, dinode, first, need)?;
+                let (lbn, blk, chunk) = self.earliest_chunk(st, dirino, dinode, first, room)?;
                 (lbn, blk, 1 << chunk, false)
             }
             Some((lbn, blk, free)) => (lbn, blk, free, false),
@@ -100,10 +114,10 @@ impl Cffs {
             }
         };
         let off = self.tree(st, dirino, None).modify(blk, lbn, true, |d| match payload {
-            InsertPayload::Embedded(inode) => {
+            InsertPayload::Embedded(inode, kind) => {
                 dirent::insert_embedded(d, chunks, name, kind, inode).map(|o| o.map(|(e, _)| e))
             }
-            InsertPayload::External(slot) => dirent::insert_external(d, chunks, name, slot, kind),
+            InsertPayload::External(slot, kind) => dirent::insert_external(d, chunks, name, slot, kind),
         })??;
         Ok((blk, off.ok_or(FsError::NoSpace)?, grew))
     }
@@ -115,21 +129,22 @@ impl Cffs {
     }
 
     /// Rotation-aware placement (eager writing kept inside the directory):
-    /// of the chunks with room for `need` bytes in `first` — the first-fit
-    /// `(lbn, block, roomy chunks)` — and in every resident directory
-    /// block after it, the one whose one-sector write, issued now, the
-    /// disk model says completes first; the lowest `(lbn, chunk)` on a
-    /// tie. Reads nothing from the disk. The scan is charged before the
-    /// prediction and nothing moves the clock between it and the write,
-    /// so the write issues at the predicted instant. Returns `(lbn,
-    /// block, chunk)`.
+    /// of the chunks with room in `first` — the first-fit `(lbn, block,
+    /// roomy chunks)` — and in every resident directory block after it,
+    /// the one whose one-sector write, issued now, the disk model says
+    /// completes first; the lowest `(lbn, chunk)` on a tie. A block's
+    /// chunks come from `room` when the existence scan noted them, and
+    /// from a walk of the block otherwise. Reads nothing from the disk.
+    /// The scan is charged before the prediction and nothing moves the
+    /// clock between it and the write, so the write issues at the
+    /// predicted instant. Returns `(lbn, block, chunk)`.
     fn earliest_chunk(
         &self,
         st: &mut Inner,
         dirino: Ino,
         dinode: &Inode,
         first: (u64, u64, u8),
-        need: usize,
+        room: &Room,
     ) -> FsResult<(u64, u64, u32)> {
         let mut cands = [first; MAX_PLACEMENT_BLOCKS];
         let (mut n, mut scanned) = (1, 0);
@@ -137,7 +152,8 @@ impl Cffs {
             if n == cands.len() {
                 break;
             }
-            let roomy = |d: &[u8]| dirent::roomy_chunks(d, need, false);
+            let known = room.mask(lbn);
+            let roomy = |d: &[u8]| known.map_or_else(|| dirent::roomy_chunks(d, room.need, false), Ok);
             let Some((blk, free)) = st.cache.peek_logical(dirino, lbn, roomy) else { continue };
             scanned += 1;
             let free = free?;
@@ -148,19 +164,15 @@ impl Cffs {
         }
         self.charge(self.cpu_model().scan_cost(16 * scanned));
         let now = self.drv.now();
-        Ok(self.drv.with_disk(|d| {
-            let (start, arm, model) = (now.max(d.busy_until()), d.arm_cylinder(), d.model());
-            let mut best = (first.0, first.1, first.2.trailing_zeros(), SimTime(u64::MAX));
-            for &(lbn, blk, free) in &cands[..n] {
-                let lba = blk * SECTORS_PER_BLOCK;
-                if let Some((chunk, p)) = model.earliest_sector(start, arm, lba, free.into(), true) {
-                    if p.done < best.3 {
-                        best = (lbn, blk, chunk, p.done);
-                    }
-                }
-            }
-            (best.0, best.1, best.2)
-        }))
+        let sectors = cands[..n].iter().map(|&(_, blk, free)| (blk * SECTORS_PER_BLOCK, u64::from(free)));
+        let best = self.drv.with_disk(|d| {
+            let start = now.max(d.busy_until());
+            d.model().earliest_sector(start, d.arm_cylinder(), sectors, true)
+        });
+        Ok(match best {
+            Some((k, chunk, _)) => (cands[k].0, cands[k].1, chunk),
+            None => (first.0, first.1, first.2.trailing_zeros()),
+        })
     }
 
     /// Flush the durability unit for a directory mutation at `(blk, off)`:
@@ -280,7 +292,7 @@ impl Cffs {
             }
         }
         let dinode = self.require_dir(st, dirino)?;
-        match self.dir_find(st, dirino, &dinode, name, Fetch::Run)? {
+        match self.dir_find(st, dirino, &dinode, name, Fetch::Run, None)? {
             Some((blk, _, e)) => {
                 let ino = self.entry_ino(blk, &e);
                 if let Some(dc) = self.dcache() {
@@ -334,14 +346,17 @@ impl Cffs {
         self.charge(self.cpu_model().syscall);
         check_name(name)?;
         let mut dinode = self.require_dir(st, dirino)?;
+        let embedded = self.cfg.inodes == InodePlacement::Embedded;
+        let mut room = Room::new(entry_len(embedded, name));
         // Create-if-absent fast path: a cached negative entry proves the
         // name absent, so the existence scan can be skipped outright; a
-        // cached positive entry is an immediate `Exists`.
+        // cached positive entry is an immediate `Exists`. The scan notes
+        // where the entry would fit, so the insert walks nothing again.
         match self.dcache().map(|dc| dc.lookup(dirino, name)) {
             Some(DcacheAnswer::Pos(_)) => return Err(FsError::Exists),
             Some(DcacheAnswer::Neg) => {}
             _ => {
-                if self.dir_find(st, dirino, &dinode, name, Fetch::Run)?.is_some() {
+                if self.dir_find(st, dirino, &dinode, name, Fetch::Run, Some(&mut room))?.is_some() {
                     return Err(FsError::Exists);
                 }
             }
@@ -357,7 +372,7 @@ impl Cffs {
         } else {
             self.dir_home(dirino, &dinode)
         };
-        let slot = if self.cfg.inodes == InodePlacement::Embedded {
+        let slot = if embedded {
             inode.generation = Self::next_gen(st) as u32;
             None
         } else {
@@ -365,8 +380,8 @@ impl Cffs {
             self.write_inode(st, external_ino(slot), &inode, true)?;
             Some(slot)
         };
-        let payload = slot.map_or(InsertPayload::Embedded(&inode), InsertPayload::External);
-        let (blk, off, grew) = self.dir_insert(st, dirino, &mut dinode, name, kind, payload)?;
+        let payload = slot.map_or(InsertPayload::Embedded(&inode, kind), |s| InsertPayload::External(s, kind));
+        let (blk, off, grew) = self.dir_insert(st, dirino, &mut dinode, name, payload, &room)?;
         if kind == FileKind::Dir {
             dinode.nlink += 1;
         }
@@ -392,7 +407,7 @@ impl Cffs {
         let dinode = self.require_dir(st, dirino)?;
         // Removing a name reads blocks, not groups: nothing beside the
         // entry and its inode is wanted.
-        let Some((blk, lbn, entry)) = self.dir_find(st, dirino, &dinode, name, Fetch::Block)? else {
+        let Some((blk, lbn, entry)) = self.dir_find(st, dirino, &dinode, name, Fetch::Block, None)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind == FileKind::Dir {
@@ -402,7 +417,7 @@ impl Cffs {
         let inode = self.read_inode_with(st, ino, Fetch::Block)?;
         let was_embedded = matches!(entry.loc, EntryLoc::Embedded(_));
         let off = entry.offset;
-        st.cache.modify_block_bound(&self.drv, blk, dirino, lbn, true, |d| dirent::remove(d, name))??;
+        st.cache.modify_block_bound(&self.drv, blk, dirino, lbn, true, |d| dirent::remove_at(d, off))??;
         // The name is now provably absent: cache the NotFound.
         if let Some(dc) = self.dcache() {
             dc.insert_neg(dirino, name);
@@ -420,7 +435,7 @@ impl Cffs {
         check_name(name)?;
         let mut dinode = self.require_dir(st, dirino)?;
         // As in `unlink`, the removal reads blocks, not groups.
-        let Some((blk, lbn, entry)) = self.dir_find(st, dirino, &dinode, name, Fetch::Block)? else {
+        let Some((blk, lbn, entry)) = self.dir_find(st, dirino, &dinode, name, Fetch::Block, None)? else {
             return Err(FsError::NotFound);
         };
         if entry.kind != FileKind::Dir {
@@ -436,7 +451,7 @@ impl Cffs {
         }
         let was_embedded = matches!(entry.loc, EntryLoc::Embedded(_));
         let off = entry.offset;
-        st.cache.modify_block_bound(&self.drv, blk, dirino, lbn, true, |d| dirent::remove(d, name))??;
+        st.cache.modify_block_bound(&self.drv, blk, dirino, lbn, true, |d| dirent::remove_at(d, off))??;
         if let Some(dc) = self.dcache() {
             dc.insert_neg(dirino, name);
         }
@@ -466,7 +481,7 @@ impl Cffs {
             return Err(FsError::TooManyLinks);
         }
         let mut dinode = self.require_dir(st, dirino)?;
-        if self.dir_find(st, dirino, &dinode, name, Fetch::Run)?.is_some() {
+        if self.dir_find(st, dirino, &dinode, name, Fetch::Run, None)?.is_some() {
             return Err(FsError::Exists);
         }
         // An embedded target must be externalized first: several names will
@@ -496,8 +511,9 @@ impl Cffs {
         tinode.nlink += 1;
         self.write_inode(st, new_target, &tinode, true)?;
         let InoRef::External(slot) = decode_ino(new_target) else { unreachable!() };
-        let (blk, off, grew) =
-            self.dir_insert(st, dirino, &mut dinode, name, FileKind::File, InsertPayload::External(slot))?;
+        let payload = InsertPayload::External(slot, FileKind::File);
+        let room = Room::new(entry_len(false, name));
+        let (blk, off, grew) = self.dir_insert(st, dirino, &mut dinode, name, payload, &room)?;
         self.dir_durable_grown(st, blk, off, grew)?;
         self.write_inode(st, dirino, &dinode, grew)?;
         // The new name exists now (this also kills any negative entry).
@@ -515,7 +531,7 @@ impl Cffs {
         check_name(oname)?;
         check_name(nname)?;
         let mut oinode = self.require_dir(st, odir)?;
-        let Some((oblk, _, oentry)) = self.dir_find(st, odir, &oinode, oname, Fetch::Run)? else {
+        let Some((oblk, _, oentry)) = self.dir_find(st, odir, &oinode, oname, Fetch::Run, None)? else {
             return Err(FsError::NotFound);
         };
         let old_ino = self.entry_ino(oblk, &oentry);
@@ -524,7 +540,7 @@ impl Cffs {
         }
         let mut ninode = if ndir == odir { oinode.clone() } else { self.require_dir(st, ndir)? };
         // Clear an existing destination first.
-        if let Some((dblk, dlbn, dentry)) = self.dir_find(st, ndir, &ninode, nname, Fetch::Run)? {
+        if let Some((dblk, dlbn, dentry)) = self.dir_find(st, ndir, &ninode, nname, Fetch::Run, None)? {
             let dst_ino = self.entry_ino(dblk, &dentry);
             if dst_ino == old_ino {
                 // Two names for one (external) inode.
@@ -533,12 +549,10 @@ impl Cffs {
                 }
                 let inode = self.read_inode(st, old_ino)?;
                 let (rblk, rlbn, rentry) = self
-                    .dir_find(st, odir, &oinode, oname, Fetch::Block)?
+                    .dir_find(st, odir, &oinode, oname, Fetch::Block, None)?
                     .ok_or(FsError::NotFound)?;
                 let off = rentry.offset;
-                st.cache.modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| {
-                    dirent::remove(d, oname)
-                })??;
+                st.cache.modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| dirent::remove_at(d, off))??;
                 if let Some(dc) = self.dcache() {
                     dc.insert_neg(odir, oname);
                 }
@@ -558,9 +572,7 @@ impl Cffs {
                     }
                     let was_embedded = matches!(dentry.loc, EntryLoc::Embedded(_));
                     let off = dentry.offset;
-                    st.cache.modify_block_bound(&self.drv, dblk, ndir, dlbn, true, |d| {
-                        dirent::remove(d, nname)
-                    })??;
+                    st.cache.modify_block_bound(&self.drv, dblk, ndir, dlbn, true, |d| dirent::remove_at(d, off))??;
                     if let Some(dc) = self.dcache() {
                         dc.invalidate(ndir, nname);
                     }
@@ -580,9 +592,7 @@ impl Cffs {
                     let inode = self.read_inode(st, dst_ino)?;
                     let was_embedded = matches!(dentry.loc, EntryLoc::Embedded(_));
                     let off = dentry.offset;
-                    st.cache.modify_block_bound(&self.drv, dblk, ndir, dlbn, true, |d| {
-                        dirent::remove(d, nname)
-                    })??;
+                    st.cache.modify_block_bound(&self.drv, dblk, ndir, dlbn, true, |d| dirent::remove_at(d, off))??;
                     if let Some(dc) = self.dcache() {
                         dc.invalidate(ndir, nname);
                     }
@@ -601,8 +611,8 @@ impl Cffs {
                     ndir,
                     &mut ninode,
                     nname,
-                    oentry.kind,
-                    InsertPayload::Embedded(&moving),
+                    InsertPayload::Embedded(&moving, oentry.kind),
+                    &Room::new(entry_len(true, nname)),
                 )?;
                 self.dir_durable_grown(st, blk, off, grew)?;
                 self.write_inode(st, ndir, &ninode, grew)?;
@@ -614,8 +624,8 @@ impl Cffs {
                     ndir,
                     &mut ninode,
                     nname,
-                    oentry.kind,
-                    InsertPayload::External(slot),
+                    InsertPayload::External(slot, oentry.kind),
+                    &Room::new(entry_len(false, nname)),
                 )?;
                 self.dir_durable_grown(st, blk, off, grew)?;
                 self.write_inode(st, ndir, &ninode, grew)?;
@@ -627,9 +637,9 @@ impl Cffs {
         }
         // Removing the old name reads blocks, as `unlink` does.
         let (rblk, rlbn, rentry) =
-            self.dir_find(st, odir, &oinode, oname, Fetch::Block)?.ok_or(FsError::NotFound)?;
+            self.dir_find(st, odir, &oinode, oname, Fetch::Block, None)?.ok_or(FsError::NotFound)?;
         let roff = rentry.offset;
-        st.cache.modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| dirent::remove(d, oname))??;
+        st.cache.modify_block_bound(&self.drv, rblk, odir, rlbn, true, |d| dirent::remove_at(d, roff))??;
         // The old name is gone and the new one resolves to `new_ino`
         // (replacing any stale positive or negative entries for either).
         if let Some(dc) = self.dcache() {
@@ -693,11 +703,62 @@ impl Cffs {
 /// a stack array's worth, 512 sectors.
 const MAX_PLACEMENT_BLOCKS: usize = 64;
 
-/// What a new directory entry carries.
+/// Bytes a new entry named `name` takes: with its inode embedded, or
+/// with an external slot.
+fn entry_len(embedded: bool, name: &str) -> usize {
+    if embedded {
+        dirent::embedded_len(name.len())
+    } else {
+        dirent::external_len(name.len())
+    }
+}
+
+/// Where an entry of `need` bytes fits, as far as a walk of the
+/// unchanged directory has seen: its first blocks with room, as `(lbn,
+/// chunks with room)`, as many as [`Cffs::earliest_chunk`] can weigh. A
+/// block of `0..known` not among them has no room; the mask of any other
+/// block is unknown.
+pub(super) struct Room {
+    need: usize,
+    roomy: [(u64, u8); MAX_PLACEMENT_BLOCKS],
+    n: usize,
+    known: u64,
+}
+
+impl Room {
+    /// Nothing seen yet.
+    fn new(need: usize) -> Self {
+        Room { need, roomy: [(0, 0); MAX_PLACEMENT_BLOCKS], n: 0, known: 0 }
+    }
+
+    /// Block `lbn`, walked in logical order, has room in the chunks of
+    /// mask `free`.
+    fn note(&mut self, lbn: u64, free: u8) {
+        if lbn != self.known || self.n == self.roomy.len() {
+            return;
+        }
+        if free != 0 {
+            self.roomy[self.n] = (lbn, free);
+            self.n += 1;
+        }
+        self.known = lbn + 1;
+    }
+
+    /// The chunks of block `lbn` with room, if a walk saw them.
+    fn mask(&self, lbn: u64) -> Option<u8> {
+        if lbn >= self.known {
+            return None;
+        }
+        let roomy = &self.roomy[..self.n];
+        Some(roomy.binary_search_by_key(&lbn, |r| r.0).map_or(0, |i| roomy[i].1))
+    }
+}
+
+/// What a new directory entry carries, with the kind it names.
 #[derive(Clone, Copy)]
 enum InsertPayload<'a> {
     /// Embed this inode image.
-    Embedded(&'a Inode),
+    Embedded(&'a Inode, FileKind),
     /// Reference this external slot.
-    External(u32),
+    External(u32, FileKind),
 }

@@ -187,7 +187,7 @@ impl Checker<'_> {
                                         "embedded inode of '{name}' in {dirino:#x} invalid"
                                     ));
                                     if self.repair {
-                                        dirent::remove(&mut img, &name)?;
+                                        dirent::remove_at(&mut img, e.offset)?;
                                         dirty = true;
                                         self.report
                                             .repairs
@@ -209,7 +209,7 @@ impl Checker<'_> {
                                         "entry '{name}' in {dirino:#x} points at bad external slot {slot}"
                                     ));
                                     if self.repair {
-                                        dirent::remove(&mut img, &name)?;
+                                        dirent::remove_at(&mut img, e.offset)?;
                                         dirty = true;
                                         self.report
                                             .repairs
@@ -248,7 +248,7 @@ impl Checker<'_> {
                                     "file '{name}' in {dirino:#x} duplicates already-claimed blocks"
                                 ));
                                 if self.repair {
-                                    dirent::remove(&mut img, &name)?;
+                                    dirent::remove_at(&mut img, e.offset)?;
                                     dirty = true;
                                     if let EntryLoc::External(slot) = e.loc {
                                         *self.ext_refs.entry(slot).or_insert(1) -= 1;

@@ -90,17 +90,21 @@ impl DiskModel {
     /// The one positioning model: where a media access (one that misses
     /// the on-board cache) of `nsect` sectors at `lba` leaves the drive
     /// when service starts at `start` with the arm over cylinder `arm`.
-    /// Pure: [`Disk`] services every media request through it, and the
-    /// driver's scheduler predicts completions with it.
+    /// Pure, and in two parts: the access's own geometry (`run`), then
+    /// the seek and rotation that reach it (`reach`). [`Disk`] services
+    /// every media request through it, and the driver's scheduler and
+    /// [`DiskModel::earliest_sector`] predict completions with the same
+    /// parts.
     pub fn position(&self, start: SimTime, arm: u32, lba: u64, nsect: u64, write: bool) -> Positioning {
-        let rev = self.revolution();
-        let rev_s = rev.as_secs_f64();
-        let pos = self.geometry.lba_to_chs(lba);
-        let (dist, seek, mut t) = self.seek_to(start, arm, pos.cylinder, write);
-        let wait = wait_for(angle_at(t, rev), self.geometry.sector_angle(pos));
-        let rotation = SimDuration::from_secs_f64(wait * rev_s);
-        t += rotation;
+        self.reach(start, arm, &self.run(lba, nsect), write)
+    }
 
+    /// The time-independent part of [`DiskModel::position`]: where a
+    /// media access of `nsect` sectors at `lba` starts, how long its
+    /// transfer takes and where it leaves the arm.
+    pub(crate) fn run(&self, lba: u64, nsect: u64) -> Run {
+        let rev_s = self.revolution().as_secs_f64();
+        let pos = self.geometry.lba_to_chs(lba);
         // Media transfer: walk the run track by track, paying switch costs
         // (hidden by skew when the skew is large enough).
         let mut remaining = nsect;
@@ -136,114 +140,166 @@ impl DiskModel {
             // otherwise the switch overruns and we lose a full revolution
             // minus the slack — model the common case as max(switch, skew).
             transfer += switch.max(skew_time);
-            cur = crate::geometry::ChsPos {
-                cylinder: next_cyl,
-                head: next_head,
-                sector: 0,
-                sectors_per_track: spt_next,
-            };
+            cur = ChsPos { cylinder: next_cyl, head: next_head, sector: 0, sectors_per_track: spt_next };
         }
-        t += transfer;
-
-        // The arm ends up where the transfer ended.
-        Positioning { seek_cylinders: dist, seek, rotation, transfer, done: t, cylinder: cur.cylinder }
+        Run { cylinder: pos.cylinder, angle: self.geometry.sector_angle(pos), transfer, end_cylinder: cur.cylinder }
     }
 
-    /// Of the one-sector accesses to the sectors `lba + i` whose bit `i`
-    /// is set in `free`, the one that completes first when service starts
-    /// at `start` with the arm over `arm`: its `i` and exactly the
-    /// [`Positioning`] that [`DiskModel::position`] gives it, the lowest
-    /// `i` on a tie. `None` when `free` is empty.
+    /// The time-dependent part of [`DiskModel::position`]: the access
+    /// `run`, reached by a seek from cylinder `arm` and the platter's turn
+    /// when service starts at `start`.
+    pub(crate) fn reach(&self, start: SimTime, arm: u32, run: &Run, write: bool) -> Positioning {
+        let a = self.arrive(start, arm, run.cylinder, write);
+        a.complete(wait_for(a.angle, run.angle), run.transfer, run.end_cylinder, self.revolution().as_secs_f64())
+    }
+
+    /// Of the one-sector accesses to the sectors `lba + i` of each
+    /// `(lba, free)` of `cands` whose bit `i` is set in `free`, the one
+    /// that completes first when service starts at `start` with the arm
+    /// over `arm`: the index of its `cands` entry, its `i`, and exactly
+    /// the [`Positioning`] that [`DiskModel::position`] gives it; the
+    /// lowest `(index, i)` on a tie. `None` when no bit is set.
     ///
-    /// It works a cylinder at a time. There the seek, and so the angle the
-    /// platter has turned to when it ends, is shared, and the sector with
-    /// the least rotational wait completes first: a cylinder has one track
-    /// size, so its sectors' angles differ by whole sectors, far more than
-    /// the nanosecond rounding. One seek and one completion are evaluated
-    /// per cylinder, not per sector.
+    /// It steps from free sector to free sector, mapping each entry's
+    /// `lba` once, and works a cylinder at a time. There the arm's
+    /// arrival — the seek and the platter's angle when it settles — is
+    /// shared, and the sector with the least rotational wait completes
+    /// first: a cylinder has one track size, so its sectors' angles
+    /// differ by whole sectors, far more than the nanosecond rounding.
+    /// One arrival and one completion are evaluated each time the next
+    /// free sector lies on another cylinder, so once per cylinder when
+    /// the candidates ascend, as a directory's blocks mostly do.
     pub fn earliest_sector(
         &self,
         start: SimTime,
         arm: u32,
-        lba: u64,
-        free: u64,
+        cands: impl IntoIterator<Item = (u64, u64)>,
         write: bool,
-    ) -> Option<(u32, Positioning)> {
-        let last = free.checked_ilog2()?;
-        let rev = self.revolution();
-        let mut pos = self.geometry.lba_to_chs(lba);
-        let mut slot = self.geometry.rotational_slot(pos);
-        let mut seek = self.seek_to(start, arm, pos.cylinder, write);
-        let mut now = angle_at(seek.2, rev);
-        // This cylinder's least-wait sector, and the earliest completion
-        // of the cylinders before it.
-        let mut win: Option<(u32, ChsPos, f64)> = None;
-        let mut best: Option<(u32, Positioning)> = None;
-        for i in 0..=last {
-            if i > 0 {
-                // Step to sector `lba + i`, as `lba_to_chs` places it.
-                let cylinder = pos.cylinder;
-                pos.sector += 1;
-                slot = if slot + 1 == pos.sectors_per_track { 0 } else { slot + 1 };
-                if pos.sector == pos.sectors_per_track {
-                    pos.sector = 0;
-                    pos.head += 1;
-                    if pos.head == self.geometry.heads {
-                        pos.head = 0;
-                        pos.cylinder += 1;
-                        pos.sectors_per_track = self.geometry.sectors_per_track_at(pos.cylinder);
-                    }
-                    slot = self.geometry.rotational_slot(pos);
-                }
-                if pos.cylinder != cylinder {
-                    best = earlier(best, win.take().map(|w| self.complete(seek, w, rev)));
-                    seek = self.seek_to(start, arm, pos.cylinder, write);
-                    now = angle_at(seek.2, rev);
+    ) -> Option<(usize, u32, Positioning)> {
+        let rev_s = self.revolution().as_secs_f64();
+        let mut best: Option<(usize, u32, Positioning)> = None;
+        // The current cylinder's arrival and track size, and its
+        // least-wait sector so far: `(index, i, wait)`.
+        let mut here: Option<(Arrival, u32)> = None;
+        let mut win: Option<(usize, u32, f64)> = None;
+        let mut settle = |here: Option<(Arrival, u32)>, win: Option<(usize, u32, f64)>| {
+            if let (Some((a, spt)), Some((k, i, wait))) = (here, win) {
+                let p = a.complete(wait, track_time(1, spt, rev_s), a.cylinder, rev_s);
+                if best.is_none_or(|b| p.done < b.2.done) {
+                    best = Some((k, i, p));
                 }
             }
-            if free >> i & 1 == 1 {
-                let wait = wait_for(now, slot_angle(slot, pos.sectors_per_track));
-                if win.is_none_or(|(_, _, w)| wait < w) {
-                    win = Some((i, pos, wait));
+        };
+        for (k, (lba, free)) in cands.into_iter().enumerate() {
+            if free == 0 {
+                continue;
+            }
+            let mut pos = self.geometry.lba_to_chs(lba);
+            let mut slot = self.geometry.rotational_slot(pos);
+            let (mut at, mut bits) = (0, free);
+            while bits != 0 {
+                // Step on to the next free sector, `lba + i`, as
+                // `lba_to_chs` places it: at once within the track, sector
+                // by sector across a track or cylinder boundary.
+                let i = bits.trailing_zeros();
+                bits &= bits - 1;
+                let d = i - at;
+                at = i;
+                if pos.sector + d < pos.sectors_per_track {
+                    pos.sector += d;
+                    slot += d;
+                    if slot >= pos.sectors_per_track {
+                        slot -= pos.sectors_per_track;
+                    }
+                } else {
+                    for _ in 0..d {
+                        pos.sector += 1;
+                        slot = if slot + 1 == pos.sectors_per_track { 0 } else { slot + 1 };
+                        if pos.sector == pos.sectors_per_track {
+                            pos.sector = 0;
+                            pos.head += 1;
+                            if pos.head == self.geometry.heads {
+                                pos.head = 0;
+                                pos.cylinder += 1;
+                                pos.sectors_per_track = self.geometry.sectors_per_track_at(pos.cylinder);
+                            }
+                            slot = self.geometry.rotational_slot(pos);
+                        }
+                    }
+                }
+                let a = match here {
+                    Some((a, _)) if a.cylinder == pos.cylinder => a,
+                    _ => {
+                        settle(here, win.take());
+                        let a = self.arrive(start, arm, pos.cylinder, write);
+                        here = Some((a, pos.sectors_per_track));
+                        a
+                    }
+                };
+                let wait = wait_for(a.angle, slot_angle(slot, pos.sectors_per_track));
+                if win.is_none_or(|w| wait < w.2) {
+                    win = Some((k, i, wait));
                 }
             }
         }
-        earlier(best, win.map(|w| self.complete(seek, w, rev)))
+        settle(here, win);
+        best
     }
 
-    /// The [`Positioning`] of a one-sector access to `(i, pos)`, reached
-    /// after `seek` (as [`DiskModel::seek_to`] gives it) and a rotational
-    /// wait of `wait` revolutions.
-    fn complete(
-        &self,
-        (seek_cylinders, seek, t): (u32, SimDuration, SimTime),
-        (i, pos, wait): (u32, ChsPos, f64),
-        rev: SimDuration,
-    ) -> (u32, Positioning) {
-        let rotation = SimDuration::from_secs_f64(wait * rev.as_secs_f64());
-        let transfer = track_time(1, pos.sectors_per_track, rev.as_secs_f64());
-        let done = t + rotation + transfer;
-        (i, Positioning { seek_cylinders, seek, rotation, transfer, done, cylinder: pos.cylinder })
-    }
-
-    /// The seek to cylinder `cyl` of an access that starts service at
-    /// `start` with the arm over `arm`: `(cylinders moved, seek time with
-    /// any write settle, when the arm has settled)`.
-    fn seek_to(&self, start: SimTime, arm: u32, cyl: u32, write: bool) -> (u32, SimDuration, SimTime) {
+    /// The arm's arrival over cylinder `cyl` for an access that starts
+    /// service at `start` with the arm over `arm`.
+    fn arrive(&self, start: SimTime, arm: u32, cyl: u32, write: bool) -> Arrival {
         let dist = cyl.abs_diff(arm);
         let mut seek = self.seek.seek_time(dist);
         if write && dist > 0 {
             seek += self.write_settle;
         }
-        (dist, seek, start + self.controller_overhead + seek)
+        let at = start + self.controller_overhead + seek;
+        Arrival { cylinder: cyl, seek_cylinders: dist, seek, at, angle: angle_at(at, self.revolution()) }
     }
 }
 
-/// Of two candidate accesses, the one that completes first; `a` on a tie.
-fn earlier(a: Option<(u32, Positioning)>, b: Option<(u32, Positioning)>) -> Option<(u32, Positioning)> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(if y.1.done < x.1.done { y } else { x }),
-        (x, y) => x.or(y),
+/// The time-independent part of a media access (see [`DiskModel::run`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Run {
+    /// Cylinder the access starts on.
+    pub(crate) cylinder: u32,
+    /// Platter angle, in revolutions, at which its first sector starts.
+    angle: f64,
+    /// Media transfer, track and cylinder switches included.
+    transfer: SimDuration,
+    /// Cylinder the arm rests over afterwards.
+    pub(crate) end_cylinder: u32,
+}
+
+/// The arm settled over a cylinder (see [`DiskModel::arrive`]).
+#[derive(Debug, Clone, Copy)]
+struct Arrival {
+    cylinder: u32,
+    /// Cylinders the arm moved.
+    seek_cylinders: u32,
+    /// Seek time, write settle included.
+    seek: SimDuration,
+    /// When the arm has settled.
+    at: SimTime,
+    /// The platter's angle then.
+    angle: f64,
+}
+
+impl Arrival {
+    /// The [`Positioning`] of an access from here: a rotational wait of
+    /// `wait` revolutions (of `rev_s` seconds) for its first sector, then
+    /// a `transfer` that leaves the arm over `cylinder`.
+    fn complete(&self, wait: f64, transfer: SimDuration, cylinder: u32, rev_s: f64) -> Positioning {
+        let rotation = SimDuration::from_secs_f64(wait * rev_s);
+        Positioning {
+            seek_cylinders: self.seek_cylinders,
+            seek: self.seek,
+            rotation,
+            transfer,
+            done: self.at + rotation + transfer,
+            cylinder,
+        }
     }
 }
 
@@ -328,6 +384,9 @@ pub struct Disk {
     arm_cylinder: u32,
     /// Completion time of the last request (the drive is busy until then).
     last_completion: SimTime,
+    /// The driver's scratch for one cylinder's runs (see
+    /// [`Disk::planner`]), sized for a whole cylinder of one-sector runs.
+    runs: Vec<(usize, Run)>,
     /// The most recent mechanical write: `(lba, contents overwritten)` —
     /// kept so a crash can be simulated *mid-write* (see
     /// [`Disk::clone_image_torn`]).
@@ -342,16 +401,26 @@ impl Disk {
     /// Create a new, zero-filled drive.
     pub fn new(model: DiskModel) -> Self {
         let cache = OnboardCache::new(model.cache);
+        let g = &model.geometry;
+        let per_cylinder = g.heads as usize * g.zones.iter().map(|z| z.sectors_per_track as usize).max().unwrap_or(0);
         Disk {
-            model,
             cache,
             store: SectorStore::new(),
             arm_cylinder: 0,
             last_completion: SimTime::ZERO,
+            runs: Vec::with_capacity(per_cylinder),
+            model,
             last_write_undo: None,
             trace: None,
             obs: Obs::new(),
         }
+    }
+
+    /// The model, with room to plan a batch's runs one cylinder at a time:
+    /// a cylinder holds no more runs than sectors, so the scratch never
+    /// grows and a batch's planning makes no heap request.
+    pub(crate) fn planner(&mut self) -> (&DiskModel, &mut Vec<(usize, Run)>) {
+        (&self.model, &mut self.runs)
     }
 
     /// The observability handle (counters + trace ring). The upper layers
@@ -642,12 +711,73 @@ impl Disk {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::models;
 
     fn disk() -> Disk {
         Disk::new(models::seagate_st31200())
+    }
+
+    /// The one-piece positioning function the model had before it was
+    /// split into [`DiskModel::run`] and [`DiskModel::reach`]: the oracle
+    /// for both.
+    pub(crate) fn position_oracle(
+        m: &DiskModel,
+        start: SimTime,
+        arm: u32,
+        lba: u64,
+        nsect: u64,
+        write: bool,
+    ) -> Positioning {
+        let rev = m.revolution();
+        let rev_s = rev.as_secs_f64();
+        let pos = m.geometry.lba_to_chs(lba);
+        let dist = pos.cylinder.abs_diff(arm);
+        let mut seek = m.seek.seek_time(dist);
+        if write && dist > 0 {
+            seek += m.write_settle;
+        }
+        let mut t = start + m.controller_overhead + seek;
+        let wait = wait_for(angle_at(t, rev), m.geometry.sector_angle(pos));
+        let rotation = SimDuration::from_secs_f64(wait * rev_s);
+        t += rotation;
+        let mut remaining = nsect;
+        let mut cur = pos;
+        let mut transfer = SimDuration::ZERO;
+        while remaining > 0 {
+            let on_track = (cur.sectors_per_track - cur.sector) as u64;
+            let take = on_track.min(remaining);
+            transfer += track_time(take, cur.sectors_per_track, rev_s);
+            remaining -= take;
+            if remaining == 0 {
+                break;
+            }
+            let (next_cyl, next_head, crossing_cyl) = if cur.head + 1 < m.geometry.heads {
+                (cur.cylinder, cur.head + 1, false)
+            } else {
+                (cur.cylinder + 1, 0, true)
+            };
+            let spt_next = m.geometry.sectors_per_track_at(next_cyl);
+            let skew_sectors = if crossing_cyl {
+                m.geometry.track_skew + m.geometry.cylinder_skew
+            } else {
+                m.geometry.track_skew
+            } as f64;
+            let skew_time = SimDuration::from_secs_f64(skew_sectors / spt_next as f64 * rev_s);
+            let switch = if crossing_cyl { m.seek.seek_time(1).max(m.head_switch) } else { m.head_switch };
+            transfer += switch.max(skew_time);
+            cur = ChsPos { cylinder: next_cyl, head: next_head, sector: 0, sectors_per_track: spt_next };
+        }
+        t += transfer;
+        Positioning { seek_cylinders: dist, seek, rotation, transfer, done: t, cylinder: cur.cylinder }
+    }
+
+    /// The six drive models.
+    pub(crate) fn six_models() -> Vec<DiskModel> {
+        let mut drives = models::table1_drives();
+        drives.extend([models::seagate_st31200(), models::hp_c2247(), models::tiny_test_disk()]);
+        drives
     }
 
     /// Total service time the drive counted.
@@ -877,6 +1007,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{position_oracle, six_models};
     use super::*;
     use crate::geometry::ChsPos;
     use crate::models;
@@ -929,45 +1060,76 @@ mod proptests {
             }
         }
 
-        /// `earliest_sector` is the brute-force minimum of `position` over
-        /// its mask, on every drive model, from any start and arm: the same
-        /// sector (lowest on a tie) and the same `Positioning`, for runs
-        /// anywhere, across a track boundary and across a cylinder one.
+        /// The split model is the one-piece model: `run` then `reach` gives
+        /// bit for bit what the old `position` gave, on all six drives,
+        /// for runs anywhere, across tracks and across cylinders.
+        #[test]
+        fn split_position_equals_the_one_piece_model(
+            drive in 0usize..6,
+            start_ns in 0u64..1_000_000_000_000,
+            arm_r in any::<u32>(),
+            lba_r in any::<u64>(),
+            nsect in 1u64..600,
+            write in any::<bool>(),
+        ) {
+            let m = &six_models()[drive];
+            let g = &m.geometry;
+            let arm = arm_r % g.total_cylinders();
+            let lba = lba_r % (g.total_sectors() - nsect);
+            let start = SimTime(start_ns);
+            let p = m.position(start, arm, lba, nsect, write);
+            prop_assert_eq!(p, position_oracle(m, start, arm, lba, nsect, write));
+            prop_assert_eq!(m.reach(start, arm, &m.run(lba, nsect), write), p);
+        }
+
+        /// `earliest_sector` is the brute-force minimum of the one-piece
+        /// model over the free sectors of several 8-sector runs, first
+        /// entry and lowest sector winning ties. The runs lie anywhere,
+        /// straddle a track or a cylinder end, or share the previous run's
+        /// cylinder on another head (where sectors at one angle tie).
         #[test]
         fn earliest_sector_is_brute_force_minimum(
             drive in 0usize..6,
             start_ns in 0u64..1_000_000_000_000,
             arm_r in any::<u32>(),
-            at in (0u8..3, any::<u64>(), 1u64..8),
-            free in 1u64..256,
+            runs in prop::collection::vec((0u8..4, any::<u64>(), 1u64..8, 0u64..256), 1..6),
             write in any::<bool>(),
         ) {
-            let mut drives = models::table1_drives();
-            drives.extend([models::seagate_st31200(), models::hp_c2247(), models::tiny_test_disk()]);
-            let m = &drives[drive];
+            let m = &six_models()[drive];
             let g = &m.geometry;
             let cyls = g.total_cylinders();
             let arm = arm_r % cyls;
-            let (kind, r, back) = at;
-            // A run of 8 sectors: anywhere, or starting `back` sectors
-            // before the end of a track (inside a cylinder) or of a cylinder.
-            let cyl = (r % (cyls as u64 - 1)) as u32;
-            let spt = g.sectors_per_track_at(cyl);
-            let near_end = |head| ChsPos { cylinder: cyl, head, sector: spt - back as u32, sectors_per_track: spt };
-            let lba = match kind {
-                0 => r % (g.total_sectors() - 8),
-                1 => g.chs_to_lba(near_end(0)),
-                _ => g.chs_to_lba(near_end(g.heads - 1)),
-            };
+            let mut cands = Vec::new();
+            for &(kind, r, back, free) in &runs {
+                let cyl = (r % (cyls as u64 - 1)) as u32;
+                let spt = g.sectors_per_track_at(cyl);
+                let near_end = |head| ChsPos { cylinder: cyl, head, sector: spt - back as u32, sectors_per_track: spt };
+                let lba = match kind {
+                    0 => r % (g.total_sectors() - 8),
+                    1 => g.chs_to_lba(near_end(0)),
+                    2 => g.chs_to_lba(near_end(g.heads - 1)),
+                    _ => {
+                        let prev: u64 = cands.last().map_or(0, |&(l, _)| l);
+                        let cylinder = g.lba_to_chs(prev).cylinder;
+                        let spt = g.sectors_per_track_at(cylinder);
+                        let head = (r % u64::from(g.heads)) as u32;
+                        let sector = ((r >> 32) % u64::from(spt - 8)) as u32;
+                        g.chs_to_lba(ChsPos { cylinder, head, sector, sectors_per_track: spt })
+                    }
+                };
+                cands.push((lba, free));
+            }
             let start = SimTime(start_ns);
-            let mut brute: Option<(u32, Positioning)> = None;
-            for i in (0..8).filter(|i| free >> i & 1 == 1) {
-                let p = m.position(start, arm, lba + i as u64, 1, write);
-                if brute.is_none_or(|(_, b)| p.done < b.done) {
-                    brute = Some((i, p));
+            let mut brute: Option<(usize, u32, Positioning)> = None;
+            for (k, &(lba, free)) in cands.iter().enumerate() {
+                for i in (0..8).filter(|i| free >> i & 1 == 1) {
+                    let p = position_oracle(m, start, arm, lba + i as u64, 1, write);
+                    if brute.is_none_or(|(_, _, b)| p.done < b.done) {
+                        brute = Some((k, i, p));
+                    }
                 }
             }
-            prop_assert_eq!(m.earliest_sector(start, arm, lba, free, write), brute);
+            prop_assert_eq!(m.earliest_sector(start, arm, cands.iter().copied(), write), brute);
         }
 
         /// Torn crashes never tear inside a sector and never touch sectors

@@ -17,7 +17,7 @@
 //! completion times, so `driver.now()` is always "how long has this
 //! experiment taken so far".
 
-use crate::disk::{Disk, Xfer};
+use crate::disk::{Disk, Run, Xfer};
 use crate::store::Block;
 use crate::time::{SimDuration, SimTime};
 use crate::SECTOR_SIZE;
@@ -367,7 +367,7 @@ fn service_batch<B: Payload>(
 
 /// Order a batch for service from `now` (needs the live arm position and
 /// the drive's clock, so it runs under the disk lock).
-fn order<B: Payload>(sched: Scheduler, disk: &Disk, reqs: &mut [IoReq<B>], now: SimTime) {
+fn order<B: Payload>(sched: Scheduler, disk: &mut Disk, reqs: &mut [IoReq<B>], now: SimTime) {
     let cylinder = |r: &IoReq<B>| disk.model().geometry.lba_to_chs(r.lba).cylinder;
     match sched {
         Scheduler::Fcfs => {}
@@ -404,67 +404,85 @@ fn order<B: Payload>(sched: Scheduler, disk: &Disk, reqs: &mut [IoReq<B>], now: 
 
 /// Within each cylinder of a C-LOOK sweep, serve the runs in the order
 /// the platter brings them under the head: from the batch's start, pick
-/// the run that [`DiskModel::position`](crate::DiskModel::position) says
-/// finishes first, then the next from there. A cylinder keeps LBA order
-/// when that finishes no later. The cylinder sequence is C-LOOK's: a run
-/// that leaves its cylinder is the last in LBA order and stays last.
+/// the run that the positioning model says finishes first, then the next
+/// from there. A cylinder keeps LBA order when that finishes no later.
+/// The cylinder sequence is C-LOOK's: a run that leaves its cylinder is
+/// the last in LBA order and stays last.
+///
+/// Each run's geometry ([`DiskModel::run`](crate::DiskModel::run)) is
+/// computed once, into the disk's scratch; each step weighs only the
+/// seek and rotation to every unplaced run
+/// ([`DiskModel::reach`](crate::DiskModel::reach)).
 ///
 /// Only writes are reordered. A read may be served from the on-board
 /// cache, which the positioning model does not predict, so the pass stops
 /// at the first read. In place; quadratic in the runs of one cylinder.
-fn by_rotation<B: Payload>(disk: &Disk, reqs: &mut [IoReq<B>], now: SimTime) {
-    let model = disk.model();
-    let cylinder = |lba: u64| model.geometry.lba_to_chs(lba).cylinder;
+fn by_rotation<B: Payload>(disk: &mut Disk, reqs: &mut [IoReq<B>], now: SimTime) {
+    let mut at = (now.max(disk.busy_until()), disk.arm_cylinder());
+    let (model, runs) = disk.planner();
     let write = |reqs: &[IoReq<B>], i: usize| i < reqs.len() && reqs[i].dir == IoDir::Write;
-    // Service `reqs[from..to]` run by run from `(t, arm)`.
-    let serve = |reqs: &[IoReq<B>], from: usize, to: usize, (mut t, mut arm): (SimTime, u32)| {
-        let mut i = from;
-        while i < to {
-            let (end, nsect) = run_at(reqs, i);
-            let p = model.position(t, arm, reqs[i].lba, nsect, true);
-            (t, arm, i) = (p.done, p.cylinder, end);
+    // Service `runs` in order from `(t, arm)`.
+    let serve = |runs: &[(usize, Run)], (mut t, mut arm): (SimTime, u32)| {
+        for (_, run) in runs {
+            let p = model.reach(t, arm, run, true);
+            (t, arm) = (p.done, p.cylinder);
         }
         (t, arm)
     };
-    let mut at = (now.max(disk.busy_until()), disk.arm_cylinder());
+    // The run of `reqs[i..]` that starts on the next cylinder: `(requests
+    // in it, geometry)`, found while collecting the previous one's.
+    let mut next: Option<(usize, Run)> = None;
     let mut i = 0;
     while write(reqs, i) {
-        // The cylinder's runs: `reqs[i..end]`, the last starting at `last`.
-        let cyl = cylinder(reqs[i].lba);
-        let (mut end, mut last, mut last_nsect) = (i, i, 0);
-        while write(reqs, end) && cylinder(reqs[end].lba) == cyl {
-            last = end;
-            (end, last_nsect) = run_at(reqs, end);
+        // The cylinder's runs: `reqs[i..end]`, `runs` in order.
+        let first = next.take().unwrap_or_else(|| {
+            let (end, nsect) = run_at(reqs, i);
+            (end - i, model.run(reqs[i].lba, nsect))
+        });
+        let cyl = first.1.cylinder;
+        runs.clear();
+        runs.push(first);
+        let mut end = i + first.0;
+        while write(reqs, end) {
+            let (run_end, nsect) = run_at(reqs, end);
+            let run = (run_end - end, model.run(reqs[end].lba, nsect));
+            if run.1.cylinder != cyl {
+                next = Some(run);
+                break;
+            }
+            runs.push(run);
+            end = run_end;
         }
-        let free = if cylinder(reqs[last].lba + last_nsect - 1) == cyl { end } else { last };
-        let in_lba_order = serve(reqs, i, end, at);
-        if run_at(reqs, i).0 >= free {
+        // The runs free to move: all but a last one that leaves the cylinder.
+        let free = runs.len() - usize::from(runs[runs.len() - 1].1.end_cylinder != cyl);
+        let in_lba_order = serve(runs, at);
+        if free <= 1 {
             // Nothing to reorder: at most one run is free to move.
             (at, i) = (in_lba_order, end);
             continue;
         }
         // Greedy: move the run that finishes first to the front of the
         // unplaced rest (ties go to the lowest LBA), and go on from there.
-        let mut placed = i;
         let mut greedy = at;
-        while placed < free {
-            // (completion, arm after, run start, run end) of the first to finish.
-            let mut first: Option<(SimTime, u32, usize, usize)> = None;
-            let mut j = placed;
-            while j < free {
-                let (run_end, nsect) = run_at(reqs, j);
-                let p = model.position(greedy.0, greedy.1, reqs[j].lba, nsect, true);
+        let mut placed = i;
+        for k in 0..free {
+            // (completion, arm after, index in `runs`) of the first to finish.
+            let mut first: Option<(SimTime, u32, usize)> = None;
+            for (j, (_, run)) in runs[..free].iter().enumerate().skip(k) {
+                let p = model.reach(greedy.0, greedy.1, run, true);
                 if first.is_none_or(|f| p.done < f.0) {
-                    first = Some((p.done, p.cylinder, j, run_end));
+                    first = Some((p.done, p.cylinder, j));
                 }
-                j = run_end;
             }
-            let (done, arm, start, run_end) = first.expect("a run left to place");
-            reqs[placed..run_end].rotate_right(run_end - start);
-            placed += run_end - start;
+            let (done, arm, j) = first.expect("a run left to place");
+            let start = placed + runs[k..j].iter().map(|r| r.0).sum::<usize>();
+            let len = runs[j].0;
+            reqs[placed..start + len].rotate_right(len);
+            runs[k..=j].rotate_right(1);
+            placed += len;
             greedy = (done, arm);
         }
-        let greedy = serve(reqs, free, end, greedy);
+        let greedy = serve(&runs[free..], greedy);
         at = if greedy.0 < in_lba_order.0 {
             greedy
         } else {
@@ -761,6 +779,67 @@ mod proptests {
         }
     }
 
+    /// The rotational pass as it was before the model was split: every
+    /// step recomputes every unplaced run's whole positioning with the
+    /// one-piece model. The oracle for [`by_rotation`].
+    fn by_rotation_oracle<B: Payload>(disk: &Disk, reqs: &mut [IoReq<B>], now: SimTime) {
+        use crate::disk::tests::position_oracle;
+        let model = disk.model();
+        let cylinder = |lba: u64| model.geometry.lba_to_chs(lba).cylinder;
+        let write = |reqs: &[IoReq<B>], i: usize| i < reqs.len() && reqs[i].dir == IoDir::Write;
+        let serve = |reqs: &[IoReq<B>], from: usize, to: usize, (mut t, mut arm): (SimTime, u32)| {
+            let mut i = from;
+            while i < to {
+                let (end, nsect) = run_at(reqs, i);
+                let p = position_oracle(model, t, arm, reqs[i].lba, nsect, true);
+                (t, arm, i) = (p.done, p.cylinder, end);
+            }
+            (t, arm)
+        };
+        let mut at = (now.max(disk.busy_until()), disk.arm_cylinder());
+        let mut i = 0;
+        while write(reqs, i) {
+            let cyl = cylinder(reqs[i].lba);
+            let (mut end, mut last, mut last_nsect) = (i, i, 0);
+            while write(reqs, end) && cylinder(reqs[end].lba) == cyl {
+                last = end;
+                (end, last_nsect) = run_at(reqs, end);
+            }
+            let free = if cylinder(reqs[last].lba + last_nsect - 1) == cyl { end } else { last };
+            let in_lba_order = serve(reqs, i, end, at);
+            if run_at(reqs, i).0 >= free {
+                (at, i) = (in_lba_order, end);
+                continue;
+            }
+            let mut placed = i;
+            let mut greedy = at;
+            while placed < free {
+                let mut first: Option<(SimTime, u32, usize, usize)> = None;
+                let mut j = placed;
+                while j < free {
+                    let (run_end, nsect) = run_at(reqs, j);
+                    let p = position_oracle(model, greedy.0, greedy.1, reqs[j].lba, nsect, true);
+                    if first.is_none_or(|f| p.done < f.0) {
+                        first = Some((p.done, p.cylinder, j, run_end));
+                    }
+                    j = run_end;
+                }
+                let (done, arm, start, run_end) = first.expect("a run left to place");
+                reqs[placed..run_end].rotate_right(run_end - start);
+                placed += run_end - start;
+                greedy = (done, arm);
+            }
+            let greedy = serve(reqs, free, end, greedy);
+            at = if greedy.0 < in_lba_order.0 {
+                greedy
+            } else {
+                reqs[i..end].sort_unstable_by_key(|r| r.lba);
+                in_lba_order
+            };
+            i = end;
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
 
@@ -768,7 +847,9 @@ mod proptests {
         /// from the arm, one wrap) on a twin drive with the same history:
         /// the batch comes back permuted, every plain run stays whole and
         /// in order (so as many disk requests), the cylinders are visited
-        /// in the same sequence, and the batch completes no later.
+        /// in the same sequence, and the batch completes no later. On a
+        /// third twin, the pass as it was before the model was split
+        /// gives the same order and the same completion.
         #[test]
         fn rotational_order_keeps_runs_sweep_and_never_loses(
             blocks in prop::collection::vec((0u64..120, 0u8..8), 1..64),
@@ -846,6 +927,21 @@ mod proptests {
             };
             prop_assert_eq!(sweep(&out), sweep(&lbas), "cylinder sweep differs from C-LOOK's");
             prop_assert!(d.now() <= plain_done, "rotational order {} later than {}", d.now(), plain_done);
+
+            let third = drive();
+            let obs = third.obs();
+            let mut old = batch();
+            let old_done = third.with_disk_mut(|disk| {
+                let cyl = |lba: u64| disk.model().geometry.lba_to_chs(lba).cylinder;
+                old.sort_unstable_by_key(|r| r.lba);
+                let split = old.iter().position(|r| cyl(r.lba) >= disk.arm_cylinder()).unwrap_or(0);
+                old.rotate_left(split);
+                by_rotation_oracle(disk, &mut old, third.now());
+                service_batch(disk, &obs, &mut old, third.now())
+            });
+            let old: Vec<u64> = old.iter().map(|r| r.lba).collect();
+            prop_assert_eq!(&out, &old, "the split pass orders the batch differently");
+            prop_assert_eq!(d.now(), old_done, "the split pass completes at another time");
         }
     }
 }

@@ -243,11 +243,10 @@ pub fn plan(fs: &mut Cffs, _cfg: &RegroupConfig) -> FsResult<RegroupPlan> {
             continue;
         }
         // Score: distinct dir-owned extents + stray blocks vs. ideal.
-        let sb = fs.superblock().clone();
         let mut extents: BTreeSet<(u32, u32)> = BTreeSet::new();
         let mut stray = 0usize;
         for mv in &moves {
-            match fs.group_index().group_of_block(&sb, mv.from) {
+            match fs.group_index().group_of_block(mv.from) {
                 Some(g) if g.owner == dir => {
                     extents.insert((g.cg, g.idx));
                 }
@@ -284,14 +283,13 @@ pub fn plan(fs: &mut Cffs, _cfg: &RegroupConfig) -> FsResult<RegroupPlan> {
 /// member-rich keeps next time.
 pub fn execute(fs: &mut Cffs, plan: &RegroupPlan, cfg: &RegroupConfig) -> FsResult<RegroupOutcome> {
     let gb = fs.config().group_blocks as usize;
-    let sb = fs.superblock().clone();
     let mut out = RegroupOutcome::default();
     let mut budget = cfg.max_blocks;
     'dirs: for dp in &plan.dirs {
         // Planned blocks per dir-owned extent, at plan-time locations.
         let mut members: BTreeMap<(u32, u32), usize> = BTreeMap::new();
         for mv in &dp.moves {
-            if let Some(g) = fs.group_index().group_of_block(&sb, mv.from) {
+            if let Some(g) = fs.group_index().group_of_block(mv.from) {
                 if g.owner == dp.dir {
                     *members.entry((g.cg, g.idx)).or_insert(0) += 1;
                 }
@@ -328,7 +326,7 @@ pub fn execute(fs: &mut Cffs, plan: &RegroupPlan, cfg: &RegroupConfig) -> FsResu
             // A block already inside a kept extent is in final position.
             let home = fs
                 .group_index()
-                .group_of_block(&sb, mv.from)
+                .group_of_block(mv.from)
                 .filter(|g| g.owner == dp.dir)
                 .map(|g| (g.cg, g.idx));
             if home.is_some_and(|k| keep_set.contains(&k)) {

@@ -81,7 +81,6 @@ fn demo_image() -> Disk {
 }
 
 fn walk(fs: &Cffs, dir: Ino, prefix: &str, out: &mut String) {
-    let sb = fs.superblock().clone();
     for e in fs.readdir(dir).expect("readdir") {
         let attr = fs.getattr(e.ino).expect("getattr");
         let placement = match decode_ino(e.ino) {
@@ -92,7 +91,7 @@ fn walk(fs: &Cffs, dir: Ino, prefix: &str, out: &mut String) {
             let mut b = [0u8; 1];
             let _ = fs.read(e.ino, 0, &mut b);
             match fs.cache_block_of(e.ino, 0) {
-                Some(blk) => match fs.group_index().group_of_block(&sb, blk) {
+                Some(blk) => match fs.group_index().group_of_block(blk) {
                     Some(g) => format!(
                         ", data in group {}/{} [{}..+{}]",
                         g.cg, g.idx, g.start, g.nslots

@@ -139,12 +139,10 @@ fn large_files_are_degrouped() {
     fs.write(big, 0, &vec![3u8; 30_000]).unwrap(); // starts grouped
     fs.write(big, 30_000, &vec![4u8; 60_000]).unwrap(); // crosses the limit
     fs.sync().unwrap();
-    // The guard holds the file system's lock: read the superblock first.
-    let sb = fs.superblock();
     for lbn in 0..(90_000u64.div_ceil(4096)) {
         if let Some(blk) = block_of(&fs, big, lbn) {
             assert!(
-                fs.group_index().group_of_block(&sb, blk).is_none(),
+                fs.group_index().group_of_block(blk).is_none(),
                 "block {blk} of the large file is still grouped"
             );
         }
@@ -157,7 +155,7 @@ fn large_files_are_degrouped() {
     // Small files still grouped.
     let small = fs.lookup(dir, "small0").unwrap();
     let blk = block_of(&fs, small, 0).expect("mapped");
-    assert!(fs.group_index().group_of_block(&sb, blk).is_some());
+    assert!(fs.group_index().group_of_block(blk).is_some());
 }
 
 #[test]
@@ -201,12 +199,11 @@ fn group_hint_colocates_files() {
     fs.group_hint(dir, &["asset0", "asset1", "asset2", "asset3"]).unwrap();
     fs.sync().unwrap();
     // All assets' blocks now live in groups owned by `dir`.
-    let sb = fs.superblock();
     for (f, &ino) in inos.iter().enumerate() {
         let blk = block_of(&fs, ino, 0).expect("mapped");
         let g = *fs
             .group_index()
-            .group_of_block(&sb, blk)
+            .group_of_block(blk)
             .unwrap_or_else(|| panic!("asset{f} not grouped"));
         assert_eq!(g.owner, dir);
     }

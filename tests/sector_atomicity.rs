@@ -177,9 +177,15 @@ struct Placed {
 /// sync so the image shows the blocks as the create found them. Checks
 /// after each synchronous create that a crash image keeps the name, and
 /// at the end that no entry straddles a sector and fsck is clean.
-fn placement_script(mode: MetadataMode) -> Vec<Placed> {
+///
+/// With a namespace cache, each name is first looked up (and misses), so
+/// the cache proves it absent and the create skips its existence scan:
+/// the placement then takes every block's chunks from the insert's own
+/// walk.
+fn placement_script(mode: MetadataMode, dcache: bool) -> Vec<Placed> {
     let geo = models::tiny_test_disk().geometry;
-    let fs = fresh(CffsConfig::cffs().with_mode(mode));
+    let cfg = CffsConfig::cffs().with_mode(mode);
+    let fs = fresh(if dcache { cfg.with_dcache(4096) } else { cfg });
     fs.set_disk_trace(true);
     let root = fs.root();
     let dir = fs.mkdir(root, "churned").unwrap();
@@ -195,6 +201,9 @@ fn placement_script(mode: MetadataMode) -> Vec<Placed> {
         let name = format!("n{k:03}");
         fs.sync().unwrap();
         fs.readdir(dir).unwrap();
+        if dcache {
+            assert_eq!(fs.lookup(dir, &name), Err(FsError::NotFound));
+        }
         let size = fs.getattr(dir).unwrap().size;
         let img = fs.crash_image();
         let before: Vec<_> = (0..size / BLOCK_SIZE as u64)
@@ -233,11 +242,19 @@ fn chunk_of(ino: Ino) -> (u64, usize) {
     }
 }
 
+/// Without a namespace cache, and with one that has proven each name
+/// absent.
 #[test]
 fn synchronous_create_writes_the_free_sector_that_lands_first() {
+    for dcache in [false, true] {
+        sync_create_lands_first(dcache);
+    }
+}
+
+fn sync_create_lands_first(dcache: bool) {
     let model = models::tiny_test_disk();
     let mut not_first_fit = 0;
-    for p in placement_script(MetadataMode::Synchronous) {
+    for p in placement_script(MetadataMode::Synchronous, dcache) {
         assert_eq!(p.requests.len(), 1, "a warm synchronous create is one request: {:?}", p.requests);
         let w = p.requests[0];
         assert!(w.write && w.sectors == 1 && !w.cache_hit, "one one-sector write: {w:?}");
@@ -266,7 +283,7 @@ fn synchronous_create_writes_the_free_sector_that_lands_first() {
 
 #[test]
 fn delayed_create_places_entries_first_fit() {
-    for p in placement_script(MetadataMode::Delayed) {
+    for p in placement_script(MetadataMode::Delayed, false) {
         let &(_, blk, free) = p.before.iter().find(|b| b.2 != 0).expect("room");
         assert_eq!(chunk_of(p.ino), (blk, free.trailing_zeros() as usize), "not first fit");
     }
